@@ -7,16 +7,18 @@ substitution x = cos(theta), which absorbs the 1/sqrt(1-x^2) endpoint
 factor exactly:  (1/2pi) int_-1^1 f w dx = (1/2pi) int_0^pi f(cos t)
 W(t) dt with W the weight without the square-root factor.  W extends to
 an even 2pi-periodic analytic function that vanishes at t = 0, pi, so a
-uniform trapezoid rule converges spectrally; refinement doubles the node
-count until successive values agree to the requested tolerance.
+uniform trapezoid rule converges spectrally (Trefethen & Weideman, SIAM
+Rev. 56, 2014).  One node loop, _refine, computes every integral here:
+it sums the mass points described below once, then the 63 interior nodes
+of the 64-interval rule, then only the midpoints of each doubled rule,
+until two successive values agree.
 
 The weight is the Askey-Wilson weight with parameters +-beta^{1/2},
 +-(q beta)^{1/2}.  For beta <= 1 its measure is the circle part alone.
 For beta > 1 the poles z^2 = beta q^k with beta q^k > 1 lie outside the
 unit circle while their mirrors lie inside, and the full measure adds
 one pair of mass points x = +-(u^{1/2} + u^{-1/2})/2 for every such
-u = beta q^k (Askey & Wilson, Mem. AMS 319, 1985).  Every integral here
-is taken against the full measure: trapezoid part plus those masses.
+u = beta q^k (Askey & Wilson, Mem. AMS 319, 1985).
 """
 
 from __future__ import annotations
@@ -26,10 +28,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, NonConvergence, RegionError
+from .errors import DomainError, NonConvergence, PoleError, RegionError
 from .hyperseries import UNILATERAL, SeriesSpec, eval_phi
 from .qcore import (DEFAULT_POLICY, INFINITY, SpectralPoint, TruncationPolicy,
-                    check_real_base, poch, poch_multi, poch_recip)
+                    check_real_base, is_q_power, poch, poch_multi, poch_pm,
+                    poch_recip)
 from .ultraspherical import UltraParams, bilateral_cn, classical_cn
 
 MAX_NODES = 2 ** 20
@@ -66,11 +69,11 @@ class QuadratureResult:
 
 def _circle_weight(thetas, beta, q, policy: TruncationPolicy):
     """(e^{2it}, e^{-2it}; q)_inf / (beta e^{2it}, beta e^{-2it}; q)_inf
-    on a theta array; real by conjugate pairing."""
+    on a theta array; real up to rounding by conjugate pairing."""
     z2 = np.exp(2j * np.asarray(thetas, dtype=float))
     num = poch(z2, q, INFINITY, policy) * poch(1.0 / z2, q, INFINITY, policy)
     den = poch(beta * z2, q, INFINITY, policy) * poch(beta / z2, q, INFINITY, policy)
-    return (num / den).real
+    return num / den
 
 
 def weight_value(theta: float, w: WeightParams,
@@ -80,11 +83,7 @@ def weight_value(theta: float, w: WeightParams,
     theta = float(theta)
     if not 0.0 < theta < math.pi:
         raise DomainError("weight_value needs theta strictly inside (0, pi)")
-    z2 = complex(math.cos(2 * theta), math.sin(2 * theta))
-    num = poch(z2, w.q, INFINITY, policy) * poch(z2.conjugate(), w.q, INFINITY, policy)
-    den = poch(w.beta * z2, w.q, INFINITY, policy) * \
-        poch(w.beta * z2.conjugate(), w.q, INFINITY, policy)
-    val = num / den / math.sqrt(1.0 - math.cos(theta) ** 2)
+    val = _circle_weight(np.array([theta]), w.beta, w.q, policy)[0] / math.sin(theta)
     if abs(val.imag) > 1e-12 * max(1.0, abs(val)):
         raise DomainError("weight evaluated with a non-negligible imaginary part")
     return val.real
@@ -114,62 +113,58 @@ def mass_points(beta: float, q: float,
     return np.array(zs, dtype=complex), np.array(weights, dtype=float)
 
 
-def _eval_at(f, zs):
-    """Evaluate an x-evaluator at an array of z, preferring one vectorized
-    call and falling back to a scalar loop."""
+def _refine(partial_sum, beta: float, q: float, tol: float,
+            policy: TruncationPolicy) -> QuadratureResult:
+    """The node-doubling loop.  partial_sum(sp, wts) returns the weighted
+    sum of the integrand over the nodes sp; it is called once on the mass
+    points, on the 63 interior nodes of the 64-interval rule, then on the
+    midpoints of each doubled rule with the weights of the rule that level
+    completes (the endpoint weights vanish, so no node is evaluated twice),
+    until two successive values differ by < tol."""
+    if tol <= 0:
+        raise DomainError("tol must be positive")
+    mass_z, mass_w = mass_points(beta, q, policy)
+    mass = partial_sum(SpectralPoint(mass_z), mass_w) if len(mass_z) else 0.0
+    n, circle, value = 64, 0.0, math.inf
+    thetas = math.pi / n * np.arange(1, n)
+    while n <= MAX_NODES:
+        # doubling the rule halves the weight of every node already summed
+        wts = _circle_weight(thetas, beta, q, policy).real / (2 * n)
+        circle = circle / 2 + partial_sum(SpectralPoint(np.exp(1j * thetas)), wts)
+        # the first level's delta is infinite: it has no predecessor
+        delta, value = abs(circle + mass - value), complex(circle + mass)
+        if delta < tol:
+            return QuadratureResult(value, n - 1 + len(mass_z), float(delta))
+        thetas = math.pi / (2 * n) * np.arange(1, 2 * n, 2)
+        n *= 2
+    raise NonConvergence(
+        f"quadrature did not reach tol = {tol} within {MAX_NODES} nodes")
+
+
+def _eval_at(f, sp):
+    """Evaluate an x-evaluator on an array SpectralPoint, preferring one
+    vectorized call and falling back to a scalar loop."""
     try:
-        vals = np.asarray(f(SpectralPoint(zs)), dtype=complex)
-        if vals.shape == zs.shape:
+        vals = np.asarray(f(sp), dtype=complex)
+        if vals.shape == sp.z.shape:
             return vals
     except TypeError:
         pass
-    return np.array([complex(f(SpectralPoint(complex(z)))) for z in zs],
+    return np.array([complex(f(SpectralPoint(complex(z)))) for z in sp.z],
                     dtype=complex)
 
 
-def _integrate_raw(f, beta: float, q: float, tol: float,
-                   policy: TruncationPolicy,
-                   min_nodes: int = 64) -> QuadratureResult:
-    """Node-doubling trapezoid core plus the mass points of the measure;
-    the weight endpoints vanish, so only interior nodes contribute and
-    midpoint refinement reuses all previous evaluations."""
-    if tol <= 0:
-        raise DomainError("tol must be positive")
-    n = 32
-    thetas = math.pi / n * np.arange(1, n)
-    weights = _circle_weight(thetas, beta, q, policy)
-    total = np.sum(_eval_at(f, np.exp(1j * thetas)) * weights)
-    evals = n - 1
-    value = total / (2 * n)
-    delta = math.inf
-    while True:
-        mid = math.pi / (2 * n) * np.arange(1, 2 * n, 2)
-        wm = _circle_weight(mid, beta, q, policy)
-        total = total + np.sum(_eval_at(f, np.exp(1j * mid)) * wm)
-        evals += len(mid)
-        n *= 2
-        new_value = total / (2 * n)
-        delta = abs(new_value - value)
-        value = new_value
-        if delta < tol and n >= min_nodes:
-            break
-        if n >= MAX_NODES:
-            raise NonConvergence(
-                f"quadrature did not reach tol = {tol} within {MAX_NODES} nodes")
-    mass_z, mass_w = mass_points(beta, q, policy)
-    if len(mass_z):
-        value = value + np.sum(_eval_at(f, mass_z) * mass_w)
-        evals += len(mass_z)
-    return QuadratureResult(complex(value), evals, float(delta))
-
-
 def integrate(f, w: WeightParams, tol: float,
-              policy: TruncationPolicy = DEFAULT_POLICY,
-              min_nodes: int = 64) -> QuadratureResult:
-    """(1/2pi) int_-1^1 f(x) w(x) dx by the theta-substituted trapezoid
-    rule with node doubling until successive values differ by < tol,
-    plus the mass points of the measure when beta > 1."""
-    return _integrate_raw(f, w.beta, w.q, tol, policy, min_nodes)
+              policy: TruncationPolicy = DEFAULT_POLICY) -> QuadratureResult:
+    """(1/2pi) int_-1^1 f(x) w(x) dx over the full measure.
+
+    The theta-substituted trapezoid rule starts from 63 interior nodes
+    plus the mass points of the measure (beta > 1) and doubles the
+    interval count, adding only the midpoints, until successive values
+    differ by < tol.  f takes a SpectralPoint; a vectorized f is called
+    once per level."""
+    return _refine(lambda sp, wts: np.sum(_eval_at(f, sp) * wts),
+                   w.beta, w.q, tol, policy)
 
 
 def orthogonality_entry(m: int, n: int, w: WeightParams, tol: float = 1e-10,
@@ -209,7 +204,6 @@ def kernel_integral(t1, t2, w: WeightParams, tol: float = 1e-10,
     beta, q = w.beta, w.q
 
     def f(sp):
-        from .qcore import poch_pm
         num = poch_pm(beta * t1, sp, q, policy) * poch_pm(beta * t2, sp, q, policy)
         den = poch_pm(t1, sp, q, policy) * poch_pm(t2, sp, q, policy)
         return num / den
@@ -254,15 +248,21 @@ def bilateral_delta_integral(n: int, beta: float, q: float,
         return bilateral_cn(n, sp, params, policy).value
 
     # bypass the WeightParams window check: beta may exceed q^{-1/2}
-    return _integrate_raw(f, beta, q, tol, policy).value
+    return _refine(lambda sp, wts: np.sum(_eval_at(f, sp) * wts),
+                   beta, q, tol, policy).value
 
 
 def bilateral_delta_rhs(beta: float, q: float,
                         policy: TruncationPolicy = DEFAULT_POLICY) -> complex:
     """(q; q)_inf^2 (beta, q/beta^2; q)_inf / ((q/beta; q)_inf^3
-    (beta^2; q)_inf)."""
+    (beta^2; q)_inf).  Raises PoleError where a denominator product
+    vanishes: beta^2 = q^{-j} or q/beta = q^{-j} with j >= 0."""
     q = check_real_base(q)
     beta = float(beta)
+    for name, a in (("beta^2", beta ** 2), ("q/beta", q / beta)):
+        j = is_q_power(a, q)
+        if j is not None and j <= 0:
+            raise PoleError(f"({name}; q)_inf vanishes at {name} = q^{j}")
     num = poch(q, q, INFINITY, policy) ** 2 * poch_multi(
         [beta, q / beta ** 2], q, INFINITY, policy)
     den = poch(q / beta, q, INFINITY, policy) ** 3 * poch(
@@ -271,10 +271,13 @@ def bilateral_delta_rhs(beta: float, q: float,
 
 
 def shifted_orthogonality_rhs(params: UltraParams,
-                              policy: TruncationPolicy = DEFAULT_POLICY) -> complex:
-    """The (0, 0) value of the shifted-orthogonality closed form:
+                              policy: TruncationPolicy = DEFAULT_POLICY,
+                              n: int = 0) -> complex:
+    """The (n, n) value of the shifted-orthogonality closed form:
     (q; q)^3 (q/b; q)^4 (b, qb; q) / ((q g; q)^4 (q/(b g); q)^4 (b^2; q))
-    2phi1(b^2, b; q b; q, q/(b^2 g)), all products to infinity."""
+    2phi1(b^2, b; q b; q, q/(b^2 g)) (b^2 g / q)^n, all products to
+    infinity.  For real parameters the factor (b^2 g / q)^n is a float
+    power, so rhs(n) == rhs(0) * (b^2 g / q)^n holds exactly."""
     q, beta, gamma = params.q, params.beta, params.gamma
     rho = q / (beta ** 2 * gamma)
     pref = (poch(q, q, INFINITY, policy) ** 3
@@ -284,7 +287,11 @@ def shifted_orthogonality_rhs(params: UltraParams,
              * poch(q / (beta * gamma), q, INFINITY, policy) ** 4
              * poch(beta ** 2, q, INFINITY, policy))
     spec = SeriesSpec(UNILATERAL, (beta ** 2, beta), (q * beta,), q, rho)
-    return pref * eval_phi(spec, policy)
+    if beta.imag or gamma.imag or q.imag:
+        scale = beta ** 2 * gamma / q
+    else:  # complex powers round differently from float ones
+        scale = beta.real ** 2 * gamma.real / q.real
+    return pref * eval_phi(spec, policy) * scale ** n
 
 
 def shifted_orthogonality_pair(m: int, n: int, params: UltraParams,
@@ -293,15 +300,15 @@ def shifted_orthogonality_pair(m: int, n: int, params: UltraParams,
                                k_extra: int = 0):
     """lhs and rhs of the shifted orthogonality relation.
 
-    lhs = (1/2pi) int sum_k C_{m+k} C_{n+k} (q/(beta^2 gamma))^k w dx,
-    over the full measure (mass points included for beta > 1), with
-    the k-sum truncated adaptively (shells added until their contribution
-    is below tol) inside a node-doubling quadrature; k_extra forces extra
-    shells beyond acceptance (used to check split independence).
+    lhs = (1/2pi) int sum_k C_{m+k} C_{n+k} (q/(beta^2 gamma))^k w dx over
+    the full measure, by the module's node loop (mass points, 63 nodes,
+    then midpoints) to tol * max(1, |rhs|) / 4.  On each set of nodes the
+    k-sum adds shells +-k, each C_j evaluated once, until two in a row
+    contribute at most tol * max(1, |sum|) / 64, and not before the shell
+    count of the previous set; k_extra forces extra shells beyond
+    acceptance (used to check split independence).
 
-    rhs = shifted_orthogonality_rhs(params) * (beta^2 gamma / q)^n * delta_{mn};
-    the diagonal scaling factor is applied as an exact power so rhs(n) /
-    rhs(0) == (beta^2 gamma / q)^n holds exactly.
+    rhs = shifted_orthogonality_rhs(params, policy, n) * delta_{mn}.
     """
     q = check_real_base(params.q)
     if params.beta.imag or params.gamma.imag:
@@ -311,19 +318,11 @@ def shifted_orthogonality_pair(m: int, n: int, params: UltraParams,
     rho = q / (beta ** 2 * gamma)
     if not abs(rho) < 1:
         raise RegionError("shifted orthogonality needs |q/(beta^2 gamma)| < 1")
-    scale = beta ** 2 * gamma / q
-    rhs0 = shifted_orthogonality_rhs(params, policy)
-    rhs = rhs0 * scale ** n if m == n else 0.0 + 0j
+    rhs = shifted_orthogonality_rhs(params, policy, n) if m == n else 0j
+    kmin = 8
 
-    mass_z, mass_w = mass_points(beta, q, policy)
-    nnodes = 64
-    prev = None
-    kprev = 8
-    while True:
-        thetas = math.pi / nnodes * np.arange(1, nnodes)
-        sp = SpectralPoint(np.concatenate([np.exp(1j * thetas), mass_z]))
-        wts = np.concatenate(
-            [_circle_weight(thetas, beta, q, policy) / (2 * nnodes), mass_w])
+    def partial_sum(sp, wts):
+        nonlocal kmin
         cvals = {}
 
         def cj(j):
@@ -346,7 +345,7 @@ def shifted_orthogonality_pair(m: int, n: int, params: UltraParams,
             total += contrib
             if abs(contrib) <= tol * max(1.0, abs(total)) / 64.0:
                 small += 1
-                if small >= 2 and k >= kprev:
+                if small >= 2 and k >= kmin:
                     break
             else:
                 small = 0
@@ -355,10 +354,8 @@ def shifted_orthogonality_pair(m: int, n: int, params: UltraParams,
         for _ in range(k_extra):
             k += 1
             total += shell_integral(k)
-        kprev = k
-        if prev is not None and abs(total - prev) <= tol * max(1.0, abs(total)) / 4.0:
-            return complex(total), complex(rhs)
-        prev = total
-        nnodes *= 2
-        if nnodes > 2 ** 14:
-            raise NonConvergence("shifted-orthogonality quadrature failed to settle")
+        kmin = k
+        return total
+
+    lhs = _refine(partial_sum, beta, q, tol * max(1.0, abs(rhs)) / 4.0, policy)
+    return lhs.value, complex(rhs)

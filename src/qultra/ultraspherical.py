@@ -227,8 +227,12 @@ def _bilateral_direct(n: int, z, params: UltraParams,
     return (complex(out) if scalar else out), total_terms
 
 
-class _RouteUnusable(Exception):
-    """Internal: a continuation route does not apply at this point."""
+class _RouteUnusable(RegionError):
+    """A continuation route does not apply at this point."""
+
+
+# the failures after which _bilateral_continued tries its next route
+_ROUTE_FAILURES = (RegionError, PoleError, NonConvergence, ZeroDivisionError)
 
 
 def _near_half_lattice(value, q, tol=1e-8):
@@ -307,12 +311,12 @@ def _bilateral_continued(n: int, z: complex, params: UltraParams,
     for route in (_bilateral_6psi8, _bilateral_22tgl):
         try:
             return route(n, z, params, policy)
-        except (_RouteUnusable, PoleError, NonConvergence, ZeroDivisionError) as exc:
+        except _ROUTE_FAILURES as exc:
             attempts.append(f"{route.__name__}: {exc}")
     # recurrence climb from continued seeds C_0, C_{-1}
     try:
         return _bilateral_climb(n, z, params, policy)
-    except (_RouteUnusable, PoleError, NonConvergence, ZeroDivisionError) as exc:
+    except _ROUTE_FAILURES as exc:
         attempts.append(f"climb: {exc}")
     raise RegionError(
         "point outside the direct region and no continuation applies: "

@@ -349,13 +349,12 @@ def _shifted_offdiag(ctx: _Ctx):
 
 
 def _shifted_scaling(ctx: _Ctx):
-    # only the rhs values matter here, so the lhs k-sum may run loose
     beta, gamma, q = ctx.cfg["beta"], ctx.cfg["gamma"], ctx.cfg["q"]
     scale = beta ** 2 * gamma / q
-    _, rhs0 = shifted_orthogonality_pair(0, 0, ctx.params, 1e-2, ctx.policy)
+    rhs0 = shifted_orthogonality_rhs(ctx.params, ctx.policy)
     worst = 0.0
     for n in (-2, -1, 1, 2):
-        _, rhs = shifted_orthogonality_pair(n, n, ctx.params, 1e-2, ctx.policy)
+        rhs = shifted_orthogonality_rhs(ctx.params, ctx.policy, n)
         worst = max(worst, abs(rhs - rhs0 * scale ** n))
     return worst, 1e-15, ctx.base_params(), 0, 0
 

@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from qultra import (DomainError, RegionError, SpectralPoint, UltraParams,
+import qultra.quadrature as quad
+from qultra import (DomainError, NonConvergence, PoleError, RegionError,
+                    SpectralPoint, UltraParams,
                     WeightParams, bilateral_delta_integral, bilateral_delta_rhs,
                     classical_cn, integrate, kernel_integral,
                     kernel_integral_rhs, mass_points, orthogonality_diagonal,
@@ -11,7 +13,7 @@ from qultra import (DomainError, RegionError, SpectralPoint, UltraParams,
                     shifted_orthogonality_pair, shifted_orthogonality_rhs,
                     weight_value)
 from qultra.qcore import INFINITY
-from qultra.quadrature import _circle_weight, _integrate_raw
+from qultra.quadrature import _circle_weight
 
 Q, BETA, GAMMA = 0.3, 0.8, 0.7
 
@@ -105,6 +107,42 @@ def test_integrate_linear_in_f():
     assert a == pytest.approx(b, rel=1e-10, abs=1e-12)
 
 
+@pytest.mark.parametrize("beta", [0.8, 1.2])
+def test_integrate_evaluates_each_node_once(beta):
+    # first level, mass points (beta = 1.2), then midpoints only
+    seen = []
+
+    def f(sp):
+        seen.extend(np.atleast_1d(sp.z))
+        return sp.x ** 2
+
+    got = integrate(f, WeightParams(beta, Q), 1e-12)
+    assert len(seen) == got.nodes_used
+    assert len(set(seen)) == len(seen)
+    circle = len(seen) - len(mass_points(beta, Q)[0])  # 2^k - 1 nested nodes
+    assert circle + 1 == 2 ** int(math.log2(circle + 1))
+
+
+def test_integrate_jump_stops_at_node_cap():
+    # a jump limits the trapezoid rule to first order: no tolerance is met
+    calls = []
+
+    def f(sp):
+        calls.append(sp.z.size)
+        return np.where(sp.x > 0.3, 1.0, 0.0)
+
+    with pytest.raises(NonConvergence):
+        integrate(f, WeightParams(BETA, Q), 1e-13)
+    assert sum(calls) == quad.MAX_NODES - 1
+
+
+def test_shifted_orthogonality_shares_node_cap(params, monkeypatch):
+    # the first level alone cannot converge, so a 64-interval cap must stop it
+    monkeypatch.setattr(quad, "MAX_NODES", 64)
+    with pytest.raises(NonConvergence):
+        shifted_orthogonality_pair(0, 0, params, 1e-6)
+
+
 def test_node_doubling_deltas_shrink():
     # spectral convergence: successive refinements decrease monotonically
     # until rounding noise (~1e-12)
@@ -188,6 +226,13 @@ def test_bilateral_delta_integral_in_window():
             assert abs(got - target) <= 1e-9 * max(1.0, abs(rhs))
 
 
+def test_bilateral_delta_rhs_pole():
+    # (beta^2; q)_inf vanishes at beta^2 = q^0 and q^-1
+    for beta in (1.0, 0.5 ** -0.5):
+        with pytest.raises(PoleError):
+            bilateral_delta_rhs(beta, 0.5)
+
+
 def test_mass_points():
     for beta in (-0.5, 0.8, 1.0):
         zs, ws = mass_points(beta, Q)
@@ -252,6 +297,7 @@ def test_shifted_orthogonality_scaling_exact(params):
     for n in (-2, 1, 2):
         _, rhs = shifted_orthogonality_pair(n, n, params, 1e-6)
         assert rhs == rhs0 * scale ** n
+        assert rhs == shifted_orthogonality_rhs(params, n=n)
 
 
 def test_shifted_orthogonality_split_independence(params):

@@ -91,6 +91,24 @@ def test_delta_entry_passes_above_one():
     assert entry.passed and not entry.skipped
 
 
+@pytest.mark.parametrize("cfg", [
+    {"q": 0.5},
+    {"q": 0.1, "beta": 0.95, "gamma": 0.3},
+    {"q": 0.5, "beta": 0.9, "gamma": 0.4},
+    {"q": 0.3, "beta": -0.5, "gamma": 0.7},
+])
+def test_crosscheck_skips_where_a_route_does_not_apply(cfg):
+    entry = run_identity("bilateral_cn_continuation_crosscheck", cfg)
+    # the 2psi2 route is out of region at z = q^{1/2} e^{0.4i} here
+    assert entry.skipped and entry.passed
+    assert "transformed series out of region" in entry.note
+
+
+def test_shifted_scaling_entry_is_exact():
+    entry = run_identity("shifted_orthogonality_scaling")
+    assert entry.passed and entry.residual == 0.0
+
+
 def test_identity_names_nonempty():
     assert "ramanujan_1psi1" in identity_names()
 
