@@ -9,18 +9,22 @@ from .qcore import (DEFAULT_POLICY, INFINITY, SpectralPoint, TruncationPolicy,
                     check_base, check_real_base, poch, poch_multi, poch_pm)
 from .hyperseries import (BILATERAL, UNILATERAL, SeriesSpec, closed_form,
                           eval_phi, eval_psi, transform_residual)
-from .ultraspherical import (UltraParams, UltraValue, bilateral_cn,
-                             bilateral_cn_psi_form, classical_cn,
+from .ultraspherical import (UltraParams, UltraRange, UltraValue,
+                             bilateral_cn, bilateral_cn_psi_form,
+                             bilateral_cn_range, classical_cn,
                              constant_term, generating_rhs,
-                             linearization_residual, recurrence_residual,
-                             special_value_c0, special_value_cm1,
-                             symmetry_residual)
+                             linearization_residual, recurrence_gap,
+                             recurrence_residual, special_value_c0,
+                             special_value_cm1, symmetry_gap,
+                             symmetry_params, symmetry_residual)
 from .awoperator import apply_dq, dq_action_residual
 from .quadrature import (QuadratureResult, WeightParams,
-                         bilateral_delta_integral, bilateral_delta_rhs,
-                         integrate, kernel_integral, kernel_integral_rhs,
-                         mass_points, orthogonality_diagonal,
-                         orthogonality_entry, shifted_orthogonality_pair,
+                         bilateral_delta_integral, bilateral_delta_quadrature,
+                         bilateral_delta_rhs, integrate, kernel_integral,
+                         kernel_integral_rhs, kernel_quadrature, mass_points,
+                         orthogonality_diagonal, orthogonality_entry,
+                         orthogonality_quadrature, shifted_orthogonality_pair,
+                         shifted_orthogonality_quadrature,
                          shifted_orthogonality_rhs, weight_value)
 from .verify import VerificationEntry, VerificationReport, render_json, run_suite
 
@@ -33,16 +37,20 @@ __all__ = [
     "check_base", "check_real_base", "poch", "poch_multi", "poch_pm",
     "BILATERAL", "UNILATERAL", "SeriesSpec", "closed_form", "eval_phi",
     "eval_psi", "transform_residual",
-    "UltraParams", "UltraValue", "bilateral_cn", "bilateral_cn_psi_form",
-    "classical_cn", "constant_term", "generating_rhs",
-    "linearization_residual", "recurrence_residual", "special_value_c0",
-    "special_value_cm1", "symmetry_residual",
+    "UltraParams", "UltraRange", "UltraValue", "bilateral_cn",
+    "bilateral_cn_psi_form", "bilateral_cn_range", "classical_cn",
+    "constant_term", "generating_rhs", "linearization_residual",
+    "recurrence_gap", "recurrence_residual", "special_value_c0",
+    "special_value_cm1", "symmetry_gap", "symmetry_params",
+    "symmetry_residual",
     "apply_dq", "dq_action_residual",
     "QuadratureResult", "WeightParams", "bilateral_delta_integral",
-    "bilateral_delta_rhs", "integrate", "kernel_integral",
-    "kernel_integral_rhs", "mass_points", "orthogonality_diagonal",
-    "orthogonality_entry", "shifted_orthogonality_pair",
-    "shifted_orthogonality_rhs", "weight_value",
+    "bilateral_delta_quadrature", "bilateral_delta_rhs", "integrate",
+    "kernel_integral", "kernel_integral_rhs", "kernel_quadrature",
+    "mass_points", "orthogonality_diagonal", "orthogonality_entry",
+    "orthogonality_quadrature", "shifted_orthogonality_pair",
+    "shifted_orthogonality_quadrature", "shifted_orthogonality_rhs",
+    "weight_value",
     "VerificationEntry", "VerificationReport", "render_json", "run_suite",
     "__version__",
 ]

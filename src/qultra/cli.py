@@ -20,7 +20,8 @@ from .errors import (ConfigError, DomainError, NonConvergence, PoleError,
 from .qcore import SpectralPoint, TruncationPolicy
 from .ultraspherical import (BILATERAL_KIND, CLASSICAL, UltraParams,
                              bilateral_cn, classical_cn)
-from .verify import identity_names, render_json, run_identity, run_suite
+from .verify import (CONFIG_DEFAULTS, identity_names, render_json,
+                     run_identity, run_suite)
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -114,12 +115,13 @@ def merge_config(args: argparse.Namespace) -> dict:
 
 
 def _policy_from(cfg: dict) -> TruncationPolicy:
+    """The truncation policy of cfg, with the suite's defaults."""
     try:
         return TruncationPolicy(
-            rel_tol=float(cfg.get("rel_tol", 1e-13)),
-            abs_tol=float(cfg.get("abs_tol", 1e-300)),
-            max_terms=int(cfg.get("max_terms", 10000)),
-            tail_window=int(cfg.get("tail_window", 3)))
+            rel_tol=float(cfg.get("rel_tol", CONFIG_DEFAULTS["rel_tol"])),
+            abs_tol=float(cfg.get("abs_tol", CONFIG_DEFAULTS["abs_tol"])),
+            max_terms=int(cfg.get("max_terms", CONFIG_DEFAULTS["max_terms"])),
+            tail_window=int(cfg.get("tail_window", CONFIG_DEFAULTS["tail_window"])))
     except (DomainError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -139,9 +141,9 @@ def resolve_point(args: argparse.Namespace) -> SpectralPoint:
     return SpectralPoint(complex(args.z_re, args.z_im or 0.0))
 
 
-def _num(cfg, key, default):
+def _num(cfg, key):
     try:
-        return float(cfg.get(key, default))
+        return float(cfg.get(key, CONFIG_DEFAULTS[key]))
     except ValueError as exc:
         raise ConfigError(f"config key {key} must be a number") from exc
 
@@ -149,9 +151,7 @@ def _num(cfg, key, default):
 def cmd_eval(args: argparse.Namespace) -> int:
     cfg = merge_config(args)
     policy = _policy_from(cfg)
-    q = _num(cfg, "q", 0.3)
-    beta = _num(cfg, "beta", 0.8)
-    gamma = _num(cfg, "gamma", 0.7)
+    q, beta, gamma = _num(cfg, "q"), _num(cfg, "beta"), _num(cfg, "gamma")
     n = args.n if args.n is not None else 0
     p = resolve_point(args)
     if args.kind == CLASSICAL:
@@ -215,9 +215,7 @@ def cmd_suite(args: argparse.Namespace) -> int:
 def cmd_table(args: argparse.Namespace) -> int:
     cfg = merge_config(args)
     policy = _policy_from(cfg)
-    q = _num(cfg, "q", 0.3)
-    beta = _num(cfg, "beta", 0.8)
-    gamma = _num(cfg, "gamma", 0.7)
+    q, beta, gamma = _num(cfg, "q"), _num(cfg, "beta"), _num(cfg, "gamma")
     n_lo = args.n_min if args.n_min is not None else (args.n or 0)
     n_hi = args.n_max if args.n_max is not None else (args.n or 0)
     if n_hi < n_lo:

@@ -33,7 +33,8 @@ from .hyperseries import UNILATERAL, SeriesSpec, eval_phi
 from .qcore import (DEFAULT_POLICY, INFINITY, SpectralPoint, TruncationPolicy,
                     check_real_base, is_q_power, poch, poch_multi, poch_pm,
                     poch_recip)
-from .ultraspherical import UltraParams, bilateral_cn, classical_cn
+from .ultraspherical import (UltraParams, bilateral_cn, bilateral_cn_range,
+                             classical_cn)
 
 MAX_NODES = 2 ** 20
 
@@ -167,17 +168,24 @@ def integrate(f, w: WeightParams, tol: float,
                    w.beta, w.q, tol, policy)
 
 
-def orthogonality_entry(m: int, n: int, w: WeightParams, tol: float = 1e-10,
-                        policy: TruncationPolicy = DEFAULT_POLICY) -> complex:
-    """Integral of C_m C_n against the weight; equals delta_{mn} times
-    orthogonality_diagonal(n, w)."""
+def orthogonality_quadrature(m: int, n: int, w: WeightParams, tol: float = 1e-10,
+                             policy: TruncationPolicy = DEFAULT_POLICY
+                             ) -> QuadratureResult:
+    """Integral of C_m C_n against the weight; its value equals
+    delta_{mn} times orthogonality_diagonal(n, w)."""
     if m < 0 or n < 0:
         raise DomainError("orthogonality_entry needs m, n >= 0")
 
     def f(sp):
         return classical_cn(m, sp, w.beta, w.q) * classical_cn(n, sp, w.beta, w.q)
 
-    return integrate(f, w, tol, policy).value
+    return integrate(f, w, tol, policy)
+
+
+def orthogonality_entry(m: int, n: int, w: WeightParams, tol: float = 1e-10,
+                        policy: TruncationPolicy = DEFAULT_POLICY) -> complex:
+    """The value of orthogonality_quadrature."""
+    return orthogonality_quadrature(m, n, w, tol, policy).value
 
 
 def orthogonality_diagonal(n: int, w: WeightParams,
@@ -193,11 +201,12 @@ def orthogonality_diagonal(n: int, w: WeightParams,
     return head.real
 
 
-def kernel_integral(t1, t2, w: WeightParams, tol: float = 1e-10,
-                    policy: TruncationPolicy = DEFAULT_POLICY) -> complex:
+def kernel_quadrature(t1, t2, w: WeightParams, tol: float = 1e-10,
+                      policy: TruncationPolicy = DEFAULT_POLICY
+                      ) -> QuadratureResult:
     """(1/2pi) int (beta t1 e^{+-it}, beta t2 e^{+-it}; q)_inf /
-    (t1 e^{+-it}, t2 e^{+-it}; q)_inf w(x) dx for |t1|, |t2| < 1;
-    equals kernel_integral_rhs(t1, t2, w)."""
+    (t1 e^{+-it}, t2 e^{+-it}; q)_inf w(x) dx for |t1|, |t2| < 1; its
+    value equals kernel_integral_rhs(t1, t2, w)."""
     t1, t2 = complex(t1), complex(t2)
     if not (abs(t1) < 1 and abs(t2) < 1):
         raise RegionError("kernel integral requires |t1| < 1 and |t2| < 1")
@@ -208,7 +217,13 @@ def kernel_integral(t1, t2, w: WeightParams, tol: float = 1e-10,
         den = poch_pm(t1, sp, q, policy) * poch_pm(t2, sp, q, policy)
         return num / den
 
-    return integrate(f, w, tol, policy).value
+    return integrate(f, w, tol, policy)
+
+
+def kernel_integral(t1, t2, w: WeightParams, tol: float = 1e-10,
+                    policy: TruncationPolicy = DEFAULT_POLICY) -> complex:
+    """The value of kernel_quadrature."""
+    return kernel_quadrature(t1, t2, w, tol, policy).value
 
 
 def kernel_integral_rhs(t1, t2, w: WeightParams,
@@ -222,14 +237,15 @@ def kernel_integral_rhs(t1, t2, w: WeightParams,
     return pref * eval_phi(spec, policy)
 
 
-def bilateral_delta_integral(n: int, beta: float, q: float,
-                             tol: float = 1e-9,
-                             policy: TruncationPolicy = DEFAULT_POLICY) -> complex:
+def bilateral_delta_quadrature(n: int, beta: float, q: float,
+                               tol: float = 1e-9,
+                               policy: TruncationPolicy = DEFAULT_POLICY
+                               ) -> QuadratureResult:
     """(1/2pi) int C_n(x; beta^2, 1/beta | q) w(x | beta) dx.
 
-    Equals bilateral_delta_rhs(beta, q) times delta_{n,0} for beta >
-    sqrt(q), away from the points where (beta^2; q)_inf vanishes.  The
-    bilateral family parameters are (beta^2, 1/beta); the weight
+    Its value equals bilateral_delta_rhs(beta, q) times delta_{n,0} for
+    beta > sqrt(q), away from the points where (beta^2; q)_inf vanishes.
+    The bilateral family parameters are (beta^2, 1/beta); the weight
     parameter is beta itself, taken without the positivity window, so
     beta >= q^{-1/2} is allowed too.  For beta > 1 the integral is over
     the full measure, including mass_points(beta, q), without which the
@@ -249,7 +265,14 @@ def bilateral_delta_integral(n: int, beta: float, q: float,
 
     # bypass the WeightParams window check: beta may exceed q^{-1/2}
     return _refine(lambda sp, wts: np.sum(_eval_at(f, sp) * wts),
-                   beta, q, tol, policy).value
+                   beta, q, tol, policy)
+
+
+def bilateral_delta_integral(n: int, beta: float, q: float,
+                             tol: float = 1e-9,
+                             policy: TruncationPolicy = DEFAULT_POLICY) -> complex:
+    """The value of bilateral_delta_quadrature."""
+    return bilateral_delta_quadrature(n, beta, q, tol, policy).value
 
 
 def bilateral_delta_rhs(beta: float, q: float,
@@ -294,19 +317,28 @@ def shifted_orthogonality_rhs(params: UltraParams,
     return pref * eval_phi(spec, policy) * scale ** n
 
 
-def shifted_orthogonality_pair(m: int, n: int, params: UltraParams,
-                               tol: float = 1e-6,
-                               policy: TruncationPolicy = DEFAULT_POLICY,
-                               k_extra: int = 0):
-    """lhs and rhs of the shifted orthogonality relation.
+#: shells of C_j rows computed beyond the last shell the loop is expected to need
+_SHELL_MARGIN = 2
+
+
+def shifted_orthogonality_quadrature(m: int, n: int, params: UltraParams,
+                                     tol: float = 1e-6,
+                                     policy: TruncationPolicy = DEFAULT_POLICY,
+                                     k_extra: int = 0):
+    """lhs and rhs of the shifted orthogonality relation, the lhs as a
+    QuadratureResult.
 
     lhs = (1/2pi) int sum_k C_{m+k} C_{n+k} (q/(beta^2 gamma))^k w dx over
     the full measure, by the module's node loop (mass points, 63 nodes,
     then midpoints) to tol * max(1, |rhs|) / 4.  On each set of nodes the
-    k-sum adds shells +-k, each C_j evaluated once, until two in a row
-    contribute at most tol * max(1, |sum|) / 64, and not before the shell
-    count of the previous set; k_extra forces extra shells beyond
-    acceptance (used to check split independence).
+    k-sum adds shells +-k until two in a row contribute at most
+    tol * max(1, |sum|) / 64, and not before the shell count of the
+    previous set; k_extra forces extra shells beyond acceptance (used to
+    check split independence).  The C_j of a node set come from one
+    bilateral_cn_range pass over j = min(m, n) - K .. max(m, n) + K, with
+    K the previous set's shell count plus k_extra and a margin; a shell k
+    beyond it adds the rows up to shell 2k that the set lacks, so each
+    C_j is evaluated once per node set.
 
     rhs = shifted_orthogonality_rhs(params, policy, n) * delta_{mn}.
     """
@@ -319,21 +351,21 @@ def shifted_orthogonality_pair(m: int, n: int, params: UltraParams,
     if not abs(rho) < 1:
         raise RegionError("shifted orthogonality needs |q/(beta^2 gamma)| < 1")
     rhs = shifted_orthogonality_rhs(params, policy, n) if m == n else 0j
+    lo, hi = min(m, n), max(m, n)
     kmin = 8
 
     def partial_sum(sp, wts):
         nonlocal kmin
-        cvals = {}
-
-        def cj(j):
-            if j not in cvals:
-                cvals[j] = bilateral_cn(j, sp, params, policy).value
-            return cvals[j]
+        reach = kmin + k_extra + _SHELL_MARGIN
+        rows = bilateral_cn_range(lo - reach, hi + reach, sp, params, policy)
 
         def shell_integral(k):
-            vals = cj(m + k) * cj(n + k) * rho ** k
+            nonlocal rows
+            if lo - k < rows.n_lo or hi + k > rows.n_hi:
+                rows = rows.widened(lo - 2 * k, hi + 2 * k)
+            vals = rows[m + k] * rows[n + k] * rho ** k
             if k != 0:
-                vals = vals + cj(m - k) * cj(n - k) * rho ** (-k)
+                vals = vals + rows[m - k] * rows[n - k] * rho ** (-k)
             return complex(np.sum(vals * wts))
 
         total = shell_integral(0)
@@ -358,4 +390,13 @@ def shifted_orthogonality_pair(m: int, n: int, params: UltraParams,
         return total
 
     lhs = _refine(partial_sum, beta, q, tol * max(1.0, abs(rhs)) / 4.0, policy)
-    return lhs.value, complex(rhs)
+    return lhs, complex(rhs)
+
+
+def shifted_orthogonality_pair(m: int, n: int, params: UltraParams,
+                               tol: float = 1e-6,
+                               policy: TruncationPolicy = DEFAULT_POLICY,
+                               k_extra: int = 0):
+    """(lhs value, rhs) of shifted_orthogonality_quadrature."""
+    lhs, rhs = shifted_orthogonality_quadrature(m, n, params, tol, policy, k_extra)
+    return lhs.value, rhs

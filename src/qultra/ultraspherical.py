@@ -8,10 +8,16 @@ The bilateral function
     g_j = (beta*gamma; q)_j / (q*gamma; q)_j,   x = (z + 1/z)/2,
 
 converges for |q z^2 / beta| < 1 and |q / (beta z^2)| < 1.  Inside that
-annulus the primary evaluation path is the direct two-sided sum.
-Outside it the function is still analytic in x along paths avoiding the
-annulus-boundary singularities, and evaluation switches to one of two
-analytic-continuation representations:
+annulus the primary evaluation path is the direct two-sided sum.  Every
+n uses the same g_j, so bilateral_cn_range sums a whole range of n at
+every point in one pass: g_j is formed once by its one-step recursions,
+each step adds one term of each side to every row, and each row keeps
+the truncation checks it would have alone.  bilateral_cn is its one-row
+case.
+
+Outside the annulus the function is still analytic in x along paths
+avoiding the annulus-boundary singularities, and evaluation switches to
+one of two analytic-continuation representations:
 
 * a very-well-poised 6psi8 series whose two-sided tails decay
   superexponentially for every z != 0 (it fails only on a thin
@@ -37,7 +43,7 @@ from .errors import DomainError, NonConvergence, PoleError, RegionError
 from .hyperseries import BILATERAL, SeriesSpec, sum_psi
 from .qcore import (DEFAULT_POLICY, INFINITY, CompensatedSum, SpectralPoint,
                     TruncationPolicy, check_base, check_real_base, is_q_power,
-                    poch, poch_multi, poch_ratio, poch_recip)
+                    poch, poch_multi, poch_ratio)
 
 CLASSICAL = "classical"
 BILATERAL_KIND = "bilateral"
@@ -77,6 +83,46 @@ class UltraValue:
     point: SpectralPoint
     value: complex
     truncation_terms: int
+
+
+@dataclass(frozen=True)
+class UltraRange:
+    """C_n for n_lo <= n <= n_hi at one point, from bilateral_cn_range
+    with params and policy: values[n - n_lo] has the shape of point.z, and
+    truncation_terms[n - n_lo] counts the terms of that row (the most at
+    any of its points)."""
+
+    n_lo: int
+    point: SpectralPoint
+    params: UltraParams
+    policy: TruncationPolicy
+    values: np.ndarray
+    truncation_terms: np.ndarray
+
+    @property
+    def n_hi(self) -> int:
+        return self.n_lo + len(self.values) - 1
+
+    def __getitem__(self, n: int):
+        if not self.n_lo <= n <= self.n_hi:
+            raise IndexError(f"n = {n} outside [{self.n_lo}, {self.n_hi}]")
+        return self.values[n - self.n_lo]
+
+    def widened(self, n_lo: int, n_hi: int) -> "UltraRange":
+        """These rows plus the rows of [n_lo, n_hi] they lack; only the
+        missing rows are computed."""
+        parts = [self]
+        if n_lo < self.n_lo:
+            parts.insert(0, bilateral_cn_range(n_lo, self.n_lo - 1, self.point,
+                                               self.params, self.policy))
+        if n_hi > self.n_hi:
+            parts.append(bilateral_cn_range(self.n_hi + 1, n_hi, self.point,
+                                            self.params, self.policy))
+        if len(parts) == 1:
+            return self
+        return UltraRange(parts[0].n_lo, self.point, self.params, self.policy,
+                          np.concatenate([r.values for r in parts]),
+                          np.concatenate([r.truncation_terms for r in parts]))
 
 
 def check_pole_lattice(params: UltraParams) -> None:
@@ -136,95 +182,129 @@ def classical_cn(n: int, p: SpectralPoint, beta, q):
     return complex(out) if scalar else out
 
 
-def _bilateral_direct(n: int, z, params: UltraParams,
-                      policy: TruncationPolicy):
-    """Two-sided sum of the defining series; z scalar or ndarray.
-
-    Runs four coupled one-step recursions for g_k, g_{n-k} on each side so
-    every intermediate stays bounded; term magnitudes plateau for roughly
-    |n| steps before the geometric tails set in, so the divergence guard
-    window scales with |n|.
-    """
+def _g_table(params: UltraParams, j_lo: int, j_hi: int) -> np.ndarray:
+    """g_j = (beta gamma; q)_j / (q gamma; q)_j for j_lo <= j <= j_hi
+    (j_lo <= 0 <= j_hi) by the one-step recursions both ways from g_0 = 1;
+    entry i holds g_{j_lo + i}."""
     q, bg, gq = params.q, params.beta * params.gamma, params.q * params.gamma
-    scalar = not isinstance(z, np.ndarray)
-    z = np.asarray(z, dtype=complex)
+    up, u = [1.0 + 0j], 1.0 + 0j          # g_j for j >= 0; u = q^j
+    for _ in range(j_hi):
+        den = 1.0 - gq * u
+        if den == 0:
+            raise PoleError("parameter lattice hit in the direct sum")
+        up.append(up[-1] * (1.0 - bg * u) / den)
+        u *= q
+    down, g, v = [], 1.0 + 0j, q           # g_{-j} for j >= 1; v = q^j
+    for _ in range(-j_lo):
+        den = v - bg
+        if den == 0:
+            raise PoleError("parameter lattice hit in the direct sum")
+        g = g * (v - gq) / den
+        down.append(g)
+        v *= q
+    return np.array(down[::-1] + up, dtype=complex)
+
+
+def _z_powers(z: np.ndarray, n_lo: int, n_hi: int) -> np.ndarray:
+    """Rows z^n for n_lo <= n <= n_hi by repeated multiplication from
+    z^0, which loses fewer digits than numpy's power for large |n|."""
+    lo, hi = min(n_lo, 0), max(n_hi, 0)
+    up = np.cumprod(np.broadcast_to(z, (hi,) + z.shape), axis=0)
+    down = np.cumprod(np.broadcast_to(1.0 / z, (-lo,) + z.shape), axis=0)
+    table = np.concatenate((down[::-1], np.ones((1,) + z.shape, dtype=complex), up))
+    return table[n_lo - lo:n_hi - lo + 1]
+
+
+#: rows times points of one direct-sum pass; longer ranges take several
+_BLOCK_SIZE = 1024
+
+#: a term magnitude above this times the previous one counts as growth
+_GROWTH = 1.0 + 1e-6
+
+
+def _direct_rows(n_lo: int, n_hi: int, z: np.ndarray, params: UltraParams,
+                 policy: TruncationPolicy):
+    """C_n for n_lo <= n <= n_hi at every z of a 1-D array, as one
+    two-sided pass over the defining series.
+
+    Step s adds the term k = s of the upper side and the term k = -1 - s
+    of the lower side to every row, so each step updates a
+    (side x row x point) block.  Each side of each row keeps its own
+    checks, on its largest term and partial sum over the points: a
+    non-finite term or a run of 8 tail_window + 2|n| + 8 growing terms
+    (term magnitudes plateau for about |n| steps before the geometric
+    tails set in) raises NonConvergence; a zero term,
+    or tail_window terms in a row at most rel_tol times the partial sum
+    plus abs_tol, ends the side.  A row's values and stopping steps
+    therefore do not depend on the other rows.  Returns the (rows x
+    points) values and the terms summed per row.
+    """
+    ns = np.arange(n_lo, n_hi + 1)
+    shape = (2, ns.size)
     z2 = z * z
-
-    acc = CompensatedSum(z)
-    gB0 = poch_ratio(bg, gq, q, n)   # g_n
-    guard_window = 8 * policy.tail_window + 2 * abs(n) + 8
-    total_terms = 0
-
-    def run_side(forward: bool):
-        nonlocal total_terms
-        gA = 1.0 + 0j          # g_k at k = 0
-        gB = gB0               # g_{n-k} at k = 0
-        zpow = z ** n
-        if forward:
-            u = 1.0 + 0j       # q^k
-            vB = q ** (1 - n)  # q^{1-(n-k)}
-        else:
-            vA = q             # q^{1-k}
-            uB = q ** n        # q^{n-k}
-        t = gA * gB * zpow
-        if forward:
-            acc.add(t)
-            total_terms += 1
-        below = 0
-        growth = 0
-        prev = None
+    zpow = np.empty(shape + z.shape, dtype=complex)
+    zpow[0] = _z_powers(z, n_lo, n_hi)     # z^{n-2k} at k = 0
+    zpow[1] = zpow[0] * z2                 # ... at k = -1
+    zmul = np.stack((1.0 / z2, z2))[:, None, :]
+    # g_k and g_{n-k} are entries ia and ib of the g table; one step moves
+    # k up by one on the upper side and down by one on the lower side
+    dk = np.array([[1], [-1]])
+    reach = 2 * max(abs(n_lo), abs(n_hi)) + 32    # steps the table covers
+    j_lo = min(n_lo, 0) - reach - 1
+    g = _g_table(params, j_lo, max(n_hi, 0) + reach + 1)
+    ia = np.array([[0], [-1]]) - j_lo
+    ib = np.stack((ns, ns + 1)) - j_lo
+    window = 8 * policy.tail_window + 2 * np.abs(ns) + 8
+    total = np.zeros_like(zpow)
+    comp = np.zeros_like(zpow)             # Kahan compensation
+    prev = np.full(shape, np.inf)
+    growth = np.zeros(shape, dtype=int)
+    below = np.zeros(shape, dtype=int)
+    active = np.ones(shape, dtype=bool)
+    value = np.zeros_like(zpow)
+    terms = np.zeros(shape, dtype=int)
+    with np.errstate(over="ignore", invalid="ignore"):
         for step in range(policy.max_terms):
-            if forward:
-                denA = 1.0 - gq * u
-                denB = vB - bg
-                if denA == 0 or denB == 0:
-                    raise PoleError("parameter lattice hit in the direct sum")
-                gA = gA * (1.0 - bg * u) / denA
-                gB = gB * (vB - gq) / denB
-                u *= q
-                vB *= q
-                zpow = zpow / z2
-            else:
-                denA = vA - bg
-                denB = 1.0 - gq * uB
-                if denA == 0 or denB == 0:
-                    raise PoleError("parameter lattice hit in the direct sum")
-                gA = gA * (vA - gq) / denA
-                gB = gB * (1.0 - bg * uB) / denB
-                vA *= q
-                uB *= q
-                zpow = zpow * z2
-            t = gA * gB * zpow
-            if not np.all(np.isfinite(t)):
-                raise NonConvergence("direct bilateral sum overflowed")
-            tm = float(np.max(np.abs(t)))
-            if tm == 0.0:
-                return
-            acc.add(t)
-            total_terms += 1
-            sm = float(np.min(np.abs(acc.value)))
-            if prev is not None and tm > prev * (1.0 + 1e-6):
-                growth += 1
-                if growth >= guard_window:
-                    raise NonConvergence(
-                        "bilateral terms failed to decay (out of region?)")
-            else:
-                growth = 0
+            if step > reach:
+                reach *= 2
+                shift = j_lo - (min(n_lo, 0) - reach - 1)
+                j_lo -= shift
+                g = _g_table(params, j_lo, max(n_hi, 0) + reach + 1)
+                ia += shift
+                ib += shift
+            t = (g[ia] * g[ib])[:, :, None] * zpow
+            zpow *= zmul
+            ia += dk
+            ib -= dk
+            y = t - comp
+            acc = total + y
+            comp = (acc - total) - y
+            total = acc
+            tm = np.abs(t).max(axis=2)
+            grew = tm > prev * _GROWTH
             prev = tm
-            thresh = policy.rel_tol * float(np.max(np.abs(acc.value))) + policy.abs_tol
-            if float(np.max(np.abs(t))) <= thresh:
-                below += 1
-                if below >= policy.tail_window:
-                    return
-            else:
-                below = 0
-        raise NonConvergence(
-            f"bilateral sum did not converge within {policy.max_terms} terms per side")
-
-    run_side(forward=True)
-    run_side(forward=False)
-    out = acc.value
-    return (complex(out) if scalar else out), total_terms
+            growth = (growth + 1) * grew
+            below = (below + 1) * (tm <= policy.rel_tol * np.abs(total).max(axis=2)
+                                   + policy.abs_tol)
+            zero = tm == 0
+            done = zero | (below >= policy.tail_window)
+            overflow = ~(tm < np.inf)
+            diverging = growth >= window
+            if not ((done | overflow | diverging) & active).any():
+                continue
+            if (overflow & active).any():
+                raise NonConvergence("direct bilateral sum overflowed")
+            if (diverging & active).any():
+                raise NonConvergence(
+                    "bilateral terms failed to decay (out of region?)")
+            done &= active
+            value[done] = total[done] - comp[done]
+            terms[done] = step + 1 - zero[done]
+            active &= ~done
+            if not active.any():
+                return value.sum(axis=0), terms.sum(axis=0)
+    raise NonConvergence(
+        f"bilateral sum did not converge within {policy.max_terms} terms per side")
 
 
 class _RouteUnusable(RegionError):
@@ -362,35 +442,62 @@ def _bilateral_climb(n: int, z: complex, params: UltraParams,
     return vals[n], terms
 
 
-def bilateral_cn(n: int, p: SpectralPoint, params: UltraParams,
-                 policy: TruncationPolicy = DEFAULT_POLICY) -> UltraValue:
-    """Bilateral q-ultraspherical function value at p.
+def bilateral_cn_range(n_lo: int, n_hi: int, p: SpectralPoint,
+                       params: UltraParams,
+                       policy: TruncationPolicy = DEFAULT_POLICY) -> UltraRange:
+    """C_n at p for every n_lo <= n <= n_hi.
 
-    Direct two-sided summation inside the convergence annulus, analytic
-    continuation outside it (see the module docstring).  Raises PoleError
+    The points of p inside the direct annulus share two-sided passes of
+    the defining series over all rows: g_j is formed once per pass, each
+    row keeps its own truncation checks, and a pass takes as many rows as
+    keep its block of rows times points near _BLOCK_SIZE values.  Every
+    other point is continued per n as in bilateral_cn.  Raises PoleError
     on the gamma parameter lattices, RegionError when no evaluation route
     applies, NonConvergence when the policy budget is exhausted.
     """
-    n = int(n)
+    n_lo, n_hi = int(n_lo), int(n_hi)
+    if n_hi < n_lo:
+        raise DomainError("bilateral_cn_range needs n_lo <= n_hi")
     check_pole_lattice(params)
-    z = p.z
-    if isinstance(z, np.ndarray):
-        if in_direct_region(z, params.beta, params.q):
-            value, terms = _bilateral_direct(n, z, params, policy)
-            return UltraValue(n, p, value, terms)
-        flat = z.ravel()
-        out = np.empty(flat.shape, dtype=complex)
-        terms = 0
-        for i, zi in enumerate(flat):
-            uv = bilateral_cn(n, SpectralPoint(complex(zi)), params, policy)
-            out[i] = uv.value
-            terms = max(terms, uv.truncation_terms)
-        return UltraValue(n, p, out.reshape(z.shape), terms)
-    if in_direct_region(z, params.beta, params.q):
-        value, terms = _bilateral_direct(n, z, params, policy)
-    else:
-        value, terms = _bilateral_continued(n, complex(z), params, policy)
-    return UltraValue(n, p, value, terms)
+    z = np.asarray(p.z, dtype=complex).ravel()
+    r1, r2 = region_ratios(z, params.beta, params.q)
+    inside = (r1 < DIRECT_REGION_MARGIN) & (r2 < DIRECT_REGION_MARGIN)
+    rows = n_hi - n_lo + 1
+    values = np.empty((rows, z.size), dtype=complex)
+    terms = np.zeros(rows, dtype=int)
+    if inside.any():
+        # rows are independent, so splitting a long range changes no value
+        step = max(1, _BLOCK_SIZE // int(inside.sum()))
+        for lo in range(n_lo, n_hi + 1, step):
+            hi = min(lo + step - 1, n_hi)
+            block = slice(lo - n_lo, hi - n_lo + 1)
+            values[block, inside], terms[block] = _direct_rows(
+                lo, hi, z[inside], params, policy)
+    for i in np.flatnonzero(~inside):
+        for r in range(rows):
+            values[r, i], t = _bilateral_continued(n_lo + r, complex(z[i]),
+                                                   params, policy)
+            terms[r] = max(terms[r], t)
+    return UltraRange(n_lo, p, params, policy,
+                      values.reshape((rows,) + np.shape(p.z)), terms)
+
+
+def bilateral_cn(n: int, p: SpectralPoint, params: UltraParams,
+                 policy: TruncationPolicy = DEFAULT_POLICY) -> UltraValue:
+    """Bilateral q-ultraspherical function value at p: the one-row case of
+    bilateral_cn_range.
+
+    Direct two-sided summation inside the convergence annulus, analytic
+    continuation outside it (see the module docstring); p.z may be an
+    array, and then each point takes its own route.  Raises PoleError on
+    the gamma parameter lattices, RegionError when no evaluation route
+    applies, NonConvergence when the policy budget is exhausted.
+    """
+    rows = bilateral_cn_range(n, n, p, params, policy)
+    value = rows.values[0]
+    if not isinstance(p.z, np.ndarray):
+        value = complex(value)
+    return UltraValue(int(n), p, value, int(rows.truncation_terms[0]))
 
 
 def bilateral_cn_psi_form(n: int, p: SpectralPoint, params: UltraParams,
@@ -442,57 +549,68 @@ def generating_rhs(kind: str, t, p: SpectralPoint, params: UltraParams,
     return pref * num / den
 
 
-def recurrence_residual(kind: str, n: int, p: SpectralPoint,
-                        params: UltraParams,
-                        policy: TruncationPolicy = DEFAULT_POLICY) -> float:
+def recurrence_gap(n: int, p: SpectralPoint, params: UltraParams,
+                   cm1, c0, cp1) -> float:
     """Residual of the three-term recurrence
     2x (1 - beta gamma^2 q^n) C_n = (1 - gamma^2 q^{n+1}) C_{n+1}
-    + (1 - beta^2 gamma^2 q^{n-1}) C_{n-1}, scaled by max(1, |C_n|);
-    gamma = 1 gives the classical relation."""
-    q, beta = params.q, params.beta
-    x = p.x
-    if kind == CLASSICAL:
-        if n < 1:
-            raise DomainError("classical recurrence check needs n >= 1")
-        gamma = 1.0 + 0j
-        cm1 = classical_cn(n - 1, p, beta, q)
-        c0 = classical_cn(n, p, beta, q)
-        cp1 = classical_cn(n + 1, p, beta, q)
-    elif kind == BILATERAL_KIND:
-        gamma = params.gamma
-        cm1 = bilateral_cn(n - 1, p, params, policy).value
-        c0 = bilateral_cn(n, p, params, policy).value
-        cp1 = bilateral_cn(n + 1, p, params, policy).value
-    else:
-        raise DomainError(f"unknown kind {kind!r}")
-    lhs = 2 * x * (1 - beta * gamma ** 2 * q ** n) * c0
+    + (1 - beta^2 gamma^2 q^{n-1}) C_{n-1} for the given values
+    C_{n-1}, C_n, C_{n+1} at p, scaled by max(1, |C_n|)."""
+    q, beta, gamma = params.q, params.beta, params.gamma
+    lhs = 2 * p.x * (1 - beta * gamma ** 2 * q ** n) * c0
     rhs = (1 - gamma ** 2 * q ** (n + 1)) * cp1 \
         + (1 - beta ** 2 * gamma ** 2 * q ** (n - 1)) * cm1
     return abs(lhs - rhs) / max(1.0, abs(c0))
 
 
+def recurrence_residual(kind: str, n: int, p: SpectralPoint,
+                        params: UltraParams,
+                        policy: TruncationPolicy = DEFAULT_POLICY) -> float:
+    """recurrence_gap of C_{n-1}, C_n, C_{n+1} at p; the classical kind
+    uses the polynomials and gamma = 1."""
+    if kind == CLASSICAL:
+        if n < 1:
+            raise DomainError("classical recurrence check needs n >= 1")
+        vals = [classical_cn(j, p, params.beta, params.q) for j in (n - 1, n, n + 1)]
+        return recurrence_gap(n, p, params.with_gamma(1.0), *vals)
+    if kind != BILATERAL_KIND:
+        raise DomainError(f"unknown kind {kind!r}")
+    rows = bilateral_cn_range(n - 1, n + 1, p, params, policy)
+    return recurrence_gap(n, p, params, *rows.values)
+
+
+def symmetry_gap(n: int, params: UltraParams, cn, mirrored_c_minus_n) -> float:
+    """Residual of C_n(x; beta, gamma) = (beta/q)^n C_{-n}(x; beta, 1/(beta gamma))
+    for the given values of both sides, scaled by max(1, |C_n|)."""
+    rhs = (params.beta / params.q) ** n * mirrored_c_minus_n
+    return abs(cn - rhs) / max(1.0, abs(cn))
+
+
+def symmetry_params(params: UltraParams) -> UltraParams:
+    """The parameters (beta, 1/(beta gamma), q) of the symmetry relation."""
+    return params.with_gamma(1.0 / (params.beta * params.gamma))
+
+
 def symmetry_residual(n: int, p: SpectralPoint, params: UltraParams,
                       policy: TruncationPolicy = DEFAULT_POLICY) -> float:
-    """Residual of C_n(x; beta, gamma) = (beta/q)^n C_{-n}(x; beta, 1/(beta gamma))."""
-    q, beta, gamma = params.q, params.beta, params.gamma
+    """symmetry_gap of C_n(x; beta, gamma) and C_{-n}(x; beta, 1/(beta gamma))."""
     lhs = bilateral_cn(n, p, params, policy).value
-    mirrored = params.with_gamma(1.0 / (beta * gamma))
-    rhs = (beta / q) ** n * bilateral_cn(-n, p, mirrored, policy).value
-    return abs(lhs - rhs) / max(1.0, abs(lhs))
+    rhs = bilateral_cn(-n, p, symmetry_params(params), policy).value
+    return symmetry_gap(n, params, lhs, rhs)
 
 
 def constant_term(n: int, params: UltraParams,
                   policy: TruncationPolicy = DEFAULT_POLICY) -> complex:
     """Value of the bilateral function at x = 0 (z = i): zero for odd
-    index, an explicit product for even index 2m (any integer m)."""
+    index, an explicit product for even index 2m (any integer m).  The
+    head (-1)^m (beta^2 gamma^2; q^2)_m / (q^2 gamma^2; q^2)_m pairs its
+    factors, so it stays finite for large negative m."""
     if n % 2:
         return 0.0 + 0j
     check_pole_lattice(params)
     q, beta, gamma = params.q, params.beta, params.gamma
     m = n // 2
     q2 = q * q
-    head = ((-1.0) ** m * poch(beta ** 2 * gamma ** 2, q2, m, policy)
-            * poch_recip(q2 * gamma ** 2, q2, m))
+    head = (-1.0) ** m * poch_ratio(beta ** 2 * gamma ** 2, q2 * gamma ** 2, q2, m)
     tail = (poch_multi([q, q / beta, -q * gamma, -q / (beta * gamma)],
                        q, INFINITY, policy)
             / poch_multi([-q, -q / beta, q * gamma, q / (beta * gamma)],

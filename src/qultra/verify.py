@@ -17,24 +17,27 @@ import numpy as np
 
 from .errors import (ConfigError, DomainError, NonConvergence, PoleError,
                      RegionError)
-from .hyperseries import (BILATERAL, SeriesSpec, closed_form, eval_psi,
+from .hyperseries import (BILATERAL, SeriesSpec, closed_form, sum_psi,
                           transform_residual)
 from .qcore import SpectralPoint, TruncationPolicy
-from .quadrature import (WeightParams, bilateral_delta_integral,
-                         bilateral_delta_rhs, kernel_integral,
-                         kernel_integral_rhs, orthogonality_diagonal,
-                         orthogonality_entry, shifted_orthogonality_pair,
+from .quadrature import (WeightParams, bilateral_delta_quadrature,
+                         bilateral_delta_rhs, kernel_integral_rhs,
+                         kernel_quadrature, orthogonality_diagonal,
+                         orthogonality_quadrature,
+                         shifted_orthogonality_quadrature,
                          shifted_orthogonality_rhs)
 from .ultraspherical import (BILATERAL_KIND, CLASSICAL, UltraParams,
                              bilateral_cn, bilateral_cn_psi_form,
-                             classical_cn, constant_term, generating_rhs,
-                             linearization_residual, recurrence_residual,
-                             special_value_c0, symmetry_residual)
+                             bilateral_cn_range, classical_cn, constant_term,
+                             generating_rhs, linearization_residual,
+                             recurrence_gap, special_value_c0, symmetry_gap,
+                             symmetry_params)
 from .awoperator import dq_action_residual
 
 SUITE_VERSION = "1"
 
-_CONFIG_DEFAULTS = {
+#: the suite's configuration; the CLI takes its defaults from here too
+CONFIG_DEFAULTS = {
     "q": 0.3,
     "beta": 0.8,
     "gamma": 0.7,
@@ -76,7 +79,7 @@ class _Ctx:
     """Resolved configuration shared by all identity runners."""
 
     def __init__(self, config: dict | None):
-        cfg = dict(_CONFIG_DEFAULTS)
+        cfg = dict(CONFIG_DEFAULTS)
         for key, raw in (config or {}).items():
             if key not in cfg:
                 raise ConfigError(f"unknown config key {key!r}")
@@ -118,9 +121,10 @@ def _ramanujan_1psi1(ctx: _Ctx):
         a = amod * np.exp(1j * aarg)
         b = a * ctx.rng.uniform(0.05, 0.3) * np.exp(1j * ctx.rng.uniform(0.0, 2 * np.pi))
         z = ctx.rng.uniform(0.45, 0.9) * np.exp(1j * ctx.rng.uniform(0.0, 2 * np.pi))
-        lhs = eval_psi(SeriesSpec(BILATERAL, (a,), (b,), q, z), ctx.policy)
+        lhs, used = sum_psi(SeriesSpec(BILATERAL, (a,), (b,), q, z), ctx.policy)
         rhs = closed_form("ramanujan_1psi1", (a, b, z), q, ctx.policy)
         worst = max(worst, abs(lhs - rhs) / max(1.0, abs(lhs)))
+        terms = max(terms, used)
     return worst, 1e-9, ctx.base_params(), terms, 0
 
 
@@ -150,21 +154,28 @@ def _gamma_one_reduction(ctx: _Ctx):
     worst = 0.0
     terms = 0
     for p in ctx.points:
+        rows = bilateral_cn_range(0, 8, p, reduced, ctx.policy)
+        terms = max(terms, rows.truncation_terms.max())
         for n in range(0, 9):
-            uv = bilateral_cn(n, p, reduced, ctx.policy)
-            terms = max(terms, uv.truncation_terms)
             ref = classical_cn(n, p, beta, q)
-            worst = max(worst, abs(uv.value - ref) / max(1.0, abs(ref)))
+            worst = max(worst, abs(rows[n] - ref) / max(1.0, abs(ref)))
     return worst, 1e-10, ctx.base_params() | {"gamma": 1.0}, terms, 0
 
 
 def _bilateral_recurrence(ctx: _Ctx):
     worst = 0.0
+    terms = 0
     for p in ctx.points:
+        rows = bilateral_cn_range(-7, 7, p, ctx.params, ctx.policy)
+        terms = max(terms, rows.truncation_terms.max())
         for n in range(-6, 7):
-            worst = max(worst, recurrence_residual(
-                BILATERAL_KIND, n, p, ctx.params, ctx.policy))
-    return worst, 1e-10, ctx.base_params(), 0, 0
+            worst = max(worst, recurrence_gap(n, p, ctx.params, rows[n - 1],
+                                              rows[n], rows[n + 1]))
+    return worst, 1e-10, ctx.base_params(), terms, 0
+
+
+#: the largest |n| the generating-function sum may reach
+_GF_MAX_N = 400
 
 
 def _generating_function(ctx: _Ctx):
@@ -173,21 +184,23 @@ def _generating_function(ctx: _Ctx):
     terms = 0
     for p in ctx.points:
         rhs = generating_rhs(BILATERAL_KIND, t, p, ctx.params, ctx.policy)
-        uv = bilateral_cn(0, p, ctx.params, ctx.policy)
-        acc = uv.value + 0j
+        rows = bilateral_cn_range(-16, 16, p, ctx.params, ctx.policy)
+        acc = rows[0] + 0j
         tail = 0
         n = 1
         while tail < 3:
+            if n > rows.n_hi:  # the next block of rows on both sides
+                reach = min(2 * rows.n_hi, _GF_MAX_N)
+                rows = rows.widened(-reach, reach)
             shell = 0j
             for m in (n, -n):
-                uv = bilateral_cn(m, p, ctx.params, ctx.policy)
-                terms = max(terms, uv.truncation_terms)
-                shell += uv.value * t ** m
+                shell += rows[m] * t ** m
             acc += shell
             tail = tail + 1 if abs(shell) < 1e-12 * abs(rhs) else 0
             n += 1
-            if n > 400:
+            if n > _GF_MAX_N:
                 raise NonConvergence("generating-function sum failed to settle")
+        terms = max(terms, rows.truncation_terms.max())
         worst = max(worst, abs(acc - rhs) / abs(rhs))
     return worst, 1e-8, ctx.base_params() | {"t": t}, terms, 0
 
@@ -197,6 +210,7 @@ def _gf_fourier(ctx: _Ctx):
     the functions: 2^j-point circle sampling, doubled until stable."""
     r = ctx.cfg["t"]
     worst = 0.0
+    terms = 0
     for p in ctx.points:
         m = 64
         prev = None
@@ -215,30 +229,34 @@ def _gf_fourier(ctx: _Ctx):
             m *= 2
             if m > 4096:
                 raise NonConvergence("coefficient extraction failed to settle")
+        rows = bilateral_cn_range(-4, 4, p, ctx.params, ctx.policy)
+        terms = max(terms, rows.truncation_terms.max())
         for n in range(-4, 5):
             extracted = coeff[n % m] / r ** n
-            ref = bilateral_cn(n, p, ctx.params, ctx.policy).value
-            worst = max(worst, abs(extracted - ref))
-    return worst, 1e-7, ctx.base_params() | {"t": r}, 0, 0
+            worst = max(worst, abs(extracted - rows[n]))
+    return worst, 1e-7, ctx.base_params() | {"t": r}, terms, 0
 
 
 def _symmetry(ctx: _Ctx):
     worst = 0.0
+    terms = 0
     for p in ctx.points:
+        rows = bilateral_cn_range(-4, 4, p, ctx.params, ctx.policy)
+        mirror = bilateral_cn_range(-4, 4, p, symmetry_params(ctx.params),
+                                    ctx.policy)
+        terms = max(terms, rows.truncation_terms.max(),
+                    mirror.truncation_terms.max())
         for n in range(-4, 5):
-            worst = max(worst, symmetry_residual(n, p, ctx.params, ctx.policy))
-    return worst, 1e-10, ctx.base_params(), 0, 0
+            worst = max(worst, symmetry_gap(n, ctx.params, rows[n], mirror[-n]))
+    return worst, 1e-10, ctx.base_params(), terms, 0
 
 
 def _constant_terms(ctx: _Ctx):
-    p = SpectralPoint(1j)
+    rows = bilateral_cn_range(-4, 4, SpectralPoint(1j), ctx.params, ctx.policy)
     worst = 0.0
-    terms = 0
     for n in range(-4, 5):
-        uv = bilateral_cn(n, p, ctx.params, ctx.policy)
-        terms = max(terms, uv.truncation_terms)
-        worst = max(worst, abs(uv.value - constant_term(n, ctx.params, ctx.policy)))
-    return worst, 1e-9, ctx.base_params(), terms, 0
+        worst = max(worst, abs(rows[n] - constant_term(n, ctx.params, ctx.policy)))
+    return worst, 1e-9, ctx.base_params(), rows.truncation_terms.max(), 0
 
 
 def _special_value_c0(ctx: _Ctx):
@@ -289,63 +307,73 @@ def _dq_bilateral(ctx: _Ctx):
 
 def _orthogonality_offdiag(ctx: _Ctx):
     w = WeightParams(ctx.cfg["beta"], ctx.cfg["q"])
-    scale = abs(orthogonality_entry(0, 0, w, ctx.cfg["quad_tol"], ctx.policy))
+    res = orthogonality_quadrature(0, 0, w, ctx.cfg["quad_tol"], ctx.policy)
+    scale, nodes = abs(res.value), res.nodes_used
     worst = 0.0
     for m in range(7):
         for n in range(m + 1, 7):
-            worst = max(worst, abs(orthogonality_entry(
-                m, n, w, ctx.cfg["quad_tol"], ctx.policy)) / scale)
-    return worst, 1e-9, {"q": ctx.cfg["q"], "beta": ctx.cfg["beta"]}, 0, 0
+            res = orthogonality_quadrature(m, n, w, ctx.cfg["quad_tol"], ctx.policy)
+            worst = max(worst, abs(res.value) / scale)
+            nodes = max(nodes, res.nodes_used)
+    return worst, 1e-9, {"q": ctx.cfg["q"], "beta": ctx.cfg["beta"]}, 0, nodes
 
 
 def _orthogonality_diag(ctx: _Ctx):
     w = WeightParams(ctx.cfg["beta"], ctx.cfg["q"])
     worst = 0.0
+    nodes = 0
     for n in range(7):
-        got = orthogonality_entry(n, n, w, ctx.cfg["quad_tol"], ctx.policy)
+        res = orthogonality_quadrature(n, n, w, ctx.cfg["quad_tol"], ctx.policy)
         ref = orthogonality_diagonal(n, w, ctx.policy)
-        worst = max(worst, abs(got - ref) / abs(ref))
-    return worst, 1e-8, {"q": ctx.cfg["q"], "beta": ctx.cfg["beta"]}, 0, 0
+        worst = max(worst, abs(res.value - ref) / abs(ref))
+        nodes = max(nodes, res.nodes_used)
+    return worst, 1e-8, {"q": ctx.cfg["q"], "beta": ctx.cfg["beta"]}, 0, nodes
 
 
 def _kernel_integral(ctx: _Ctx):
     w = WeightParams(ctx.cfg["beta"], ctx.cfg["q"])
     t1, t2 = 0.4, -0.25
-    got = kernel_integral(t1, t2, w, ctx.cfg["quad_tol"], ctx.policy)
+    res = kernel_quadrature(t1, t2, w, ctx.cfg["quad_tol"], ctx.policy)
     ref = kernel_integral_rhs(t1, t2, w, ctx.policy)
-    resid = abs(got - ref) / abs(ref)
+    resid = abs(res.value - ref) / abs(ref)
     return resid, 1e-8, {"q": ctx.cfg["q"], "beta": ctx.cfg["beta"],
-                         "t1": t1, "t2": t2}, 0, 0
+                         "t1": t1, "t2": t2}, 0, res.nodes_used
 
 
 def _bilateral_delta(ctx: _Ctx):
     q, beta = ctx.cfg["delta_q"], ctx.cfg["delta_beta"]
     rhs0 = bilateral_delta_rhs(beta, q, ctx.policy)
     worst = 0.0
+    nodes = 0
     for n in range(-3, 4):
-        got = bilateral_delta_integral(n, beta, q, ctx.cfg["quad_tol"], ctx.policy)
+        res = bilateral_delta_quadrature(n, beta, q, ctx.cfg["quad_tol"], ctx.policy)
         target = 1.0 if n == 0 else 0.0
-        worst = max(worst, abs(got / rhs0 - target))
-    return worst, 1e-7, {"q": q, "beta": beta}, 0, 0
+        worst = max(worst, abs(res.value / rhs0 - target))
+        nodes = max(nodes, res.nodes_used)
+    return worst, 1e-7, {"q": q, "beta": beta}, 0, nodes
 
 
 def _shifted_diag(ctx: _Ctx):
     worst = 0.0
+    nodes = 0
     for n in range(-2, 3):
-        lhs, rhs = shifted_orthogonality_pair(n, n, ctx.params,
-                                              ctx.cfg["shifted_tol"], ctx.policy)
-        worst = max(worst, abs(lhs / rhs - 1.0))
-    return worst, 1e-6, ctx.base_params(), 0, 0
+        lhs, rhs = shifted_orthogonality_quadrature(
+            n, n, ctx.params, ctx.cfg["shifted_tol"], ctx.policy)
+        worst = max(worst, abs(lhs.value / rhs - 1.0))
+        nodes = max(nodes, lhs.nodes_used)
+    return worst, 1e-6, ctx.base_params(), 0, nodes
 
 
 def _shifted_offdiag(ctx: _Ctx):
     scale = abs(shifted_orthogonality_rhs(ctx.params, ctx.policy))
     worst = 0.0
+    nodes = 0
     for (m, n) in ((0, 2), (1, -1)):
-        lhs, _ = shifted_orthogonality_pair(m, n, ctx.params,
-                                            ctx.cfg["shifted_tol"], ctx.policy)
-        worst = max(worst, abs(lhs) / scale)
-    return worst, 1e-6, ctx.base_params(), 0, 0
+        lhs, _ = shifted_orthogonality_quadrature(
+            m, n, ctx.params, ctx.cfg["shifted_tol"], ctx.policy)
+        worst = max(worst, abs(lhs.value) / scale)
+        nodes = max(nodes, lhs.nodes_used)
+    return worst, 1e-6, ctx.base_params(), 0, nodes
 
 
 def _shifted_scaling(ctx: _Ctx):

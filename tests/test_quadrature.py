@@ -314,6 +314,27 @@ def test_shifted_orthogonality_with_mass_points():
         assert abs(lhs - rhs) <= 1e-9 * scale
 
 
+@pytest.mark.parametrize("beta", [BETA, 1.2])  # 1.2 adds mass points
+def test_shifted_orthogonality_evaluates_each_cj_once(beta, monkeypatch):
+    import qultra.ultraspherical as us
+    real = us.bilateral_cn_range
+    rows = {}  # node set -> every n evaluated on it
+
+    def spy(n_lo, n_hi, p, *args):
+        rows.setdefault(p.z.tobytes(), []).extend(range(n_lo, n_hi + 1))
+        return real(n_lo, n_hi, p, *args)
+
+    monkeypatch.setattr(quad, "bilateral_cn_range", spy)
+    monkeypatch.setattr(us, "bilateral_cn_range", spy)
+    for m, n, k_extra in ((0, 0, 0), (0, 2, 0), (1, -1, 6)):
+        rows.clear()
+        shifted_orthogonality_pair(m, n, UltraParams(beta, GAMMA, Q), 1e-6,
+                                   k_extra=k_extra)
+        assert len(rows) >= 2 + (beta > 1)
+        for evaluated in rows.values():
+            assert len(evaluated) == len(set(evaluated))
+
+
 def test_shifted_orthogonality_region_error():
     # |q/(beta^2 gamma)| >= 1 has no geometric decay of the k-weight
     params = UltraParams(0.55, 0.9, 0.3)

@@ -1,14 +1,17 @@
+import math
+
 import numpy as np
 import pytest
 
-from qultra import (DEFAULT_POLICY, UNILATERAL, DomainError, PoleError,
-                    RegionError, SeriesSpec, SpectralPoint, UltraParams,
+from qultra import (DEFAULT_POLICY, UNILATERAL, DomainError, NonConvergence,
+                    PoleError, RegionError, SeriesSpec, SpectralPoint,
+                    TruncationPolicy, UltraParams,
                     bilateral_cn, bilateral_cn_psi_form, classical_cn,
                     constant_term, eval_phi, generating_rhs,
                     linearization_residual, recurrence_residual,
                     special_value_c0, special_value_cm1, symmetry_residual)
 from qultra.ultraspherical import (_bilateral_22tgl, _bilateral_6psi8,
-                                   _bilateral_direct, in_direct_region)
+                                   bilateral_cn_range, in_direct_region)
 
 Q, BETA, GAMMA = 0.3, 0.8, 0.7
 
@@ -183,7 +186,7 @@ def test_cm1_reference_against_direct_sum():
     phi = eval_phi(SeriesSpec(UNILATERAL, (bg / Q, 1 / GAMMA, Q), (Q / bg, GAMMA),
                               Q, Q ** 2 / beta))
     reference = special_value_cm1(wide) + 2 * z * (1 - GAMMA) / (Q - bg) * (phi - 1)
-    direct, _ = _bilateral_direct(-1, complex(z), wide, DEFAULT_POLICY)
+    direct = bilateral_cn_range(-1, -1, SpectralPoint(z), wide, DEFAULT_POLICY)[-1]
     assert direct == pytest.approx(reference, rel=1e-12)
     assert upper + lower == pytest.approx(reference, rel=1e-12)
 
@@ -195,7 +198,7 @@ def test_in_region_values_match_continuations(params):
     wide = UltraParams(1.3, GAMMA, Q)
     z = complex(Q ** 0.5) * np.exp(0.4j)
     assert in_direct_region(z, 1.3, Q)
-    direct, _ = _bilateral_direct(0, z, wide, DEFAULT_POLICY)
+    direct = bilateral_cn_range(0, 0, SpectralPoint(z), wide, DEFAULT_POLICY)[0]
     via8, _ = _bilateral_6psi8(0, z, wide, DEFAULT_POLICY)
     viat, _ = _bilateral_22tgl(0, z, wide, DEFAULT_POLICY)
     assert direct == pytest.approx(via8, rel=1e-12)
@@ -290,3 +293,158 @@ def test_bilateral_region_error_when_no_route():
     with pytest.raises((RegionError, PoleError)):
         # n chosen so the transformed-series conditions fail on both sides
         bilateral_cn(6, p, params)
+
+
+# ------------------------------------------------- one pass over a range of n
+
+def _mp_rows(n_lo, n_hi, zs, digits=30):
+    """[{n: (C_n(z), sum_k |term_k|)} for z in zs] for n_lo <= n <= n_hi by
+    the defining sum C_n(z) = sum_k g_k g_{n-k} z^{n-2k} in mpmath, with
+    g_j by its one-step recursions from g_0 = 1 and k running 70 terms
+    past the plateau on each side (0.375^70 < 1e-29).  The magnitude sum
+    is rounded to double."""
+    import mpmath as mp
+    with mp.workdps(digits):
+        q, bg, gq = mp.mpf(Q), mp.mpf(BETA) * mp.mpf(GAMMA), mp.mpf(Q) * mp.mpf(GAMMA)
+        lo, hi = min(0, n_lo) - 70, max(0, n_hi) + 70
+        g, qj = {0: mp.mpf(1)}, mp.mpf(1)
+        for j in range(hi - lo + 1):
+            g[j + 1] = g[j] * (1 - bg * qj) / (1 - gq * qj)
+            g[-j - 1] = g[-j] * (qj * q - gq) / (qj * q - bg)
+            qj *= q
+        gf = {j: float(v) for j, v in g.items()}
+        out = []
+        for z in zs:
+            z = mp.mpc(z)
+            w, r = 1 / (z * z), float(abs(z))
+            a, wk = {}, w ** lo
+            for k in range(lo, hi + 1):      # a_k = g_k z^{-2k}
+                a[k] = g[k] * wk
+                wk *= w
+            rows = {}
+            for n in range(n_lo, n_hi + 1):
+                ks = range(min(0, n) - 70, max(0, n) + 71)
+                value = z ** n * mp.fdot([a[k] for k in ks], [g[n - k] for k in ks])
+                scale = math.fsum(abs(gf[k] * gf[n - k]) * r ** (n - 2 * k) for k in ks)
+                rows[n] = complex(value), scale
+            out.append(rows)
+        return out
+
+
+def test_range_rows_match_one_row_calls(params):
+    zs = np.exp(1j * np.linspace(0.2, 2.9, 7))
+    rows = bilateral_cn_range(-12, 12, SpectralPoint(zs), params)
+    assert rows.values.shape == (25, 7) and (rows.n_lo, rows.n_hi) == (-12, 12)
+    for n in range(-12, 13):
+        one = bilateral_cn(n, SpectralPoint(zs), params)
+        assert rows.truncation_terms[n + 12] == one.truncation_terms
+        np.testing.assert_allclose(rows[n], one.value, rtol=1e-13, atol=0)
+    p = SpectralPoint.from_theta(1.0)
+    rows = bilateral_cn_range(-5, 3, p, params)
+    for n in range(-5, 4):
+        one = bilateral_cn(n, p, params)
+        assert rows.truncation_terms[n + 5] == one.truncation_terms
+        assert rows[n] == pytest.approx(one.value, rel=1e-13)
+    with pytest.raises(IndexError):
+        rows[4]
+
+
+def test_range_matches_mpmath_on_unit_circle_nodes(params):
+    """n = -25..25 at the 127 interior nodes of the 128-interval rule.
+    C_n is real on the circle and vanishes inside it (at x = 0 for odd n),
+    so the error is measured against sum_k |term_k|, the scale of the
+    rounding in any double-precision sum of the series."""
+    thetas = np.pi / 128 * np.arange(1, 128)
+    zs = np.exp(1j * thetas)
+    rows = bilateral_cn_range(-25, 25, SpectralPoint(zs), params)
+    # node 126 - j is -conj(z), where C_n is (-1)^n conj C_n(z)
+    for j, ref in enumerate(_mp_rows(-25, 25, zs[:64])):
+        for n, (want, scale) in ref.items():
+            assert abs(rows[n][j] - want) <= 1e-13 * scale, (n, thetas[j])
+            mirror = (-1) ** n * want.conjugate()
+            assert abs(rows[n][126 - j] - mirror) <= 1e-13 * scale, (n, thetas[j])
+
+
+def test_range_matches_mpmath_at_suite_points(params, points):
+    refs = _mp_rows(-60, 60, [p.z for p in points])
+    for p, ref in zip(points, refs):
+        rows = bilateral_cn_range(-60, 60, p, params)
+        for n, (want, scale) in ref.items():
+            assert abs(rows[n] - want) <= 1e-13 * scale, n
+
+
+def test_range_small_row_keeps_its_own_tolerance(params):
+    # C_{-40} is about 1e-17 of C_10; a tail rule shared across the block
+    # would stop C_{-40} at an absolute error near 1e-13
+    p = SpectralPoint.from_theta(1.0)
+    rows = bilateral_cn_range(-40, 10, p, params)
+    ref = _mp_rows(-40, 10, [p.z])[0]
+    small, big = ref[-40][0], ref[10][0]
+    assert abs(small) < 1e-12 * abs(big)
+    assert rows[-40] == pytest.approx(small, rel=1e-12)
+    assert rows.truncation_terms[0] == bilateral_cn(-40, p, params).truncation_terms
+
+
+def test_range_keeps_the_shape_of_a_2d_point(params):
+    zs = np.exp(1j * np.linspace(0.3, 2.7, 12)).reshape(3, 4)
+    rows = bilateral_cn_range(-2, 3, SpectralPoint(zs), params)
+    assert rows.values.shape == (6, 3, 4)
+    assert bilateral_cn(1, SpectralPoint(zs), params).value.shape == (3, 4)
+    assert rows[1][2, 3] == pytest.approx(
+        bilateral_cn(1, SpectralPoint(complex(zs[2, 3])), params).value, rel=1e-13)
+
+
+def test_range_mixed_points_route_each_point(params):
+    # one point inside the direct annulus, one continued
+    inside, outside = complex(np.exp(0.7j)), 0.5 * np.exp(0.9j)
+    rows = bilateral_cn_range(-2, 2, SpectralPoint(np.array([inside, outside])),
+                              params)
+    for n in range(-2, 3):
+        assert rows[n][0] == pytest.approx(
+            bilateral_cn(n, SpectralPoint(inside), params).value, rel=1e-13)
+        assert rows[n][1] == bilateral_cn(n, SpectralPoint(outside), params).value
+
+
+def test_range_errors_propagate(params, points):
+    with pytest.raises(PoleError):
+        bilateral_cn_range(-3, 3, points[0], UltraParams(BETA, Q ** -2, Q))
+    with pytest.raises(NonConvergence):
+        bilateral_cn_range(-3, 3, points[0], params,
+                           TruncationPolicy(max_terms=5, tail_window=3))
+    with pytest.raises((RegionError, PoleError)):
+        bilateral_cn_range(5, 7, SpectralPoint(complex(Q ** 0.5)),
+                           UltraParams(0.8, 3.9, Q))
+    with pytest.raises(DomainError):
+        bilateral_cn_range(2, 1, points[0], params)
+
+
+def test_range_widened_adds_only_missing_rows(params, points, monkeypatch):
+    import qultra.ultraspherical as us
+    rows = bilateral_cn_range(-2, 2, points[0], params)
+    asked = []
+    real = us.bilateral_cn_range
+
+    def spy(n_lo, n_hi, *args):
+        asked.append((n_lo, n_hi))
+        return real(n_lo, n_hi, *args)
+
+    monkeypatch.setattr(us, "bilateral_cn_range", spy)
+    wide = rows.widened(-4, 5)
+    assert asked == [(-4, -3), (3, 5)]
+    assert rows.widened(-1, 1) is rows
+    for n in range(-4, 6):
+        assert wide[n] == pytest.approx(bilateral_cn(n, points[0], params).value,
+                                        rel=1e-13)
+
+
+def test_constant_term_large_negative_index(params):
+    import warnings
+    p = SpectralPoint(1j)
+    for n in (-60, -80):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            want = constant_term(n, params)
+        got = bilateral_cn(n, p, params).value
+        ref, scale = _mp_rows(n, n, [1j])[0][n]
+        assert want == pytest.approx(ref, rel=1e-12)
+        assert abs(got - ref) <= 1e-13 * scale

@@ -25,6 +25,20 @@ def test_suite_passes_at_defaults(default_report):
     assert default_report.overall_passed, f"failing entries: {failed}"
 
 
+def test_suite_entries_report_terms_and_nodes(default_report):
+    entries = {e.identity_name: e for e in default_report.entries}
+    for name in ("kernel_integral", "classical_orthogonality_diagonal",
+                 "classical_orthogonality_offdiagonal", "bilateral_delta_integral",
+                 "shifted_orthogonality_diagonal",
+                 "shifted_orthogonality_offdiagonal"):
+        assert entries[name].nodes_used >= 63, name
+    for name in ("bilateral_cn_recurrence", "bilateral_cn_symmetry",
+                 "bilateral_cn_constant_terms", "bilateral_cn_gamma_one_reduction",
+                 "generating_function_product", "generating_function_coefficients",
+                 "ramanujan_1psi1"):
+        assert entries[name].terms_used > 0, name
+
+
 def test_suite_entries_sorted(default_report):
     names = [e.identity_name for e in default_report.entries]
     assert names == sorted(names)
