@@ -12,14 +12,15 @@ the two tails.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .errors import DomainError, NonConvergence, PoleError, RegionError
-from .qcore import (DEFAULT_POLICY, INFINITY, CompensatedSum, TruncationPolicy,
-                    check_base, is_q_power, poch, poch_multi)
+from .qcore import (DEFAULT_POLICY, GROWTH_SLACK, INFINITY, CompensatedSum,
+                    TruncationPolicy, check_base, is_q_power, poch, poch_multi)
 
 UNILATERAL = "unilateral"
 BILATERAL = "bilateral"
@@ -67,8 +68,6 @@ def terminates_below(lower: Sequence[complex], q) -> int | None:
 class _TailState:
     """Stop/guard bookkeeping for one summation direction."""
 
-    GROWTH_SLACK = 1.0 + 1e-6
-
     def __init__(self, policy: TruncationPolicy):
         self.policy = policy
         self.below = 0
@@ -82,7 +81,7 @@ class _TailState:
         self.terms += 1
         if term_mag == 0.0:
             return True
-        if self.prev_mag is not None and term_mag > self.prev_mag * self.GROWTH_SLACK:
+        if self.prev_mag is not None and term_mag > self.prev_mag * GROWTH_SLACK:
             self.growth += 1
             if self.growth >= 8 * p.tail_window:
                 raise NonConvergence(
@@ -102,9 +101,11 @@ class _TailState:
         return False
 
 
-def _phi_region_check(spec: SeriesSpec) -> None:
+def _phi_region_check(spec: SeriesSpec, n_top: int | None) -> None:
+    """Convergence region of a unilateral series; n_top is
+    terminates_above(spec.upper, spec.q)."""
     r, s = len(spec.upper), len(spec.lower)
-    if terminates_above(spec.upper, spec.q) is not None:
+    if n_top is not None:
         return
     if r > s + 1:
         raise RegionError(f"nonterminating {r}phi{s} diverges for r > s + 1")
@@ -127,10 +128,10 @@ def sum_phi(spec: SeriesSpec, policy: TruncationPolicy = DEFAULT_POLICY):
     """eval_phi plus the number of terms used."""
     if spec.kind != UNILATERAL:
         raise DomainError("eval_phi requires a unilateral spec")
-    _phi_region_check(spec)
     q, z = spec.q, spec.z
-    d = 1 + len(spec.lower) - len(spec.upper)
     n_top = terminates_above(spec.upper, q)
+    _phi_region_check(spec, n_top)
+    d = 1 + len(spec.lower) - len(spec.upper)
     acc = CompensatedSum()
     acc.add(1.0 + 0j)
     t = 1.0 + 0j
@@ -153,29 +154,31 @@ def sum_phi(spec: SeriesSpec, policy: TruncationPolicy = DEFAULT_POLICY):
         if t == 0:
             break
         acc.add(t)
-        if n_top is None and tail.update(abs(t), abs(complex(acc.value))):
+        if n_top is None and tail.update(abs(t), abs(acc.value)):
             break
-    return complex(acc.value), k + 1
+    return acc.value, k + 1
 
 
-def _psi_region_check(spec: SeriesSpec) -> None:
+def _psi_region_check(spec: SeriesSpec, n_top: int | None,
+                      m_bot: int | None) -> None:
+    """Convergence region of a bilateral series; n_top and m_bot are
+    terminates_above(spec.upper, spec.q) and
+    terminates_below(spec.lower, spec.q)."""
     if spec.z == 0:
         raise DomainError("bilateral series require z != 0")
     r, s = len(spec.upper), len(spec.lower)
-    above = terminates_above(spec.upper, spec.q) is not None
-    below = terminates_below(spec.lower, spec.q) is not None
-    if not above:
+    if n_top is None:
         if r > s:
             raise RegionError(f"nonterminating {r}psi{s} diverges for r > s")
         if r == s and not abs(spec.z) < 1:
             raise RegionError(
                 f"{r}psi{s} requires |z| < 1, got |z| = {abs(spec.z)}")
-    if not below:
+    if m_bot is None:
         if r > s:
             raise RegionError(f"nonterminating {r}psi{s} diverges for r > s")
         if r == s:
-            bprod = np.prod([complex(b) for b in spec.lower]) if s else 1.0
-            aprod = np.prod([complex(a) for a in spec.upper]) if r else 1.0
+            bprod = math.prod(spec.lower)
+            aprod = math.prod(spec.upper)
             ratio = abs(bprod / (aprod * spec.z))
             if not ratio < 1:
                 raise RegionError(
@@ -197,11 +200,11 @@ def sum_psi(spec: SeriesSpec, policy: TruncationPolicy = DEFAULT_POLICY):
     """eval_psi plus the number of terms used."""
     if spec.kind != BILATERAL:
         raise DomainError("eval_psi requires a bilateral spec")
-    _psi_region_check(spec)
     q, z = spec.q, spec.z
-    d = len(spec.lower) - len(spec.upper)
     n_top = terminates_above(spec.upper, q)
     m_bot = terminates_below(spec.lower, q)
+    _psi_region_check(spec, n_top, m_bot)
+    d = len(spec.lower) - len(spec.upper)
     acc = CompensatedSum()
     acc.add(1.0 + 0j)
 
@@ -226,7 +229,7 @@ def sum_psi(spec: SeriesSpec, policy: TruncationPolicy = DEFAULT_POLICY):
         if t == 0:
             break
         acc.add(t)
-        if n_top is None and tail.update(abs(t), abs(complex(acc.value))):
+        if n_top is None and tail.update(abs(t), abs(acc.value)):
             break
 
     # backward tail k = -1, -2, ...; ratio in v = q^{1-k} keeps values bounded
@@ -251,9 +254,9 @@ def sum_psi(spec: SeriesSpec, policy: TruncationPolicy = DEFAULT_POLICY):
         if t == 0:
             break
         acc.add(t)
-        if m_bot is None and tail.update(abs(t), abs(complex(acc.value))):
+        if m_bot is None and tail.update(abs(t), abs(acc.value)):
             break
-    return complex(acc.value), k + m + 1
+    return acc.value, k + m + 1
 
 
 def _as_params(params, names: str):

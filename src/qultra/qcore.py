@@ -15,7 +15,15 @@ Conventions used throughout the library:
 Most functions accept a numpy array in place of the scalar first
 argument (or of ``SpectralPoint.z``) and then return an array; this is
 what the quadrature module uses to evaluate integrands on full node
-grids in one call.
+grids in one call.  The q-series kernels (``poch``, ``poch_recip``,
+``CompensatedSum``) run one loop body for both element types: a scalar
+stays a Python ``complex`` from entry to return and is computed in
+Python complex arithmetic, an array is computed elementwise in numpy.
+Only the final reciprocal of ``poch`` for k < 0 and of ``poch_recip``
+is a numpy division for both, since numpy and Python round complex
+quotients differently.  Products of two non-real numbers may still
+differ in the last bit: numpy fuses their multiply-adds on arrays where
+the CPU has FMA, Python does not.
 """
 
 from __future__ import annotations
@@ -29,6 +37,9 @@ import numpy as np
 from .errors import DomainError, NonConvergence, PoleError
 
 INFINITY = math.inf
+
+#: a term magnitude above this times the previous one counts as growth
+GROWTH_SLACK = 1.0 + 1e-6
 
 
 def check_base(q) -> complex:
@@ -122,12 +133,53 @@ class SpectralPoint:
         return SpectralPoint(self.z * factor)
 
 
+def _operand(a):
+    """a as a kernel element: a complex ndarray for an array, a Python
+    complex for anything else."""
+    return np.asarray(a, dtype=complex) if isinstance(a, np.ndarray) else complex(a)
+
+
+def _one_like(a):
+    return np.ones_like(a) if isinstance(a, np.ndarray) else 1.0 + 0j
+
+
+def _all_finite(x) -> bool:
+    if isinstance(x, np.ndarray):
+        return bool(np.all(np.isfinite(x)))
+    return math.isfinite(x.real) and math.isfinite(x.imag)
+
+
+def _any_zero(x) -> bool:
+    return bool(np.any(x == 0)) if isinstance(x, np.ndarray) else x == 0
+
+
+def _max_abs(a) -> float:
+    if isinstance(a, np.ndarray):
+        return float(np.max(np.abs(a))) if a.size else 0.0
+    return abs(a)
+
+
+def _reciprocal(x):
+    """1 / x by numpy's complex division for both element types."""
+    r = np.divide(1.0, x)
+    return r if isinstance(x, np.ndarray) else complex(r)
+
+
 class CompensatedSum:
-    """Kahan-compensated accumulator for complex scalars or arrays."""
+    """Kahan-compensated accumulator for complex scalars or arrays.
+
+    The sum and its compensation start as 0j for a scalar template and
+    as numpy zeros of the template's shape for an array, and ``add`` is
+    one loop body for both: scalars are summed in Python complex
+    arithmetic, arrays elementwise in numpy, with the same result bits.
+    """
 
     def __init__(self, template=0j):
-        self.s = np.zeros_like(np.asarray(template, dtype=complex)) + 0j
-        self.c = np.zeros_like(self.s)
+        if isinstance(template, np.ndarray):
+            self.s = np.zeros(template.shape, dtype=complex)
+            self.c = np.zeros(template.shape, dtype=complex)
+        else:
+            self.s = self.c = 0j
 
     def add(self, term):
         y = term - self.c
@@ -162,46 +214,41 @@ def poch(a, q, k, policy: TruncationPolicy | None = None):
     """q-shifted factorial (a; q)_k.
 
     k may be a (possibly negative) integer or ``math.inf``.  a may be a
-    complex scalar or a numpy array.  For k = -m the value is
-    1 / (a q^{-m}; q)_m and a PoleError reports any vanishing factor.
+    complex scalar, for which the result is a Python complex, or a numpy
+    array.  For k = -m the value is 1 / (a q^{-m}; q)_m and a PoleError
+    reports any vanishing factor.
     """
     q = check_base(q)
-    scalar = not isinstance(a, np.ndarray)
-    a = np.asarray(a, dtype=complex)
-    if not np.all(np.isfinite(a)):
+    a = _operand(a)
+    if not _all_finite(a):
         raise DomainError("poch requires finite a")
+    out = _one_like(a)
     if k == INFINITY:
-        policy = policy or DEFAULT_POLICY
-        n_factors = _product_bound_terms(float(np.max(np.abs(a))) if a.size else 0.0,
-                                         abs(q), policy)
-        out = np.ones_like(a)
-        term = a.copy()
+        n_factors = _product_bound_terms(_max_abs(a), abs(q), policy or DEFAULT_POLICY)
+        term = a
         for _ in range(n_factors):
             out = out * (1.0 - term)
             term = term * q
-        return complex(out) if scalar else out
+        return out
 
     k = int(k)
     if k >= 0:
-        out = np.ones_like(a)
         qj = 1.0 + 0j
         for _ in range(k):
             out = out * (1.0 - a * qj)
             qj *= q
-        result = out
     else:
-        denom = np.ones_like(a)
         qmj = 1.0 / q
         for j in range(1, -k + 1):
             factor = 1.0 - a * qmj
-            if np.any(factor == 0):
+            if _any_zero(factor):
                 raise PoleError(f"(a; q)_{k}: factor 1 - a q^-{j} vanishes")
-            denom = denom * factor
+            out = out * factor
             qmj /= q
-        result = 1.0 / denom
-    if not np.all(np.isfinite(result)):
+        out = _reciprocal(out)
+    if not _all_finite(out):
         raise DomainError(f"(a; q)_{k} overflowed double precision")
-    return complex(result) if scalar else result
+    return out
 
 
 def poch_recip(a, q, k):
@@ -210,32 +257,29 @@ def poch_recip(a, q, k):
     For k < 0 this is the finite product (a q^k; q)_{-k}, which is the
     well-defined value 0 on the lattices where (a; q)_k blows up; used by
     series engines that must treat those zeros as term annihilation
-    rather than poles.
+    rather than poles.  A scalar a gives a Python complex.
     """
     q = check_base(q)
-    scalar = not isinstance(a, np.ndarray)
-    a = np.asarray(a, dtype=complex)
+    a = _operand(a)
     k = int(k)
+    out = _one_like(a)
     if k >= 0:
-        denom = np.ones_like(a)
         qj = 1.0 + 0j
         for j in range(k):
             factor = 1.0 - a * qj
-            if np.any(factor == 0):
+            if _any_zero(factor):
                 raise PoleError(f"1/(a; q)_{k}: factor 1 - a q^{j} vanishes")
-            denom = denom * factor
+            out = out * factor
             qj *= q
-        result = 1.0 / denom
+        out = _reciprocal(out)
     else:
-        out = np.ones_like(a)
         qmj = 1.0 / q
         for _ in range(1, -k + 1):
             out = out * (1.0 - a * qmj)
             qmj /= q
-        result = out
-    if not np.all(np.isfinite(result)):
+    if not _all_finite(out):
         raise DomainError(f"1/(a; q)_{k} overflowed double precision")
-    return complex(result) if scalar else result
+    return out
 
 
 def poch_ratio(a, b, q, k):

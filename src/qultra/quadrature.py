@@ -30,9 +30,9 @@ import numpy as np
 
 from .errors import DomainError, NonConvergence, PoleError, RegionError
 from .hyperseries import UNILATERAL, SeriesSpec, eval_phi
-from .qcore import (DEFAULT_POLICY, INFINITY, SpectralPoint, TruncationPolicy,
-                    check_real_base, is_q_power, poch, poch_multi, poch_pm,
-                    poch_recip)
+from .qcore import (DEFAULT_POLICY, GROWTH_SLACK, INFINITY, SpectralPoint,
+                    TruncationPolicy, check_real_base, is_q_power, poch,
+                    poch_multi, poch_pm, poch_recip)
 from .ultraspherical import (UltraParams, bilateral_cn, bilateral_cn_range,
                              classical_cn)
 
@@ -338,7 +338,10 @@ def shifted_orthogonality_quadrature(m: int, n: int, params: UltraParams,
     bilateral_cn_range pass over j = min(m, n) - K .. max(m, n) + K, with
     K the previous set's shell count plus k_extra and a margin; a shell k
     beyond it adds the rows up to shell 2k that the set lacks, so each
-    C_j is evaluated once per node set.
+    C_j is evaluated once per node set.  8 tail_window shells in a row
+    whose contribution grows (by more than GROWTH_SLACK) raise
+    NonConvergence: the shells need not decay where |q/(beta^2 gamma)| < 1
+    alone admits the parameters.
 
     rhs = shifted_orthogonality_rhs(params, policy, n) * delta_{mn}.
     """
@@ -369,13 +372,19 @@ def shifted_orthogonality_quadrature(m: int, n: int, params: UltraParams,
             return complex(np.sum(vals * wts))
 
         total = shell_integral(0)
-        small = 0
+        small = growth = 0
+        prev = math.inf
         k = 0
         while True:
             k += 1
             contrib = shell_integral(k)
             total += contrib
-            if abs(contrib) <= tol * max(1.0, abs(total)) / 64.0:
+            mag = abs(contrib)
+            growth = growth + 1 if mag > prev * GROWTH_SLACK else 0
+            if growth >= 8 * policy.tail_window:
+                raise NonConvergence("shifted-orthogonality shells failed to decay")
+            prev = mag
+            if mag <= tol * max(1.0, abs(total)) / 64.0:
                 small += 1
                 if small >= 2 and k >= kmin:
                     break

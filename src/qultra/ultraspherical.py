@@ -41,9 +41,9 @@ import numpy as np
 
 from .errors import DomainError, NonConvergence, PoleError, RegionError
 from .hyperseries import BILATERAL, SeriesSpec, sum_psi
-from .qcore import (DEFAULT_POLICY, INFINITY, CompensatedSum, SpectralPoint,
-                    TruncationPolicy, check_base, check_real_base, is_q_power,
-                    poch, poch_multi, poch_ratio)
+from .qcore import (DEFAULT_POLICY, GROWTH_SLACK, INFINITY, CompensatedSum,
+                    SpectralPoint, TruncationPolicy, check_base, check_real_base,
+                    is_q_power, poch, poch_multi, poch_pm, poch_ratio)
 
 CLASSICAL = "classical"
 BILATERAL_KIND = "bilateral"
@@ -218,9 +218,6 @@ def _z_powers(z: np.ndarray, n_lo: int, n_hi: int) -> np.ndarray:
 #: rows times points of one direct-sum pass; longer ranges take several
 _BLOCK_SIZE = 1024
 
-#: a term magnitude above this times the previous one counts as growth
-_GROWTH = 1.0 + 1e-6
-
 
 def _direct_rows(n_lo: int, n_hi: int, z: np.ndarray, params: UltraParams,
                  policy: TruncationPolicy):
@@ -281,7 +278,7 @@ def _direct_rows(n_lo: int, n_hi: int, z: np.ndarray, params: UltraParams,
             comp = (acc - total) - y
             total = acc
             tm = np.abs(t).max(axis=2)
-            grew = tm > prev * _GROWTH
+            grew = tm > prev * GROWTH_SLACK
             prev = tm
             growth = (growth + 1) * grew
             below = (below + 1) * (tm <= policy.rel_tol * np.abs(total).max(axis=2)
@@ -525,7 +522,6 @@ def generating_rhs(kind: str, t, p: SpectralPoint, params: UltraParams,
     (q, q/beta; q)_inf^2 / (q gamma, q/(beta gamma); q)_inf^2 and requires
     |q / beta| < |t z^{+-1}| < 1.
     """
-    from .qcore import poch_pm
     q, beta, gamma = params.q, params.beta, params.gamma
     t = complex(t)
     z = p.z

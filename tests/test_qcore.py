@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from qultra import (DomainError, PoleError, SpectralPoint, TruncationPolicy,
                     poch, poch_multi, poch_pm)
-from qultra.qcore import INFINITY, is_q_power, poch_ratio, poch_recip
+from qultra.qcore import (INFINITY, CompensatedSum, is_q_power, poch_ratio,
+                          poch_recip)
 
 Q = 0.3
 
@@ -160,6 +161,31 @@ def test_poch_array_matches_scalars():
     got = poch(arr, Q, INFINITY)
     for a, v in zip(arr, got):
         assert v == pytest.approx(poch(complex(a), Q, INFINITY), rel=1e-14)
+    # A scalar and a one-element array run the same loop body, in Python
+    # complex and in numpy arithmetic.  Sums, products with a real factor and
+    # the final reciprocal (a numpy division for both) round alike, so real a
+    # agrees to the bit.  numpy may fuse the multiply-adds of a product of two
+    # complex arrays (on CPUs with FMA) while Python does not, so complex a
+    # agrees to rounding only.
+    terms = [1.0 + 0j, 2.5 - 1e-17j, -1e-3 + 3.0j, 1e16 + 0j, -1e16 + 1j]
+    acc, acc1 = CompensatedSum(), CompensatedSum(np.zeros(1))
+    for t in terms:
+        acc.add(t)
+        acc1.add(np.array([t]))
+    assert type(acc.value) is complex
+    assert acc.value == acc1.value[0]
+    for a in (-2.5, 3.7, -0.6, 1.3 + 0.4j, -1.7 - 2.2j):
+        exact = isinstance(a, float)
+        pairs = [(poch(a, Q, k), poch(np.array([a]), Q, k)[0])
+                 for k in (INFINITY, 0, 5, -5)]
+        pairs += [(poch_recip(a, Q, k), poch_recip(np.array([a]), Q, k)[0])
+                  for k in (5, -5)]
+        for scalar, element in pairs:
+            assert type(scalar) is complex
+            if exact:
+                assert scalar == element
+            else:
+                assert scalar == pytest.approx(element, rel=1e-15)
 
 
 def test_is_q_power_detection():

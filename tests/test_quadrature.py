@@ -340,3 +340,11 @@ def test_shifted_orthogonality_region_error():
     params = UltraParams(0.55, 0.9, 0.3)
     with pytest.raises(RegionError):
         shifted_orthogonality_pair(0, 0, params, 1e-6)
+
+
+def test_shifted_orthogonality_growing_shells_raise():
+    # |q/(beta^2 gamma)| = 0.73 < 1 passes the region check, but the shells
+    # grow at every step from k = 12 on; without the growth guard the loop
+    # ran to k ~ 2300, where rho ** -k overflows a float
+    with pytest.raises(NonConvergence, match="shells failed to decay"):
+        quad.shifted_orthogonality_quadrature(0, 0, UltraParams(0.8, 1.5, 0.7))

@@ -1,9 +1,12 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import qultra
 from qultra import ConfigError
 from qultra.cli import main, read_config_file, build_parser
 from qultra.verify import (identity_names, render_json, run_identity,
@@ -118,6 +121,12 @@ def test_crosscheck_skips_where_a_route_does_not_apply(cfg):
     assert "transformed series out of region" in entry.note
 
 
+def test_shifted_entry_fails_where_shells_grow():
+    entry = run_identity("shifted_orthogonality_diagonal", {"q": 0.7, "gamma": 1.5})
+    assert not entry.passed and not entry.skipped
+    assert entry.note.startswith("NonConvergence")
+
+
 def test_shifted_scaling_entry_is_exact():
     entry = run_identity("shifted_orthogonality_scaling")
     assert entry.passed and entry.residual == 0.0
@@ -198,9 +207,14 @@ def test_read_config_file_parsing(tmp_path):
 
 
 def test_cli_suite_subprocess_deterministic():
+    # the child imports the qultra this process imported, however it got on
+    # the path (PYTHONPATH, an install, or pytest's pythonpath setting)
+    src = str(Path(qultra.__file__).resolve().parent.parent)
+    old = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": src + (os.pathsep + old if old else "")}
     cmd = [sys.executable, "-m", "qultra.cli", "suite", "--format", "json"]
-    r1 = subprocess.run(cmd, capture_output=True)
-    r2 = subprocess.run(cmd, capture_output=True)
+    r1 = subprocess.run(cmd, capture_output=True, env=env)
+    r2 = subprocess.run(cmd, capture_output=True, env=env)
     assert r1.returncode == 0
     assert r1.stdout == r2.stdout
     json.loads(r1.stdout)
