@@ -193,21 +193,22 @@ class CompensatedSum:
 
 
 def _product_bound_terms(a_mag: float, q_mag: float, policy: TruncationPolicy) -> int:
-    """Number of factors J so that |a| q^j < rel_tol (1 - |q|) holds for
-    tail_window consecutive j < J (geometric bound on the log-product tail)."""
+    """Number of factors J = j0 + tail_window, where j0 is the first j with
+    |a| |q|^j < rel_tol (1 - |q|): the geometric bound on the log-product
+    tail then holds for tail_window consecutive j < J.  j0 comes from
+    logarithms, settled by one comparison each way."""
     bound = policy.rel_tol * (1.0 - q_mag)
-    est = a_mag
-    hits = 0
-    for j in range(policy.max_terms):
-        if est < bound:
-            hits += 1
-            if hits >= policy.tail_window:
-                return j + 1
-        else:
-            hits = 0
-        est *= q_mag
-    raise NonConvergence(
-        f"infinite q-product did not satisfy its tail bound within {policy.max_terms} factors")
+    j0 = 0
+    if a_mag >= bound:
+        j0 = max(0, math.ceil((math.log(a_mag) - math.log(bound)) / -math.log(q_mag)))
+        if a_mag * q_mag ** j0 >= bound:
+            j0 += 1
+        elif j0 > 0 and a_mag * q_mag ** (j0 - 1) < bound:
+            j0 -= 1
+    if j0 + policy.tail_window > policy.max_terms:
+        raise NonConvergence(f"infinite q-product did not satisfy its tail bound "
+                             f"within {policy.max_terms} factors")
+    return j0 + policy.tail_window
 
 
 def poch(a, q, k, policy: TruncationPolicy | None = None):

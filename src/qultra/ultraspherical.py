@@ -9,11 +9,13 @@ The bilateral function
 
 converges for |q z^2 / beta| < 1 and |q / (beta z^2)| < 1.  Inside that
 annulus the primary evaluation path is the direct two-sided sum.  Every
-n uses the same g_j, so bilateral_cn_range sums a whole range of n at
-every point in one pass: g_j is formed once by its one-step recursions,
-each step adds one term of each side to every row, and each row keeps
-the truncation checks it would have alone.  bilateral_cn is its one-row
-case.
+n uses the same g_j (cached per parameters), so bilateral_cn_range sums a
+whole range of n at every point at once: each side of the series (k >= 0
+and k < 0) is one matrix product of a (rows x steps) block of scaled
+coefficients g_k g_{n-k} and a (steps x points) table of powers of z, and
+each side of each row is truncated where tail_window terms past its
+largest term fall below rel_tol times that side's total, as it would be
+alone.  bilateral_cn is its one-row case.
 
 Outside the annulus the function is still analytic in x along paths
 avoiding the annulus-boundary singularities, and evaluation switches to
@@ -34,6 +36,7 @@ beta < 1, where the direct sum diverges at those points.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
@@ -182,27 +185,36 @@ def classical_cn(n: int, p: SpectralPoint, beta, q):
     return complex(out) if scalar else out
 
 
-def _g_table(params: UltraParams, j_lo: int, j_hi: int) -> np.ndarray:
-    """g_j = (beta gamma; q)_j / (q gamma; q)_j for j_lo <= j <= j_hi
-    (j_lo <= 0 <= j_hi) by the one-step recursions both ways from g_0 = 1;
-    entry i holds g_{j_lo + i}."""
+@functools.lru_cache(maxsize=16)
+def _g_table(params: UltraParams, m: int) -> np.ndarray:
+    """g_j = (beta gamma; q)_j / (q gamma; q)_j for -m <= j <= m, entry
+    m + j, with the negative half scaled: entry m - j holds
+    (beta/q)^j g_{-j}.  g_{-j} decays like (q/beta)^j, so the scaled
+    entries tend to a constant as g_j does for j -> inf.  Both halves
+    come from the one-step recursions from g_0 = 1.  Cached per params
+    (sixteen tables at most) and read-only."""
     q, bg, gq = params.q, params.beta * params.gamma, params.q * params.gamma
-    up, u = [1.0 + 0j], 1.0 + 0j          # g_j for j >= 0; u = q^j
-    for _ in range(j_hi):
+    rho = q / params.beta
+    out = np.empty(2 * m + 1, dtype=complex)
+    g, u = 1.0 + 0j, 1.0 + 0j              # g_j for j >= 0; u = q^j
+    out[m] = g
+    for j in range(1, m + 1):
         den = 1.0 - gq * u
         if den == 0:
             raise PoleError("parameter lattice hit in the direct sum")
-        up.append(up[-1] * (1.0 - bg * u) / den)
+        g = g * (1.0 - bg * u) / den
+        out[m + j] = g
         u *= q
-    down, g, v = [], 1.0 + 0j, q           # g_{-j} for j >= 1; v = q^j
-    for _ in range(-j_lo):
-        den = v - bg
+    g, v = 1.0 + 0j, q                     # (beta/q)^j g_{-j}; v = q^j
+    for j in range(1, m + 1):
+        den = rho * v - gq                 # rho (v - beta gamma)
         if den == 0:
             raise PoleError("parameter lattice hit in the direct sum")
         g = g * (v - gq) / den
-        down.append(g)
+        out[m - j] = g
         v *= q
-    return np.array(down[::-1] + up, dtype=complex)
+    out.setflags(write=False)
+    return out
 
 
 def _z_powers(z: np.ndarray, n_lo: int, n_hi: int) -> np.ndarray:
@@ -215,93 +227,171 @@ def _z_powers(z: np.ndarray, n_lo: int, n_hi: int) -> np.ndarray:
     return table[n_lo - lo:n_hi - lo + 1]
 
 
-#: rows times points of one direct-sum pass; longer ranges take several
+#: rows times points of one direct-sum pass (and an eighth of its rows
+#: times steps); longer ranges take several
 _BLOCK_SIZE = 1024
+
+
+def _step_budget(n_lo: int, n_hi: int) -> int:
+    """The steps per side a direct-sum pass over rows n_lo..n_hi starts
+    with: term magnitudes plateau for about |n| steps."""
+    return 2 * max(abs(n_lo), abs(n_hi)) + 64
+
+
+def _scaled_coefficients(ns: np.ndarray, steps: int, params: UltraParams,
+                         sigma: float, tau: float) -> np.ndarray:
+    """The (side x row x step) coefficients of _direct_rows: step s of
+    row n holds sigma^{-s} g_s g_{n-s} on the upper side and
+    tau^s g_{-1-s} g_{n+1+s} on the lower side.  g_j decays like
+    (q/beta)^{-j} as j -> -inf, so they are assembled from the scaled
+    entries of _g_table, powers no larger than one and the row factor
+    sigma^{-n}: no factor over- or underflows where the coefficient does
+    not."""
+    n_lo, n_hi = int(ns[0]), int(ns[-1])
+    rho = params.q / params.beta
+    m = 1 << max(8, (steps + max(-n_lo - 1, n_hi, 0) - 1).bit_length())
+    g = _g_table(params, m)    # power-of-two sizes: few tables per params
+    s = np.arange(steps)
+    # a_j = g_j sigma^j for j = n - s >= 0, (beta/q)^{-j} g_j (q/(beta sigma))^{-j}
+    # for j < 0; the upper coefficient is sigma^{-n} g_s a_{n-s}
+    j = np.arange(n_lo - steps + 1, n_hi + 1)
+    a = g[m + j] * sigma ** np.maximum(j, 0) * (rho / sigma) ** np.maximum(-j, 0)
+    upper = (sigma ** -ns.astype(float))[:, None] * g[m + s] * a[ns[:, None] - s - j[0]]
+    # b_i = g_i for i = n + 1 + s; the lower coefficient is
+    # (q/beta) [(beta/q)^{1+s} g_{-1-s}] (q tau/beta)^s b_{n+1+s}
+    i = np.arange(n_lo + 1, n_hi + steps + 1)
+    b = g[m + i] * rho ** np.maximum(-i, 0)
+    lower = rho * g[m - 1 - s] * (rho * tau) ** s * b[ns[:, None] + 1 + s - i[0]]
+    return np.stack((upper, lower))
+
+
+def _run_lengths(flags: np.ndarray) -> np.ndarray:
+    """Per entry of a (rows x steps) boolean array, the number of True
+    entries in a row that end there."""
+    s = np.arange(flags.shape[1])
+    return s - np.maximum.accumulate(np.where(flags, -1, s), axis=1)
+
+
+def _first(flags: np.ndarray) -> np.ndarray:
+    """Per row, the index of the first True entry, or the row length."""
+    return np.where(flags.any(axis=1), flags.argmax(axis=1), flags.shape[1])
+
+
+def _side_terms(tm: np.ndarray, ref: np.ndarray, window: np.ndarray,
+                policy: TruncationPolicy) -> np.ndarray:
+    """The terms each side sums, from its largest term over the points at
+    every step (a row of tm) and its largest total over the points (ref);
+    -1 where a side does not stop within the steps of tm.
+
+    A side stops at a zero term, which it does not count, or after
+    tail_window terms in a row past its largest term that are at most
+    rel_tol ref + abs_tol.  A non-finite term or a run of window growing
+    terms at or before that step raises NonConvergence."""
+    steps = tm.shape[1]
+    s = np.arange(steps)
+    zero = tm == 0
+    small = ((tm <= policy.rel_tol * ref[:, None] + policy.abs_tol)
+             & (s > tm.argmax(axis=1)[:, None]))
+    stop = _first(zero | (_run_lengths(small) >= policy.tail_window))
+    grew = np.zeros_like(zero)
+    grew[:, 1:] = tm[:, 1:] > tm[:, :-1] * GROWTH_SLACK
+    # the earliest failure raises; an overflow before a growth run at one step
+    overflow = _first(~(tm < np.inf))
+    overflow = np.where(overflow <= stop, overflow, steps).min()
+    diverging = _first(_run_lengths(grew) >= window[:, None])
+    diverging = np.where(diverging <= stop, diverging, steps).min()
+    if overflow < steps and overflow <= diverging:
+        raise NonConvergence("direct bilateral sum overflowed")
+    if diverging < steps:
+        raise NonConvergence("bilateral terms failed to decay (out of region?)")
+    last = np.minimum(stop, steps - 1)
+    return np.where(stop < steps, stop + 1 - zero[np.arange(len(stop)), last], -1)
+
+
+def _side_sums(coeff: np.ndarray, pre: np.ndarray, ratio) -> np.ndarray:
+    """pre times the product of coeff with the power table W[s] = ratio^s
+    for each side, W by repeated multiplication, one side's table at a
+    time.  The products are einsum contractions over the contiguous step
+    axis, not BLAS matrix products: on a 2-core x86-64 machine those made
+    the benchmark's suite pass about 12% faster but paged in OpenBLAS
+    kernels, 0.8 MB more peak RSS."""
+    out = np.empty_like(pre)
+    power = np.ones(pre.shape[2:] + (coeff.shape[2],), dtype=complex)
+    for side in range(2):
+        np.cumprod(np.broadcast_to(ratio[side][:, None], power[:, 1:].shape),
+                   axis=1, out=power[:, 1:])
+        out[side] = pre[side] * np.einsum("rs,ps->rp", coeff[side], power)
+    return out
 
 
 def _direct_rows(n_lo: int, n_hi: int, z: np.ndarray, params: UltraParams,
                  policy: TruncationPolicy):
-    """C_n for n_lo <= n <= n_hi at every z of a 1-D array, as one
-    two-sided pass over the defining series.
+    """C_n for n_lo <= n <= n_hi at every z of a 1-D array, with no loop
+    over the terms.
 
-    Step s adds the term k = s of the upper side and the term k = -1 - s
-    of the lower side to every row, so each step updates a
-    (side x row x point) block.  Each side of each row keeps its own
-    checks, on its largest term and partial sum over the points: a
-    non-finite term or a run of 8 tail_window + 2|n| + 8 growing terms
-    (term magnitudes plateau for about |n| steps before the geometric
-    tails set in) raises NonConvergence; a zero term,
-    or tail_window terms in a row at most rel_tol times the partial sum
-    plus abs_tol, ends the side.  A row's values and stopping steps
-    therefore do not depend on the other rows.  Returns the (rows x
+    The upper side sums the terms k = s >= 0, g_s g_{n-s} z^{n-2s}, and
+    the lower side the terms k = -1 - s, g_{-1-s} g_{n+1+s} z^{n+2+2s}.
+    Each side of all rows is one masked matrix product,
+
+        C_n = z^n (C_up @ W_up)[n] + z^{n+2} (C_lo @ W_lo)[n],
+
+    with the (steps x points) power tables W_up[s] = (sigma/z^2)^s,
+    sigma = min(|z|^2, 1) over the points, and W_lo[s] = (z^2/tau)^s,
+    tau = max(|z|^2, 1), so |W| <= 1.  The (rows x steps) coefficients
+    (_scaled_coefficients) absorb sigma^{-s} and tau^s and decay
+    geometrically inside the annulus.  On the unit circle sigma = tau = 1
+    and nothing is scaled; off it the upper coefficients of row n > 0
+    reach sigma^{-n}, so a row raises NonConvergence once |z|^{-2n}
+    leaves the double range.
+
+    Each side of each row is checked on its largest term over the points
+    at every step, which |z|^e reaches at the smallest or the largest |z|
+    (_side_terms): a non-finite term or a run of 8 tail_window + 2|n| + 8
+    growing terms (term magnitudes plateau for about |n| steps before the
+    geometric tails set in) raises NonConvergence; a zero term, or
+    tail_window terms in a row past the side's largest term that are at
+    most rel_tol times the side's total plus abs_tol, ends the side.  The
+    side's total is its sum over the whole step budget, largest over the
+    points.  (A step-by-step sum compares each term with its running
+    partial sum instead; the two stop at the same step wherever the
+    partial sum has settled before the tail rule applies.)  The budget
+    starts at _step_budget and doubles, up to max_terms, until
+    every side has stopped; each side then sums its terms up to its
+    stopping step (the mask).  A row's stopping steps do not depend on the
+    other rows, and its values only through rounding.  Returns the (rows x
     points) values and the terms summed per row.
     """
     ns = np.arange(n_lo, n_hi + 1)
-    shape = (2, ns.size)
+    r = np.abs(z)
+    extremes = (float(r.min()), float(r.max()))
+    sigma, tau = min(extremes[0] ** 2, 1.0), max(extremes[1] ** 2, 1.0)
     z2 = z * z
-    zpow = np.empty(shape + z.shape, dtype=complex)
-    zpow[0] = _z_powers(z, n_lo, n_hi)     # z^{n-2k} at k = 0
-    zpow[1] = zpow[0] * z2                 # ... at k = -1
-    zmul = np.stack((1.0 / z2, z2))[:, None, :]
-    # g_k and g_{n-k} are entries ia and ib of the g table; one step moves
-    # k up by one on the upper side and down by one on the lower side
-    dk = np.array([[1], [-1]])
-    reach = 2 * max(abs(n_lo), abs(n_hi)) + 32    # steps the table covers
-    j_lo = min(n_lo, 0) - reach - 1
-    g = _g_table(params, j_lo, max(n_hi, 0) + reach + 1)
-    ia = np.array([[0], [-1]]) - j_lo
-    ib = np.stack((ns, ns + 1)) - j_lo
-    window = 8 * policy.tail_window + 2 * np.abs(ns) + 8
-    total = np.zeros_like(zpow)
-    comp = np.zeros_like(zpow)             # Kahan compensation
-    prev = np.full(shape, np.inf)
-    growth = np.zeros(shape, dtype=int)
-    below = np.zeros(shape, dtype=int)
-    active = np.ones(shape, dtype=bool)
-    value = np.zeros_like(zpow)
-    terms = np.zeros(shape, dtype=int)
+    zpow = _z_powers(z, n_lo, n_hi)
+    pre = np.stack((zpow, zpow * z2))                  # z^n and z^{n+2}
+    ratio = (sigma / z2, z2 / tau)                     # |ratio| <= 1
+    exps = np.stack((ns, ns + 2)).astype(float)
+    window = np.tile(8 * policy.tail_window + 2 * np.abs(ns) + 8, 2)
+    steps = min(_step_budget(n_lo, n_hi), policy.max_terms)
     with np.errstate(over="ignore", invalid="ignore"):
-        for step in range(policy.max_terms):
-            if step > reach:
-                reach *= 2
-                shift = j_lo - (min(n_lo, 0) - reach - 1)
-                j_lo -= shift
-                g = _g_table(params, j_lo, max(n_hi, 0) + reach + 1)
-                ia += shift
-                ib += shift
-            t = (g[ia] * g[ib])[:, :, None] * zpow
-            zpow *= zmul
-            ia += dk
-            ib -= dk
-            y = t - comp
-            acc = total + y
-            comp = (acc - total) - y
-            total = acc
-            tm = np.abs(t).max(axis=2)
-            grew = tm > prev * GROWTH_SLACK
-            prev = tm
-            growth = (growth + 1) * grew
-            below = (below + 1) * (tm <= policy.rel_tol * np.abs(total).max(axis=2)
-                                   + policy.abs_tol)
-            zero = tm == 0
-            done = zero | (below >= policy.tail_window)
-            overflow = ~(tm < np.inf)
-            diverging = growth >= window
-            if not ((done | overflow | diverging) & active).any():
-                continue
-            if (overflow & active).any():
-                raise NonConvergence("direct bilateral sum overflowed")
-            if (diverging & active).any():
-                raise NonConvergence(
-                    "bilateral terms failed to decay (out of region?)")
-            done &= active
-            value[done] = total[done] - comp[done]
-            terms[done] = step + 1 - zero[done]
-            active &= ~done
-            if not active.any():
-                return value.sum(axis=0), terms.sum(axis=0)
-    raise NonConvergence(
-        f"bilateral sum did not converge within {policy.max_terms} terms per side")
+        while True:
+            coeff = _scaled_coefficients(ns, steps, params, sigma, tau)
+            s = np.arange(steps)
+            # |term| = |coeff| |z|^{n or n+2} |ratio|^s peaks at an extreme |z|
+            amp = np.maximum(*(
+                (e ** exps)[:, :, None]
+                * (np.array([[sigma / e ** 2], [e ** 2 / tau]]) ** s)[:, None]
+                for e in extremes))
+            ref = np.abs(_side_sums(coeff, pre, ratio)).max(axis=2)
+            terms = _side_terms((np.abs(coeff) * amp).reshape(2 * ns.size, steps),
+                                ref.ravel(), window, policy).reshape(2, ns.size)
+            if (terms >= 0).all():
+                break
+            if steps == policy.max_terms:
+                raise NonConvergence(f"bilateral sum did not converge within "
+                                     f"{policy.max_terms} terms per side")
+            steps = min(2 * steps, policy.max_terms)
+        value = _side_sums(coeff * (s < terms[:, :, None]), pre, ratio)
+    return value.sum(axis=0), terms.sum(axis=0)
 
 
 class _RouteUnusable(RegionError):
@@ -444,11 +534,12 @@ def bilateral_cn_range(n_lo: int, n_hi: int, p: SpectralPoint,
                        policy: TruncationPolicy = DEFAULT_POLICY) -> UltraRange:
     """C_n at p for every n_lo <= n <= n_hi.
 
-    The points of p inside the direct annulus share two-sided passes of
-    the defining series over all rows: g_j is formed once per pass, each
-    row keeps its own truncation checks, and a pass takes as many rows as
-    keep its block of rows times points near _BLOCK_SIZE values.  Every
-    other point is continued per n as in bilateral_cn.  Raises PoleError
+    The points of p inside the direct annulus are summed together for all
+    rows (_direct_rows): each row keeps its own truncation checks, taken
+    over those points, and a pass takes as many rows as keep its block of
+    rows times points near _BLOCK_SIZE values and its rows times steps
+    near 8 _BLOCK_SIZE.  Every other point is continued per n as in
+    bilateral_cn.  Raises PoleError
     on the gamma parameter lattices, RegionError when no evaluation route
     applies, NonConvergence when the policy budget is exhausted.
     """
@@ -463,8 +554,10 @@ def bilateral_cn_range(n_lo: int, n_hi: int, p: SpectralPoint,
     values = np.empty((rows, z.size), dtype=complex)
     terms = np.zeros(rows, dtype=int)
     if inside.any():
-        # rows are independent, so splitting a long range changes no value
-        step = max(1, _BLOCK_SIZE // int(inside.sum()))
+        # rows are independent, so splitting a long range changes no row's
+        # terms; a pass also holds rows x steps coefficients
+        step = max(1, min(_BLOCK_SIZE // int(inside.sum()),
+                          8 * _BLOCK_SIZE // _step_budget(n_lo, n_hi)))
         for lo in range(n_lo, n_hi + 1, step):
             hi = min(lo + step - 1, n_hi)
             block = slice(lo - n_lo, hi - n_lo + 1)
@@ -514,26 +607,28 @@ def bilateral_cn_psi_form(n: int, p: SpectralPoint, params: UltraParams,
 
 
 def generating_rhs(kind: str, t, p: SpectralPoint, params: UltraParams,
-                   policy: TruncationPolicy = DEFAULT_POLICY) -> complex:
+                   policy: TruncationPolicy = DEFAULT_POLICY):
     """Closed product form of the generating function sum_n C_n t^n.
 
     classical: (beta t z, beta t / z; q)_inf / (t z, t / z; q)_inf for
     |t z| < 1 and |t / z| < 1.  bilateral: includes the constant
     (q, q/beta; q)_inf^2 / (q gamma, q/(beta gamma); q)_inf^2 and requires
-    |q / beta| < |t z^{+-1}| < 1.
+    |q / beta| < |t z^{+-1}| < 1.  t may be a numpy array, and then the
+    region is checked at every t and an array is returned.
     """
     q, beta, gamma = params.q, params.beta, params.gamma
-    t = complex(t)
+    t = t.astype(complex) if isinstance(t, np.ndarray) else complex(t)
     z = p.z
+    tz, t_z = np.abs(t * z), np.abs(t / z)
     if kind == CLASSICAL:
-        if not (abs(t * z) < 1 and abs(t / z) < 1):
+        if not (np.all(tz < 1) and np.all(t_z < 1)):
             raise RegionError("classical generating function needs |t z^(+-1)| < 1")
         return poch_pm(beta * t, p, q, policy) / poch_pm(t, p, q, policy)
     if kind != BILATERAL_KIND:
         raise DomainError(f"unknown kind {kind!r}")
     check_pole_lattice(params)
     lo = abs(q / beta)
-    if not (lo < abs(t * z) < 1 and lo < abs(t / z) < 1):
+    if not np.all((lo < tz) & (tz < 1) & (lo < t_z) & (t_z < 1)):
         raise RegionError(
             "bilateral generating function needs |q/beta| < |t z^(+-1)| < 1")
     bg = beta * gamma

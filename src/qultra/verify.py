@@ -216,10 +216,8 @@ def _gf_fourier(ctx: _Ctx):
         prev = None
         while True:
             phis = 2 * np.pi * np.arange(m) / m
-            samples = np.array([
-                generating_rhs(BILATERAL_KIND, r * np.exp(1j * ph), p,
-                               ctx.params, ctx.policy)
-                for ph in phis])
+            samples = generating_rhs(BILATERAL_KIND, r * np.exp(1j * phis), p,
+                                     ctx.params, ctx.policy)
             coeff = np.fft.fft(samples) / m
             if prev is not None:
                 agree = max(abs(coeff[n] - prev[n]) for n in range(-4, 5))

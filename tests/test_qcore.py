@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qultra import (DomainError, PoleError, SpectralPoint, TruncationPolicy,
-                    poch, poch_multi, poch_pm)
-from qultra.qcore import (INFINITY, CompensatedSum, is_q_power, poch_ratio,
-                          poch_recip)
+from qultra import (DEFAULT_POLICY, DomainError, NonConvergence, PoleError,
+                    SpectralPoint, TruncationPolicy, poch, poch_multi, poch_pm)
+from qultra.qcore import (INFINITY, CompensatedSum, _product_bound_terms,
+                          is_q_power, poch_ratio, poch_recip)
 
 Q = 0.3
 
@@ -107,6 +107,42 @@ def test_poch_shift_identity_random(re, im, q, k):
         return
     lhs = poch(a, q, k + 1)
     assert lhs == pytest.approx(rhs, rel=1e-11, abs=1e-11)
+
+
+def _loop_bound_terms(a_mag, q_mag, policy):
+    """The factor count of poch(a, q, inf) by a step loop: the first J with
+    |a| |q|^j < rel_tol (1 - |q|) for tail_window consecutive j < J, the
+    running product formed by repeated multiplication; None past max_terms."""
+    bound = policy.rel_tol * (1.0 - q_mag)
+    est, hits = a_mag, 0
+    for j in range(policy.max_terms):
+        hits = hits + 1 if est < bound else 0
+        if hits >= policy.tail_window:
+            return j + 1
+        est *= q_mag
+    return None
+
+
+def test_product_bound_terms_matches_the_loop():
+    rng = np.random.default_rng(20251018)
+    policies = [DEFAULT_POLICY, TruncationPolicy(rel_tol=1e-10, tail_window=5),
+                TruncationPolicy(max_terms=40)]
+    for policy in policies:
+        pairs = [(float(10 ** rng.uniform(-20, 20)), float(rng.uniform(1e-3, 0.999)))
+                 for _ in range(3000)]
+        pairs += [(0.0, 0.5), (policy.rel_tol * 0.7, 0.3), (1e300, 0.999)]
+        for a, q in pairs:
+            want = _loop_bound_terms(a, q, policy)
+            try:
+                got = _product_bound_terms(a, q, policy)
+            except NonConvergence:
+                got = None
+            if got != want:
+                # allowed only at a tie: at the first j where the counts
+                # disagree, |a| |q|^j equals the bound up to rounding
+                j = min(c for c in (got, want) if c is not None) - policy.tail_window
+                bound = policy.rel_tol * (1.0 - q)
+                assert math.isclose(a * q ** j, bound, rel_tol=1e-12), (a, q, got, want)
 
 
 def test_poch_ratio_matches_quotient():

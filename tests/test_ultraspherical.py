@@ -256,6 +256,21 @@ def test_generating_rhs_region_errors(params, points):
         generating_rhs("bilateral", 0.2, points[0], params)  # |t z| < q/beta
     with pytest.raises(RegionError):
         generating_rhs("classical", 1.2, points[0], params)
+    # an array is checked at every t
+    with pytest.raises(RegionError):
+        generating_rhs("bilateral", np.array([0.6, 0.2]), points[0], params)
+    with pytest.raises(RegionError):
+        generating_rhs("classical", np.array([0.6, 1.2]), points[0], params)
+
+
+def test_generating_rhs_on_an_array_of_t(params, points):
+    ts = 0.6 * np.exp(2j * np.pi * np.arange(16) / 16)
+    for kind in ("bilateral", "classical"):
+        for p in points:
+            got = generating_rhs(kind, ts, p, params)
+            assert got.shape == ts.shape
+            want = [generating_rhs(kind, complex(t), p, params) for t in ts]
+            np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
 
 
 def test_laurent_coefficients_recover_values(params):
@@ -297,35 +312,39 @@ def test_bilateral_region_error_when_no_route():
 
 # ------------------------------------------------- one pass over a range of n
 
-def _mp_rows(n_lo, n_hi, zs, digits=30):
+def _mp_rows(n_lo, n_hi, zs, digits=30, qbg=(Q, BETA, GAMMA), pad=70):
     """[{n: (C_n(z), sum_k |term_k|)} for z in zs] for n_lo <= n <= n_hi by
-    the defining sum C_n(z) = sum_k g_k g_{n-k} z^{n-2k} in mpmath, with
-    g_j by its one-step recursions from g_0 = 1 and k running 70 terms
-    past the plateau on each side (0.375^70 < 1e-29).  The magnitude sum
-    is rounded to double."""
+    the defining sum C_n(z) = sum_k g_k g_{n-k} z^{n-2k} in mpmath at
+    (q, beta, gamma) = qbg, with g_j by its one-step recursions from
+    g_0 = 1 and k running pad terms past the plateau on each side (at the
+    defaults 0.375^70 < 1e-29).  The magnitude sum is summed in double from
+    the logarithms of its factors, since near the edge of the annulus the
+    factors of a term overflow a double where the term does not."""
     import mpmath as mp
     with mp.workdps(digits):
-        q, bg, gq = mp.mpf(Q), mp.mpf(BETA) * mp.mpf(GAMMA), mp.mpf(Q) * mp.mpf(GAMMA)
-        lo, hi = min(0, n_lo) - 70, max(0, n_hi) + 70
+        q, bg = mp.mpf(qbg[0]), mp.mpf(qbg[1]) * mp.mpf(qbg[2])
+        gq = q * mp.mpf(qbg[2])
+        lo, hi = min(0, n_lo) - pad, max(0, n_hi) + pad
         g, qj = {0: mp.mpf(1)}, mp.mpf(1)
         for j in range(hi - lo + 1):
             g[j + 1] = g[j] * (1 - bg * qj) / (1 - gq * qj)
             g[-j - 1] = g[-j] * (qj * q - gq) / (qj * q - bg)
             qj *= q
-        gf = {j: float(v) for j, v in g.items()}
+        lg = {j: float(mp.log(abs(v))) for j, v in g.items()}
         out = []
         for z in zs:
             z = mp.mpc(z)
-            w, r = 1 / (z * z), float(abs(z))
+            w, lr = 1 / (z * z), float(mp.log(abs(z)))
             a, wk = {}, w ** lo
             for k in range(lo, hi + 1):      # a_k = g_k z^{-2k}
                 a[k] = g[k] * wk
                 wk *= w
+            la = {k: float(mp.log(abs(v))) for k, v in a.items()}
             rows = {}
             for n in range(n_lo, n_hi + 1):
-                ks = range(min(0, n) - 70, max(0, n) + 71)
+                ks = range(min(0, n) - pad, max(0, n) + pad + 1)
                 value = z ** n * mp.fdot([a[k] for k in ks], [g[n - k] for k in ks])
-                scale = math.fsum(abs(gf[k] * gf[n - k]) * r ** (n - 2 * k) for k in ks)
+                scale = math.fsum(math.exp(la[k] + lg[n - k] + n * lr) for k in ks)
                 rows[n] = complex(value), scale
             out.append(rows)
         return out
@@ -448,3 +467,89 @@ def test_constant_term_large_negative_index(params):
         ref, scale = _mp_rows(n, n, [1j])[0][n]
         assert want == pytest.approx(ref, rel=1e-12)
         assert abs(got - ref) <= 1e-13 * scale
+
+
+def test_range_at_the_edge_of_the_annulus():
+    # region ratios 0.97 on each side: the slow tail needs about 1000 terms,
+    # where unscaled powers |z|^{-2k} and g_{n-k} over- and underflow
+    q, beta, gamma = 0.1, 0.95, 0.3
+    r_in, r_out = math.sqrt(q / (0.97 * beta)), math.sqrt(0.97 * beta / q)
+    zs = np.array([r_in * np.exp(1.1j), r_out * np.exp(2.0j)])
+    rows = bilateral_cn_range(-30, 30, SpectralPoint(zs), UltraParams(beta, gamma, q))
+    largest = math.log(np.finfo(float).max)
+    assert -2 * rows.truncation_terms.min() * math.log(r_in) > largest
+    refs = _mp_rows(-30, 30, zs, qbg=(q, beta, gamma), pad=1300)
+    for j, ref in enumerate(refs):
+        for n, (want, scale) in ref.items():
+            assert abs(rows[n][j] - want) <= 1e-13 * scale, (n, j)
+
+
+def _stepwise_terms(n, zs, qbg, policy=DEFAULT_POLICY):
+    """Terms of C_n at the points zs counted by the step-by-step two-sided
+    loop in plain Python: per side, step s adds the term k = s (upper) or
+    k = -1 - s (lower) at every point.  A side stops at a zero term, which
+    it does not count, or after tail_window terms in a row whose largest
+    modulus over the points is at most rel_tol times the largest modulus
+    of the side's running partial sum plus abs_tol."""
+    q, beta, gamma = (complex(v) for v in qbg)
+    bg, gq = beta * gamma, q * gamma
+    g = {0: 1.0 + 0j}
+    for j in range(1, 400):
+        g[j] = g[j - 1] * (1 - bg * q ** (j - 1)) / (1 - gq * q ** (j - 1))
+        g[-j] = g[1 - j] * (q ** j - gq) / (q ** j - bg)
+    window = 8 * policy.tail_window + 2 * abs(n) + 8
+    total = 0
+    for side in (1, -1):
+        partial = [0j] * len(zs)
+        prev, growth, below = math.inf, 0, 0
+        for step in range(policy.max_terms):
+            k = step if side == 1 else -1 - step
+            terms = [g[k] * g[n - k] * z ** (n - 2 * k) for z in zs]
+            partial = [a + t for a, t in zip(partial, terms)]
+            tm = max(abs(t) for t in terms)
+            assert tm < math.inf
+            growth = growth + 1 if tm > prev * (1 + 1e-6) else 0
+            prev = tm
+            assert growth < window
+            if tm == 0:
+                total += step
+                break
+            small = tm <= policy.rel_tol * max(map(abs, partial)) + policy.abs_tol
+            below = below + 1 if small else 0
+            if below >= policy.tail_window:
+                total += step + 1
+                break
+    return total
+
+
+@pytest.mark.parametrize("qbg", [(Q, BETA, GAMMA), (0.1, 0.95, 0.3), (0.3, 1.2, 0.7)])
+def test_range_terms_match_the_stepwise_loop(qbg, points):
+    q, beta, gamma = qbg
+    params = UltraParams(beta, gamma, q)
+    circle = np.array([p.z for p in points])
+    point_sets = [circle, circle[1:2], np.array([0.8 * np.exp(0.7j)]),
+                  np.array([1.3 * np.exp(2.5j), 0.9 * np.exp(1.2j)])]
+    for zs in point_sets:
+        assert in_direct_region(zs, beta, q)
+        rows = bilateral_cn_range(-20, 20, SpectralPoint(zs), params)
+        for n in (-20, -13, -6, -1, 0, 1, 5, 12, 20):
+            want = _stepwise_terms(n, list(zs), qbg)
+            assert rows.truncation_terms[n + 20] == want, (n, zs)
+
+
+def test_cli_table_matches_in_process_values(params, capsys):
+    import csv
+    import io
+    from qultra.cli import main
+    assert main(["table", "--n-min", "-6", "--n-max", "6", "--theta-min", "0.1",
+                 "--theta-max", "3.0", "--theta-steps", "5"]) == 0
+    lines = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+    assert lines[0] == ["n", "theta", "re", "im", "terms"]
+    thetas = np.linspace(0.1, 3.0, 5)
+    assert [(int(r[0]), float(r[1])) for r in lines[1:]] == [
+        (n, float(t)) for n in range(-6, 7) for t in thetas]
+    for row in lines[1:]:
+        one = bilateral_cn(int(row[0]), SpectralPoint.from_theta(float(row[1])), params)
+        got = complex(float(row[2]), float(row[3]))
+        assert abs(got - one.value) <= 1e-13 * abs(one.value), row
+        assert int(row[4]) == one.truncation_terms
