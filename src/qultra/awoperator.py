@@ -27,8 +27,7 @@ XFunction = Callable[[SpectralPoint], complex]
 SINGULAR_TOL = 1e-12
 
 
-def apply_dq(f: XFunction, p: SpectralPoint, q,
-             policy: TruncationPolicy | None = None) -> complex:
+def apply_dq(f: XFunction, p: SpectralPoint, q) -> complex:
     """Apply the divided-difference operator to f at p.
 
     Raises SingularPoint for z within 1e-12 of +-1, where the denominator
@@ -61,11 +60,10 @@ def dq_action_residual(kind: str, n: int, p: SpectralPoint,
     if kind == CLASSICAL:
         if n < 1:
             raise DomainError("classical lowering check needs n >= 1")
-        lhs = apply_dq(lambda sp: classical_cn(n, sp, beta, q), p, q, policy)
+        lhs = apply_dq(lambda sp: classical_cn(n, sp, beta, q), p, q)
         rhs = 2 * (1 - beta) / (1 - q) * qpow * classical_cn(n - 1, p, q * beta, q)
     elif kind == BILATERAL_KIND:
-        lhs = apply_dq(
-            lambda sp: bilateral_cn(n, sp, params, policy).value, p, q, policy)
+        lhs = apply_dq(lambda sp: bilateral_cn(n, sp, params, policy).value, p, q)
         shifted = params.with_beta(q * beta)
         rhs = (2 * (1 - beta * gamma) ** 2 / ((1 - q) * (1 - beta) * gamma)
                * qpow * bilateral_cn(n - 1, p, shifted, policy).value)

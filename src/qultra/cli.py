@@ -17,11 +17,10 @@ import numpy as np
 
 from .errors import (ConfigError, DomainError, NonConvergence, PoleError,
                      QSeriesError, RegionError, SingularPoint)
-from .qcore import SpectralPoint, TruncationPolicy
-from .ultraspherical import (BILATERAL_KIND, CLASSICAL, UltraParams,
-                             bilateral_cn, classical_cn)
-from .verify import (CONFIG_DEFAULTS, identity_names, render_json,
-                     run_identity, run_suite)
+from .qcore import SpectralPoint
+from .ultraspherical import BILATERAL_KIND, CLASSICAL, bilateral_cn, classical_cn
+from .verify import (SUITE_VERSION, ResolvedConfig, VerificationReport,
+                     identity_names, render_json, run_identity, run_suite)
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -34,13 +33,10 @@ def _add_common(ap: argparse.ArgumentParser) -> None:
     ap.add_argument("--beta", type=float, default=None)
     ap.add_argument("--gamma", type=float, default=None)
     ap.add_argument("--n", type=int, default=None)
-    ap.add_argument("--m", type=int, default=None)
     ap.add_argument("--x", type=float, default=None)
     ap.add_argument("--theta", type=float, default=None)
     ap.add_argument("--z-re", type=float, default=None)
     ap.add_argument("--z-im", type=float, default=None)
-    ap.add_argument("--t-re", type=float, default=None)
-    ap.add_argument("--t-im", type=float, default=None)
     ap.add_argument("--rel-tol", type=float, default=None)
     ap.add_argument("--abs-tol", type=float, default=None)
     ap.add_argument("--max-terms", type=int, default=None)
@@ -55,22 +51,27 @@ def build_parser() -> argparse.ArgumentParser:
         prog="qultra",
         description="bilateral q-ultraspherical functions: evaluation and "
                     "identity verification")
+    # no abbreviated flags (allow_abbrev): --m would read as --max-terms
     sub = ap.add_subparsers(dest="command", required=True)
 
-    ev = sub.add_parser("eval", help="evaluate one function value")
+    ev = sub.add_parser("eval", help="evaluate one function value",
+                        allow_abbrev=False)
     ev.add_argument("--kind", choices=(CLASSICAL, BILATERAL_KIND),
                     default=BILATERAL_KIND)
     _add_common(ev)
 
-    idp = sub.add_parser("identity", help="run one named identity check")
+    idp = sub.add_parser("identity", help="run one named identity check",
+                         allow_abbrev=False)
     idp.add_argument("--name", required=True,
                      help="one of: " + ", ".join(identity_names()))
     _add_common(idp)
 
-    sp = sub.add_parser("suite", help="run the full verification suite")
+    sp = sub.add_parser("suite", help="run the full verification suite",
+                        allow_abbrev=False)
     _add_common(sp)
 
-    tb = sub.add_parser("table", help="CSV grid of values over theta and n")
+    tb = sub.add_parser("table", help="CSV grid of values over theta and n",
+                        allow_abbrev=False)
     tb.add_argument("--kind", choices=(CLASSICAL, BILATERAL_KIND),
                     default=BILATERAL_KIND)
     tb.add_argument("--n-min", type=int, default=None)
@@ -114,18 +115,6 @@ def merge_config(args: argparse.Namespace) -> dict:
     return cfg
 
 
-def _policy_from(cfg: dict) -> TruncationPolicy:
-    """The truncation policy of cfg, with the suite's defaults."""
-    try:
-        return TruncationPolicy(
-            rel_tol=float(cfg.get("rel_tol", CONFIG_DEFAULTS["rel_tol"])),
-            abs_tol=float(cfg.get("abs_tol", CONFIG_DEFAULTS["abs_tol"])),
-            max_terms=int(cfg.get("max_terms", CONFIG_DEFAULTS["max_terms"])),
-            tail_window=int(cfg.get("tail_window", CONFIG_DEFAULTS["tail_window"])))
-    except (DomainError, ValueError) as exc:
-        raise ConfigError(str(exc)) from exc
-
-
 def resolve_point(args: argparse.Namespace) -> SpectralPoint:
     given = [name for name, val in (("--x", args.x), ("--theta", args.theta),
                                     ("--z-re/--z-im", args.z_re))
@@ -141,23 +130,15 @@ def resolve_point(args: argparse.Namespace) -> SpectralPoint:
     return SpectralPoint(complex(args.z_re, args.z_im or 0.0))
 
 
-def _num(cfg, key):
-    try:
-        return float(cfg.get(key, CONFIG_DEFAULTS[key]))
-    except ValueError as exc:
-        raise ConfigError(f"config key {key} must be a number") from exc
-
-
 def cmd_eval(args: argparse.Namespace) -> int:
-    cfg = merge_config(args)
-    policy = _policy_from(cfg)
-    q, beta, gamma = _num(cfg, "q"), _num(cfg, "beta"), _num(cfg, "gamma")
+    ctx = ResolvedConfig(merge_config(args))
+    q, beta, gamma = ctx.cfg["q"], ctx.cfg["beta"], ctx.cfg["gamma"]
     n = args.n if args.n is not None else 0
     p = resolve_point(args)
     if args.kind == CLASSICAL:
         value, terms = classical_cn(n, p, beta, q), n + 1
     else:
-        uv = bilateral_cn(n, p, UltraParams(beta, gamma, q), policy)
+        uv = bilateral_cn(n, p, ctx.params, ctx.policy)
         value, terms = uv.value, uv.truncation_terms
     if args.format == "json":
         print('{"re": %.17g, "im": %.17g, "terms": %d}'
@@ -174,8 +155,8 @@ def cmd_identity(args: argparse.Namespace) -> int:
     cfg = merge_config(args)
     entry = run_identity(args.name, cfg)
     if args.format == "json":
-        from .verify import VerificationReport, render_json as rj
-        print(rj(VerificationReport("1", (entry,), entry.passed)), end="")
+        print(render_json(VerificationReport(SUITE_VERSION, (entry,),
+                                             entry.passed)), end="")
     else:
         state = "SKIP" if entry.skipped else ("PASS" if entry.passed else "FAIL")
         print(f"{state} {entry.identity_name}: residual = {entry.residual:.3e} "
@@ -213,9 +194,8 @@ def cmd_suite(args: argparse.Namespace) -> int:
 
 
 def cmd_table(args: argparse.Namespace) -> int:
-    cfg = merge_config(args)
-    policy = _policy_from(cfg)
-    q, beta, gamma = _num(cfg, "q"), _num(cfg, "beta"), _num(cfg, "gamma")
+    ctx = ResolvedConfig(merge_config(args))
+    q, beta = ctx.cfg["q"], ctx.cfg["beta"]
     n_lo = args.n_min if args.n_min is not None else (args.n or 0)
     n_hi = args.n_max if args.n_max is not None else (args.n or 0)
     if n_hi < n_lo:
@@ -228,14 +208,13 @@ def cmd_table(args: argparse.Namespace) -> int:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["n", "theta", "re", "im", "terms"])
-    params = UltraParams(beta, gamma, q)
     for n in range(n_lo, n_hi + 1):
         for theta in thetas:
             p = SpectralPoint.from_theta(float(theta))
             if args.kind == CLASSICAL:
                 val, terms = classical_cn(n, p, beta, q), n + 1
             else:
-                uv = bilateral_cn(n, p, params, policy)
+                uv = bilateral_cn(n, p, ctx.params, ctx.policy)
                 val, terms = uv.value, uv.truncation_terms
             writer.writerow([n, "%.17g" % float(theta), "%.17g" % val.real,
                              "%.17g" % val.imag, terms])

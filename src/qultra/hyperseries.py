@@ -1,22 +1,29 @@
 """Evaluation of unilateral (r_phi_s) and bilateral (r_psi_s) basic
-hypergeometric series, closed-form summations, and transformation
-residual checks.
+hypergeometric series, closed-form summations, two 2psi2
+transformations, and transformation residual checks.
 
 Series are summed by term-ratio recursion: consecutive terms differ by a
 ratio that is rational in q^k, so each term costs O(r + s) work.  The
 backward (k -> -inf) recursion is expressed in the decaying power
 v = q^{1-k}, which keeps every intermediate bounded.  Partial sums use
 compensated accumulation because bilateral sums mix magnitudes across
-the two tails.
+the two tails.  sum_phi is the one-sided psi sum: the k >= 0 half of the
+psi sum with q as an extra first lower parameter, whose factor 1/(q; q)_k
+makes every k < 0 term zero.
+
+bailey_2psi2 (Bailey's 2psi2 transformation) and wellpoised_6psi8 (the
+very-well-poised 6psi8 form of a 2psi2) each return the prefactor and the
+transformed series; see Gasper & Rahman, *Basic Hypergeometric Series*,
+ch. 5.  transform_residual checks both, and the continuation routes of
+ultraspherical are built on them.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import Sequence
-
-import numpy as np
 
 from .errors import DomainError, NonConvergence, PoleError, RegionError
 from .qcore import (DEFAULT_POLICY, GROWTH_SLACK, INFINITY, CompensatedSum,
@@ -101,6 +108,39 @@ class _TailState:
         return False
 
 
+def _add_upper_terms(acc: CompensatedSum, upper, lower, q, z,
+                     n_top: int | None, policy: TruncationPolicy) -> int:
+    """Add the terms k = 1, 2, ... of the bilateral series with these
+    parameters to acc, which holds the k = 0 term, up to k = n_top when
+    the series terminates and else until the tail is below tolerance;
+    returns the number of terms added.  The term ratio is
+    prod(1 - a q^k) / prod(1 - b q^k) (-q^k)^{s - r} z."""
+    d = len(lower) - len(upper)
+    t = 1.0 + 0j
+    qk = 1.0 + 0j
+    tail = _TailState(policy)
+    k = 0
+    while n_top is None or k < n_top:
+        num = 1.0 + 0j
+        for a in upper:
+            num *= (1.0 - a * qk)
+        den = 1.0 + 0j
+        for b in lower:
+            f = 1.0 - b * qk
+            if f == 0:
+                raise PoleError(f"lower parameter {b} hits the q^-k lattice")
+            den *= f
+        t = t * num / den * ((-1.0) * qk) ** d * z
+        qk *= q
+        k += 1
+        if t == 0:
+            break
+        acc.add(t)
+        if n_top is None and tail.update(abs(t), abs(acc.value)):
+            break
+    return k
+
+
 def _phi_region_check(spec: SeriesSpec, n_top: int | None) -> None:
     """Convergence region of a unilateral series; n_top is
     terminates_above(spec.upper, spec.q)."""
@@ -125,37 +165,16 @@ def eval_phi(spec: SeriesSpec, policy: TruncationPolicy = DEFAULT_POLICY) -> com
 
 
 def sum_phi(spec: SeriesSpec, policy: TruncationPolicy = DEFAULT_POLICY):
-    """eval_phi plus the number of terms used."""
+    """eval_phi plus the number of terms used: the k >= 0 half of the
+    psi sum with q as its first lower parameter (z = 0 is allowed)."""
     if spec.kind != UNILATERAL:
         raise DomainError("eval_phi requires a unilateral spec")
-    q, z = spec.q, spec.z
-    n_top = terminates_above(spec.upper, q)
+    n_top = terminates_above(spec.upper, spec.q)
     _phi_region_check(spec, n_top)
-    d = 1 + len(spec.lower) - len(spec.upper)
     acc = CompensatedSum()
     acc.add(1.0 + 0j)
-    t = 1.0 + 0j
-    qk = 1.0 + 0j
-    tail = _TailState(policy)
-    k = 0
-    while n_top is None or k < n_top:
-        num = 1.0 + 0j
-        for a in spec.upper:
-            num *= (1.0 - a * qk)
-        den = 1.0 - q * qk
-        for j, b in enumerate(spec.lower):
-            f = 1.0 - b * qk
-            if f == 0:
-                raise PoleError(f"lower parameter {j} hits the q^-k lattice")
-            den *= f
-        t = t * num / den * ((-1.0) * qk) ** d * z
-        qk *= q
-        k += 1
-        if t == 0:
-            break
-        acc.add(t)
-        if n_top is None and tail.update(abs(t), abs(acc.value)):
-            break
+    k = _add_upper_terms(acc, spec.upper, (spec.q,) + spec.lower, spec.q,
+                         spec.z, n_top, policy)
     return acc.value, k + 1
 
 
@@ -208,29 +227,7 @@ def sum_psi(spec: SeriesSpec, policy: TruncationPolicy = DEFAULT_POLICY):
     acc = CompensatedSum()
     acc.add(1.0 + 0j)
 
-    # forward tail k = 1, 2, ...
-    t = 1.0 + 0j
-    qk = 1.0 + 0j
-    tail = _TailState(policy)
-    k = 0
-    while n_top is None or k < n_top:
-        num = 1.0 + 0j
-        for a in spec.upper:
-            num *= (1.0 - a * qk)
-        den = 1.0 + 0j
-        for j, b in enumerate(spec.lower):
-            f = 1.0 - b * qk
-            if f == 0:
-                raise PoleError(f"lower parameter {j} hits the q^-k lattice")
-            den *= f
-        t = t * num / den * ((-1.0) * qk) ** d * z
-        qk *= q
-        k += 1
-        if t == 0:
-            break
-        acc.add(t)
-        if n_top is None and tail.update(abs(t), abs(acc.value)):
-            break
+    k = _add_upper_terms(acc, spec.upper, spec.lower, q, z, n_top, policy)
 
     # backward tail k = -1, -2, ...; ratio in v = q^{1-k} keeps values bounded
     t = 1.0 + 0j
@@ -243,10 +240,10 @@ def sum_psi(spec: SeriesSpec, policy: TruncationPolicy = DEFAULT_POLICY):
         for b in spec.lower:
             num *= (v - b)
         den = 1.0 + 0j
-        for i, a in enumerate(spec.upper):
+        for a in spec.upper:
             f = v - a
             if f == 0:
-                raise PoleError(f"upper parameter {i} hits the q^k lattice")
+                raise PoleError(f"upper parameter {a} hits the q^k lattice")
             den *= f
         t = t * sign * num / den / z
         v *= q
@@ -318,6 +315,40 @@ def closed_form(name: str, params: Sequence[complex], q,
     raise DomainError(f"unknown closed form {name!r}")
 
 
+def bailey_2psi2(a, b, c, d, z, q, policy: TruncationPolicy = DEFAULT_POLICY):
+    """Bailey's 2psi2 transformation (Gasper & Rahman, ch. 5):
+
+        2psi2(a, b; c, d; q, z) = P 2psi2(a, abz/d; az, c; q, d/a),
+        P = (az, d/a, c/b, dq/(abz); q)_inf / (z, d, q/b, cd/(abz); q)_inf,
+
+    for max(|z|, |cd/abz|, |d/a|, |c/b|) < 1.  Returns P and the
+    transformed series; checks no region."""
+    pref = (poch_multi([a * z, d / a, c / b, d * q / (a * b * z)], q, INFINITY, policy)
+            / poch_multi([z, d, q / b, c * d / (a * b * z)], q, INFINITY, policy))
+    return pref, SeriesSpec(BILATERAL, (a, a * b * z / d), (a * z, c), q, d / a)
+
+
+def wellpoised_6psi8(a, c, d, e, f, q, policy: TruncationPolicy = DEFAULT_POLICY):
+    """The very-well-poised 6psi8 form of a 2psi2 (Gasper & Rahman, ch. 5):
+
+        2psi2(e, f; aq/c, aq/d; q, aq/ef) = P 6psi8(q a^{1/2}, -q a^{1/2},
+            c, d, e, f; a^{1/2}, -a^{1/2}, aq/c, aq/d, aq/e, aq/f, 0, 0;
+            q, a^3 q^2/cdef),
+        P = (q/c, q/d, aq/e, aq/f; q)_inf / (aq, q/a, aq/cd, aq/ef; q)_inf,
+
+    for |aq/cd| < 1 and |aq/ef| < 1.  Returns P and the 6psi8 series;
+    checks no region."""
+    sq = cmath.sqrt(a)
+    pref = (poch_multi([q / c, q / d, a * q / e, a * q / f], q, INFINITY, policy)
+            / poch_multi([a * q, q / a, a * q / (c * d), a * q / (e * f)],
+                         q, INFINITY, policy))
+    return pref, SeriesSpec(BILATERAL,
+                            (q * sq, -q * sq, c, d, e, f),
+                            (sq, -sq, a * q / c, a * q / d, a * q / e, a * q / f,
+                             0.0, 0.0),
+                            q, a ** 3 * q ** 2 / (c * d * e * f))
+
+
 def _psi(upper, lower, q, z, policy) -> complex:
     return eval_psi(SeriesSpec(BILATERAL, tuple(upper), tuple(lower), q, z), policy)
 
@@ -326,8 +357,9 @@ def transform_residual(name: str, params: Sequence[complex], q,
                        policy: TruncationPolicy = DEFAULT_POLICY) -> float:
     """|LHS - RHS| / max(1, |LHS|) for a named 2psi2 transformation.
 
-    Names: bailey_2psi2_single(a, b, c, d, z), bailey_2psi2_iterated(a, b,
-    c, d, z), wellpoised_6psi8(a, c, d, e, f).
+    Names: bailey_2psi2_single(a, b, c, d, z) checks bailey_2psi2,
+    bailey_2psi2_iterated(a, b, c, d, z) that transformation applied
+    twice, and wellpoised_6psi8(a, c, d, e, f) checks wellpoised_6psi8.
     """
     q = check_base(q)
     if name == "bailey_2psi2_single":
@@ -336,9 +368,8 @@ def transform_residual(name: str, params: Sequence[complex], q,
             raise RegionError(
                 "bailey_2psi2_single requires max(|z|,|cd/abz|,|d/a|,|c/b|) < 1")
         lhs = _psi([a, b], [c, d], q, z, policy)
-        pref = (poch_multi([a * z, d / a, c / b, d * q / (a * b * z)], q, INFINITY, policy)
-                / poch_multi([z, d, q / b, c * d / (a * b * z)], q, INFINITY, policy))
-        rhs = pref * _psi([a, a * b * z / d], [a * z, c], q, d / a, policy)
+        pref, spec = bailey_2psi2(a, b, c, d, z, q, policy)
+        rhs = pref * eval_psi(spec, policy)
     elif name == "bailey_2psi2_iterated":
         a, b, c, d, z = _as_params(params, "a b c d z")
         if not max(abs(z), abs(c * d / (a * b * z))) < 1:
@@ -356,14 +387,8 @@ def transform_residual(name: str, params: Sequence[complex], q,
             raise RegionError(
                 "wellpoised_6psi8 requires |aq/cd| < 1 and |aq/ef| < 1")
         lhs = _psi([e, f], [a * q / c, a * q / d], q, a * q / (e * f), policy)
-        sq = np.sqrt(complex(a))
-        pref = (poch_multi([q / c, q / d, a * q / e, a * q / f], q, INFINITY, policy)
-                / poch_multi([a * q, q / a, a * q / (c * d), a * q / (e * f)],
-                             q, INFINITY, policy))
-        rhs = pref * _psi(
-            [q * sq, -q * sq, c, d, e, f],
-            [sq, -sq, a * q / c, a * q / d, a * q / e, a * q / f, 0.0, 0.0],
-            q, a ** 3 * q ** 2 / (c * d * e * f), policy)
+        pref, spec = wellpoised_6psi8(a, c, d, e, f, q, policy)
+        rhs = pref * eval_psi(spec, policy)
     else:
         raise DomainError(f"unknown transformation {name!r}")
     return abs(lhs - rhs) / max(1.0, abs(lhs))

@@ -19,13 +19,16 @@ alone.  bilateral_cn is its one-row case.
 
 Outside the annulus the function is still analytic in x along paths
 avoiding the annulus-boundary singularities, and evaluation switches to
-one of two analytic-continuation representations:
+one of two analytic-continuation representations.  Both start from the
+defining series written as a well-poised 2psi2 (bilateral_cn_psi_form)
+and apply a transformation from hyperseries:
 
-* a very-well-poised 6psi8 series whose two-sided tails decay
-  superexponentially for every z != 0 (it fails only on a thin
-  parameter lattice), and
-* a transformed 2psi2 whose argument is independent of z, valid when
-  |q^{1-n}/(beta gamma)^2| < 1 and |q^{1+n} gamma^2| < 1,
+* hyperseries.wellpoised_6psi8 gives a very-well-poised 6psi8 series
+  whose two-sided tails decay superexponentially for every z != 0 (it
+  fails only on a thin parameter lattice), and
+* hyperseries.bailey_2psi2 gives a transformed 2psi2 whose argument is
+  independent of z, valid when |q^{1-n}/(beta gamma)^2| < 1 and
+  |q^{1+n} gamma^2| < 1,
 
 with a recurrence climb from continued C_0, C_{-1} as a last resort.
 This is what makes divided-difference checks at q^{+-1/2}-shifted points
@@ -43,7 +46,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NonConvergence, PoleError, RegionError
-from .hyperseries import BILATERAL, SeriesSpec, sum_psi
+from .hyperseries import (BILATERAL, SeriesSpec, bailey_2psi2, sum_psi,
+                          wellpoised_6psi8)
 from .qcore import (DEFAULT_POLICY, GROWTH_SLACK, INFINITY, CompensatedSum,
                     SpectralPoint, TruncationPolicy, check_base, check_real_base,
                     is_q_power, poch, poch_multi, poch_pm, poch_ratio)
@@ -415,59 +419,53 @@ def _on_nonpositive_lattice(value, q):
     return m is not None and m <= 0
 
 
-def _bilateral_6psi8(n: int, z: complex, params: UltraParams,
-                     policy: TruncationPolicy):
-    """Continuation through the very-well-poised 6psi8 representation."""
+def _well_poised_2psi2(n: int, z: complex, params: UltraParams):
+    """(P, a, b, c, d, Z) with C_n(z) = P 2psi2(a, b; c, d; q, Z), the
+    defining series as a well-poised 2psi2: P = (beta gamma; q)_n /
+    (q gamma; q)_n z^n, a = beta gamma, b = q^{-n}/gamma, c = q gamma,
+    d = q^{1-n}/(beta gamma) and Z = q/(beta z^2)."""
     q, beta, gamma = params.q, params.beta, params.gamma
     bg, gq = beta * gamma, q * gamma
+    return (poch_ratio(bg, gq, q, n) * z ** n, bg, q ** (-n) / gamma, gq,
+            q ** (1 - n) / bg, q / (beta * z * z))
+
+
+def _bilateral_6psi8(n: int, z: complex, params: UltraParams,
+                     policy: TruncationPolicy):
+    """Continuation through the very-well-poised 6psi8 form of the
+    well-poised 2psi2, whose upper parameters are e = beta gamma and
+    f = q^{-n}/gamma."""
+    q, beta, gamma = params.q, params.beta, params.gamma
+    pref0, e, f, _, _, _ = _well_poised_2psi2(n, z, params)
     w2 = z * z
     alpha = q ** (-n) / w2
     # the representation degenerates on the (half-)integer q-power lattice
     # of alpha and where a prefactor denominator product vanishes
     if _near_half_lattice(alpha, q):
         raise _RouteUnusable("alpha on the q-power lattice")
-    for arg in (q * w2 / beta, q / (beta * w2), q ** (1 - n) / bg):
+    for arg in (q * w2 / beta, q / (beta * w2), q ** (1 - n) / e):
         if _on_nonpositive_lattice(arg, q):
             raise _RouteUnusable("prefactor product vanishes")
     c = q ** (-n) / (w2 * gamma)
-    d = bg / w2
-    e = bg
-    f = q ** (-n) / gamma
-    sq = cmath.sqrt(alpha)
-    pref0 = poch_ratio(bg, gq, q, n) * z ** n
-    pref1 = (poch_multi([q / c, q / d, alpha * q / e, alpha * q / f],
-                        q, INFINITY, policy)
-             / poch_multi([alpha * q, q / alpha, alpha * q / (c * d),
-                           alpha * q / (e * f)], q, INFINITY, policy))
-    spec = SeriesSpec(BILATERAL,
-                      (q * sq, -q * sq, c, d, e, f),
-                      (sq, -sq, alpha * q / c, alpha * q / d,
-                       alpha * q / e, alpha * q / f, 0.0, 0.0),
-                      q, alpha ** 3 * q ** 2 / (c * d * e * f))
+    d = e / w2
+    pref1, spec = wellpoised_6psi8(alpha, c, d, e, f, q, policy)
     value, terms = sum_psi(spec, policy)
     return pref0 * pref1 * value, terms
 
 
 def _bilateral_22tgl(n: int, z: complex, params: UltraParams,
                      policy: TruncationPolicy):
-    """Continuation through the single 2psi2 transformation, whose
-    transformed series argument q^{1-n}/(beta gamma)^2 is z-free."""
-    q, beta, gamma = params.q, params.beta, params.gamma
-    bg, gq = beta * gamma, q * gamma
-    a = bg
-    b = q ** (-n) / gamma
-    c = gq
-    d = q ** (1 - n) / bg
+    """Continuation through Bailey's 2psi2 transformation of the
+    well-poised 2psi2, whose transformed argument q^{1-n}/(beta gamma)^2
+    is z-free."""
+    q = params.q
+    pref0, a, b, c, d, Z = _well_poised_2psi2(n, z, params)
     if not (abs(d / a) < 1 and abs(c / b) < 1):
         raise _RouteUnusable("transformed series out of region")
-    Z = q / (beta * z * z)
     for arg in (Z, c * d / (a * b * Z), d, q / b):
         if _on_nonpositive_lattice(arg, q):
             raise _RouteUnusable("prefactor product vanishes")
-    pref0 = poch_ratio(bg, gq, q, n) * z ** n
-    G = (poch_multi([a * Z, d / a, c / b, d * q / (a * b * Z)], q, INFINITY, policy)
-         / poch_multi([Z, d, q / b, c * d / (a * b * Z)], q, INFINITY, policy))
-    spec = SeriesSpec(BILATERAL, (a, a * b * Z / d), (a * Z, c), q, d / a)
+    G, spec = bailey_2psi2(a, b, c, d, Z, q, policy)
     value, terms = sum_psi(spec, policy)
     return pref0 * G * value, terms
 
@@ -494,38 +492,20 @@ def _bilateral_climb(n: int, z: complex, params: UltraParams,
                      policy: TruncationPolicy):
     if n in (0, -1):
         raise _RouteUnusable("climb needs a target away from its seeds")
-    q, beta, gamma = params.q, params.beta, params.gamma
     x = (z + 1.0 / z) / 2.0
     vals = {}
     terms = 0
     for seed in (0, -1):
         vals[seed], t = _bilateral_22tgl(seed, z, params, policy)
         terms += t
-
-    def rec_up(j, cm1, c0):
-        den = 1.0 - gamma ** 2 * q ** (j + 1)
-        if den == 0:
+    step = 1 if n > 0 else -1
+    for j in range(0 if n > 0 else -1, n, step):
+        # solve the recurrence at j for C_{j + step}
+        mid, up, down = _recurrence_coefficients(j, params)
+        new, old = (up, down) if step == 1 else (down, up)
+        if new == 0:
             raise PoleError("recurrence coefficient vanishes")
-        return (2 * x * (1 - beta * gamma ** 2 * q ** j) * c0
-                - (1 - beta ** 2 * gamma ** 2 * q ** (j - 1)) * cm1) / den
-
-    def rec_down(j, c0, cp1):
-        den = 1.0 - beta ** 2 * gamma ** 2 * q ** (j - 1)
-        if den == 0:
-            raise PoleError("recurrence coefficient vanishes")
-        return (2 * x * (1 - beta * gamma ** 2 * q ** j) * c0
-                - (1 - gamma ** 2 * q ** (j + 1)) * cp1) / den
-
-    if n > 0:
-        lo, hi = -1, 0
-        while hi < n:
-            vals[hi + 1] = rec_up(hi, vals[hi - 1], vals[hi])
-            hi += 1
-    else:
-        lo = -1
-        while lo > n:
-            vals[lo - 1] = rec_down(lo, vals[lo], vals[lo + 1])
-            lo -= 1
+        vals[j + step] = (2 * x * mid * vals[j] - old * vals[j - step]) / new
     return vals[n], terms
 
 
@@ -595,14 +575,8 @@ def bilateral_cn_psi_form(n: int, p: SpectralPoint, params: UltraParams,
     """Secondary evaluation path: prefactor times the well-poised 2psi2
     series; used as an internal cross-check of the direct sum."""
     check_pole_lattice(params)
-    q, beta, gamma = params.q, params.beta, params.gamma
-    bg, gq = beta * gamma, q * gamma
-    z = complex(p.z)
-    pref = poch_ratio(bg, gq, q, n) * z ** n
-    spec = SeriesSpec(BILATERAL,
-                      (bg, q ** (-n) / gamma),
-                      (gq, q ** (1 - n) / bg),
-                      q, q / (beta * z * z))
+    pref, a, b, c, d, Z = _well_poised_2psi2(n, complex(p.z), params)
+    spec = SeriesSpec(BILATERAL, (a, b), (c, d), params.q, Z)
     return pref * sum_psi(spec, policy)[0]
 
 
@@ -640,16 +614,23 @@ def generating_rhs(kind: str, t, p: SpectralPoint, params: UltraParams,
     return pref * num / den
 
 
+def _recurrence_coefficients(n: int, params: UltraParams):
+    """(mid, up, down) of the three-term recurrence at n:
+    1 - beta gamma^2 q^n, 1 - gamma^2 q^{n+1}, 1 - beta^2 gamma^2 q^{n-1}."""
+    q, beta, gamma = params.q, params.beta, params.gamma
+    return (1 - beta * gamma ** 2 * q ** n, 1 - gamma ** 2 * q ** (n + 1),
+            1 - beta ** 2 * gamma ** 2 * q ** (n - 1))
+
+
 def recurrence_gap(n: int, p: SpectralPoint, params: UltraParams,
                    cm1, c0, cp1) -> float:
     """Residual of the three-term recurrence
     2x (1 - beta gamma^2 q^n) C_n = (1 - gamma^2 q^{n+1}) C_{n+1}
     + (1 - beta^2 gamma^2 q^{n-1}) C_{n-1} for the given values
     C_{n-1}, C_n, C_{n+1} at p, scaled by max(1, |C_n|)."""
-    q, beta, gamma = params.q, params.beta, params.gamma
-    lhs = 2 * p.x * (1 - beta * gamma ** 2 * q ** n) * c0
-    rhs = (1 - gamma ** 2 * q ** (n + 1)) * cp1 \
-        + (1 - beta ** 2 * gamma ** 2 * q ** (n - 1)) * cm1
+    mid, up, down = _recurrence_coefficients(n, params)
+    lhs = 2 * p.x * mid * c0
+    rhs = up * cp1 + down * cm1
     return abs(lhs - rhs) / max(1.0, abs(c0))
 
 

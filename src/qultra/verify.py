@@ -11,6 +11,7 @@ byte-identical JSON.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,7 +37,7 @@ from .awoperator import dq_action_residual
 
 SUITE_VERSION = "1"
 
-#: the suite's configuration; the CLI takes its defaults from here too
+#: the configuration keys and their defaults (ResolvedConfig checks them)
 CONFIG_DEFAULTS = {
     "q": 0.3,
     "beta": 0.8,
@@ -75,22 +76,27 @@ class VerificationReport:
     overall_passed: bool
 
 
-class _Ctx:
-    """Resolved configuration shared by all identity runners."""
+class ResolvedConfig:
+    """A configuration checked against CONFIG_DEFAULTS and converted: the
+    settings every identity runner and CLI command reads.  An unknown key
+    or a malformed value raises ConfigError."""
 
     def __init__(self, config: dict | None):
         cfg = dict(CONFIG_DEFAULTS)
         for key, raw in (config or {}).items():
             if key not in cfg:
                 raise ConfigError(f"unknown config key {key!r}")
-            if key == "thetas":
-                if isinstance(raw, str):
-                    raw = tuple(float(v) for v in raw.split(",") if v.strip())
-                cfg[key] = tuple(float(v) for v in raw)
-            elif key in ("max_terms", "tail_window", "seed"):
-                cfg[key] = int(raw)
-            else:
-                cfg[key] = float(raw)
+            try:
+                if key == "thetas":
+                    if isinstance(raw, str):
+                        raw = tuple(float(v) for v in raw.split(",") if v.strip())
+                    cfg[key] = tuple(float(v) for v in raw)
+                elif key in ("max_terms", "tail_window", "seed"):
+                    cfg[key] = int(raw)
+                else:
+                    cfg[key] = float(raw)
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(f"config key {key}: malformed value {raw!r}") from exc
         self.cfg = cfg
         try:
             self.policy = TruncationPolicy(cfg["rel_tol"], cfg["abs_tol"],
@@ -104,14 +110,18 @@ class _Ctx:
         except DomainError as exc:
             raise ConfigError(str(exc)) from exc
         self.points = tuple(SpectralPoint.from_theta(t) for t in cfg["thetas"])
-        self.rng = np.random.default_rng(cfg["seed"])
+
+    @functools.cached_property
+    def rng(self):
+        # made on first use: eval and table never import numpy.random
+        return np.random.default_rng(self.cfg["seed"])
 
     def base_params(self) -> dict:
         return {"q": self.cfg["q"], "beta": self.cfg["beta"],
                 "gamma": self.cfg["gamma"]}
 
 
-def _ramanujan_1psi1(ctx: _Ctx):
+def _ramanujan_1psi1(ctx: ResolvedConfig):
     q = ctx.cfg["q"]
     worst = 0.0
     terms = 0
@@ -129,7 +139,7 @@ def _ramanujan_1psi1(ctx: _Ctx):
 
 
 def _transform(name):
-    def run(ctx: _Ctx):
+    def run(ctx: ResolvedConfig):
         q = ctx.cfg["q"]
         worst = 0.0
         for _ in range(10):
@@ -148,7 +158,7 @@ def _transform(name):
     return run
 
 
-def _gamma_one_reduction(ctx: _Ctx):
+def _gamma_one_reduction(ctx: ResolvedConfig):
     q, beta = ctx.cfg["q"], ctx.cfg["beta"]
     reduced = ctx.params.with_gamma(1.0)
     worst = 0.0
@@ -162,7 +172,7 @@ def _gamma_one_reduction(ctx: _Ctx):
     return worst, 1e-10, ctx.base_params() | {"gamma": 1.0}, terms, 0
 
 
-def _bilateral_recurrence(ctx: _Ctx):
+def _bilateral_recurrence(ctx: ResolvedConfig):
     worst = 0.0
     terms = 0
     for p in ctx.points:
@@ -178,7 +188,7 @@ def _bilateral_recurrence(ctx: _Ctx):
 _GF_MAX_N = 400
 
 
-def _generating_function(ctx: _Ctx):
+def _generating_function(ctx: ResolvedConfig):
     t = ctx.cfg["t"]
     worst = 0.0
     terms = 0
@@ -205,7 +215,7 @@ def _generating_function(ctx: _Ctx):
     return worst, 1e-8, ctx.base_params() | {"t": t}, terms, 0
 
 
-def _gf_fourier(ctx: _Ctx):
+def _gf_fourier(ctx: ResolvedConfig):
     """Laurent coefficients of the generating function on |t| = r recover
     the functions: 2^j-point circle sampling, doubled until stable."""
     r = ctx.cfg["t"]
@@ -235,7 +245,7 @@ def _gf_fourier(ctx: _Ctx):
     return worst, 1e-7, ctx.base_params() | {"t": r}, terms, 0
 
 
-def _symmetry(ctx: _Ctx):
+def _symmetry(ctx: ResolvedConfig):
     worst = 0.0
     terms = 0
     for p in ctx.points:
@@ -249,7 +259,7 @@ def _symmetry(ctx: _Ctx):
     return worst, 1e-10, ctx.base_params(), terms, 0
 
 
-def _constant_terms(ctx: _Ctx):
+def _constant_terms(ctx: ResolvedConfig):
     rows = bilateral_cn_range(-4, 4, SpectralPoint(1j), ctx.params, ctx.policy)
     worst = 0.0
     for n in range(-4, 5):
@@ -257,7 +267,7 @@ def _constant_terms(ctx: _Ctx):
     return worst, 1e-9, ctx.base_params(), rows.truncation_terms.max(), 0
 
 
-def _special_value_c0(ctx: _Ctx):
+def _special_value_c0(ctx: ResolvedConfig):
     q = ctx.cfg["q"]
     p = SpectralPoint(complex(q ** 0.25))
     uv = bilateral_cn(0, p, ctx.params, ctx.policy)
@@ -266,7 +276,7 @@ def _special_value_c0(ctx: _Ctx):
     return resid, 1e-10, ctx.base_params(), uv.truncation_terms, 0
 
 
-def _continuation_crosscheck(ctx: _Ctx):
+def _continuation_crosscheck(ctx: ResolvedConfig):
     """The two analytic-continuation routes agree where both apply, and
     the direct sum matches the well-poised 2psi2 form in-region."""
     from .ultraspherical import _bilateral_6psi8, _bilateral_22tgl
@@ -285,7 +295,7 @@ def _continuation_crosscheck(ctx: _Ctx):
     return worst, 1e-10, ctx.base_params(), 0, 0
 
 
-def _dq_classical(ctx: _Ctx):
+def _dq_classical(ctx: ResolvedConfig):
     worst = 0.0
     for p in ctx.points:
         for n in range(1, 7):
@@ -294,7 +304,7 @@ def _dq_classical(ctx: _Ctx):
     return worst, 1e-10, ctx.base_params(), 0, 0
 
 
-def _dq_bilateral(ctx: _Ctx):
+def _dq_bilateral(ctx: ResolvedConfig):
     worst = 0.0
     for p in ctx.points:
         for n in range(-4, 5):
@@ -303,7 +313,7 @@ def _dq_bilateral(ctx: _Ctx):
     return worst, 1e-8, ctx.base_params(), 0, 0
 
 
-def _orthogonality_offdiag(ctx: _Ctx):
+def _orthogonality_offdiag(ctx: ResolvedConfig):
     w = WeightParams(ctx.cfg["beta"], ctx.cfg["q"])
     res = orthogonality_quadrature(0, 0, w, ctx.cfg["quad_tol"], ctx.policy)
     scale, nodes = abs(res.value), res.nodes_used
@@ -316,7 +326,7 @@ def _orthogonality_offdiag(ctx: _Ctx):
     return worst, 1e-9, {"q": ctx.cfg["q"], "beta": ctx.cfg["beta"]}, 0, nodes
 
 
-def _orthogonality_diag(ctx: _Ctx):
+def _orthogonality_diag(ctx: ResolvedConfig):
     w = WeightParams(ctx.cfg["beta"], ctx.cfg["q"])
     worst = 0.0
     nodes = 0
@@ -328,7 +338,7 @@ def _orthogonality_diag(ctx: _Ctx):
     return worst, 1e-8, {"q": ctx.cfg["q"], "beta": ctx.cfg["beta"]}, 0, nodes
 
 
-def _kernel_integral(ctx: _Ctx):
+def _kernel_integral(ctx: ResolvedConfig):
     w = WeightParams(ctx.cfg["beta"], ctx.cfg["q"])
     t1, t2 = 0.4, -0.25
     res = kernel_quadrature(t1, t2, w, ctx.cfg["quad_tol"], ctx.policy)
@@ -338,7 +348,7 @@ def _kernel_integral(ctx: _Ctx):
                          "t1": t1, "t2": t2}, 0, res.nodes_used
 
 
-def _bilateral_delta(ctx: _Ctx):
+def _bilateral_delta(ctx: ResolvedConfig):
     q, beta = ctx.cfg["delta_q"], ctx.cfg["delta_beta"]
     rhs0 = bilateral_delta_rhs(beta, q, ctx.policy)
     worst = 0.0
@@ -351,7 +361,7 @@ def _bilateral_delta(ctx: _Ctx):
     return worst, 1e-7, {"q": q, "beta": beta}, 0, nodes
 
 
-def _shifted_diag(ctx: _Ctx):
+def _shifted_diag(ctx: ResolvedConfig):
     worst = 0.0
     nodes = 0
     for n in range(-2, 3):
@@ -362,7 +372,7 @@ def _shifted_diag(ctx: _Ctx):
     return worst, 1e-6, ctx.base_params(), 0, nodes
 
 
-def _shifted_offdiag(ctx: _Ctx):
+def _shifted_offdiag(ctx: ResolvedConfig):
     scale = abs(shifted_orthogonality_rhs(ctx.params, ctx.policy))
     worst = 0.0
     nodes = 0
@@ -374,7 +384,7 @@ def _shifted_offdiag(ctx: _Ctx):
     return worst, 1e-6, ctx.base_params(), 0, nodes
 
 
-def _shifted_scaling(ctx: _Ctx):
+def _shifted_scaling(ctx: ResolvedConfig):
     beta, gamma, q = ctx.cfg["beta"], ctx.cfg["gamma"], ctx.cfg["q"]
     scale = beta ** 2 * gamma / q
     rhs0 = shifted_orthogonality_rhs(ctx.params, ctx.policy)
@@ -385,7 +395,7 @@ def _shifted_scaling(ctx: _Ctx):
     return worst, 1e-15, ctx.base_params(), 0, 0
 
 
-def _linearization(ctx: _Ctx):
+def _linearization(ctx: ResolvedConfig):
     q, beta = ctx.cfg["q"], ctx.cfg["beta"]
     worst = 0.0
     for p in ctx.points:
@@ -429,11 +439,11 @@ def run_identity(name: str, config: dict | None = None) -> VerificationEntry:
     """Run one registered identity check at the given configuration."""
     if name not in _REGISTRY:
         raise ConfigError(f"unknown identity {name!r}; known: {', '.join(identity_names())}")
-    ctx = _Ctx(config)
+    ctx = ResolvedConfig(config)
     return _run_one(name, ctx)
 
 
-def _run_one(name: str, ctx: _Ctx) -> VerificationEntry:
+def _run_one(name: str, ctx: ResolvedConfig) -> VerificationEntry:
     try:
         residual, tol, params, terms, nodes = _REGISTRY[name](ctx)
     except (RegionError, PoleError, DomainError, ZeroDivisionError) as exc:
@@ -449,7 +459,7 @@ def _run_one(name: str, ctx: _Ctx) -> VerificationEntry:
 
 def run_suite(config: dict | None = None) -> VerificationReport:
     """Run every registered identity; never aborts on individual failures."""
-    ctx = _Ctx(config)
+    ctx = ResolvedConfig(config)
     entries = []
     for name in sorted(_REGISTRY):
         entries.append(_run_one(name, ctx))

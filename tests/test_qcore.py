@@ -1,8 +1,10 @@
 import math
+import sys
 
+import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qultra import (DEFAULT_POLICY, DomainError, NonConvergence, PoleError,
@@ -94,18 +96,36 @@ def test_poch_splitting_identity(k):
     assert lhs == pytest.approx(poch(a, Q, INFINITY), rel=1e-12)
 
 
+def _poch_abs_exact(a, q, k):
+    """|(a; q)_k| for these double inputs, by mpmath at 40 digits."""
+    with mpmath.workdps(40):
+        a, q = mpmath.mpc(a), mpmath.mpf(q)
+        if k >= 0:
+            return abs(mpmath.fprod(1 - a * q ** j for j in range(k)))
+        den = abs(mpmath.fprod(1 - a / q ** j for j in range(1, -k + 1)))
+        return mpmath.inf if den == 0 else 1 / den
+
+
 @settings(max_examples=30, deadline=None)
 @given(re=st.floats(-0.9, 0.9), im=st.floats(-0.9, 0.9),
        q=st.floats(0.05, 0.9), k=st.integers(-6, 6))
+# a subnormal distance from the pole a = q: (a; q)_{-1} exceeds the
+# double range, and poch rightly raises DomainError
+@example(re=0.5, im=5e-324, q=0.5, k=-1)
 def test_poch_shift_identity_random(re, im, q, k):
     a = complex(re, im)
     try:
         rhs = poch(a, q, k) * (1 - a * q ** k)
+        lhs = poch(a, q, k + 1)
     except PoleError:
         # only a = q^j with 1 <= j <= -k is a pole of (a; q)_k
         assert is_q_power(a, q) in range(1, -k + 1)
         return
-    lhs = poch(a, q, k + 1)
+    except DomainError:
+        # overflow is right only where a true value leaves the double range
+        assert max(_poch_abs_exact(a, q, k),
+                   _poch_abs_exact(a, q, k + 1)) > sys.float_info.max
+        return
     assert lhs == pytest.approx(rhs, rel=1e-11, abs=1e-11)
 
 

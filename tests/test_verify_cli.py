@@ -200,18 +200,42 @@ def test_cli_config_file_errors(tmp_path):
                  "--config", str(tmp_path / "missing.cfg")]) == 2
 
 
+@pytest.mark.parametrize("command,line", [
+    (["suite"], "q = abc"),
+    (["identity", "--name", "kernel_integral"], "thetas = 0.4,x"),
+    (["eval", "--n", "0", "--theta", "0.4"], "max_terms = 1e4"),
+    (["eval", "--n", "0", "--theta", "0.4"], "thetas = 0.4,x"),
+    (["table", "--n-min", "0", "--n-max", "0"], "bogus = 1"),
+])
+def test_cli_malformed_or_unknown_config_value_is_config_error(
+        tmp_path, capsys, command, line):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(line + "\n")
+    assert main(command + ["--config", str(cfg)]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["--m", "--t-re", "--t-im"])
+def test_cli_rejects_removed_flags(flag):
+    assert main(["eval", "--theta", "1", flag, "5"]) == 2
+
+
 def test_read_config_file_parsing(tmp_path):
     cfg = tmp_path / "a.cfg"
     cfg.write_text("alpha = 1.5\n# note\nbeta= 2 # tail\n")
     assert read_config_file(str(cfg)) == {"alpha": "1.5", "beta": "2"}
 
 
-def test_cli_suite_subprocess_deterministic():
+def _child_env():
     # the child imports the qultra this process imported, however it got on
     # the path (PYTHONPATH, an install, or pytest's pythonpath setting)
     src = str(Path(qultra.__file__).resolve().parent.parent)
     old = os.environ.get("PYTHONPATH")
-    env = {**os.environ, "PYTHONPATH": src + (os.pathsep + old if old else "")}
+    return {**os.environ, "PYTHONPATH": src + (os.pathsep + old if old else "")}
+
+
+def test_cli_suite_subprocess_deterministic():
+    env = _child_env()
     cmd = [sys.executable, "-m", "qultra.cli", "suite", "--format", "json"]
     r1 = subprocess.run(cmd, capture_output=True, env=env)
     r2 = subprocess.run(cmd, capture_output=True, env=env)
@@ -222,3 +246,10 @@ def test_cli_suite_subprocess_deterministic():
 
 def test_cli_parser_rejects_unknown_command():
     assert main(["frobnicate"]) == 2
+
+
+def test_demo_runs():
+    demo = Path(__file__).resolve().parent.parent / "demos" / "01_q_shifted_factorials.py"
+    r = subprocess.run([sys.executable, str(demo)], capture_output=True,
+                       env=_child_env())
+    assert r.returncode == 0, r.stderr.decode()
