@@ -160,8 +160,10 @@ def _max_abs(a) -> float:
 
 
 def _reciprocal(x):
-    """1 / x by numpy's complex division for both element types."""
-    r = np.divide(1.0, x)
+    """1 / x by numpy's complex division for both element types.  An
+    overflow gives inf or nan silently; the caller raises DomainError."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        r = np.divide(1.0, x)
     return r if isinstance(x, np.ndarray) else complex(r)
 
 

@@ -147,16 +147,18 @@ def check_pole_lattice(params: UltraParams) -> None:
             f"beta*gamma = q^{m} requires a limit evaluation (unsupported lattice)")
 
 
-def region_ratios(z, beta, q):
-    """The two convergence ratios |q z^2 / beta| and |q / (beta z^2)|."""
+def direct_region_mask(z, beta, q) -> np.ndarray:
+    """Elementwise: z lies inside the direct annulus, i.e. both convergence
+    ratios |q z^2 / beta| and |q / (beta z^2)| are below DIRECT_REGION_MARGIN."""
     z = np.asarray(z, dtype=complex)
     z2 = z * z
-    return np.abs(q * z2 / beta), np.abs(q / (beta * z2))
+    return ((np.abs(q * z2 / beta) < DIRECT_REGION_MARGIN)
+            & (np.abs(q / (beta * z2)) < DIRECT_REGION_MARGIN))
 
 
-def in_direct_region(z, beta, q, margin: float = DIRECT_REGION_MARGIN) -> bool:
-    r1, r2 = region_ratios(z, beta, q)
-    return bool(np.all(r1 < margin) and np.all(r2 < margin))
+def in_direct_region(z, beta, q) -> bool:
+    """True when every point of z is inside the direct annulus."""
+    return bool(np.all(direct_region_mask(z, beta, q)))
 
 
 def classical_cn(n: int, p: SpectralPoint, beta, q):
@@ -528,8 +530,7 @@ def bilateral_cn_range(n_lo: int, n_hi: int, p: SpectralPoint,
         raise DomainError("bilateral_cn_range needs n_lo <= n_hi")
     check_pole_lattice(params)
     z = np.asarray(p.z, dtype=complex).ravel()
-    r1, r2 = region_ratios(z, params.beta, params.q)
-    inside = (r1 < DIRECT_REGION_MARGIN) & (r2 < DIRECT_REGION_MARGIN)
+    inside = direct_region_mask(z, params.beta, params.q)
     rows = n_hi - n_lo + 1
     values = np.empty((rows, z.size), dtype=complex)
     terms = np.zeros(rows, dtype=int)

@@ -1,11 +1,12 @@
 import pytest
 
 from qultra import SpectralPoint, UltraParams
+from qultra.verify import CONFIG_DEFAULTS
 
 # default verification parameter set: every region constraint is satisfied
 # (|q/beta| = 0.375 < 0.6 < 1, |q/(beta^2 gamma)| ~ 0.67 < 1)
-Q, BETA, GAMMA, T = 0.3, 0.8, 0.7, 0.6
-THETAS = (0.4, 1.0, 2.2)
+Q, BETA, GAMMA, T = (CONFIG_DEFAULTS[k] for k in ("q", "beta", "gamma", "t"))
+THETAS = CONFIG_DEFAULTS["thetas"]
 
 
 @pytest.fixture

@@ -33,10 +33,10 @@ from qultra import (SeriesSpec, SpectralPoint, UltraParams, WeightParams,
                     shifted_orthogonality_pair, shifted_orthogonality_rhs,
                     symmetry_residual, transform_residual)
 from qultra.hyperseries import BILATERAL, UNILATERAL
-from qultra.verify import render_json, run_suite
+from qultra.verify import CONFIG_DEFAULTS, render_json, run_suite
 
-Q, BETA, GAMMA, T = 0.3, 0.8, 0.7, 0.6
-POINTS = [SpectralPoint.from_theta(t) for t in (0.4, 1.0, 2.2)]
+Q, BETA, GAMMA, T = (CONFIG_DEFAULTS[k] for k in ("q", "beta", "gamma", "t"))
+POINTS = [SpectralPoint.from_theta(t) for t in CONFIG_DEFAULTS["thetas"]]
 PARAMS = UltraParams(BETA, GAMMA, Q)
 
 

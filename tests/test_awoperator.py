@@ -5,8 +5,9 @@ from hypothesis import strategies as st
 
 from qultra import (SingularPoint, SpectralPoint, UltraParams, apply_dq,
                     classical_cn, dq_action_residual)
+from qultra.verify import CONFIG_DEFAULTS
 
-Q, BETA, GAMMA = 0.3, 0.8, 0.7
+Q, BETA, GAMMA = (CONFIG_DEFAULTS[k] for k in ("q", "beta", "gamma"))
 
 
 def test_constant_maps_to_zero(points):

@@ -5,8 +5,9 @@ from qultra import (BILATERAL, UNILATERAL, DomainError, RegionError,
                     SeriesSpec, TruncationPolicy, closed_form, eval_phi,
                     eval_psi, poch, poch_multi, transform_residual)
 from qultra.qcore import INFINITY
+from qultra.verify import CONFIG_DEFAULTS
 
-Q = 0.3
+Q = CONFIG_DEFAULTS["q"]
 
 
 def phi(upper, lower, z, q=Q, **kw):

@@ -1,5 +1,6 @@
 import math
 import sys
+import warnings
 
 import mpmath
 import numpy as np
@@ -11,8 +12,9 @@ from qultra import (DEFAULT_POLICY, DomainError, NonConvergence, PoleError,
                     SpectralPoint, TruncationPolicy, poch, poch_multi, poch_pm)
 from qultra.qcore import (INFINITY, CompensatedSum, _product_bound_terms,
                           is_q_power, poch_ratio, poch_recip)
+from qultra.verify import CONFIG_DEFAULTS
 
-Q = 0.3
+Q = CONFIG_DEFAULTS["q"]
 
 
 def test_poch_empty_product():
@@ -127,6 +129,15 @@ def test_poch_shift_identity_random(re, im, q, k):
                    _poch_abs_exact(a, q, k + 1)) > sys.float_info.max
         return
     assert lhs == pytest.approx(rhs, rel=1e-11, abs=1e-11)
+
+
+@pytest.mark.parametrize("a", [0.5 + 5e-324j, np.array([0.5 + 5e-324j])])
+def test_poch_overflow_raises_without_a_warning(a):
+    # 1 / (1 - a/q) leaves the double range; the typed error is the only signal
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError):
+            poch(a, 0.5, -1)
 
 
 def _loop_bound_terms(a_mag, q_mag, policy):

@@ -14,8 +14,9 @@ from qultra import (DomainError, NonConvergence, PoleError, RegionError,
                     weight_value)
 from qultra.qcore import INFINITY
 from qultra.quadrature import _circle_weight
+from qultra.verify import CONFIG_DEFAULTS
 
-Q, BETA, GAMMA = 0.3, 0.8, 0.7
+Q, BETA, GAMMA = (CONFIG_DEFAULTS[k] for k in ("q", "beta", "gamma"))
 
 
 def test_weight_params_window():

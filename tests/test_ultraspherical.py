@@ -12,8 +12,9 @@ from qultra import (DEFAULT_POLICY, UNILATERAL, DomainError, NonConvergence,
                     special_value_c0, special_value_cm1, symmetry_residual)
 from qultra.ultraspherical import (_bilateral_22tgl, _bilateral_6psi8,
                                    bilateral_cn_range, in_direct_region)
+from qultra.verify import CONFIG_DEFAULTS
 
-Q, BETA, GAMMA = 0.3, 0.8, 0.7
+Q, BETA, GAMMA = (CONFIG_DEFAULTS[k] for k in ("q", "beta", "gamma"))
 
 
 def test_classical_degree_zero_and_one(points):

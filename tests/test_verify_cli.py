@@ -1,5 +1,7 @@
+import argparse
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -8,9 +10,11 @@ import pytest
 
 import qultra
 from qultra import ConfigError
-from qultra.cli import main, read_config_file, build_parser
-from qultra.verify import (identity_names, render_json, run_identity,
-                           run_suite)
+from qultra.cli import build_parser, main, read_config_file, render_report
+from qultra.verify import (SUITE_VERSION, VerificationReport, identity_names,
+                           render_json, run_identity, run_suite)
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 @pytest.fixture(scope="module")
@@ -218,6 +222,118 @@ def test_cli_malformed_or_unknown_config_value_is_config_error(
 @pytest.mark.parametrize("flag", ["--m", "--t-re", "--t-im"])
 def test_cli_rejects_removed_flags(flag):
     assert main(["eval", "--theta", "1", flag, "5"]) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["suite", "--theta", "1.0"],
+    ["identity", "--name", "linearization", "--n", "3"],
+    ["table", "--z-re", "5"],
+    ["table", "--format", "json"],
+    ["table", "--n", "3"],
+    ["eval", "--theta", "1", "--quad-tol", "1e-9"],
+    ["eval", "--theta", "1", "--z-im", "0.3"],
+], ids=" ".join)
+def test_cli_rejects_flags_a_command_does_not_read(argv):
+    assert main(argv) == 2
+
+
+def _accepted_flags():
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return {name: {flag for action in sp._actions
+                   if not isinstance(action, argparse._HelpAction)
+                   for flag in action.option_strings}
+            for name, sp in sub.choices.items()}
+
+
+_BASE = {"eval": ["eval", "--z-re", "0.6"],
+         "identity": ["identity", "--name", "ramanujan_1psi1"],
+         "suite": ["suite"],
+         "table": ["table"]}
+
+# per command and flag, an argv that differs from the command's base by
+# that flag and must change the output or the exit code
+_PROBES = {
+    "eval": {"--kind": ["--kind", "classical"], "--format": ["--format", "json"],
+             "--n": ["--n", "1"], "--z-im": ["--z-im", "0.3"]},
+    "identity": {"--quad-tol": ["--quad-tol", "0"],
+                 "--format": ["--format", "csv"],
+                 "--name": ["--name", "bailey_2psi2_single"]},
+    "suite": {"--quad-tol": ["--quad-tol", "0"], "--format": ["--format", "csv"]},
+    "table": {"--kind": ["--kind", "classical"], "--n-min": ["--n-min", "-1"],
+              "--n-max": ["--n-max", "1"], "--theta-min": ["--theta-min", "1.0"],
+              "--theta-max": ["--theta-max", "1.0"],
+              "--theta-steps": ["--theta-steps", "2"]},
+}
+# a malformed configuration value is the program's error, not argparse's
+_CONFIG_PROBES = {flag: [flag, "abc"] for flag in (
+    "--q", "--beta", "--gamma", "--rel-tol", "--abs-tol", "--max-terms")}
+_CONFIG_PROBES["--config"] = ["--config", "missing.cfg"]
+_POINT_PROBES = {"--x": ["eval", "--x", "0.3"], "--theta": ["eval", "--theta", "1.0"],
+                 "--z-re": ["eval", "--z-re", "1.6"]}
+
+
+def _probe_argvs(command):
+    argvs = {flag: _BASE[command] + extra for flag, extra in
+             {**_CONFIG_PROBES, **_PROBES[command]}.items()}
+    return {**argvs, **(_POINT_PROBES if command == "eval" else {})}
+
+
+def test_every_accepted_flag_has_a_probe():
+    assert {c: set(_probe_argvs(c)) for c in _BASE} == _accepted_flags()
+
+
+def _fast_suite(cfg):
+    # the suite's configuration path and report, on one cheap entry
+    entry = run_identity("ramanujan_1psi1", cfg)
+    return VerificationReport(SUITE_VERSION, (entry,), entry.passed)
+
+
+@pytest.mark.parametrize("command", sorted(_BASE))
+def test_every_accepted_flag_changes_output_or_exit_code(
+        command, monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr("qultra.cli.run_suite", _fast_suite)
+    monkeypatch.chdir(tmp_path)
+
+    def outcome(argv):
+        code = main(argv)
+        out, err = capsys.readouterr()
+        assert "usage:" not in err, (argv, err)
+        return code, out
+
+    base = outcome(_BASE[command])
+    assert base[0] == 0
+    for flag, argv in _probe_argvs(command).items():
+        assert outcome(argv) != base, flag
+
+
+def test_cli_identity_uses_the_suite_renderer(default_report, capsys):
+    suite_text = render_report(default_report, "text").splitlines()
+    suite_csv = render_report(default_report, "csv").splitlines()
+    assert main(["identity", "--name", "kernel_integral"]) == 0
+    line = next(s for s in suite_text if " kernel_integral " in s)
+    assert capsys.readouterr().out == line + "\noverall: PASS\n"
+    assert main(["identity", "--name", "kernel_integral", "--format", "csv"]) == 0
+    rows = capsys.readouterr().out.splitlines()
+    assert rows[0] == suite_csv[0] == ("identity_name,residual,tolerance,passed,"
+                                       "terms_used,nodes_used,skipped,note")
+    assert rows[1:] == [r for r in suite_csv if r.startswith("kernel_integral,")]
+
+
+def _readme_commands():
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = text.split("## Command line", 1)[1].split("```")[1]
+    return [shlex.split(line.split("#", 1)[0])[1:]
+            for line in block.splitlines() if line.startswith("qultra ")]
+
+
+def test_readme_shows_every_command():
+    assert {argv[0] for argv in _readme_commands()} == set(_BASE)
+
+
+@pytest.mark.parametrize("argv", _readme_commands(), ids=" ".join)
+def test_readme_command_lines_run(argv, capsys):
+    assert main(argv) == 0
 
 
 def test_read_config_file_parsing(tmp_path):
