@@ -12,10 +12,10 @@ annulus the primary evaluation path is the direct two-sided sum.  Every
 n uses the same g_j (cached per parameters), so bilateral_cn_range sums a
 whole range of n at every point at once: each side of the series (k >= 0
 and k < 0) is one matrix product of a (rows x steps) block of scaled
-coefficients g_k g_{n-k} and a (steps x points) table of powers of z, and
-each side of each row is truncated where tail_window terms past its
-largest term fall below rel_tol times that side's total, as it would be
-alone.  bilateral_cn is its one-row case.
+coefficients g_k g_{n-k} and a (steps x points) table of powers of z.
+Each side of each row is cut where a geometric bound from the region
+ratios puts its remainder below rel_tol times that side's largest term
+plus abs_tol, as it would be alone.  bilateral_cn is its one-row case.
 
 Outside the annulus the function is still analytic in x along paths
 avoiding the annulus-boundary singularities, and evaluation switches to
@@ -48,7 +48,7 @@ import numpy as np
 from .errors import DomainError, NonConvergence, PoleError, RegionError
 from .hyperseries import (BILATERAL, SeriesSpec, bailey_2psi2, sum_psi,
                           wellpoised_6psi8)
-from .qcore import (DEFAULT_POLICY, GROWTH_SLACK, INFINITY, CompensatedSum,
+from .qcore import (DEFAULT_POLICY, INFINITY, CompensatedSum,
                     SpectralPoint, TruncationPolicy, check_base, check_real_base,
                     is_q_power, poch, poch_multi, poch_pm, poch_ratio)
 
@@ -72,6 +72,8 @@ class UltraParams:
         object.__setattr__(self, "beta", complex(self.beta))
         object.__setattr__(self, "gamma", complex(self.gamma))
         object.__setattr__(self, "q", check_base(self.q))
+        if not (cmath.isfinite(self.beta) and cmath.isfinite(self.gamma)):
+            raise DomainError("beta and gamma must be finite")
         if self.beta == 0 or self.gamma == 0:
             raise DomainError("beta and gamma must be nonzero")
 
@@ -238,10 +240,43 @@ def _z_powers(z: np.ndarray, n_lo: int, n_hi: int) -> np.ndarray:
 _BLOCK_SIZE = 1024
 
 
-def _step_budget(n_lo: int, n_hi: int) -> int:
-    """The steps per side a direct-sum pass over rows n_lo..n_hi starts
-    with: term magnitudes plateau for about |n| steps."""
-    return 2 * max(abs(n_lo), abs(n_hi)) + 64
+def _tail_bound(r_min: float, r_max: float, params: UltraParams,
+                policy: TruncationPolicy):
+    """(start, rho, length) per side (upper, lower) of the direct sum at
+    points with r_min <= |z| <= r_max: from step base + start on, base =
+    max(n, 0) on the upper side and max(-n - 1, 0) on the lower, every
+    term ratio is at most rho < 1, and the side is cut before step
+    base + length.
+
+    A term ratio is the side's region ratio, |q/(beta z^2)| or
+    |q z^2/beta| (largest at r_min or r_max), times g_{j+1}/g_j and
+    (g_{-j-1}/g_{-j})/(q/beta) at j >= start, whose moduli are at most
+    (1 + |beta gamma| |q|^j)/(1 - |q gamma| |q|^j) and (|q gamma| +
+    |q|^{j+1})/((|beta gamma| - |q|^{j+1}) |q/beta|), both falling to 1;
+    start is the first j where the product is at most rho = (1 + region
+    ratio)/2.  The cut rule of _direct_rows then holds k steps later,
+    rho^{k+1}/(1 - rho) <= rel_tol; length adds k and a step of slack."""
+    aq, qb = abs(params.q), abs(params.q / params.beta)
+    abg, aqg = abs(params.beta * params.gamma), abs(params.q * params.gamma)
+    region = (qb / r_min ** 2, qb * r_max ** 2)
+    rho = [(1 + r) / 2 for r in region]
+    start = [-1, -1]
+    u = 1.0                                        # |q|^j
+    for j in range(policy.max_terms):
+        up, lo = 1 - aqg * u, (abg - aq * u) * qb
+        if up > 0 and lo > 0:
+            growth = (1 + abg * u) / up * (aqg + aq * u) / lo
+            start = [j if s < 0 and r * growth <= p else s
+                     for s, r, p in zip(start, region, rho)]
+            if min(start) >= 0:
+                break
+        u *= aq
+    else:
+        raise NonConvergence(f"direct-sum tail bound not reached within "
+                             f"{policy.max_terms} terms")
+    return start, rho, [s + max(0, math.ceil(math.log(policy.rel_tol * (1 - p))
+                                             / math.log(p))) + 2
+                        for s, p in zip(start, rho)]
 
 
 def _scaled_coefficients(ns: np.ndarray, steps: int, params: UltraParams,
@@ -271,49 +306,6 @@ def _scaled_coefficients(ns: np.ndarray, steps: int, params: UltraParams,
     return np.stack((upper, lower))
 
 
-def _run_lengths(flags: np.ndarray) -> np.ndarray:
-    """Per entry of a (rows x steps) boolean array, the number of True
-    entries in a row that end there."""
-    s = np.arange(flags.shape[1])
-    return s - np.maximum.accumulate(np.where(flags, -1, s), axis=1)
-
-
-def _first(flags: np.ndarray) -> np.ndarray:
-    """Per row, the index of the first True entry, or the row length."""
-    return np.where(flags.any(axis=1), flags.argmax(axis=1), flags.shape[1])
-
-
-def _side_terms(tm: np.ndarray, ref: np.ndarray, window: np.ndarray,
-                policy: TruncationPolicy) -> np.ndarray:
-    """The terms each side sums, from its largest term over the points at
-    every step (a row of tm) and its largest total over the points (ref);
-    -1 where a side does not stop within the steps of tm.
-
-    A side stops at a zero term, which it does not count, or after
-    tail_window terms in a row past its largest term that are at most
-    rel_tol ref + abs_tol.  A non-finite term or a run of window growing
-    terms at or before that step raises NonConvergence."""
-    steps = tm.shape[1]
-    s = np.arange(steps)
-    zero = tm == 0
-    small = ((tm <= policy.rel_tol * ref[:, None] + policy.abs_tol)
-             & (s > tm.argmax(axis=1)[:, None]))
-    stop = _first(zero | (_run_lengths(small) >= policy.tail_window))
-    grew = np.zeros_like(zero)
-    grew[:, 1:] = tm[:, 1:] > tm[:, :-1] * GROWTH_SLACK
-    # the earliest failure raises; an overflow before a growth run at one step
-    overflow = _first(~(tm < np.inf))
-    overflow = np.where(overflow <= stop, overflow, steps).min()
-    diverging = _first(_run_lengths(grew) >= window[:, None])
-    diverging = np.where(diverging <= stop, diverging, steps).min()
-    if overflow < steps and overflow <= diverging:
-        raise NonConvergence("direct bilateral sum overflowed")
-    if diverging < steps:
-        raise NonConvergence("bilateral terms failed to decay (out of region?)")
-    last = np.minimum(stop, steps - 1)
-    return np.where(stop < steps, stop + 1 - zero[np.arange(len(stop)), last], -1)
-
-
 def _side_sums(coeff: np.ndarray, pre: np.ndarray, ratio) -> np.ndarray:
     """pre times the product of coeff with the power table W[s] = ratio^s
     for each side, W by repeated multiplication, one side's table at a
@@ -331,9 +323,10 @@ def _side_sums(coeff: np.ndarray, pre: np.ndarray, ratio) -> np.ndarray:
 
 
 def _direct_rows(n_lo: int, n_hi: int, z: np.ndarray, params: UltraParams,
-                 policy: TruncationPolicy):
-    """C_n for n_lo <= n <= n_hi at every z of a 1-D array, with no loop
-    over the terms.
+                 policy: TruncationPolicy, tails):
+    """C_n for n_lo <= n <= n_hi at every z of a 1-D array inside the
+    annulus, with no loop over the terms; tails is the _tail_bound of
+    these points.
 
     The upper side sums the terms k = s >= 0, g_s g_{n-s} z^{n-2s}, and
     the lower side the terms k = -1 - s, g_{-1-s} g_{n+1+s} z^{n+2+2s}.
@@ -350,22 +343,19 @@ def _direct_rows(n_lo: int, n_hi: int, z: np.ndarray, params: UltraParams,
     reach sigma^{-n}, so a row raises NonConvergence once |z|^{-2n}
     leaves the double range.
 
-    Each side of each row is checked on its largest term over the points
-    at every step, which |z|^e reaches at the smallest or the largest |z|
-    (_side_terms): a non-finite term or a run of 8 tail_window + 2|n| + 8
-    growing terms (term magnitudes plateau for about |n| steps before the
-    geometric tails set in) raises NonConvergence; a zero term, or
-    tail_window terms in a row past the side's largest term that are at
-    most rel_tol times the side's total plus abs_tol, ends the side.  The
-    side's total is its sum over the whole step budget, largest over the
-    points.  (A step-by-step sum compares each term with its running
-    partial sum instead; the two stop at the same step wherever the
-    partial sum has settled before the tail rule applies.)  The budget
-    starts at _step_budget and doubles, up to max_terms, until
-    every side has stopped; each side then sums its terms up to its
-    stopping step (the mask).  A row's stopping steps do not depend on the
-    other rows, and its values only through rounding.  Returns the (rows x
-    points) values and the terms summed per row.
+    Each side of each row is cut on its largest term over the points at
+    every step, which |z|^e reaches at the smallest or the largest |z|.
+    Past step base + start every term ratio is at most rho, so the terms
+    after step s add up to at most term_s rho/(1 - rho) at every point.
+    A side stops at its first such step where that bound is at most
+    rel_tol times the side's largest term plus abs_tol, which bounds its
+    remainder, or at a zero term, which it does not count.  The bound
+    fixes the steps in advance (base + length, at most max_terms), so a
+    pass builds one coefficient table and makes one masked product.  A
+    non-finite term at or before a side's stop, or a side with no stop
+    within the steps, raises NonConvergence.  A row's stopping steps do not
+    depend on the other rows, and its values only through rounding.
+    Returns the (rows x points) values and the (side x row) terms summed.
     """
     ns = np.arange(n_lo, n_hi + 1)
     r = np.abs(z)
@@ -376,28 +366,30 @@ def _direct_rows(n_lo: int, n_hi: int, z: np.ndarray, params: UltraParams,
     pre = np.stack((zpow, zpow * z2))                  # z^n and z^{n+2}
     ratio = (sigma / z2, z2 / tau)                     # |ratio| <= 1
     exps = np.stack((ns, ns + 2)).astype(float)
-    window = np.tile(8 * policy.tail_window + 2 * np.abs(ns) + 8, 2)
-    steps = min(_step_budget(n_lo, n_hi), policy.max_terms)
+    base = np.stack((np.maximum(ns, 0), np.maximum(-ns - 1, 0)))[:, :, None]
+    start, rho, length = np.array(tails)[:, :, None, None]
+    steps = min(int((base + length).max()), policy.max_terms)
+    s = np.arange(steps)
     with np.errstate(over="ignore", invalid="ignore"):
-        while True:
-            coeff = _scaled_coefficients(ns, steps, params, sigma, tau)
-            s = np.arange(steps)
-            # |term| = |coeff| |z|^{n or n+2} |ratio|^s peaks at an extreme |z|
-            amp = np.maximum(*(
-                (e ** exps)[:, :, None]
-                * (np.array([[sigma / e ** 2], [e ** 2 / tau]]) ** s)[:, None]
-                for e in extremes))
-            ref = np.abs(_side_sums(coeff, pre, ratio)).max(axis=2)
-            terms = _side_terms((np.abs(coeff) * amp).reshape(2 * ns.size, steps),
-                                ref.ravel(), window, policy).reshape(2, ns.size)
-            if (terms >= 0).all():
-                break
-            if steps == policy.max_terms:
-                raise NonConvergence(f"bilateral sum did not converge within "
-                                     f"{policy.max_terms} terms per side")
-            steps = min(2 * steps, policy.max_terms)
-        value = _side_sums(coeff * (s < terms[:, :, None]), pre, ratio)
-    return value.sum(axis=0), terms.sum(axis=0)
+        coeff = _scaled_coefficients(ns, steps, params, sigma, tau)
+        # |term| = |coeff| |z|^{n or n+2} |ratio|^s peaks at an extreme |z|
+        tm = np.abs(coeff) * np.maximum(*(
+            (e ** exps)[:, :, None]
+            * (np.array([[sigma / e ** 2], [e ** 2 / tau]]) ** s)[:, None]
+            for e in extremes))
+        first = base + start
+        largest = np.where(s <= first, tm, 0).max(axis=2, keepdims=True)
+        bounded = tm * rho / (1 - rho) <= policy.rel_tol * largest + policy.abs_tol
+        cut = (tm == 0) | ((s >= first) & bounded)
+        stop = np.where(cut.any(axis=2), cut.argmax(axis=2), steps)[:, :, None]
+        if (~(tm < np.inf) & (s <= stop)).any():
+            raise NonConvergence("direct bilateral sum overflowed")
+        if (stop == steps).any():
+            raise NonConvergence(f"bilateral sum did not converge within "
+                                 f"{steps} terms per side")
+        summed = (s <= stop) & (tm > 0)      # a zero term is not counted
+        value = _side_sums(np.where(summed, coeff, 0), pre, ratio)
+    return value.sum(axis=0), summed.sum(axis=2)
 
 
 class _RouteUnusable(RegionError):
@@ -535,15 +527,18 @@ def bilateral_cn_range(n_lo: int, n_hi: int, p: SpectralPoint,
     values = np.empty((rows, z.size), dtype=complex)
     terms = np.zeros(rows, dtype=int)
     if inside.any():
+        radii = np.abs(z[inside])
+        tails = _tail_bound(float(radii.min()), float(radii.max()), params, policy)
         # rows are independent, so splitting a long range changes no row's
         # terms; a pass also holds rows x steps coefficients
-        step = max(1, min(_BLOCK_SIZE // int(inside.sum()),
-                          8 * _BLOCK_SIZE // _step_budget(n_lo, n_hi)))
+        budget = max(-n_lo, n_hi, 0) + max(tails[2])
+        step = max(1, min(_BLOCK_SIZE // radii.size, 8 * _BLOCK_SIZE // budget))
         for lo in range(n_lo, n_hi + 1, step):
             hi = min(lo + step - 1, n_hi)
             block = slice(lo - n_lo, hi - n_lo + 1)
-            values[block, inside], terms[block] = _direct_rows(
-                lo, hi, z[inside], params, policy)
+            values[block, inside], sides = _direct_rows(
+                lo, hi, z[inside], params, policy, tails)
+            terms[block] = sides.sum(axis=0)
     for i in np.flatnonzero(~inside):
         for r in range(rows):
             values[r, i], t = _bilateral_continued(n_lo + r, complex(z[i]),

@@ -103,7 +103,7 @@ class ResolvedConfig:
                                            cfg["max_terms"], cfg["tail_window"])
         except DomainError as exc:
             raise ConfigError(str(exc)) from exc
-        if cfg["quad_tol"] <= 0 or cfg["shifted_tol"] <= 0:
+        if not (cfg["quad_tol"] > 0 and cfg["shifted_tol"] > 0):
             raise ConfigError("quadrature tolerances must be positive")
         try:
             self.params = UltraParams(cfg["beta"], cfg["gamma"], cfg["q"])

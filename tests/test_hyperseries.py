@@ -49,6 +49,8 @@ def test_phi_q_gauss_value():
     want = (poch_multi([Q / beta, Q], Q, INFINITY)
             / poch_multi([Q * beta, Q / beta ** 2], Q, INFINITY))
     assert got == pytest.approx(want, rel=1e-10)
+    assert closed_form("q_gauss", (beta ** 2, beta, Q * beta), Q) == pytest.approx(
+        want, rel=1e-13)
 
 
 def test_phi_region_error():

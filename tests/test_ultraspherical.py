@@ -11,7 +11,8 @@ from qultra import (DEFAULT_POLICY, UNILATERAL, DomainError, NonConvergence,
                     linearization_residual, recurrence_residual,
                     special_value_c0, special_value_cm1, symmetry_residual)
 from qultra.ultraspherical import (_bilateral_22tgl, _bilateral_6psi8,
-                                   bilateral_cn_range, in_direct_region)
+                                   _direct_rows, _tail_bound, bilateral_cn_range,
+                                   in_direct_region)
 from qultra.verify import CONFIG_DEFAULTS
 
 Q, BETA, GAMMA = (CONFIG_DEFAULTS[k] for k in ("q", "beta", "gamma"))
@@ -95,6 +96,12 @@ def test_bilateral_array_evaluation(params):
     for z, v in zip(zs, uv.value):
         want = bilateral_cn(2, SpectralPoint(complex(z)), params).value
         assert v == pytest.approx(want, rel=1e-13)
+
+
+def test_params_reject_non_finite_beta_or_gamma():
+    for beta, gamma in ((math.nan, GAMMA), (BETA, math.inf), (BETA, complex(0, math.nan))):
+        with pytest.raises(DomainError):
+            UltraParams(beta, gamma, Q)
 
 
 def test_bilateral_pole_lattices(points):
@@ -438,6 +445,16 @@ def test_range_errors_propagate(params, points):
         bilateral_cn_range(2, 1, points[0], params)
 
 
+def test_range_overflow_inside_the_annulus_raises(params):
+    # |q/(beta z^2)| = 0.77 at |z| = 0.7, but the row factor |z|^{-2n}
+    # leaves the double range at n = 1100
+    p = SpectralPoint(0.7 * np.exp(0.5j))
+    assert in_direct_region(p.z, BETA, Q)
+    assert np.isfinite(bilateral_cn(400, p, params).value)
+    with pytest.raises(NonConvergence, match="overflowed"):
+        bilateral_cn(1100, p, params)
+
+
 def test_range_widened_adds_only_missing_rows(params, points, monkeypatch):
     import qultra.ultraspherical as us
     rows = bilateral_cn_range(-2, 2, points[0], params)
@@ -485,57 +502,45 @@ def test_range_at_the_edge_of_the_annulus():
             assert abs(rows[n][j] - want) <= 1e-13 * scale, (n, j)
 
 
-def _stepwise_terms(n, zs, qbg, policy=DEFAULT_POLICY):
-    """Terms of C_n at the points zs counted by the step-by-step two-sided
-    loop in plain Python: per side, step s adds the term k = s (upper) or
-    k = -1 - s (lower) at every point.  A side stops at a zero term, which
-    it does not count, or after tail_window terms in a row whose largest
-    modulus over the points is at most rel_tol times the largest modulus
-    of the side's running partial sum plus abs_tol."""
-    q, beta, gamma = (complex(v) for v in qbg)
-    bg, gq = beta * gamma, q * gamma
-    g = {0: 1.0 + 0j}
-    for j in range(1, 400):
-        g[j] = g[j - 1] * (1 - bg * q ** (j - 1)) / (1 - gq * q ** (j - 1))
-        g[-j] = g[1 - j] * (q ** j - gq) / (q ** j - bg)
-    window = 8 * policy.tail_window + 2 * abs(n) + 8
-    total = 0
-    for side in (1, -1):
-        partial = [0j] * len(zs)
-        prev, growth, below = math.inf, 0, 0
-        for step in range(policy.max_terms):
-            k = step if side == 1 else -1 - step
-            terms = [g[k] * g[n - k] * z ** (n - 2 * k) for z in zs]
-            partial = [a + t for a, t in zip(partial, terms)]
-            tm = max(abs(t) for t in terms)
-            assert tm < math.inf
-            growth = growth + 1 if tm > prev * (1 + 1e-6) else 0
-            prev = tm
-            assert growth < window
-            if tm == 0:
-                total += step
-                break
-            small = tm <= policy.rel_tol * max(map(abs, partial)) + policy.abs_tol
-            below = below + 1 if small else 0
-            if below >= policy.tail_window:
-                total += step + 1
-                break
-    return total
-
-
 @pytest.mark.parametrize("qbg", [(Q, BETA, GAMMA), (0.1, 0.95, 0.3), (0.3, 1.2, 0.7)])
-def test_range_terms_match_the_stepwise_loop(qbg, points):
+def test_range_side_remainders_within_the_tail_bound(qbg, points):
+    """Past each side's cut, the moduli of the rest of that side (pad more
+    terms, from 30-digit mpmath) add up to at most rel_tol times the side's
+    largest term over the points plus abs_tol, at every point."""
+    import mpmath as mp
     q, beta, gamma = qbg
     params = UltraParams(beta, gamma, q)
     circle = np.array([p.z for p in points])
     point_sets = [circle, circle[1:2], np.array([0.8 * np.exp(0.7j)]),
                   np.array([1.3 * np.exp(2.5j), 0.9 * np.exp(1.2j)])]
-    for zs in point_sets:
-        assert in_direct_region(zs, beta, q)
-        rows = bilateral_cn_range(-20, 20, SpectralPoint(zs), params)
-        for n in (-20, -13, -6, -1, 0, 1, 5, 12, 20):
-            want = _stepwise_terms(n, list(zs), qbg)
-            assert rows.truncation_terms[n + 20] == want, (n, zs)
+    pad = 200                        # the region ratios here are below 0.64
+    with mp.workdps(30):
+        mq, bg = mp.mpf(q), mp.mpf(beta) * mp.mpf(gamma)
+        gq = mq * mp.mpf(gamma)
+        g, qj = {0: mp.mpf(1)}, mp.mpf(1)
+        for j in range(600):
+            g[j + 1] = g[j] * (1 - bg * qj) / (1 - gq * qj)
+            g[-j - 1] = g[-j] * (qj * mq - gq) / (qj * mq - bg)
+            qj *= mq
+        for zs in point_sets:
+            assert in_direct_region(zs, beta, q)
+            r = np.abs(zs)
+            tails = _tail_bound(float(r.min()), float(r.max()), params, DEFAULT_POLICY)
+            _, cuts = _direct_rows(-20, 20, zs, params, DEFAULT_POLICY, tails)
+            rows = bilateral_cn_range(-20, 20, SpectralPoint(zs), params)
+            np.testing.assert_array_equal(rows.truncation_terms, cuts.sum(axis=0))
+            radii = [abs(mp.mpc(z)) for z in zs]
+            for n in (-20, -13, -6, -1, 0, 1, 5, 12, 20):
+                for side, cut in enumerate(cuts[:, n + 20]):
+                    # upper: g_s g_{n-s} z^{n-2s}; lower: g_{-1-s} g_{n+1+s} z^{n+2+2s}
+                    sign = 1 - 2 * side
+                    mags = [[abs(g[sign * s - side] * g[n - sign * s + side])
+                             * rad ** (n - 2 * sign * s + 2 * side)
+                             for s in range(cut + pad)] for rad in radii]
+                    bound = (DEFAULT_POLICY.rel_tol * max(map(max, mags))
+                             + DEFAULT_POLICY.abs_tol)
+                    for m in mags:
+                        assert mp.fsum(m[cut:]) <= bound, (n, side, zs)
 
 
 def test_cli_table_matches_in_process_values(params, capsys):

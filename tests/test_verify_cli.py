@@ -219,6 +219,16 @@ def test_cli_malformed_or_unknown_config_value_is_config_error(
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["eval", "--theta", "1", "--beta", "nan"],
+    ["suite", "--gamma", "nan"],
+    ["identity", "--name", "kernel_integral", "--quad-tol", "nan"],
+], ids=" ".join)
+def test_cli_nan_parameter_or_tolerance_is_config_error(argv, capsys):
+    assert main(argv) == 2
+    assert "error:" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("flag", ["--m", "--t-re", "--t-im"])
 def test_cli_rejects_removed_flags(flag):
     assert main(["eval", "--theta", "1", flag, "5"]) == 2
