@@ -19,6 +19,14 @@ grids in one call.  The q-series kernels (``poch``, ``poch_recip``,
 ``CompensatedSum``) run one loop body for both element types: a scalar
 stays a Python ``complex`` from entry to return and is computed in
 Python complex arithmetic, an array is computed elementwise in numpy.
+The one exception is an array's infinite product ``poch(a, q, inf)``:
+it builds one (factors x points) table, a q^j by repeated
+multiplication (``cumprod``), and multiplies 1 - table along the factor
+axis in order, the operations of the scalar loop in three numpy calls
+instead of three per factor (a table of more than ``_TABLE_SIZE``
+elements is taken a slice of points at a time).  It takes as many
+factors as the largest |a| needs, so an element of smaller modulus may
+differ from its scalar product by up to the truncation tolerance.
 Only the final reciprocal of ``poch`` for k < 0 and of ``poch_recip``
 is a numpy division for both, since numpy and Python round complex
 quotients differently.  Products of two non-real numbers may still
@@ -213,6 +221,28 @@ def _product_bound_terms(a_mag: float, q_mag: float, policy: TruncationPolicy) -
     return j0 + policy.tail_window
 
 
+#: elements of one factor table of an array's infinite product; a larger
+#: array is taken a slice of points at a time
+_TABLE_SIZE = 1 << 14
+
+
+def _poch_inf_table(a: np.ndarray, q: complex, n_factors: int) -> np.ndarray:
+    """(a; q)_inf on an array from a (factors x points) table: row j holds
+    a q^j by repeated multiplication, and 1 - table is multiplied along
+    the factor axis in order."""
+    flat = a.ravel()
+    out = np.empty_like(flat)
+    step = max(1, _TABLE_SIZE // n_factors)
+    table = np.empty((n_factors, min(step, flat.size)), dtype=complex)
+    for lo in range(0, flat.size, step):
+        t = table[:, :flat.size - lo]
+        t[0] = flat[lo:lo + step]
+        t[1:] = q
+        np.cumprod(t, axis=0, out=t)
+        np.prod(np.subtract(1.0, t, out=t), axis=0, out=out[lo:lo + step])
+    return out.reshape(a.shape)
+
+
 def poch(a, q, k, policy: TruncationPolicy | None = None):
     """q-shifted factorial (a; q)_k.
 
@@ -228,6 +258,8 @@ def poch(a, q, k, policy: TruncationPolicy | None = None):
     out = _one_like(a)
     if k == INFINITY:
         n_factors = _product_bound_terms(_max_abs(a), abs(q), policy or DEFAULT_POLICY)
+        if isinstance(a, np.ndarray):
+            return _poch_inf_table(a, q, n_factors)
         term = a
         for _ in range(n_factors):
             out = out * (1.0 - term)

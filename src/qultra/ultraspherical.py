@@ -226,13 +226,39 @@ def _g_table(params: UltraParams, m: int) -> np.ndarray:
 
 
 def _z_powers(z: np.ndarray, n_lo: int, n_hi: int) -> np.ndarray:
-    """Rows z^n for n_lo <= n <= n_hi by repeated multiplication from
-    z^0, which loses fewer digits than numpy's power for large |n|."""
-    lo, hi = min(n_lo, 0), max(n_hi, 0)
-    up = np.cumprod(np.broadcast_to(z, (hi,) + z.shape), axis=0)
-    down = np.cumprod(np.broadcast_to(1.0 / z, (-lo,) + z.shape), axis=0)
-    table = np.concatenate((down[::-1], np.ones((1,) + z.shape, dtype=complex), up))
-    return table[n_lo - lo:n_hi - lo + 1]
+    """Rows z^n for n_lo <= n <= n_hi by repeated multiplication outward
+    from z^0, by z for n >= 0 and by 1/z for n < 0, which loses fewer
+    digits than numpy's power or binary powering for large |n|.  Only the
+    block's rows are kept (_power_chain)."""
+    out = np.empty((n_hi - n_lo + 1,) + z.shape, dtype=complex)
+    if n_hi >= 0:
+        out[max(n_lo, 0) - n_lo:] = _power_chain(z, max(n_lo, 0), n_hi)
+    if n_lo < 0:
+        top = min(n_hi, -1)
+        out[:top - n_lo + 1] = _power_chain(1.0 / z, -top, -n_lo)[::-1]
+    return out
+
+
+def _power_chain(w: np.ndarray, a: int, b: int) -> np.ndarray:
+    """Rows w^e for 0 <= a <= e <= b along the chain w^{e+1} = w^e w from
+    w^0 = 1.  The powers below the block run through one table of about
+    _BLOCK_SIZE values, or of the block's rows and one more if that is
+    larger, and are not kept."""
+    span = max(b - a, _BLOCK_SIZE // w.size, 1)
+    table = np.empty((span + 1,) + w.shape, dtype=complex)
+    table[0] = 1.0
+
+    def extend(k):          # table[0] holds some w^e: table[i] = w^{e + i}
+        table[1:k + 1] = w
+        np.cumprod(table[:k + 1], axis=0, out=table[:k + 1])
+
+    last = max(0, b - span)             # the block lies in w^last..w^b
+    for e in range(0, last, span):
+        k = min(span, last - e)
+        extend(k)
+        table[0] = table[k]
+    extend(b - last)
+    return table[a - last:b - last + 1]
 
 
 #: rows times points of one direct-sum pass (and an eighth of its rows
@@ -248,35 +274,48 @@ def _tail_bound(r_min: float, r_max: float, params: UltraParams,
     term ratio is at most rho < 1, and the side is cut before step
     base + length.
 
-    A term ratio is the side's region ratio, |q/(beta z^2)| or
+    A term ratio is the side's region ratio R, |q/(beta z^2)| or
     |q z^2/beta| (largest at r_min or r_max), times g_{j+1}/g_j and
     (g_{-j-1}/g_{-j})/(q/beta) at j >= start, whose moduli are at most
     (1 + |beta gamma| |q|^j)/(1 - |q gamma| |q|^j) and (|q gamma| +
     |q|^{j+1})/((|beta gamma| - |q|^{j+1}) |q/beta|), both falling to 1;
-    start is the first j where the product is at most rho = (1 + region
-    ratio)/2.  The cut rule of _direct_rows then holds k steps later,
-    rho^{k+1}/(1 - rho) <= rel_tol; length adds k and a step of slack."""
+    start is the first j where the product is at most b = R + (1 - R)/8.
+    The ratio returned for the cut rule of _direct_rows is the looser
+    rho = (1 + R)/2 >= b, and that rule holds k steps after start once
+    b^k rho/(1 - rho) <= rel_tol; length adds k, the step of the cut
+    and a step of slack.
+
+    b sits near R so that the table ends a few steps past the cut: it
+    needs the g_j ratios nearer 1, so start comes a step or two later,
+    but k falls by more.  At the defaults on the unit circle (R = 0.375)
+    the budget is |n| + 44 steps per side, 12 or 13 past the cut, where
+    b = (1 + R)/2 gave |n| + 87.  The cut keeps rho rather than b: with
+    b/(1 - b) each side would stop one term earlier, within the same
+    contract, but C_n on the unit circle, which is real, would then carry
+    an unpaired tail about 2.7 times larger as its imaginary part, 1.6e-14
+    on C_1 = -1.3e-3 at theta = 1.5715."""
     aq, qb = abs(params.q), abs(params.q / params.beta)
     abg, aqg = abs(params.beta * params.gamma), abs(params.q * params.gamma)
     region = (qb / r_min ** 2, qb * r_max ** 2)
-    rho = [(1 + r) / 2 for r in region]
+    bound = [r + (1 - r) / 8 for r in region]
     start = [-1, -1]
     u = 1.0                                        # |q|^j
     for j in range(policy.max_terms):
         up, lo = 1 - aqg * u, (abg - aq * u) * qb
         if up > 0 and lo > 0:
             growth = (1 + abg * u) / up * (aqg + aq * u) / lo
-            start = [j if s < 0 and r * growth <= p else s
-                     for s, r, p in zip(start, region, rho)]
+            start = [j if s < 0 and r * growth <= b else s
+                     for s, r, b in zip(start, region, bound)]
             if min(start) >= 0:
                 break
         u *= aq
     else:
         raise NonConvergence(f"direct-sum tail bound not reached within "
                              f"{policy.max_terms} terms")
-    return start, rho, [s + max(0, math.ceil(math.log(policy.rel_tol * (1 - p))
-                                             / math.log(p))) + 2
-                        for s, p in zip(start, rho)]
+    rho = [(1 + r) / 2 for r in region]
+    return start, rho, [s + max(0, math.ceil(math.log(policy.rel_tol * (1 - p) / p)
+                                             / math.log(b))) + 2
+                        for s, p, b in zip(start, rho, bound)]
 
 
 def _scaled_coefficients(ns: np.ndarray, steps: int, params: UltraParams,
@@ -309,16 +348,19 @@ def _scaled_coefficients(ns: np.ndarray, steps: int, params: UltraParams,
 def _side_sums(coeff: np.ndarray, pre: np.ndarray, ratio) -> np.ndarray:
     """pre times the product of coeff with the power table W[s] = ratio^s
     for each side, W by repeated multiplication, one side's table at a
-    time.  The products are einsum contractions over the contiguous step
-    axis, not BLAS matrix products: on a 2-core x86-64 machine those made
-    the benchmark's suite pass about 12% faster but paged in OpenBLAS
-    kernels, 0.8 MB more peak RSS."""
+    time.  The products are BLAS matrix products, coeff @ W.T.  On a
+    2-core x86-64 machine with OpenBLAS one takes 25-30 us on a
+    16 x 132 x 63 block, where an einsum contraction over the step axis
+    took about 165 us, and the benchmark's suite-default pass is about 7%
+    faster (run_s 0.20 against 0.215 s).  They page in OpenBLAS kernels:
+    a process that runs the suite once peaks at 37.6 MB RSS, against
+    36.9 MB with einsum."""
     out = np.empty_like(pre)
     power = np.ones(pre.shape[2:] + (coeff.shape[2],), dtype=complex)
     for side in range(2):
         np.cumprod(np.broadcast_to(ratio[side][:, None], power[:, 1:].shape),
                    axis=1, out=power[:, 1:])
-        out[side] = pre[side] * np.einsum("rs,ps->rp", coeff[side], power)
+        out[side] = pre[side] * (coeff[side] @ power.T)
     return out
 
 
@@ -350,8 +392,9 @@ def _direct_rows(n_lo: int, n_hi: int, z: np.ndarray, params: UltraParams,
     A side stops at its first such step where that bound is at most
     rel_tol times the side's largest term plus abs_tol, which bounds its
     remainder, or at a zero term, which it does not count.  The bound
-    fixes the steps in advance (base + length, at most max_terms), so a
-    pass builds one coefficient table and makes one masked product.  A
+    fixes the steps in advance (base + length, at most max_terms, a few
+    steps past the cut: see _tail_bound), so a pass builds one
+    coefficient table and makes one masked product per side.  A
     non-finite term at or before a side's stop, or a side with no stop
     within the steps, raises NonConvergence.  A row's stopping steps do not
     depend on the other rows, and its values only through rounding.
@@ -466,17 +509,20 @@ def _bilateral_22tgl(n: int, z: complex, params: UltraParams,
 
 def _bilateral_continued(n: int, z: complex, params: UltraParams,
                          policy: TruncationPolicy):
+    """C_n at one point off the annulus by the first continuation route
+    that applies; the recurrence climb from continued C_0, C_{-1} comes
+    last.  An overflow in a route, as when q^{-n} or q^{n-1} leaves the
+    double range at large |n|, raises NonConvergence at once instead of
+    handing the value to a later route."""
     attempts = []
-    for route in (_bilateral_6psi8, _bilateral_22tgl):
+    for route in (_bilateral_6psi8, _bilateral_22tgl, _bilateral_climb):
         try:
             return route(n, z, params, policy)
         except _ROUTE_FAILURES as exc:
             attempts.append(f"{route.__name__}: {exc}")
-    # recurrence climb from continued seeds C_0, C_{-1}
-    try:
-        return _bilateral_climb(n, z, params, policy)
-    except _ROUTE_FAILURES as exc:
-        attempts.append(f"climb: {exc}")
+        except OverflowError as exc:
+            raise NonConvergence(f"continuation of C_{n} overflowed double "
+                                 f"precision in {route.__name__}: {exc}") from exc
     raise RegionError(
         "point outside the direct region and no continuation applies: "
         + "; ".join(attempts))

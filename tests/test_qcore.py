@@ -228,10 +228,11 @@ def test_poch_array_matches_scalars():
     got = poch(arr, Q, INFINITY)
     for a, v in zip(arr, got):
         assert v == pytest.approx(poch(complex(a), Q, INFINITY), rel=1e-14)
-    # A scalar and a one-element array run the same loop body, in Python
-    # complex and in numpy arithmetic.  Sums, products with a real factor and
-    # the final reciprocal (a numpy division for both) round alike, so real a
-    # agrees to the bit.  numpy may fuse the multiply-adds of a product of two
+    # A scalar and a one-element array run the same operations, in Python
+    # complex and in numpy arithmetic (an array's infinite product is a table
+    # of its factors, a q^j by repeated multiplication, multiplied in order).
+    # Sums, products with a real factor and the final reciprocal (a numpy
+    # division for both) round alike, so real a agrees to the bit.  numpy may fuse the multiply-adds of a product of two
     # complex arrays (on CPUs with FMA) while Python does not, so complex a
     # agrees to rounding only.
     terms = [1.0 + 0j, 2.5 - 1e-17j, -1e-3 + 3.0j, 1e16 + 0j, -1e16 + 1j]
@@ -253,6 +254,40 @@ def test_poch_array_matches_scalars():
                 assert scalar == element
             else:
                 assert scalar == pytest.approx(element, rel=1e-15)
+
+
+def test_poch_infinite_array_table_matches_scalars():
+    """The array product is one table of factors.  It equals the per-factor
+    array loop it replaced at real q (bit for bit) and at complex q (to
+    rounding: cumprod and the loop's multiply may fuse differently), and an
+    element-wise scalar poch wherever both truncate at the same factor,
+    as on arrays of one modulus; across moduli the truncations differ, by
+    up to rel_tol."""
+    from qultra.qcore import _product_bound_terms
+    rng = np.random.default_rng(11)
+    for shape in ((200,), (4, 25)):
+        size = int(np.prod(shape))
+        a = (10.0 ** rng.uniform(-3, 3, size)
+             * np.exp(1j * rng.uniform(-math.pi, math.pi, size))).reshape(shape)
+        for q in (Q, 0.7, 0.5 + 0.3j):
+            got = poch(a, q, INFINITY)
+            assert got.shape == shape
+            loop, term = np.ones_like(a), a
+            for _ in range(_product_bound_terms(np.abs(a).max(), abs(q), DEFAULT_POLICY)):
+                loop, term = loop * (1.0 - term), term * complex(q)
+            if isinstance(q, float):
+                np.testing.assert_array_equal(got, loop)
+            assert np.max(np.abs(got - loop) / np.abs(loop)) <= 1e-14
+    for q in (Q, 0.7):
+        for mod in 10.0 ** np.linspace(-3, 3, 13):
+            a = mod * np.exp(1j * rng.uniform(-math.pi, math.pi, 50))
+            got = poch(a, q, INFINITY)
+            want = np.array([poch(complex(v), q, INFINITY) for v in a])
+            # numpy fuses the multiply-adds of a complex product, Python
+            # does not: about 100 factors at q = 0.7 differ by 2.9e-15
+            assert np.max(np.abs(got - want) / np.abs(want)) <= 5e-15, (q, mod)
+    empty = poch(np.array([], dtype=complex), Q, INFINITY)
+    assert empty.shape == (0,) and empty.dtype == complex
 
 
 def test_is_q_power_detection():

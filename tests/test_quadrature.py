@@ -62,6 +62,20 @@ def test_weight_conjugate_pair_is_real():
     assert np.all(np.isfinite(vals))
 
 
+def test_circle_weight_matches_the_four_product_form():
+    rng = np.random.default_rng(3)
+    thetas = rng.uniform(0.01, math.pi - 0.01, size=200)
+    policy = __import__("qultra").DEFAULT_POLICY
+    for beta, q in ((BETA, Q), (-0.5, 0.7), (1.2, 0.3), (0.0, 0.5)):
+        got = _circle_weight(thetas, beta, q, policy)
+        assert got.dtype == float
+        z2 = np.exp(2j * thetas)
+        want = (poch(z2, q, INFINITY) * poch(1 / z2, q, INFINITY)
+                / (poch(beta * z2, q, INFINITY) * poch(beta / z2, q, INFINITY)))
+        assert np.abs(want.imag).max() <= 1e-14 * np.abs(want).max()
+        assert np.abs(got / want.real - 1).max() <= 1e-14, (beta, q)
+
+
 def test_weight_value_domain_error():
     w = WeightParams(BETA, Q)
     with pytest.raises(DomainError):

@@ -4,15 +4,15 @@ import numpy as np
 import pytest
 
 from qultra import (DEFAULT_POLICY, UNILATERAL, DomainError, NonConvergence,
-                    PoleError, RegionError, SeriesSpec, SpectralPoint,
-                    TruncationPolicy, UltraParams,
+                    PoleError, QSeriesError, RegionError, SeriesSpec,
+                    SpectralPoint, TruncationPolicy, UltraParams,
                     bilateral_cn, bilateral_cn_psi_form, classical_cn,
                     constant_term, eval_phi, generating_rhs,
                     linearization_residual, recurrence_residual,
                     special_value_c0, special_value_cm1, symmetry_residual)
 from qultra.ultraspherical import (_bilateral_22tgl, _bilateral_6psi8,
-                                   _direct_rows, _tail_bound, bilateral_cn_range,
-                                   in_direct_region)
+                                   _direct_rows, _tail_bound, _z_powers,
+                                   bilateral_cn_range, in_direct_region)
 from qultra.verify import CONFIG_DEFAULTS
 
 Q, BETA, GAMMA = (CONFIG_DEFAULTS[k] for k in ("q", "beta", "gamma"))
@@ -453,6 +453,65 @@ def test_range_overflow_inside_the_annulus_raises(params):
     assert np.isfinite(bilateral_cn(400, p, params).value)
     with pytest.raises(NonConvergence, match="overflowed"):
         bilateral_cn(1100, p, params)
+
+
+def test_continuation_overflow_raises_a_typed_error(params):
+    # off the annulus the routes form q^{-n} (n = 700, 2000) or the climb's
+    # q^{n-1} (n = -700), which leave the double range
+    p = SpectralPoint(0.4 + 0.3j)
+    assert not in_direct_region(p.z, BETA, Q)
+    assert np.isfinite(bilateral_cn(500, p, params).value)
+    for n in (700, -700, 2000):
+        with pytest.raises(QSeriesError, match="overflowed"):
+            bilateral_cn(n, p, params)
+
+
+def test_z_powers_far_blocks_keep_the_chain_accuracy():
+    # repeated multiplication errs like sqrt(n) roundings, binary powering
+    # and numpy's power like n of them: at n = 1000, over 400 seeded points
+    # with 0.6 < |z| < 1.6, the worst was 7e-15 against 1e-13 and 3e-13.
+    # Negative n multiply by the rounded 1/z, whose own rounding the chain
+    # raises to the n-th power, so they are held to powers of that.
+    import mpmath as mp
+    rng = np.random.default_rng(7)
+    z = rng.uniform(0.95, 1.05, 64) * np.exp(1j * rng.uniform(0, math.pi, 64))
+    for lo, hi in ((990, 1000), (-1000, -990), (-3, 4)):
+        rows = _z_powers(z, lo, hi)
+        assert rows.shape == (hi - lo + 1, 64)
+        for n in (lo, hi):
+            want = [complex(mp.mpc(w if n >= 0 else 1 / w) ** abs(n)) for w in z]
+            err = np.abs(rows[n - lo] - want) / np.abs(want)
+            assert err.max() <= 2e-14, (n, err.max())
+    assert np.array_equal(_z_powers(z, 0, 0), np.ones((1, 64)))
+    # more points than _BLOCK_SIZE: one row per block, each the chain's
+    many = np.exp(1j * np.linspace(0.1, 3.0, 2000))
+    for lo, hi in ((5, 5), (-7, -7), (3, 6)):
+        np.testing.assert_allclose(_z_powers(many, lo, hi),
+                                   [many ** n for n in range(lo, hi + 1)],
+                                   rtol=1e-14)
+
+
+def test_tail_budget_stays_tight(points):
+    """The table _tail_bound sizes is at most 16 steps longer than each
+    side's cut, base + length - cut <= 16, on the unit circle."""
+    zs = np.array([p.z for p in points])
+    ns = np.arange(-20, 21)
+    base = np.stack((np.maximum(ns, 0), np.maximum(-ns - 1, 0)))
+    for q, beta, gamma in ((Q, BETA, GAMMA), (0.1, 0.95, 0.3)):
+        params = UltraParams(beta, gamma, q)
+        tails = _tail_bound(1.0, 1.0, params, DEFAULT_POLICY)
+        _, cuts = _direct_rows(-20, 20, zs, params, DEFAULT_POLICY, tails)
+        slack = base + np.array(tails[2])[:, None] - cuts
+        assert slack.min() >= 0
+        assert slack.max() <= 16, (q, beta, gamma, slack.max())
+
+
+def test_unit_circle_value_near_x_zero_stays_real(params):
+    # C_1 vanishes at x = 0, so its imaginary part, the unpaired tail of the
+    # two sides, is large beside it; a side cut one term earlier (rho = b
+    # in _direct_rows' cut) makes it 1.3e-11 of the value here
+    v = bilateral_cn(1, SpectralPoint.from_theta(1.5714732651757732), params).value
+    assert abs(v.imag) <= 1e-11 * abs(v)
 
 
 def test_range_widened_adds_only_missing_rows(params, points, monkeypatch):

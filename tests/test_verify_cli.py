@@ -158,6 +158,12 @@ def test_cli_eval_pole_is_numerical_error(capsys):
     assert code == 3
 
 
+def test_cli_eval_overflow_is_numerical_error(capsys):
+    code = main(["eval", "--n", "700", "--z-re", "0.4", "--z-im", "0.3"])
+    assert code == 3
+    assert "overflowed" in capsys.readouterr().err
+
+
 def test_cli_eval_json(capsys):
     assert main(["eval", "--n", "0", "--theta", "1.0", "--format", "json"]) == 0
     data = json.loads(capsys.readouterr().out)

@@ -1,0 +1,95 @@
+"""Run the verification suite over a grid of configurations and compare its
+verdicts with a committed table.
+
+    python3 tools/sweep.py             # run the 80 configurations, diff the table
+    python3 tools/sweep.py --update    # run them and rewrite the table
+
+The grid is q in {0.1, 0.3, 0.5, 0.7}, beta in {-0.5, 0.4, 0.8, 0.95, 1.2}
+and gamma in {0.3, 0.7, 1.0, 1.5}; every other setting is the suite's
+default.  For each configuration the script records which entries failed
+and which were skipped (an exception that escapes run_suite is recorded as
+a crash), prints per-entry fail and skip counts over the grid, and lists
+every configuration whose verdicts differ from tools/sweep_verdicts.json.
+It exits 1 on any difference and 0 otherwise.  It imports qultra from
+src/ beside this directory and takes about 30 s on one core of a 2-core
+x86-64 machine.
+"""
+
+from __future__ import annotations
+
+import argparse
+import itertools
+import json
+import sys
+from collections import Counter
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+
+from qultra.verify import run_suite  # noqa: E402
+
+TABLE = Path(__file__).resolve().parent / "sweep_verdicts.json"
+QS = (0.1, 0.3, 0.5, 0.7)
+BETAS = (-0.5, 0.4, 0.8, 0.95, 1.2)
+GAMMAS = (0.3, 0.7, 1.0, 1.5)
+
+
+def verdicts(q: float, beta: float, gamma: float) -> dict:
+    """{"failed": [...], "skipped": [...]} of the suite at one configuration,
+    or {"crash": "<exception>"} if run_suite raises."""
+    try:
+        report = run_suite({"q": q, "beta": beta, "gamma": gamma})
+    except Exception as exc:  # a crash is a verdict of its own
+        return {"crash": f"{type(exc).__name__}: {exc}"}
+    return {"failed": sorted(e.identity_name for e in report.entries if not e.passed),
+            "skipped": sorted(e.identity_name for e in report.entries if e.skipped)}
+
+
+def sweep() -> dict:
+    return {f"{q} {beta} {gamma}": verdicts(q, beta, gamma)
+            for q, beta, gamma in itertools.product(QS, BETAS, GAMMAS)}
+
+
+def summary(table: dict) -> str:
+    failed, skipped = Counter(), Counter()
+    for v in table.values():
+        failed.update(v.get("failed", ()))
+        skipped.update(v.get("skipped", ()))
+    crashes = [k for k, v in table.items() if "crash" in v]
+    lines = [f"{len(table)} configurations, "
+             f"{sum(1 for v in table.values() if v.get('failed'))} with a failed entry, "
+             f"{len(crashes)} crashed"]
+    for name in sorted(set(failed) | set(skipped)):
+        lines.append(f"  {name:45s} failed {failed[name]:3d}  skipped {skipped[name]:3d}")
+    lines += [f"  crash at q beta gamma = {k}: {table[k]['crash']}" for k in crashes]
+    return "\n".join(lines)
+
+
+def differences(expected: dict, got: dict) -> list[str]:
+    out = []
+    for key in sorted(set(expected) | set(got)):
+        want, have = expected.get(key), got.get(key)
+        if want != have:
+            out.append(f"q beta gamma = {key}: expected {want}, got {have}")
+    return out
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--update", action="store_true",
+                        help=f"rewrite {TABLE.name} with this run's verdicts")
+    args = parser.parse_args(argv)
+    got = sweep()
+    print(summary(got))
+    if args.update:
+        TABLE.write_text(json.dumps(got, indent=1, sort_keys=True) + "\n")
+        print(f"wrote {TABLE}")
+        return 0
+    diff = differences(json.loads(TABLE.read_text()), got)
+    print("\n".join(diff) if diff else f"verdicts match {TABLE.name}")
+    return 1 if diff else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
