@@ -8,7 +8,7 @@ from .errors import (ConfigError, DomainError, NonConvergence, PoleError,
 from .qcore import (DEFAULT_POLICY, INFINITY, SpectralPoint, TruncationPolicy,
                     check_base, check_real_base, poch, poch_multi, poch_pm)
 from .hyperseries import (BILATERAL, UNILATERAL, SeriesSpec, closed_form,
-                          eval_phi, eval_psi, transform_residual)
+                          sum_phi, sum_psi, transform_residual)
 from .ultraspherical import (UltraParams, UltraRange, UltraValue,
                              bilateral_cn, bilateral_cn_psi_form,
                              bilateral_cn_range, classical_cn,
@@ -19,12 +19,10 @@ from .ultraspherical import (UltraParams, UltraRange, UltraValue,
                              symmetry_params, symmetry_residual)
 from .awoperator import apply_dq, dq_action_residual
 from .quadrature import (QuadratureResult, WeightParams,
-                         bilateral_delta_integral, bilateral_delta_quadrature,
-                         bilateral_delta_rhs, integrate, kernel_integral,
-                         kernel_integral_rhs, kernel_quadrature, mass_points,
-                         orthogonality_diagonal, orthogonality_entry,
-                         orthogonality_quadrature, shifted_orthogonality_pair,
-                         shifted_orthogonality_quadrature,
+                         bilateral_delta_integral, bilateral_delta_rhs,
+                         integrate, kernel_integral, kernel_integral_rhs,
+                         mass_points, orthogonality_diagonal,
+                         orthogonality_entry, shifted_orthogonality_pair,
                          shifted_orthogonality_rhs, weight_value)
 from .verify import VerificationEntry, VerificationReport, render_json, run_suite
 
@@ -35,8 +33,8 @@ __all__ = [
     "QSeriesError", "RegionError", "SingularPoint",
     "DEFAULT_POLICY", "INFINITY", "SpectralPoint", "TruncationPolicy",
     "check_base", "check_real_base", "poch", "poch_multi", "poch_pm",
-    "BILATERAL", "UNILATERAL", "SeriesSpec", "closed_form", "eval_phi",
-    "eval_psi", "transform_residual",
+    "BILATERAL", "UNILATERAL", "SeriesSpec", "closed_form", "sum_phi",
+    "sum_psi", "transform_residual",
     "UltraParams", "UltraRange", "UltraValue", "bilateral_cn",
     "bilateral_cn_psi_form", "bilateral_cn_range", "classical_cn",
     "constant_term", "generating_rhs", "linearization_residual",
@@ -45,12 +43,10 @@ __all__ = [
     "symmetry_residual",
     "apply_dq", "dq_action_residual",
     "QuadratureResult", "WeightParams", "bilateral_delta_integral",
-    "bilateral_delta_quadrature", "bilateral_delta_rhs", "integrate",
-    "kernel_integral", "kernel_integral_rhs", "kernel_quadrature",
-    "mass_points", "orthogonality_diagonal", "orthogonality_entry",
-    "orthogonality_quadrature", "shifted_orthogonality_pair",
-    "shifted_orthogonality_quadrature", "shifted_orthogonality_rhs",
-    "weight_value",
+    "bilateral_delta_rhs", "integrate", "kernel_integral",
+    "kernel_integral_rhs", "mass_points", "orthogonality_diagonal",
+    "orthogonality_entry", "shifted_orthogonality_pair",
+    "shifted_orthogonality_rhs", "weight_value",
     "VerificationEntry", "VerificationReport", "render_json", "run_suite",
     "__version__",
 ]

@@ -7,7 +7,8 @@ ratio that is rational in q^k, so each term costs O(r + s) work.  The
 backward (k -> -inf) recursion is expressed in the decaying power
 v = q^{1-k}, which keeps every intermediate bounded.  Partial sums use
 compensated accumulation because bilateral sums mix magnitudes across
-the two tails.  sum_phi is the one-sided psi sum: the k >= 0 half of the
+the two tails.  sum_psi and sum_phi return the value and the number of
+terms summed.  sum_phi is the one-sided psi sum: the k >= 0 half of the
 psi sum with q as an extra first lower parameter, whose factor 1/(q; q)_k
 makes every k < 0 term zero.
 
@@ -154,21 +155,17 @@ def _phi_region_check(spec: SeriesSpec, n_top: int | None) -> None:
             f"{r}phi{s} requires |z| < 1, got |z| = {abs(spec.z)}")
 
 
-def eval_phi(spec: SeriesSpec, policy: TruncationPolicy = DEFAULT_POLICY) -> complex:
-    """Evaluate a unilateral r_phi_s series.
+def sum_phi(spec: SeriesSpec, policy: TruncationPolicy = DEFAULT_POLICY):
+    """Sum a unilateral r_phi_s series; returns (value, terms used).
 
     Terminating series are summed exactly to the terminating index;
     otherwise terms are accumulated until ``tail_window`` consecutive
-    terms fall below rel_tol * |partial sum| + abs_tol.
+    terms fall below rel_tol * |partial sum| + abs_tol.  This is the
+    k >= 0 half of the psi sum with q as its first lower parameter
+    (z = 0 is allowed).
     """
-    return sum_phi(spec, policy)[0]
-
-
-def sum_phi(spec: SeriesSpec, policy: TruncationPolicy = DEFAULT_POLICY):
-    """eval_phi plus the number of terms used: the k >= 0 half of the
-    psi sum with q as its first lower parameter (z = 0 is allowed)."""
     if spec.kind != UNILATERAL:
-        raise DomainError("eval_phi requires a unilateral spec")
+        raise DomainError("sum_phi requires a unilateral spec")
     n_top = terminates_above(spec.upper, spec.q)
     _phi_region_check(spec, n_top)
     acc = CompensatedSum()
@@ -204,21 +201,17 @@ def _psi_region_check(spec: SeriesSpec, n_top: int | None,
                     f"{r}psi{s} requires |b1..bs/(a1..ar z)| < 1, got {ratio}")
 
 
-def eval_psi(spec: SeriesSpec, policy: TruncationPolicy = DEFAULT_POLICY) -> complex:
-    """Evaluate a bilateral r_psi_s series by symmetric two-sided
-    accumulation k = 0, +-1, +-2, ... with independent tail control.
+def sum_psi(spec: SeriesSpec, policy: TruncationPolicy = DEFAULT_POLICY):
+    """Sum a bilateral r_psi_s series by symmetric two-sided
+    accumulation k = 0, +-1, +-2, ... with independent tail control;
+    returns (value, terms used).
 
     Zero lower parameters are allowed: their reciprocal factors are 1
     for every k, which is how very-well-poised 6psi8 specs with two
     vanishing lower parameters are summed.
     """
-    return sum_psi(spec, policy)[0]
-
-
-def sum_psi(spec: SeriesSpec, policy: TruncationPolicy = DEFAULT_POLICY):
-    """eval_psi plus the number of terms used."""
     if spec.kind != BILATERAL:
-        raise DomainError("eval_psi requires a bilateral spec")
+        raise DomainError("sum_psi requires a bilateral spec")
     q, z = spec.q, spec.z
     n_top = terminates_above(spec.upper, q)
     m_bot = terminates_below(spec.lower, q)
@@ -349,10 +342,6 @@ def wellpoised_6psi8(a, c, d, e, f, q, policy: TruncationPolicy = DEFAULT_POLICY
                             q, a ** 3 * q ** 2 / (c * d * e * f))
 
 
-def _psi(upper, lower, q, z, policy) -> complex:
-    return eval_psi(SeriesSpec(BILATERAL, tuple(upper), tuple(lower), q, z), policy)
-
-
 def transform_residual(name: str, params: Sequence[complex], q,
                        policy: TruncationPolicy = DEFAULT_POLICY) -> float:
     """|LHS - RHS| / max(1, |LHS|) for a named 2psi2 transformation.
@@ -367,28 +356,30 @@ def transform_residual(name: str, params: Sequence[complex], q,
         if not max(abs(z), abs(c * d / (a * b * z)), abs(d / a), abs(c / b)) < 1:
             raise RegionError(
                 "bailey_2psi2_single requires max(|z|,|cd/abz|,|d/a|,|c/b|) < 1")
-        lhs = _psi([a, b], [c, d], q, z, policy)
+        lhs = sum_psi(SeriesSpec(BILATERAL, (a, b), (c, d), q, z), policy)[0]
         pref, spec = bailey_2psi2(a, b, c, d, z, q, policy)
-        rhs = pref * eval_psi(spec, policy)
+        rhs = pref * sum_psi(spec, policy)[0]
     elif name == "bailey_2psi2_iterated":
         a, b, c, d, z = _as_params(params, "a b c d z")
         if not max(abs(z), abs(c * d / (a * b * z))) < 1:
             raise RegionError(
                 "bailey_2psi2_iterated requires max(|z|,|cd/abz|) < 1")
-        lhs = _psi([a, b], [c, d], q, z, policy)
+        lhs = sum_psi(SeriesSpec(BILATERAL, (a, b), (c, d), q, z), policy)[0]
         pref = (poch_multi([a * z, b * z, c * q / (a * b * z), d * q / (a * b * z)],
                            q, INFINITY, policy)
                 / poch_multi([q / a, q / b, c, d], q, INFINITY, policy))
-        rhs = pref * _psi([a * b * z / c, a * b * z / d], [a * z, b * z], q,
-                          c * d / (a * b * z), policy)
+        rhs = pref * sum_psi(SeriesSpec(BILATERAL, (a * b * z / c, a * b * z / d),
+                                        (a * z, b * z), q, c * d / (a * b * z)),
+                             policy)[0]
     elif name == "wellpoised_6psi8":
         a, c, d, e, f = _as_params(params, "a c d e f")
         if not (abs(a * q / (c * d)) < 1 and abs(a * q / (e * f)) < 1):
             raise RegionError(
                 "wellpoised_6psi8 requires |aq/cd| < 1 and |aq/ef| < 1")
-        lhs = _psi([e, f], [a * q / c, a * q / d], q, a * q / (e * f), policy)
+        lhs = sum_psi(SeriesSpec(BILATERAL, (e, f), (a * q / c, a * q / d), q,
+                                 a * q / (e * f)), policy)[0]
         pref, spec = wellpoised_6psi8(a, c, d, e, f, q, policy)
-        rhs = pref * eval_psi(spec, policy)
+        rhs = pref * sum_psi(spec, policy)[0]
     else:
         raise DomainError(f"unknown transformation {name!r}")
     return abs(lhs - rhs) / max(1.0, abs(lhs))

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NonConvergence, PoleError, RegionError
-from .hyperseries import UNILATERAL, SeriesSpec, eval_phi
+from .hyperseries import UNILATERAL, SeriesSpec, sum_phi
 from .qcore import (DEFAULT_POLICY, GROWTH_SLACK, INFINITY, SpectralPoint,
                     TruncationPolicy, check_real_base, is_q_power, poch,
                     poch_multi, poch_pm, poch_recip)
@@ -167,10 +167,10 @@ def integrate(f, w: WeightParams, tol: float,
                    w.beta, w.q, tol, policy)
 
 
-def orthogonality_quadrature(m: int, n: int, w: WeightParams, tol: float = 1e-10,
-                             policy: TruncationPolicy = DEFAULT_POLICY
-                             ) -> QuadratureResult:
-    """Integral of C_m C_n against the weight; its value equals
+def orthogonality_entry(m: int, n: int, w: WeightParams, tol: float = 1e-10,
+                        policy: TruncationPolicy = DEFAULT_POLICY
+                        ) -> QuadratureResult:
+    """Integral of C_m C_n against the weight; its .value is
     delta_{mn} times orthogonality_diagonal(n, w)."""
     if m < 0 or n < 0:
         raise DomainError("orthogonality_entry needs m, n >= 0")
@@ -179,12 +179,6 @@ def orthogonality_quadrature(m: int, n: int, w: WeightParams, tol: float = 1e-10
         return classical_cn(m, sp, w.beta, w.q) * classical_cn(n, sp, w.beta, w.q)
 
     return integrate(f, w, tol, policy)
-
-
-def orthogonality_entry(m: int, n: int, w: WeightParams, tol: float = 1e-10,
-                        policy: TruncationPolicy = DEFAULT_POLICY) -> complex:
-    """The value of orthogonality_quadrature."""
-    return orthogonality_quadrature(m, n, w, tol, policy).value
 
 
 def orthogonality_diagonal(n: int, w: WeightParams,
@@ -200,12 +194,12 @@ def orthogonality_diagonal(n: int, w: WeightParams,
     return head.real
 
 
-def kernel_quadrature(t1, t2, w: WeightParams, tol: float = 1e-10,
-                      policy: TruncationPolicy = DEFAULT_POLICY
-                      ) -> QuadratureResult:
+def kernel_integral(t1, t2, w: WeightParams, tol: float = 1e-10,
+                    policy: TruncationPolicy = DEFAULT_POLICY
+                    ) -> QuadratureResult:
     """(1/2pi) int (beta t1 e^{+-it}, beta t2 e^{+-it}; q)_inf /
     (t1 e^{+-it}, t2 e^{+-it}; q)_inf w(x) dx for |t1|, |t2| < 1; its
-    value equals kernel_integral_rhs(t1, t2, w)."""
+    .value is kernel_integral_rhs(t1, t2, w)."""
     t1, t2 = complex(t1), complex(t2)
     if not (abs(t1) < 1 and abs(t2) < 1):
         raise RegionError("kernel integral requires |t1| < 1 and |t2| < 1")
@@ -219,12 +213,6 @@ def kernel_quadrature(t1, t2, w: WeightParams, tol: float = 1e-10,
     return integrate(f, w, tol, policy)
 
 
-def kernel_integral(t1, t2, w: WeightParams, tol: float = 1e-10,
-                    policy: TruncationPolicy = DEFAULT_POLICY) -> complex:
-    """The value of kernel_quadrature."""
-    return kernel_quadrature(t1, t2, w, tol, policy).value
-
-
 def kernel_integral_rhs(t1, t2, w: WeightParams,
                         policy: TruncationPolicy = DEFAULT_POLICY) -> complex:
     """(beta, q beta; q)_inf/(q, beta^2; q)_inf  2phi1(beta^2, beta; q beta; q, t1 t2)."""
@@ -233,16 +221,16 @@ def kernel_integral_rhs(t1, t2, w: WeightParams,
             / poch_multi([q, beta ** 2], q, INFINITY, policy))
     spec = SeriesSpec(UNILATERAL, (beta ** 2, beta), (q * beta,), q,
                       complex(t1) * complex(t2))
-    return pref * eval_phi(spec, policy)
+    return pref * sum_phi(spec, policy)[0]
 
 
-def bilateral_delta_quadrature(n: int, beta: float, q: float,
-                               tol: float = 1e-9,
-                               policy: TruncationPolicy = DEFAULT_POLICY
-                               ) -> QuadratureResult:
+def bilateral_delta_integral(n: int, beta: float, q: float,
+                             tol: float = 1e-9,
+                             policy: TruncationPolicy = DEFAULT_POLICY
+                             ) -> QuadratureResult:
     """(1/2pi) int C_n(x; beta^2, 1/beta | q) w(x | beta) dx.
 
-    Its value equals bilateral_delta_rhs(beta, q) times delta_{n,0} for
+    Its .value is bilateral_delta_rhs(beta, q) times delta_{n,0} for
     beta > sqrt(q), away from the points where (beta^2; q)_inf vanishes.
     The bilateral family parameters are (beta^2, 1/beta); the weight
     parameter is beta itself, taken without the positivity window, so
@@ -265,13 +253,6 @@ def bilateral_delta_quadrature(n: int, beta: float, q: float,
     # bypass the WeightParams window check: beta may exceed q^{-1/2}
     return _refine(lambda sp, wts: np.sum(_eval_at(f, sp) * wts),
                    beta, q, tol, policy)
-
-
-def bilateral_delta_integral(n: int, beta: float, q: float,
-                             tol: float = 1e-9,
-                             policy: TruncationPolicy = DEFAULT_POLICY) -> complex:
-    """The value of bilateral_delta_quadrature."""
-    return bilateral_delta_quadrature(n, beta, q, tol, policy).value
 
 
 def bilateral_delta_rhs(beta: float, q: float,
@@ -313,17 +294,17 @@ def shifted_orthogonality_rhs(params: UltraParams,
         scale = beta ** 2 * gamma / q
     else:  # complex powers round differently from float ones
         scale = beta.real ** 2 * gamma.real / q.real
-    return pref * eval_phi(spec, policy) * scale ** n
+    return pref * sum_phi(spec, policy)[0] * scale ** n
 
 
 #: shells of C_j rows computed beyond the last shell the loop is expected to need
 _SHELL_MARGIN = 2
 
 
-def shifted_orthogonality_quadrature(m: int, n: int, params: UltraParams,
-                                     tol: float = 1e-6,
-                                     policy: TruncationPolicy = DEFAULT_POLICY,
-                                     k_extra: int = 0):
+def shifted_orthogonality_pair(m: int, n: int, params: UltraParams,
+                               tol: float = 1e-6,
+                               policy: TruncationPolicy = DEFAULT_POLICY,
+                               k_extra: int = 0):
     """lhs and rhs of the shifted orthogonality relation, the lhs as a
     QuadratureResult.
 
@@ -400,11 +381,3 @@ def shifted_orthogonality_quadrature(m: int, n: int, params: UltraParams,
     lhs = _refine(partial_sum, beta, q, tol * max(1.0, abs(rhs)) / 4.0, policy)
     return lhs, complex(rhs)
 
-
-def shifted_orthogonality_pair(m: int, n: int, params: UltraParams,
-                               tol: float = 1e-6,
-                               policy: TruncationPolicy = DEFAULT_POLICY,
-                               k_extra: int = 0):
-    """(lhs value, rhs) of shifted_orthogonality_quadrature."""
-    lhs, rhs = shifted_orthogonality_quadrature(m, n, params, tol, policy, k_extra)
-    return lhs.value, rhs

@@ -512,17 +512,23 @@ def _bilateral_continued(n: int, z: complex, params: UltraParams,
     """C_n at one point off the annulus by the first continuation route
     that applies; the recurrence climb from continued C_0, C_{-1} comes
     last.  An overflow in a route, as when q^{-n} or q^{n-1} leaves the
-    double range at large |n|, raises NonConvergence at once instead of
+    double range at large |n|, and a route value that is not finite, as
+    when a 6psi8 prefactor is nan, raise NonConvergence at once instead of
     handing the value to a later route."""
     attempts = []
     for route in (_bilateral_6psi8, _bilateral_22tgl, _bilateral_climb):
         try:
-            return route(n, z, params, policy)
+            value, terms = route(n, z, params, policy)
         except _ROUTE_FAILURES as exc:
             attempts.append(f"{route.__name__}: {exc}")
+            continue
         except OverflowError as exc:
             raise NonConvergence(f"continuation of C_{n} overflowed double "
                                  f"precision in {route.__name__}: {exc}") from exc
+        if not cmath.isfinite(value):
+            raise NonConvergence(f"continuation of C_{n} is not finite in "
+                                 f"{route.__name__}: {value}")
+        return value, terms
     raise RegionError(
         "point outside the direct region and no continuation applies: "
         + "; ".join(attempts))

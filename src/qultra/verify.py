@@ -21,11 +21,10 @@ from .errors import (ConfigError, DomainError, NonConvergence, PoleError,
 from .hyperseries import (BILATERAL, SeriesSpec, closed_form, sum_psi,
                           transform_residual)
 from .qcore import SpectralPoint, TruncationPolicy
-from .quadrature import (WeightParams, bilateral_delta_quadrature,
-                         bilateral_delta_rhs, kernel_integral_rhs,
-                         kernel_quadrature, orthogonality_diagonal,
-                         orthogonality_quadrature,
-                         shifted_orthogonality_quadrature,
+from .quadrature import (WeightParams, bilateral_delta_integral,
+                         bilateral_delta_rhs, kernel_integral,
+                         kernel_integral_rhs, orthogonality_diagonal,
+                         orthogonality_entry, shifted_orthogonality_pair,
                          shifted_orthogonality_rhs)
 from .ultraspherical import (BILATERAL_KIND, CLASSICAL, UltraParams,
                              bilateral_cn, bilateral_cn_psi_form,
@@ -315,12 +314,12 @@ def _dq_bilateral(ctx: ResolvedConfig):
 
 def _orthogonality_offdiag(ctx: ResolvedConfig):
     w = WeightParams(ctx.cfg["beta"], ctx.cfg["q"])
-    res = orthogonality_quadrature(0, 0, w, ctx.cfg["quad_tol"], ctx.policy)
+    res = orthogonality_entry(0, 0, w, ctx.cfg["quad_tol"], ctx.policy)
     scale, nodes = abs(res.value), res.nodes_used
     worst = 0.0
     for m in range(7):
         for n in range(m + 1, 7):
-            res = orthogonality_quadrature(m, n, w, ctx.cfg["quad_tol"], ctx.policy)
+            res = orthogonality_entry(m, n, w, ctx.cfg["quad_tol"], ctx.policy)
             worst = max(worst, abs(res.value) / scale)
             nodes = max(nodes, res.nodes_used)
     return worst, 1e-9, {"q": ctx.cfg["q"], "beta": ctx.cfg["beta"]}, 0, nodes
@@ -331,7 +330,7 @@ def _orthogonality_diag(ctx: ResolvedConfig):
     worst = 0.0
     nodes = 0
     for n in range(7):
-        res = orthogonality_quadrature(n, n, w, ctx.cfg["quad_tol"], ctx.policy)
+        res = orthogonality_entry(n, n, w, ctx.cfg["quad_tol"], ctx.policy)
         ref = orthogonality_diagonal(n, w, ctx.policy)
         worst = max(worst, abs(res.value - ref) / abs(ref))
         nodes = max(nodes, res.nodes_used)
@@ -341,7 +340,7 @@ def _orthogonality_diag(ctx: ResolvedConfig):
 def _kernel_integral(ctx: ResolvedConfig):
     w = WeightParams(ctx.cfg["beta"], ctx.cfg["q"])
     t1, t2 = 0.4, -0.25
-    res = kernel_quadrature(t1, t2, w, ctx.cfg["quad_tol"], ctx.policy)
+    res = kernel_integral(t1, t2, w, ctx.cfg["quad_tol"], ctx.policy)
     ref = kernel_integral_rhs(t1, t2, w, ctx.policy)
     resid = abs(res.value - ref) / abs(ref)
     return resid, 1e-8, {"q": ctx.cfg["q"], "beta": ctx.cfg["beta"],
@@ -354,7 +353,7 @@ def _bilateral_delta(ctx: ResolvedConfig):
     worst = 0.0
     nodes = 0
     for n in range(-3, 4):
-        res = bilateral_delta_quadrature(n, beta, q, ctx.cfg["quad_tol"], ctx.policy)
+        res = bilateral_delta_integral(n, beta, q, ctx.cfg["quad_tol"], ctx.policy)
         target = 1.0 if n == 0 else 0.0
         worst = max(worst, abs(res.value / rhs0 - target))
         nodes = max(nodes, res.nodes_used)
@@ -365,7 +364,7 @@ def _shifted_diag(ctx: ResolvedConfig):
     worst = 0.0
     nodes = 0
     for n in range(-2, 3):
-        lhs, rhs = shifted_orthogonality_quadrature(
+        lhs, rhs = shifted_orthogonality_pair(
             n, n, ctx.params, ctx.cfg["shifted_tol"], ctx.policy)
         worst = max(worst, abs(lhs.value / rhs - 1.0))
         nodes = max(nodes, lhs.nodes_used)
@@ -377,7 +376,7 @@ def _shifted_offdiag(ctx: ResolvedConfig):
     worst = 0.0
     nodes = 0
     for (m, n) in ((0, 2), (1, -1)):
-        lhs, _ = shifted_orthogonality_quadrature(
+        lhs, _ = shifted_orthogonality_pair(
             m, n, ctx.params, ctx.cfg["shifted_tol"], ctx.policy)
         worst = max(worst, abs(lhs.value) / scale)
         nodes = max(nodes, lhs.nodes_used)

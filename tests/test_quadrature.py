@@ -183,23 +183,23 @@ def test_node_doubling_deltas_shrink():
 
 def test_orthogonality_entries():
     w = WeightParams(BETA, Q)
-    assert orthogonality_entry(0, 0, w, 1e-10).real == pytest.approx(
+    assert orthogonality_entry(0, 0, w, 1e-10).value.real == pytest.approx(
         orthogonality_diagonal(0, w), rel=1e-9)
-    assert abs(orthogonality_entry(2, 5, w, 1e-10)) <= 1e-10
-    assert orthogonality_entry(3, 3, w, 1e-10).real == pytest.approx(
+    assert abs(orthogonality_entry(2, 5, w, 1e-10).value) <= 1e-10
+    assert orthogonality_entry(3, 3, w, 1e-10).value.real == pytest.approx(
         orthogonality_diagonal(3, w), rel=1e-8)
 
 
 def test_orthogonality_symmetry():
     w = WeightParams(BETA, Q)
-    a = orthogonality_entry(1, 4, w, 1e-11)
-    b = orthogonality_entry(4, 1, w, 1e-11)
+    a = orthogonality_entry(1, 4, w, 1e-11).value
+    b = orthogonality_entry(4, 1, w, 1e-11).value
     assert a == pytest.approx(b, abs=1e-11)
 
 
 def test_kernel_integral_trivial_case():
     w = WeightParams(BETA, Q)
-    got = kernel_integral(0.0, 0.0, w, 1e-11)
+    got = kernel_integral(0.0, 0.0, w, 1e-11).value
     want = (poch_multi([BETA, Q * BETA], Q, INFINITY)
             / poch_multi([Q, BETA ** 2], Q, INFINITY))
     assert got.real == pytest.approx(want.real, rel=1e-10)
@@ -207,7 +207,7 @@ def test_kernel_integral_trivial_case():
 
 def test_kernel_integral_matches_series_rhs():
     w = WeightParams(BETA, Q)
-    got = kernel_integral(0.4, -0.25, w, 1e-11)
+    got = kernel_integral(0.4, -0.25, w, 1e-11).value
     want = kernel_integral_rhs(0.4, -0.25, w)
     assert got == pytest.approx(want, rel=1e-8)
 
@@ -217,7 +217,7 @@ def test_kernel_integral_q_gauss_regime():
     w = WeightParams(BETA, Q)
     t1 = 0.75
     t2 = Q / BETA ** 2 / t1
-    got = kernel_integral(t1, t2, w, 1e-11)
+    got = kernel_integral(t1, t2, w, 1e-11).value
     pref = (poch_multi([BETA, Q * BETA], Q, INFINITY)
             / poch_multi([Q, BETA ** 2], Q, INFINITY))
     gauss = (poch_multi([Q / BETA, Q], Q, INFINITY)
@@ -236,7 +236,7 @@ def test_bilateral_delta_integral_in_window():
     for (q, beta) in ((0.3, 0.8), (0.5, 0.9)):
         rhs = bilateral_delta_rhs(beta, q)
         for n in (-2, -1, 0, 1, 3):
-            got = bilateral_delta_integral(n, beta, q, 1e-10)
+            got = bilateral_delta_integral(n, beta, q, 1e-10).value
             target = rhs if n == 0 else 0.0
             assert abs(got - target) <= 1e-9 * max(1.0, abs(rhs))
 
@@ -266,7 +266,7 @@ def test_bilateral_delta_integral_two_mass_pairs():
     q, beta = 0.5, 3.0
     rhs = bilateral_delta_rhs(beta, q)
     for n in range(-3, 4):
-        got = bilateral_delta_integral(n, beta, q, 1e-10)
+        got = bilateral_delta_integral(n, beta, q, 1e-10).value
         target = rhs if n == 0 else 0.0
         assert abs(got - target) <= 1e-10 * max(1.0, abs(rhs))
 
@@ -274,16 +274,16 @@ def test_bilateral_delta_integral_two_mass_pairs():
 def test_orthogonality_with_mass_points():
     w = WeightParams(1.2, Q)
     for n in range(4):
-        assert orthogonality_entry(n, n, w, 1e-11).real == pytest.approx(
+        assert orthogonality_entry(n, n, w, 1e-11).value.real == pytest.approx(
             orthogonality_diagonal(n, w), rel=1e-10)
     for (m, n) in ((0, 1), (0, 2), (1, 3), (2, 4)):
-        assert abs(orthogonality_entry(m, n, w, 1e-11)) <= 1e-11
+        assert abs(orthogonality_entry(m, n, w, 1e-11).value) <= 1e-11
 
 
 def test_kernel_integral_with_mass_points():
     w = WeightParams(1.2, Q)
     for (t1, t2) in ((0.0, 0.0), (0.4, -0.25), (0.6, 0.5)):
-        got = kernel_integral(t1, t2, w, 1e-11)
+        got = kernel_integral(t1, t2, w, 1e-11).value
         assert got == pytest.approx(kernel_integral_rhs(t1, t2, w), rel=1e-9)
 
 
@@ -295,7 +295,7 @@ def test_bilateral_delta_integral_region_error():
 def test_shifted_orthogonality_diagonal(params):
     for n in (-1, 0, 2):
         lhs, rhs = shifted_orthogonality_pair(n, n, params, 1e-6)
-        assert abs(lhs / rhs - 1.0) <= 1e-6
+        assert abs(lhs.value / rhs - 1.0) <= 1e-6
 
 
 def test_shifted_orthogonality_offdiagonal(params):
@@ -303,7 +303,7 @@ def test_shifted_orthogonality_offdiagonal(params):
     for (m, n) in ((0, 2), (1, -1)):
         lhs, rhs = shifted_orthogonality_pair(m, n, params, 1e-6)
         assert rhs == 0.0
-        assert abs(lhs) <= 1e-6 * scale
+        assert abs(lhs.value) <= 1e-6 * scale
 
 
 def test_shifted_orthogonality_scaling_exact(params):
@@ -318,7 +318,7 @@ def test_shifted_orthogonality_scaling_exact(params):
 def test_shifted_orthogonality_split_independence(params):
     lhs1, _ = shifted_orthogonality_pair(0, 0, params, 1e-6)
     lhs2, _ = shifted_orthogonality_pair(0, 0, params, 1e-6, k_extra=6)
-    assert abs(lhs1 - lhs2) <= 1e-6
+    assert abs(lhs1.value - lhs2.value) <= 1e-6
 
 
 def test_shifted_orthogonality_with_mass_points():
@@ -326,7 +326,7 @@ def test_shifted_orthogonality_with_mass_points():
     scale = abs(shifted_orthogonality_rhs(params))
     for (m, n) in ((0, 0), (-1, -1), (2, 2), (0, 2), (1, -1)):
         lhs, rhs = shifted_orthogonality_pair(m, n, params, 1e-9)
-        assert abs(lhs - rhs) <= 1e-9 * scale
+        assert abs(lhs.value - rhs) <= 1e-9 * scale
 
 
 @pytest.mark.parametrize("beta", [BETA, 1.2])  # 1.2 adds mass points
@@ -362,4 +362,4 @@ def test_shifted_orthogonality_growing_shells_raise():
     # grow at every step from k = 12 on; without the growth guard the loop
     # ran to k ~ 2300, where rho ** -k overflows a float
     with pytest.raises(NonConvergence, match="shells failed to decay"):
-        quad.shifted_orthogonality_quadrature(0, 0, UltraParams(0.8, 1.5, 0.7))
+        shifted_orthogonality_pair(0, 0, UltraParams(0.8, 1.5, 0.7))

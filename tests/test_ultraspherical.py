@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -7,9 +8,9 @@ from qultra import (DEFAULT_POLICY, UNILATERAL, DomainError, NonConvergence,
                     PoleError, QSeriesError, RegionError, SeriesSpec,
                     SpectralPoint, TruncationPolicy, UltraParams,
                     bilateral_cn, bilateral_cn_psi_form, classical_cn,
-                    constant_term, eval_phi, generating_rhs,
-                    linearization_residual, recurrence_residual,
-                    special_value_c0, special_value_cm1, symmetry_residual)
+                    constant_term, generating_rhs, linearization_residual,
+                    recurrence_residual, special_value_c0,
+                    special_value_cm1, sum_phi, symmetry_residual)
 from qultra.ultraspherical import (_bilateral_22tgl, _bilateral_6psi8,
                                    _direct_rows, _tail_bound, _z_powers,
                                    bilateral_cn_range, in_direct_region)
@@ -191,8 +192,8 @@ def test_cm1_reference_against_direct_sum():
     lower = sum(g[k] * g[-1 - k] * z ** (-1 - 2 * k) for k in range(-200, 0))
     assert upper - lower == pytest.approx(special_value_cm1(wide), rel=1e-13)
 
-    phi = eval_phi(SeriesSpec(UNILATERAL, (bg / Q, 1 / GAMMA, Q), (Q / bg, GAMMA),
-                              Q, Q ** 2 / beta))
+    phi = sum_phi(SeriesSpec(UNILATERAL, (bg / Q, 1 / GAMMA, Q), (Q / bg, GAMMA),
+                             Q, Q ** 2 / beta))[0]
     reference = special_value_cm1(wide) + 2 * z * (1 - GAMMA) / (Q - bg) * (phi - 1)
     direct = bilateral_cn_range(-1, -1, SpectralPoint(z), wide, DEFAULT_POLICY)[-1]
     assert direct == pytest.approx(reference, rel=1e-12)
@@ -464,6 +465,19 @@ def test_continuation_overflow_raises_a_typed_error(params):
     for n in (700, -700, 2000):
         with pytest.raises(QSeriesError, match="overflowed"):
             bilateral_cn(n, p, params)
+
+
+def test_continuation_returns_finite_or_raises(params):
+    # off the annulus the 6psi8 prefactor is nan for n = 34..46 and
+    # -50..-36 at this point; such a value must raise, not be returned
+    p = SpectralPoint(0.4 + 0.3j)
+    assert not in_direct_region(p.z, BETA, Q)
+    for n in range(-60, 61):
+        try:
+            value = bilateral_cn(n, p, params).value
+        except QSeriesError:
+            continue
+        assert cmath.isfinite(value), n
 
 
 def test_z_powers_far_blocks_keep_the_chain_accuracy():

@@ -140,6 +140,29 @@ def test_identity_names_nonempty():
     assert "ramanujan_1psi1" in identity_names()
 
 
+def test_suite_integrals_reach_the_public_names(monkeypatch):
+    # the names a profiler hooks must be the ones the suite's entries call
+    import qultra.quadrature as quad
+    import qultra.verify as verify
+    calls = []
+    for module, name in ((verify, "shifted_orthogonality_pair"),
+                         (verify, "bilateral_delta_integral"),
+                         (quad, "integrate")):
+        def spy(*args, _real=getattr(module, name), _name=name, **kwargs):
+            calls.append(_name)
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(module, name, spy)
+    for entry, name in (("shifted_orthogonality_diagonal", "shifted_orthogonality_pair"),
+                        ("shifted_orthogonality_offdiagonal", "shifted_orthogonality_pair"),
+                        ("bilateral_delta_integral", "bilateral_delta_integral"),
+                        ("classical_orthogonality_diagonal", "integrate"),
+                        ("classical_orthogonality_offdiagonal", "integrate"),
+                        ("kernel_integral", "integrate")):
+        calls.clear()
+        assert run_identity(entry).passed, entry
+        assert name in calls, entry
+
+
 # ---- CLI ----
 
 def test_cli_eval_exit_codes(capsys):
@@ -162,6 +185,13 @@ def test_cli_eval_overflow_is_numerical_error(capsys):
     code = main(["eval", "--n", "700", "--z-re", "0.4", "--z-im", "0.3"])
     assert code == 3
     assert "overflowed" in capsys.readouterr().err
+
+
+def test_cli_eval_non_finite_is_numerical_error(capsys):
+    code = main(["eval", "--n", "40", "--z-re", "0.4", "--z-im", "0.3",
+                 "--format", "json"])
+    assert code == 3
+    assert "not finite" in capsys.readouterr().err
 
 
 def test_cli_eval_json(capsys):
