@@ -7,10 +7,13 @@ ratio that is rational in q^k, so each term costs O(r + s) work.  The
 backward (k -> -inf) recursion is expressed in the decaying power
 v = q^{1-k}, which keeps every intermediate bounded.  Partial sums use
 compensated accumulation because bilateral sums mix magnitudes across
-the two tails.  sum_psi and sum_phi return the value and the number of
-terms summed.  sum_phi is the one-sided psi sum: the k >= 0 half of the
-psi sum with q as an extra first lower parameter, whose factor 1/(q; q)_k
-makes every k < 0 term zero.
+the two tails.  A nonterminating tail stops after TAIL_WINDOW terms in a
+row below rel_tol |partial sum| + abs_tol, and raises NonConvergence
+after max_terms terms, 8 TAIL_WINDOW growing terms in a row, or a term or
+partial sum that is not finite.  sum_psi and sum_phi return the value and
+the number of terms summed.  sum_phi is the one-sided psi sum: the k >= 0
+half of the psi sum with q as an extra first lower parameter, whose
+factor 1/(q; q)_k makes every k < 0 term zero.
 
 bailey_2psi2 (Bailey's 2psi2 transformation) and wellpoised_6psi8 (the
 very-well-poised 6psi8 form of a 2psi2) each return the prefactor and the
@@ -27,8 +30,9 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import DomainError, NonConvergence, PoleError, RegionError
-from .qcore import (DEFAULT_POLICY, GROWTH_SLACK, INFINITY, CompensatedSum,
-                    TruncationPolicy, check_base, is_q_power, poch, poch_multi)
+from .qcore import (DEFAULT_POLICY, GROWTH_SLACK, INFINITY, TAIL_WINDOW,
+                    CompensatedSum, TruncationPolicy, check_base, is_q_power,
+                    poch, poch_multi)
 
 UNILATERAL = "unilateral"
 BILATERAL = "bilateral"
@@ -78,20 +82,18 @@ class _TailState:
 
     def __init__(self, policy: TruncationPolicy):
         self.policy = policy
-        self.below = 0
-        self.growth = 0
-        self.prev_mag = None
-        self.terms = 0
+        self.below = self.growth = self.terms = 0
+        self.prev_mag = INFINITY
 
     def update(self, term_mag: float, sum_mag: float) -> bool:
-        """Record a term; return True when this tail is converged."""
+        """Record a nonzero term; return True when this tail is converged."""
         p = self.policy
         self.terms += 1
-        if term_mag == 0.0:
-            return True
-        if self.prev_mag is not None and term_mag > self.prev_mag * GROWTH_SLACK:
+        if not (term_mag < INFINITY and sum_mag < INFINITY):
+            raise NonConvergence("series term or partial sum is not finite")
+        if term_mag > self.prev_mag * GROWTH_SLACK:
             self.growth += 1
-            if self.growth >= 8 * p.tail_window:
+            if self.growth >= 8 * TAIL_WINDOW:
                 raise NonConvergence(
                     "series terms grew for %d consecutive steps" % self.growth)
         else:
@@ -99,7 +101,7 @@ class _TailState:
         self.prev_mag = term_mag
         if term_mag <= p.rel_tol * sum_mag + p.abs_tol:
             self.below += 1
-            if self.below >= p.tail_window:
+            if self.below >= TAIL_WINDOW:
                 return True
         else:
             self.below = 0
@@ -158,11 +160,10 @@ def _phi_region_check(spec: SeriesSpec, n_top: int | None) -> None:
 def sum_phi(spec: SeriesSpec, policy: TruncationPolicy = DEFAULT_POLICY):
     """Sum a unilateral r_phi_s series; returns (value, terms used).
 
-    Terminating series are summed exactly to the terminating index;
-    otherwise terms are accumulated until ``tail_window`` consecutive
-    terms fall below rel_tol * |partial sum| + abs_tol.  This is the
-    k >= 0 half of the psi sum with q as its first lower parameter
-    (z = 0 is allowed).
+    Terminating series are summed exactly to the terminating index, others
+    until their tail stops (see the module docstring).  This is the k >= 0
+    half of the psi sum with q as its first lower parameter (z = 0 is
+    allowed).
     """
     if spec.kind != UNILATERAL:
         raise DomainError("sum_phi requires a unilateral spec")

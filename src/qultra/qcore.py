@@ -49,6 +49,9 @@ INFINITY = math.inf
 #: a term magnitude above this times the previous one counts as growth
 GROWTH_SLACK = 1.0 + 1e-6
 
+#: sub-threshold terms in a row that accept a tail (8x: growing ones reject)
+TAIL_WINDOW = 3
+
 
 def check_base(q) -> complex:
     """Validate 0 < |q| < 1 and return q as a complex number."""
@@ -72,20 +75,19 @@ def check_real_base(q) -> float:
 class TruncationPolicy:
     """Certified truncation of infinite products and bilateral tails.
 
-    ``tail_window`` consecutive sub-threshold terms are required before a
-    tail is accepted as converged; ``max_terms`` bounds the total work.
+    TAIL_WINDOW consecutive sub-threshold terms are required before a
+    tail is accepted as converged; ``max_terms`` bounds every series.
     """
 
     rel_tol: float = 1e-13
     abs_tol: float = 1e-300
     max_terms: int = 10000
-    tail_window: int = 3
 
     def __post_init__(self):
         if not (self.rel_tol > 0 and self.abs_tol > 0):
             raise DomainError("rel_tol and abs_tol must be positive")
-        if not (self.max_terms >= self.tail_window >= 1):
-            raise DomainError("need max_terms >= tail_window >= 1")
+        if not self.max_terms >= TAIL_WINDOW:
+            raise DomainError(f"need max_terms >= {TAIL_WINDOW}")
 
 
 DEFAULT_POLICY = TruncationPolicy()
@@ -203,9 +205,9 @@ class CompensatedSum:
 
 
 def _product_bound_terms(a_mag: float, q_mag: float, policy: TruncationPolicy) -> int:
-    """Number of factors J = j0 + tail_window, where j0 is the first j with
+    """Number of factors J = j0 + TAIL_WINDOW, where j0 is the first j with
     |a| |q|^j < rel_tol (1 - |q|): the geometric bound on the log-product
-    tail then holds for tail_window consecutive j < J.  j0 comes from
+    tail then holds for TAIL_WINDOW consecutive j < J.  j0 comes from
     logarithms, settled by one comparison each way."""
     bound = policy.rel_tol * (1.0 - q_mag)
     j0 = 0
@@ -215,10 +217,10 @@ def _product_bound_terms(a_mag: float, q_mag: float, policy: TruncationPolicy) -
             j0 += 1
         elif j0 > 0 and a_mag * q_mag ** (j0 - 1) < bound:
             j0 -= 1
-    if j0 + policy.tail_window > policy.max_terms:
+    if j0 + TAIL_WINDOW > policy.max_terms:
         raise NonConvergence(f"infinite q-product did not satisfy its tail bound "
                              f"within {policy.max_terms} factors")
-    return j0 + policy.tail_window
+    return j0 + TAIL_WINDOW
 
 
 #: elements of one factor table of an array's infinite product; a larger
@@ -365,8 +367,8 @@ def poch_pm(t, p: SpectralPoint, q, policy: TruncationPolicy | None = None):
     return poch(t * p.z, q, INFINITY, policy) * poch(t / p.z, q, INFINITY, policy)
 
 
-def is_q_power(value, q, tol: float = 1e-9):
-    """Return the integer m with value = q^m if one exists (within tol in
+def is_q_power(value, q):
+    """Return the integer m with value = q^m if one exists (within 1e-9 in
     the complex log-base-q plane), else None."""
     value = complex(value)
     if value == 0:
@@ -376,6 +378,6 @@ def is_q_power(value, q, tol: float = 1e-9):
     # imaginary part of log q is 0 for real positive q; general complex q
     # handled by comparing the full complex logarithm.
     m = round(ratio.real)
-    if abs(ratio - m) < tol:
+    if abs(ratio - m) < 1e-9:
         return int(m)
     return None

@@ -30,9 +30,9 @@ import numpy as np
 
 from .errors import DomainError, NonConvergence, PoleError, RegionError
 from .hyperseries import UNILATERAL, SeriesSpec, sum_phi
-from .qcore import (DEFAULT_POLICY, GROWTH_SLACK, INFINITY, SpectralPoint,
-                    TruncationPolicy, check_real_base, is_q_power, poch,
-                    poch_multi, poch_pm, poch_recip)
+from .qcore import (DEFAULT_POLICY, GROWTH_SLACK, INFINITY, TAIL_WINDOW,
+                    SpectralPoint, TruncationPolicy, check_real_base,
+                    is_q_power, poch, poch_multi, poch_pm, poch_recip)
 from .ultraspherical import (UltraParams, bilateral_cn, bilateral_cn_range,
                              classical_cn)
 
@@ -303,8 +303,7 @@ _SHELL_MARGIN = 2
 
 def shifted_orthogonality_pair(m: int, n: int, params: UltraParams,
                                tol: float = 1e-6,
-                               policy: TruncationPolicy = DEFAULT_POLICY,
-                               k_extra: int = 0):
+                               policy: TruncationPolicy = DEFAULT_POLICY):
     """lhs and rhs of the shifted orthogonality relation, the lhs as a
     QuadratureResult.
 
@@ -313,15 +312,13 @@ def shifted_orthogonality_pair(m: int, n: int, params: UltraParams,
     then midpoints) to tol * max(1, |rhs|) / 4.  On each set of nodes the
     k-sum adds shells +-k until two in a row contribute at most
     tol * max(1, |sum|) / 64, and not before the shell count of the
-    previous set; k_extra forces extra shells beyond acceptance (used to
-    check split independence).  The C_j of a node set come from one
-    bilateral_cn_range pass over j = min(m, n) - K .. max(m, n) + K, with
-    K the previous set's shell count plus k_extra and a margin; a shell k
-    beyond it adds the rows up to shell 2k that the set lacks, so each
-    C_j is evaluated once per node set.  8 tail_window shells in a row
-    whose contribution grows (by more than GROWTH_SLACK) raise
-    NonConvergence: the shells need not decay where |q/(beta^2 gamma)| < 1
-    alone admits the parameters.
+    previous set.  The C_j of a node set come from one bilateral_cn_range
+    pass over j = min(m, n) - K .. max(m, n) + K, with K the previous
+    set's shell count plus a margin; a shell k beyond it adds the rows up
+    to shell 2k that the set lacks, so each C_j is evaluated once per node
+    set.  8 TAIL_WINDOW shells in a row whose contribution grows (by more
+    than GROWTH_SLACK) raise NonConvergence: the shells need not decay
+    where |q/(beta^2 gamma)| < 1 alone admits the parameters.
 
     rhs = shifted_orthogonality_rhs(params, policy, n) * delta_{mn}.
     """
@@ -339,7 +336,7 @@ def shifted_orthogonality_pair(m: int, n: int, params: UltraParams,
 
     def partial_sum(sp, wts):
         nonlocal kmin
-        reach = kmin + k_extra + _SHELL_MARGIN
+        reach = kmin + _SHELL_MARGIN
         rows = bilateral_cn_range(lo - reach, hi + reach, sp, params, policy)
 
         def shell_integral(k):
@@ -361,7 +358,7 @@ def shifted_orthogonality_pair(m: int, n: int, params: UltraParams,
             total += contrib
             mag = abs(contrib)
             growth = growth + 1 if mag > prev * GROWTH_SLACK else 0
-            if growth >= 8 * policy.tail_window:
+            if growth >= 8 * TAIL_WINDOW:
                 raise NonConvergence("shifted-orthogonality shells failed to decay")
             prev = mag
             if mag <= tol * max(1.0, abs(total)) / 64.0:
@@ -372,9 +369,6 @@ def shifted_orthogonality_pair(m: int, n: int, params: UltraParams,
                 small = 0
             if k > policy.max_terms:
                 raise NonConvergence("shifted-orthogonality shells failed to decay")
-        for _ in range(k_extra):
-            k += 1
-            total += shell_integral(k)
         kmin = k
         return total
 

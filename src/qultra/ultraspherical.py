@@ -30,10 +30,11 @@ and apply a transformation from hyperseries:
   independent of z, valid when |q^{1-n}/(beta gamma)^2| < 1 and
   |q^{1+n} gamma^2| < 1,
 
-with a recurrence climb from continued C_0, C_{-1} as a last resort.
-This is what makes divided-difference checks at q^{+-1/2}-shifted points
-and the special-value points z = q^{1/2}, q^{1/4} computable for
-beta < 1, where the direct sum diverges at those points.
+and a recurrence climb from continued C_0, C_{-1}, tried in this order
+until one gives a finite value.  This is what makes divided-difference
+checks at q^{+-1/2}-shifted points and the special-value points
+z = q^{1/2}, q^{1/4} computable for beta < 1, where the direct sum
+diverges at those points.
 """
 
 from __future__ import annotations
@@ -443,12 +444,12 @@ class _RouteUnusable(RegionError):
 _ROUTE_FAILURES = (RegionError, PoleError, NonConvergence, ZeroDivisionError)
 
 
-def _near_half_lattice(value, q, tol=1e-8):
+def _near_half_lattice(value, q):
     value = complex(value)
     if value == 0:
         return True
     r = cmath.log(value) / cmath.log(complex(q))
-    return abs(r - round(2 * r.real) / 2) < tol
+    return abs(r - round(2 * r.real) / 2) < 1e-8
 
 
 def _on_nonpositive_lattice(value, q):
@@ -510,12 +511,12 @@ def _bilateral_22tgl(n: int, z: complex, params: UltraParams,
 def _bilateral_continued(n: int, z: complex, params: UltraParams,
                          policy: TruncationPolicy):
     """C_n at one point off the annulus by the first continuation route
-    that applies; the recurrence climb from continued C_0, C_{-1} comes
-    last.  An overflow in a route, as when q^{-n} or q^{n-1} leaves the
-    double range at large |n|, and a route value that is not finite, as
-    when a 6psi8 prefactor is nan, raise NonConvergence at once instead of
-    handing the value to a later route."""
-    attempts = []
+    that gives a finite value; the recurrence climb from continued C_0,
+    C_{-1} comes last.  If none does, NonConvergence if some route value
+    was not finite (as when a 6psi8 prefactor is nan), else RegionError.
+    An overflow in a route, as when q^{-n} or q^{n-1} leaves the double
+    range at large |n|, raises NonConvergence at once."""
+    attempts, error = [], RegionError
     for route in (_bilateral_6psi8, _bilateral_22tgl, _bilateral_climb):
         try:
             value, terms = route(n, z, params, policy)
@@ -525,11 +526,11 @@ def _bilateral_continued(n: int, z: complex, params: UltraParams,
         except OverflowError as exc:
             raise NonConvergence(f"continuation of C_{n} overflowed double "
                                  f"precision in {route.__name__}: {exc}") from exc
-        if not cmath.isfinite(value):
-            raise NonConvergence(f"continuation of C_{n} is not finite in "
-                                 f"{route.__name__}: {value}")
-        return value, terms
-    raise RegionError(
+        if cmath.isfinite(value):
+            return value, terms
+        attempts.append(f"{route.__name__}: value {value} is not finite")
+        error = NonConvergence
+    raise error(
         "point outside the direct region and no continuation applies: "
         + "; ".join(attempts))
 
@@ -676,7 +677,10 @@ def recurrence_gap(n: int, p: SpectralPoint, params: UltraParams,
     2x (1 - beta gamma^2 q^n) C_n = (1 - gamma^2 q^{n+1}) C_{n+1}
     + (1 - beta^2 gamma^2 q^{n-1}) C_{n-1} for the given values
     C_{n-1}, C_n, C_{n+1} at p, scaled by max(1, |C_n|)."""
-    mid, up, down = _recurrence_coefficients(n, params)
+    try:
+        mid, up, down = _recurrence_coefficients(n, params)
+    except OverflowError as exc:  # q^{n-1} beyond the double range
+        raise NonConvergence(f"recurrence at n = {n} overflowed") from exc
     lhs = 2 * p.x * mid * c0
     rhs = up * cp1 + down * cm1
     return abs(lhs - rhs) / max(1.0, abs(c0))

@@ -20,7 +20,7 @@ from .errors import (ConfigError, DomainError, NonConvergence, PoleError,
                      RegionError)
 from .hyperseries import (BILATERAL, SeriesSpec, closed_form, sum_psi,
                           transform_residual)
-from .qcore import SpectralPoint, TruncationPolicy
+from .qcore import TAIL_WINDOW, SpectralPoint, TruncationPolicy
 from .quadrature import (WeightParams, bilateral_delta_integral,
                          bilateral_delta_rhs, kernel_integral,
                          kernel_integral_rhs, orthogonality_diagonal,
@@ -46,7 +46,6 @@ CONFIG_DEFAULTS = {
     "rel_tol": 1e-13,
     "abs_tol": 1e-300,
     "max_terms": 10000,
-    "tail_window": 3,
     "quad_tol": 1e-8,
     "shifted_tol": 1e-6,
     "delta_q": 0.3,
@@ -90,7 +89,7 @@ class ResolvedConfig:
                     if isinstance(raw, str):
                         raw = tuple(float(v) for v in raw.split(",") if v.strip())
                     cfg[key] = tuple(float(v) for v in raw)
-                elif key in ("max_terms", "tail_window", "seed"):
+                elif key in ("max_terms", "seed"):
                     cfg[key] = int(raw)
                 else:
                     cfg[key] = float(raw)
@@ -99,7 +98,7 @@ class ResolvedConfig:
         self.cfg = cfg
         try:
             self.policy = TruncationPolicy(cfg["rel_tol"], cfg["abs_tol"],
-                                           cfg["max_terms"], cfg["tail_window"])
+                                           cfg["max_terms"])
         except DomainError as exc:
             raise ConfigError(str(exc)) from exc
         if not (cfg["quad_tol"] > 0 and cfg["shifted_tol"] > 0):
@@ -183,31 +182,29 @@ def _bilateral_recurrence(ctx: ResolvedConfig):
     return worst, 1e-10, ctx.base_params(), terms, 0
 
 
-#: the largest |n| the generating-function sum may reach
-_GF_MAX_N = 400
-
-
 def _generating_function(ctx: ResolvedConfig):
     t = ctx.cfg["t"]
+    max_n = ctx.policy.max_terms  # largest |n| summed: the term budget
     worst = 0.0
     terms = 0
     for p in ctx.points:
         rhs = generating_rhs(BILATERAL_KIND, t, p, ctx.params, ctx.policy)
         rows = bilateral_cn_range(-16, 16, p, ctx.params, ctx.policy)
-        acc = rows[0] + 0j
-        tail = 0
-        n = 1
-        while tail < 3:
+        acc, tail, n = rows[0] + 0j, 0, 1
+        while tail < TAIL_WINDOW:
             if n > rows.n_hi:  # the next block of rows on both sides
-                reach = min(2 * rows.n_hi, _GF_MAX_N)
+                reach = min(2 * rows.n_hi, max_n)
                 rows = rows.widened(-reach, reach)
             shell = 0j
-            for m in (n, -n):
-                shell += rows[m] * t ** m
+            try:
+                for m in (n, -n):
+                    shell += rows[m] * t ** m
+            except OverflowError as exc:  # t^{-n} beyond the double range
+                raise NonConvergence("generating-function sum overflowed") from exc
             acc += shell
             tail = tail + 1 if abs(shell) < 1e-12 * abs(rhs) else 0
             n += 1
-            if n > _GF_MAX_N:
+            if n > max_n:
                 raise NonConvergence("generating-function sum failed to settle")
         terms = max(terms, rows.truncation_terms.max())
         worst = max(worst, abs(acc - rhs) / abs(rhs))

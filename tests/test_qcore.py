@@ -10,8 +10,9 @@ from hypothesis import strategies as st
 
 from qultra import (DEFAULT_POLICY, DomainError, NonConvergence, PoleError,
                     SpectralPoint, TruncationPolicy, poch, poch_multi, poch_pm)
-from qultra.qcore import (INFINITY, CompensatedSum, _product_bound_terms,
-                          is_q_power, poch_ratio, poch_recip)
+from qultra.qcore import (INFINITY, TAIL_WINDOW, CompensatedSum,
+                          _product_bound_terms, is_q_power, poch_ratio,
+                          poch_recip)
 from qultra.verify import CONFIG_DEFAULTS
 
 Q = CONFIG_DEFAULTS["q"]
@@ -142,13 +143,13 @@ def test_poch_overflow_raises_without_a_warning(a):
 
 def _loop_bound_terms(a_mag, q_mag, policy):
     """The factor count of poch(a, q, inf) by a step loop: the first J with
-    |a| |q|^j < rel_tol (1 - |q|) for tail_window consecutive j < J, the
+    |a| |q|^j < rel_tol (1 - |q|) for TAIL_WINDOW consecutive j < J, the
     running product formed by repeated multiplication; None past max_terms."""
     bound = policy.rel_tol * (1.0 - q_mag)
     est, hits = a_mag, 0
     for j in range(policy.max_terms):
         hits = hits + 1 if est < bound else 0
-        if hits >= policy.tail_window:
+        if hits >= TAIL_WINDOW:
             return j + 1
         est *= q_mag
     return None
@@ -156,7 +157,7 @@ def _loop_bound_terms(a_mag, q_mag, policy):
 
 def test_product_bound_terms_matches_the_loop():
     rng = np.random.default_rng(20251018)
-    policies = [DEFAULT_POLICY, TruncationPolicy(rel_tol=1e-10, tail_window=5),
+    policies = [DEFAULT_POLICY, TruncationPolicy(rel_tol=1e-10),
                 TruncationPolicy(max_terms=40)]
     for policy in policies:
         pairs = [(float(10 ** rng.uniform(-20, 20)), float(rng.uniform(1e-3, 0.999)))
@@ -171,7 +172,7 @@ def test_product_bound_terms_matches_the_loop():
             if got != want:
                 # allowed only at a tie: at the first j where the counts
                 # disagree, |a| |q|^j equals the bound up to rounding
-                j = min(c for c in (got, want) if c is not None) - policy.tail_window
+                j = min(c for c in (got, want) if c is not None) - TAIL_WINDOW
                 bound = policy.rel_tol * (1.0 - q)
                 assert math.isclose(a * q ** j, bound, rel_tol=1e-12), (a, q, got, want)
 
@@ -197,7 +198,7 @@ def test_policy_validation():
     with pytest.raises(DomainError):
         TruncationPolicy(rel_tol=0.0)
     with pytest.raises(DomainError):
-        TruncationPolicy(max_terms=2, tail_window=5)
+        TruncationPolicy(max_terms=2)
 
 
 def test_base_validation():

@@ -438,7 +438,7 @@ def test_range_errors_propagate(params, points):
         bilateral_cn_range(-3, 3, points[0], UltraParams(BETA, Q ** -2, Q))
     with pytest.raises(NonConvergence):
         bilateral_cn_range(-3, 3, points[0], params,
-                           TruncationPolicy(max_terms=5, tail_window=3))
+                           TruncationPolicy(max_terms=5))
     with pytest.raises((RegionError, PoleError)):
         bilateral_cn_range(5, 7, SpectralPoint(complex(Q ** 0.5)),
                            UltraParams(0.8, 3.9, Q))
@@ -467,9 +467,33 @@ def test_continuation_overflow_raises_a_typed_error(params):
             bilateral_cn(n, p, params)
 
 
+def test_continuation_hands_a_non_finite_value_to_the_next_route(params):
+    # the 6psi8 prefactor is nan at n = +-40 here, and the climb gives C_n;
+    # references: the 6psi8 series in mpmath at 300 digits and 160 terms
+    # per side, unchanged at 500 digits and 260 terms per side
+    p = SpectralPoint(0.4 + 0.3j)
+    assert not cmath.isfinite(_bilateral_6psi8(40, p.z, params, DEFAULT_POLICY)[0])
+    for n, ref in ((40, 919762829600.5249 + 12145686672.772373j),
+                   (-40, -6.936836877954987e-07 + 4.873979256420069e-06j)):
+        assert bilateral_cn(n, p, params).value == pytest.approx(ref, rel=1e-11)
+
+
+def test_6psi8_sum_stops_at_a_non_finite_term(params):
+    # the 6psi8 terms of C_50 at this point turn nan after a few steps
+    with pytest.raises(NonConvergence, match="not finite"):
+        _bilateral_6psi8(50, 0.4 + 0.3j, params, DEFAULT_POLICY)
+
+
+def test_recurrence_overflow_raises_a_typed_error(params):
+    # q^{n-1} in the coefficients leaves the double range at n = -700
+    with pytest.raises(NonConvergence, match="overflowed"):
+        recurrence_residual("bilateral", -700, SpectralPoint.from_theta(1.0),
+                            params)
+
+
 def test_continuation_returns_finite_or_raises(params):
     # off the annulus the 6psi8 prefactor is nan for n = 34..46 and
-    # -50..-36 at this point; such a value must raise, not be returned
+    # -50..-36 at this point; such a value must not be returned
     p = SpectralPoint(0.4 + 0.3j)
     assert not in_direct_region(p.z, BETA, Q)
     for n in range(-60, 61):

@@ -96,8 +96,17 @@ def test_zero_tolerance_config_error():
 
 
 def test_unknown_config_key_error():
-    with pytest.raises(ConfigError):
-        run_suite({"bogus": 1.0})
+    for key in ("bogus", "tail_window"):
+        with pytest.raises(ConfigError):
+            run_suite({key: 1.0})
+
+
+def test_generating_function_overflow_is_nonconvergence():
+    # the shells decay slowly at t = 0.11 > q/beta, and t^{-n} overflows
+    # a float near n = 308, before the sum settles
+    entry = run_identity("generating_function_product",
+                         {"q": 0.1, "beta": 0.95, "t": 0.11})
+    assert not entry.passed and "overflowed" in entry.note
 
 
 def test_run_identity_unknown_name():
@@ -187,7 +196,16 @@ def test_cli_eval_overflow_is_numerical_error(capsys):
     assert "overflowed" in capsys.readouterr().err
 
 
-def test_cli_eval_non_finite_is_numerical_error(capsys):
+def test_cli_eval_non_finite_is_numerical_error(capsys, monkeypatch):
+    # the 6psi8 value of C_40 at 0.4+0.3i is nan; with the 2psi2 route and
+    # the climb failing, no route gives a finite value
+    import qultra.ultraspherical as us
+
+    def unusable(*args):
+        raise us._RouteUnusable("route disabled")
+
+    monkeypatch.setattr(us, "_bilateral_22tgl", unusable)
+    monkeypatch.setattr(us, "_bilateral_climb", unusable)
     code = main(["eval", "--n", "40", "--z-re", "0.4", "--z-im", "0.3",
                  "--format", "json"])
     assert code == 3
@@ -246,6 +264,7 @@ def test_cli_config_file_errors(tmp_path):
     (["eval", "--n", "0", "--theta", "0.4"], "max_terms = 1e4"),
     (["eval", "--n", "0", "--theta", "0.4"], "thetas = 0.4,x"),
     (["table", "--n-min", "0", "--n-max", "0"], "bogus = 1"),
+    (["eval", "--n", "0", "--theta", "0.4"], "max_terms = 2"),  # < TAIL_WINDOW
 ])
 def test_cli_malformed_or_unknown_config_value_is_config_error(
         tmp_path, capsys, command, line):
