@@ -27,8 +27,9 @@ print("(0.5, 0.2, 0.1; 0.3)_inf =", poch_multi([0.5, 0.2, 0.1], q, INFINITY))
 p = SpectralPoint.from_theta(1.0)
 print("(0.4 e^{+-i}; 0.3)_inf =", poch_pm(0.4, p, q))
 
-# everything accepts numpy arrays in the first slot, which is how the
-# quadrature module evaluates weights on full node grids
+# only the infinite product accepts a numpy array in the first slot, which
+# is how the quadrature module evaluates weights on full node grids; a
+# finite product of an array raises DomainError
 zs = np.exp(2j * np.linspace(0.1, 3.0, 5))
 print("array of infinite products:")
 print(poch(zs, q, INFINITY))

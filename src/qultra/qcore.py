@@ -12,26 +12,16 @@ Conventions used throughout the library:
   :class:`SpectralPoint` holding the coordinate ``z`` with
   ``x = (z + 1/z)/2``; ``z`` generalizes ``e^{i theta}``.
 
-Most functions accept a numpy array in place of the scalar first
-argument (or of ``SpectralPoint.z``) and then return an array; this is
-what the quadrature module uses to evaluate integrands on full node
-grids in one call.  The q-series kernels (``poch``, ``poch_recip``,
-``CompensatedSum``) run one loop body for both element types: a scalar
-stays a Python ``complex`` from entry to return and is computed in
-Python complex arithmetic, an array is computed elementwise in numpy.
-The one exception is an array's infinite product ``poch(a, q, inf)``:
-it builds one (factors x points) table, a q^j by repeated
-multiplication (``cumprod``), and multiplies 1 - table along the factor
-axis in order, the operations of the scalar loop in three numpy calls
-instead of three per factor (a table of more than ``_TABLE_SIZE``
-elements is taken a slice of points at a time).  It takes as many
-factors as the largest |a| needs, so an element of smaller modulus may
-differ from its scalar product by up to the truncation tolerance.
-Only the final reciprocal of ``poch`` for k < 0 and of ``poch_recip``
-is a numpy division for both, since numpy and Python round complex
-quotients differently.  Products of two non-real numbers may still
-differ in the last bit: numpy fuses their multiply-adds on arrays where
-the CPU has FMA, Python does not.
+Only the infinite product takes an array: ``poch(a, q, inf)`` with a
+numpy array a (or a SpectralPoint holding an array z, through
+``poch_pm``) returns an array, which is how the quadrature module
+evaluates weights and kernels on full node grids in one call.  It builds
+one (factors x points) table, a q^j by repeated multiplication
+(``cumprod``), and multiplies 1 - table along the factor axis in order;
+it takes as many factors as the largest |a| needs, so an element of
+smaller modulus may differ from its scalar product by up to the
+truncation tolerance.  Every finite product is a scalar loop in Python
+complex arithmetic, and an array with finite k raises DomainError.
 """
 
 from __future__ import annotations
@@ -143,40 +133,6 @@ class SpectralPoint:
         return SpectralPoint(self.z * factor)
 
 
-def _operand(a):
-    """a as a kernel element: a complex ndarray for an array, a Python
-    complex for anything else."""
-    return np.asarray(a, dtype=complex) if isinstance(a, np.ndarray) else complex(a)
-
-
-def _one_like(a):
-    return np.ones_like(a) if isinstance(a, np.ndarray) else 1.0 + 0j
-
-
-def _all_finite(x) -> bool:
-    if isinstance(x, np.ndarray):
-        return bool(np.all(np.isfinite(x)))
-    return math.isfinite(x.real) and math.isfinite(x.imag)
-
-
-def _any_zero(x) -> bool:
-    return bool(np.any(x == 0)) if isinstance(x, np.ndarray) else x == 0
-
-
-def _max_abs(a) -> float:
-    if isinstance(a, np.ndarray):
-        return float(np.max(np.abs(a))) if a.size else 0.0
-    return abs(a)
-
-
-def _reciprocal(x):
-    """1 / x by numpy's complex division for both element types.  An
-    overflow gives inf or nan silently; the caller raises DomainError."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        r = np.divide(1.0, x)
-    return r if isinstance(x, np.ndarray) else complex(r)
-
-
 class CompensatedSum:
     """Kahan-compensated accumulator for complex scalars or arrays.
 
@@ -248,74 +204,53 @@ def _poch_inf_table(a: np.ndarray, q: complex, n_factors: int) -> np.ndarray:
 def poch(a, q, k, policy: TruncationPolicy | None = None):
     """q-shifted factorial (a; q)_k.
 
-    k may be a (possibly negative) integer or ``math.inf``.  a may be a
-    complex scalar, for which the result is a Python complex, or a numpy
-    array.  For k = -m the value is 1 / (a q^{-m}; q)_m and a PoleError
-    reports any vanishing factor.
+    k may be a (possibly negative) integer or ``math.inf``.  a is a
+    complex scalar, for which the result is a Python complex; for k = inf
+    it may also be a numpy array, for which the result is an array.  For
+    k = -m the value is 1 / (a q^{-m}; q)_m and a PoleError reports any
+    vanishing factor.
     """
     q = check_base(q)
-    a = _operand(a)
-    if not _all_finite(a):
+    policy = policy or DEFAULT_POLICY
+    if isinstance(a, np.ndarray):
+        if k != INFINITY:
+            raise DomainError("poch takes an array a only for k = inf")
+        a = np.asarray(a, dtype=complex)
+        if not np.all(np.isfinite(a)):
+            raise DomainError("poch requires finite a")
+        a_mag = float(np.max(np.abs(a))) if a.size else 0.0
+        return _poch_inf_table(a, q, _product_bound_terms(a_mag, abs(q), policy))
+    a = complex(a)
+    if not cmath.isfinite(a):
         raise DomainError("poch requires finite a")
-    out = _one_like(a)
+    out = 1.0 + 0j
     if k == INFINITY:
-        n_factors = _product_bound_terms(_max_abs(a), abs(q), policy or DEFAULT_POLICY)
-        if isinstance(a, np.ndarray):
-            return _poch_inf_table(a, q, n_factors)
         term = a
-        for _ in range(n_factors):
-            out = out * (1.0 - term)
-            term = term * q
+        for _ in range(_product_bound_terms(abs(a), abs(q), policy)):
+            out *= 1.0 - term
+            term *= q
         return out
 
     k = int(k)
     if k >= 0:
         qj = 1.0 + 0j
         for _ in range(k):
-            out = out * (1.0 - a * qj)
+            out *= 1.0 - a * qj
             qj *= q
     else:
         qmj = 1.0 / q
         for j in range(1, -k + 1):
             factor = 1.0 - a * qmj
-            if _any_zero(factor):
+            if factor == 0:
                 raise PoleError(f"(a; q)_{k}: factor 1 - a q^-{j} vanishes")
-            out = out * factor
+            out *= factor
             qmj /= q
-        out = _reciprocal(out)
-    if not _all_finite(out):
+        # numpy's division: Python's raises ZeroDivisionError on an
+        # underflowed product and rounds complex quotients differently
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = complex(np.divide(1.0, out))
+    if not cmath.isfinite(out):
         raise DomainError(f"(a; q)_{k} overflowed double precision")
-    return out
-
-
-def poch_recip(a, q, k):
-    """1 / (a; q)_k computed without dividing for k < 0.
-
-    For k < 0 this is the finite product (a q^k; q)_{-k}, which is the
-    well-defined value 0 on the lattices where (a; q)_k blows up; used by
-    series engines that must treat those zeros as term annihilation
-    rather than poles.  A scalar a gives a Python complex.
-    """
-    q = check_base(q)
-    a = _operand(a)
-    k = int(k)
-    out = _one_like(a)
-    if k >= 0:
-        qj = 1.0 + 0j
-        for j in range(k):
-            factor = 1.0 - a * qj
-            if _any_zero(factor):
-                raise PoleError(f"1/(a; q)_{k}: factor 1 - a q^{j} vanishes")
-            out = out * factor
-            qj *= q
-        out = _reciprocal(out)
-    else:
-        qmj = 1.0 / q
-        for _ in range(1, -k + 1):
-            out = out * (1.0 - a * qmj)
-            qmj /= q
-    if not _all_finite(out):
-        raise DomainError(f"1/(a; q)_{k} overflowed double precision")
     return out
 
 

@@ -32,7 +32,7 @@ from .errors import DomainError, NonConvergence, PoleError, RegionError
 from .hyperseries import UNILATERAL, SeriesSpec, sum_phi
 from .qcore import (DEFAULT_POLICY, GROWTH_SLACK, INFINITY, TAIL_WINDOW,
                     SpectralPoint, TruncationPolicy, check_real_base,
-                    is_q_power, poch, poch_multi, poch_pm, poch_recip)
+                    is_q_power, poch, poch_multi, poch_pm)
 from .ultraspherical import (UltraParams, bilateral_cn, bilateral_cn_range,
                              classical_cn)
 
@@ -142,16 +142,15 @@ def _refine(partial_sum, beta: float, q: float, tol: float,
 
 
 def _eval_at(f, sp):
-    """Evaluate an x-evaluator on an array SpectralPoint, preferring one
-    vectorized call and falling back to a scalar loop."""
+    """f on an array SpectralPoint as a complex array of the nodes' shape.
+    A result without the nodes' shape (a constant f) broadcasts over them;
+    one that does not broadcast raises DomainError."""
+    vals = np.asarray(f(sp), dtype=complex)
     try:
-        vals = np.asarray(f(sp), dtype=complex)
-        if vals.shape == sp.z.shape:
-            return vals
-    except TypeError:
-        pass
-    return np.array([complex(f(SpectralPoint(complex(z)))) for z in sp.z],
-                    dtype=complex)
+        return np.broadcast_to(vals, sp.z.shape)
+    except ValueError:
+        raise DomainError(f"integrand gave shape {vals.shape} "
+                          f"on {sp.z.shape} nodes") from None
 
 
 def integrate(f, w: WeightParams, tol: float,
@@ -161,8 +160,8 @@ def integrate(f, w: WeightParams, tol: float,
     The theta-substituted trapezoid rule starts from 63 interior nodes
     plus the mass points of the measure (beta > 1) and doubles the
     interval count, adding only the midpoints, until successive values
-    differ by < tol.  f takes a SpectralPoint; a vectorized f is called
-    once per level."""
+    differ by < tol.  f takes a SpectralPoint whose z is an array of
+    nodes: it is called once on the mass points and once per level."""
     return _refine(lambda sp, wts: np.sum(_eval_at(f, sp) * wts),
                    w.beta, w.q, tol, policy)
 
@@ -189,7 +188,7 @@ def orthogonality_diagonal(n: int, w: WeightParams,
     beta, q = w.beta, w.q
     head = (poch_multi([beta, q * beta], q, INFINITY, policy)
             / poch_multi([q, beta ** 2], q, INFINITY, policy))
-    head *= poch(beta ** 2, q, n) * poch_recip(q, q, n)
+    head *= poch(beta ** 2, q, n) / poch(q, q, n)
     head *= (1 - beta) / (1 - beta * q ** n)
     return head.real
 

@@ -48,8 +48,6 @@ CONFIG_DEFAULTS = {
     "max_terms": 10000,
     "quad_tol": 1e-8,
     "shifted_tol": 1e-6,
-    "delta_q": 0.3,
-    "delta_beta": 0.8,
     "seed": 20240901,
 }
 
@@ -345,7 +343,7 @@ def _kernel_integral(ctx: ResolvedConfig):
 
 
 def _bilateral_delta(ctx: ResolvedConfig):
-    q, beta = ctx.cfg["delta_q"], ctx.cfg["delta_beta"]
+    q, beta = ctx.cfg["q"], ctx.cfg["beta"]
     rhs0 = bilateral_delta_rhs(beta, q, ctx.policy)
     worst = 0.0
     nodes = 0

@@ -138,6 +138,22 @@ def test_integrate_evaluates_each_node_once(beta):
     assert circle + 1 == 2 ** int(math.log2(circle + 1))
 
 
+def test_integrand_type_error_propagates():
+    # an integrand's own error is not retried one node at a time
+    def f(sp):
+        if isinstance(sp.z, np.ndarray):
+            raise TypeError("bug")
+        return 1.0
+
+    with pytest.raises(TypeError, match="bug"):
+        integrate(f, WeightParams(BETA, Q), 1e-12)
+
+
+def test_integrand_of_the_wrong_shape_is_a_domain_error():
+    with pytest.raises(DomainError):
+        integrate(lambda sp: np.ones(3), WeightParams(BETA, Q), 1e-12)
+
+
 def test_integrate_jump_stops_at_node_cap():
     # a jump limits the trapezoid rule to first order: no tolerance is met
     calls = []

@@ -117,7 +117,7 @@ def test_run_identity_unknown_name():
 def test_delta_entry_passes_above_one():
     # beta > 1: the measure has a mass pair the entry must integrate
     entry = run_identity("bilateral_delta_integral",
-                         {"delta_q": 0.5, "delta_beta": 1.5})
+                         {"q": 0.5, "beta": 1.5})
     assert entry.passed and not entry.skipped
 
 
