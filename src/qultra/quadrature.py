@@ -13,6 +13,15 @@ it sums the mass points described below once, then the 63 interior nodes
 of the 64-interval rule, then only the midpoints of each doubled rule,
 until two successive values agree.
 
+orthogonality_entry and shifted_orthogonality_pair also take m and n as
+equal-length integer sequences and return .value (and the shifted rhs)
+as an array over the pairs.  All pairs of one call run on one node loop,
+which stops when every pair's delta is below that pair's tolerance, and
+every function a pair needs is evaluated once per node set: one
+classical_cn per distinct degree, or one bilateral_cn_range pass over the
+union of the pairs' C_j rows.  This is the node reuse of the nested rule,
+applied across the pairs of a relation as well as across its levels.
+
 The weight is the Askey-Wilson weight with parameters +-beta^{1/2},
 +-(q beta)^{1/2}.  For beta <= 1 its measure is the circle part alone.
 For beta > 1 the poles z^2 = beta q^k with beta q^k > 1 lie outside the
@@ -63,6 +72,10 @@ class WeightParams:
 
 @dataclass(frozen=True)
 class QuadratureResult:
+    """One integral, or (value and last_refinement_delta as arrays) the
+    integrals of one node loop over several integrands; nodes_used counts
+    the nodes of the last level the loop summed, mass points included."""
+
     value: complex
     nodes_used: int
     last_refinement_delta: float
@@ -113,16 +126,38 @@ def mass_points(beta: float, q: float,
     return np.array(zs, dtype=complex), np.array(weights, dtype=float)
 
 
-def _refine(partial_sum, beta: float, q: float, tol: float,
+def _check_tol(tol) -> None:
+    """DomainError unless every tolerance is positive (NaN is not)."""
+    if not np.all(np.asarray(tol) > 0):
+        raise DomainError(f"tol must be positive, got {tol}")
+
+
+def _index_pairs(m, n):
+    """(ms, ns, single): the index pairs of integer m and n, or of
+    equal-length integer sequences, as lists; single says m and n were
+    integers."""
+    if np.ndim(m) == 0 and np.ndim(n) == 0:
+        return [m], [n], True
+    ms, ns = np.asarray(m), np.asarray(n)
+    if (ms.ndim != 1 or ms.shape != ns.shape or ms.size == 0
+            or not (np.issubdtype(ms.dtype, np.integer)
+                    and np.issubdtype(ns.dtype, np.integer))):
+        raise DomainError("m and n must be integers or nonempty integer "
+                          "sequences of one length")
+    return ms.tolist(), ns.tolist(), False
+
+
+def _refine(partial_sum, beta: float, q: float, tol,
             policy: TruncationPolicy) -> QuadratureResult:
     """The node-doubling loop.  partial_sum(sp, wts) returns the weighted
-    sum of the integrand over the nodes sp; it is called once on the mass
-    points, on the 63 interior nodes of the 64-interval rule, then on the
-    midpoints of each doubled rule with the weights of the rule that level
-    completes (the endpoint weights vanish, so no node is evaluated twice),
-    until two successive values differ by < tol."""
-    if tol <= 0:
-        raise DomainError("tol must be positive")
+    sum of the integrand over the nodes sp: a scalar, or one sum per
+    integral when tol is an array of one tolerance per integral.  It is
+    called once on the mass points, on the 63 interior nodes of the
+    64-interval rule, then on the midpoints of each doubled rule with the
+    weights of the rule that level completes (the endpoint weights vanish,
+    so no node is evaluated twice), until every integral's two successive
+    values differ by less than its tolerance."""
+    _check_tol(tol)
     mass_z, mass_w = mass_points(beta, q, policy)
     mass = partial_sum(SpectralPoint(mass_z), mass_w) if len(mass_z) else 0.0
     n, circle, value = 64, 0.0, math.inf
@@ -132,9 +167,14 @@ def _refine(partial_sum, beta: float, q: float, tol: float,
         wts = _circle_weight(thetas, beta, q, policy) / (2 * n)
         circle = circle / 2 + partial_sum(SpectralPoint(np.exp(1j * thetas)), wts)
         # the first level's delta is infinite: it has no predecessor
-        delta, value = abs(circle + mass - value), complex(circle + mass)
-        if delta < tol:
-            return QuadratureResult(value, n - 1 + len(mass_z), float(delta))
+        delta, value = np.abs(circle + mass - value), circle + mass
+        if np.all(delta < tol):
+            if np.ndim(value):
+                return QuadratureResult(np.asarray(value, dtype=complex),
+                                        n - 1 + len(mass_z),
+                                        np.asarray(delta, dtype=float))
+            return QuadratureResult(complex(value), n - 1 + len(mass_z),
+                                    float(delta))
         thetas = math.pi / (2 * n) * np.arange(1, 2 * n, 2)
         n *= 2
     raise NonConvergence(
@@ -142,12 +182,13 @@ def _refine(partial_sum, beta: float, q: float, tol: float,
 
 
 def _eval_at(f, sp):
-    """f on an array SpectralPoint as a complex array of the nodes' shape.
-    A result without the nodes' shape (a constant f) broadcasts over them;
-    one that does not broadcast raises DomainError."""
+    """f on an array SpectralPoint as a complex array whose last axis runs
+    over the nodes: one row per integral, or a single row.  A result
+    without the nodes' shape (a constant f) broadcasts over them; one that
+    does not broadcast raises DomainError."""
     vals = np.asarray(f(sp), dtype=complex)
     try:
-        return np.broadcast_to(vals, sp.z.shape)
+        return np.broadcast_to(vals, np.broadcast_shapes(vals.shape, sp.z.shape))
     except ValueError:
         raise DomainError(f"integrand gave shape {vals.shape} "
                           f"on {sp.z.shape} nodes") from None
@@ -161,21 +202,32 @@ def integrate(f, w: WeightParams, tol: float,
     plus the mass points of the measure (beta > 1) and doubles the
     interval count, adding only the midpoints, until successive values
     differ by < tol.  f takes a SpectralPoint whose z is an array of
-    nodes: it is called once on the mass points and once per level."""
-    return _refine(lambda sp, wts: np.sum(_eval_at(f, sp) * wts),
+    nodes: it is called once on the mass points and once per level.  An f
+    that returns one row of the nodes' shape per integrand computes all
+    of them on the one node loop: .value and .last_refinement_delta are
+    then arrays over the rows, and the loop runs until every row meets
+    tol."""
+    return _refine(lambda sp, wts: np.sum(_eval_at(f, sp) * wts, axis=-1),
                    w.beta, w.q, tol, policy)
 
 
-def orthogonality_entry(m: int, n: int, w: WeightParams, tol: float = 1e-10,
+def orthogonality_entry(m, n, w: WeightParams, tol: float = 1e-10,
                         policy: TruncationPolicy = DEFAULT_POLICY
                         ) -> QuadratureResult:
     """Integral of C_m C_n against the weight; its .value is
-    delta_{mn} times orthogonality_diagonal(n, w)."""
-    if m < 0 or n < 0:
+    delta_{mn} times orthogonality_diagonal(n, w).
+
+    m and n may be equal-length integer sequences: the pairs (m[i], n[i])
+    then share one node loop, which evaluates each distinct degree once
+    per node set, and .value is an array over the pairs."""
+    ms, ns, single = _index_pairs(m, n)
+    if min(ms) < 0 or min(ns) < 0:
         raise DomainError("orthogonality_entry needs m, n >= 0")
 
     def f(sp):
-        return classical_cn(m, sp, w.beta, w.q) * classical_cn(n, sp, w.beta, w.q)
+        cn = {d: classical_cn(d, sp, w.beta, w.q) for d in {*ms, *ns}}
+        rows = [cn[a] * cn[b] for a, b in zip(ms, ns)]
+        return rows[0] if single else rows
 
     return integrate(f, w, tol, policy)
 
@@ -300,7 +352,7 @@ def shifted_orthogonality_rhs(params: UltraParams,
 _SHELL_MARGIN = 2
 
 
-def shifted_orthogonality_pair(m: int, n: int, params: UltraParams,
+def shifted_orthogonality_pair(m, n, params: UltraParams,
                                tol: float = 1e-6,
                                policy: TruncationPolicy = DEFAULT_POLICY):
     """lhs and rhs of the shifted orthogonality relation, the lhs as a
@@ -320,7 +372,16 @@ def shifted_orthogonality_pair(m: int, n: int, params: UltraParams,
     where |q/(beta^2 gamma)| < 1 alone admits the parameters.
 
     rhs = shifted_orthogonality_rhs(params, policy, n) * delta_{mn}.
+
+    m and n may be equal-length integer sequences.  The pairs then share
+    the node loop, which runs until every pair meets its own tolerance;
+    the pass of a node set spans the union of the pairs' rows, so each C_j
+    is still evaluated once per node set, and each pair keeps its own
+    shell stop rule, shell count and growth guard.  lhs.value,
+    lhs.last_refinement_delta and rhs are then arrays over the pairs.
     """
+    _check_tol(tol)
+    ms, ns, single = _index_pairs(m, n)
     q = check_real_base(params.q)
     if params.beta.imag or params.gamma.imag:
         raise DomainError("shifted orthogonality uses real beta, gamma")
@@ -329,17 +390,19 @@ def shifted_orthogonality_pair(m: int, n: int, params: UltraParams,
     rho = q / (beta ** 2 * gamma)
     if not abs(rho) < 1:
         raise RegionError("shifted orthogonality needs |q/(beta^2 gamma)| < 1")
-    rhs = shifted_orthogonality_rhs(params, policy, n) if m == n else 0j
-    lo, hi = min(m, n), max(m, n)
-    kmin = 8
+    rhs = [complex(shifted_orthogonality_rhs(params, policy, b) if a == b else 0j)
+           for a, b in zip(ms, ns)]
+    kmin = [8] * len(ms)
 
     def partial_sum(sp, wts):
-        nonlocal kmin
-        reach = kmin + _SHELL_MARGIN
-        rows = bilateral_cn_range(lo - reach, hi + reach, sp, params, policy)
+        rows = bilateral_cn_range(
+            min(min(a, b) - k for a, b, k in zip(ms, ns, kmin)) - _SHELL_MARGIN,
+            max(max(a, b) + k for a, b, k in zip(ms, ns, kmin)) + _SHELL_MARGIN,
+            sp, params, policy)
 
-        def shell_integral(k):
+        def shell_integral(m, n, k):
             nonlocal rows
+            lo, hi = min(m, n), max(m, n)
             if lo - k < rows.n_lo or hi + k > rows.n_hi:
                 rows = rows.widened(lo - 2 * k, hi + 2 * k)
             vals = rows[m + k] * rows[n + k] * rho ** k
@@ -347,30 +410,34 @@ def shifted_orthogonality_pair(m: int, n: int, params: UltraParams,
                 vals = vals + rows[m - k] * rows[n - k] * rho ** (-k)
             return complex(np.sum(vals * wts))
 
-        total = shell_integral(0)
-        small = growth = 0
-        prev = math.inf
-        k = 0
-        while True:
-            k += 1
-            contrib = shell_integral(k)
-            total += contrib
-            mag = abs(contrib)
-            growth = growth + 1 if mag > prev * GROWTH_SLACK else 0
-            if growth >= 8 * TAIL_WINDOW:
-                raise NonConvergence("shifted-orthogonality shells failed to decay")
-            prev = mag
-            if mag <= tol * max(1.0, abs(total)) / 64.0:
-                small += 1
-                if small >= 2 and k >= kmin:
-                    break
-            else:
-                small = 0
-            if k > policy.max_terms:
-                raise NonConvergence("shifted-orthogonality shells failed to decay")
-        kmin = k
-        return total
+        totals = []
+        for i, (m, n) in enumerate(zip(ms, ns)):
+            total = shell_integral(m, n, 0)
+            small = growth = 0
+            prev = math.inf
+            k = 0
+            while True:
+                k += 1
+                contrib = shell_integral(m, n, k)
+                total += contrib
+                mag = abs(contrib)
+                growth = growth + 1 if mag > prev * GROWTH_SLACK else 0
+                if growth >= 8 * TAIL_WINDOW:
+                    raise NonConvergence("shifted-orthogonality shells failed to decay")
+                prev = mag
+                if mag <= tol * max(1.0, abs(total)) / 64.0:
+                    small += 1
+                    if small >= 2 and k >= kmin[i]:
+                        break
+                else:
+                    small = 0
+                if k > policy.max_terms:
+                    raise NonConvergence("shifted-orthogonality shells failed to decay")
+            kmin[i] = k
+            totals.append(total)
+        return totals[0] if single else np.array(totals)
 
-    lhs = _refine(partial_sum, beta, q, tol * max(1.0, abs(rhs)) / 4.0, policy)
-    return lhs, complex(rhs)
-
+    tols = [tol * max(1.0, abs(r)) / 4.0 for r in rhs]
+    if single:
+        return _refine(partial_sum, beta, q, tols[0], policy), rhs[0]
+    return _refine(partial_sum, beta, q, np.array(tols), policy), np.array(rhs)

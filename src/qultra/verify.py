@@ -309,27 +309,19 @@ def _dq_bilateral(ctx: ResolvedConfig):
 
 def _orthogonality_offdiag(ctx: ResolvedConfig):
     w = WeightParams(ctx.cfg["beta"], ctx.cfg["q"])
-    res = orthogonality_entry(0, 0, w, ctx.cfg["quad_tol"], ctx.policy)
-    scale, nodes = abs(res.value), res.nodes_used
-    worst = 0.0
-    for m in range(7):
-        for n in range(m + 1, 7):
-            res = orthogonality_entry(m, n, w, ctx.cfg["quad_tol"], ctx.policy)
-            worst = max(worst, abs(res.value) / scale)
-            nodes = max(nodes, res.nodes_used)
-    return worst, 1e-9, {"q": ctx.cfg["q"], "beta": ctx.cfg["beta"]}, 0, nodes
+    pairs = [(0, 0)] + [(m, n) for m in range(7) for n in range(m + 1, 7)]
+    res = orthogonality_entry(*zip(*pairs), w, ctx.cfg["quad_tol"], ctx.policy)
+    scale, *offdiag = res.value.tolist()
+    worst = max(abs(v) / abs(scale) for v in offdiag)
+    return worst, 1e-9, {"q": ctx.cfg["q"], "beta": ctx.cfg["beta"]}, 0, res.nodes_used
 
 
 def _orthogonality_diag(ctx: ResolvedConfig):
     w = WeightParams(ctx.cfg["beta"], ctx.cfg["q"])
-    worst = 0.0
-    nodes = 0
-    for n in range(7):
-        res = orthogonality_entry(n, n, w, ctx.cfg["quad_tol"], ctx.policy)
-        ref = orthogonality_diagonal(n, w, ctx.policy)
-        worst = max(worst, abs(res.value - ref) / abs(ref))
-        nodes = max(nodes, res.nodes_used)
-    return worst, 1e-8, {"q": ctx.cfg["q"], "beta": ctx.cfg["beta"]}, 0, nodes
+    res = orthogonality_entry(range(7), range(7), w, ctx.cfg["quad_tol"], ctx.policy)
+    refs = [orthogonality_diagonal(n, w, ctx.policy) for n in range(7)]
+    worst = max(abs(v - ref) / abs(ref) for v, ref in zip(res.value.tolist(), refs))
+    return worst, 1e-8, {"q": ctx.cfg["q"], "beta": ctx.cfg["beta"]}, 0, res.nodes_used
 
 
 def _kernel_integral(ctx: ResolvedConfig):
@@ -356,26 +348,19 @@ def _bilateral_delta(ctx: ResolvedConfig):
 
 
 def _shifted_diag(ctx: ResolvedConfig):
-    worst = 0.0
-    nodes = 0
-    for n in range(-2, 3):
-        lhs, rhs = shifted_orthogonality_pair(
-            n, n, ctx.params, ctx.cfg["shifted_tol"], ctx.policy)
-        worst = max(worst, abs(lhs.value / rhs - 1.0))
-        nodes = max(nodes, lhs.nodes_used)
-    return worst, 1e-6, ctx.base_params(), 0, nodes
+    ns = range(-2, 3)
+    lhs, rhs = shifted_orthogonality_pair(ns, ns, ctx.params,
+                                          ctx.cfg["shifted_tol"], ctx.policy)
+    worst = max(abs(v / r - 1.0) for v, r in zip(lhs.value.tolist(), rhs.tolist()))
+    return worst, 1e-6, ctx.base_params(), 0, lhs.nodes_used
 
 
 def _shifted_offdiag(ctx: ResolvedConfig):
     scale = abs(shifted_orthogonality_rhs(ctx.params, ctx.policy))
-    worst = 0.0
-    nodes = 0
-    for (m, n) in ((0, 2), (1, -1)):
-        lhs, _ = shifted_orthogonality_pair(
-            m, n, ctx.params, ctx.cfg["shifted_tol"], ctx.policy)
-        worst = max(worst, abs(lhs.value) / scale)
-        nodes = max(nodes, lhs.nodes_used)
-    return worst, 1e-6, ctx.base_params(), 0, nodes
+    lhs, _ = shifted_orthogonality_pair((0, 1), (2, -1), ctx.params,
+                                        ctx.cfg["shifted_tol"], ctx.policy)
+    worst = max(abs(v) / scale for v in lhs.value.tolist())
+    return worst, 1e-6, ctx.base_params(), 0, lhs.nodes_used
 
 
 def _shifted_scaling(ctx: ResolvedConfig):

@@ -360,7 +360,7 @@ def test_shifted_orthogonality_evaluates_each_cj_once(beta, monkeypatch):
     monkeypatch.setattr(quad, "bilateral_cn_range", spy)
     monkeypatch.setattr(us, "bilateral_cn_range", spy)
     widened = False
-    for m, n in ((0, 0), (0, 2), (1, -1)):
+    for m, n in ((0, 0), (0, 2), (1, -1), ([0, 0, 1], [0, 2, -1])):
         rows.clear()
         passes.clear()
         shifted_orthogonality_pair(m, n, UltraParams(beta, GAMMA, Q), 1e-6)
@@ -369,6 +369,89 @@ def test_shifted_orthogonality_evaluates_each_cj_once(beta, monkeypatch):
             assert len(evaluated) == len(set(evaluated))
         widened = widened or max(passes.values()) > 1
     assert widened  # some node set needed shells beyond its first pass
+
+
+SHIFTED_PAIRS = {"diagonal": ([-2, -1, 0, 1, 2], [-2, -1, 0, 1, 2]),
+                 "offdiagonal": ([0, 1], [2, -1])}
+
+
+@pytest.mark.parametrize("beta", [BETA, 1.2])  # 1.2 adds mass points
+@pytest.mark.parametrize("pairs", list(SHIFTED_PAIRS))
+def test_shifted_orthogonality_sequence_matches_pairs(beta, pairs):
+    params, tol = UltraParams(beta, GAMMA, Q), 1e-6
+    ms, ns = SHIFTED_PAIRS[pairs]
+    lhs, rhs = shifted_orthogonality_pair(ms, ns, params, tol)
+    assert lhs.value.shape == rhs.shape == lhs.last_refinement_delta.shape == (len(ms),)
+    for i, (m, n) in enumerate(zip(ms, ns)):
+        one, one_rhs = shifted_orthogonality_pair(m, n, params, tol)
+        assert rhs[i] == one_rhs
+        assert abs(lhs.value[i] - one.value) <= tol * max(1.0, abs(one_rhs)) / 4
+        assert lhs.nodes_used >= one.nodes_used
+
+
+def test_orthogonality_entry_sequence_matches_pairs():
+    w, tol = WeightParams(BETA, Q), 1e-10
+    pairs = [(m, n) for m in range(7) for n in range(m, 7)]
+    assert len(pairs) == 28
+    res = orthogonality_entry(*zip(*pairs), w, tol)
+    for i, (m, n) in enumerate(pairs):
+        one = orthogonality_entry(m, n, w, tol)
+        assert abs(res.value[i] - one.value) <= tol
+        assert res.nodes_used >= one.nodes_used
+
+
+def test_orthogonality_entry_sequence_evaluates_each_degree_once(monkeypatch):
+    real = quad.classical_cn
+    degrees = {}  # node set -> every degree evaluated on it
+
+    def spy(n, p, *args):
+        degrees.setdefault(p.z.tobytes(), []).append(n)
+        return real(n, p, *args)
+
+    monkeypatch.setattr(quad, "classical_cn", spy)
+    orthogonality_entry([0, 1, 1, 3], [0, 3, 1, 0], WeightParams(1.2, Q), 1e-10)
+    assert len(degrees) >= 3  # the mass points and at least two levels
+    for evaluated in degrees.values():
+        assert sorted(evaluated) == [0, 1, 3]
+
+
+def test_sequence_with_a_divergent_pair_raises():
+    # |q gamma| > 1 at (q, beta, gamma) = (0.7, 0.8, 1.5): no pair converges
+    params = UltraParams(0.8, 1.5, 0.7)
+    with pytest.raises(NonConvergence):
+        shifted_orthogonality_pair(1, -1, params)
+    with pytest.raises(NonConvergence):
+        shifted_orthogonality_pair([0, 1], [2, -1], params)
+
+
+@pytest.mark.parametrize("m, n", [([0, 1], [0]), ([], []), ([[0]], [[0]]),
+                                  ([0.5], [1]), ([0, 1], 1)])
+def test_index_pairs_must_be_integer_sequences_of_one_length(m, n, params):
+    with pytest.raises(DomainError):
+        orthogonality_entry(m, n, WeightParams(BETA, Q))
+    with pytest.raises(DomainError):
+        shifted_orthogonality_pair(m, n, params)
+
+
+def test_a_tolerance_that_is_not_positive_is_refused_before_any_work(
+        params, monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the tolerance check")
+
+    monkeypatch.setattr(quad, "mass_points", no_work)
+    monkeypatch.setattr(quad, "shifted_orthogonality_rhs", no_work)
+    w = WeightParams(BETA, Q)
+    for tol in (float("nan"), 0.0, -1e-6):
+        calls = [lambda: integrate(lambda sp: 1.0, w, tol),
+                 lambda: orthogonality_entry(0, 0, w, tol),
+                 lambda: orthogonality_entry([0, 1], [0, 1], w, tol),
+                 lambda: kernel_integral(0.4, -0.25, w, tol),
+                 lambda: bilateral_delta_integral(0, BETA, Q, tol),
+                 lambda: shifted_orthogonality_pair(0, 0, params, tol),
+                 lambda: shifted_orthogonality_pair([0, 1], [0, 1], params, tol)]
+        for call in calls:
+            with pytest.raises(DomainError, match="tol must be positive"):
+                call()
 
 
 def test_shifted_orthogonality_region_error():

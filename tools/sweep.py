@@ -11,7 +11,7 @@ and which were skipped (an exception that escapes run_suite is recorded as
 a crash), prints per-entry fail and skip counts over the grid, and lists
 every configuration whose verdicts differ from tools/sweep_verdicts.json.
 It exits 1 on any difference and 0 otherwise.  It imports qultra from
-src/ beside this directory and takes 15-18 s on a 2-core x86-64 machine.
+src/ beside this directory and takes 12-13 s on a 2-core x86-64 machine.
 """
 
 from __future__ import annotations
