@@ -169,12 +169,9 @@ def _refine(partial_sum, beta: float, q: float, tol,
         # the first level's delta is infinite: it has no predecessor
         delta, value = np.abs(circle + mass - value), circle + mass
         if np.all(delta < tol):
-            if np.ndim(value):
-                return QuadratureResult(np.asarray(value, dtype=complex),
-                                        n - 1 + len(mass_z),
-                                        np.asarray(delta, dtype=float))
-            return QuadratureResult(complex(value), n - 1 + len(mass_z),
-                                    float(delta))
+            if np.ndim(value) == 0:
+                value, delta = complex(value), float(delta)
+            return QuadratureResult(value, n - 1 + len(mass_z), delta)
         thetas = math.pi / (2 * n) * np.arange(1, 2 * n, 2)
         n *= 2
     raise NonConvergence(
