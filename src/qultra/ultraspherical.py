@@ -135,10 +135,13 @@ class UltraRange:
                           np.concatenate([r.truncation_terms for r in parts]))
 
 
+@functools.lru_cache(maxsize=16)
 def check_pole_lattice(params: UltraParams) -> None:
     """Raise PoleError when gamma or beta*gamma sits on a q-power lattice
     that makes some (q gamma; q)_k or (beta gamma; q)_k denominator vanish
-    (or require a limit).  gamma = q^m with m >= 0 is fine."""
+    (or require a limit).  gamma = q^m with m >= 0 is fine.  A passing
+    params is remembered (sixteen at most); a failing one raises again at
+    every call."""
     m = is_q_power(params.gamma, params.q)
     if m is not None and m <= -1:
         raise PoleError(f"gamma = q^{m} lies on the pole lattice")
@@ -152,7 +155,11 @@ def check_pole_lattice(params: UltraParams) -> None:
 
 def direct_region_mask(z, beta, q) -> np.ndarray:
     """Elementwise: z lies inside the direct annulus, i.e. both convergence
-    ratios |q z^2 / beta| and |q / (beta z^2)| are below DIRECT_REGION_MARGIN."""
+    ratios |q z^2 / beta| and |q / (beta z^2)| are below DIRECT_REGION_MARGIN.
+    This is the one routing rule for scalar and array points alike: numpy's
+    complex arithmetic rounds some of these ratios differently from
+    Python's, so a rule evaluated on Python complex numbers would route a
+    few points within rounding of the margin otherwise."""
     z = np.asarray(z, dtype=complex)
     z2 = z * z
     return ((np.abs(q * z2 / beta) < DIRECT_REGION_MARGIN)
@@ -267,13 +274,15 @@ def _power_chain(w: np.ndarray, a: int, b: int) -> np.ndarray:
 _BLOCK_SIZE = 1024
 
 
+@functools.lru_cache(maxsize=16)
 def _tail_bound(r_min: float, r_max: float, params: UltraParams,
                 policy: TruncationPolicy):
-    """(start, rho, length) per side (upper, lower) of the direct sum at
-    points with r_min <= |z| <= r_max: from step base + start on, base =
-    max(n, 0) on the upper side and max(-n - 1, 0) on the lower, every
-    term ratio is at most rho < 1, and the side is cut before step
-    base + length.
+    """(start, rho, length), each an (upper, lower) pair of tuples, for
+    the sides of the direct sum at points with r_min <= |z| <= r_max:
+    from step base + start on, base = max(n, 0) on the upper side and
+    max(-n - 1, 0) on the lower, every term ratio is at most rho < 1, and
+    the side is cut before step base + length.  Cached per arguments
+    (sixteen at most), so every caller shares the returned tuples.
 
     A term ratio is the side's region ratio R, |q/(beta z^2)| or
     |q z^2/beta| (largest at r_min or r_max), times g_{j+1}/g_j and
@@ -313,10 +322,10 @@ def _tail_bound(r_min: float, r_max: float, params: UltraParams,
     else:
         raise NonConvergence(f"direct-sum tail bound not reached within "
                              f"{policy.max_terms} terms")
-    rho = [(1 + r) / 2 for r in region]
-    return start, rho, [s + max(0, math.ceil(math.log(policy.rel_tol * (1 - p) / p)
-                                             / math.log(b))) + 2
-                        for s, p, b in zip(start, rho, bound)]
+    rho = tuple((1 + r) / 2 for r in region)
+    return tuple(start), rho, tuple(
+        s + max(0, math.ceil(math.log(policy.rel_tol * (1 - p) / p) / math.log(b))) + 2
+        for s, p, b in zip(start, rho, bound))
 
 
 def _scaled_coefficients(ns: np.ndarray, steps: int, params: UltraParams,
@@ -333,17 +342,22 @@ def _scaled_coefficients(ns: np.ndarray, steps: int, params: UltraParams,
     m = 1 << max(8, (steps + max(-n_lo - 1, n_hi, 0) - 1).bit_length())
     g = _g_table(params, m)    # power-of-two sizes: few tables per params
     s = np.arange(steps)
+    out = np.empty((2, ns.size, steps), dtype=complex)
     # a_j = g_j sigma^j for j = n - s >= 0, (beta/q)^{-j} g_j (q/(beta sigma))^{-j}
     # for j < 0; the upper coefficient is sigma^{-n} g_s a_{n-s}
-    j = np.arange(n_lo - steps + 1, n_hi + 1)
-    a = g[m + j] * sigma ** np.maximum(j, 0) * (rho / sigma) ** np.maximum(-j, 0)
-    upper = (sigma ** -ns.astype(float))[:, None] * g[m + s] * a[ns[:, None] - s - j[0]]
+    j0 = n_lo - steps + 1
+    j = np.arange(j0, n_hi + 1)
+    up = np.maximum(j, 0)
+    a = g[m + j0:m + n_hi + 1] * sigma ** up * (rho / sigma) ** (up - j)
+    np.multiply((sigma ** -ns.astype(float))[:, None] * g[m:m + steps],
+                a[ns[:, None] - s - j0], out=out[0])
     # b_i = g_i for i = n + 1 + s; the lower coefficient is
     # (q/beta) [(beta/q)^{1+s} g_{-1-s}] (q tau/beta)^s b_{n+1+s}
     i = np.arange(n_lo + 1, n_hi + steps + 1)
-    b = g[m + i] * rho ** np.maximum(-i, 0)
-    lower = rho * g[m - 1 - s] * (rho * tau) ** s * b[ns[:, None] + 1 + s - i[0]]
-    return np.stack((upper, lower))
+    b = g[m + n_lo + 1:m + n_hi + steps + 1] * rho ** np.maximum(-i, 0)
+    np.multiply(rho * g[m - steps:m][::-1] * (rho * tau) ** s,
+                b[ns[:, None] + s - n_lo], out=out[1])
+    return out
 
 
 def _side_sums(coeff: np.ndarray, pre: np.ndarray, ratio) -> np.ndarray:
@@ -359,9 +373,9 @@ def _side_sums(coeff: np.ndarray, pre: np.ndarray, ratio) -> np.ndarray:
     out = np.empty_like(pre)
     power = np.ones(pre.shape[2:] + (coeff.shape[2],), dtype=complex)
     for side in range(2):
-        np.cumprod(np.broadcast_to(ratio[side][:, None], power[:, 1:].shape),
-                   axis=1, out=power[:, 1:])
-        out[side] = pre[side] * (coeff[side] @ power.T)
+        power[:, 1:] = ratio[side][:, None]
+        np.cumprod(power[:, 1:], axis=1, out=power[:, 1:])
+        np.multiply(pre[side], coeff[side] @ power.T, out=out[side])
     return out
 
 
@@ -403,36 +417,43 @@ def _direct_rows(n_lo: int, n_hi: int, z: np.ndarray, params: UltraParams,
     """
     ns = np.arange(n_lo, n_hi + 1)
     r = np.abs(z)
-    extremes = (float(r.min()), float(r.max()))
-    sigma, tau = min(extremes[0] ** 2, 1.0), max(extremes[1] ** 2, 1.0)
+    r_min, r_max = float(r.min()), float(r.max())
+    sigma, tau = min(r_min ** 2, 1.0), max(r_max ** 2, 1.0)
     z2 = z * z
-    zpow = _z_powers(z, n_lo, n_hi)
-    pre = np.stack((zpow, zpow * z2))                  # z^n and z^{n+2}
-    ratio = (sigma / z2, z2 / tau)                     # |ratio| <= 1
-    exps = np.stack((ns, ns + 2)).astype(float)
-    base = np.stack((np.maximum(ns, 0), np.maximum(-ns - 1, 0)))[:, :, None]
-    start, rho, length = np.array(tails)[:, :, None, None]
-    steps = min(int((base + length).max()), policy.max_terms)
+    pre = np.empty((2, ns.size, z.size), dtype=complex)   # z^n and z^{n+2}
+    pre[0] = _z_powers(z, n_lo, n_hi)
+    np.multiply(pre[0], z2, out=pre[1])
+    ratio = (sigma / z2, z2 / tau)                       # |ratio| <= 1
+    start, rho = np.array(tails[:2])[:, :, None, None]
+    length = tails[2]
+    steps = min(max(max(n_hi, 0) + length[0], max(-n_lo - 1, 0) + length[1]),
+                policy.max_terms)
     s = np.arange(steps)
     with np.errstate(over="ignore", invalid="ignore"):
         coeff = _scaled_coefficients(ns, steps, params, sigma, tau)
         # |term| = |coeff| |z|^{n or n+2} |ratio|^s peaks at an extreme |z|
-        tm = np.abs(coeff) * np.maximum(*(
-            (e ** exps)[:, :, None]
-            * (np.array([[sigma / e ** 2], [e ** 2 / tau]]) ** s)[:, None]
-            for e in extremes))
-        first = base + start
+        exps = ns + np.array([[0.0], [2.0]])
+
+        def reach(e):
+            return ((e ** exps)[:, :, None]
+                    * (np.array([[sigma / e ** 2], [e ** 2 / tau]]) ** s)[:, None])
+        tm = np.abs(coeff) * (reach(r_min) if r_min == r_max
+                              else np.maximum(reach(r_min), reach(r_max)))
+        # base = max(n, 0) on the upper side, max(-n - 1, 0) on the lower
+        first = np.maximum(np.array([ns, -1 - ns]), 0)[:, :, None] + start
         largest = np.where(s <= first, tm, 0).max(axis=2, keepdims=True)
         bounded = tm * rho / (1 - rho) <= policy.rel_tol * largest + policy.abs_tol
         cut = (tm == 0) | ((s >= first) & bounded)
         stop = np.where(cut.any(axis=2), cut.argmax(axis=2), steps)[:, :, None]
-        if (~(tm < np.inf) & (s <= stop)).any():
+        kept = s <= stop
+        if (~(tm < np.inf) & kept).any():
             raise NonConvergence("direct bilateral sum overflowed")
-        if (stop == steps).any():
+        if stop.max() == steps:
             raise NonConvergence(f"bilateral sum did not converge within "
                                  f"{steps} terms per side")
-        summed = (s <= stop) & (tm > 0)      # a zero term is not counted
-        value = _side_sums(np.where(summed, coeff, 0), pre, ratio)
+        summed = kept & (tm > 0)             # a zero term is not counted
+        coeff[~summed] = 0
+        value = _side_sums(coeff, pre, ratio)
     return value.sum(axis=0), summed.sum(axis=2)
 
 
@@ -556,6 +577,60 @@ def _bilateral_climb(n: int, z: complex, params: UltraParams,
     return vals[n], terms
 
 
+def _direct_range(n_lo: int, n_hi: int, z: np.ndarray, params: UltraParams,
+                  policy: TruncationPolicy):
+    """C_n for n_lo <= n <= n_hi at the 1-D points z, all inside the
+    annulus, in passes of _direct_rows: the (rows x points) values and
+    the terms of each row, both sides together."""
+    radii = np.abs(z)
+    tails = _tail_bound(float(radii.min()), float(radii.max()), params, policy)
+    # rows are independent, so splitting a long range changes no row's
+    # terms; a pass also holds rows x steps coefficients
+    budget = max(-n_lo, n_hi, 0) + max(tails[2])
+    step = max(1, min(_BLOCK_SIZE // z.size, 8 * _BLOCK_SIZE // budget))
+    values = np.empty((n_hi - n_lo + 1, z.size), dtype=complex)
+    terms = np.empty(n_hi - n_lo + 1, dtype=int)
+    for lo in range(n_lo, n_hi + 1, step):
+        block = slice(lo - n_lo, min(lo + step, n_hi + 1) - n_lo)
+        values[block], sides = _direct_rows(lo, min(lo + step - 1, n_hi), z,
+                                            params, policy, tails)
+        terms[block] = sides.sum(axis=0)
+    return values, terms
+
+
+def _range_values(n_lo: int, n_hi: int, z, params: UltraParams,
+                  policy: TruncationPolicy):
+    """The values and truncation_terms of bilateral_cn_range at z = p.z."""
+    n_lo, n_hi = int(n_lo), int(n_hi)
+    if n_hi < n_lo:
+        raise DomainError("bilateral_cn_range needs n_lo <= n_hi")
+    check_pole_lattice(params)
+    if not isinstance(z, np.ndarray):    # one point: no index bookkeeping
+        point = np.array([z])
+        if direct_region_mask(point, params.beta, params.q)[0]:
+            values, terms = _direct_range(n_lo, n_hi, point, params, policy)
+            return values.reshape(-1), terms
+        continued = [_bilateral_continued(n, z, params, policy)
+                     for n in range(n_lo, n_hi + 1)]
+        return (np.array([v for v, _ in continued], dtype=complex),
+                np.array([t for _, t in continued], dtype=int))
+    shape = z.shape
+    z = np.asarray(z, dtype=complex).ravel()
+    inside = direct_region_mask(z, params.beta, params.q)
+    rows = n_hi - n_lo + 1
+    values = np.empty((rows, z.size), dtype=complex)
+    terms = np.zeros(rows, dtype=int)
+    if inside.any():
+        values[:, inside], terms[:] = _direct_range(n_lo, n_hi, z[inside],
+                                                    params, policy)
+    for i in np.flatnonzero(~inside):
+        for r in range(rows):
+            values[r, i], t = _bilateral_continued(n_lo + r, complex(z[i]),
+                                                   params, policy)
+            terms[r] = max(terms[r], t)
+    return values.reshape((rows,) + shape), terms
+
+
 def bilateral_cn_range(n_lo: int, n_hi: int, p: SpectralPoint,
                        params: UltraParams,
                        policy: TruncationPolicy = DEFAULT_POLICY) -> UltraRange:
@@ -565,40 +640,16 @@ def bilateral_cn_range(n_lo: int, n_hi: int, p: SpectralPoint,
     rows (_direct_rows): each row keeps its own truncation checks, taken
     over those points, and a pass takes as many rows as keep its block of
     rows times points near _BLOCK_SIZE values and its rows times steps
-    near 8 _BLOCK_SIZE.  Every other point is continued per n as in
-    bilateral_cn.  Raises PoleError
+    near 8 _BLOCK_SIZE.  Every other point is continued per n
+    (_bilateral_continued).  A scalar p.z is routed by the same rule
+    (direct_region_mask) and runs the same kernel, on a one-element
+    array, without the array's index bookkeeping: its values and term
+    counts are those of the one-element array, bit for bit.  Raises PoleError
     on the gamma parameter lattices, RegionError when no evaluation route
     applies, NonConvergence when the policy budget is exhausted.
     """
-    n_lo, n_hi = int(n_lo), int(n_hi)
-    if n_hi < n_lo:
-        raise DomainError("bilateral_cn_range needs n_lo <= n_hi")
-    check_pole_lattice(params)
-    z = np.asarray(p.z, dtype=complex).ravel()
-    inside = direct_region_mask(z, params.beta, params.q)
-    rows = n_hi - n_lo + 1
-    values = np.empty((rows, z.size), dtype=complex)
-    terms = np.zeros(rows, dtype=int)
-    if inside.any():
-        radii = np.abs(z[inside])
-        tails = _tail_bound(float(radii.min()), float(radii.max()), params, policy)
-        # rows are independent, so splitting a long range changes no row's
-        # terms; a pass also holds rows x steps coefficients
-        budget = max(-n_lo, n_hi, 0) + max(tails[2])
-        step = max(1, min(_BLOCK_SIZE // radii.size, 8 * _BLOCK_SIZE // budget))
-        for lo in range(n_lo, n_hi + 1, step):
-            hi = min(lo + step - 1, n_hi)
-            block = slice(lo - n_lo, hi - n_lo + 1)
-            values[block, inside], sides = _direct_rows(
-                lo, hi, z[inside], params, policy, tails)
-            terms[block] = sides.sum(axis=0)
-    for i in np.flatnonzero(~inside):
-        for r in range(rows):
-            values[r, i], t = _bilateral_continued(n_lo + r, complex(z[i]),
-                                                   params, policy)
-            terms[r] = max(terms[r], t)
-    return UltraRange(n_lo, p, params, policy,
-                      values.reshape((rows,) + np.shape(p.z)), terms)
+    values, terms = _range_values(n_lo, n_hi, p.z, params, policy)
+    return UltraRange(int(n_lo), p, params, policy, values, terms)
 
 
 def bilateral_cn(n: int, p: SpectralPoint, params: UltraParams,
@@ -612,11 +663,11 @@ def bilateral_cn(n: int, p: SpectralPoint, params: UltraParams,
     the gamma parameter lattices, RegionError when no evaluation route
     applies, NonConvergence when the policy budget is exhausted.
     """
-    rows = bilateral_cn_range(n, n, p, params, policy)
-    value = rows.values[0]
+    values, terms = _range_values(n, n, p.z, params, policy)
+    value = values[0]
     if not isinstance(p.z, np.ndarray):
         value = complex(value)
-    return UltraValue(int(n), p, value, int(rows.truncation_terms[0]))
+    return UltraValue(int(n), p, value, int(terms[0]))
 
 
 def bilateral_cn_psi_form(n: int, p: SpectralPoint, params: UltraParams,

@@ -11,9 +11,10 @@ from qultra import (DEFAULT_POLICY, UNILATERAL, DomainError, NonConvergence,
                     constant_term, generating_rhs, linearization_residual,
                     recurrence_residual, special_value_c0,
                     special_value_cm1, sum_phi, symmetry_residual)
-from qultra.ultraspherical import (_bilateral_22tgl, _bilateral_6psi8,
-                                   _direct_rows, _tail_bound, _z_powers,
-                                   bilateral_cn_range, in_direct_region)
+from qultra.ultraspherical import (DIRECT_REGION_MARGIN, _bilateral_22tgl,
+                                   _bilateral_6psi8, _direct_rows, _tail_bound,
+                                   _z_powers, bilateral_cn_range,
+                                   direct_region_mask, in_direct_region)
 from qultra.verify import CONFIG_DEFAULTS
 
 Q, BETA, GAMMA = (CONFIG_DEFAULTS[k] for k in ("q", "beta", "gamma"))
@@ -656,3 +657,90 @@ def test_cli_table_matches_in_process_values(params, capsys):
         got = complex(float(row[2]), float(row[3]))
         assert abs(got - one.value) <= 1e-13 * abs(one.value), row
         assert int(row[4]) == one.truncation_terms
+
+
+LANE_SETS = [(0.3, 0.8, 0.7), (0.1, 0.95, 0.3), (0.5, 0.9, 0.4)]
+
+
+@pytest.mark.parametrize("qbg", LANE_SETS)
+@pytest.mark.parametrize("radius", [1.0, 0.7, 1.4])
+def test_tail_bound_memo_hands_out_the_uncached_result_immutably(qbg, radius):
+    q, beta, gamma = qbg
+    params = UltraParams(beta, gamma, q)
+    args = (radius, radius, params, DEFAULT_POLICY)
+    if not in_direct_region(radius, beta, q):
+        # (0.5, 0.9, 0.4) at |z| = 0.7 and 1.4: no bound, and no memo of one
+        for fn in (_tail_bound, _tail_bound, _tail_bound.__wrapped__):
+            with pytest.raises(NonConvergence):
+                fn(*args)
+        return
+    first = _tail_bound(*args)
+    hit = _tail_bound(*args)
+    assert hit is first
+    assert hit == _tail_bound.__wrapped__(*args)
+    assert type(hit) is tuple and all(type(part) is tuple for part in hit)
+    with pytest.raises(TypeError):
+        hit[2][0] = 0
+
+
+def _lane_points(q, beta):
+    """Points of the one-point lane test: three inside the direct annulus,
+    four off it, and on each side of the unit circle a pair whose larger
+    region ratio is DIRECT_REGION_MARGIN (1 -+ 1e-9), just inside and just
+    outside."""
+    qb = abs(q / beta)
+    ratio = DIRECT_REGION_MARGIN * (1 + np.array([-1e-9, 1e-9]))
+    edge = np.concatenate([np.sqrt(qb / ratio), np.sqrt(ratio / qb)])
+    far = [math.sqrt(qb / 1.3), math.sqrt(qb / 2.0), math.sqrt(1.3 / qb),
+           math.sqrt(2.0 / qb)]
+    radii = [1.0, math.sqrt(1.0 / 0.85), math.sqrt(0.85)] + far + list(edge)
+    return [r * cmath.exp(1j * (0.45 + 0.61 * k)) for k, r in enumerate(radii)]
+
+
+@pytest.mark.parametrize("qbg", LANE_SETS)
+def test_scalar_point_matches_a_one_element_array(qbg):
+    """A Python-complex point and the same point as a one-element array
+    give bit-identical C_n and equal truncation_terms for n = -12..12, or
+    the same error: both take the route direct_region_mask gives the
+    array, up to points 1e-9 from DIRECT_REGION_MARGIN."""
+    q, beta, gamma = qbg
+    params = UltraParams(beta, gamma, q)
+    zs = _lane_points(q, beta)
+    inside = direct_region_mask(np.array(zs), beta, q)
+    np.testing.assert_array_equal(inside, [True] * 3 + [False] * 4
+                                  + [True, False, True, False])
+
+    def outcome(point, n):
+        try:
+            uv = bilateral_cn(n, point, params)
+        except QSeriesError as exc:
+            return type(exc), str(exc)
+        return np.asarray(uv.value, dtype=complex).tobytes(), uv.truncation_terms
+
+    values = 0
+    for z in zs:
+        for n in range(-12, 13):
+            scalar = outcome(SpectralPoint(z), n)
+            assert scalar == outcome(SpectralPoint(np.array([z])), n), (z, n)
+            values += isinstance(scalar[1], int)
+    assert values >= 0.9 * 25 * len(zs)
+
+
+@pytest.mark.parametrize("qbg", LANE_SETS)
+def test_scalar_point_routes_as_an_array_within_rounding_of_the_margin(qbg):
+    """Within a few ulps of the margin, numpy's complex arithmetic and
+    Python's round the region ratio to opposite sides of it at some
+    points (5 to 8 of these 312 on x86-64 with numpy 2.4); the scalar
+    point still takes the array's route."""
+    q, beta, gamma = qbg
+    params = UltraParams(beta, gamma, q)
+    qb = abs(q / beta)
+    for r0 in (math.sqrt(qb / DIRECT_REGION_MARGIN),
+               math.sqrt(DIRECT_REGION_MARGIN / qb)):
+        for k in range(-6, 7):
+            for j in range(12):
+                z = r0 * (1 + k * 2.0 ** -52) * cmath.exp(1j * (0.3 + 0.25 * j))
+                one = bilateral_cn(1, SpectralPoint(z), params)
+                arr = bilateral_cn(1, SpectralPoint(np.array([z])), params)
+                assert (np.asarray(one.value).tobytes(), one.truncation_terms) == (
+                    arr.value.tobytes(), arr.truncation_terms), z
