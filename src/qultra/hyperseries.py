@@ -11,15 +11,20 @@ the two tails.  A nonterminating tail stops after TAIL_WINDOW terms in a
 row below rel_tol |partial sum| + abs_tol, and raises NonConvergence
 after max_terms terms, 8 TAIL_WINDOW growing terms in a row, or a term or
 partial sum that is not finite.  sum_psi and sum_phi return the value and
-the number of terms summed.  sum_phi is the one-sided psi sum: the k >= 0
-half of the psi sum with q as an extra first lower parameter, whose
-factor 1/(q; q)_k makes every k < 0 term zero.
+the number of terms summed.
+
+One term loop, _psi_terms, sums every series: sum_psi_params checks a
+bilateral series given by its complex parameters and calls it, sum_psi
+is sum_psi_params on a SeriesSpec, and sum_phi calls it as the one-sided
+psi sum (the k >= 0 half with q as an extra first lower parameter, whose
+factor 1/(q; q)_k makes every k < 0 term zero, and with no k < 0 steps).
 
 bailey_2psi2 (Bailey's 2psi2 transformation) and wellpoised_6psi8 (the
 very-well-poised 6psi8 form of a 2psi2) each return the prefactor and the
-transformed series; see Gasper & Rahman, *Basic Hypergeometric Series*,
-ch. 5.  transform_residual checks both, and the continuation routes of
-ultraspherical are built on them.
+transformed series' parameters and argument; see
+Gasper & Rahman, *Basic Hypergeometric Series*, ch. 5.  transform_residual
+checks both, and the continuation routes of ultraspherical are built on
+them.
 """
 
 from __future__ import annotations
@@ -31,8 +36,7 @@ from typing import Sequence
 
 from .errors import DomainError, NonConvergence, PoleError, RegionError
 from .qcore import (DEFAULT_POLICY, GROWTH_SLACK, INFINITY, TAIL_WINDOW,
-                    CompensatedSum, TruncationPolicy, check_base, is_q_power,
-                    poch, poch_multi)
+                    TruncationPolicy, check_base, is_q_power, poch, poch_multi)
 
 UNILATERAL = "unilateral"
 BILATERAL = "bilateral"
@@ -59,9 +63,13 @@ class SeriesSpec:
 
 def terminates_above(upper: Sequence[complex], q) -> int | None:
     """Smallest n >= 0 with some upper parameter equal to q^{-n}, or None."""
+    return _top_index(is_q_power(a, q) for a in upper)
+
+
+def _top_index(powers) -> int | None:
+    """terminates_above from the is_q_power values of the upper parameters."""
     best = None
-    for a in upper:
-        m = is_q_power(a, q)
+    for m in powers:
         if m is not None and m <= 0 and (best is None or -m < best):
             best = -m
     return best
@@ -77,71 +85,82 @@ def terminates_below(lower: Sequence[complex], q) -> int | None:
     return best
 
 
-class _TailState:
-    """Stop/guard bookkeeping for one summation direction."""
+def _psi_terms(upper, lower, q, z, n_top: int | None, m_bot: int | None,
+               policy: TruncationPolicy):
+    """The term loop of every psi and phi sum: (value, terms) of the
+    bilateral series with these complex parameters, base and argument.
 
-    def __init__(self, policy: TruncationPolicy):
-        self.policy = policy
-        self.below = self.growth = self.terms = 0
-        self.prev_mag = INFINITY
-
-    def update(self, term_mag: float, sum_mag: float) -> bool:
-        """Record a nonzero term; return True when this tail is converged."""
-        p = self.policy
-        self.terms += 1
-        if not (term_mag < INFINITY and sum_mag < INFINITY):
-            raise NonConvergence("series term or partial sum is not finite")
-        if term_mag > self.prev_mag * GROWTH_SLACK:
-            self.growth += 1
-            if self.growth >= 8 * TAIL_WINDOW:
-                raise NonConvergence(
-                    "series terms grew for %d consecutive steps" % self.growth)
-        else:
-            self.growth = 0
-        self.prev_mag = term_mag
-        if term_mag <= p.rel_tol * sum_mag + p.abs_tol:
-            self.below += 1
-            if self.below >= TAIL_WINDOW:
-                return True
-        else:
-            self.below = 0
-        if self.terms >= p.max_terms:
-            raise NonConvergence(
-                "series did not converge within %d terms" % p.max_terms)
-        return False
-
-
-def _add_upper_terms(acc: CompensatedSum, upper, lower, q, z,
-                     n_top: int | None, policy: TruncationPolicy) -> int:
-    """Add the terms k = 1, 2, ... of the bilateral series with these
-    parameters to acc, which holds the k = 0 term, up to k = n_top when
-    the series terminates and else until the tail is below tolerance;
-    returns the number of terms added.  The term ratio is
-    prod(1 - a q^k) / prod(1 - b q^k) (-q^k)^{s - r} z."""
+    It sums k = 1, 2, ... after the k = 0 term, up to k = n_top when that
+    is not None and else until the tail stops (module docstring), then
+    k = -1, -2, ... down to k = -m_bot in the same way.  The k >= 0 term
+    ratio is prod(1 - a q^k) / prod(1 - b q^k) (-q^k)^{s - r} z, where a
+    zero lower parameter gives the factor 1 + 0j and is skipped.  The
+    k < 0 ratio is taken in the decaying power v = q^{1-k}, as
+    prod(v - b) / prod(v - a) (-1)^{s - r} / z, and keeps every factor.
+    Partial sums are Kahan-compensated."""
+    rel_tol, abs_tol, max_terms = policy.rel_tol, policy.abs_tol, policy.max_terms
     d = len(lower) - len(upper)
-    t = 1.0 + 0j
-    qk = 1.0 + 0j
-    tail = _TailState(policy)
-    k = 0
-    while n_top is None or k < n_top:
-        num = 1.0 + 0j
-        for a in upper:
-            num *= (1.0 - a * qk)
-        den = 1.0 + 0j
-        for b in lower:
-            f = 1.0 - b * qk
-            if f == 0:
-                raise PoleError(f"lower parameter {b} hits the q^-k lattice")
-            den *= f
-        t = t * num / den * ((-1.0) * qk) ** d * z
-        qk *= q
-        k += 1
-        if t == 0:
-            break
-        acc.add(t)
-        if n_top is None and tail.update(abs(t), abs(acc.value)):
-            break
-    return k
+    nonzero_lower = [b for b in lower if b != 0]
+    sign = (-1.0) ** d
+    s, c = 1.0 + 0j, 0j                  # the sum and its compensation
+    terms = 1
+    for ascending, stop in ((True, n_top), (False, m_bot)):
+        t = 1.0 + 0j
+        x = 1.0 + 0j if ascending else q  # q^k, or v = q^{1-k}
+        below = growth = j = 0
+        prev_mag = INFINITY
+        while stop is None or j < stop:
+            num = den = 1.0 + 0j
+            if ascending:
+                for a in upper:
+                    num = num * (1.0 - a * x)
+                for b in nonzero_lower:
+                    f = 1.0 - b * x
+                    if f == 0:
+                        raise PoleError(f"lower parameter {b} hits the q^-k lattice")
+                    den = den * f
+                t = t * num / den * ((-1.0) * x) ** d * z
+            else:
+                for b in lower:
+                    num = num * (x - b)
+                for a in upper:
+                    f = x - a
+                    if f == 0:
+                        raise PoleError(f"upper parameter {a} hits the q^k lattice")
+                    den = den * f
+                t = t * sign * num / den / z
+            x = x * q
+            j += 1
+            if t == 0:
+                break
+            y = t - c
+            acc = s + y
+            c = (acc - s) - y
+            s = acc
+            if stop is not None:
+                continue
+            term_mag, sum_mag = abs(t), abs(s)
+            if not (term_mag < INFINITY and sum_mag < INFINITY):
+                raise NonConvergence("series term or partial sum is not finite")
+            if term_mag > prev_mag * GROWTH_SLACK:
+                growth += 1
+                if growth >= 8 * TAIL_WINDOW:
+                    raise NonConvergence(
+                        "series terms grew for %d consecutive steps" % growth)
+            else:
+                growth = 0
+            prev_mag = term_mag
+            if term_mag <= rel_tol * sum_mag + abs_tol:
+                below += 1
+                if below >= TAIL_WINDOW:
+                    break
+            else:
+                below = 0
+            if j >= max_terms:
+                raise NonConvergence(
+                    "series did not converge within %d terms" % max_terms)
+        terms += j
+    return s, terms
 
 
 def _phi_region_check(spec: SeriesSpec, n_top: int | None) -> None:
@@ -169,85 +188,59 @@ def sum_phi(spec: SeriesSpec, policy: TruncationPolicy = DEFAULT_POLICY):
         raise DomainError("sum_phi requires a unilateral spec")
     n_top = terminates_above(spec.upper, spec.q)
     _phi_region_check(spec, n_top)
-    acc = CompensatedSum()
-    acc.add(1.0 + 0j)
-    k = _add_upper_terms(acc, spec.upper, (spec.q,) + spec.lower, spec.q,
-                         spec.z, n_top, policy)
-    return acc.value, k + 1
+    return _psi_terms(spec.upper, (spec.q,) + spec.lower, spec.q, spec.z,
+                      n_top, 0, policy)
 
 
-def _psi_region_check(spec: SeriesSpec, n_top: int | None,
+def _psi_region_check(upper, lower, z, n_top: int | None,
                       m_bot: int | None) -> None:
-    """Convergence region of a bilateral series; n_top and m_bot are
-    terminates_above(spec.upper, spec.q) and
-    terminates_below(spec.lower, spec.q)."""
-    if spec.z == 0:
+    """Convergence region of the bilateral series with these complex
+    parameters and argument; n_top and m_bot are terminates_above(upper,
+    q) and terminates_below(lower, q)."""
+    if z == 0:
         raise DomainError("bilateral series require z != 0")
-    r, s = len(spec.upper), len(spec.lower)
+    r, s = len(upper), len(lower)
     if n_top is None:
         if r > s:
             raise RegionError(f"nonterminating {r}psi{s} diverges for r > s")
-        if r == s and not abs(spec.z) < 1:
-            raise RegionError(
-                f"{r}psi{s} requires |z| < 1, got |z| = {abs(spec.z)}")
+        if r == s and not abs(z) < 1:
+            raise RegionError(f"{r}psi{s} requires |z| < 1, got |z| = {abs(z)}")
     if m_bot is None:
         if r > s:
             raise RegionError(f"nonterminating {r}psi{s} diverges for r > s")
         if r == s:
-            bprod = math.prod(spec.lower)
-            aprod = math.prod(spec.upper)
-            ratio = abs(bprod / (aprod * spec.z))
+            ratio = abs(math.prod(lower) / (math.prod(upper) * z))
             if not ratio < 1:
                 raise RegionError(
                     f"{r}psi{s} requires |b1..bs/(a1..ar z)| < 1, got {ratio}")
 
 
 def sum_psi(spec: SeriesSpec, policy: TruncationPolicy = DEFAULT_POLICY):
-    """Sum a bilateral r_psi_s series by symmetric two-sided
-    accumulation k = 0, +-1, +-2, ... with independent tail control;
-    returns (value, terms used).
+    """Sum a bilateral r_psi_s series by two-sided accumulation, k >= 0
+    and then k < 0, with independent tail control; returns (value, terms
+    used).
 
     Zero lower parameters are allowed: their reciprocal factors are 1
     for every k, which is how very-well-poised 6psi8 specs with two
-    vanishing lower parameters are summed.
+    trailing zero lower parameters are summed.
     """
     if spec.kind != BILATERAL:
         raise DomainError("sum_psi requires a bilateral spec")
-    q, z = spec.q, spec.z
-    n_top = terminates_above(spec.upper, q)
-    m_bot = terminates_below(spec.lower, q)
-    _psi_region_check(spec, n_top, m_bot)
-    d = len(spec.lower) - len(spec.upper)
-    acc = CompensatedSum()
-    acc.add(1.0 + 0j)
+    return sum_psi_params(spec.upper, spec.lower, spec.q, spec.z, policy)
 
-    k = _add_upper_terms(acc, spec.upper, spec.lower, q, z, n_top, policy)
 
-    # backward tail k = -1, -2, ...; ratio in v = q^{1-k} keeps values bounded
-    t = 1.0 + 0j
-    v = q
-    sign = (-1.0) ** d
-    tail = _TailState(policy)
-    m = 0
-    while m_bot is None or m < m_bot:
-        num = 1.0 + 0j
-        for b in spec.lower:
-            num *= (v - b)
-        den = 1.0 + 0j
-        for a in spec.upper:
-            f = v - a
-            if f == 0:
-                raise PoleError(f"upper parameter {a} hits the q^k lattice")
-            den *= f
-        t = t * sign * num / den / z
-        v *= q
-        m += 1
-        if t == 0:
-            break
-        acc.add(t)
-        if m_bot is None and tail.update(abs(t), abs(acc.value)):
-            break
-    return acc.value, k + m + 1
+def sum_psi_params(upper, lower, q, z, policy: TruncationPolicy,
+                   upper_powers=None):
+    """sum_psi of the bilateral series with these complex parameters, a
+    checked complex base q and a complex argument z, without a SeriesSpec.
+    upper_powers, when given, are the is_q_power values of upper, which a
+    caller may know already."""
+    if upper_powers is None:
+        upper_powers = [is_q_power(a, q) for a in upper]
+    n_top = _top_index(upper_powers)
+    m_bot = terminates_below(lower, q)
+    _psi_region_check(upper, lower, z, n_top, m_bot)
+    return _psi_terms(upper, lower, q, z, n_top, m_bot, policy)
 
 
 def _as_params(params, names: str):
@@ -315,11 +308,13 @@ def bailey_2psi2(a, b, c, d, z, q, policy: TruncationPolicy = DEFAULT_POLICY):
         2psi2(a, b; c, d; q, z) = P 2psi2(a, abz/d; az, c; q, d/a),
         P = (az, d/a, c/b, dq/(abz); q)_inf / (z, d, q/b, cd/(abz); q)_inf,
 
-    for max(|z|, |cd/abz|, |d/a|, |c/b|) < 1.  Returns P and the
-    transformed series; checks no region."""
+    for max(|z|, |cd/abz|, |d/a|, |c/b|) < 1.  Returns (P, upper, lower,
+    w): P and the transformed series' parameters and argument, as complex;
+    checks no region."""
     pref = (poch_multi([a * z, d / a, c / b, d * q / (a * b * z)], q, INFINITY, policy)
             / poch_multi([z, d, q / b, c * d / (a * b * z)], q, INFINITY, policy))
-    return pref, SeriesSpec(BILATERAL, (a, a * b * z / d), (a * z, c), q, d / a)
+    return (pref, (complex(a), complex(a * b * z / d)), (complex(a * z), complex(c)),
+            complex(d / a))
 
 
 def wellpoised_6psi8(a, c, d, e, f, q, policy: TruncationPolicy = DEFAULT_POLICY):
@@ -330,17 +325,16 @@ def wellpoised_6psi8(a, c, d, e, f, q, policy: TruncationPolicy = DEFAULT_POLICY
             q, a^3 q^2/cdef),
         P = (q/c, q/d, aq/e, aq/f; q)_inf / (aq, q/a, aq/cd, aq/ef; q)_inf,
 
-    for |aq/cd| < 1 and |aq/ef| < 1.  Returns P and the 6psi8 series;
-    checks no region."""
+    for |aq/cd| < 1 and |aq/ef| < 1.  Returns (P, upper, lower, w) as
+    bailey_2psi2 does; checks no region."""
     sq = cmath.sqrt(a)
     pref = (poch_multi([q / c, q / d, a * q / e, a * q / f], q, INFINITY, policy)
             / poch_multi([a * q, q / a, a * q / (c * d), a * q / (e * f)],
                          q, INFINITY, policy))
-    return pref, SeriesSpec(BILATERAL,
-                            (q * sq, -q * sq, c, d, e, f),
-                            (sq, -sq, a * q / c, a * q / d, a * q / e, a * q / f,
-                             0.0, 0.0),
-                            q, a ** 3 * q ** 2 / (c * d * e * f))
+    upper = (q * sq, -q * sq, c, d, e, f)
+    lower = (sq, -sq, a * q / c, a * q / d, a * q / e, a * q / f, 0.0, 0.0)
+    return (pref, tuple(map(complex, upper)), tuple(map(complex, lower)),
+            complex(a ** 3 * q ** 2 / (c * d * e * f)))
 
 
 def transform_residual(name: str, params: Sequence[complex], q,
@@ -358,8 +352,8 @@ def transform_residual(name: str, params: Sequence[complex], q,
             raise RegionError(
                 "bailey_2psi2_single requires max(|z|,|cd/abz|,|d/a|,|c/b|) < 1")
         lhs = sum_psi(SeriesSpec(BILATERAL, (a, b), (c, d), q, z), policy)[0]
-        pref, spec = bailey_2psi2(a, b, c, d, z, q, policy)
-        rhs = pref * sum_psi(spec, policy)[0]
+        pref, upper, lower, w = bailey_2psi2(a, b, c, d, z, q, policy)
+        rhs = pref * sum_psi(SeriesSpec(BILATERAL, upper, lower, q, w), policy)[0]
     elif name == "bailey_2psi2_iterated":
         a, b, c, d, z = _as_params(params, "a b c d z")
         if not max(abs(z), abs(c * d / (a * b * z))) < 1:
@@ -379,8 +373,8 @@ def transform_residual(name: str, params: Sequence[complex], q,
                 "wellpoised_6psi8 requires |aq/cd| < 1 and |aq/ef| < 1")
         lhs = sum_psi(SeriesSpec(BILATERAL, (e, f), (a * q / c, a * q / d), q,
                                  a * q / (e * f)), policy)[0]
-        pref, spec = wellpoised_6psi8(a, c, d, e, f, q, policy)
-        rhs = pref * sum_psi(spec, policy)[0]
+        pref, upper, lower, w = wellpoised_6psi8(a, c, d, e, f, q, policy)
+        rhs = pref * sum_psi(SeriesSpec(BILATERAL, upper, lower, q, w), policy)[0]
     else:
         raise DomainError(f"unknown transformation {name!r}")
     return abs(lhs - rhs) / max(1.0, abs(lhs))

@@ -207,8 +207,10 @@ def poch(a, q, k, policy: TruncationPolicy | None = None):
     k may be a (possibly negative) integer or ``math.inf``.  a is a
     complex scalar, for which the result is a Python complex; for k = inf
     it may also be a numpy array, for which the result is an array.  For
-    k = -m the value is 1 / (a q^{-m}; q)_m and a PoleError reports any
-    vanishing factor.
+    k = -m the value is prod_{j=1}^{m} q^j / (q^j - a), which is
+    1 / (a q^{-m}; q)_m with each reciprocal factor taken on its own, so
+    a value below the double range underflows towards 0 instead of its
+    reciprocal overflowing; a PoleError reports any vanishing factor.
     """
     q = check_base(q)
     policy = policy or DEFAULT_POLICY
@@ -223,34 +225,36 @@ def poch(a, q, k, policy: TruncationPolicy | None = None):
     a = complex(a)
     if not cmath.isfinite(a):
         raise DomainError("poch requires finite a")
-    out = 1.0 + 0j
     if k == INFINITY:
-        term = a
-        for _ in range(_product_bound_terms(abs(a), abs(q), policy)):
-            out *= 1.0 - term
-            term *= q
-        return out
-
+        return _poch_inf_scalar(a, q, policy)
     k = int(k)
+    out = 1.0 + 0j
     if k >= 0:
         qj = 1.0 + 0j
         for _ in range(k):
             out *= 1.0 - a * qj
             qj *= q
     else:
-        qmj = 1.0 / q
+        v = q
         for j in range(1, -k + 1):
-            factor = 1.0 - a * qmj
-            if factor == 0:
+            den = v - a
+            if den == 0:
                 raise PoleError(f"(a; q)_{k}: factor 1 - a q^-{j} vanishes")
-            out *= factor
-            qmj /= q
-        # numpy's division: Python's raises ZeroDivisionError on an
-        # underflowed product and rounds complex quotients differently
-        with np.errstate(over="ignore", invalid="ignore"):
-            out = complex(np.divide(1.0, out))
+            out *= v / den
+            v *= q
     if not cmath.isfinite(out):
         raise DomainError(f"(a; q)_{k} overflowed double precision")
+    return out
+
+
+def _poch_inf_scalar(a: complex, q: complex, policy: TruncationPolicy) -> complex:
+    """(a; q)_inf for a finite complex a: poch's scalar loop, whose factor
+    count comes from _product_bound_terms."""
+    out = 1.0 + 0j
+    term = a
+    for _ in range(_product_bound_terms(abs(a), abs(q), policy)):
+        out = out * (1.0 - term)   # not *=: complex has no in-place slot
+        term = term * q
     return out
 
 
@@ -287,13 +291,24 @@ def poch_ratio(a, b, q, k):
 
 
 def poch_multi(factors, q, k, policy: TruncationPolicy | None = None):
-    """Product of (a_i; q)_k over a sequence of parameters."""
+    """Product of (a_i; q)_k over a sequence of parameters, multiplied in
+    order.  q and the policy are checked once; for k = inf a scalar a_i
+    runs poch's scalar loop directly, with poch's values and errors."""
+    q = check_base(q)
+    policy = policy or DEFAULT_POLICY
     out = 1.0 + 0j
     for i, a in enumerate(factors):
         try:
-            out = out * poch(a, q, k, policy)
+            if k == INFINITY and not isinstance(a, np.ndarray):
+                x = complex(a)
+                if not cmath.isfinite(x):
+                    raise DomainError("poch requires finite a")
+                p = _poch_inf_scalar(x, q, policy)
+            else:
+                p = poch(a, q, k, policy)
         except (PoleError, NonConvergence) as exc:
             raise type(exc)(f"factor {i} (a = {a}): {exc}") from exc
+        out = out * p
     return out
 
 

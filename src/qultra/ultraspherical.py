@@ -34,7 +34,8 @@ and a recurrence climb from continued C_0, C_{-1}, tried in this order
 until one gives a finite value.  This is what makes divided-difference
 checks at q^{+-1/2}-shifted points and the special-value points
 z = q^{1/2}, q^{1/4} computable for beta < 1, where the direct sum
-diverges at those points.
+diverges at those points.  The two transformation routes take their
+z-free pieces from a memo per (n, params).
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ import numpy as np
 
 from .errors import DomainError, NonConvergence, PoleError, RegionError
 from .hyperseries import (BILATERAL, SeriesSpec, bailey_2psi2, sum_psi,
-                          wellpoised_6psi8)
+                          sum_psi_params, wellpoised_6psi8)
 from .qcore import (DEFAULT_POLICY, INFINITY, CompensatedSum,
                     SpectralPoint, TruncationPolicy, check_base, check_real_base,
                     is_q_power, poch, poch_multi, poch_pm, poch_ratio)
@@ -478,37 +479,91 @@ def _on_nonpositive_lattice(value, q):
     return m is not None and m <= 0
 
 
+class _RouteHead:
+    """The z-free pieces of both continuation routes at one (n, params),
+    made once by _route_head: g = (beta gamma; q)_n / (q gamma; q)_n at
+    construction, the rest on first use, at the point where the routes
+    need them, so a piece that raises does so in the same order as if it
+    were computed in place (a raising piece is not kept)."""
+
+    def __init__(self, n: int, params: UltraParams):
+        q, beta, gamma = params.q, params.beta, params.gamma
+        self.n, self.q, self.beta, self.gamma = n, q, beta, gamma
+        self.bg, self.gq = beta * gamma, q * gamma
+        self.g = poch_ratio(self.bg, self.gq, q, n)
+
+    def well_poised(self, z):
+        """(P, a, b, c, d, Z) of _well_poised_2psi2 at z."""
+        return (self.g * z ** self.n, self.bg, self.f, self.gq, self.d,
+                self.q / (self.beta * z * z))
+
+    @functools.cached_property
+    def qn(self):
+        """q^{-n}."""
+        return self.q ** (-self.n)
+
+    @functools.cached_property
+    def f(self):
+        """q^{-n}/gamma, an upper parameter of both transformed series."""
+        return self.qn / self.gamma
+
+    @functools.cached_property
+    def d(self):
+        """q^{1-n}/(beta gamma)."""
+        return self.q ** (1 - self.n) / self.bg
+
+    @functools.cached_property
+    def d_vanishes(self):
+        """(q^{1-n}/(beta gamma); q)_inf vanishes."""
+        return _on_nonpositive_lattice(self.d, self.q)
+
+    @functools.cached_property
+    def bg_power(self):
+        return is_q_power(self.bg, self.q)
+
+    @functools.cached_property
+    def f_power(self):
+        return is_q_power(self.f, self.q)
+
+
+#: one _RouteHead per (n, params); it calls neither poch nor sum_psi.
+#: typed: an np.int64 n gives numpy powers, which must not serve an int n
+_route_head = functools.lru_cache(maxsize=512, typed=True)(_RouteHead)
+
+
 def _well_poised_2psi2(n: int, z: complex, params: UltraParams):
     """(P, a, b, c, d, Z) with C_n(z) = P 2psi2(a, b; c, d; q, Z), the
     defining series as a well-poised 2psi2: P = (beta gamma; q)_n /
     (q gamma; q)_n z^n, a = beta gamma, b = q^{-n}/gamma, c = q gamma,
     d = q^{1-n}/(beta gamma) and Z = q/(beta z^2)."""
-    q, beta, gamma = params.q, params.beta, params.gamma
-    bg, gq = beta * gamma, q * gamma
-    return (poch_ratio(bg, gq, q, n) * z ** n, bg, q ** (-n) / gamma, gq,
-            q ** (1 - n) / bg, q / (beta * z * z))
+    return _route_head(n, params).well_poised(z)
 
 
 def _bilateral_6psi8(n: int, z: complex, params: UltraParams,
                      policy: TruncationPolicy):
     """Continuation through the very-well-poised 6psi8 form of the
     well-poised 2psi2, whose upper parameters are e = beta gamma and
-    f = q^{-n}/gamma."""
+    f = q^{-n}/gamma: pref0 times wellpoised_6psi8(alpha, c, d, e, f),
+    with the z-free pieces from _route_head."""
     q, beta, gamma = params.q, params.beta, params.gamma
-    pref0, e, f, _, _, _ = _well_poised_2psi2(n, z, params)
+    head = _route_head(n, params)
+    pref0, e, f, _, _, _ = head.well_poised(z)
     w2 = z * z
-    alpha = q ** (-n) / w2
+    alpha = head.qn / w2
     # the representation degenerates on the (half-)integer q-power lattice
     # of alpha and where a prefactor denominator product vanishes
     if _near_half_lattice(alpha, q):
         raise _RouteUnusable("alpha on the q-power lattice")
-    for arg in (q * w2 / beta, q / (beta * w2), q ** (1 - n) / e):
+    for arg in (q * w2 / beta, q / (beta * w2)):
         if _on_nonpositive_lattice(arg, q):
             raise _RouteUnusable("prefactor product vanishes")
-    c = q ** (-n) / (w2 * gamma)
+    if head.d_vanishes:
+        raise _RouteUnusable("prefactor product vanishes")
+    c = head.qn / (w2 * gamma)
     d = e / w2
-    pref1, spec = wellpoised_6psi8(alpha, c, d, e, f, q, policy)
-    value, terms = sum_psi(spec, policy)
+    pref1, upper, lower, w = wellpoised_6psi8(alpha, c, d, e, f, q, policy)
+    powers = [is_q_power(a, q) for a in upper[:4]] + [head.bg_power, head.f_power]
+    value, terms = sum_psi_params(upper, lower, q, w, policy, powers)
     return pref0 * pref1 * value, terms
 
 
@@ -516,7 +571,7 @@ def _bilateral_22tgl(n: int, z: complex, params: UltraParams,
                      policy: TruncationPolicy):
     """Continuation through Bailey's 2psi2 transformation of the
     well-poised 2psi2, whose transformed argument q^{1-n}/(beta gamma)^2
-    is z-free."""
+    is z-free: pref0 times bailey_2psi2(a, b, c, d, Z)."""
     q = params.q
     pref0, a, b, c, d, Z = _well_poised_2psi2(n, z, params)
     if not (abs(d / a) < 1 and abs(c / b) < 1):
@@ -524,8 +579,8 @@ def _bilateral_22tgl(n: int, z: complex, params: UltraParams,
     for arg in (Z, c * d / (a * b * Z), d, q / b):
         if _on_nonpositive_lattice(arg, q):
             raise _RouteUnusable("prefactor product vanishes")
-    G, spec = bailey_2psi2(a, b, c, d, Z, q, policy)
-    value, terms = sum_psi(spec, policy)
+    G, upper, lower, w = bailey_2psi2(a, b, c, d, Z, q, policy)
+    value, terms = sum_psi_params(upper, lower, q, w, policy)
     return pref0 * G * value, terms
 
 

@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
 
-from qultra import (BILATERAL, UNILATERAL, DomainError, RegionError,
-                    SeriesSpec, TruncationPolicy, closed_form, poch,
+from qultra import (BILATERAL, UNILATERAL, DomainError, NonConvergence,
+                    PoleError, RegionError, SeriesSpec, SpectralPoint,
+                    TruncationPolicy, bilateral_cn, closed_form, poch,
                     poch_multi, sum_phi, sum_psi, transform_residual)
-from qultra.qcore import INFINITY
+from qultra.hyperseries import terminates_above, terminates_below
+from qultra.qcore import (GROWTH_SLACK, INFINITY, TAIL_WINDOW,
+                          CompensatedSum)
+from qultra.ultraspherical import direct_region_mask
 from qultra.verify import CONFIG_DEFAULTS
 
 Q = CONFIG_DEFAULTS["q"]
@@ -179,3 +183,145 @@ def test_transform_residuals_sampled_in_region():
 def test_transform_region_error():
     with pytest.raises(RegionError):
         transform_residual("bailey_2psi2_single", (0.9, 0.8, 0.1, 0.2, 1.4), Q)
+
+
+def _transcribed_tail(policy):
+    """The tail rule of the term loop, as a stepper: record a nonzero
+    term's and the partial sum's moduli; True once the tail is accepted."""
+    state = {"below": 0, "growth": 0, "terms": 0, "prev": INFINITY}
+
+    def update(term_mag, sum_mag):
+        state["terms"] += 1
+        if not (term_mag < INFINITY and sum_mag < INFINITY):
+            raise NonConvergence("series term or partial sum is not finite")
+        if term_mag > state["prev"] * GROWTH_SLACK:
+            state["growth"] += 1
+            if state["growth"] >= 8 * TAIL_WINDOW:
+                raise NonConvergence(
+                    "series terms grew for %d consecutive steps" % state["growth"])
+        else:
+            state["growth"] = 0
+        state["prev"] = term_mag
+        if term_mag <= policy.rel_tol * sum_mag + policy.abs_tol:
+            state["below"] += 1
+            if state["below"] >= TAIL_WINDOW:
+                return True
+        else:
+            state["below"] = 0
+        if state["terms"] >= policy.max_terms:
+            raise NonConvergence(
+                "series did not converge within %d terms" % policy.max_terms)
+        return False
+    return update
+
+
+def _transcribed_sum(upper, lower, q, z, n_top, m_bot, policy):
+    """The k >= 0 loop and the k < 0 loop of the psi sum written out one
+    step at a time, every factor kept, with a CompensatedSum."""
+    acc = CompensatedSum()
+    acc.add(1.0 + 0j)
+    d = len(lower) - len(upper)
+    t, qk, k, tail = 1.0 + 0j, 1.0 + 0j, 0, _transcribed_tail(policy)
+    while n_top is None or k < n_top:
+        num = 1.0 + 0j
+        for a in upper:
+            num *= (1.0 - a * qk)
+        den = 1.0 + 0j
+        for b in lower:
+            f = 1.0 - b * qk
+            if f == 0:
+                raise PoleError(f"lower parameter {b} hits the q^-k lattice")
+            den *= f
+        t = t * num / den * ((-1.0) * qk) ** d * z
+        qk *= q
+        k += 1
+        if t == 0:
+            break
+        acc.add(t)
+        if n_top is None and tail(abs(t), abs(acc.value)):
+            break
+    t, v, m, tail = 1.0 + 0j, q, 0, _transcribed_tail(policy)
+    while m_bot is None or m < m_bot:
+        num = 1.0 + 0j
+        for b in lower:
+            num *= (v - b)
+        den = 1.0 + 0j
+        for a in upper:
+            f = v - a
+            if f == 0:
+                raise PoleError(f"upper parameter {a} hits the q^k lattice")
+            den *= f
+        t = t * (-1.0) ** d * num / den / z
+        v *= q
+        m += 1
+        if t == 0:
+            break
+        acc.add(t)
+        if m_bot is None and tail(abs(t), abs(acc.value)):
+            break
+    return acc.value, k + m + 1
+
+
+def _bits(fn, *args):
+    try:
+        value, terms = fn(*args)
+    except (NonConvergence, PoleError) as exc:
+        return type(exc), str(exc)
+    return value.real.hex(), value.imag.hex(), terms
+
+
+def test_sums_equal_the_transcribed_term_loops_bit_for_bit():
+    # random specs, a fifth with a zero lower parameter placed first (the
+    # k >= 0 loop skips its factor 1 + 0j; the k < 0 loop keeps v - 0)
+    rng = np.random.default_rng(1608)
+    policy = TruncationPolicy()
+    compared = zeros = 0
+    for i in range(1500):
+        q = (0.3, 0.7, 0.9, 0.4 + 0.3j)[i % 4]
+        r = int(rng.integers(0, 4))
+        upper = tuple(complex(rng.uniform(0.05, 1.5)
+                              * np.exp(1j * rng.uniform(-np.pi, np.pi)))
+                      for _ in range(r))
+        lower = [complex(rng.uniform(0.05, 1.5)
+                         * np.exp(1j * rng.uniform(-np.pi, np.pi)))
+                 for _ in range(int(rng.integers(r, r + 3)))]
+        if lower and rng.random() < 0.2:
+            lower[0] = 0j
+        if upper and rng.random() < 0.1:
+            upper = (q ** -int(rng.integers(0, 5)),) + upper[1:]
+        z = complex(rng.uniform(0.05, 0.95) * np.exp(1j * rng.uniform(-np.pi, np.pi)))
+        unilateral = i % 2 == 1
+        spec = SeriesSpec(UNILATERAL if unilateral else BILATERAL,
+                          upper, tuple(lower), q, z)
+        try:
+            got = _bits(sum_phi if unilateral else sum_psi, spec, policy)
+        except (RegionError, DomainError):   # refused before the loop
+            continue
+        n_top = terminates_above(spec.upper, spec.q)
+        if unilateral:
+            want = _bits(_transcribed_sum, spec.upper, (spec.q,) + spec.lower,
+                         spec.q, spec.z, n_top, 0, policy)
+        else:
+            want = _bits(_transcribed_sum, spec.upper, spec.lower, spec.q,
+                         spec.z, n_top, terminates_below(spec.lower, spec.q),
+                         policy)
+        assert got == want, spec
+        compared += 1
+        zeros += 0j in spec.lower
+    assert compared > 1000 and zeros > 150
+
+
+def test_off_annulus_scalar_and_array_values_are_identical(params):
+    # the per-point continuation gives an array call the scalar values
+    # exactly, for every n of the benchmark's range and beyond
+    rng = np.random.default_rng(16)
+    radius = rng.uniform(0.35, 0.58, 8)
+    arg = rng.uniform(0.15, np.pi - 0.15, 8) * rng.choice([-1, 1], 8)
+    inner = radius * np.exp(1j * arg)
+    zs = np.concatenate([inner, 1 / inner])
+    assert not direct_region_mask(zs, params.beta, params.q).any()
+    for n in range(-12, 13):
+        array = bilateral_cn(n, SpectralPoint(zs), params).value
+        scalar = [bilateral_cn(n, SpectralPoint(complex(z)), params).value
+                  for z in zs]
+        assert np.array_equal(array, scalar), n

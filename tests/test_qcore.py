@@ -47,6 +47,46 @@ def test_poch_multi_infinite_frozen_oracle():
     assert got.real == pytest.approx(0.25139454992286484156, rel=1e-13)
 
 
+def _poch_product(factors, q, k, policy=None):
+    """poch_multi as a product of poch calls, each error named by factor."""
+    out = 1.0 + 0j
+    for i, a in enumerate(factors):
+        try:
+            out = out * poch(a, q, k, policy)
+        except (PoleError, NonConvergence) as exc:
+            raise type(exc)(f"factor {i} (a = {a}): {exc}") from exc
+    return out
+
+
+def test_poch_multi_is_the_product_of_poch_calls_bit_for_bit():
+    # poch_multi checks q once and runs scalar k = inf factors on poch's
+    # loop directly; values, types and errors stay those of poch, except
+    # that a bad q raises even when there are no factors
+    rng = np.random.default_rng(16)
+    tight = TruncationPolicy(max_terms=20)
+    for _ in range(300):
+        q = (complex(*rng.uniform(-0.9, 0.9, 2)) if rng.random() < 0.5
+             else rng.uniform(0.05, 0.95))
+        size = int(rng.integers(0, 5))
+        factors = list(rng.uniform(-3, 3, size) + 1j * rng.uniform(-3, 3, size))
+        factors = [complex(a) if rng.random() < 0.5 else np.complex128(a) for a in factors]
+        if size and rng.random() < 0.2:
+            factors[-1] = complex("nan")
+        for k in (INFINITY, 3, -2):
+            for policy in (None, tight):
+                outcomes = []
+                for fn in (poch_multi, _poch_product):
+                    try:
+                        v = fn(factors, q, k, policy)
+                        outcomes.append((type(v), v.real.hex(), v.imag.hex()))
+                    except Exception as exc:  # the error is the outcome
+                        outcomes.append((type(exc), str(exc)))
+                if not factors and not abs(q) < 1:
+                    assert outcomes[0][0] is DomainError
+                    continue
+                assert outcomes[0] == outcomes[1], (factors, q, k, policy)
+
+
 def test_poch_pm_zero_parameter_is_one():
     p = SpectralPoint.from_theta(0.7)
     assert poch_pm(0.0, p, Q) == 1.0
@@ -138,6 +178,28 @@ def test_poch_overflow_raises_without_a_warning(a):
         warnings.simplefilter("error")
         with pytest.raises(DomainError):
             poch(a, 0.5, -1)
+
+
+@pytest.mark.parametrize("a,q", [(0.91, 0.3), (0.56, 0.3), (0.4 + 0.7j, 0.5),
+                                 (2.5, 0.7)])
+def test_poch_negative_index_underflows_towards_zero(a, q):
+    # (a; q)_{-m} = prod_{j=1}^{m} q^j / (q^j - a) shrinks like q^{m^2/2}:
+    # at (0.91, 0.3) it is 3.29e-310 (subnormal) at m = 34 and -1.8e-328
+    # at m = 35, below the double range, where 1 / (a q^{-m}; q)_m overflows
+    for m in range(1, 80):
+        got = poch(a, q, -m)
+        with mpmath.workdps(40):
+            am, qm = mpmath.mpc(a), mpmath.mpf(q)
+            want = mpmath.fprod(qm ** j / (qm ** j - am) for j in range(1, m + 1))
+            want = complex(want)    # rounds below the double range to 0
+        assert abs(got - want) <= 1e-13 * abs(want) + 1e-320, (m, got, want)
+    assert poch(0.91, 0.3, -34) == pytest.approx(3.290792075524276e-310, rel=1e-10)
+    assert poch(0.91, 0.3, -35) == 0
+
+
+def test_poch_negative_index_pole_still_raises():
+    with pytest.raises(PoleError, match=r"factor 1 - a q\^-2 vanishes"):
+        poch(Q ** 2, Q, -3)
 
 
 def _loop_bound_terms(a_mag, q_mag, policy):

@@ -4,17 +4,21 @@ import math
 import numpy as np
 import pytest
 
-from qultra import (DEFAULT_POLICY, UNILATERAL, DomainError, NonConvergence,
-                    PoleError, QSeriesError, RegionError, SeriesSpec,
+from qultra import (BILATERAL, DEFAULT_POLICY, UNILATERAL, DomainError,
+                    NonConvergence, PoleError, QSeriesError, RegionError, SeriesSpec,
                     SpectralPoint, TruncationPolicy, UltraParams,
                     bilateral_cn, bilateral_cn_psi_form, classical_cn,
                     constant_term, generating_rhs, linearization_residual,
                     recurrence_residual, special_value_c0,
                     special_value_cm1, sum_phi, symmetry_residual)
+from qultra.hyperseries import bailey_2psi2, sum_psi, wellpoised_6psi8
 from qultra.ultraspherical import (DIRECT_REGION_MARGIN, _bilateral_22tgl,
-                                   _bilateral_6psi8, _direct_rows, _tail_bound,
-                                   _z_powers, bilateral_cn_range,
-                                   direct_region_mask, in_direct_region)
+                                   _bilateral_6psi8, _direct_rows,
+                                   _near_half_lattice, _on_nonpositive_lattice,
+                                   _route_head, _RouteUnusable, _tail_bound,
+                                   _well_poised_2psi2, _z_powers,
+                                   bilateral_cn_range, direct_region_mask,
+                                   in_direct_region)
 from qultra.verify import CONFIG_DEFAULTS
 
 Q, BETA, GAMMA = (CONFIG_DEFAULTS[k] for k in ("q", "beta", "gamma"))
@@ -503,6 +507,105 @@ def test_continuation_returns_finite_or_raises(params):
         except QSeriesError:
             continue
         assert cmath.isfinite(value), n
+
+
+def _formula_6psi8(n, z, params, policy):
+    """_bilateral_6psi8 as the formula it evaluates: the well-poised 2psi2
+    prefactor times hyperseries.wellpoised_6psi8 summed by sum_psi."""
+    q, beta, gamma = params.q, params.beta, params.gamma
+    pref0, e, f, _, _, _ = _well_poised_2psi2(n, z, params)
+    w2 = z * z
+    alpha = q ** (-n) / w2
+    if _near_half_lattice(alpha, q):
+        raise _RouteUnusable("alpha on the q-power lattice")
+    for arg in (q * w2 / beta, q / (beta * w2), q ** (1 - n) / e):
+        if _on_nonpositive_lattice(arg, q):
+            raise _RouteUnusable("prefactor product vanishes")
+    pref1, upper, lower, w = wellpoised_6psi8(alpha, q ** (-n) / (w2 * gamma),
+                                              e / w2, e, f, q, policy)
+    value, terms = sum_psi(SeriesSpec(BILATERAL, upper, lower, q, w), policy)
+    return pref0 * pref1 * value, terms
+
+
+def _formula_22tgl(n, z, params, policy):
+    """_bilateral_22tgl as the formula it evaluates: the well-poised 2psi2
+    prefactor times hyperseries.bailey_2psi2 summed by sum_psi."""
+    q = params.q
+    pref0, a, b, c, d, Z = _well_poised_2psi2(n, z, params)
+    if not (abs(d / a) < 1 and abs(c / b) < 1):
+        raise _RouteUnusable("transformed series out of region")
+    for arg in (Z, c * d / (a * b * Z), d, q / b):
+        if _on_nonpositive_lattice(arg, q):
+            raise _RouteUnusable("prefactor product vanishes")
+    G, upper, lower, w = bailey_2psi2(a, b, c, d, Z, q, policy)
+    value, terms = sum_psi(SeriesSpec(BILATERAL, upper, lower, q, w), policy)
+    return pref0 * G * value, terms
+
+
+def _outcome(fn, *args):
+    """("value", type, bits of re and im, terms) or ("error", type, message)."""
+    try:
+        value, terms = fn(*args)
+    except Exception as exc:  # the error is the outcome
+        return "error", type(exc), str(exc)
+    return "value", type(value), value.real.hex(), value.imag.hex(), terms
+
+
+@pytest.mark.parametrize("qbg", [(0.3, 0.8, 0.7), (0.5, 0.9, 0.4),
+                                 (0.7, 0.5, 1.5), (0.7, 0.8, 1.0)])
+def test_routes_equal_their_formulas_bit_for_bit(qbg):
+    # at gamma = 1, f = q^{-n}: the 6psi8 series terminates for n >= 0;
+    # z also goes in as np.complex128, as the crosscheck entry passes it
+    q, beta, gamma = qbg
+    params = UltraParams(beta, gamma, q)
+    rng = np.random.default_rng([16, *(int(100 * v) for v in qbg)])
+    radius = rng.uniform(0.4, 0.9, 3) * abs(q / beta) ** 0.5
+    arg = rng.uniform(0.15, math.pi - 0.15, 3) * rng.choice([-1, 1], 3)
+    inner = list(radius * np.exp(1j * arg))
+    points = [complex(z) for z in inner] + [complex(1 / z) for z in inner]
+    assert not direct_region_mask(np.array(points), beta, q).any()
+    outcomes = set()
+    for z in points:
+        for n in range(-12, 13):
+            for zz in (z, np.complex128(z)):
+                for route, formula in ((_bilateral_6psi8, _formula_6psi8),
+                                       (_bilateral_22tgl, _formula_22tgl)):
+                    got = _outcome(route, n, zz, params, DEFAULT_POLICY)
+                    want = _outcome(formula, n, zz, params, DEFAULT_POLICY)
+                    assert got == want, (route.__name__, n, zz)
+                    outcomes.add(got[0])
+    assert outcomes == {"value", "error"}
+
+
+def test_routes_refuse_the_special_point_as_their_formulas_do():
+    # z = q^{1/2} at (q, beta, gamma) = (0.5, 0.9, 0.4): alpha is on the
+    # q-power lattice and Bailey's series is out of region
+    params = UltraParams(0.9, 0.4, 0.5)
+    z = complex(0.5 ** 0.5)
+    for n in range(-1, 4):
+        for route, formula in ((_bilateral_6psi8, _formula_6psi8),
+                               (_bilateral_22tgl, _formula_22tgl)):
+            got = _outcome(route, n, z, params, DEFAULT_POLICY)
+            assert got[:2] == ("error", _RouteUnusable)
+            assert got == _outcome(formula, n, z, params, DEFAULT_POLICY)
+
+
+def test_route_memo_keeps_an_int64_n_apart_from_an_int_n():
+    # bilateral_cn_psi_form passes n on as given, and an np.int64 n makes
+    # q^{-n} and z^n numpy powers: a memo entry it leaves must not serve a
+    # later int n, whose route values would then be np.complex128 and, at
+    # these points, off in the last bits
+    params = UltraParams(0.8, 0.7, 0.3)
+    for n in range(-6, 7):
+        for z in (2.5 + 0.5j, 0.05 + 0.1j, -3 + 1j):
+            for route in (_bilateral_6psi8, _bilateral_22tgl):
+                _route_head.cache_clear()
+                cold = _outcome(route, n, z, params, DEFAULT_POLICY)
+                _route_head.cache_clear()
+                bilateral_cn_psi_form(np.int64(n), SpectralPoint(1.0 + 0j), params)
+                warm = _outcome(route, n, z, params, DEFAULT_POLICY)
+                assert warm == cold, (route.__name__, n, z)
+                assert cold[0] == "error" or cold[1] is complex
 
 
 def test_z_powers_far_blocks_keep_the_chain_accuracy():

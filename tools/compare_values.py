@@ -1,0 +1,195 @@
+"""Check that two source trees of qultra give the same values, bit for bit.
+
+    python3 tools/compare_values.py OLD_SRC NEW_SRC   # compare, exit 1 on a difference
+    python3 tools/compare_values.py SRC               # print the records of one tree
+
+OLD_SRC and NEW_SRC are directories that hold the package ``qultra`` (such
+as ``src`` of two checkouts).  Each tree runs the same fixed, seeded set
+of calls in its own subprocess, and every call gives one record: its
+values as float reprs (which tell -0.0 from 0.0) and its term counts, or
+the type and message of the error it raised.  The calls are
+
+* ``bilateral_cn`` at scalar and array points and ``bilateral_cn_range``,
+  on and off the direct annulus, at six parameter sets, including the
+  special point z = q^{1/2} and |n| up to 2000;
+* ``sum_psi`` and ``sum_phi`` on random specs, some with zero lower
+  parameters (placed first or last) and some terminating;
+* scalar ``poch`` with k >= 0 and k = inf;
+* ``render_json(run_suite())`` at the defaults and at
+  (q, beta, gamma) = (0.1, 0.95, 0.3).
+
+The script prints the number of records and every record that differs,
+and exits 1 on any difference (2 if a tree cannot run the calls).  It
+takes about 10 s on a 2-core x86-64 machine.
+"""
+
+from __future__ import annotations
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+PARAMS = ((0.3, 0.8, 0.7), (0.5, 0.9, 0.4), (0.7, 0.5, 1.5), (0.7, 0.8, 1.0),
+          (0.1, 0.95, 0.3), (0.9, 0.4, 0.5))
+N_RANGE = range(-12, 13)
+FAR_N = (-2000, -700, -40, 20, 40, 50, 700, 2000)
+SERIES_CALLS = 1500
+
+
+def _num(v) -> list:
+    """[repr(re), repr(im)] of a complex scalar, or a list of them."""
+    import numpy as np
+    if isinstance(v, np.ndarray):
+        return [_num(x) for x in v.ravel()]
+    v = complex(v)
+    return [repr(v.real), repr(v.imag)]
+
+
+def _record(fn) -> list:
+    try:
+        return ["ok", fn()]
+    except Exception as exc:  # the error is part of the record
+        return ["error", type(exc).__name__, str(exc)]
+
+
+def _points(rng, params) -> list:
+    """Seeded points off the direct annulus on both sides, two on the unit
+    circle, and the special point q^{1/2}."""
+    import numpy as np
+    q, beta, _ = params
+    inner_edge = abs(q / beta) ** 0.5          # |q/(beta z^2)| = 1 here
+    radius = rng.uniform(0.6, 0.95, 4) * min(inner_edge, 1.0)
+    arg = rng.uniform(0.15, np.pi - 0.15, 4) * rng.choice([-1, 1], 4)
+    inner = [complex(z) for z in radius * np.exp(1j * arg)]
+    circle = [complex(np.exp(1j * t)) for t in rng.uniform(0.2, 2.9, 2)]
+    return inner + [1 / z for z in inner] + circle + [complex(q ** 0.5)]
+
+
+def _cn_records(rng) -> list:
+    import numpy as np
+    from qultra import (SpectralPoint, UltraParams, bilateral_cn,
+                        bilateral_cn_range)
+    out = []
+    for qbg in PARAMS:
+        q, beta, gamma = qbg
+        params = UltraParams(beta, gamma, q)
+        points = _points(rng, qbg)
+        for z in points:
+            p = SpectralPoint(z)
+            for n in list(N_RANGE) + list(FAR_N):
+                def one():
+                    v = bilateral_cn(n, p, params)
+                    return [_num(v.value), v.truncation_terms]
+                out.append([f"cn {qbg} {z!r} {n}", _record(one)])
+
+            def rows():
+                r = bilateral_cn_range(N_RANGE[0], N_RANGE[-1], p, params)
+                return [_num(r.values), r.truncation_terms.tolist()]
+            out.append([f"range {qbg} {z!r}", _record(rows)])
+        zs = SpectralPoint(np.array(points))
+        for n in N_RANGE:
+            def arr():
+                v = bilateral_cn(n, zs, params)
+                return [_num(v.value), v.truncation_terms]
+            out.append([f"cn-array {qbg} {n}", _record(arr)])
+
+        def arr_rows():
+            r = bilateral_cn_range(N_RANGE[0], N_RANGE[-1], zs, params)
+            return [_num(r.values), r.truncation_terms.tolist()]
+        out.append([f"range-array {qbg}", _record(arr_rows)])
+    return out
+
+
+def _cplx(rng, lo, hi) -> complex:
+    import numpy as np
+    return complex(rng.uniform(lo, hi) * np.exp(1j * rng.uniform(-np.pi, np.pi)))
+
+
+def _series_records(rng) -> list:
+    from qultra import BILATERAL, UNILATERAL, SeriesSpec, sum_phi, sum_psi
+    out = []
+    for i in range(SERIES_CALLS):
+        q = [0.3, 0.5, 0.7, 0.9, 0.4 + 0.3j][i % 5]
+        r = int(rng.integers(0, 4))
+        s = int(rng.integers(max(r - 1, 0), r + 3))
+        upper = [_cplx(rng, 0.05, 2.0) for _ in range(r)]
+        lower = [_cplx(rng, 0.05, 2.0) for _ in range(s)]
+        if lower and rng.random() < 0.3:         # zero lower parameters
+            lower[0 if rng.random() < 0.5 else -1] = 0j
+        if upper and rng.random() < 0.15:        # terminating above
+            upper[0] = q ** -int(rng.integers(0, 6))
+        if lower and rng.random() < 0.1:         # terminating below
+            lower[-1] = q ** int(rng.integers(1, 6))
+        z = _cplx(rng, 0.05, 1.2)
+        kind, fn = ((UNILATERAL, sum_phi) if i % 2 else (BILATERAL, sum_psi))
+
+        def one():
+            value, terms = fn(SeriesSpec(kind, upper, lower, q, z))
+            return [_num(value), terms]
+        out.append([f"{fn.__name__} {upper!r} {lower!r} {q!r} {z!r}",
+                    _record(one)])
+    return out
+
+
+def _poch_records(rng) -> list:
+    from qultra import INFINITY, poch
+    out = []
+    for i in range(300):
+        q = [0.3, 0.7, 0.91, 0.5 - 0.2j][i % 4]
+        a = _cplx(rng, 0.0, 3.0)
+        for k in (0, 1, 7, int(rng.integers(2, 60)), INFINITY):
+            out.append([f"poch {a!r} {q!r} {k}", _record(lambda: _num(poch(a, q, k)))])
+    return out
+
+
+def _suite_records() -> list:
+    from qultra import render_json, run_suite
+    out = []
+    for cfg in ({}, {"q": 0.1, "beta": 0.95, "gamma": 0.3}):
+        out.append([f"suite {cfg}", _record(lambda: render_json(run_suite(cfg)))])
+    return out
+
+
+def records(src: str) -> list:
+    """Every record of the tree at src, in a fixed order."""
+    src = Path(src).resolve()
+    sys.path.insert(0, str(src))
+    import numpy as np
+    import qultra
+    if Path(qultra.__file__).resolve().parent != src / "qultra":
+        raise SystemExit(f"qultra imported from {qultra.__file__}, not {src}")
+    rng = np.random.default_rng(2508)
+    return (_cn_records(rng) + _series_records(rng) + _poch_records(rng)
+            + _suite_records())
+
+
+def _run(src: str) -> list:
+    done = subprocess.run([sys.executable, __file__, src], capture_output=True,
+                          text=True)
+    if done.returncode:
+        print(f"{src}: the calls did not run\n{done.stderr}", file=sys.stderr)
+        sys.exit(2)
+    return json.loads(done.stdout)
+
+
+def main(argv: list) -> int:
+    if len(argv) == 1:
+        json.dump(records(argv[0]), sys.stdout)
+        return 0
+    if len(argv) != 2:
+        print(__doc__, file=sys.stderr)
+        return 2
+    old, new = _run(argv[0]), _run(argv[1])
+    if [k for k, _ in old] != [k for k, _ in new]:
+        print("the two trees made different calls", file=sys.stderr)
+        return 1
+    diffs = [(k, a, b) for (k, a), (_, b) in zip(old, new) if a != b]
+    for key, a, b in diffs:
+        print(f"{key}:\n  old {a}\n  new {b}")
+    print(f"{len(old)} records, {len(diffs)} differences")
+    return 1 if diffs else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
