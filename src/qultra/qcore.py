@@ -67,6 +67,8 @@ class TruncationPolicy:
 
     TAIL_WINDOW consecutive sub-threshold terms are required before a
     tail is accepted as converged; ``max_terms`` bounds every series.
+    ``abs_tol`` is read only by that psi and phi tail rule: the direct
+    bilateral sum sums a budget fixed by rel_tol alone.
     """
 
     rel_tol: float = 1e-13

@@ -13,9 +13,11 @@ n uses the same g_j (cached per parameters), so bilateral_cn_range sums a
 whole range of n at every point at once: each side of the series (k >= 0
 and k < 0) is one matrix product of a (rows x steps) block of scaled
 coefficients g_k g_{n-k} and a (steps x points) table of powers of z.
-Each side of each row is cut where a geometric bound from the region
-ratios puts its remainder below rel_tol times that side's largest term
-plus abs_tol, as it would be alone.  bilateral_cn is its one-row case.
+Each side of each row sums a number of terms fixed in advance by a
+geometric bound from the region ratios (_tail_bound), which leaves a
+remainder of at most rel_tol b times that side's largest term at every
+point, b < 1 the bound's term ratio; abs_tol does not enter, and no row's
+terms depend on the other rows.  bilateral_cn is its one-row case.
 
 Outside the annulus the function is still analytic in x along paths
 avoiding the annulus-boundary singularities, and evaluation switches to
@@ -100,8 +102,9 @@ class UltraValue:
 class UltraRange:
     """C_n for n_lo <= n <= n_hi at one point, from bilateral_cn_range
     with params and policy: values[n - n_lo] has the shape of point.z, and
-    truncation_terms[n - n_lo] counts the terms of that row (the most at
-    any of its points)."""
+    truncation_terms[n - n_lo] counts the terms of that row: the nonzero
+    terms of its a-priori budget, both sides, at the points inside the
+    direct annulus, or the most any continued point of it used."""
 
     n_lo: int
     point: SpectralPoint
@@ -277,13 +280,12 @@ _BLOCK_SIZE = 1024
 
 @functools.lru_cache(maxsize=16)
 def _tail_bound(r_min: float, r_max: float, params: UltraParams,
-                policy: TruncationPolicy):
-    """(start, rho, length), each an (upper, lower) pair of tuples, for
-    the sides of the direct sum at points with r_min <= |z| <= r_max:
-    from step base + start on, base = max(n, 0) on the upper side and
-    max(-n - 1, 0) on the lower, every term ratio is at most rho < 1, and
-    the side is cut before step base + length.  Cached per arguments
-    (sixteen at most), so every caller shares the returned tuples.
+                policy: TruncationPolicy) -> tuple:
+    """The (upper, lower) budgets of the direct sum at points with
+    r_min <= |z| <= r_max: each side of row n sums its steps below base +
+    length, base = max(n, 0) on the upper side and max(-n - 1, 0) on the
+    lower, which leaves a remainder of at most rel_tol b times the side's
+    largest term at every point.  Cached per arguments (sixteen at most).
 
     A term ratio is the side's region ratio R, |q/(beta z^2)| or
     |q z^2/beta| (largest at r_min or r_max), times g_{j+1}/g_j and
@@ -291,20 +293,17 @@ def _tail_bound(r_min: float, r_max: float, params: UltraParams,
     (1 + |beta gamma| |q|^j)/(1 - |q gamma| |q|^j) and (|q gamma| +
     |q|^{j+1})/((|beta gamma| - |q|^{j+1}) |q/beta|), both falling to 1;
     start is the first j where the product is at most b = R + (1 - R)/8.
-    The ratio returned for the cut rule of _direct_rows is the looser
-    rho = (1 + R)/2 >= b, and that rule holds k steps after start once
-    b^k rho/(1 - rho) <= rel_tol; length adds k, the step of the cut
-    and a step of slack.
+    From step base + start on every term ratio is at most b, and length
+    is start plus the k with b^k rho/(1 - rho) <= rel_tol, rho = (1 + R)/2,
+    plus two, so the remainder is at most b^{k+2}/(1 - b) times the term at
+    base + start, below rel_tol b times it.
 
-    b sits near R so that the table ends a few steps past the cut: it
-    needs the g_j ratios nearer 1, so start comes a step or two later,
-    but k falls by more.  At the defaults on the unit circle (R = 0.375)
-    the budget is |n| + 44 steps per side, 12 or 13 past the cut, where
-    b = (1 + R)/2 gave |n| + 87.  The cut keeps rho rather than b: with
-    b/(1 - b) each side would stop one term earlier, within the same
-    contract, but C_n on the unit circle, which is real, would then carry
-    an unpaired tail about 2.7 times larger as its imaginary part, 1.6e-14
-    on C_1 = -1.3e-3 at theta = 1.5715."""
+    b sits near R so that the budget stays short: it needs the g_j ratios
+    nearer 1, so start comes a step or two later, but k falls by more.  At
+    the defaults on the unit circle (R = 0.375) the budget is |n| + 44
+    steps per side, where b = (1 + R)/2 gave |n| + 87.  b in place of rho
+    in k would also meet the contract, a step sooner per side; rho keeps
+    that step as margin."""
     aq, qb = abs(params.q), abs(params.q / params.beta)
     abg, aqg = abs(params.beta * params.gamma), abs(params.q * params.gamma)
     region = (qb / r_min ** 2, qb * r_max ** 2)
@@ -323,8 +322,8 @@ def _tail_bound(r_min: float, r_max: float, params: UltraParams,
     else:
         raise NonConvergence(f"direct-sum tail bound not reached within "
                              f"{policy.max_terms} terms")
-    rho = tuple((1 + r) / 2 for r in region)
-    return tuple(start), rho, tuple(
+    rho = [(1 + r) / 2 for r in region]
+    return tuple(
         s + max(0, math.ceil(math.log(policy.rel_tol * (1 - p) / p) / math.log(b))) + 2
         for s, p, b in zip(start, rho, bound))
 
@@ -381,9 +380,9 @@ def _side_sums(coeff: np.ndarray, pre: np.ndarray, ratio) -> np.ndarray:
 
 
 def _direct_rows(n_lo: int, n_hi: int, z: np.ndarray, params: UltraParams,
-                 policy: TruncationPolicy, tails):
+                 budgets: tuple):
     """C_n for n_lo <= n <= n_hi at every z of a 1-D array inside the
-    annulus, with no loop over the terms; tails is the _tail_bound of
+    annulus, with no loop over the terms; budgets is the _tail_bound of
     these points.
 
     The upper side sums the terms k = s >= 0, g_s g_{n-s} z^{n-2s}, and
@@ -401,65 +400,40 @@ def _direct_rows(n_lo: int, n_hi: int, z: np.ndarray, params: UltraParams,
     reach sigma^{-n}, so a row raises NonConvergence once |z|^{-2n}
     leaves the double range.
 
-    Each side of each row is cut on its largest term over the points at
-    every step, which |z|^e reaches at the smallest or the largest |z|.
-    Past step base + start every term ratio is at most rho, so the terms
-    after step s add up to at most term_s rho/(1 - rho) at every point.
-    A side stops at its first such step where that bound is at most
-    rel_tol times the side's largest term plus abs_tol, which bounds its
-    remainder, or at a zero term, which it does not count.  The bound
-    fixes the steps in advance (base + length, at most max_terms, a few
-    steps past the cut: see _tail_bound), so a pass builds one
-    coefficient table and makes one masked product per side.  A
-    non-finite term at or before a side's stop, or a side with no stop
-    within the steps, raises NonConvergence.  A row's stopping steps do not
-    depend on the other rows, and its values only through rounding.
-    Returns the (rows x points) values and the (side x row) terms summed.
+    Each side of row n sums exactly its steps below base + length (base =
+    max(n, 0) upper, max(-n - 1, 0) lower, length from budgets), whose
+    remainder _tail_bound bounds by rel_tol b times the side's largest
+    term; the mask zeroes each row's steps past its own budget, so a
+    row's terms do not depend on the other rows, and its values only
+    through rounding.  A non-finite value raises NonConvergence.  Returns
+    the (rows x points) values and the (side x row) nonzero terms summed.
     """
     ns = np.arange(n_lo, n_hi + 1)
     r = np.abs(z)
-    r_min, r_max = float(r.min()), float(r.max())
-    sigma, tau = min(r_min ** 2, 1.0), max(r_max ** 2, 1.0)
+    sigma, tau = min(float(r.min()) ** 2, 1.0), max(float(r.max()) ** 2, 1.0)
     z2 = z * z
     pre = np.empty((2, ns.size, z.size), dtype=complex)   # z^n and z^{n+2}
     pre[0] = _z_powers(z, n_lo, n_hi)
     np.multiply(pre[0], z2, out=pre[1])
     ratio = (sigma / z2, z2 / tau)                       # |ratio| <= 1
-    start, rho = np.array(tails[:2])[:, :, None, None]
-    length = tails[2]
-    steps = min(max(max(n_hi, 0) + length[0], max(-n_lo - 1, 0) + length[1]),
-                policy.max_terms)
-    s = np.arange(steps)
+    ends = np.maximum(np.array([ns, -1 - ns]), 0) + np.array(budgets)[:, None]
+    steps = int(ends.max())
     with np.errstate(over="ignore", invalid="ignore"):
         coeff = _scaled_coefficients(ns, steps, params, sigma, tau)
-        # |term| = |coeff| |z|^{n or n+2} |ratio|^s peaks at an extreme |z|
-        exps = ns + np.array([[0.0], [2.0]])
-
-        def reach(e):
-            return ((e ** exps)[:, :, None]
-                    * (np.array([[sigma / e ** 2], [e ** 2 / tau]]) ** s)[:, None])
-        tm = np.abs(coeff) * (reach(r_min) if r_min == r_max
-                              else np.maximum(reach(r_min), reach(r_max)))
-        # base = max(n, 0) on the upper side, max(-n - 1, 0) on the lower
-        first = np.maximum(np.array([ns, -1 - ns]), 0)[:, :, None] + start
-        largest = np.where(s <= first, tm, 0).max(axis=2, keepdims=True)
-        bounded = tm * rho / (1 - rho) <= policy.rel_tol * largest + policy.abs_tol
-        cut = (tm == 0) | ((s >= first) & bounded)
-        stop = np.where(cut.any(axis=2), cut.argmax(axis=2), steps)[:, :, None]
-        kept = s <= stop
-        if (~(tm < np.inf) & kept).any():
-            raise NonConvergence("direct bilateral sum overflowed")
-        if stop.max() == steps:
-            raise NonConvergence(f"bilateral sum did not converge within "
-                                 f"{steps} terms per side")
-        summed = kept & (tm > 0)             # a zero term is not counted
-        coeff[~summed] = 0
-        value = _side_sums(coeff, pre, ratio)
-    return value.sum(axis=0), summed.sum(axis=2)
+        coeff[np.arange(steps) >= ends[:, :, None]] = 0
+        value = _side_sums(coeff, pre, ratio).sum(axis=0)
+    if not np.isfinite(value).all():
+        raise NonConvergence("direct bilateral sum overflowed")
+    return value, np.count_nonzero(coeff, axis=2)
 
 
 class _RouteUnusable(RegionError):
     """A continuation route does not apply at this point."""
+
+
+class _HeadOverflow(NonConvergence):
+    """A z-free piece of the continuation routes at some n leaves the
+    double range, so no route applies at that n."""
 
 
 # the failures after which _bilateral_continued tries its next route
@@ -492,6 +466,12 @@ class _RouteHead:
         self.bg, self.gq = beta * gamma, q * gamma
         self.g = poch_ratio(self.bg, self.gq, q, n)
 
+    def _finite(self, name: str, value: complex) -> complex:
+        if not cmath.isfinite(value):
+            raise _HeadOverflow(f"{name} = {value} at n = {self.n} leaves "
+                                f"the double range")
+        return value
+
     def well_poised(self, z):
         """(P, a, b, c, d, Z) of _well_poised_2psi2 at z."""
         return (self.g * z ** self.n, self.bg, self.f, self.gq, self.d,
@@ -505,12 +485,13 @@ class _RouteHead:
     @functools.cached_property
     def f(self):
         """q^{-n}/gamma, an upper parameter of both transformed series."""
-        return self.qn / self.gamma
+        return self._finite("q^{-n}/gamma", self.qn / self.gamma)
 
     @functools.cached_property
     def d(self):
         """q^{1-n}/(beta gamma)."""
-        return self.q ** (1 - self.n) / self.bg
+        return self._finite("q^{1-n}/(beta gamma)",
+                            self.q ** (1 - self.n) / self.bg)
 
     @functools.cached_property
     def d_vanishes(self):
@@ -591,17 +572,18 @@ def _bilateral_continued(n: int, z: complex, params: UltraParams,
     C_{-1} comes last.  If none does, NonConvergence if some route value
     was not finite (as when a 6psi8 prefactor is nan), else RegionError.
     An overflow in a route, as when q^{-n} or q^{n-1} leaves the double
-    range at large |n|, raises NonConvergence at once."""
+    range at large |n| or q^{-n}/gamma at tiny gamma, raises
+    NonConvergence at once."""
     attempts, error = [], RegionError
     for route in (_bilateral_6psi8, _bilateral_22tgl, _bilateral_climb):
         try:
             value, terms = route(n, z, params, policy)
+        except (OverflowError, _HeadOverflow) as exc:
+            raise NonConvergence(f"continuation of C_{n} overflowed double "
+                                 f"precision in {route.__name__}: {exc}") from exc
         except _ROUTE_FAILURES as exc:
             attempts.append(f"{route.__name__}: {exc}")
             continue
-        except OverflowError as exc:
-            raise NonConvergence(f"continuation of C_{n} overflowed double "
-                                 f"precision in {route.__name__}: {exc}") from exc
         if cmath.isfinite(value):
             return value, terms
         attempts.append(f"{route.__name__}: value {value} is not finite")
@@ -638,17 +620,20 @@ def _direct_range(n_lo: int, n_hi: int, z: np.ndarray, params: UltraParams,
     annulus, in passes of _direct_rows: the (rows x points) values and
     the terms of each row, both sides together."""
     radii = np.abs(z)
-    tails = _tail_bound(float(radii.min()), float(radii.max()), params, policy)
+    budgets = _tail_bound(float(radii.min()), float(radii.max()), params, policy)
+    steps = max(max(n_hi, 0) + budgets[0], max(-n_lo - 1, 0) + budgets[1])
+    if steps > policy.max_terms:
+        raise NonConvergence(f"bilateral sum needs {steps} terms per side, "
+                             f"over max_terms = {policy.max_terms}")
     # rows are independent, so splitting a long range changes no row's
     # terms; a pass also holds rows x steps coefficients
-    budget = max(-n_lo, n_hi, 0) + max(tails[2])
-    step = max(1, min(_BLOCK_SIZE // z.size, 8 * _BLOCK_SIZE // budget))
+    step = max(1, min(_BLOCK_SIZE // z.size, 8 * _BLOCK_SIZE // steps))
     values = np.empty((n_hi - n_lo + 1, z.size), dtype=complex)
     terms = np.empty(n_hi - n_lo + 1, dtype=int)
     for lo in range(n_lo, n_hi + 1, step):
         block = slice(lo - n_lo, min(lo + step, n_hi + 1) - n_lo)
         values[block], sides = _direct_rows(lo, min(lo + step - 1, n_hi), z,
-                                            params, policy, tails)
+                                            params, budgets)
         terms[block] = sides.sum(axis=0)
     return values, terms
 
@@ -692,8 +677,8 @@ def bilateral_cn_range(n_lo: int, n_hi: int, p: SpectralPoint,
     """C_n at p for every n_lo <= n <= n_hi.
 
     The points of p inside the direct annulus are summed together for all
-    rows (_direct_rows): each row keeps its own truncation checks, taken
-    over those points, and a pass takes as many rows as keep its block of
+    rows (_direct_rows): each side of each row sums its own a-priori
+    budget of terms (_tail_bound), taken over those points, and a pass takes as many rows as keep its block of
     rows times points near _BLOCK_SIZE values and its rows times steps
     near 8 _BLOCK_SIZE.  Every other point is continued per n
     (_bilateral_continued).  A scalar p.z is routed by the same rule

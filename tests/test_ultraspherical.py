@@ -326,6 +326,20 @@ def test_bilateral_region_error_when_no_route():
 
 # ------------------------------------------------- one pass over a range of n
 
+def _mp_g(qbg, m):
+    """{j: g_j} for |j| <= m at (q, beta, gamma) = qbg, in mpmath at the
+    working precision, by the one-step recursions from g_0 = 1."""
+    import mpmath as mp
+    q, gamma = mp.mpf(qbg[0]), mp.mpf(qbg[2])
+    bg, gq = mp.mpf(qbg[1]) * gamma, q * gamma
+    g, qj = {0: mp.mpf(1)}, mp.mpf(1)
+    for j in range(m):
+        g[j + 1] = g[j] * (1 - bg * qj) / (1 - gq * qj)
+        g[-j - 1] = g[-j] * (qj * q - gq) / (qj * q - bg)
+        qj *= q
+    return g
+
+
 def _mp_rows(n_lo, n_hi, zs, digits=30, qbg=(Q, BETA, GAMMA), pad=70):
     """[{n: (C_n(z), sum_k |term_k|)} for z in zs] for n_lo <= n <= n_hi by
     the defining sum C_n(z) = sum_k g_k g_{n-k} z^{n-2k} in mpmath at
@@ -336,14 +350,8 @@ def _mp_rows(n_lo, n_hi, zs, digits=30, qbg=(Q, BETA, GAMMA), pad=70):
     factors of a term overflow a double where the term does not."""
     import mpmath as mp
     with mp.workdps(digits):
-        q, bg = mp.mpf(qbg[0]), mp.mpf(qbg[1]) * mp.mpf(qbg[2])
-        gq = q * mp.mpf(qbg[2])
         lo, hi = min(0, n_lo) - pad, max(0, n_hi) + pad
-        g, qj = {0: mp.mpf(1)}, mp.mpf(1)
-        for j in range(hi - lo + 1):
-            g[j + 1] = g[j] * (1 - bg * qj) / (1 - gq * qj)
-            g[-j - 1] = g[-j] * (qj * q - gq) / (qj * q - bg)
-            qj *= q
+        g = _mp_g(qbg, hi - lo + 1)
         lg = {j: float(mp.log(abs(v))) for j, v in g.items()}
         out = []
         for z in zs:
@@ -418,6 +426,17 @@ def test_range_small_row_keeps_its_own_tolerance(params):
     assert rows.truncation_terms[0] == bilateral_cn(-40, p, params).truncation_terms
 
 
+def test_far_negative_row_sums_its_whole_budget(params):
+    # C_{-700} is about 1e-298: a cut that added abs_tol = 1e-300 to its
+    # threshold stopped these rows 2.4e-3 and 6.0e-5 short of the defining
+    # sum, here in 50 digits over k = -1500..800
+    for theta in (0.651, 2.007):
+        p = SpectralPoint.from_theta(theta)
+        want = _mp_rows(-700, -700, [p.z], digits=50, pad=800)[0][-700][0]
+        got = bilateral_cn(-700, p, params).value
+        assert abs(got - want) <= 1e-12 * abs(want), theta
+
+
 def test_range_keeps_the_shape_of_a_2d_point(params):
     zs = np.exp(1j * np.linspace(0.3, 2.7, 12)).reshape(3, 4)
     rows = bilateral_cn_range(-2, 3, SpectralPoint(zs), params)
@@ -481,6 +500,18 @@ def test_continuation_hands_a_non_finite_value_to_the_next_route(params):
     for n, ref in ((40, 919762829600.5249 + 12145686672.772373j),
                    (-40, -6.936836877954987e-07 + 4.873979256420069e-06j)):
         assert bilateral_cn(n, p, params).value == pytest.approx(ref, rel=1e-11)
+
+
+def test_tiny_gamma_names_the_route_piece_that_overflows():
+    # q^{-1}/gamma at gamma = 1e-320, and q^0/(beta gamma) at beta gamma =
+    # 1e-310, are infinite; each call says which piece, not a float error
+    for gamma, beta, piece in ((1e-320, BETA, r"q\^\{-n\}/gamma"),
+                               (1e-300, 1e-10, r"q\^\{1-n\}/\(beta gamma\)")):
+        params = UltraParams(beta, gamma, Q)
+        with pytest.raises(NonConvergence, match=piece):
+            bilateral_cn(1, SpectralPoint(0.4 + 0.3j), params)
+        with pytest.raises(NonConvergence, match=piece):
+            bilateral_cn_psi_form(1, SpectralPoint.from_theta(1.0), params)
 
 
 def test_6psi8_sum_stops_at_a_non_finite_term(params):
@@ -633,25 +664,39 @@ def test_z_powers_far_blocks_keep_the_chain_accuracy():
                                    rtol=1e-14)
 
 
-def test_tail_budget_stays_tight(points):
-    """The table _tail_bound sizes is at most 16 steps longer than each
-    side's cut, base + length - cut <= 16, on the unit circle."""
-    zs = np.array([p.z for p in points])
-    ns = np.arange(-20, 21)
-    base = np.stack((np.maximum(ns, 0), np.maximum(-ns - 1, 0)))
-    for q, beta, gamma in ((Q, BETA, GAMMA), (0.1, 0.95, 0.3)):
-        params = UltraParams(beta, gamma, q)
-        tails = _tail_bound(1.0, 1.0, params, DEFAULT_POLICY)
-        _, cuts = _direct_rows(-20, 20, zs, params, DEFAULT_POLICY, tails)
-        slack = base + np.array(tails[2])[:, None] - cuts
-        assert slack.min() >= 0
-        assert slack.max() <= 16, (q, beta, gamma, slack.max())
+def test_tail_budget_stays_tight():
+    """Each side of row n sums its budget, base + length steps, and that
+    is at most 16 steps past the first step from which the rest of the side
+    adds up to at most rel_tol times its largest term.  On the unit circle
+    the term moduli, from 30-digit mpmath, do not depend on the point."""
+    import mpmath as mp
+    p = SpectralPoint.from_theta(1.0)
+    for qbg in ((Q, BETA, GAMMA), (0.1, 0.95, 0.3)):
+        params = UltraParams(qbg[1], qbg[2], qbg[0])
+        budgets = _tail_bound(1.0, 1.0, params, DEFAULT_POLICY)
+        rows = bilateral_cn_range(-20, 20, p, params)
+        with mp.workdps(30):
+            g = _mp_g(qbg, 300)
+            for n in range(-20, 21):
+                bases = (max(n, 0), max(-n - 1, 0))
+                ends = [b + length for b, length in zip(bases, budgets)]
+                assert rows.truncation_terms[n + 20] == sum(ends)
+                for side, end in enumerate(ends):
+                    # upper: g_s g_{n-s}; lower: g_{-1-s} g_{n+1+s}
+                    sign = 1 - 2 * side
+                    mags = [abs(g[sign * s - side] * g[n - sign * s + side])
+                            for s in range(end + 100)]
+                    allowed = DEFAULT_POLICY.rel_tol * max(mags)
+                    first, rest = len(mags), 0
+                    while first and rest + mags[first - 1] <= allowed:
+                        first -= 1
+                        rest += mags[first]
+                    assert first <= end <= first + 16, (qbg, n, side, end - first)
 
 
 def test_unit_circle_value_near_x_zero_stays_real(params):
     # C_1 vanishes at x = 0, so its imaginary part, the unpaired tail of the
-    # two sides, is large beside it; a side cut one term earlier (rho = b
-    # in _direct_rows' cut) makes it 1.3e-11 of the value here
+    # two sides, is large beside it
     v = bilateral_cn(1, SpectralPoint.from_theta(1.5714732651757732), params).value
     assert abs(v.imag) <= 1e-11 * abs(v)
 
@@ -705,9 +750,10 @@ def test_range_at_the_edge_of_the_annulus():
 
 @pytest.mark.parametrize("qbg", [(Q, BETA, GAMMA), (0.1, 0.95, 0.3), (0.3, 1.2, 0.7)])
 def test_range_side_remainders_within_the_tail_bound(qbg, points):
-    """Past each side's cut, the moduli of the rest of that side (pad more
-    terms, from 30-digit mpmath) add up to at most rel_tol times the side's
-    largest term over the points plus abs_tol, at every point."""
+    """Past each side's budget, the moduli of the rest of that side (pad
+    more terms, from 30-digit mpmath) add up to at most rel_tol b times the
+    side's largest term at every point, b = R + (1 - R)/8 from the side's
+    region ratio R over the points; no abs_tol enters."""
     import mpmath as mp
     q, beta, gamma = qbg
     params = UltraParams(beta, gamma, q)
@@ -715,33 +761,31 @@ def test_range_side_remainders_within_the_tail_bound(qbg, points):
     point_sets = [circle, circle[1:2], np.array([0.8 * np.exp(0.7j)]),
                   np.array([1.3 * np.exp(2.5j), 0.9 * np.exp(1.2j)])]
     pad = 200                        # the region ratios here are below 0.64
+    ns = np.arange(-20, 21)
     with mp.workdps(30):
-        mq, bg = mp.mpf(q), mp.mpf(beta) * mp.mpf(gamma)
-        gq = mq * mp.mpf(gamma)
-        g, qj = {0: mp.mpf(1)}, mp.mpf(1)
-        for j in range(600):
-            g[j + 1] = g[j] * (1 - bg * qj) / (1 - gq * qj)
-            g[-j - 1] = g[-j] * (qj * mq - gq) / (qj * mq - bg)
-            qj *= mq
+        g = _mp_g(qbg, 600)
         for zs in point_sets:
             assert in_direct_region(zs, beta, q)
             r = np.abs(zs)
-            tails = _tail_bound(float(r.min()), float(r.max()), params, DEFAULT_POLICY)
-            _, cuts = _direct_rows(-20, 20, zs, params, DEFAULT_POLICY, tails)
+            budgets = _tail_bound(float(r.min()), float(r.max()), params, DEFAULT_POLICY)
+            ends = np.maximum([ns, -1 - ns], 0) + np.array(budgets)[:, None]
+            _, summed = _direct_rows(-20, 20, zs, params, budgets)
+            np.testing.assert_array_equal(summed, ends)
             rows = bilateral_cn_range(-20, 20, SpectralPoint(zs), params)
-            np.testing.assert_array_equal(rows.truncation_terms, cuts.sum(axis=0))
+            np.testing.assert_array_equal(rows.truncation_terms, ends.sum(axis=0))
+            region = (abs(q / beta) / r.min() ** 2, abs(q / beta) * r.max() ** 2)
             radii = [abs(mp.mpc(z)) for z in zs]
             for n in (-20, -13, -6, -1, 0, 1, 5, 12, 20):
-                for side, cut in enumerate(cuts[:, n + 20]):
+                for side, end in enumerate(ends[:, n + 20]):
                     # upper: g_s g_{n-s} z^{n-2s}; lower: g_{-1-s} g_{n+1+s} z^{n+2+2s}
                     sign = 1 - 2 * side
-                    mags = [[abs(g[sign * s - side] * g[n - sign * s + side])
-                             * rad ** (n - 2 * sign * s + 2 * side)
-                             for s in range(cut + pad)] for rad in radii]
-                    bound = (DEFAULT_POLICY.rel_tol * max(map(max, mags))
-                             + DEFAULT_POLICY.abs_tol)
-                    for m in mags:
-                        assert mp.fsum(m[cut:]) <= bound, (n, side, zs)
+                    b = region[side] + (1 - region[side]) / 8
+                    for rad in radii:
+                        mags = [abs(g[sign * s - side] * g[n - sign * s + side])
+                                * rad ** (n - 2 * sign * s + 2 * side)
+                                for s in range(end + pad)]
+                        bound = DEFAULT_POLICY.rel_tol * b * max(mags)
+                        assert mp.fsum(mags[end:]) <= bound, (n, side, zs)
 
 
 def test_cli_table_matches_in_process_values(params, capsys):
@@ -781,9 +825,10 @@ def test_tail_bound_memo_hands_out_the_uncached_result_immutably(qbg, radius):
     hit = _tail_bound(*args)
     assert hit is first
     assert hit == _tail_bound.__wrapped__(*args)
-    assert type(hit) is tuple and all(type(part) is tuple for part in hit)
+    assert type(hit) is tuple and len(hit) == 2
+    assert all(type(length) is int for length in hit)
     with pytest.raises(TypeError):
-        hit[2][0] = 0
+        hit[0] = 0
 
 
 def _lane_points(q, beta):

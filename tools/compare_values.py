@@ -18,14 +18,19 @@ the type and message of the error it raised.  The calls are
 * ``render_json(run_suite())`` at the defaults and at
   (q, beta, gamma) = (0.1, 0.95, 0.3).
 
-The script prints the number of records and every record that differs,
-and exits 1 on any difference (2 if a tree cannot run the calls).  It
+The script prints every record that differs, then one summary line: the
+largest relative change of a value (a complex number of a record that
+holds one in both trees) and its record, the number of records that switch
+between a value and an error, and the number whose only change is the sign
+of a zero.  Then it prints the number of records and of differences, and
+exits 1 on any difference (2 if a tree cannot run the calls).  It
 takes about 10 s on a 2-core x86-64 machine.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -164,6 +169,47 @@ def records(src: str) -> list:
             + _suite_records())
 
 
+def _values(payload) -> list:
+    """The complex values of an "ok" record's payload, in order."""
+    if not isinstance(payload, list):
+        return []
+    if len(payload) == 2 and all(isinstance(v, str) for v in payload):
+        return [complex(float(payload[0]), float(payload[1]))]
+    return [v for part in payload for v in _values(part)]
+
+
+def _relative_change(a: complex, b: complex) -> float:
+    if a == b:
+        return 0.0
+    change = abs(b - a) / abs(a) if a else math.inf
+    return change if change == change else math.inf       # nan: not finite
+
+
+def _unsigned_zeros(x):
+    if isinstance(x, list):
+        return [_unsigned_zeros(v) for v in x]
+    return "0.0" if x == "-0.0" else x
+
+
+def summary(diffs: list) -> str:
+    """The summary line of the differing (key, old, new) records."""
+    largest, where, switches, zeros = 0.0, None, 0, 0
+    for key, a, b in diffs:
+        if a[0] != b[0]:
+            switches += 1
+        elif _unsigned_zeros(a) == _unsigned_zeros(b):
+            zeros += 1
+        elif a[0] == "ok":
+            for x, y in zip(_values(a[1]), _values(b[1])):
+                change = _relative_change(x, y)
+                if change > largest:
+                    largest, where = change, key
+    return (f"largest relative value change {largest:.3g}"
+            + (f" ({where})" if where else "")
+            + f"; {switches} records switch between a value and an error;"
+            f" {zeros} differ only in the sign of a zero")
+
+
 def _run(src: str) -> list:
     done = subprocess.run([sys.executable, __file__, src], capture_output=True,
                           text=True)
@@ -187,6 +233,7 @@ def main(argv: list) -> int:
     diffs = [(k, a, b) for (k, a), (_, b) in zip(old, new) if a != b]
     for key, a, b in diffs:
         print(f"{key}:\n  old {a}\n  new {b}")
+    print(summary(diffs))
     print(f"{len(old)} records, {len(diffs)} differences")
     return 1 if diffs else 0
 
