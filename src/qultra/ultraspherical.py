@@ -21,9 +21,17 @@ terms depend on the other rows.  bilateral_cn is its one-row case.
 
 Outside the annulus the function is still analytic in x along paths
 avoiding the annulus-boundary singularities, and evaluation switches to
-one of two analytic-continuation representations.  Both start from the
-defining series written as a well-poised 2psi2 (bilateral_cn_psi_form)
-and apply a transformation from hyperseries:
+analytic continuation.  The first route is the generating function's
+pole expansion (_PoleRings): its H_k tables depend on the point but not
+on n, so the rows of one call share them.  It applies where the row's
+ring ratio |beta gamma|^2 |q|^n (n >= 0; |q|^{-n}/|gamma|^2 for n < 0)
+is below POLE_RING_RATIO, and it refuses where z^2 is on the q^Z
+lattice, where a piece is not finite, where its tail bound exceeds
+rel_tol |C_n| and where its rings cancel (eps sum|ring| over
+POLE_CANCELLATION |C_n|).  A refused value comes from the next routes,
+unchanged by the first.  Two of them start from the defining series
+written as a well-poised 2psi2 (bilateral_cn_psi_form) and apply a
+transformation from hyperseries:
 
 * hyperseries.wellpoised_6psi8 gives a very-well-poised 6psi8 series
   whose two-sided tails decay superexponentially for every z != 0 (it
@@ -32,8 +40,8 @@ and apply a transformation from hyperseries:
   independent of z, valid when |q^{1-n}/(beta gamma)^2| < 1 and
   |q^{1+n} gamma^2| < 1,
 
-and a recurrence climb from continued C_0, C_{-1}, tried in this order
-until one gives a finite value.  This is what makes divided-difference
+and the last is a recurrence climb from continued C_0, C_{-1}; they are
+tried in this order until one gives a finite value.  This is what makes divided-difference
 checks at q^{+-1/2}-shifted points and the special-value points
 z = q^{1/2}, q^{1/4} computable for beta < 1, where the direct sum
 diverges at those points.  The two transformation routes take their
@@ -53,8 +61,9 @@ from .errors import DomainError, NonConvergence, PoleError, RegionError
 from .hyperseries import (BILATERAL, SeriesSpec, bailey_2psi2, sum_psi,
                           sum_psi_params, wellpoised_6psi8)
 from .qcore import (DEFAULT_POLICY, INFINITY, CompensatedSum,
-                    SpectralPoint, TruncationPolicy, check_base, check_real_base,
-                    is_q_power, poch, poch_multi, poch_pm, poch_ratio)
+                    SpectralPoint, TruncationPolicy, _product_bound_terms,
+                    check_base, check_real_base, is_q_power, poch, poch_multi,
+                    poch_pm, poch_ratio)
 
 CLASSICAL = "classical"
 BILATERAL_KIND = "bilateral"
@@ -431,6 +440,247 @@ class _RouteUnusable(RegionError):
     """A continuation route does not apply at this point."""
 
 
+#: the pole expansion continues row n only where its ring ratio, the limit
+#: |beta gamma|^2 |q|^n of |ring_{k+1} / ring_k| (n < 0 through
+#: symmetry_params: |q|^{-n} / |gamma|^2), is below this
+POLE_RING_RATIO = 0.2
+#: ... and only where its rings do not cancel: eps sum_k |ring_k| is at
+#: most this times |C_n|
+POLE_CANCELLATION = 1e-13
+
+_EPS = 2.0 ** -52
+#: a ring ratio counts as settled once |q|^{k+1} is at most this fraction
+#: of min(1, |beta|) min(|z|^2, |z|^-2): each of its two factors is then
+#: within (1 + 1/32)/(1 - 1/32) of its limit (_PoleRings)
+_POLE_NEAR = 1 / 32
+_POLE_SETTLED = ((1 + _POLE_NEAR) / (1 - _POLE_NEAR)) ** 2
+
+
+class _PoleHead:
+    """The z-free pieces of the pole expansion at one (params, policy),
+    made once by _pole_head: |gamma|^2, the z-free factor of H_0,
+
+        S = (q, q/beta, beta gamma; q)_inf
+            / [(q gamma; q)_inf^2 (q/(beta gamma); q)_inf],
+
+    and, grown on demand, the tables u_k = q^{k+1} and
+    F_k = gamma^2 (u_k - beta)/(u_k - 1).  A piece that is not finite
+    raises _RouteUnusable, naming it, and nothing is kept."""
+
+    def __init__(self, params: UltraParams, policy: TruncationPolicy):
+        q, beta, gamma = params.q, params.beta, params.gamma
+        self.q, self.beta, self.bg, self.gamma2 = q, beta, beta * gamma, gamma * gamma
+        qbg = _pole_finite("q/(beta gamma)", q / (beta * gamma))
+        # the rings can cancel, which scales up every piece's error alike,
+        # so the products are truncated at eps, not at rel_tol
+        self.exact = policy = TruncationPolicy(_EPS, policy.abs_tol, policy.max_terms)
+        try:
+            self.scale = _pole_finite(
+                "the z-free factor of H_0",
+                poch_multi([q, q / beta, beta * gamma], q, INFINITY, policy)
+                / poch_multi([q * gamma, q * gamma, qbg], q, INFINITY, policy))
+        except (DomainError, NonConvergence, ZeroDivisionError) as exc:
+            raise _RouteUnusable(f"the z-free factor of H_0: {exc}") from exc
+        self._u = self._f = np.empty(0, dtype=complex)
+
+    def tables(self, k: int):
+        """u_j and F_j for j < k, read-only.  Each entry comes elementwise
+        from the same chain of q powers, so a longer table holds the same
+        values."""
+        if self._u.size < k:
+            u = np.full(max(k, 2 * self._u.size), self.q, dtype=complex)
+            np.cumprod(u, out=u)
+            f = self.gamma2 * (u - self.beta) / (u - 1)
+            u.setflags(write=False)
+            f.setflags(write=False)
+            self._u, self._f = u, f
+        return self._u[:k], self._f[:k]
+
+
+def _pole_finite(name: str, value: complex) -> complex:
+    if not cmath.isfinite(value):
+        raise _RouteUnusable(f"{name} = {value} leaves the double range")
+    return value
+
+
+@functools.lru_cache(maxsize=32)
+def _pole_head(params: UltraParams, mirrored: bool,
+               policy: TruncationPolicy) -> _PoleHead:
+    """The _PoleHead of params, or of symmetry_params(params) if mirrored
+    (the expansion of the rows n < 0); one per arguments."""
+    if mirrored:
+        mirror = 1.0 / (params.beta * params.gamma)
+        params = params.with_gamma(_pole_finite("1/(beta gamma)", mirror))
+    return _PoleHead(params, policy)
+
+
+class _PoleRings:
+    """C_n at one point z off the annulus by the generating function's
+    pole expansion (Darboux's method).  Moving the Cauchy contour of the
+    coefficient of t^n outward past the simple poles t = q^{-k} z^{+-1}
+    gives, for n >= 0,
+
+        C_n(z) = sum_{k>=0} q^{kn} [H_k(z) z^{-n} + H_k(1/z) z^n],
+        H_0(z) = S (beta gamma w, q/(beta gamma w); q)_inf
+                   / (w, q/(beta w); q)_inf,
+        H_{k+1}/H_k = F_k (u_k - beta w)/(u_k - w),  w = z^2,
+
+    with S, u_k = q^{k+1} and F_k from _PoleHead; the theta pair of
+    beta gamma w contributes only the factor gamma^2 to the ratio.  The
+    rows n < 0 are (q/beta)^{-n} C_{-n}(z; beta, 1/(beta gamma))
+    (symmetry_params).  The H tables of z and 1/z do not depend on n:
+    each sign of n makes them once for all the rows of one call, and a
+    row sums them against q^{kn}, with z^{-n} (or (q/(beta z))^{-n})
+    formed as one power.
+
+    A ring ratio tends to the row's limit L = |beta gamma|^2 |q|^n.
+    From the ring `start`, where |q|^{k+1} <= _POLE_NEAR min(1, |beta|)
+    min(|w|, 1/|w|), each ratio is at most b = _POLE_SETTLED L, and the
+    row sums start + J rings, J the rings after which b^J/(1 - b) is
+    below eps; a table grown for a later row holds the same leading
+    values, so a row's rings do not depend on the other rows.  The row
+    then bounds its tail past them by the ratio's factors at
+    |u| = |q|^{rings}, each monotone in |u| (_PoleSide.bound).
+
+    value(n) raises _RouteUnusable where the route refuses: L of
+    POLE_RING_RATIO or more, z^2 on the q^Z lattice (where the poles
+    q^{-k} z and q^{-j}/z coalesce), a piece that is not finite, a tail
+    bound over rel_tol |C_n|, or rings that cancel: eps sum|ring| over
+    POLE_CANCELLATION |C_n|."""
+
+    def __init__(self, z: complex, params: UltraParams, policy: TruncationPolicy):
+        self.z, self.params, self.policy = z, params, policy
+        self._sides = {}
+
+    def value(self, n: int):
+        params, z = self.params, self.z
+        q, beta = params.q, params.beta
+        mirrored = n < 0
+        m = -n if mirrored else n
+        aq = abs(q)
+        limit = (aq ** m / abs(params.gamma) ** 2 if mirrored
+                 else abs(beta * params.gamma) ** 2 * aq ** m)
+        if not limit < POLE_RING_RATIO:
+            raise _RouteUnusable(f"ring ratio {limit:.3g} not below "
+                                 f"{POLE_RING_RATIO}")
+        b = max(_POLE_SETTLED * limit, 1e-300)
+        try:
+            if mirrored:
+                a, c = (q / (beta * z)) ** m, (q * z / beta) ** m
+            else:
+                a, c = (1 / z) ** m, z ** m
+            qm = q ** m
+        except OverflowError as exc:
+            raise _RouteUnusable(f"z^n overflowed at n = {n}") from exc
+        with np.errstate(all="ignore"):
+            side = self._side(mirrored)
+            rings = side.start + math.ceil(math.log(_EPS * (1 - b)) / math.log(b)) + 1
+            if rings > self.policy.max_terms:
+                raise _RouteUnusable(f"C_{n} needs {rings} rings, over max_terms")
+            terms = side.table(rings) * np.power(qm, np.arange(rings))
+            sums = terms.sum(axis=1).tolist()
+            sizes = np.abs(terms)
+            mass = sizes.sum(axis=1).tolist()
+        value = a * sums[0] + c * sums[1]
+        total = abs(a) * mass[0] + abs(c) * mass[1]
+        if not (cmath.isfinite(value) and math.isfinite(total)):
+            raise _RouteUnusable(f"the rings of C_{n} are not finite")
+        ratio = aq ** m * side.bound(aq ** rings)
+        last = abs(a) * float(sizes[0, -1]) + abs(c) * float(sizes[1, -1])
+        size = abs(value)
+        if not (ratio < 1 and last * ratio <= (1 - ratio) * self.policy.rel_tol * size):
+            raise _RouteUnusable(f"the ring tail of C_{n} is not bounded "
+                                 f"below rel_tol")
+        if not _EPS * total <= POLE_CANCELLATION * size:
+            raise _RouteUnusable(f"the rings of C_{n} cancel: sum |ring| = "
+                                 f"{total:.3g}, |C_n| = {size:.3g}")
+        return value, rings
+
+    def _side(self, mirrored: bool) -> "_PoleSide":
+        """The point's _PoleSide for one sign of n, made on first use; a
+        refusal is kept and raised again for every row of that sign."""
+        side = self._sides.get(mirrored)
+        if side is None:
+            try:
+                side = _PoleSide(self.z, self.params, mirrored, self.policy)
+            except _RouteUnusable as exc:
+                side = str(exc)
+            self._sides[mirrored] = side
+        if isinstance(side, str):
+            raise _RouteUnusable(side)
+        return side
+
+
+class _PoleSide:
+    """The H tables of one sign of n at one point z (_PoleRings): H_0 at z
+    and 1/z, made at construction, and the (2 x rings) table of H_k(z),
+    H_k(1/z) by the ratio form, grown on demand."""
+
+    def __init__(self, z: complex, params: UltraParams, mirrored: bool,
+                 policy: TruncationPolicy):
+        q, w = params.q, z * z
+        if is_q_power(w, q) is not None:
+            raise _RouteUnusable("z^2 on the q^Z lattice, where the poles coalesce")
+        self.aw = abs(w)
+        if not 0 < self.aw < math.inf:
+            raise _RouteUnusable("z^2 leaves the double range")
+        head = self.head = _pole_head(params, mirrored, policy)
+        beta, bg = head.beta, head.bg
+        near = _POLE_NEAR * min(1.0, abs(beta)) * min(self.aw, 1 / self.aw)
+        self.start = max(0, math.ceil(math.log(near) / math.log(abs(q))))
+        try:
+            lead = np.array([_pole_finite("an H_0 parameter", c) for c in (
+                bg * w, q / (bg * w), w, q / (beta * w),
+                bg / w, q * w / bg, 1 / w, q * w / beta)])
+            p = _pole_products(lead, q, head.exact)
+        except (NonConvergence, ZeroDivisionError) as exc:
+            raise _RouteUnusable(f"H_0 at z = {z}: {exc}") from exc
+        self._h0 = head.scale * np.array([[p[0] * p[1] / (p[2] * p[3])],
+                                          [p[4] * p[5] / (p[6] * p[7])]])
+        self._bw = np.array([[beta * w], [beta / w]])
+        self._w = np.array([[w], [1 / w]])
+        self._table = self._h0
+
+    def table(self, rings: int) -> np.ndarray:
+        """The first `rings` columns k of H_k(z), H_k(1/z)."""
+        if self._table.shape[1] < rings:
+            u, f = self.head.tables(rings - 1)
+            table = np.empty((2, rings), dtype=complex)
+            table[:, :1] = self._h0
+            np.multiply(f, (u - self._bw) / (u - self._w), out=table[:, 1:])
+            np.cumprod(table, axis=1, out=table)
+            self._table = table
+        return self._table[:, :rings]
+
+    def bound(self, a: float) -> float:
+        """A bound on |H_{k+1}/H_k| at z and at 1/z for every k with
+        |q|^{k+1} <= a: F_k (u - beta w)/(u - w) by the moduli of its
+        factors, each monotone in a; inf where a denominator bound is not
+        positive."""
+        ag, ab = abs(self.head.gamma2), abs(self.head.beta)
+        out = 0.0
+        for x in (self.aw, 1 / self.aw):
+            if not (a < x and a < 1):
+                return math.inf
+            out = max(out, ag * (a + ab) * (a + ab * x) / ((1 - a) * (x - a)))
+        return out
+
+
+def _pole_products(a: np.ndarray, q, policy: TruncationPolicy) -> np.ndarray:
+    """(a_i; q)_inf for the few parameters of a 1-D array: poch's array
+    product with its factors laid out along rows, a (parameters x
+    factors) table, which takes about half the time of poch's (factors x
+    parameters) table at this size (numpy steps the inner loop along the
+    last axis)."""
+    table = np.empty((a.size, _product_bound_terms(float(np.abs(a).max()),
+                                                   abs(q), policy)), dtype=complex)
+    table[:, 0] = a
+    table[:, 1:] = q
+    np.cumprod(table, axis=1, out=table)
+    np.subtract(1.0, table, out=table)
+    return table.prod(axis=1)
+
+
 class _HeadOverflow(NonConvergence):
     """A z-free piece of the continuation routes at some n leaves the
     double range, so no route applies at that n."""
@@ -566,15 +816,20 @@ def _bilateral_22tgl(n: int, z: complex, params: UltraParams,
 
 
 def _bilateral_continued(n: int, z: complex, params: UltraParams,
-                         policy: TruncationPolicy):
+                         policy: TruncationPolicy, rings: _PoleRings):
     """C_n at one point off the annulus by the first continuation route
-    that gives a finite value; the recurrence climb from continued C_0,
-    C_{-1} comes last.  If none does, NonConvergence if some route value
-    was not finite (as when a 6psi8 prefactor is nan), else RegionError.
-    An overflow in a route, as when q^{-n} or q^{n-1} leaves the double
-    range at large |n| or q^{-n}/gamma at tiny gamma, raises
-    NonConvergence at once."""
+    that gives a finite value: the pole expansion (rings, the point's
+    _PoleRings), then the 6psi8 and 2psi2 transformations, then the
+    recurrence climb from continued C_0, C_{-1}.  If none does,
+    NonConvergence if some route value was not finite (as when a 6psi8
+    prefactor is nan), else RegionError.  An overflow in a transformation
+    route, as when q^{-n} or q^{n-1} leaves the double range at large |n|
+    or q^{-n}/gamma at tiny gamma, raises NonConvergence at once."""
     attempts, error = [], RegionError
+    try:
+        return rings.value(n)
+    except _RouteUnusable as exc:
+        attempts.append(f"pole expansion: {exc}")
     for route in (_bilateral_6psi8, _bilateral_22tgl, _bilateral_climb):
         try:
             value, terms = route(n, z, params, policy)
@@ -638,22 +893,50 @@ def _direct_range(n_lo: int, n_hi: int, z: np.ndarray, params: UltraParams,
     return values, terms
 
 
+def _scalar_inside(z: complex, beta, q) -> bool:
+    """direct_region_mask at one Python-complex z, without its one-element
+    arrays where Python's complex arithmetic settles it: both region ratios
+    below the margin, or one above it, by more than 1e-9 relative (numpy
+    and Python round them a few ulps apart).  Closer to the margin, and
+    where z^2 leaves the double range, the mask decides."""
+    z2 = z * z
+    if z2 != 0 and cmath.isfinite(z2):
+        lo, hi = abs(q * z2 / beta), abs(q / (beta * z2))
+        if max(lo, hi) < DIRECT_REGION_MARGIN * (1 - 1e-9):
+            return True
+        if max(lo, hi) > DIRECT_REGION_MARGIN * (1 + 1e-9):
+            return False
+    return bool(direct_region_mask(np.array([z]), beta, q)[0])
+
+
+def _point_rows(n_lo: int, n_hi: int, z: complex, params: UltraParams,
+                policy: TruncationPolicy):
+    """(values, terms) lists of C_n, n_lo <= n <= n_hi, at one point z off
+    the annulus: each row continued on its own (_bilateral_continued),
+    every row sharing the point's pole-expansion tables.  Both lanes of
+    _range_values run it, so a point's values do not depend on the lane."""
+    rings = _PoleRings(z, params, policy)
+    values, terms = [], []
+    for n in range(n_lo, n_hi + 1):
+        value, t = _bilateral_continued(n, z, params, policy, rings)
+        values.append(value)
+        terms.append(t)
+    return values, terms
+
+
 def _range_values(n_lo: int, n_hi: int, z, params: UltraParams,
                   policy: TruncationPolicy):
-    """The values and truncation_terms of bilateral_cn_range at z = p.z."""
+    """The values and truncation_terms of bilateral_cn_range at z = p.z;
+    lists at one point off the annulus."""
     n_lo, n_hi = int(n_lo), int(n_hi)
     if n_hi < n_lo:
         raise DomainError("bilateral_cn_range needs n_lo <= n_hi")
     check_pole_lattice(params)
     if not isinstance(z, np.ndarray):    # one point: no index bookkeeping
-        point = np.array([z])
-        if direct_region_mask(point, params.beta, params.q)[0]:
-            values, terms = _direct_range(n_lo, n_hi, point, params, policy)
+        if _scalar_inside(z, params.beta, params.q):
+            values, terms = _direct_range(n_lo, n_hi, np.array([z]), params, policy)
             return values.reshape(-1), terms
-        continued = [_bilateral_continued(n, z, params, policy)
-                     for n in range(n_lo, n_hi + 1)]
-        return (np.array([v for v, _ in continued], dtype=complex),
-                np.array([t for _, t in continued], dtype=int))
+        return _point_rows(n_lo, n_hi, z, params, policy)
     shape = z.shape
     z = np.asarray(z, dtype=complex).ravel()
     inside = direct_region_mask(z, params.beta, params.q)
@@ -664,10 +947,8 @@ def _range_values(n_lo: int, n_hi: int, z, params: UltraParams,
         values[:, inside], terms[:] = _direct_range(n_lo, n_hi, z[inside],
                                                     params, policy)
     for i in np.flatnonzero(~inside):
-        for r in range(rows):
-            values[r, i], t = _bilateral_continued(n_lo + r, complex(z[i]),
-                                                   params, policy)
-            terms[r] = max(terms[r], t)
+        values[:, i], t = _point_rows(n_lo, n_hi, complex(z[i]), params, policy)
+        np.maximum(terms, t, out=terms)
     return values.reshape((rows,) + shape), terms
 
 
@@ -681,15 +962,18 @@ def bilateral_cn_range(n_lo: int, n_hi: int, p: SpectralPoint,
     budget of terms (_tail_bound), taken over those points, and a pass takes as many rows as keep its block of
     rows times points near _BLOCK_SIZE values and its rows times steps
     near 8 _BLOCK_SIZE.  Every other point is continued per n
-    (_bilateral_continued).  A scalar p.z is routed by the same rule
-    (direct_region_mask) and runs the same kernel, on a one-element
-    array, without the array's index bookkeeping: its values and term
-    counts are those of the one-element array, bit for bit.  Raises PoleError
+    (_bilateral_continued), its rows sharing the point's pole-expansion
+    tables (_point_rows).  A scalar p.z is routed by the same rule
+    (direct_region_mask) and runs the same kernels, inside the annulus on
+    a one-element array, without the array's index bookkeeping: its
+    values and term counts are those of the one-element array, bit for
+    bit.  Raises PoleError
     on the gamma parameter lattices, RegionError when no evaluation route
     applies, NonConvergence when the policy budget is exhausted.
     """
     values, terms = _range_values(n_lo, n_hi, p.z, params, policy)
-    return UltraRange(int(n_lo), p, params, policy, values, terms)
+    return UltraRange(int(n_lo), p, params, policy,
+                      np.asarray(values, dtype=complex), np.asarray(terms, dtype=int))
 
 
 def bilateral_cn(n: int, p: SpectralPoint, params: UltraParams,

@@ -1,14 +1,16 @@
 import numpy as np
 import pytest
 
-from qultra import (BILATERAL, UNILATERAL, DomainError, NonConvergence,
-                    PoleError, RegionError, SeriesSpec, SpectralPoint,
-                    TruncationPolicy, bilateral_cn, closed_form, poch,
-                    poch_multi, sum_phi, sum_psi, transform_residual)
+from qultra import (BILATERAL, DEFAULT_POLICY, UNILATERAL, DomainError,
+                    NonConvergence, PoleError, RegionError, SeriesSpec,
+                    SpectralPoint, TruncationPolicy, UltraParams, bilateral_cn,
+                    closed_form, poch, poch_multi, sum_phi, sum_psi,
+                    transform_residual)
 from qultra.hyperseries import terminates_above, terminates_below
 from qultra.qcore import (GROWTH_SLACK, INFINITY, TAIL_WINDOW,
                           CompensatedSum)
-from qultra.ultraspherical import direct_region_mask
+from qultra.ultraspherical import (_PoleRings, bilateral_cn_range,
+                                   direct_region_mask)
 from qultra.verify import CONFIG_DEFAULTS
 
 Q = CONFIG_DEFAULTS["q"]
@@ -312,16 +314,30 @@ def test_sums_equal_the_transcribed_term_loops_bit_for_bit():
 
 
 def test_off_annulus_scalar_and_array_values_are_identical(params):
-    # the per-point continuation gives an array call the scalar values
-    # exactly, for every n of the benchmark's range and beyond
+    # the per-point continuation gives an array call, and each row of a
+    # range call, the scalar values exactly, for every n of the
+    # benchmark's range and beyond: rows the pole expansion gives and rows
+    # where its ring-ratio gate hands over to the other routes (n = -1, 0
+    # at the defaults, -2..2 at (0.7, 0.5, 1.5), whose annulus is empty)
     rng = np.random.default_rng(16)
     radius = rng.uniform(0.35, 0.58, 8)
     arg = rng.uniform(0.15, np.pi - 0.15, 8) * rng.choice([-1, 1], 8)
     inner = radius * np.exp(1j * arg)
     zs = np.concatenate([inner, 1 / inner])
-    assert not direct_region_mask(zs, params.beta, params.q).any()
-    for n in range(-12, 13):
-        array = bilateral_cn(n, SpectralPoint(zs), params).value
-        scalar = [bilateral_cn(n, SpectralPoint(complex(z)), params).value
-                  for z in zs]
-        assert np.array_equal(array, scalar), n
+    for family, gate in ((params, {-1, 0}),
+                         (UltraParams(0.5, 1.5, 0.7), {-2, -1, 0, 1, 2})):
+        assert not direct_region_mask(zs, family.beta, family.q).any()
+        rows = bilateral_cn_range(-12, 12, SpectralPoint(zs), family)
+        gated = set()
+        for n in range(-12, 13):
+            array = bilateral_cn(n, SpectralPoint(zs), family).value
+            scalar = [bilateral_cn(n, SpectralPoint(complex(z)), family).value
+                      for z in zs]
+            assert np.array_equal(array, scalar), n
+            assert np.array_equal(rows[n], scalar), n
+            try:
+                _PoleRings(complex(zs[0]), family, DEFAULT_POLICY).value(n)
+            except RegionError as exc:
+                if "ring ratio" in str(exc):
+                    gated.add(n)
+        assert gated == gate

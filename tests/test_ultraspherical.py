@@ -12,8 +12,10 @@ from qultra import (BILATERAL, DEFAULT_POLICY, UNILATERAL, DomainError,
                     recurrence_residual, special_value_c0,
                     special_value_cm1, sum_phi, symmetry_residual)
 from qultra.hyperseries import bailey_2psi2, sum_psi, wellpoised_6psi8
+import qultra.ultraspherical as us
 from qultra.ultraspherical import (DIRECT_REGION_MARGIN, _bilateral_22tgl,
                                    _bilateral_6psi8, _direct_rows,
+                                   _PoleRings,
                                    _near_half_lattice, _on_nonpositive_lattice,
                                    _route_head, _RouteUnusable, _tail_bound,
                                    _well_poised_2psi2, _z_powers,
@@ -481,14 +483,46 @@ def test_range_overflow_inside_the_annulus_raises(params):
 
 
 def test_continuation_overflow_raises_a_typed_error(params):
-    # off the annulus the routes form q^{-n} (n = 700, 2000) or the climb's
-    # q^{n-1} (n = -700), which leave the double range
+    # off the annulus |z|^{-2000} = 2^2000 and the routes' q^{-2000} leave
+    # the double range; C_700 and C_-700 do not, and the pole expansion
+    # gives them: its k = 0 ring, whose next ring is |q|^700 smaller
     p = SpectralPoint(0.4 + 0.3j)
     assert not in_direct_region(p.z, BETA, Q)
     assert np.isfinite(bilateral_cn(500, p, params).value)
-    for n in (700, -700, 2000):
-        with pytest.raises(QSeriesError, match="overflowed"):
-            bilateral_cn(n, p, params)
+    with pytest.raises(QSeriesError, match="overflowed"):
+        bilateral_cn(2000, p, params)
+    for n in (700, -700):
+        assert bilateral_cn(n, p, params).value == pytest.approx(
+            _mp_first_ring(n, p.z, (Q, BETA, GAMMA)), rel=1e-12)
+    assert abs(bilateral_cn(700, p, params).value) == pytest.approx(4.4e210, rel=0.01)
+
+
+def _mp_first_ring(n, z, qbg, digits=40):
+    """The k = 0 ring of the generating function's pole expansion in
+    mpmath with plain products, H_0(z) z^{-n} + H_0(1/z) z^n,
+
+        H_0(z) = P (bg z^2, bg, q/(bg z^2), q/bg; q)_inf
+                 / (z^2, q, q/(beta z^2), q/beta; q)_inf,
+        P = (q, q/beta; q)_inf^2 / (q gamma, q/bg; q)_inf^2,  bg = beta gamma,
+
+    and for n < 0 (q/beta)^{-n} times the ring of C_{-n} at gamma =
+    1/(beta gamma)."""
+    import mpmath as mp
+    with mp.workdps(digits):
+        q, beta, gamma = (mp.mpf(v) for v in qbg)
+        z, pre = mp.mpc(z), mp.mpf(1)
+        if n < 0:
+            n, pre, gamma = -n, (q / beta) ** -n, 1 / (beta * gamma)
+        bg = beta * gamma
+        P = (mp.qp(q, q) * mp.qp(q / beta, q)) ** 2 / (
+            mp.qp(q * gamma, q) * mp.qp(q / bg, q)) ** 2
+
+        def h0(w):
+            return P * (mp.qp(bg * w, q) * mp.qp(bg, q) * mp.qp(q / (bg * w), q)
+                        * mp.qp(q / bg, q)) / (mp.qp(w, q) * mp.qp(q, q)
+                                              * mp.qp(q / (beta * w), q)
+                                              * mp.qp(q / beta, q))
+        return complex(pre * (h0(z * z) * z ** -n + h0(1 / (z * z)) * z ** n))
 
 
 def test_continuation_hands_a_non_finite_value_to_the_next_route(params):
@@ -512,6 +546,138 @@ def test_tiny_gamma_names_the_route_piece_that_overflows():
             bilateral_cn(1, SpectralPoint(0.4 + 0.3j), params)
         with pytest.raises(NonConvergence, match=piece):
             bilateral_cn_psi_form(1, SpectralPoint.from_theta(1.0), params)
+
+
+def _mp_6psi8(n, z, qbg, digits, width):
+    """C_n(z) in mpmath at `digits` by the very-well-poised 6psi8 form
+    with `width` terms per side (as perfbench/reference.sixpsi8_sum):
+    g_n z^n (q/c, q/d, aq/e, aq/f; q)_inf / (aq, q/a, aq/(cd), aq/(ef); q)_inf
+    times 6psi8(q a^{1/2}, -q a^{1/2}, c, d, e, f; a^{1/2}, -a^{1/2}, aq/c,
+    aq/d, aq/e, aq/f; q, a^2 q^2/(cdef)) with two lower parameters 0,
+    a = q^{-n}/z^2, c = a/gamma, d = beta gamma/z^2, e = beta gamma and
+    f = q^{-n}/gamma."""
+    import mpmath as mp
+    with mp.workdps(digits):
+        q, beta, gamma = (mp.mpf(v) for v in qbg)
+        z = mp.mpc(z)
+        bg = beta * gamma
+        a = q ** -n / (z * z)
+        c, d, e, f = a / gamma, bg / (z * z), bg, q ** -n / gamma
+        g = _mp_g(qbg, abs(n))[n]
+        pref = g * z ** n * (mp.qp(q / c, q) * mp.qp(q / d, q) * mp.qp(a * q / e, q)
+                             * mp.qp(a * q / f, q)) / (
+            mp.qp(a * q, q) * mp.qp(q / a, q) * mp.qp(a * q / (c * d), q)
+            * mp.qp(a * q / (e * f), q))
+        sa = mp.sqrt(a)
+        upper = [q * sa, -q * sa, c, d, e, f]
+        lower = [sa, -sa, a * q / c, a * q / d, a * q / e, a * q / f]
+        x = a ** 3 * q ** 2 / (c * d * e * f)
+        terms, t = [mp.mpc(1)], mp.mpc(1)
+        for k in range(width):
+            qk = q ** k
+            t *= (mp.fprod(1 - u * qk for u in upper)
+                  / mp.fprod(1 - b * qk for b in lower) * qk ** 2 * x)
+            terms.append(t)
+        t = mp.mpc(1)
+        for k in range(0, -width, -1):
+            qk = q ** (k - 1)
+            t *= (mp.fprod(1 - b * qk for b in lower)
+                  / mp.fprod(1 - u * qk for u in upper) / (qk ** 2 * x))
+            terms.append(t)
+        return complex(pref * mp.fsum(terms))
+
+
+#: C_n off the direct annulus as ((q, beta, gamma), z, n, C_n): _mp_6psi8 at
+#: (digits, width) = (160, 220), which agrees with (120, 160) to 7.6e-22
+#: relative at n = 50 and to 1e-75 or closer at the others.  At the first
+#: set the annulus is 0.61 < |z| < 1.63; at the other two it is empty.
+OFF_ANNULUS_REFERENCES = [
+    ((0.3, 0.8, 0.7), 0.5 * cmath.exp(1j), 8, (50.22622470936908-198.78072416722912j)),
+    ((0.3, 0.8, 0.7), 0.5 * cmath.exp(1j), 12, (1881.702984420842+2687.0358898814993j)),
+    ((0.3, 0.8, 0.7), 0.5 * cmath.exp(1j), 20, (610471.1414066661-576676.3017282671j)),
+    ((0.7, 0.5, 1.5), cmath.exp(0.4j), 8, (69.13123176715172+2.5159318458439535e-14j)),
+    ((0.7, 0.5, 1.5), cmath.exp(0.4j), -8, (-1273.8763621910573-1.8667578569716913e-13j)),
+    ((0.7, 0.5, 1.5), cmath.exp(0.4j), 20, (85.80059259987063-2.8015756466855145e-14j)),
+    ((0.7, 0.5, 1.5), cmath.exp(0.4j), -20, (-9267.613213261438+4.270466937516437e-11j)),
+    ((0.85, 0.8, 0.3), cmath.exp(1j), 1, (0.2872612743843007+3.1234292642494157e-16j)),
+    ((0.85, 0.8, 0.3), cmath.exp(1j), 4, (-0.39240966044327624-3.477310158530525e-16j)),
+    ((0.85, 0.8, 0.3), cmath.exp(1j), 7, (0.48949834469040504+3.67205670032192e-16j)),
+    ((0.7, 0.5, 1.5), cmath.exp(1j), 50, (-26.23312288950138-1.6122141307352374e-15j)),
+]
+
+
+@pytest.mark.parametrize("qbg, z, n, ref", OFF_ANNULUS_REFERENCES)
+def test_off_annulus_values_match_checked_references(qbg, z, n, ref):
+    """Mid-sized |n| off the annulus, where the per-n 6psi8 in double
+    loses digits (up to a relative error of 1.8e30 at n = 20 here) and
+    C_50 had no route; the pole expansion gives them all."""
+    q, beta, gamma = qbg
+    params = UltraParams(beta, gamma, q)
+    assert not in_direct_region(z, beta, q)
+    value = bilateral_cn(n, SpectralPoint(z), params).value
+    assert abs(value - ref) <= 1e-12 * abs(ref)
+
+
+def test_off_annulus_reference_recomputes():
+    qbg, z, n, ref = OFF_ANNULUS_REFERENCES[0]
+    assert _mp_6psi8(n, z, qbg, 120, 160) == pytest.approx(ref, rel=1e-15)
+
+
+def _route_outcome(n, z, params):
+    try:
+        return np.asarray(bilateral_cn(n, SpectralPoint(z), params).value).tobytes()
+    except QSeriesError as exc:
+        return type(exc)
+
+
+def _handed_over(n, z, params, monkeypatch):
+    """bilateral_cn with the pole expansion switched off: the chain of
+    the other routes alone."""
+    with monkeypatch.context() as m:
+        m.setattr(_PoleRings, "value", _refuse)
+        return _route_outcome(n, z, params)
+
+
+def _refuse(*args):
+    raise _RouteUnusable("switched off")
+
+
+@pytest.mark.parametrize("qbg, z, ns, reason", [
+    # the mirrored rings diverge: ring ratio 0.85^{-n}/0.3^2 = 9.4 .. 3.6
+    ((0.85, 0.8, 0.3), cmath.exp(1j), (-1, -4, -7), "ring ratio"),
+    # z^2 = q, where the poles coalesce, and a point that rounds onto it
+    ((Q, BETA, GAMMA), complex(Q ** 0.5), (-3, 2, 3, 5), "lattice"),
+    ((Q, BETA, GAMMA), Q ** 0.5 * cmath.exp(1e-10j), (-3, 2, 3), "lattice"),
+    # 1e-7 off z^2 = q the rings cancel by a factor 1.3e5 to 1.9e4
+    ((Q, BETA, GAMMA), Q ** 0.5 * cmath.exp(1e-7j), (-3, 2, 3), "cancel"),
+    # the gamma = 1 polynomials at q = 0.7, beta = -0.5: the rings cancel by
+    # a factor 8.8e3 (n = 1) and 830 (n = 2)
+    ((0.7, -0.5, 1.0), cmath.exp(0.4j), (1, 2), "cancel"),
+])
+def test_pole_route_refusal_hands_over_bit_for_bit(qbg, z, ns, reason,
+                                                  monkeypatch):
+    q, beta, gamma = qbg
+    params = UltraParams(beta, gamma, q)
+    assert not in_direct_region(z, beta, q)
+    for n in ns:
+        with pytest.raises(_RouteUnusable, match=reason):
+            _PoleRings(z, params, DEFAULT_POLICY).value(n)
+        chain = _handed_over(n, z, params, monkeypatch)
+        assert isinstance(chain, bytes), n
+        assert _route_outcome(n, z, params) == chain, n
+
+
+def test_forced_cancellation_refusal_hands_over_bit_for_bit(params, monkeypatch):
+    z = 0.5 * cmath.exp(1j)
+    for n in (-6, 3, 8):
+        taken = _route_outcome(n, z, params)
+        chain = _handed_over(n, z, params, monkeypatch)
+        assert taken != chain, n          # the pole expansion gave C_n
+        monkeypatch.setattr(us, "POLE_CANCELLATION", 0.0)
+        with pytest.raises(_RouteUnusable, match="cancel"):
+            _PoleRings(z, params, DEFAULT_POLICY).value(n)
+        assert _route_outcome(n, z, params) == chain, n
+        monkeypatch.undo()
 
 
 def test_6psi8_sum_stops_at_a_non_finite_term(params):

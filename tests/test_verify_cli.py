@@ -191,19 +191,20 @@ def test_cli_eval_pole_is_numerical_error(capsys):
 
 
 def test_cli_eval_overflow_is_numerical_error(capsys):
-    code = main(["eval", "--n", "700", "--z-re", "0.4", "--z-im", "0.3"])
+    code = main(["eval", "--n", "2000", "--z-re", "0.4", "--z-im", "0.3"])
     assert code == 3
     assert "overflowed" in capsys.readouterr().err
 
 
 def test_cli_eval_non_finite_is_numerical_error(capsys, monkeypatch):
-    # the 6psi8 value of C_40 at 0.4+0.3i is nan; with the 2psi2 route and
-    # the climb failing, no route gives a finite value
+    # the 6psi8 value of C_40 at 0.4+0.3i is nan; with the pole expansion,
+    # the 2psi2 route and the climb failing, no route gives a finite value
     import qultra.ultraspherical as us
 
     def unusable(*args):
         raise us._RouteUnusable("route disabled")
 
+    monkeypatch.setattr(us._PoleRings, "value", unusable)
     monkeypatch.setattr(us, "_bilateral_22tgl", unusable)
     monkeypatch.setattr(us, "_bilateral_climb", unusable)
     code = main(["eval", "--n", "40", "--z-re", "0.4", "--z-im", "0.3",
