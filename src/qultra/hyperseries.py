@@ -63,13 +63,9 @@ class SeriesSpec:
 
 def terminates_above(upper: Sequence[complex], q) -> int | None:
     """Smallest n >= 0 with some upper parameter equal to q^{-n}, or None."""
-    return _top_index(is_q_power(a, q) for a in upper)
-
-
-def _top_index(powers) -> int | None:
-    """terminates_above from the is_q_power values of the upper parameters."""
     best = None
-    for m in powers:
+    for a in upper:
+        m = is_q_power(a, q)
         if m is not None and m <= 0 and (best is None or -m < best):
             best = -m
     return best
@@ -229,15 +225,10 @@ def sum_psi(spec: SeriesSpec, policy: TruncationPolicy = DEFAULT_POLICY):
     return sum_psi_params(spec.upper, spec.lower, spec.q, spec.z, policy)
 
 
-def sum_psi_params(upper, lower, q, z, policy: TruncationPolicy,
-                   upper_powers=None):
+def sum_psi_params(upper, lower, q, z, policy: TruncationPolicy):
     """sum_psi of the bilateral series with these complex parameters, a
-    checked complex base q and a complex argument z, without a SeriesSpec.
-    upper_powers, when given, are the is_q_power values of upper, which a
-    caller may know already."""
-    if upper_powers is None:
-        upper_powers = [is_q_power(a, q) for a in upper]
-    n_top = _top_index(upper_powers)
+    checked complex base q and a complex argument z, without a SeriesSpec."""
+    n_top = terminates_above(upper, q)
     m_bot = terminates_below(lower, q)
     _psi_region_check(upper, lower, z, n_top, m_bot)
     return _psi_terms(upper, lower, q, z, n_top, m_bot, policy)

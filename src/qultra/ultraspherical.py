@@ -44,8 +44,7 @@ and the last is a recurrence climb from continued C_0, C_{-1}; they are
 tried in this order until one gives a finite value.  This is what makes divided-difference
 checks at q^{+-1/2}-shifted points and the special-value points
 z = q^{1/2}, q^{1/4} computable for beta < 1, where the direct sum
-diverges at those points.  The two transformation routes take their
-z-free pieces from a memo per (n, params).
+diverges at those points.
 """
 
 from __future__ import annotations
@@ -682,8 +681,8 @@ def _pole_products(a: np.ndarray, q, policy: TruncationPolicy) -> np.ndarray:
 
 
 class _HeadOverflow(NonConvergence):
-    """A z-free piece of the continuation routes at some n leaves the
-    double range, so no route applies at that n."""
+    """A piece of the continuation routes at some n leaves the double
+    range, so no route applies at that n."""
 
 
 # the failures after which _bilateral_continued tries its next route
@@ -703,98 +702,56 @@ def _on_nonpositive_lattice(value, q):
     return m is not None and m <= 0
 
 
-class _RouteHead:
-    """The z-free pieces of both continuation routes at one (n, params),
-    made once by _route_head: g = (beta gamma; q)_n / (q gamma; q)_n at
-    construction, the rest on first use, at the point where the routes
-    need them, so a piece that raises does so in the same order as if it
-    were computed in place (a raising piece is not kept)."""
-
-    def __init__(self, n: int, params: UltraParams):
-        q, beta, gamma = params.q, params.beta, params.gamma
-        self.n, self.q, self.beta, self.gamma = n, q, beta, gamma
-        self.bg, self.gq = beta * gamma, q * gamma
-        self.g = poch_ratio(self.bg, self.gq, q, n)
-
-    def _finite(self, name: str, value: complex) -> complex:
-        if not cmath.isfinite(value):
-            raise _HeadOverflow(f"{name} = {value} at n = {self.n} leaves "
-                                f"the double range")
-        return value
-
-    def well_poised(self, z):
-        """(P, a, b, c, d, Z) of _well_poised_2psi2 at z."""
-        return (self.g * z ** self.n, self.bg, self.f, self.gq, self.d,
-                self.q / (self.beta * z * z))
-
-    @functools.cached_property
-    def qn(self):
-        """q^{-n}."""
-        return self.q ** (-self.n)
-
-    @functools.cached_property
-    def f(self):
-        """q^{-n}/gamma, an upper parameter of both transformed series."""
-        return self._finite("q^{-n}/gamma", self.qn / self.gamma)
-
-    @functools.cached_property
-    def d(self):
-        """q^{1-n}/(beta gamma)."""
-        return self._finite("q^{1-n}/(beta gamma)",
-                            self.q ** (1 - self.n) / self.bg)
-
-    @functools.cached_property
-    def d_vanishes(self):
-        """(q^{1-n}/(beta gamma); q)_inf vanishes."""
-        return _on_nonpositive_lattice(self.d, self.q)
-
-    @functools.cached_property
-    def bg_power(self):
-        return is_q_power(self.bg, self.q)
-
-    @functools.cached_property
-    def f_power(self):
-        return is_q_power(self.f, self.q)
-
-
-#: one _RouteHead per (n, params); it calls neither poch nor sum_psi.
-#: typed: an np.int64 n gives numpy powers, which must not serve an int n
-_route_head = functools.lru_cache(maxsize=512, typed=True)(_RouteHead)
+def _finite(name: str, value: complex, n: int) -> complex:
+    if not cmath.isfinite(value):
+        raise _HeadOverflow(f"{name} = {value} at n = {n} leaves the "
+                            f"double range")
+    return value
 
 
 def _well_poised_2psi2(n: int, z: complex, params: UltraParams):
     """(P, a, b, c, d, Z) with C_n(z) = P 2psi2(a, b; c, d; q, Z), the
     defining series as a well-poised 2psi2: P = (beta gamma; q)_n /
     (q gamma; q)_n z^n, a = beta gamma, b = q^{-n}/gamma, c = q gamma,
-    d = q^{1-n}/(beta gamma) and Z = q/(beta z^2)."""
-    return _route_head(n, params).well_poised(z)
+    d = q^{1-n}/(beta gamma) and Z = q/(beta z^2).  _HeadOverflow where
+    the q-product ratio, b or d leaves the double range."""
+    q, beta, gamma = params.q, params.beta, params.gamma
+    bg, gq = beta * gamma, q * gamma
+    try:
+        g = poch_ratio(bg, gq, q, n)
+    except DomainError as exc:      # its one DomainError: the ratio overflowed
+        raise _HeadOverflow(f"(beta gamma; q)_n/(q gamma; q)_n at n = {n} "
+                            f"leaves the double range") from exc
+    return (g * z ** n, bg, _finite("q^{-n}/gamma", q ** (-n) / gamma, n), gq,
+            _finite("q^{1-n}/(beta gamma)", q ** (1 - n) / bg, n),
+            q / (beta * z * z))
 
 
 def _bilateral_6psi8(n: int, z: complex, params: UltraParams,
                      policy: TruncationPolicy):
     """Continuation through the very-well-poised 6psi8 form of the
     well-poised 2psi2, whose upper parameters are e = beta gamma and
-    f = q^{-n}/gamma: pref0 times wellpoised_6psi8(alpha, c, d, e, f),
-    with the z-free pieces from _route_head."""
+    f = q^{-n}/gamma: pref0 times wellpoised_6psi8(alpha, c, d, e, f)."""
     q, beta, gamma = params.q, params.beta, params.gamma
-    head = _route_head(n, params)
-    pref0, e, f, _, _, _ = head.well_poised(z)
-    w2 = z * z
-    alpha = head.qn / w2
+    pref0, e, f, _, _, _ = _well_poised_2psi2(n, z, params)
+    qn, w2 = q ** (-n), z * z
+    alpha = qn / w2
     # the representation degenerates on the (half-)integer q-power lattice
     # of alpha and where a prefactor denominator product vanishes
     if _near_half_lattice(alpha, q):
         raise _RouteUnusable("alpha on the q-power lattice")
-    for arg in (q * w2 / beta, q / (beta * w2)):
+    for arg in (q * w2 / beta, q / (beta * w2), q ** (1 - n) / e):
         if _on_nonpositive_lattice(arg, q):
             raise _RouteUnusable("prefactor product vanishes")
-    if head.d_vanishes:
-        raise _RouteUnusable("prefactor product vanishes")
-    c = head.qn / (w2 * gamma)
-    d = e / w2
-    pref1, upper, lower, w = wellpoised_6psi8(alpha, c, d, e, f, q, policy)
-    powers = [is_q_power(a, q) for a in upper[:4]] + [head.bg_power, head.f_power]
-    value, terms = sum_psi_params(upper, lower, q, w, policy, powers)
+    try:
+        pref1, upper, lower, w = wellpoised_6psi8(
+            alpha, qn / (w2 * gamma), e / w2, e, f, q, policy)
+    except DomainError as exc:
+        # a prefactor parameter is not finite: q/c and q/alpha overflow
+        # where q^{-n} is subnormal
+        raise _HeadOverflow(f"a 6psi8 prefactor parameter at n = {n} leaves "
+                            f"the double range: {exc}") from exc
+    value, terms = sum_psi_params(upper, lower, q, w, policy)
     return pref0 * pref1 * value, terms
 
 

@@ -17,7 +17,7 @@ from qultra.ultraspherical import (DIRECT_REGION_MARGIN, _bilateral_22tgl,
                                    _bilateral_6psi8, _direct_rows,
                                    _PoleRings,
                                    _near_half_lattice, _on_nonpositive_lattice,
-                                   _route_head, _RouteUnusable, _tail_bound,
+                                   _RouteUnusable, _tail_bound,
                                    _well_poised_2psi2, _z_powers,
                                    bilateral_cn_range, direct_region_mask,
                                    in_direct_region)
@@ -548,6 +548,23 @@ def test_tiny_gamma_names_the_route_piece_that_overflows():
             bilateral_cn_psi_form(1, SpectralPoint.from_theta(1.0), params)
 
 
+def test_far_negative_n_overflow_raises_non_convergence():
+    # at n = -2000 the pole expansion refuses ((q/(beta z))^2000 overflows);
+    # at q = 0.9 the well-poised form's (beta gamma; q)_n/(q gamma; q)_n
+    # overflows, and at q = 0.7 q^2000 is subnormal, so the 6psi8
+    # prefactor's q/c is infinite
+    ratio = r"\(beta gamma; q\)_n/\(q gamma; q\)_n"
+    for qbg, z, piece in (((0.9, 0.4, 0.5), 0.4 + 0.3j, ratio),
+                          ((0.7, 0.5, 1.5), 2.2 * cmath.exp(-1.1j),
+                           "6psi8 prefactor parameter")):
+        q, beta, gamma = qbg
+        with pytest.raises(NonConvergence, match="overflowed.*" + piece):
+            bilateral_cn(-2000, SpectralPoint(z), UltraParams(beta, gamma, q))
+    with pytest.raises(NonConvergence, match=ratio):
+        bilateral_cn_psi_form(-2000, SpectralPoint.from_theta(1.0),
+                              UltraParams(0.4, 0.5, 0.9))
+
+
 def _mp_6psi8(n, z, qbg, digits, width):
     """C_n(z) in mpmath at `digits` by the very-well-poised 6psi8 form
     with `width` terms per side (as perfbench/reference.sixpsi8_sum):
@@ -752,7 +769,8 @@ def _outcome(fn, *args):
                                  (0.7, 0.5, 1.5), (0.7, 0.8, 1.0)])
 def test_routes_equal_their_formulas_bit_for_bit(qbg):
     # at gamma = 1, f = q^{-n}: the 6psi8 series terminates for n >= 0;
-    # z also goes in as np.complex128, as the crosscheck entry passes it
+    # z also goes in as np.complex128, as the crosscheck entry passes it,
+    # and n as np.int64, which makes q^{-n} and z^n numpy powers
     q, beta, gamma = qbg
     params = UltraParams(beta, gamma, q)
     rng = np.random.default_rng([16, *(int(100 * v) for v in qbg)])
@@ -764,12 +782,12 @@ def test_routes_equal_their_formulas_bit_for_bit(qbg):
     outcomes = set()
     for z in points:
         for n in range(-12, 13):
-            for zz in (z, np.complex128(z)):
+            for nn, zz in ((n, z), (n, np.complex128(z)), (np.int64(n), z)):
                 for route, formula in ((_bilateral_6psi8, _formula_6psi8),
                                        (_bilateral_22tgl, _formula_22tgl)):
-                    got = _outcome(route, n, zz, params, DEFAULT_POLICY)
-                    want = _outcome(formula, n, zz, params, DEFAULT_POLICY)
-                    assert got == want, (route.__name__, n, zz)
+                    got = _outcome(route, nn, zz, params, DEFAULT_POLICY)
+                    want = _outcome(formula, nn, zz, params, DEFAULT_POLICY)
+                    assert got == want, (route.__name__, nn, zz)
                     outcomes.add(got[0])
     assert outcomes == {"value", "error"}
 
@@ -785,24 +803,6 @@ def test_routes_refuse_the_special_point_as_their_formulas_do():
             got = _outcome(route, n, z, params, DEFAULT_POLICY)
             assert got[:2] == ("error", _RouteUnusable)
             assert got == _outcome(formula, n, z, params, DEFAULT_POLICY)
-
-
-def test_route_memo_keeps_an_int64_n_apart_from_an_int_n():
-    # bilateral_cn_psi_form passes n on as given, and an np.int64 n makes
-    # q^{-n} and z^n numpy powers: a memo entry it leaves must not serve a
-    # later int n, whose route values would then be np.complex128 and, at
-    # these points, off in the last bits
-    params = UltraParams(0.8, 0.7, 0.3)
-    for n in range(-6, 7):
-        for z in (2.5 + 0.5j, 0.05 + 0.1j, -3 + 1j):
-            for route in (_bilateral_6psi8, _bilateral_22tgl):
-                _route_head.cache_clear()
-                cold = _outcome(route, n, z, params, DEFAULT_POLICY)
-                _route_head.cache_clear()
-                bilateral_cn_psi_form(np.int64(n), SpectralPoint(1.0 + 0j), params)
-                warm = _outcome(route, n, z, params, DEFAULT_POLICY)
-                assert warm == cold, (route.__name__, n, z)
-                assert cold[0] == "error" or cold[1] is complex
 
 
 def test_z_powers_far_blocks_keep_the_chain_accuracy():

@@ -1,4 +1,5 @@
 import argparse
+import cmath
 import json
 import os
 import shlex
@@ -191,9 +192,16 @@ def test_cli_eval_pole_is_numerical_error(capsys):
 
 
 def test_cli_eval_overflow_is_numerical_error(capsys):
-    code = main(["eval", "--n", "2000", "--z-re", "0.4", "--z-im", "0.3"])
-    assert code == 3
-    assert "overflowed" in capsys.readouterr().err
+    # far negative n: the q-product ratio, or at q = 0.7 a 6psi8 prefactor
+    # parameter, leaves the double range
+    z = 2.2 * cmath.exp(-1.1j)
+    for args in (["--n", "2000", "--z-re", "0.4", "--z-im", "0.3"],
+                 ["--n", "-2000", "--z-re", "0.4", "--z-im", "0.3",
+                  "--q", "0.9", "--beta", "0.4", "--gamma", "0.5"],
+                 ["--n", "-2000", "--z-re", repr(z.real), "--z-im", repr(z.imag),
+                  "--q", "0.7", "--beta", "0.5", "--gamma", "1.5"]):
+        assert main(["eval"] + args) == 3, args
+        assert "overflowed" in capsys.readouterr().err
 
 
 def test_cli_eval_non_finite_is_numerical_error(capsys, monkeypatch):

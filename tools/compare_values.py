@@ -12,6 +12,8 @@ the type and message of the error it raised.  The calls are
 * ``bilateral_cn`` at scalar and array points and ``bilateral_cn_range``,
   on and off the direct annulus, at six parameter sets, including the
   special point z = q^{1/2} and |n| up to 2000;
+* ``bilateral_cn_psi_form`` at n = -12..12 at the two unit-circle points
+  of each parameter set;
 * ``sum_psi`` and ``sum_phi`` on random specs, some with zero lower
   parameters (placed first or last) and some terminating;
 * scalar ``poch`` with k >= 0 and k = inf;
@@ -74,7 +76,7 @@ def _points(rng, params) -> list:
 def _cn_records(rng) -> list:
     import numpy as np
     from qultra import (SpectralPoint, UltraParams, bilateral_cn,
-                        bilateral_cn_range)
+                        bilateral_cn_psi_form, bilateral_cn_range)
     out = []
     for qbg in PARAMS:
         q, beta, gamma = qbg
@@ -92,6 +94,11 @@ def _cn_records(rng) -> list:
                 r = bilateral_cn_range(N_RANGE[0], N_RANGE[-1], p, params)
                 return [_num(r.values), r.truncation_terms.tolist()]
             out.append([f"range {qbg} {z!r}", _record(rows)])
+        for z in points[8:10]:                  # the unit-circle points
+            p = SpectralPoint(z)
+            for n in N_RANGE:
+                out.append([f"psi-form {qbg} {z!r} {n}",
+                            _record(lambda: _num(bilateral_cn_psi_form(n, p, params)))])
         zs = SpectralPoint(np.array(points))
         for n in N_RANGE:
             def arr():
