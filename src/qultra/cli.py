@@ -43,8 +43,8 @@ def _flags(*flags, **kwargs) -> argparse.ArgumentParser:
 def build_parser() -> argparse.ArgumentParser:
     # configuration flags keep their raw strings: ResolvedConfig converts
     # and checks them exactly as it does the values of a --config file
-    config = _flags("--q", "--beta", "--gamma", "--rel-tol", "--abs-tol",
-                    "--max-terms", metavar="VALUE")
+    config = _flags("--q", "--beta", "--gamma", "--rel-tol", "--max-terms",
+                    metavar="VALUE")
     config.add_argument("--config", metavar="FILE",
                         help="flat key = value file; flags override file values")
     quad = _flags("--quad-tol", metavar="VALUE")
@@ -222,15 +222,12 @@ def main(argv=None) -> int:
         return EXIT_CONFIG if exc.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except (ConfigError, DomainError, RegionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (NonConvergence, PoleError, SingularPoint) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except (DomainError, RegionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except QSeriesError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

@@ -8,7 +8,7 @@ backward (k -> -inf) recursion is expressed in the decaying power
 v = q^{1-k}, which keeps every intermediate bounded.  Partial sums use
 compensated accumulation because bilateral sums mix magnitudes across
 the two tails.  A nonterminating tail stops after TAIL_WINDOW terms in a
-row below rel_tol |partial sum| + abs_tol, and raises NonConvergence
+row below rel_tol |partial sum| + _TAIL_FLOOR, and raises NonConvergence
 after max_terms terms, 8 TAIL_WINDOW growing terms in a row, or a term or
 partial sum that is not finite.  sum_psi and sum_phi return the value and
 the number of terms summed.
@@ -40,6 +40,9 @@ from .qcore import (DEFAULT_POLICY, GROWTH_SLACK, INFINITY, TAIL_WINDOW,
 
 UNILATERAL = "unilateral"
 BILATERAL = "bilateral"
+
+#: the tail rule's absolute floor: a tail whose sum cancels to about 0 must still stop
+_TAIL_FLOOR = 1e-300
 
 
 @dataclass(frozen=True)
@@ -94,7 +97,7 @@ def _psi_terms(upper, lower, q, z, n_top: int | None, m_bot: int | None,
     k < 0 ratio is taken in the decaying power v = q^{1-k}, as
     prod(v - b) / prod(v - a) (-1)^{s - r} / z, and keeps every factor.
     Partial sums are Kahan-compensated."""
-    rel_tol, abs_tol, max_terms = policy.rel_tol, policy.abs_tol, policy.max_terms
+    rel_tol, floor, max_terms = policy.rel_tol, _TAIL_FLOOR, policy.max_terms
     d = len(lower) - len(upper)
     nonzero_lower = [b for b in lower if b != 0]
     sign = (-1.0) ** d
@@ -146,7 +149,7 @@ def _psi_terms(upper, lower, q, z, n_top: int | None, m_bot: int | None,
             else:
                 growth = 0
             prev_mag = term_mag
-            if term_mag <= rel_tol * sum_mag + abs_tol:
+            if term_mag <= rel_tol * sum_mag + floor:
                 below += 1
                 if below >= TAIL_WINDOW:
                     break

@@ -67,17 +67,16 @@ class TruncationPolicy:
 
     TAIL_WINDOW consecutive sub-threshold terms are required before a
     tail is accepted as converged; ``max_terms`` bounds every series.
-    ``abs_tol`` is read only by that psi and phi tail rule: the direct
-    bilateral sum sums a budget fixed by rel_tol alone.
+    ``rel_tol`` must be finite with 0 < rel_tol < 1: a cut at a term as
+    large as the sum keeps no digit.
     """
 
     rel_tol: float = 1e-13
-    abs_tol: float = 1e-300
     max_terms: int = 10000
 
     def __post_init__(self):
-        if not (self.rel_tol > 0 and self.abs_tol > 0):
-            raise DomainError("rel_tol and abs_tol must be positive")
+        if not 0.0 < self.rel_tol < 1.0:
+            raise DomainError(f"rel_tol must satisfy 0 < rel_tol < 1, got {self.rel_tol}")
         if not self.max_terms >= TAIL_WINDOW:
             raise DomainError(f"need max_terms >= {TAIL_WINDOW}")
 

@@ -16,8 +16,8 @@ coefficients g_k g_{n-k} and a (steps x points) table of powers of z.
 Each side of each row sums a number of terms fixed in advance by a
 geometric bound from the region ratios (_tail_bound), which leaves a
 remainder of at most rel_tol b times that side's largest term at every
-point, b < 1 the bound's term ratio; abs_tol does not enter, and no row's
-terms depend on the other rows.  bilateral_cn is its one-row case.
+point, b < 1 the bound's term ratio, and no row's terms depend on the
+other rows.  bilateral_cn is its one-row case.
 
 Outside the annulus the function is still analytic in x along paths
 avoiding the annulus-boundary singularities, and evaluation switches to
@@ -472,7 +472,7 @@ class _PoleHead:
         qbg = _pole_finite("q/(beta gamma)", q / (beta * gamma))
         # the rings can cancel, which scales up every piece's error alike,
         # so the products are truncated at eps, not at rel_tol
-        self.exact = policy = TruncationPolicy(_EPS, policy.abs_tol, policy.max_terms)
+        self.exact = policy = TruncationPolicy(_EPS, policy.max_terms)
         try:
             self.scale = _pole_finite(
                 "the z-free factor of H_0",

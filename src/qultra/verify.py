@@ -44,7 +44,6 @@ CONFIG_DEFAULTS = {
     "t": 0.6,
     "thetas": (0.4, 1.0, 2.2),
     "rel_tol": 1e-13,
-    "abs_tol": 1e-300,
     "max_terms": 10000,
     "quad_tol": 1e-8,
     "shifted_tol": 1e-6,
@@ -94,9 +93,10 @@ class ResolvedConfig:
             except (TypeError, ValueError) as exc:
                 raise ConfigError(f"config key {key}: malformed value {raw!r}") from exc
         self.cfg = cfg
+        if not cfg["thetas"]:
+            raise ConfigError("thetas must hold at least one angle")
         try:
-            self.policy = TruncationPolicy(cfg["rel_tol"], cfg["abs_tol"],
-                                           cfg["max_terms"])
+            self.policy = TruncationPolicy(cfg["rel_tol"], cfg["max_terms"])
         except DomainError as exc:
             raise ConfigError(str(exc)) from exc
         if not (cfg["quad_tol"] > 0 and cfg["shifted_tol"] > 0):

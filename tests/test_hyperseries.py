@@ -6,7 +6,7 @@ from qultra import (BILATERAL, DEFAULT_POLICY, UNILATERAL, DomainError,
                     SpectralPoint, TruncationPolicy, UltraParams, bilateral_cn,
                     closed_form, poch, poch_multi, sum_phi, sum_psi,
                     transform_residual)
-from qultra.hyperseries import terminates_above, terminates_below
+from qultra.hyperseries import _TAIL_FLOOR, terminates_above, terminates_below
 from qultra.qcore import (GROWTH_SLACK, INFINITY, TAIL_WINDOW,
                           CompensatedSum)
 from qultra.ultraspherical import (_PoleRings, bilateral_cn_range,
@@ -204,7 +204,7 @@ def _transcribed_tail(policy):
         else:
             state["growth"] = 0
         state["prev"] = term_mag
-        if term_mag <= policy.rel_tol * sum_mag + policy.abs_tol:
+        if term_mag <= policy.rel_tol * sum_mag + _TAIL_FLOOR:
             state["below"] += 1
             if state["below"] >= TAIL_WINDOW:
                 return True

@@ -251,8 +251,11 @@ def test_poch_ratio_survives_deep_negative_index():
 
 
 def test_policy_validation():
-    with pytest.raises(DomainError):
-        TruncationPolicy(rel_tol=0.0)
+    # rel_tol = inf would overflow the direct sum's budget, and rel_tol >= 1
+    # accepts a term as large as the sum
+    for rel_tol in (0.0, math.inf, 1.0, 2.0):
+        with pytest.raises(DomainError):
+            TruncationPolicy(rel_tol=rel_tol)
     with pytest.raises(DomainError):
         TruncationPolicy(max_terms=2)
 

@@ -166,14 +166,13 @@ def test_special_value_c0(params):
 
 
 def test_cm1_continuations_agree_but_differ_from_stated_product(params):
-    """At z = q^{1/2} the two independent continuation routes agree to
-    machine precision; the stated closed product differs from them (its
+    """At z = q^{1/2} the stated closed product differs from C_{-1} (its
     derivation drops a sign on the k < 0 terms), which is reported here
-    as a stable, reproducible gap."""
-    z = complex(Q ** 0.5)
-    got = bilateral_cn(-1, SpectralPoint(z), params).value
-    route_b, _ = _bilateral_22tgl(-1, z, params, __import__("qultra").DEFAULT_POLICY)
-    assert got == pytest.approx(route_b, rel=1e-12)
+    as a stable, reproducible gap.  Only the 2psi2 route gives C_{-1}
+    there: the pole expansion refuses (ring ratio 0.612) and so does the
+    6psi8 (alpha on the lattice).  Acceptance check 08b holds the value
+    against the 3phi2 closed form of the sign-flipped terms."""
+    got = bilateral_cn(-1, SpectralPoint(complex(Q ** 0.5)), params).value
     stated = special_value_cm1(params)
     assert abs(got - stated) > 0.1  # the documented discrepancy
 
@@ -429,7 +428,7 @@ def test_range_small_row_keeps_its_own_tolerance(params):
 
 
 def test_far_negative_row_sums_its_whole_budget(params):
-    # C_{-700} is about 1e-298: a cut that added abs_tol = 1e-300 to its
+    # C_{-700} is about 1e-298: a cut that added a floor of 1e-300 to its
     # threshold stopped these rows 2.4e-3 and 6.0e-5 short of the defining
     # sum, here in 50 digits over k = -1500..800
     for theta in (0.651, 2.007):
@@ -525,14 +524,17 @@ def _mp_first_ring(n, z, qbg, digits=40):
         return complex(pre * (h0(z * z) * z ** -n + h0(1 / (z * z)) * z ** n))
 
 
-def test_continuation_hands_a_non_finite_value_to_the_next_route(params):
-    # the 6psi8 prefactor is nan at n = +-40 here, and the climb gives C_n;
+def test_continuation_hands_a_non_finite_value_to_the_next_route(params,
+                                                                  monkeypatch):
+    # with the pole expansion switched off, the 6psi8 prefactor is nan at
+    # n = +-40 here, the 2psi2 route refuses and the climb gives C_n;
     # references: the 6psi8 series in mpmath at 300 digits and 160 terms
     # per side, unchanged at 500 digits and 260 terms per side
+    monkeypatch.setattr(_PoleRings, "value", _refuse)
     p = SpectralPoint(0.4 + 0.3j)
-    assert not cmath.isfinite(_bilateral_6psi8(40, p.z, params, DEFAULT_POLICY)[0])
     for n, ref in ((40, 919762829600.5249 + 12145686672.772373j),
                    (-40, -6.936836877954987e-07 + 4.873979256420069e-06j)):
+        assert not cmath.isfinite(_bilateral_6psi8(n, p.z, params, DEFAULT_POLICY)[0])
         assert bilateral_cn(n, p, params).value == pytest.approx(ref, rel=1e-11)
 
 
@@ -919,7 +921,7 @@ def test_range_side_remainders_within_the_tail_bound(qbg, points):
     """Past each side's budget, the moduli of the rest of that side (pad
     more terms, from 30-digit mpmath) add up to at most rel_tol b times the
     side's largest term at every point, b = R + (1 - R)/8 from the side's
-    region ratio R over the points; no abs_tol enters."""
+    region ratio R over the points; no absolute floor enters."""
     import mpmath as mp
     q, beta, gamma = qbg
     params = UltraParams(beta, gamma, q)

@@ -274,6 +274,8 @@ def test_cli_config_file_errors(tmp_path):
     (["eval", "--n", "0", "--theta", "0.4"], "thetas = 0.4,x"),
     (["table", "--n-min", "0", "--n-max", "0"], "bogus = 1"),
     (["eval", "--n", "0", "--theta", "0.4"], "max_terms = 2"),  # < TAIL_WINDOW
+    (["eval", "--n", "0", "--theta", "0.4"], "abs_tol = 1e-300"),  # retired
+    (["suite"], "thetas ="),  # no point: 8 entries had nothing to check
 ])
 def test_cli_malformed_or_unknown_config_value_is_config_error(
         tmp_path, capsys, command, line):
@@ -285,6 +287,7 @@ def test_cli_malformed_or_unknown_config_value_is_config_error(
 
 @pytest.mark.parametrize("argv", [
     ["eval", "--theta", "1", "--beta", "nan"],
+    ["eval", "--n", "2", "--theta", "1.0", "--rel-tol", "inf"],
     ["suite", "--gamma", "nan"],
     ["identity", "--name", "kernel_integral", "--quad-tol", "nan"],
 ], ids=" ".join)
@@ -293,7 +296,7 @@ def test_cli_nan_parameter_or_tolerance_is_config_error(argv, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("flag", ["--m", "--t-re", "--t-im"])
+@pytest.mark.parametrize("flag", ["--m", "--t-re", "--t-im", "--abs-tol"])
 def test_cli_rejects_removed_flags(flag):
     assert main(["eval", "--theta", "1", flag, "5"]) == 2
 
@@ -341,7 +344,7 @@ _PROBES = {
 }
 # a malformed configuration value is the program's error, not argparse's
 _CONFIG_PROBES = {flag: [flag, "abc"] for flag in (
-    "--q", "--beta", "--gamma", "--rel-tol", "--abs-tol", "--max-terms")}
+    "--q", "--beta", "--gamma", "--rel-tol", "--max-terms")}
 _CONFIG_PROBES["--config"] = ["--config", "missing.cfg"]
 _POINT_PROBES = {"--x": ["eval", "--x", "0.3"], "--theta": ["eval", "--theta", "1.0"],
                  "--z-re": ["eval", "--z-re", "1.6"]}
