@@ -250,12 +250,14 @@ def poch(a, q, k, policy: TruncationPolicy | None = None):
 
 def _poch_inf_scalar(a: complex, q: complex, policy: TruncationPolicy) -> complex:
     """(a; q)_inf for a finite complex a: poch's scalar loop, whose factor
-    count comes from _product_bound_terms."""
+    count comes from _product_bound_terms; DomainError on overflow."""
     out = 1.0 + 0j
     term = a
     for _ in range(_product_bound_terms(abs(a), abs(q), policy)):
         out = out * (1.0 - term)   # not *=: complex has no in-place slot
         term = term * q
+    if not cmath.isfinite(out):
+        raise DomainError("(a; q)_inf overflowed double precision")
     return out
 
 

@@ -328,9 +328,12 @@ def shifted_orthogonality_rhs(params: UltraParams,
     (q; q)^3 (q/b; q)^4 (b, qb; q) / ((q g; q)^4 (q/(b g); q)^4 (b^2; q))
     2phi1(b^2, b; q b; q, q/(b^2 g)) (b^2 g / q)^n, all products to
     infinity.  For real parameters the factor (b^2 g / q)^n is a float
-    power, so rhs(n) == rhs(0) * (b^2 g / q)^n holds exactly."""
+    power, so rhs(n) == rhs(0) * (b^2 g / q)^n holds exactly.  RegionError
+    unless |q/(b^2 g)| < 1, the relation's hypothesis."""
     q, beta, gamma = params.q, params.beta, params.gamma
     rho = q / (beta ** 2 * gamma)
+    if not abs(rho) < 1:
+        raise RegionError("shifted orthogonality needs |q/(beta^2 gamma)| < 1")
     pref = (poch(q, q, INFINITY, policy) ** 3
             * poch(q / beta, q, INFINITY, policy) ** 4
             * poch_multi([beta, q * beta], q, INFINITY, policy))
@@ -385,9 +388,8 @@ def shifted_orthogonality_pair(m, n, params: UltraParams,
     beta, gamma = params.beta.real, params.gamma.real
     WeightParams(beta, q)  # positivity window check
     rho = q / (beta ** 2 * gamma)
-    if not abs(rho) < 1:
-        raise RegionError("shifted orthogonality needs |q/(beta^2 gamma)| < 1")
-    rhs = [complex(shifted_orthogonality_rhs(params, policy, b) if a == b else 0j)
+    head = shifted_orthogonality_rhs(params, policy)     # checks |rho| < 1
+    rhs = [complex(head * (beta ** 2 * gamma / q) ** b if a == b else 0j)
            for a, b in zip(ms, ns)]
     kmin = [8] * len(ms)
 

@@ -19,32 +19,20 @@ remainder of at most rel_tol b times that side's largest term at every
 point, b < 1 the bound's term ratio, and no row's terms depend on the
 other rows.  bilateral_cn is its one-row case.
 
-Outside the annulus the function is still analytic in x along paths
-avoiding the annulus-boundary singularities, and evaluation switches to
-analytic continuation.  The first route is the generating function's
-pole expansion (_PoleRings): its H_k tables depend on the point but not
-on n, so the rows of one call share them.  It applies where the row's
-ring ratio |beta gamma|^2 |q|^n (n >= 0; |q|^{-n}/|gamma|^2 for n < 0)
-is below POLE_RING_RATIO, and it refuses where z^2 is on the q^Z
-lattice, where a piece is not finite, where its tail bound exceeds
-rel_tol |C_n| and where its rings cancel (eps sum|ring| over
-POLE_CANCELLATION |C_n|).  A refused value comes from the next routes,
-unchanged by the first.  Two of them start from the defining series
-written as a well-poised 2psi2 (bilateral_cn_psi_form) and apply a
-transformation from hyperseries:
-
-* hyperseries.wellpoised_6psi8 gives a very-well-poised 6psi8 series
-  whose two-sided tails decay superexponentially for every z != 0 (it
-  fails only on a thin parameter lattice), and
-* hyperseries.bailey_2psi2 gives a transformed 2psi2 whose argument is
-  independent of z, valid when |q^{1-n}/(beta gamma)^2| < 1 and
-  |q^{1+n} gamma^2| < 1,
-
-and the last is a recurrence climb from continued C_0, C_{-1}; they are
-tried in this order until one gives a finite value.  This is what makes divided-difference
-checks at q^{+-1/2}-shifted points and the special-value points
-z = q^{1/2}, q^{1/4} computable for beta < 1, where the direct sum
-diverges at those points.
+Outside the annulus evaluation switches to analytic continuation, and
+every row at a point takes the route of the point, by one test of the
+lattice z^2 in q^Z.  Off it, a row comes from the generating function's
+pole expansion (_PoleRings), whose H_k tables the rows of one call
+share, where it applies (ring ratio |beta gamma|^2 |q|^n, or
+|q|^{-n}/|gamma|^2 for n < 0, below POLE_RING_RATIO, and a checked tail
+and cancellation); else from hyperseries.wellpoised_6psi8, a 6psi8 form
+of the defining series whose tails decay superexponentially for every
+z != 0 (bilateral_cn_6psi8).  On the lattice both degenerate: a row takes
+hyperseries.bailey_2psi2, a transformed 2psi2 with a z-free argument,
+where |q^{1-n}/(beta gamma)^2| < 1 and |q^{1+n} gamma^2| < 1
+(bilateral_cn_bailey), and the three-term recurrence from C_0 and C_{-1}
+otherwise.  So C_n is computable at the points q^{+-1/2} z of divided
+differences and at z = q^{1/2}, q^{1/4}, where the direct sum diverges.
 """
 
 from __future__ import annotations
@@ -685,16 +673,10 @@ class _HeadOverflow(NonConvergence):
     range, so no route applies at that n."""
 
 
-# the failures after which _bilateral_continued tries its next route
-_ROUTE_FAILURES = (RegionError, PoleError, NonConvergence, ZeroDivisionError)
-
-
-def _near_half_lattice(value, q):
-    value = complex(value)
-    if value == 0:
-        return True
-    r = cmath.log(value) / cmath.log(complex(q))
-    return abs(r - round(2 * r.real) / 2) < 1e-8
+def _on_q_lattice(value, q) -> bool:
+    """value != 0 is within 1e-8 of the q^Z lattice in log_q value."""
+    r = cmath.log(value) / cmath.log(q) if value else 0.5
+    return abs(r - round(r.real)) < 1e-8
 
 
 def _on_nonpositive_lattice(value, q):
@@ -727,103 +709,93 @@ def _well_poised_2psi2(n: int, z: complex, params: UltraParams):
             q / (beta * z * z))
 
 
-def _bilateral_6psi8(n: int, z: complex, params: UltraParams,
-                     policy: TruncationPolicy):
-    """Continuation through the very-well-poised 6psi8 form of the
-    well-poised 2psi2, whose upper parameters are e = beta gamma and
-    f = q^{-n}/gamma: pref0 times wellpoised_6psi8(alpha, c, d, e, f)."""
+def _sixpsi8(n: int, z: complex, params: UltraParams,
+             policy: TruncationPolicy):
+    """(value, terms) of C_n through the very-well-poised 6psi8 form of
+    the well-poised 2psi2 (upper parameters e = beta gamma, f =
+    q^{-n}/gamma): pref0 times wellpoised_6psi8(q^{-n}/z^2, c, d, e, f),
+    which degenerates where z^2 is on the q^Z lattice (callers rule it out)."""
     q, beta, gamma = params.q, params.beta, params.gamma
     pref0, e, f, _, _, _ = _well_poised_2psi2(n, z, params)
     qn, w2 = q ** (-n), z * z
-    alpha = qn / w2
-    # the representation degenerates on the (half-)integer q-power lattice
-    # of alpha and where a prefactor denominator product vanishes
-    if _near_half_lattice(alpha, q):
-        raise _RouteUnusable("alpha on the q-power lattice")
-    for arg in (q * w2 / beta, q / (beta * w2), q ** (1 - n) / e):
-        if _on_nonpositive_lattice(arg, q):
-            raise _RouteUnusable("prefactor product vanishes")
+    if any(_on_nonpositive_lattice(arg, q)
+           for arg in (q * w2 / beta, q / (beta * w2), q ** (1 - n) / e)):
+        raise _RouteUnusable("prefactor product vanishes")
     try:
         pref1, upper, lower, w = wellpoised_6psi8(
-            alpha, qn / (w2 * gamma), e / w2, e, f, q, policy)
-    except DomainError as exc:
-        # a prefactor parameter is not finite: q/c and q/alpha overflow
-        # where q^{-n} is subnormal
-        raise _HeadOverflow(f"a 6psi8 prefactor parameter at n = {n} leaves "
-                            f"the double range: {exc}") from exc
+            qn / w2, qn / (w2 * gamma), e / w2, e, f, q, policy)
+    except DomainError as exc:      # a prefactor parameter or product overflows
+        raise _HeadOverflow(f"a 6psi8 prefactor parameter or product at "
+                            f"n = {n} leaves the double range: {exc}") from exc
     value, terms = sum_psi_params(upper, lower, q, w, policy)
     return pref0 * pref1 * value, terms
 
 
-def _bilateral_22tgl(n: int, z: complex, params: UltraParams,
-                     policy: TruncationPolicy):
-    """Continuation through Bailey's 2psi2 transformation of the
+def _bailey(n: int, z: complex, params: UltraParams,
+            policy: TruncationPolicy):
+    """(value, terms) of C_n through Bailey's 2psi2 transformation of the
     well-poised 2psi2, whose transformed argument q^{1-n}/(beta gamma)^2
-    is z-free: pref0 times bailey_2psi2(a, b, c, d, Z)."""
+    is z-free: pref0 times bailey_2psi2(a, b, c, d, Z).  It refuses unless
+    |d/a| < 1 and |c/b| < 1 (b = 0, where q^{-n} underflows, fails)."""
     q = params.q
     pref0, a, b, c, d, Z = _well_poised_2psi2(n, z, params)
-    if not (abs(d / a) < 1 and abs(c / b) < 1):
-        raise _RouteUnusable("transformed series out of region")
-    for arg in (Z, c * d / (a * b * Z), d, q / b):
-        if _on_nonpositive_lattice(arg, q):
-            raise _RouteUnusable("prefactor product vanishes")
-    G, upper, lower, w = bailey_2psi2(a, b, c, d, Z, q, policy)
+    if not (abs(d / a) < 1 and b != 0 and abs(c / b) < 1):
+        raise _RouteUnusable(f"transformed series out of region at n = {n}")
+    if any(_on_nonpositive_lattice(arg, q)
+           for arg in (Z, c * d / (a * b * Z), d, q / b)):
+        raise _RouteUnusable("prefactor product vanishes")
+    try:
+        G, upper, lower, w = bailey_2psi2(a, b, c, d, Z, q, policy)
+    except DomainError as exc:      # a prefactor product is not finite
+        raise _HeadOverflow(f"a 2psi2 prefactor product at n = {n} leaves "
+                            f"the double range: {exc}") from exc
     value, terms = sum_psi_params(upper, lower, q, w, policy)
     return pref0 * G * value, terms
 
 
-def _bilateral_continued(n: int, z: complex, params: UltraParams,
-                         policy: TruncationPolicy, rings: _PoleRings):
-    """C_n at one point off the annulus by the first continuation route
-    that gives a finite value: the pole expansion (rings, the point's
-    _PoleRings), then the 6psi8 and 2psi2 transformations, then the
-    recurrence climb from continued C_0, C_{-1}.  If none does,
-    NonConvergence if some route value was not finite (as when a 6psi8
-    prefactor is nan), else RegionError.  An overflow in a transformation
-    route, as when q^{-n} or q^{n-1} leaves the double range at large |n|
-    or q^{-n}/gamma at tiny gamma, raises NonConvergence at once."""
-    attempts, error = [], RegionError
+def _route_value(name: str, route, n: int, *args):
+    """route(n, *args) as (value, terms) with a finite value, or the typed
+    error naming the route: NonConvergence for an overflow or a value that
+    is not finite, RegionError for a refusal or a division by zero."""
     try:
-        return rings.value(n)
-    except _RouteUnusable as exc:
-        attempts.append(f"pole expansion: {exc}")
-    for route in (_bilateral_6psi8, _bilateral_22tgl, _bilateral_climb):
+        value, terms = route(n, *args)
+    except (OverflowError, _HeadOverflow) as exc:
+        raise NonConvergence(f"continuation of C_{n} overflowed double "
+                             f"precision in the {name}: {exc}") from exc
+    except (_RouteUnusable, ZeroDivisionError) as exc:
+        raise RegionError(f"the {name} does not give C_{n}: {exc}") from exc
+    if not cmath.isfinite(value):
+        raise NonConvergence(f"the {name} value of C_{n}, {value}, is not finite")
+    return value, terms
+
+
+def _lattice_rows(n_lo: int, n_hi: int, z: complex, params: UltraParams,
+                  policy: TruncationPolicy) -> list:
+    """The (value, terms) rows of _point_rows at z with z^2 on the q^Z
+    lattice: Bailey's 2psi2 where it applies (_bailey), else the
+    three-term recurrence outward from C_0 and C_{-1}, both by the 2psi2,
+    with one pass per direction, extended as far as the rows ask."""
+    x, rows, seeds = (z + 1.0 / z) / 2.0, {}, []
+
+    def row(n):
         try:
-            value, terms = route(n, z, params, policy)
-        except (OverflowError, _HeadOverflow) as exc:
-            raise NonConvergence(f"continuation of C_{n} overflowed double "
-                                 f"precision in {route.__name__}: {exc}") from exc
-        except _ROUTE_FAILURES as exc:
-            attempts.append(f"{route.__name__}: {exc}")
-            continue
-        if cmath.isfinite(value):
-            return value, terms
-        attempts.append(f"{route.__name__}: value {value} is not finite")
-        error = NonConvergence
-    raise error(
-        "point outside the direct region and no continuation applies: "
-        + "; ".join(attempts))
+            return _bailey(n, z, params, policy)
+        except _RouteUnusable:
+            pass
+        if not seeds:
+            seeds.extend(_bailey(s, z, params, policy) for s in (0, -1))
+            rows.update({0: seeds[0][0], -1: seeds[1][0]})
+        step, j = (1, max(rows)) if n >= 0 else (-1, min(rows))
+        while n not in rows:    # solve the recurrence at j for C_{j + step}
+            mid, up, down = _recurrence_coefficients(j, params)
+            new, old = (up, down) if step == 1 else (down, up)
+            if new == 0:
+                raise PoleError("recurrence coefficient vanishes")
+            rows[j + step] = (2 * x * mid * rows[j] - old * rows[j - step]) / new
+            j += step
+        return rows[n], seeds[0][1] + seeds[1][1]
 
-
-def _bilateral_climb(n: int, z: complex, params: UltraParams,
-                     policy: TruncationPolicy):
-    if n in (0, -1):
-        raise _RouteUnusable("climb needs a target away from its seeds")
-    x = (z + 1.0 / z) / 2.0
-    vals = {}
-    terms = 0
-    for seed in (0, -1):
-        vals[seed], t = _bilateral_22tgl(seed, z, params, policy)
-        terms += t
-    step = 1 if n > 0 else -1
-    for j in range(0 if n > 0 else -1, n, step):
-        # solve the recurrence at j for C_{j + step}
-        mid, up, down = _recurrence_coefficients(j, params)
-        new, old = (up, down) if step == 1 else (down, up)
-        if new == 0:
-            raise PoleError("recurrence coefficient vanishes")
-        vals[j + step] = (2 * x * mid * vals[j] - old * vals[j - step]) / new
-    return vals[n], terms
+    return [_route_value("lattice route", row, n) for n in range(n_lo, n_hi + 1)]
 
 
 def _direct_range(n_lo: int, n_hi: int, z: np.ndarray, params: UltraParams,
@@ -868,23 +840,28 @@ def _scalar_inside(z: complex, beta, q) -> bool:
 
 def _point_rows(n_lo: int, n_hi: int, z: complex, params: UltraParams,
                 policy: TruncationPolicy):
-    """(values, terms) lists of C_n, n_lo <= n <= n_hi, at one point z off
-    the annulus: each row continued on its own (_bilateral_continued),
-    every row sharing the point's pole-expansion tables.  Both lanes of
+    """(values, terms) tuples of C_n, n_lo <= n <= n_hi, at one point z off
+    the annulus, every row by the route of the point: _lattice_rows where
+    z^2 is on the q^Z lattice, else the pole expansion (the point's
+    _PoleRings) and the 6psi8 where it refuses.  Both lanes of
     _range_values run it, so a point's values do not depend on the lane."""
-    rings = _PoleRings(z, params, policy)
-    values, terms = [], []
-    for n in range(n_lo, n_hi + 1):
-        value, t = _bilateral_continued(n, z, params, policy, rings)
-        values.append(value)
-        terms.append(t)
-    return values, terms
+    if _on_q_lattice(z * z, params.q):
+        rows = _lattice_rows(n_lo, n_hi, z, params, policy)
+    else:
+        rings = _PoleRings(z, params, policy)
+        rows = []
+        for n in range(n_lo, n_hi + 1):
+            try:
+                rows.append(rings.value(n))
+            except _RouteUnusable:
+                rows.append(_route_value("6psi8", _sixpsi8, n, z, params, policy))
+    return tuple(zip(*rows))
 
 
 def _range_values(n_lo: int, n_hi: int, z, params: UltraParams,
                   policy: TruncationPolicy):
     """The values and truncation_terms of bilateral_cn_range at z = p.z;
-    lists at one point off the annulus."""
+    tuples at one point off the annulus."""
     n_lo, n_hi = int(n_lo), int(n_hi)
     if n_hi < n_lo:
         raise DomainError("bilateral_cn_range needs n_lo <= n_hi")
@@ -915,18 +892,13 @@ def bilateral_cn_range(n_lo: int, n_hi: int, p: SpectralPoint,
     """C_n at p for every n_lo <= n <= n_hi.
 
     The points of p inside the direct annulus are summed together for all
-    rows (_direct_rows): each side of each row sums its own a-priori
-    budget of terms (_tail_bound), taken over those points, and a pass takes as many rows as keep its block of
-    rows times points near _BLOCK_SIZE values and its rows times steps
-    near 8 _BLOCK_SIZE.  Every other point is continued per n
-    (_bilateral_continued), its rows sharing the point's pole-expansion
-    tables (_point_rows).  A scalar p.z is routed by the same rule
-    (direct_region_mask) and runs the same kernels, inside the annulus on
-    a one-element array, without the array's index bookkeeping: its
-    values and term counts are those of the one-element array, bit for
-    bit.  Raises PoleError
-    on the gamma parameter lattices, RegionError when no evaluation route
-    applies, NonConvergence when the policy budget is exhausted.
+    rows (_direct_range); every other point is continued by the route of
+    the point (_point_rows).  A scalar p.z is routed by the same rule
+    (direct_region_mask) and gets the values and term counts of the
+    one-element array, bit for bit, without its index bookkeeping.  Raises
+    PoleError on the gamma parameter lattices, RegionError when no
+    evaluation route applies, NonConvergence when the policy budget is
+    exhausted.
     """
     values, terms = _range_values(n_lo, n_hi, p.z, params, policy)
     return UltraRange(int(n_lo), p, params, policy,
@@ -959,6 +931,26 @@ def bilateral_cn_psi_form(n: int, p: SpectralPoint, params: UltraParams,
     pref, a, b, c, d, Z = _well_poised_2psi2(n, complex(p.z), params)
     spec = SeriesSpec(BILATERAL, (a, b), (c, d), params.q, Z)
     return pref * sum_psi(spec, policy)[0]
+
+
+def bilateral_cn_6psi8(n: int, z, params: UltraParams,
+                       policy: TruncationPolicy = DEFAULT_POLICY) -> UltraValue:
+    """C_n at one scalar z by the 6psi8 route (module docstring); on the
+    q^Z lattice of z^2 RegionError.  Numpy scalars keep numpy arithmetic."""
+    check_pole_lattice(params)
+    if _on_q_lattice(z * z, params.q):
+        raise RegionError("the 6psi8 form degenerates where z^2 is on the q^Z lattice")
+    return UltraValue(int(n), SpectralPoint(z),
+                      *_route_value("6psi8", _sixpsi8, n, z, params, policy))
+
+
+def bilateral_cn_bailey(n: int, z, params: UltraParams,
+                        policy: TruncationPolicy = DEFAULT_POLICY) -> UltraValue:
+    """C_n at one scalar z by Bailey's 2psi2 route (module docstring); out
+    of its region RegionError.  Numpy scalars keep numpy arithmetic."""
+    check_pole_lattice(params)
+    return UltraValue(int(n), SpectralPoint(z),
+                      *_route_value("2psi2", _bailey, n, z, params, policy))
 
 
 def generating_rhs(kind: str, t, p: SpectralPoint, params: UltraParams,

@@ -27,7 +27,8 @@ from .quadrature import (WeightParams, bilateral_delta_integral,
                          orthogonality_entry, shifted_orthogonality_pair,
                          shifted_orthogonality_rhs)
 from .ultraspherical import (BILATERAL_KIND, CLASSICAL, UltraParams,
-                             bilateral_cn, bilateral_cn_psi_form,
+                             bilateral_cn, bilateral_cn_6psi8,
+                             bilateral_cn_bailey, bilateral_cn_psi_form,
                              bilateral_cn_range, classical_cn, constant_term,
                              generating_rhs, linearization_residual,
                              recurrence_gap, special_value_c0, symmetry_gap,
@@ -273,7 +274,6 @@ def _special_value_c0(ctx: ResolvedConfig):
 def _continuation_crosscheck(ctx: ResolvedConfig):
     """The two analytic-continuation routes agree where both apply, and
     the direct sum matches the well-poised 2psi2 form in-region."""
-    from .ultraspherical import _bilateral_6psi8, _bilateral_22tgl
     q = ctx.cfg["q"]
     worst = 0.0
     for p in ctx.points:
@@ -283,8 +283,8 @@ def _continuation_crosscheck(ctx: ResolvedConfig):
             worst = max(worst, abs(direct - psi) / max(1.0, abs(direct)))
     for n in (-1, 0):
         z = complex(q ** 0.5) * np.exp(0.4j)
-        a, _ = _bilateral_6psi8(n, z, ctx.params, ctx.policy)
-        b, _ = _bilateral_22tgl(n, z, ctx.params, ctx.policy)
+        a = bilateral_cn_6psi8(n, z, ctx.params, ctx.policy).value
+        b = bilateral_cn_bailey(n, z, ctx.params, ctx.policy).value
         worst = max(worst, abs(a - b) / max(1.0, abs(a)))
     return worst, 1e-10, ctx.base_params(), 0, 0
 

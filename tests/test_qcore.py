@@ -180,6 +180,14 @@ def test_poch_overflow_raises_without_a_warning(a):
             poch(a, 0.5, -1)
 
 
+def test_poch_infinite_overflow_raises():
+    # the k = inf product leaves the double range, as a finite k can
+    with pytest.raises(DomainError, match="overflowed"):
+        poch(1e200, 0.5, math.inf)
+    with pytest.raises(DomainError, match="overflowed"):
+        poch_multi([0.5, 1e200], 0.5, INFINITY)
+
+
 @pytest.mark.parametrize("a,q", [(0.91, 0.3), (0.56, 0.3), (0.4 + 0.7j, 0.5),
                                  (2.5, 0.7)])
 def test_poch_negative_index_underflows_towards_zero(a, q):

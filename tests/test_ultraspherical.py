@@ -7,17 +7,18 @@ import pytest
 from qultra import (BILATERAL, DEFAULT_POLICY, UNILATERAL, DomainError,
                     NonConvergence, PoleError, QSeriesError, RegionError, SeriesSpec,
                     SpectralPoint, TruncationPolicy, UltraParams,
-                    bilateral_cn, bilateral_cn_psi_form, classical_cn,
+                    bilateral_cn, bilateral_cn_6psi8, bilateral_cn_bailey,
+                    bilateral_cn_psi_form, classical_cn,
                     constant_term, generating_rhs, linearization_residual,
                     recurrence_residual, special_value_c0,
                     special_value_cm1, sum_phi, symmetry_residual)
-from qultra.hyperseries import bailey_2psi2, sum_psi, wellpoised_6psi8
+from qultra.hyperseries import (bailey_2psi2, sum_psi, sum_psi_params,
+                                wellpoised_6psi8)
 import qultra.ultraspherical as us
-from qultra.ultraspherical import (DIRECT_REGION_MARGIN, _bilateral_22tgl,
-                                   _bilateral_6psi8, _direct_rows,
-                                   _PoleRings,
-                                   _near_half_lattice, _on_nonpositive_lattice,
-                                   _RouteUnusable, _tail_bound,
+from qultra.ultraspherical import (DIRECT_REGION_MARGIN, _bailey,
+                                   _direct_rows, _PoleRings,
+                                   _on_nonpositive_lattice, _RouteUnusable,
+                                   _sixpsi8, _tail_bound,
                                    _well_poised_2psi2, _z_powers,
                                    bilateral_cn_range, direct_region_mask,
                                    in_direct_region)
@@ -214,8 +215,8 @@ def test_in_region_values_match_continuations(params):
     z = complex(Q ** 0.5) * np.exp(0.4j)
     assert in_direct_region(z, 1.3, Q)
     direct = bilateral_cn_range(0, 0, SpectralPoint(z), wide, DEFAULT_POLICY)[0]
-    via8, _ = _bilateral_6psi8(0, z, wide, DEFAULT_POLICY)
-    viat, _ = _bilateral_22tgl(0, z, wide, DEFAULT_POLICY)
+    via8 = bilateral_cn_6psi8(0, z, wide, DEFAULT_POLICY).value
+    viat = bilateral_cn_bailey(0, z, wide, DEFAULT_POLICY).value
     assert direct == pytest.approx(via8, rel=1e-12)
     assert direct == pytest.approx(viat, rel=1e-12)
 
@@ -524,18 +525,20 @@ def _mp_first_ring(n, z, qbg, digits=40):
         return complex(pre * (h0(z * z) * z ** -n + h0(1 / (z * z)) * z ** n))
 
 
-def test_continuation_hands_a_non_finite_value_to_the_next_route(params,
-                                                                  monkeypatch):
-    # with the pole expansion switched off, the 6psi8 prefactor is nan at
-    # n = +-40 here, the 2psi2 route refuses and the climb gives C_n;
-    # references: the 6psi8 series in mpmath at 300 digits and 160 terms
-    # per side, unchanged at 500 digits and 260 terms per side
-    monkeypatch.setattr(_PoleRings, "value", _refuse)
+def test_off_lattice_rows_have_no_route_past_the_6psi8(params, monkeypatch):
+    # off the lattice z^2 in q^Z a row the pole expansion refuses takes the
+    # 6psi8 or its error: at n = +-40 here a 6psi8 prefactor product
+    # overflows.  References: the 6psi8 series in mpmath at 300 digits and
+    # 160 terms per side, unchanged at 500 digits and 260 terms per side
     p = SpectralPoint(0.4 + 0.3j)
-    for n, ref in ((40, 919762829600.5249 + 12145686672.772373j),
-                   (-40, -6.936836877954987e-07 + 4.873979256420069e-06j)):
-        assert not cmath.isfinite(_bilateral_6psi8(n, p.z, params, DEFAULT_POLICY)[0])
+    refs = ((40, 919762829600.5249 + 12145686672.772373j),
+            (-40, -6.936836877954987e-07 + 4.873979256420069e-06j))
+    for n, ref in refs:
         assert bilateral_cn(n, p, params).value == pytest.approx(ref, rel=1e-11)
+    monkeypatch.setattr(_PoleRings, "value", _refuse)
+    for n, _ in refs:
+        with pytest.raises(NonConvergence, match="overflowed.*6psi8 prefactor"):
+            bilateral_cn(n, p, params)
 
 
 def test_tiny_gamma_names_the_route_piece_that_overflows():
@@ -699,10 +702,43 @@ def test_forced_cancellation_refusal_hands_over_bit_for_bit(params, monkeypatch)
         monkeypatch.undo()
 
 
+def test_lattice_range_equals_its_one_row_calls_bit_for_bit(params):
+    # at z = q^{1/2} the rows by Bailey's 2psi2 and the rows the
+    # recurrence reaches from C_0 and C_{-1} do not depend on the range
+    p = SpectralPoint(complex(Q ** 0.5))
+    rows = bilateral_cn_range(-12, 12, p, params)
+    for n in range(-12, 13):
+        one = bilateral_cn(n, p, params)
+        assert np.asarray(rows[n]).tobytes() == np.asarray(one.value).tobytes(), n
+        assert rows.truncation_terms[n + 12] == one.truncation_terms, n
+    assert bilateral_cn_range(-12, 3, p, params).values.tobytes() == \
+        rows.values[:16].tobytes()
+
+
+def test_half_lattice_point_takes_the_6psi8():
+    # z = q^{1/4}: alpha = q^{-n}/z^2 is on the half-integer lattice, where
+    # the 6psi8 form holds; the product is exact for exact q^{1/4}, so the
+    # gap includes |z C_0'/C_0| = 3.9e4 times the rounding of the point
+    params = UltraParams(0.5, 1.5, 0.7)
+    value = bilateral_cn(0, SpectralPoint(0.7 ** 0.25), params).value
+    ref = special_value_c0(params)
+    assert abs(value - ref) <= 1e-10 * abs(ref)
+
+
 def test_6psi8_sum_stops_at_a_non_finite_term(params):
-    # the 6psi8 terms of C_50 at this point turn nan after a few steps
+    # the 6psi8 terms of C_50 at this point turn nan after a few steps;
+    # the route stops before them, at a prefactor product that overflows
+    z, n, q, e = 0.4 + 0.3j, 50, params.q, params.beta * params.gamma
+    with pytest.raises(NonConvergence, match="prefactor.*overflowed"):
+        _sixpsi8(n, z, params, DEFAULT_POLICY)
+    a, w2 = q ** -n / z ** 2, z ** 2
+    c, d, f = a / params.gamma, e / w2, q ** -n / params.gamma
+    s = cmath.sqrt(a)
+    upper = (q * s, -q * s, c, d, e, f)
+    lower = (s, -s, a * q / c, a * q / d, a * q / e, a * q / f, 0j, 0j)
     with pytest.raises(NonConvergence, match="not finite"):
-        _bilateral_6psi8(50, 0.4 + 0.3j, params, DEFAULT_POLICY)
+        sum_psi_params(upper, lower, q, a ** 3 * q ** 2 / (c * d * e * f),
+                       DEFAULT_POLICY)
 
 
 def test_recurrence_overflow_raises_a_typed_error(params):
@@ -726,14 +762,12 @@ def test_continuation_returns_finite_or_raises(params):
 
 
 def _formula_6psi8(n, z, params, policy):
-    """_bilateral_6psi8 as the formula it evaluates: the well-poised 2psi2
+    """_sixpsi8 as the formula it evaluates: the well-poised 2psi2
     prefactor times hyperseries.wellpoised_6psi8 summed by sum_psi."""
     q, beta, gamma = params.q, params.beta, params.gamma
     pref0, e, f, _, _, _ = _well_poised_2psi2(n, z, params)
     w2 = z * z
     alpha = q ** (-n) / w2
-    if _near_half_lattice(alpha, q):
-        raise _RouteUnusable("alpha on the q-power lattice")
     for arg in (q * w2 / beta, q / (beta * w2), q ** (1 - n) / e):
         if _on_nonpositive_lattice(arg, q):
             raise _RouteUnusable("prefactor product vanishes")
@@ -744,12 +778,12 @@ def _formula_6psi8(n, z, params, policy):
 
 
 def _formula_22tgl(n, z, params, policy):
-    """_bilateral_22tgl as the formula it evaluates: the well-poised 2psi2
+    """_bailey as the formula it evaluates: the well-poised 2psi2
     prefactor times hyperseries.bailey_2psi2 summed by sum_psi."""
     q = params.q
     pref0, a, b, c, d, Z = _well_poised_2psi2(n, z, params)
     if not (abs(d / a) < 1 and abs(c / b) < 1):
-        raise _RouteUnusable("transformed series out of region")
+        raise _RouteUnusable(f"transformed series out of region at n = {n}")
     for arg in (Z, c * d / (a * b * Z), d, q / b):
         if _on_nonpositive_lattice(arg, q):
             raise _RouteUnusable("prefactor product vanishes")
@@ -785,8 +819,8 @@ def test_routes_equal_their_formulas_bit_for_bit(qbg):
     for z in points:
         for n in range(-12, 13):
             for nn, zz in ((n, z), (n, np.complex128(z)), (np.int64(n), z)):
-                for route, formula in ((_bilateral_6psi8, _formula_6psi8),
-                                       (_bilateral_22tgl, _formula_22tgl)):
+                for route, formula in ((_sixpsi8, _formula_6psi8),
+                                       (_bailey, _formula_22tgl)):
                     got = _outcome(route, nn, zz, params, DEFAULT_POLICY)
                     want = _outcome(formula, nn, zz, params, DEFAULT_POLICY)
                     assert got == want, (route.__name__, nn, zz)
@@ -795,16 +829,19 @@ def test_routes_equal_their_formulas_bit_for_bit(qbg):
 
 
 def test_routes_refuse_the_special_point_as_their_formulas_do():
-    # z = q^{1/2} at (q, beta, gamma) = (0.5, 0.9, 0.4): alpha is on the
-    # q-power lattice and Bailey's series is out of region
+    # z = q^{1/2} at (q, beta, gamma) = (0.5, 0.9, 0.4): z^2 is on the q^Z
+    # lattice, where the 6psi8 form degenerates, and Bailey's series is
+    # out of region; each public route refuses by itself
     params = UltraParams(0.9, 0.4, 0.5)
     z = complex(0.5 ** 0.5)
     for n in range(-1, 4):
-        for route, formula in ((_bilateral_6psi8, _formula_6psi8),
-                               (_bilateral_22tgl, _formula_22tgl)):
-            got = _outcome(route, n, z, params, DEFAULT_POLICY)
-            assert got[:2] == ("error", _RouteUnusable)
-            assert got == _outcome(formula, n, z, params, DEFAULT_POLICY)
+        with pytest.raises(RegionError, match="z\\^2 is on the q\\^Z lattice"):
+            bilateral_cn_6psi8(n, z, params)
+        got = _outcome(_bailey, n, z, params, DEFAULT_POLICY)
+        assert got[:2] == ("error", _RouteUnusable)
+        assert got == _outcome(_formula_22tgl, n, z, params, DEFAULT_POLICY)
+        with pytest.raises(RegionError, match=got[2]):
+            bilateral_cn_bailey(n, z, params)
 
 
 def test_z_powers_far_blocks_keep_the_chain_accuracy():

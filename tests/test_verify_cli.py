@@ -141,6 +141,25 @@ def test_shifted_entry_fails_where_shells_grow():
     assert entry.note.startswith("NonConvergence")
 
 
+def test_shifted_entries_name_their_hypothesis_where_it_fails():
+    # |q/(beta^2 gamma)| = 10.4 at (0.5, 0.4, 0.3)
+    for name in ("shifted_orthogonality_offdiagonal", "shifted_orthogonality_scaling"):
+        entry = run_identity(name, {"q": 0.5, "beta": 0.4, "gamma": 0.3})
+        assert entry.skipped
+        assert entry.note == ("RegionError: shifted orthogonality needs "
+                              "|q/(beta^2 gamma)| < 1")
+
+
+def test_verify_imports_no_private_name():
+    import ast
+    import qultra.verify
+    tree = ast.parse(Path(qultra.verify.__file__).read_text())
+    names = [a.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+             for a in node.names]
+    assert "bilateral_cn_6psi8" in names
+    assert not [n for n in names if n.startswith("_")]
+
+
 def test_shifted_scaling_entry_is_exact():
     entry = run_identity("shifted_orthogonality_scaling")
     assert entry.passed and entry.residual == 0.0
@@ -205,20 +224,18 @@ def test_cli_eval_overflow_is_numerical_error(capsys):
 
 
 def test_cli_eval_non_finite_is_numerical_error(capsys, monkeypatch):
-    # the 6psi8 value of C_40 at 0.4+0.3i is nan; with the pole expansion,
-    # the 2psi2 route and the climb failing, no route gives a finite value
+    # a 6psi8 prefactor product of C_40 at 0.4+0.3i overflows; with the
+    # pole expansion failing, the row has no other route off the lattice
     import qultra.ultraspherical as us
 
     def unusable(*args):
         raise us._RouteUnusable("route disabled")
 
     monkeypatch.setattr(us._PoleRings, "value", unusable)
-    monkeypatch.setattr(us, "_bilateral_22tgl", unusable)
-    monkeypatch.setattr(us, "_bilateral_climb", unusable)
     code = main(["eval", "--n", "40", "--z-re", "0.4", "--z-im", "0.3",
                  "--format", "json"])
     assert code == 3
-    assert "not finite" in capsys.readouterr().err
+    assert "overflowed" in capsys.readouterr().err
 
 
 def test_cli_eval_json(capsys):

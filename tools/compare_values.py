@@ -11,7 +11,9 @@ the type and message of the error it raised.  The calls are
 
 * ``bilateral_cn`` at scalar and array points and ``bilateral_cn_range``,
   on and off the direct annulus, at six parameter sets, including the
-  special point z = q^{1/2} and |n| up to 2000;
+  special points z = q^{1/2} (on the lattice z^2 in q^Z) and q^{1/4} (on
+  the half-integer lattice) and the point z = 1 (x = 1, on the lattice
+  where the annulus is empty, as at (0.9, 0.4, 0.5)), and |n| up to 2000;
 * ``bilateral_cn_psi_form`` at n = -12..12 at the two unit-circle points
   of each parameter set;
 * ``sum_psi`` and ``sum_phi`` on random specs, some with zero lower
@@ -62,7 +64,7 @@ def _record(fn) -> list:
 
 def _points(rng, params) -> list:
     """Seeded points off the direct annulus on both sides, two on the unit
-    circle, and the special point q^{1/2}."""
+    circle, and the points q^{1/2}, q^{1/4} and 1."""
     import numpy as np
     q, beta, _ = params
     inner_edge = abs(q / beta) ** 0.5          # |q/(beta z^2)| = 1 here
@@ -70,7 +72,8 @@ def _points(rng, params) -> list:
     arg = rng.uniform(0.15, np.pi - 0.15, 4) * rng.choice([-1, 1], 4)
     inner = [complex(z) for z in radius * np.exp(1j * arg)]
     circle = [complex(np.exp(1j * t)) for t in rng.uniform(0.2, 2.9, 2)]
-    return inner + [1 / z for z in inner] + circle + [complex(q ** 0.5)]
+    return (inner + [1 / z for z in inner] + circle
+            + [complex(q ** 0.5), complex(q ** 0.25), 1 + 0j])
 
 
 def _cn_records(rng) -> list:
