@@ -329,11 +329,17 @@ def shifted_orthogonality_rhs(params: UltraParams,
     2phi1(b^2, b; q b; q, q/(b^2 g)) (b^2 g / q)^n, all products to
     infinity.  For real parameters the factor (b^2 g / q)^n is a float
     power, so rhs(n) == rhs(0) * (b^2 g / q)^n holds exactly.  RegionError
-    unless |q/(b^2 g)| < 1, the relation's hypothesis."""
+    unless |q/(b^2 g)| < 1, the relation's hypothesis; PoleError where a
+    denominator product vanishes: q g, q/(b g) or b^2 = q^{-j}, j >= 0."""
     q, beta, gamma = params.q, params.beta, params.gamma
     rho = q / (beta ** 2 * gamma)
     if not abs(rho) < 1:
         raise RegionError("shifted orthogonality needs |q/(beta^2 gamma)| < 1")
+    for name, a in (("q gamma", q * gamma), ("q/(beta gamma)", q / (beta * gamma)),
+                    ("beta^2", beta ** 2)):
+        j = is_q_power(a, q)
+        if j is not None and j <= 0:
+            raise PoleError(f"({name}; q)_inf vanishes at {name} = q^{j}")
     pref = (poch(q, q, INFINITY, policy) ** 3
             * poch(q / beta, q, INFINITY, policy) ** 4
             * poch_multi([beta, q * beta], q, INFINITY, policy))

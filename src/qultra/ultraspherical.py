@@ -22,12 +22,14 @@ other rows.  bilateral_cn is its one-row case.
 Outside the annulus evaluation switches to analytic continuation, and
 every row at a point takes the route of the point, by one test of the
 lattice z^2 in q^Z.  Off it, a row comes from the generating function's
-pole expansion (_PoleRings), whose H_k tables the rows of one call
-share, where it applies (ring ratio |beta gamma|^2 |q|^n, or
-|q|^{-n}/|gamma|^2 for n < 0, below POLE_RING_RATIO, and a checked tail
-and cancellation); else from hyperseries.wellpoised_6psi8, a 6psi8 form
-of the defining series whose tails decay superexponentially for every
-z != 0 (bilateral_cn_6psi8).  On the lattice both degenerate: a row takes
+pole expansion (_PoleRings), whose H_0 products and H_k tables the rows
+and the off-annulus points of one call share (a point's values do not
+depend on the points it shares them with), where it applies (ring ratio
+|beta gamma|^2 |q|^n, or |q|^{-n}/|gamma|^2 for n < 0, below
+POLE_RING_RATIO, and a checked tail and cancellation, per point); else
+from hyperseries.wellpoised_6psi8, a 6psi8 form of the defining series
+whose tails decay superexponentially for every z != 0
+(bilateral_cn_6psi8).  On the lattice both degenerate: a row takes
 hyperseries.bailey_2psi2, a transformed 2psi2 with a z-free argument,
 where |q^{1-n}/(beta gamma)^2| < 1 and |q^{1+n} gamma^2| < 1
 (bilateral_cn_bailey), and the three-term recurrence from C_0 and C_{-1}
@@ -461,6 +463,7 @@ class _PoleHead:
         # the rings can cancel, which scales up every piece's error alike,
         # so the products are truncated at eps, not at rel_tol
         self.exact = policy = TruncationPolicy(_EPS, policy.max_terms)
+        self.near = _POLE_NEAR * min(1.0, abs(beta))
         try:
             self.scale = _pole_finite(
                 "the z-free factor of H_0",
@@ -502,8 +505,8 @@ def _pole_head(params: UltraParams, mirrored: bool,
 
 
 class _PoleRings:
-    """C_n at one point z off the annulus by the generating function's
-    pole expansion (Darboux's method).  Moving the Cauchy contour of the
+    """C_n at points z off the annulus by the generating function's pole
+    expansion (Darboux's method).  Moving the Cauchy contour of the
     coefficient of t^n outward past the simple poles t = q^{-k} z^{+-1}
     gives, for n >= 0,
 
@@ -515,156 +518,232 @@ class _PoleRings:
     with S, u_k = q^{k+1} and F_k from _PoleHead; the theta pair of
     beta gamma w contributes only the factor gamma^2 to the ratio.  The
     rows n < 0 are (q/beta)^{-n} C_{-n}(z; beta, 1/(beta gamma))
-    (symmetry_params).  The H tables of z and 1/z do not depend on n:
-    each sign of n makes them once for all the rows of one call, and a
-    row sums them against q^{kn}, with z^{-n} (or (q/(beta z))^{-n})
-    formed as one power.
+    (symmetry_params).  The H tables do not depend on n: each sign of n
+    makes them once for all the rows and all the points of one call
+    (_PoleSide: one table of H_0's products, one ring table), a row
+    multiplies them by q^{kn} at every point at once, and z^{-n} (or
+    (q/(beta z))^{-n}) is one power per point.
 
     A ring ratio tends to the row's limit L = |beta gamma|^2 |q|^n.
-    From the ring `start`, where |q|^{k+1} <= _POLE_NEAR min(1, |beta|)
-    min(|w|, 1/|w|), each ratio is at most b = _POLE_SETTLED L, and the
-    row sums start + J rings, J the rings after which b^J/(1 - b) is
-    below eps; a table grown for a later row holds the same leading
-    values, so a row's rings do not depend on the other rows.  The row
-    then bounds its tail past them by the ratio's factors at
-    |u| = |q|^{rings}, each monotone in |u| (_PoleSide.bound).
+    From a point's ring `start`, where |q|^{k+1} <= _POLE_NEAR
+    min(1, |beta|) min(|w|, 1/|w|), each ratio is at most
+    b = _POLE_SETTLED L, and the row sums start + J rings at that point,
+    J the rings after which b^J/(1 - b) is below eps.  Each point sums
+    exactly its own rings at z and at 1/z, along the table's contiguous
+    axis together with the points of the same ring count, and a table
+    grown for a later row or for another point holds the same leading
+    values, so a point's values depend neither on the other rows nor on
+    the points it shares a call with: one point is the one-point case of
+    the same code, bit for bit.  The row then bounds the point's
+    tail past its rings by the ratio's factors at |u| = |q|^{rings}, each
+    monotone in |u| (_PoleSide.bound).
 
-    value(n) raises _RouteUnusable where the route refuses: L of
-    POLE_RING_RATIO or more, z^2 on the q^Z lattice (where the poles
-    q^{-k} z and q^{-j}/z coalesce), a piece that is not finite, a tail
-    bound over rel_tol |C_n|, or rings that cancel: eps sum|ring| over
+    value(n, i) gives C_n at point i, checked in Python complex
+    arithmetic; every value of the expansion leaves through it.  It
+    raises _RouteUnusable where the route refuses: L of POLE_RING_RATIO
+    or more, z^2 on the q^Z lattice (where the poles q^{-k} z and q^{-j}/z
+    coalesce), a piece that is not finite, a tail bound over
+    rel_tol |C_n|, or rings that cancel: eps sum|ring| over
     POLE_CANCELLATION |C_n|."""
 
-    def __init__(self, z: complex, params: UltraParams, policy: TruncationPolicy):
-        self.z, self.params, self.policy = z, params, policy
-        self._sides = {}
+    def __init__(self, z, params: UltraParams, policy: TruncationPolicy):
+        """z is one point or a list of Python-complex points; lattice[i]
+        tells whether z^2 at point i is within 1e-8 of the q^Z lattice in
+        log_q."""
+        self.points = z if isinstance(z, list) else [complex(z)]
+        self.lattice = [_on_q_lattice(v * v, params.q) for v in self.points]
+        self.params, self.policy = params, policy
+        self._sides, self._rows = {}, {}
 
-    def value(self, n: int):
-        params, z = self.params, self.z
-        q, beta = params.q, params.beta
-        mirrored = n < 0
-        m = -n if mirrored else n
-        aq = abs(q)
-        limit = (aq ** m / abs(params.gamma) ** 2 if mirrored
-                 else abs(beta * params.gamma) ** 2 * aq ** m)
-        if not limit < POLE_RING_RATIO:
-            raise _RouteUnusable(f"ring ratio {limit:.3g} not below "
-                                 f"{POLE_RING_RATIO}")
-        b = max(_POLE_SETTLED * limit, 1e-300)
+    def value(self, n: int, i: int = 0):
+        """(value, rings) of C_n at point i."""
+        row = self._rows.get(n)
+        if row is None:
+            row = self._rows[n] = self._row(n)
+        if isinstance(row, str):
+            raise _RouteUnusable(row)
+        side, rings, found = row
+        params, z = self.params, self.points[i]
+        q, beta, m, aq = params.q, params.beta, abs(n), abs(params.q)
         try:
-            if mirrored:
+            if n < 0:
                 a, c = (q / (beta * z)) ** m, (q * z / beta) ** m
             else:
                 a, c = (1 / z) ** m, z ** m
-            qm = q ** m
         except OverflowError as exc:
             raise _RouteUnusable(f"z^n overflowed at n = {n}") from exc
-        with np.errstate(all="ignore"):
-            side = self._side(mirrored)
-            rings = side.start + math.ceil(math.log(_EPS * (1 - b)) / math.log(b)) + 1
-            if rings > self.policy.max_terms:
-                raise _RouteUnusable(f"C_{n} needs {rings} rings, over max_terms")
-            terms = side.table(rings) * np.power(qm, np.arange(rings))
-            sums = terms.sum(axis=1).tolist()
-            sizes = np.abs(terms)
-            mass = sizes.sum(axis=1).tolist()
-        value = a * sums[0] + c * sums[1]
-        total = abs(a) * mass[0] + abs(c) * mass[1]
+        j = side.index[i]
+        if isinstance(j, str):
+            raise _RouteUnusable(j)
+        if rings[j] > self.policy.max_terms:
+            raise _RouteUnusable(f"C_{n} needs {rings[j]} rings, over max_terms")
+        sums, mass, last, k = found[j]     # entries k and k + 1: z and 1/z
+        value = a * sums[k] + c * sums[k + 1]
+        total = abs(a) * mass[k] + abs(c) * mass[k + 1]
         if not (cmath.isfinite(value) and math.isfinite(total)):
             raise _RouteUnusable(f"the rings of C_{n} are not finite")
-        ratio = aq ** m * side.bound(aq ** rings)
-        last = abs(a) * float(sizes[0, -1]) + abs(c) * float(sizes[1, -1])
+        ratio = aq ** m * side.bound(aq ** rings[j], j)
+        tail = abs(a) * last[k] + abs(c) * last[k + 1]
         size = abs(value)
-        if not (ratio < 1 and last * ratio <= (1 - ratio) * self.policy.rel_tol * size):
+        if not (ratio < 1 and tail * ratio <= (1 - ratio) * self.policy.rel_tol * size):
             raise _RouteUnusable(f"the ring tail of C_{n} is not bounded "
                                  f"below rel_tol")
         if not _EPS * total <= POLE_CANCELLATION * size:
             raise _RouteUnusable(f"the rings of C_{n} cancel: sum |ring| = "
                                  f"{total:.3g}, |C_n| = {size:.3g}")
-        return value, rings
+        return value, rings[j]
 
-    def _side(self, mirrored: bool) -> "_PoleSide":
-        """The point's _PoleSide for one sign of n, made on first use; a
-        refusal is kept and raised again for every row of that sign."""
-        side = self._sides.get(mirrored)
-        if side is None:
-            try:
-                side = _PoleSide(self.z, self.params, mirrored, self.policy)
-            except _RouteUnusable as exc:
-                side = str(exc)
-            self._sides[mirrored] = side
-        if isinstance(side, str):
-            raise _RouteUnusable(side)
-        return side
+    def _row(self, n: int):
+        """Row n at the points its side keeps, by the point's row j in the
+        side's tables: (side, rings, found), where rings[j] is the point's
+        ring count and found[j] = (sums, mass, last, k) of its group of
+        points with that count: the sums of their rings, the sums of the
+        rings' moduli and the moduli of their last rings, at z in entry k
+        and at 1/z in entry k + 1; or the reason the whole row refuses."""
+        params, mirrored, m = self.params, n < 0, abs(n)
+        aq = abs(params.q)
+        limit = (aq ** m / abs(params.gamma) ** 2 if mirrored
+                 else abs(params.beta * params.gamma) ** 2 * aq ** m)
+        if not limit < POLE_RING_RATIO:
+            return f"ring ratio {limit:.3g} not below {POLE_RING_RATIO}"
+        b = max(_POLE_SETTLED * limit, 1e-300)
+        settled = math.ceil(math.log(_EPS * (1 - b)) / math.log(b)) + 1
+        with np.errstate(all="ignore"):
+            side = self._sides.get(mirrored)
+            if side is None:
+                side = self._sides[mirrored] = _PoleSide(self, mirrored)
+            rings = [start + settled for start in side.start]
+            # the points with one ring count sum their rings together, each
+            # of their two table rows along its contiguous axis, as a point
+            # alone does: no point's sums depend on the others
+            groups, top = {}, self.policy.max_terms
+            for j, r in enumerate(rings):
+                if r <= top:
+                    groups.setdefault(r, []).append(j)
+            found = [None] * len(rings)
+            if not groups:
+                return side, rings, found
+            width = max(groups)
+            terms = side.table(width) * np.power(params.q ** m, np.arange(width))
+            sizes = np.abs(terms)
+            for r, js in groups.items():
+                if len(js) == len(rings):      # one group: the whole table
+                    t, s = terms, sizes
+                else:
+                    rows = [k for j in js for k in (2 * j, 2 * j + 1)]
+                    t, s = terms[rows, :r], sizes[rows, :r]
+                sums = (t.sum(axis=1).tolist(), s.sum(axis=1).tolist(),
+                        s[:, -1].tolist())
+                for k, j in enumerate(js):
+                    found[j] = sums + (2 * k,)
+        return side, rings, found
 
 
 class _PoleSide:
-    """The H tables of one sign of n at one point z (_PoleRings): H_0 at z
-    and 1/z, made at construction, and the (2 x rings) table of H_k(z),
-    H_k(1/z) by the ratio form, grown on demand."""
+    """The H tables of one sign of n at the points of a _PoleRings: H_0 at
+    z and 1/z of all its points from one table of their eight infinite
+    products each (_pole_products), made at construction, and the ring
+    table of H_k(z), H_k(1/z) by the ratio form, rows 2j and 2j + 1 for
+    the point of row j, grown on demand.  index[i] is point i's row j, or
+    the reason the expansion refuses at point i: z^2 on the q^Z lattice or
+    out of the double range, or a piece of H_0 that is not finite or not
+    reached; start[j] and aw[j] = |z^2| belong to row j.  The per-point
+    work that is a few operations (the checks, the products' factor
+    counts, the ring starts) is Python arithmetic: at one point numpy's
+    call overhead would outweigh it."""
 
-    def __init__(self, z: complex, params: UltraParams, mirrored: bool,
-                 policy: TruncationPolicy):
-        q, w = params.q, z * z
-        if is_q_power(w, q) is not None:
-            raise _RouteUnusable("z^2 on the q^Z lattice, where the poles coalesce")
-        self.aw = abs(w)
-        if not 0 < self.aw < math.inf:
-            raise _RouteUnusable("z^2 leaves the double range")
-        head = self.head = _pole_head(params, mirrored, policy)
-        beta, bg = head.beta, head.bg
-        near = _POLE_NEAR * min(1.0, abs(beta)) * min(self.aw, 1 / self.aw)
-        self.start = max(0, math.ceil(math.log(near) / math.log(abs(q))))
-        try:
-            lead = np.array([_pole_finite("an H_0 parameter", c) for c in (
-                bg * w, q / (bg * w), w, q / (beta * w),
-                bg / w, q * w / bg, 1 / w, q * w / beta)])
-            p = _pole_products(lead, q, head.exact)
-        except (NonConvergence, ZeroDivisionError) as exc:
-            raise _RouteUnusable(f"H_0 at z = {z}: {exc}") from exc
-        self._h0 = head.scale * np.array([[p[0] * p[1] / (p[2] * p[3])],
-                                          [p[4] * p[5] / (p[6] * p[7])]])
-        self._bw = np.array([[beta * w], [beta / w]])
-        self._w = np.array([[w], [1 / w]])
-        self._table = self._h0
+    def __init__(self, rings: _PoleRings, mirrored: bool):
+        params, policy = rings.params, rings.policy
+        q, aq, log_aq = params.q, abs(params.q), math.log(abs(params.q))
+        self.index, self.aw, self.start = [], [], []
+        lead, counts, bw, ws, head = [], [], [], [], None
+        for z, lattice in zip(rings.points, rings.lattice):
+            w = z * z
+            aw = abs(w)
+            try:
+                if lattice:
+                    raise _RouteUnusable("z^2 on the q^Z lattice, where the "
+                                         "poles coalesce")
+                if not 0 < aw < math.inf:
+                    raise _RouteUnusable("z^2 leaves the double range")
+                head = head or _pole_head(params, mirrored, policy)
+                beta, bg = head.beta, head.bg
+                near = head.near * min(aw, 1 / aw)
+                if not near > 0:
+                    raise _RouteUnusable("z^2 leaves the double range")
+                try:
+                    row = [bg * w, q / (bg * w), w, q / (beta * w),
+                           bg / w, q * w / bg, 1 / w, q * w / beta]
+                    if not all(map(cmath.isfinite, row)):
+                        for c in row:
+                            _pole_finite("an H_0 parameter", c)
+                    count = _product_bound_terms(max(map(abs, row)), aq, head.exact)
+                except (NonConvergence, ZeroDivisionError) as exc:
+                    raise _RouteUnusable(f"H_0 at z = {z}: {exc}") from exc
+            except _RouteUnusable as exc:
+                self.index.append(str(exc))
+                continue
+            self.index.append(len(counts))
+            self.aw.append(aw)
+            self.start.append(max(0, math.ceil(math.log(near) / log_aq)))
+            counts.append(count)
+            lead += row
+            bw += (beta * w, beta / w)
+            ws += (w, row[6])
+        self.head = head
+        if lead:
+            # H_0 at z and at 1/z of each point from its eight products, by
+            # numpy's scalar complex arithmetic (its array loops round some
+            # products differently), as one point has always been formed
+            p = _pole_products(lead, counts, q).tolist()
+            h0 = [np.complex128(p[k] * p[k + 1]) / (p[k + 2] * p[k + 3])
+                  for k in range(0, len(p), 4)]
+            self._table = self._h0 = (head.scale * np.array(h0))[:, None]
+            self._bw, self._w = np.array(bw + ws).reshape(2, -1, 1)
 
     def table(self, rings: int) -> np.ndarray:
-        """The first `rings` columns k of H_k(z), H_k(1/z)."""
+        """The first `rings` columns k of H_k(z), H_k(1/z) at every row."""
         if self._table.shape[1] < rings:
             u, f = self.head.tables(rings - 1)
-            table = np.empty((2, rings), dtype=complex)
+            table = np.empty((self._h0.size, rings), dtype=complex)
             table[:, :1] = self._h0
             np.multiply(f, (u - self._bw) / (u - self._w), out=table[:, 1:])
             np.cumprod(table, axis=1, out=table)
             self._table = table
         return self._table[:, :rings]
 
-    def bound(self, a: float) -> float:
-        """A bound on |H_{k+1}/H_k| at z and at 1/z for every k with
-        |q|^{k+1} <= a: F_k (u - beta w)/(u - w) by the moduli of its
+    def bound(self, a: float, j: int) -> float:
+        """A bound on |H_{k+1}/H_k| at z and at 1/z of row j for every k
+        with |q|^{k+1} <= a: F_k (u - beta w)/(u - w) by the moduli of its
         factors, each monotone in a; inf where a denominator bound is not
         positive."""
         ag, ab = abs(self.head.gamma2), abs(self.head.beta)
         out = 0.0
-        for x in (self.aw, 1 / self.aw):
+        for x in (self.aw[j], 1 / self.aw[j]):
             if not (a < x and a < 1):
                 return math.inf
             out = max(out, ag * (a + ab) * (a + ab * x) / ((1 - a) * (x - a)))
         return out
 
 
-def _pole_products(a: np.ndarray, q, policy: TruncationPolicy) -> np.ndarray:
-    """(a_i; q)_inf for the few parameters of a 1-D array: poch's array
-    product with its factors laid out along rows, a (parameters x
-    factors) table, which takes about half the time of poch's (factors x
-    parameters) table at this size (numpy steps the inner loop along the
-    last axis)."""
-    table = np.empty((a.size, _product_bound_terms(float(np.abs(a).max()),
-                                                   abs(q), policy)), dtype=complex)
+def _pole_products(a: list, counts: list, q) -> np.ndarray:
+    """(a_i; q)_inf for the parameters a of several points, the same
+    number of them per point, each point's to its own count of factors:
+    poch's array product with the factors laid out along rows, one
+    (parameters x factors) table, which takes about half the time of
+    poch's (factors x parameters) table at this size (numpy steps the
+    inner loop along the last axis).  The factors of a row past its
+    point's count are exactly 1, so a point's products do not depend on
+    the points it shares the table with."""
+    width = max(counts)
+    table = np.empty((len(a), width), dtype=complex)
     table[:, 0] = a
     table[:, 1:] = q
     np.cumprod(table, axis=1, out=table)
     np.subtract(1.0, table, out=table)
+    if min(counts) < width:
+        per = np.repeat(counts, len(a) // len(counts))
+        table[np.arange(width) >= per[:, None]] = 1
     return table.prod(axis=1)
 
 
@@ -838,30 +917,45 @@ def _scalar_inside(z: complex, beta, q) -> bool:
     return bool(direct_region_mask(np.array([z]), beta, q)[0])
 
 
-def _point_rows(n_lo: int, n_hi: int, z: complex, params: UltraParams,
-                policy: TruncationPolicy):
-    """(values, terms) tuples of C_n, n_lo <= n <= n_hi, at one point z off
-    the annulus, every row by the route of the point: _lattice_rows where
-    z^2 is on the q^Z lattice, else the pole expansion (the point's
-    _PoleRings) and the 6psi8 where it refuses.  Both lanes of
-    _range_values run it, so a point's values do not depend on the lane."""
-    if _on_q_lattice(z * z, params.q):
-        rows = _lattice_rows(n_lo, n_hi, z, params, policy)
-    else:
-        rings = _PoleRings(z, params, policy)
-        rows = []
-        for n in range(n_lo, n_hi + 1):
-            try:
-                rows.append(rings.value(n))
-            except _RouteUnusable:
-                rows.append(_route_value("6psi8", _sixpsi8, n, z, params, policy))
-    return tuple(zip(*rows))
+def _point_rows(n_lo: int, n_hi: int, zs: list, params: UltraParams,
+                policy: TruncationPolicy) -> list:
+    """Per point of zs (Python complex, all off the annulus), the (values,
+    terms) tuples of C_n, n_lo <= n <= n_hi, every row by the route of
+    the point: _lattice_rows where z^2 is on the q^Z lattice, else the
+    pole expansion and the 6psi8 where it refuses.  The points share one
+    _PoleRings, which tests each for the lattice with scalar arithmetic
+    (numpy's log could round a point inside the test's band to the other
+    side of it) and makes the H_0 products and H_k tables of the points
+    off it together; a point's values do not depend on the points it
+    shares them with.  The points are walked in order, and each point's
+    rows in order, so a failing row raises the error a loop over the
+    points one at a time would raise first.  Both lanes of _range_values
+    run it, a scalar as one point, so a point's values do not depend on
+    the lane."""
+    rings = _PoleRings(zs, params, policy)
+    out = []
+    for i, z in enumerate(zs):
+        if rings.lattice[i]:
+            rows = _lattice_rows(n_lo, n_hi, z, params, policy)
+        else:
+            rows = []
+            for n in range(n_lo, n_hi + 1):
+                try:
+                    rows.append(rings.value(n, i))
+                except _RouteUnusable:
+                    rows.append(_route_value("6psi8", _sixpsi8, n, z, params,
+                                             policy))
+        out.append(tuple(zip(*rows)))
+    return out
 
 
 def _range_values(n_lo: int, n_hi: int, z, params: UltraParams,
                   policy: TruncationPolicy):
     """The values and truncation_terms of bilateral_cn_range at z = p.z;
-    tuples at one point off the annulus."""
+    tuples at one point off the annulus.  The points of an array inside
+    the annulus are summed together (_direct_range), and the points off it
+    are continued together (_point_rows), the one point of a scalar p.z
+    alike."""
     n_lo, n_hi = int(n_lo), int(n_hi)
     if n_hi < n_lo:
         raise DomainError("bilateral_cn_range needs n_lo <= n_hi")
@@ -870,7 +964,7 @@ def _range_values(n_lo: int, n_hi: int, z, params: UltraParams,
         if _scalar_inside(z, params.beta, params.q):
             values, terms = _direct_range(n_lo, n_hi, np.array([z]), params, policy)
             return values.reshape(-1), terms
-        return _point_rows(n_lo, n_hi, z, params, policy)
+        return _point_rows(n_lo, n_hi, [z], params, policy)[0]
     shape = z.shape
     z = np.asarray(z, dtype=complex).ravel()
     inside = direct_region_mask(z, params.beta, params.q)
@@ -880,9 +974,12 @@ def _range_values(n_lo: int, n_hi: int, z, params: UltraParams,
     if inside.any():
         values[:, inside], terms[:] = _direct_range(n_lo, n_hi, z[inside],
                                                     params, policy)
-    for i in np.flatnonzero(~inside):
-        values[:, i], t = _point_rows(n_lo, n_hi, complex(z[i]), params, policy)
-        np.maximum(terms, t, out=terms)
+    outside = ~inside
+    if outside.any():
+        continued, counts = zip(*_point_rows(n_lo, n_hi, z[outside].tolist(),
+                                             params, policy))
+        values[:, outside] = np.array(continued).T
+        np.maximum(terms, np.max(counts, axis=0), out=terms)
     return values.reshape((rows,) + shape), terms
 
 
@@ -893,9 +990,13 @@ def bilateral_cn_range(n_lo: int, n_hi: int, p: SpectralPoint,
 
     The points of p inside the direct annulus are summed together for all
     rows (_direct_range); every other point is continued by the route of
-    the point (_point_rows).  A scalar p.z is routed by the same rule
-    (direct_region_mask) and gets the values and term counts of the
-    one-element array, bit for bit, without its index bookkeeping.  Raises
+    the point (_point_rows), where the points off the lattice z^2 in q^Z
+    share the pole expansion's tables and a point's values do not depend
+    on the points it shares them with.  A scalar p.z is routed by the
+    same rule (direct_region_mask) and gets the values and term counts of
+    the one-element array, bit for bit, without its index bookkeeping.
+    An array raises the error of its first failing point, at that point's
+    first failing row, as a loop over its points would.  Raises
     PoleError on the gamma parameter lattices, RegionError when no
     evaluation route applies, NonConvergence when the policy budget is
     exhausted.

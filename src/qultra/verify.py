@@ -4,9 +4,11 @@ Every identity the library implements is registered here with a runner
 that returns a scaled residual, the tolerance it is held to, and
 truncation diagnostics.  ``run_suite`` executes the registry on a
 configuration, capturing per-entry errors: entries whose region or pole
-preconditions fail are marked skipped (listed but not failing), and the
-report is fully deterministic -- identical configurations produce
-byte-identical JSON.
+preconditions fail are marked skipped (listed but not failing), entries
+that exhaust a budget or raise an internal error (an exception that is not
+a QSeriesError, such as ZeroDivisionError) are marked failed with a note
+naming the exception type, and the report is fully deterministic --
+identical configurations produce byte-identical JSON.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (ConfigError, DomainError, NonConvergence, PoleError,
-                     RegionError)
+                     QSeriesError, RegionError)
 from .hyperseries import (BILATERAL, SeriesSpec, closed_form, sum_psi,
                           transform_residual)
 from .qcore import TAIL_WINDOW, SpectralPoint, TruncationPolicy
@@ -425,13 +427,18 @@ def run_identity(name: str, config: dict | None = None) -> VerificationEntry:
 def _run_one(name: str, ctx: ResolvedConfig) -> VerificationEntry:
     try:
         residual, tol, params, terms, nodes = _REGISTRY[name](ctx)
-    except (RegionError, PoleError, DomainError, ZeroDivisionError) as exc:
+    except (RegionError, PoleError, DomainError) as exc:
         return VerificationEntry(name, ctx.base_params(), 0.0, 0.0, True,
                                  skipped=True,
                                  note=f"{type(exc).__name__}: {exc}")
     except NonConvergence as exc:
         return VerificationEntry(name, ctx.base_params(), 0.0, 0.0, False,
                                  note=f"NonConvergence: {exc}")
+    except QSeriesError:
+        raise
+    except Exception as exc:    # a fault of the library, not an unmet hypothesis
+        return VerificationEntry(name, ctx.base_params(), 0.0, 0.0, False,
+                                 note=f"internal error {type(exc).__name__}: {exc}")
     return VerificationEntry(name, params, float(residual), float(tol),
                              bool(residual <= tol), int(terms), int(nodes))
 

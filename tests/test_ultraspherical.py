@@ -1097,3 +1097,92 @@ def test_scalar_point_routes_as_an_array_within_rounding_of_the_margin(qbg):
                 arr = bilateral_cn(1, SpectralPoint(np.array([z])), params)
                 assert (np.asarray(one.value).tobytes(), one.truncation_terms) == (
                     arr.value.tobytes(), arr.truncation_terms), z
+
+
+MANY_POINT_SETS = [(Q, BETA, GAMMA), (0.85, 0.8, 0.3), (0.7, -0.5, 1.0)]
+
+
+def _many_points(q):
+    """Points of the many-point test: six off the annulus on both sides of
+    the unit circle, two of them far from it, so that a row sums
+    different numbers of rings at different points; z = i, inside the
+    annulus at the defaults, where the odd rows vanish; the point 1e-7 off
+    z^2 = q, where the rings cancel; and at the defaults the lattice point
+    q^{1/2}, which has no route at the other two sets."""
+    pts = [cmath.rect(r, a) for r, a in ((0.5, 1.1), (0.35, -2.3), (2.2, 0.4),
+                                         (1.9, -2.9), (0.08, 2.0), (9.0, -0.7))]
+    pts += [1j, q ** 0.5 * cmath.exp(1e-7j)]
+    return pts + [complex(q ** 0.5)] if q == Q else pts
+
+
+@pytest.mark.parametrize("qbg", MANY_POINT_SETS)
+def test_many_point_rows_equal_their_one_point_calls_bit_for_bit(qbg):
+    """Every row of a many-point bilateral_cn and bilateral_cn_range call
+    equals the one-point calls bit for bit, values and truncation_terms,
+    across rows the pole expansion gives, rows it gates out or refuses
+    (the 6psi8 takes them), lattice rows and an inside point: the points
+    share the expansion's tables, and no point's values depend on the
+    others."""
+    q, beta, gamma = qbg
+    params = UltraParams(beta, gamma, q)
+    zs = _many_points(q)
+    many = SpectralPoint(np.array(zs))
+    off = ~direct_region_mask(np.array(zs), beta, q)
+    rows = bilateral_cn_range(-12, 12, many, params)
+    ranges = [bilateral_cn_range(-12, 12, SpectralPoint(z), params) for z in zs]
+    outcomes = set()
+    for n in range(-12, 13):
+        ones = [bilateral_cn(n, SpectralPoint(z), params) for z in zs]
+        one_rows = np.array([r[n] for r in ranges])
+        values = np.array([one.value for one in ones])
+        arr = bilateral_cn(n, many, params)
+        assert arr.value.tobytes() == values.tobytes(), n
+        assert rows[n].tobytes() == one_rows.tobytes(), n
+        terms = [one.truncation_terms for one in ones]
+        assert arr.truncation_terms == max(terms), n
+        assert rows.truncation_terms[n + 12] == max(
+            r.truncation_terms[n + 12] for r in ranges), n
+        # a continued row does not depend on the range it is part of
+        assert one_rows[off].tobytes() == values[off].tobytes(), n
+        assert [r.truncation_terms[n + 12] for r, o in zip(ranges, off) if o] == \
+            [t for t, o in zip(terms, off) if o], n
+        for z in zs:
+            try:
+                _PoleRings(z, params, DEFAULT_POLICY).value(n)
+                outcomes.add("taken")
+            except _RouteUnusable as exc:
+                outcomes.update(w for w in ("ring ratio", "cancel", "lattice")
+                                if w in str(exc))
+    assert outcomes >= {"taken", "ring ratio", "cancel"}
+    assert ("lattice" in outcomes) == (q == Q)
+    assert direct_region_mask(np.array(zs), beta, q).any() == (q == Q)
+
+
+def _first_error(call):
+    try:
+        call()
+    except QSeriesError as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def test_many_point_call_raises_the_first_error_of_its_points():
+    # at (0.85, 0.8, 0.3) the 6psi8 fails C_{-1} at z = e^{0.3i}/60, and
+    # the lattice point q^{1/2} has no route at any row: a call raises the
+    # error of the first failing point, at its first failing row, as a
+    # loop over the points one at a time does
+    params = UltraParams(0.8, 0.3, 0.85)
+    late, lattice = cmath.rect(1 / 60, 0.3), complex(0.85 ** 0.5)
+    for zs in ([late, lattice], [lattice, late], [0.5j, late, 2 + 1j, lattice]):
+        for lo, hi in ((-3, 3), (-1, -1)):
+            loop = next(filter(None, (_first_error(
+                lambda z=z: bilateral_cn_range(lo, hi, SpectralPoint(z), params))
+                for z in zs)))
+            many = SpectralPoint(np.array(zs))
+            assert _first_error(lambda: bilateral_cn_range(lo, hi, many, params)) == loop
+            if lo == hi:
+                assert _first_error(lambda: bilateral_cn(lo, many, params)) == loop
+    assert _first_error(lambda: bilateral_cn_range(
+        -3, 3, SpectralPoint(np.array([late, lattice])), params))[0] is NonConvergence
+    assert _first_error(lambda: bilateral_cn_range(
+        -3, 3, SpectralPoint(np.array([lattice, late])), params))[0] is RegionError

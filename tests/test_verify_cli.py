@@ -91,6 +91,28 @@ def test_pole_lattice_config_skips_bilateral_entries():
     assert rep.overall_passed  # skips do not fail the suite
 
 
+@pytest.mark.parametrize("error", [ZeroDivisionError, OverflowError])
+def test_internal_error_fails_its_entry_not_the_suite(error, monkeypatch):
+    # an exception that is not a QSeriesError is a fault of the library,
+    # not an unmet hypothesis: the entry fails, naming it, and the rest run
+    import qultra.verify as verify
+
+    def broken(ctx):
+        raise error("injected")
+
+    monkeypatch.setitem(verify._REGISTRY, "kernel_integral", broken)
+    rep = run_suite({})
+    entry = next(e for e in rep.entries if e.identity_name == "kernel_integral")
+    assert not entry.passed and not entry.skipped
+    assert entry.note == f"internal error {error.__name__}: injected"
+    assert not rep.overall_passed
+    others = [e for e in rep.entries if e.identity_name != "kernel_integral"]
+    assert len(others) == len(identity_names()) - 1
+    assert all(e.passed for e in others)
+    assert run_identity("kernel_integral").note == entry.note
+    json.loads(render_json(rep))
+
+
 def test_zero_tolerance_config_error():
     with pytest.raises(ConfigError):
         run_suite({"rel_tol": 0.0})
