@@ -324,7 +324,7 @@ def is_q_power(value, q):
     """Return the integer m with value = q^m if one exists (within 1e-9 in
     the complex log-base-q plane), else None."""
     value = complex(value)
-    if value == 0:
+    if value == 0 or not cmath.isfinite(value):
         return None
     q = complex(q)
     ratio = cmath.log(value) / cmath.log(q)

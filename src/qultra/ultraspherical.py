@@ -24,9 +24,8 @@ every row at a point takes the route of the point, by one test of the
 lattice z^2 in q^Z.  Off it, a row comes from the generating function's
 pole expansion (_PoleRings), whose H_0 products and H_k tables the rows
 and the off-annulus points of one call share (a point's values do not
-depend on the points it shares them with), where it applies (ring ratio
-|beta gamma|^2 |q|^n, or |q|^{-n}/|gamma|^2 for n < 0, below
-POLE_RING_RATIO, and a checked tail and cancellation, per point); else
+depend on the points it shares them with), wherever its rings settle to
+a ratio below 1 and its tail and cancellation check out, per point; else
 from hyperseries.wellpoised_6psi8, a 6psi8 form of the defining series
 whose tails decay superexponentially for every z != 0
 (bilateral_cn_6psi8).  On the lattice both degenerate: a row takes
@@ -163,9 +162,10 @@ def direct_region_mask(z, beta, q) -> np.ndarray:
     Python's, so a rule evaluated on Python complex numbers would route a
     few points within rounding of the margin otherwise."""
     z = np.asarray(z, dtype=complex)
-    z2 = z * z
-    return ((np.abs(q * z2 / beta) < DIRECT_REGION_MARGIN)
-            & (np.abs(q / (beta * z2)) < DIRECT_REGION_MARGIN))
+    with np.errstate(all="ignore"):     # z^2 out of the double range is outside
+        z2 = z * z
+        return ((np.abs(q * z2 / beta) < DIRECT_REGION_MARGIN)
+                & (np.abs(q / (beta * z2)) < DIRECT_REGION_MARGIN))
 
 
 def in_direct_region(z, beta, q) -> bool:
@@ -429,12 +429,8 @@ class _RouteUnusable(RegionError):
     """A continuation route does not apply at this point."""
 
 
-#: the pole expansion continues row n only where its ring ratio, the limit
-#: |beta gamma|^2 |q|^n of |ring_{k+1} / ring_k| (n < 0 through
-#: symmetry_params: |q|^{-n} / |gamma|^2), is below this
-POLE_RING_RATIO = 0.2
-#: ... and only where its rings do not cancel: eps sum_k |ring_k| is at
-#: most this times |C_n|
+#: the pole expansion continues row n only where its rings do not cancel:
+#: eps sum_k |ring_k| is at most this times |C_n|
 POLE_CANCELLATION = 1e-13
 
 _EPS = 2.0 ** -52
@@ -519,7 +515,7 @@ class _PoleRings:
     beta gamma w contributes only the factor gamma^2 to the ratio.  The
     rows n < 0 are (q/beta)^{-n} C_{-n}(z; beta, 1/(beta gamma))
     (symmetry_params).  The H tables do not depend on n: each sign of n
-    makes them once for all the rows and all the points of one call
+    makes them once for all the rows and all the points it is given
     (_PoleSide: one table of H_0's products, one ring table), a row
     multiplies them by q^{kn} at every point at once, and z^{-n} (or
     (q/(beta z))^{-n}) is one power per point.
@@ -540,11 +536,11 @@ class _PoleRings:
 
     value(n, i) gives C_n at point i, checked in Python complex
     arithmetic; every value of the expansion leaves through it.  It
-    raises _RouteUnusable where the route refuses: L of POLE_RING_RATIO
-    or more, z^2 on the q^Z lattice (where the poles q^{-k} z and q^{-j}/z
-    coalesce), a piece that is not finite, a tail bound over
-    rel_tol |C_n|, or rings that cancel: eps sum|ring| over
-    POLE_CANCELLATION |C_n|."""
+    raises _RouteUnusable where the route refuses: a ring ratio L with b
+    not below 1, rings over max_terms, z^2 on the q^Z lattice (where the
+    poles q^{-k} z and q^{-j}/z coalesce), a piece that is not finite, a
+    tail bound over rel_tol |C_n|, or rings that cancel: eps sum|ring|
+    over POLE_CANCELLATION |C_n|."""
 
     def __init__(self, z, params: UltraParams, policy: TruncationPolicy):
         """z is one point or a list of Python-complex points; lattice[i]
@@ -604,9 +600,9 @@ class _PoleRings:
         aq = abs(params.q)
         limit = (aq ** m / abs(params.gamma) ** 2 if mirrored
                  else abs(params.beta * params.gamma) ** 2 * aq ** m)
-        if not limit < POLE_RING_RATIO:
-            return f"ring ratio {limit:.3g} not below {POLE_RING_RATIO}"
         b = max(_POLE_SETTLED * limit, 1e-300)
+        if not b < 1:
+            return f"ring ratio {limit:.3g}: its settled bound {b:.3g} is not below 1"
         settled = math.ceil(math.log(_EPS * (1 - b)) / math.log(b)) + 1
         with np.errstate(all="ignore"):
             side = self._sides.get(mirrored)
@@ -753,8 +749,9 @@ class _HeadOverflow(NonConvergence):
 
 
 def _on_q_lattice(value, q) -> bool:
-    """value != 0 is within 1e-8 of the q^Z lattice in log_q value."""
-    r = cmath.log(value) / cmath.log(q) if value else 0.5
+    """value is within 1e-8 of the q^Z lattice in log_q value; 0 and
+    values out of the double range are off it."""
+    r = cmath.log(value) / cmath.log(q) if value and cmath.isfinite(value) else 0.5
     return abs(r - round(r.real)) < 1e-8
 
 
@@ -917,35 +914,40 @@ def _scalar_inside(z: complex, beta, q) -> bool:
     return bool(direct_region_mask(np.array([z]), beta, q)[0])
 
 
+#: off-annulus points per _PoleRings: bounds its ring tables near b = 1
+_POLE_BLOCK = 64
+
+
 def _point_rows(n_lo: int, n_hi: int, zs: list, params: UltraParams,
                 policy: TruncationPolicy) -> list:
     """Per point of zs (Python complex, all off the annulus), the (values,
     terms) tuples of C_n, n_lo <= n <= n_hi, every row by the route of
     the point: _lattice_rows where z^2 is on the q^Z lattice, else the
-    pole expansion and the 6psi8 where it refuses.  The points share one
-    _PoleRings, which tests each for the lattice with scalar arithmetic
-    (numpy's log could round a point inside the test's band to the other
-    side of it) and makes the H_0 products and H_k tables of the points
+    pole expansion and the 6psi8 where it refuses.  Each block of
+    _POLE_BLOCK points shares one _PoleRings, which tests each point for
+    the lattice in scalar arithmetic (numpy's log could round a point in
+    the test's band to the other side) and makes the tables of the points
     off it together; a point's values do not depend on the points it
-    shares them with.  The points are walked in order, and each point's
-    rows in order, so a failing row raises the error a loop over the
-    points one at a time would raise first.  Both lanes of _range_values
-    run it, a scalar as one point, so a point's values do not depend on
-    the lane."""
-    rings = _PoleRings(zs, params, policy)
+    shares them with.  Blocks, points and rows are walked in order, so a
+    failing row raises the error a loop over the points one at a time
+    would raise first.  Both lanes of _range_values run it, a scalar as
+    one point."""
     out = []
-    for i, z in enumerate(zs):
-        if rings.lattice[i]:
-            rows = _lattice_rows(n_lo, n_hi, z, params, policy)
-        else:
-            rows = []
-            for n in range(n_lo, n_hi + 1):
-                try:
-                    rows.append(rings.value(n, i))
-                except _RouteUnusable:
-                    rows.append(_route_value("6psi8", _sixpsi8, n, z, params,
-                                             policy))
-        out.append(tuple(zip(*rows)))
+    for lo in range(0, len(zs), _POLE_BLOCK):
+        block = zs[lo:lo + _POLE_BLOCK]
+        rings = _PoleRings(block, params, policy)
+        for i, z in enumerate(block):
+            if rings.lattice[i]:
+                rows = _lattice_rows(n_lo, n_hi, z, params, policy)
+            else:
+                rows = []
+                for n in range(n_lo, n_hi + 1):
+                    try:
+                        rows.append(rings.value(n, i))
+                    except _RouteUnusable:
+                        rows.append(_route_value("6psi8", _sixpsi8, n, z,
+                                                 params, policy))
+            out.append(tuple(zip(*rows)))
     return out
 
 
@@ -990,13 +992,11 @@ def bilateral_cn_range(n_lo: int, n_hi: int, p: SpectralPoint,
 
     The points of p inside the direct annulus are summed together for all
     rows (_direct_range); every other point is continued by the route of
-    the point (_point_rows), where the points off the lattice z^2 in q^Z
-    share the pole expansion's tables and a point's values do not depend
-    on the points it shares them with.  A scalar p.z is routed by the
-    same rule (direct_region_mask) and gets the values and term counts of
-    the one-element array, bit for bit, without its index bookkeeping.
-    An array raises the error of its first failing point, at that point's
-    first failing row, as a loop over its points would.  Raises
+    the point (_point_rows), and its values do not depend on the points
+    it shares the call with.  A scalar p.z is routed by the same rule
+    (direct_region_mask) and gets the values and term counts of the
+    one-element array, bit for bit.  An array raises the error of its
+    first failing point, at that point's first failing row.  Raises
     PoleError on the gamma parameter lattices, RegionError when no
     evaluation route applies, NonConvergence when the policy budget is
     exhausted.

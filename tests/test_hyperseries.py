@@ -316,16 +316,18 @@ def test_sums_equal_the_transcribed_term_loops_bit_for_bit():
 def test_off_annulus_scalar_and_array_values_are_identical(params):
     # the per-point continuation gives an array call, and each row of a
     # range call, the scalar values exactly, for every n of the
-    # benchmark's range and beyond: rows the pole expansion gives and rows
-    # where its ring-ratio gate hands over to the other routes (n = -1, 0
-    # at the defaults, -2..2 at (0.7, 0.5, 1.5), whose annulus is empty)
+    # benchmark's range and beyond: rows the pole expansion gives (every
+    # row at the defaults and at (0.7, 0.5, 1.5), whose annulus is empty)
+    # and rows it refuses for its ring ratio, where the mirrored rings do
+    # not settle below ratio 1 and the 6psi8 takes over (n = -12..-1 at
+    # (0.85, 0.8, 0.3))
     rng = np.random.default_rng(16)
     radius = rng.uniform(0.35, 0.58, 8)
     arg = rng.uniform(0.15, np.pi - 0.15, 8) * rng.choice([-1, 1], 8)
     inner = radius * np.exp(1j * arg)
     zs = np.concatenate([inner, 1 / inner])
-    for family, gate in ((params, {-1, 0}),
-                         (UltraParams(0.5, 1.5, 0.7), {-2, -1, 0, 1, 2})):
+    for family, gate in ((params, set()), (UltraParams(0.5, 1.5, 0.7), set()),
+                         (UltraParams(0.8, 0.3, 0.85), set(range(-12, 0)))):
         assert not direct_region_mask(zs, family.beta, family.q).any()
         rows = bilateral_cn_range(-12, 12, SpectralPoint(zs), family)
         gated = set()

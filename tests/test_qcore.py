@@ -366,3 +366,8 @@ def test_is_q_power_detection():
     assert is_q_power(Q ** -2, Q) == -2
     assert is_q_power(1.0, Q) == 0
     assert is_q_power(0.7, Q) is None
+
+
+def test_is_q_power_of_a_value_out_of_the_double_range_is_none():
+    for value in (1e200 * 1e200, -1e160 * 1e160, complex(math.inf, math.inf)):
+        assert is_q_power(value, Q) is None

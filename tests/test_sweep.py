@@ -28,3 +28,17 @@ def test_subset_covers_every_failing_entry():
 def test_sweep_verdicts_match_the_table(key):
     q, beta, gamma = (float(x) for x in key.split())
     assert sweep.verdicts(q, beta, gamma) == TABLE[key]
+
+
+def test_route_census_counts_continued_values_by_route():
+    # at the defaults every continued value off the lattice comes from the
+    # pole expansion; the crosscheck's own 6psi8 calls are not counted
+    point_rows = sweep.us._point_rows
+    counts = sweep.Counter()
+    with sweep.route_census(counts):
+        assert sweep.verdicts(0.3, 0.8, 0.7) == TABLE["0.3 0.8 0.7"]
+    assert sweep.us._point_rows is point_rows
+    assert counts["pole expansion"] > 0
+    assert sweep.census_line(counts) == (
+        f"continued values by route: pole expansion {counts['pole expansion']:,}, "
+        f"6psi8 0, lattice 2psi2 0, lattice recurrence 0")

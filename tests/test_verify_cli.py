@@ -245,6 +245,13 @@ def test_cli_eval_overflow_is_numerical_error(capsys):
         assert "overflowed" in capsys.readouterr().err
 
 
+def test_cli_eval_where_z_squared_overflows_is_a_typed_error(capsys):
+    # a bare OverflowError from the lattice test gave a traceback and exit 1
+    for args in (["--z-re", "1e200"], ["--z-re", "0", "--z-im", "1e160"]):
+        assert main(["eval", "--n", "0"] + args) in (2, 3), args
+        assert capsys.readouterr().err.startswith(("error:", "numerical error:"))
+
+
 def test_cli_eval_non_finite_is_numerical_error(capsys, monkeypatch):
     # a 6psi8 prefactor product of C_40 at 0.4+0.3i overflows; with the
     # pole expansion failing, the row has no other route off the lattice

@@ -8,15 +8,18 @@ The grid is q in {0.1, 0.3, 0.5, 0.7}, beta in {-0.5, 0.4, 0.8, 0.95, 1.2}
 and gamma in {0.3, 0.7, 1.0, 1.5}; every other setting is the suite's
 default.  For each configuration the script records which entries failed
 and which were skipped (an exception that escapes run_suite is recorded as
-a crash), prints per-entry fail and skip counts over the grid, and lists
-every configuration whose verdicts differ from tools/sweep_verdicts.json.
-It exits 1 on any difference and 0 otherwise.  It imports qultra from
-src/ beside this directory and takes 12-13 s on a 2-core x86-64 machine.
+a crash), prints per-entry fail and skip counts over the grid, then how
+many continued (n, point) values each continuation route gave over the
+grid, and lists every configuration whose verdicts differ from
+tools/sweep_verdicts.json.  It exits 1 on any difference and 0 otherwise.
+It imports qultra from src/ beside this directory and takes 8-13 s on a
+2-core x86-64 machine.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import itertools
 import json
 import sys
@@ -26,6 +29,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
+import qultra.ultraspherical as us  # noqa: E402
 from qultra.verify import run_suite  # noqa: E402
 
 TABLE = Path(__file__).resolve().parent / "sweep_verdicts.json"
@@ -65,6 +69,62 @@ def summary(table: dict) -> str:
     return "\n".join(lines)
 
 
+ROUTES = ("pole expansion", "6psi8", "lattice 2psi2", "lattice recurrence")
+
+
+@contextlib.contextmanager
+def route_census(counts: Counter):
+    """While active, count in counts, by route (ROUTES), each value that
+    the continuation of bilateral_cn and bilateral_cn_range
+    (ultraspherical._point_rows) computes at a point off the direct
+    annulus.  The crosscheck's own calls of bilateral_cn_6psi8 and
+    bilateral_cn_bailey are not counted.  A lattice row is the 2psi2's
+    where _bailey gives it and the recurrence's where _bailey refuses."""
+    inside = []
+    saved = point_rows, route_value, lattice_rows, pole_value = (
+        us._point_rows, us._route_value, us._lattice_rows, us._PoleRings.value)
+
+    def counted_point_rows(*args):
+        inside.append(True)
+        try:
+            return point_rows(*args)
+        finally:
+            inside.pop()
+
+    def counted_pole_value(self, *args):
+        out = pole_value(self, *args)
+        counts[ROUTES[0]] += bool(inside)
+        return out
+
+    def counted_route_value(name, *args):
+        out = route_value(name, *args)
+        counts[ROUTES[1]] += bool(inside) and name == "6psi8"
+        return out
+
+    def counted_lattice_rows(n_lo, n_hi, z, params, policy):
+        rows = lattice_rows(n_lo, n_hi, z, params, policy)
+        for n in range(n_lo, n_hi + 1):
+            try:
+                us._bailey(n, z, params, policy)
+                counts[ROUTES[2]] += 1
+            except us._RouteUnusable:
+                counts[ROUTES[3]] += 1
+        return rows
+
+    us._point_rows, us._route_value, us._lattice_rows, us._PoleRings.value = (
+        counted_point_rows, counted_route_value, counted_lattice_rows,
+        counted_pole_value)
+    try:
+        yield counts
+    finally:
+        us._point_rows, us._route_value, us._lattice_rows, us._PoleRings.value = saved
+
+
+def census_line(counts: Counter) -> str:
+    return "continued values by route: " + ", ".join(
+        f"{name} {counts[name]:,}" for name in ROUTES)
+
+
 def differences(expected: dict, got: dict) -> list[str]:
     out = []
     for key in sorted(set(expected) | set(got)):
@@ -79,8 +139,11 @@ def main(argv=None) -> int:
     parser.add_argument("--update", action="store_true",
                         help=f"rewrite {TABLE.name} with this run's verdicts")
     args = parser.parse_args(argv)
-    got = sweep()
+    census = Counter()
+    with route_census(census):
+        got = sweep()
     print(summary(got))
+    print(census_line(census))
     if args.update:
         TABLE.write_text(json.dumps(got, indent=1, sort_keys=True) + "\n")
         print(f"wrote {TABLE}")
