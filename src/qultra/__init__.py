@@ -18,7 +18,7 @@ from .ultraspherical import (UltraParams, UltraRange, UltraValue,
                              recurrence_residual, special_value_c0,
                              special_value_cm1, symmetry_gap,
                              symmetry_params, symmetry_residual)
-from .awoperator import apply_dq, dq_action_residual
+from .awoperator import DqResiduals, apply_dq, dq_action_residual
 from .quadrature import (QuadratureResult, WeightParams,
                          bilateral_delta_integral, bilateral_delta_rhs,
                          integrate, kernel_integral, kernel_integral_rhs,
@@ -43,7 +43,7 @@ __all__ = [
     "recurrence_gap", "recurrence_residual", "special_value_c0",
     "special_value_cm1", "symmetry_gap", "symmetry_params",
     "symmetry_residual",
-    "apply_dq", "dq_action_residual",
+    "DqResiduals", "apply_dq", "dq_action_residual",
     "QuadratureResult", "WeightParams", "bilateral_delta_integral",
     "bilateral_delta_rhs", "integrate", "kernel_integral",
     "kernel_integral_rhs", "mass_points", "orthogonality_diagonal",

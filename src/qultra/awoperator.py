@@ -14,12 +14,14 @@ points scale |z^2| by q^{+-1}).
 from __future__ import annotations
 
 import cmath
-from typing import Callable
+from typing import Callable, NamedTuple
+
+import numpy as np
 
 from .errors import DomainError, SingularPoint
 from .qcore import DEFAULT_POLICY, SpectralPoint, TruncationPolicy, check_base
 from .ultraspherical import (BILATERAL_KIND, CLASSICAL, UltraParams,
-                             bilateral_cn, classical_cn)
+                             _index_lists, bilateral_cn_range, classical_cn)
 
 XFunction = Callable[[SpectralPoint], complex]
 
@@ -30,8 +32,12 @@ SINGULAR_TOL = 1e-12
 def apply_dq(f: XFunction, p: SpectralPoint, q) -> complex:
     """Apply the divided-difference operator to f at p.
 
-    Raises SingularPoint for z within 1e-12 of +-1, where the denominator
-    (q^{1/2} - q^{-1/2})(z - 1/z)/2 vanishes.
+    f may return an array of values at a point, such as the rows of a
+    range: the operator then acts on each, and each element is divided in
+    Python complex arithmetic, as the value of a scalar f would be (numpy
+    divides complex numbers by another rule).  Raises SingularPoint for z
+    within 1e-12 of +-1, where the denominator (q^{1/2} - q^{-1/2})(z -
+    1/z)/2 vanishes.
     """
     q = check_base(q)
     z = complex(p.z)
@@ -40,12 +46,23 @@ def apply_dq(f: XFunction, p: SpectralPoint, q) -> complex:
     rq = cmath.sqrt(q)
     num = f(p.scaled(rq)) - f(p.scaled(1.0 / rq))
     den = (rq - 1.0 / rq) * (z - 1.0 / z) / 2.0
+    if isinstance(num, np.ndarray):
+        return np.array([v / den for v in num.tolist()])
     return num / den
 
 
-def dq_action_residual(kind: str, n: int, p: SpectralPoint,
+class DqResiduals(NamedTuple):
+    """The residuals of dq_action_residual over a sequence of n, and the
+    most terms any row of the bilateral family summed (0 for the
+    classical polynomials, which are finite sums)."""
+
+    residual: np.ndarray
+    terms_used: int
+
+
+def dq_action_residual(kind: str, n, p: SpectralPoint,
                        params: UltraParams,
-                       policy: TruncationPolicy = DEFAULT_POLICY) -> float:
+                       policy: TruncationPolicy = DEFAULT_POLICY):
     """Residual of the lowering action of the operator.
 
     classical:  D_q C_n(.; beta) = 2(1-beta)/(1-q) q^{(1-n)/2} C_{n-1}(.; q beta)
@@ -54,19 +71,43 @@ def dq_action_residual(kind: str, n: int, p: SpectralPoint,
                   C_{n-1}(.; q beta, gamma)
 
     scaled by max(1, |rhs|).
+
+    n may be a nonempty integer sequence; the call then returns
+    DqResiduals over it.  Each family is evaluated once per point for all
+    of n: classical_cn once per degree at p q^{1/2}, p q^{-1/2} and (for
+    the lowered family) p, or one bilateral_cn_range over min(n)..max(n)
+    at each shifted point and over min(n) - 1..max(n) - 1 at p.  A
+    classical or continued bilateral residual equals that of its integer
+    call bit for bit; a row of the direct sum may round differently in a
+    range than alone (bilateral_cn_range), by about an ulp.
     """
+    ns, single = _index_lists(n)
     q, beta, gamma = params.q, params.beta, params.gamma
-    qpow = complex(q) ** ((1 - n) / 2.0)
+    terms = [0]
     if kind == CLASSICAL:
-        if n < 1:
+        if min(ns) < 1:
             raise DomainError("classical lowering check needs n >= 1")
-        lhs = apply_dq(lambda sp: classical_cn(n, sp, beta, q), p, q)
-        rhs = 2 * (1 - beta) / (1 - q) * qpow * classical_cn(n - 1, p, q * beta, q)
+        lhs = apply_dq(lambda sp: np.array([classical_cn(k, sp, beta, q)
+                                            for k in ns]), p, q)
+        lower = [classical_cn(k - 1, p, q * beta, q) for k in ns]
+        const = 2 * (1 - beta) / (1 - q)
     elif kind == BILATERAL_KIND:
-        lhs = apply_dq(lambda sp: bilateral_cn(n, sp, params, policy).value, p, q)
-        shifted = params.with_beta(q * beta)
-        rhs = (2 * (1 - beta * gamma) ** 2 / ((1 - q) * (1 - beta) * gamma)
-               * qpow * bilateral_cn(n - 1, p, shifted, policy).value)
+        lo, hi = min(ns), max(ns)
+
+        def rows(sp, family, shift):
+            r = bilateral_cn_range(lo - shift, hi - shift, sp, family, policy)
+            terms.append(r.truncation_terms.max())
+            return r.values[[k - lo for k in ns]]
+
+        lhs = apply_dq(lambda sp: rows(sp, params, 0), p, q)
+        lower = rows(p, params.with_beta(q * beta), 1).tolist()
+        const = 2 * (1 - beta * gamma) ** 2 / ((1 - q) * (1 - beta) * gamma)
     else:
         raise DomainError(f"unknown kind {kind!r}")
-    return abs(lhs - rhs) / max(1.0, abs(rhs))
+    out = []
+    for k, left, low in zip(ns, lhs.tolist(), lower):
+        rhs = const * complex(q) ** ((1 - k) / 2.0) * low
+        out.append(abs(left - rhs) / max(1.0, abs(rhs)))
+    if single:
+        return out[0]
+    return DqResiduals(np.array(out), int(max(terms)))

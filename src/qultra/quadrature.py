@@ -14,13 +14,15 @@ of the 64-interval rule, then only the midpoints of each doubled rule,
 until two successive values agree.
 
 orthogonality_entry and shifted_orthogonality_pair also take m and n as
-equal-length integer sequences and return .value (and the shifted rhs)
-as an array over the pairs.  All pairs of one call run on one node loop,
-which stops when every pair's delta is below that pair's tolerance, and
-every function a pair needs is evaluated once per node set: one
-classical_cn per distinct degree, or one bilateral_cn_range pass over the
-union of the pairs' C_j rows.  This is the node reuse of the nested rule,
-applied across the pairs of a relation as well as across its levels.
+equal-length integer sequences, and bilateral_delta_integral takes n as
+an integer sequence; each returns .value (and the shifted rhs) as an
+array over the pairs or the n.  All integrals of one call run on one node
+loop, which stops when every delta is below that integral's tolerance,
+and every function an integral needs is evaluated once per node set: one
+classical_cn per distinct degree, one bilateral_cn per n, or one
+bilateral_cn_range pass over the union of the pairs' C_j rows.  This is
+the node reuse of the nested rule, applied across the integrals of a
+relation as well as across its levels.
 
 The weight is the Askey-Wilson weight with parameters +-beta^{1/2},
 +-(q beta)^{1/2}.  For beta <= 1 its measure is the circle part alone.
@@ -42,8 +44,8 @@ from .hyperseries import UNILATERAL, SeriesSpec, sum_phi
 from .qcore import (DEFAULT_POLICY, GROWTH_SLACK, INFINITY, TAIL_WINDOW,
                     SpectralPoint, TruncationPolicy, check_real_base,
                     is_q_power, poch, poch_multi, poch_pm)
-from .ultraspherical import (UltraParams, bilateral_cn, bilateral_cn_range,
-                             classical_cn)
+from .ultraspherical import (UltraParams, _index_lists, bilateral_cn,
+                             bilateral_cn_range, classical_cn)
 
 MAX_NODES = 2 ** 20
 
@@ -132,21 +134,6 @@ def _check_tol(tol) -> None:
         raise DomainError(f"tol must be positive, got {tol}")
 
 
-def _index_pairs(m, n):
-    """(ms, ns, single): the index pairs of integer m and n, or of
-    equal-length integer sequences, as lists; single says m and n were
-    integers."""
-    if np.ndim(m) == 0 and np.ndim(n) == 0:
-        return [m], [n], True
-    ms, ns = np.asarray(m), np.asarray(n)
-    if (ms.ndim != 1 or ms.shape != ns.shape or ms.size == 0
-            or not (np.issubdtype(ms.dtype, np.integer)
-                    and np.issubdtype(ns.dtype, np.integer))):
-        raise DomainError("m and n must be integers or nonempty integer "
-                          "sequences of one length")
-    return ms.tolist(), ns.tolist(), False
-
-
 def _refine(partial_sum, beta: float, q: float, tol,
             policy: TruncationPolicy) -> QuadratureResult:
     """The node-doubling loop.  partial_sum(sp, wts) returns the weighted
@@ -204,8 +191,14 @@ def integrate(f, w: WeightParams, tol: float,
     of them on the one node loop: .value and .last_refinement_delta are
     then arrays over the rows, and the loop runs until every row meets
     tol."""
+    return _integrate(f, w.beta, w.q, tol, policy)
+
+
+def _integrate(f, beta: float, q: float, tol, policy: TruncationPolicy):
+    """integrate against the weight of parameter beta, without the
+    positivity window of WeightParams."""
     return _refine(lambda sp, wts: np.sum(_eval_at(f, sp) * wts, axis=-1),
-                   w.beta, w.q, tol, policy)
+                   beta, q, tol, policy)
 
 
 def orthogonality_entry(m, n, w: WeightParams, tol: float = 1e-10,
@@ -217,7 +210,7 @@ def orthogonality_entry(m, n, w: WeightParams, tol: float = 1e-10,
     m and n may be equal-length integer sequences: the pairs (m[i], n[i])
     then share one node loop, which evaluates each distinct degree once
     per node set, and .value is an array over the pairs."""
-    ms, ns, single = _index_pairs(m, n)
+    ms, ns, single = _index_lists(m, n)
     if min(ms) < 0 or min(ns) < 0:
         raise DomainError("orthogonality_entry needs m, n >= 0")
 
@@ -272,7 +265,7 @@ def kernel_integral_rhs(t1, t2, w: WeightParams,
     return pref * sum_phi(spec, policy)[0]
 
 
-def bilateral_delta_integral(n: int, beta: float, q: float,
+def bilateral_delta_integral(n, beta: float, q: float,
                              tol: float = 1e-9,
                              policy: TruncationPolicy = DEFAULT_POLICY
                              ) -> QuadratureResult:
@@ -285,7 +278,15 @@ def bilateral_delta_integral(n: int, beta: float, q: float,
     beta >= q^{-1/2} is allowed too.  For beta > 1 the integral is over
     the full measure, including mass_points(beta, q), without which the
     identity fails.
+
+    n may be a nonempty integer sequence: its integrals then share one
+    node loop, whose mass points and weights are computed once per level
+    for all of them, and which runs until every n meets tol; .value and
+    .last_refinement_delta are arrays over n.  An n whose integral alone
+    would stop at an earlier level is refined to the last level any n
+    needs.
     """
+    ns, single = _index_lists(n)
     q = check_real_base(q)
     beta = float(beta)
     if beta <= 0:
@@ -296,11 +297,11 @@ def bilateral_delta_integral(n: int, beta: float, q: float,
     params = UltraParams(beta ** 2, 1.0 / beta, q)
 
     def f(sp):
-        return bilateral_cn(n, sp, params, policy).value
+        rows = [bilateral_cn(k, sp, params, policy).value for k in ns]
+        return rows[0] if single else rows
 
     # bypass the WeightParams window check: beta may exceed q^{-1/2}
-    return _refine(lambda sp, wts: np.sum(_eval_at(f, sp) * wts),
-                   beta, q, tol, policy)
+    return _integrate(f, beta, q, tol, policy)
 
 
 def bilateral_delta_rhs(beta: float, q: float,
@@ -387,7 +388,7 @@ def shifted_orthogonality_pair(m, n, params: UltraParams,
     lhs.last_refinement_delta and rhs are then arrays over the pairs.
     """
     _check_tol(tol)
-    ms, ns, single = _index_pairs(m, n)
+    ms, ns, single = _index_lists(m, n)
     q = check_real_base(params.q)
     if params.beta.imag or params.gamma.imag:
         raise DomainError("shifted orthogonality uses real beta, gamma")

@@ -136,6 +136,22 @@ class UltraRange:
                           np.concatenate([r.truncation_terms for r in parts]))
 
 
+def _index_lists(*indices):
+    """(*lists, single): integer indices as one-element lists with single
+    True, or equal-length nonempty integer sequences as lists of Python
+    ints with single False; DomainError otherwise."""
+    if all(np.ndim(i) == 0 for i in indices):
+        if not all(isinstance(i, (int, np.integer)) for i in indices):
+            raise DomainError(f"indices must be integers, got {indices}")
+        return (*([int(i)] for i in indices), True)
+    arrays = [np.asarray(i) for i in indices]
+    if not all(a.ndim == 1 and a.shape == arrays[0].shape and a.size
+               and np.issubdtype(a.dtype, np.integer) for a in arrays):
+        raise DomainError("indices must be integers or nonempty integer "
+                          "sequences of one length")
+    return (*(a.tolist() for a in arrays), False)
+
+
 @functools.lru_cache(maxsize=16)
 def check_pole_lattice(params: UltraParams) -> None:
     """Raise PoleError when gamma or beta*gamma sits on a q-power lattice
@@ -429,6 +445,10 @@ class _RouteUnusable(RegionError):
     """A continuation route does not apply at this point."""
 
 
+class _OutOfRange(_RouteUnusable):
+    """z^2 leaves the double range, so no continuation route applies."""
+
+
 #: the pole expansion continues row n only where its rings do not cancel:
 #: eps sum_k |ring_k| is at most this times |C_n|
 POLE_CANCELLATION = 1e-13
@@ -569,8 +589,8 @@ class _PoleRings:
         except OverflowError as exc:
             raise _RouteUnusable(f"z^n overflowed at n = {n}") from exc
         j = side.index[i]
-        if isinstance(j, str):
-            raise _RouteUnusable(j)
+        if isinstance(j, _RouteUnusable):
+            raise type(j)(*j.args)
         if rings[j] > self.policy.max_terms:
             raise _RouteUnusable(f"C_{n} needs {rings[j]} rings, over max_terms")
         sums, mass, last, k = found[j]     # entries k and k + 1: z and 1/z
@@ -641,12 +661,12 @@ class _PoleSide:
     products each (_pole_products), made at construction, and the ring
     table of H_k(z), H_k(1/z) by the ratio form, rows 2j and 2j + 1 for
     the point of row j, grown on demand.  index[i] is point i's row j, or
-    the reason the expansion refuses at point i: z^2 on the q^Z lattice or
-    out of the double range, or a piece of H_0 that is not finite or not
-    reached; start[j] and aw[j] = |z^2| belong to row j.  The per-point
-    work that is a few operations (the checks, the products' factor
-    counts, the ring starts) is Python arithmetic: at one point numpy's
-    call overhead would outweigh it."""
+    the _RouteUnusable that says why the expansion refuses at point i: z^2
+    on the q^Z lattice or out of the double range (_OutOfRange), or a
+    piece of H_0 that is not finite or not reached; start[j] and aw[j] =
+    |z^2| belong to row j.  The per-point work that is a few operations
+    (the checks, the products' factor counts, the ring starts) is Python
+    arithmetic: at one point numpy's call overhead would outweigh it."""
 
     def __init__(self, rings: _PoleRings, mirrored: bool):
         params, policy = rings.params, rings.policy
@@ -661,12 +681,12 @@ class _PoleSide:
                     raise _RouteUnusable("z^2 on the q^Z lattice, where the "
                                          "poles coalesce")
                 if not 0 < aw < math.inf:
-                    raise _RouteUnusable("z^2 leaves the double range")
+                    raise _OutOfRange("z^2 leaves the double range")
                 head = head or _pole_head(params, mirrored, policy)
                 beta, bg = head.beta, head.bg
                 near = head.near * min(aw, 1 / aw)
                 if not near > 0:
-                    raise _RouteUnusable("z^2 leaves the double range")
+                    raise _OutOfRange("z^2 leaves the double range")
                 try:
                     row = [bg * w, q / (bg * w), w, q / (beta * w),
                            bg / w, q * w / bg, 1 / w, q * w / beta]
@@ -677,7 +697,7 @@ class _PoleSide:
                 except (NonConvergence, ZeroDivisionError) as exc:
                     raise _RouteUnusable(f"H_0 at z = {z}: {exc}") from exc
             except _RouteUnusable as exc:
-                self.index.append(str(exc))
+                self.index.append(exc)
                 continue
             self.index.append(len(counts))
             self.aw.append(aw)
@@ -923,8 +943,9 @@ def _point_rows(n_lo: int, n_hi: int, zs: list, params: UltraParams,
     """Per point of zs (Python complex, all off the annulus), the (values,
     terms) tuples of C_n, n_lo <= n <= n_hi, every row by the route of
     the point: _lattice_rows where z^2 is on the q^Z lattice, else the
-    pole expansion and the 6psi8 where it refuses.  Each block of
-    _POLE_BLOCK points shares one _PoleRings, which tests each point for
+    pole expansion and the 6psi8 where it refuses; where z^2 leaves the
+    double range neither applies, and a RegionError says so.  Each block
+    of _POLE_BLOCK points shares one _PoleRings, which tests each point for
     the lattice in scalar arithmetic (numpy's log could round a point in
     the test's band to the other side) and makes the tables of the points
     off it together; a point's values do not depend on the points it
@@ -944,6 +965,9 @@ def _point_rows(n_lo: int, n_hi: int, zs: list, params: UltraParams,
                 for n in range(n_lo, n_hi + 1):
                     try:
                         rows.append(rings.value(n, i))
+                    except _OutOfRange as exc:
+                        raise RegionError(f"no route gives C_{n} at z = {z}: "
+                                          f"{exc}") from exc
                     except _RouteUnusable:
                         rows.append(_route_value("6psi8", _sixpsi8, n, z,
                                                  params, policy))
@@ -1197,21 +1221,35 @@ def special_value_cm1(params: UltraParams) -> complex:
     return math.sqrt(q) * (1 - gamma) ** 2 / (gamma * (1 - beta))
 
 
-def linearization_residual(m: int, n: int, p: SpectralPoint, beta, q) -> float:
+def linearization_residual(m, n, p: SpectralPoint, beta, q):
     """Residual of the product formula C_m C_n = sum_k coeff(k) C_{m+n-2k}
-    over k = 0..min(m, n), with fully factored coefficients."""
-    if m < 0 or n < 0:
+    over k = 0..min(m, n), with fully factored coefficients.
+
+    m and n may be equal-length integer sequences: the residuals of the
+    pairs (m[i], n[i]) then come back as an array, from one classical_cn
+    per degree and one table (a; q)_j, j = 0..max(m + n), per base a of
+    the coefficients.  Each pair's residual is the one its integer call
+    gives, bit for bit."""
+    ms, ns, single = _index_lists(m, n)
+    if min(ms) < 0 or min(ns) < 0:
         raise DomainError("linearization needs m, n >= 0")
     q = check_base(q)
     beta = complex(beta)
-    lhs = classical_cn(m, p, beta, q) * classical_cn(n, p, beta, q)
-    acc = 0.0 + 0j
-    for k in range(min(m, n) + 1):
-        s = m + n - 2 * k
-        coeff = (poch(q, q, s) * poch(beta, q, m - k) * poch(beta, q, n - k)
-                 * poch(beta, q, k) * poch(beta ** 2, q, m + n - k))
-        coeff /= (poch(beta ** 2, q, s) * poch(q, q, m - k) * poch(q, q, n - k)
-                  * poch(q, q, k) * poch(q * beta, q, m + n - k))
-        coeff *= (1 - beta * q ** s) / (1 - beta)
-        acc += coeff * classical_cn(s, p, beta, q)
-    return abs(lhs - acc) / max(1.0, abs(lhs))
+    top = max(a + b for a, b in zip(ms, ns))
+    degrees = {*ms, *ns} | {a + b - 2 * k for a, b in zip(ms, ns)
+                            for k in range(min(a, b) + 1)}
+    cn = {d: classical_cn(d, p, beta, q) for d in degrees}
+    qq, bq, b2q, qbq = ([poch(a, q, j) for j in range(top + 1)]
+                        for a in (q, beta, beta ** 2, q * beta))
+    out = []
+    for m, n in zip(ms, ns):
+        lhs = cn[m] * cn[n]
+        acc = 0.0 + 0j
+        for k in range(min(m, n) + 1):
+            s = m + n - 2 * k
+            coeff = qq[s] * bq[m - k] * bq[n - k] * bq[k] * b2q[m + n - k]
+            coeff /= (b2q[s] * qq[m - k] * qq[n - k] * qq[k] * qbq[m + n - k])
+            coeff *= (1 - beta * q ** s) / (1 - beta)
+            acc += coeff * cn[s]
+        out.append(abs(lhs - acc) / max(1.0, abs(lhs)))
+    return out[0] if single else np.array(out)

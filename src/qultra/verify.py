@@ -291,22 +291,16 @@ def _continuation_crosscheck(ctx: ResolvedConfig):
     return worst, 1e-10, ctx.base_params(), 0, 0
 
 
-def _dq_classical(ctx: ResolvedConfig):
-    worst = 0.0
-    for p in ctx.points:
-        for n in range(1, 7):
-            worst = max(worst, dq_action_residual(
-                CLASSICAL, n, p, ctx.params, ctx.policy))
-    return worst, 1e-10, ctx.base_params(), 0, 0
-
-
-def _dq_bilateral(ctx: ResolvedConfig):
-    worst = 0.0
-    for p in ctx.points:
-        for n in range(-4, 5):
-            worst = max(worst, dq_action_residual(
-                BILATERAL_KIND, n, p, ctx.params, ctx.policy))
-    return worst, 1e-8, ctx.base_params(), 0, 0
+def _dq_action(kind, ns, gate):
+    def run(ctx: ResolvedConfig):
+        worst = 0.0
+        terms = 0
+        for p in ctx.points:
+            res = dq_action_residual(kind, ns, p, ctx.params, ctx.policy)
+            worst = max(worst, *res.residual.tolist())
+            terms = max(terms, res.terms_used)
+        return worst, gate, ctx.base_params(), terms, 0
+    return run
 
 
 def _orthogonality_offdiag(ctx: ResolvedConfig):
@@ -339,14 +333,11 @@ def _kernel_integral(ctx: ResolvedConfig):
 def _bilateral_delta(ctx: ResolvedConfig):
     q, beta = ctx.cfg["q"], ctx.cfg["beta"]
     rhs0 = bilateral_delta_rhs(beta, q, ctx.policy)
-    worst = 0.0
-    nodes = 0
-    for n in range(-3, 4):
-        res = bilateral_delta_integral(n, beta, q, ctx.cfg["quad_tol"], ctx.policy)
-        target = 1.0 if n == 0 else 0.0
-        worst = max(worst, abs(res.value / rhs0 - target))
-        nodes = max(nodes, res.nodes_used)
-    return worst, 1e-7, {"q": q, "beta": beta}, 0, nodes
+    ns = range(-3, 4)
+    res = bilateral_delta_integral(ns, beta, q, ctx.cfg["quad_tol"], ctx.policy)
+    worst = max(abs(v / rhs0 - (1.0 if n == 0 else 0.0))
+                for n, v in zip(ns, res.value.tolist()))
+    return worst, 1e-7, {"q": q, "beta": beta}, 0, res.nodes_used
 
 
 def _shifted_diag(ctx: ResolvedConfig):
@@ -378,11 +369,10 @@ def _shifted_scaling(ctx: ResolvedConfig):
 
 def _linearization(ctx: ResolvedConfig):
     q, beta = ctx.cfg["q"], ctx.cfg["beta"]
+    ms, ns = zip(*((m, n) for m in range(5) for n in range(5)))
     worst = 0.0
     for p in ctx.points:
-        for m in range(5):
-            for n in range(5):
-                worst = max(worst, linearization_residual(m, n, p, beta, q))
+        worst = max(worst, *linearization_residual(ms, ns, p, beta, q).tolist())
     return worst, 1e-10, {"q": q, "beta": beta}, 0, 0
 
 
@@ -398,8 +388,8 @@ _REGISTRY = {
     "bilateral_cn_symmetry": _symmetry,
     "classical_orthogonality_diagonal": _orthogonality_diag,
     "classical_orthogonality_offdiagonal": _orthogonality_offdiag,
-    "dq_action_bilateral": _dq_bilateral,
-    "dq_action_classical": _dq_classical,
+    "dq_action_bilateral": _dq_action(BILATERAL_KIND, range(-4, 5), 1e-8),
+    "dq_action_classical": _dq_action(CLASSICAL, range(1, 7), 1e-10),
     "generating_function_product": _generating_function,
     "generating_function_coefficients": _gf_fourier,
     "kernel_integral": _kernel_integral,

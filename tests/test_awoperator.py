@@ -1,11 +1,15 @@
+import cmath
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qultra import (SingularPoint, SpectralPoint, UltraParams, apply_dq,
-                    classical_cn, dq_action_residual)
-from qultra.verify import CONFIG_DEFAULTS
+import qultra.awoperator as aw
+from qultra import (DomainError, SingularPoint, SpectralPoint, UltraParams,
+                    apply_dq, bilateral_cn_range, dq_action_residual)
+from qultra.ultraspherical import in_direct_region
+from qultra.verify import CONFIG_DEFAULTS, run_identity
 
 Q, BETA, GAMMA = (CONFIG_DEFAULTS[k] for k in ("q", "beta", "gamma"))
 
@@ -91,3 +95,67 @@ def test_dq_classical_lowest_degree_constant(params, points):
 def test_dq_bilateral_action(n, params, points):
     for p in points:
         assert dq_action_residual("bilateral", n, p, params) <= 1e-8
+
+
+def _one_n_residuals(kind, ns, p, params):
+    return [dq_action_residual(kind, n, p, params) for n in ns]
+
+
+def test_dq_sequence_equals_its_integer_calls(points):
+    # at the defaults every bilateral row of the action (at p q^{+-1/2} and
+    # the lowered family at p) is continued, and a continued row is the
+    # same in a range as alone, so both kinds match bit for bit
+    params = UltraParams(BETA, GAMMA, Q)
+    rq = cmath.sqrt(Q)
+    for p in points:
+        for kind, ns in (("classical", range(1, 7)), ("classical", [5, 2]),
+                         ("bilateral", range(-4, 5)), ("bilateral", [3, -2])):
+            got = dq_action_residual(kind, ns, p, params)
+            assert got.residual.tolist() == _one_n_residuals(kind, ns, p, params)
+            if kind == "classical":
+                assert got.terms_used == 0
+            else:
+                assert got.terms_used == max(
+                    bilateral_cn_range(min(ns) - s, max(ns) - s, sp, fam).truncation_terms.max()
+                    for sp, fam, s in ((p.scaled(rq), params, 0),
+                                       (p.scaled(1.0 / rq), params, 0),
+                                       (p, params.with_beta(Q * BETA), 1)))
+
+
+def test_dq_sequence_over_direct_rows_agrees_to_1e_15(points):
+    # at (q, beta, gamma) = (0.5, 1.5, 0.7) every row comes from the direct
+    # sum, which may round a row of a range differently from the row alone
+    params = UltraParams(1.5, 0.7, 0.5)
+    for p in points:
+        for sp in (p.scaled(0.5 ** 0.5), p.scaled(0.5 ** -0.5)):
+            assert in_direct_region(sp.z, 1.5, 0.5)
+        assert in_direct_region(p.z, 0.75, 0.5)
+        got = dq_action_residual("bilateral", range(-4, 5), p, params).residual
+        want = _one_n_residuals("bilateral", range(-4, 5), p, params)
+        assert max(abs(a - b) for a, b in zip(got.tolist(), want)) <= 1e-15
+        assert max(want) <= 1e-12
+
+
+@pytest.mark.parametrize("n", [[], [[1]], [1.0, 2.0], np.array([True]), 2.0])
+def test_dq_sequences_are_checked(n, params, points):
+    for kind in ("classical", "bilateral"):
+        with pytest.raises(DomainError):
+            dq_action_residual(kind, n, points[0], params)
+    with pytest.raises(DomainError, match="n >= 1"):
+        dq_action_residual("classical", [1, 0], points[0], params)
+
+
+def test_dq_entry_evaluates_each_family_once_per_point(monkeypatch):
+    # 3 points x (p q^{1/2}, p q^{-1/2} and the lowered family at p): 9
+    # range calls, where one call per (point, n) made 81 one-row ones
+    calls = []
+
+    def spy(n_lo, n_hi, p, params, policy):
+        calls.append((n_lo, n_hi))
+        return real(n_lo, n_hi, p, params, policy)
+
+    real = aw.bilateral_cn_range
+    monkeypatch.setattr(aw, "bilateral_cn_range", spy)
+    entry = run_identity("dq_action_bilateral")
+    assert entry.passed and entry.terms_used > 0
+    assert calls == [(-4, 4), (-4, 4), (-5, 3)] * 3

@@ -8,7 +8,8 @@ from qultra import (DomainError, NonConvergence, PoleError, RegionError,
                     SpectralPoint, UltraParams,
                     WeightParams, bilateral_delta_integral, bilateral_delta_rhs,
                     classical_cn, integrate, kernel_integral,
-                    kernel_integral_rhs, mass_points, orthogonality_diagonal,
+                    kernel_integral_rhs, linearization_residual,
+                    mass_points, orthogonality_diagonal,
                     orthogonality_entry, poch, poch_multi,
                     shifted_orthogonality_pair, shifted_orthogonality_rhs,
                     weight_value)
@@ -308,6 +309,51 @@ def test_bilateral_delta_integral_region_error():
         bilateral_delta_integral(0, 0.5, 0.3, 1e-9)  # beta^2 <= q
 
 
+@pytest.mark.parametrize("q, beta", [(Q, BETA), (0.5, 0.9), (0.5, 3.0), (0.1, 0.95)])
+def test_bilateral_delta_sequence_agrees_with_its_integer_calls(q, beta):
+    # one node loop for every n runs to the last level any n needs: an n
+    # that stops there alone gives the same bits, the others agree within tol
+    tol = 1e-9
+    ns = range(-3, 4)
+    seq = bilateral_delta_integral(ns, beta, q, tol)
+    assert seq.value.shape == seq.last_refinement_delta.shape == (len(ns),)
+    assert np.all(seq.last_refinement_delta < tol)
+    for n, got in zip(ns, seq.value.tolist()):
+        one = bilateral_delta_integral(n, beta, q, tol)
+        assert isinstance(one.value, complex) and one.nodes_used <= seq.nodes_used
+        assert abs(got - one.value) <= tol
+        if one.nodes_used == seq.nodes_used:
+            assert got == one.value
+
+
+@pytest.mark.parametrize("n", [[], [[0]], [0.5, 1.0], (0, "1"), 1.0])
+def test_bilateral_delta_sequences_are_checked(n):
+    with pytest.raises(DomainError):
+        bilateral_delta_integral(n, BETA, Q)
+
+
+@pytest.mark.parametrize("q, beta", [(Q, BETA), (0.5, 1.5)])
+def test_delta_entry_computes_the_measure_once_per_level(q, beta, monkeypatch):
+    # the entry's seven n share the mass points and each level's weights
+    from qultra.verify import run_identity
+    calls = {"mass": 0, "weight": 0}
+
+    def counted(key, real):
+        def spy(*args):
+            calls[key] += 1
+            return real(*args)
+        return spy
+
+    monkeypatch.setattr(quad, "mass_points", counted("mass", quad.mass_points))
+    monkeypatch.setattr(quad, "_circle_weight", counted("weight", _circle_weight))
+    entry = run_identity("bilateral_delta_integral", {"q": q, "beta": beta})
+    assert entry.passed and not entry.skipped
+    masses = len(mass_points(beta, q)[0])
+    levels = round(math.log2((entry.nodes_used - masses + 1) / 64)) + 1
+    assert entry.nodes_used == 64 * 2 ** (levels - 1) - 1 + masses
+    assert calls == {"mass": 1, "weight": levels}
+
+
 def test_shifted_orthogonality_diagonal(params):
     for n in (-1, 0, 2):
         lhs, rhs = shifted_orthogonality_pair(n, n, params, 1e-6)
@@ -425,12 +471,14 @@ def test_sequence_with_a_divergent_pair_raises():
 
 
 @pytest.mark.parametrize("m, n", [([0, 1], [0]), ([], []), ([[0]], [[0]]),
-                                  ([0.5], [1]), ([0, 1], 1)])
+                                  ([0.5], [1]), ([0, 1], 1), (1.0, 1)])
 def test_index_pairs_must_be_integer_sequences_of_one_length(m, n, params):
     with pytest.raises(DomainError):
         orthogonality_entry(m, n, WeightParams(BETA, Q))
     with pytest.raises(DomainError):
         shifted_orthogonality_pair(m, n, params)
+    with pytest.raises(DomainError):
+        linearization_residual(m, n, SpectralPoint.from_theta(0.4), BETA, Q)
 
 
 def test_a_tolerance_that_is_not_positive_is_refused_before_any_work(
@@ -447,6 +495,7 @@ def test_a_tolerance_that_is_not_positive_is_refused_before_any_work(
                  lambda: orthogonality_entry([0, 1], [0, 1], w, tol),
                  lambda: kernel_integral(0.4, -0.25, w, tol),
                  lambda: bilateral_delta_integral(0, BETA, Q, tol),
+                 lambda: bilateral_delta_integral([0, 1], BETA, Q, tol),
                  lambda: shifted_orthogonality_pair(0, 0, params, tol),
                  lambda: shifted_orthogonality_pair([0, 1], [0, 1], params, tol)]
         for call in calls:

@@ -317,6 +317,17 @@ def test_linearization(m, n, points):
         assert linearization_residual(m, n, p, BETA, Q) <= 1e-11
 
 
+def test_linearization_sequence_equals_its_pair_calls_bit_for_bit(points):
+    # one classical_cn per degree and one (a; q)_j table per base serve
+    # every pair, with the arithmetic of the integer call
+    ms, ns = zip(*((m, n) for m in range(6) for n in range(6)))
+    for p in points + [SpectralPoint(0.7 + 0.9j), SpectralPoint(2.1 - 0.3j)]:
+        for beta, q in ((BETA, Q), (1.5, 0.5), (-0.5 + 0.2j, 0.7)):
+            got = linearization_residual(ms, ns, p, beta, q)
+            assert got.tolist() == [linearization_residual(m, n, p, beta, q)
+                                    for m, n in zip(ms, ns)]
+
+
 def test_bilateral_region_error_when_no_route():
     # gamma makes both continuation conditions fail and alpha sits on the
     # lattice, so the far-out real point cannot be evaluated
@@ -1221,7 +1232,8 @@ def test_many_point_call_raises_the_first_error_of_its_points():
 def test_point_whose_square_leaves_the_double_range_raises_a_typed_error():
     # z^2 overflows: the region mask puts z outside the annulus without a
     # warning, the lattice test puts it off the lattice, and the row ends
-    # in a typed error, where a bare OverflowError escaped
+    # in a RegionError that names the overflow, where a bare OverflowError
+    # escaped and then the 6psi8's "complex division by zero" was reported
     params = UltraParams(BETA, GAMMA, Q)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -1229,5 +1241,7 @@ def test_point_whose_square_leaves_the_double_range_raises_a_typed_error():
             assert not direct_region_mask(np.array([z]), BETA, Q).any()
             assert not us._on_q_lattice(z * z, Q)
             for p in (SpectralPoint(z), SpectralPoint(np.array([0.5j, z]))):
-                with pytest.raises(QSeriesError):
+                # the pole expansion's own reason, without a 6psi8 attempt
+                with pytest.raises(RegionError, match=r"no route gives C_0 at "
+                                   r"z = .*: z\^2 leaves the double range"):
                     bilateral_cn(0, p, params)

@@ -43,7 +43,7 @@ def test_suite_entries_report_terms_and_nodes(default_report):
     for name in ("bilateral_cn_recurrence", "bilateral_cn_symmetry",
                  "bilateral_cn_constant_terms", "bilateral_cn_gamma_one_reduction",
                  "generating_function_product", "generating_function_coefficients",
-                 "ramanujan_1psi1"):
+                 "ramanujan_1psi1", "dq_action_bilateral"):
         assert entries[name].terms_used > 0, name
 
 
@@ -212,6 +212,21 @@ def test_suite_integrals_reach_the_public_names(monkeypatch):
         calls.clear()
         assert run_identity(entry).passed, entry
         assert name in calls, entry
+
+
+def test_linearization_entry_evaluates_each_degree_once_per_point(monkeypatch):
+    # degrees 0..8 serve the 25 pairs (m, n) of 0..4 at each of 3 points
+    import qultra.ultraspherical as us
+    calls = []
+
+    def spy(n, p, beta, q, _real=us.classical_cn):
+        calls.append(n)
+        return _real(n, p, beta, q)
+
+    monkeypatch.setattr(us, "classical_cn", spy)
+    entry = run_identity("linearization")
+    assert entry.passed
+    assert len(calls) <= 9 * 3 and sorted(set(calls)) == list(range(9))
 
 
 # ---- CLI ----
