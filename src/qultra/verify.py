@@ -1,41 +1,42 @@
 """Named-identity verification suite and machine-readable reports.
 
-Every identity the library implements is registered here with a runner
-that returns a scaled residual, the tolerance it is held to, and
-truncation diagnostics.  ``run_suite`` executes the registry on a
-configuration, capturing per-entry errors: entries whose region or pole
-preconditions fail are marked skipped (listed but not failing), entries
-that exhaust a budget or raise an internal error (an exception that is not
-a QSeriesError, such as ZeroDivisionError) are marked failed with a note
-naming the exception type, and the report is fully deterministic --
-identical configurations produce byte-identical JSON.
+Each identity is one row of ``_REGISTRY``: its runner, the gate on its
+residual, its residual rule (a name in ``RULES``) and the config keys and
+fixed values its entry reports.  A runner returns ``(lhs, rhs, scale,
+evaluated)``: ``_worst`` reduces the first three by the row's rule, and
+``_counts`` takes terms and nodes from ``evaluated``.  ``run_suite`` never
+aborts on an entry: an unmet hypothesis (RegionError, PoleError,
+DomainError, SingularPoint) skips it, NonConvergence or an internal error
+(an exception that is not a QSeriesError) fails it, and the note names
+the exception.  Identical configurations give byte-identical JSON.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
+from functools import cached_property, partial
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .errors import (ConfigError, DomainError, NonConvergence, PoleError,
-                     QSeriesError, RegionError)
+                     QSeriesError, RegionError, SingularPoint)
 from .hyperseries import (BILATERAL, SeriesSpec, closed_form, sum_psi,
                           transform_residual)
 from .qcore import TAIL_WINDOW, SpectralPoint, TruncationPolicy
-from .quadrature import (WeightParams, bilateral_delta_integral,
-                         bilateral_delta_rhs, kernel_integral,
-                         kernel_integral_rhs, orthogonality_diagonal,
-                         orthogonality_entry, shifted_orthogonality_pair,
-                         shifted_orthogonality_rhs)
+from .quadrature import (QuadratureResult, WeightParams,
+                         bilateral_delta_integral, bilateral_delta_rhs,
+                         kernel_integral, kernel_integral_rhs,
+                         orthogonality_diagonal, orthogonality_entry,
+                         shifted_orthogonality_pair, shifted_orthogonality_rhs)
 from .ultraspherical import (BILATERAL_KIND, CLASSICAL, UltraParams,
-                             bilateral_cn, bilateral_cn_6psi8,
-                             bilateral_cn_bailey, bilateral_cn_psi_form,
-                             bilateral_cn_range, classical_cn, constant_term,
-                             generating_rhs, linearization_residual,
-                             recurrence_gap, special_value_c0, symmetry_gap,
-                             symmetry_params)
-from .awoperator import dq_action_residual
+                             UltraRange, UltraValue, bilateral_cn,
+                             bilateral_cn_6psi8, bilateral_cn_bailey,
+                             bilateral_cn_psi_form, bilateral_cn_range,
+                             classical_cn, constant_term, generating_rhs,
+                             linearization_residual, recurrence_gap,
+                             special_value_c0, symmetry_gap, symmetry_params)
+from .awoperator import DqResiduals, dq_action_residual
 
 SUITE_VERSION = "1"
 
@@ -96,8 +97,8 @@ class ResolvedConfig:
             except (TypeError, ValueError) as exc:
                 raise ConfigError(f"config key {key}: malformed value {raw!r}") from exc
         self.cfg = cfg
-        if not cfg["thetas"]:
-            raise ConfigError("thetas must hold at least one angle")
+        if not cfg["thetas"] or not np.isfinite(cfg["thetas"]).all():
+            raise ConfigError("thetas must hold at least one angle, each finite")
         try:
             self.policy = TruncationPolicy(cfg["rel_tol"], cfg["max_terms"])
         except DomainError as exc:
@@ -110,84 +111,105 @@ class ResolvedConfig:
             raise ConfigError(str(exc)) from exc
         self.points = tuple(SpectralPoint.from_theta(t) for t in cfg["thetas"])
 
-    @functools.cached_property
+    @cached_property
     def rng(self):
         # made on first use: eval and table never import numpy.random
         return np.random.default_rng(self.cfg["seed"])
 
     def base_params(self) -> dict:
-        return {"q": self.cfg["q"], "beta": self.cfg["beta"],
-                "gamma": self.cfg["gamma"]}
+        return {key: self.cfg[key] for key in ("q", "beta", "gamma")}
+
+
+#: residual of one (lhs, rhs, scale) triple, by rule name
+RULES = {
+    "given": lambda l, r, s: l,                        # lhs is a residual
+    "absolute": lambda l, r, s: abs(l - r),
+    "relative": lambda l, r, s: abs(l - r) / abs(s),
+    "unit": lambda l, r, s: abs(l - r) / max(1.0, abs(l)),
+    "ratio": lambda l, r, s: abs(l / s - r),
+}
+
+
+def _worst(rule: str, lhs, rhs=None, scale=None) -> float:
+    """The largest residual of the row's rule over the items of lhs, each
+    in Python scalars; rhs and scale are lists like lhs, or one scalar that
+    stands for every item.  0.0 when lhs is empty; nan when any item is."""
+    lhs = lhs if isinstance(lhs, list) else [lhs]
+    rhs, scale = (v if isinstance(v, list) else [v] * len(lhs) for v in (rhs, scale))
+    residual = RULES[rule]
+    return float(np.max([0.0, *(residual(l, r, s) for l, r, s
+                                in zip(lhs, rhs, scale, strict=True))]))
+
+
+def _counts(evaluated) -> tuple:
+    """(terms_used, nodes_used): the most terms any evaluated object
+    summed, and the most nodes any integral used."""
+    terms, nodes = [0], [0]
+    for obj in evaluated:
+        if isinstance(obj, QuadratureResult):
+            nodes.append(obj.nodes_used)
+        elif isinstance(obj, DqResiduals):
+            terms.append(obj.terms_used)
+        elif isinstance(obj, (UltraRange, UltraValue)):
+            terms.append(np.max(obj.truncation_terms))
+        else:   # the term count of a sum_psi
+            terms.append(obj)
+    return int(max(terms)), int(max(nodes))
 
 
 def _ramanujan_1psi1(ctx: ResolvedConfig):
     q = ctx.cfg["q"]
-    worst = 0.0
-    terms = 0
+    lhs, rhs, used = [], [], []
     for _ in range(20):
-        amod = ctx.rng.uniform(0.5, 1.1)
-        aarg = ctx.rng.uniform(0.0, 2 * np.pi)
-        a = amod * np.exp(1j * aarg)
+        a = ctx.rng.uniform(0.5, 1.1) * np.exp(1j * ctx.rng.uniform(0.0, 2 * np.pi))
         b = a * ctx.rng.uniform(0.05, 0.3) * np.exp(1j * ctx.rng.uniform(0.0, 2 * np.pi))
         z = ctx.rng.uniform(0.45, 0.9) * np.exp(1j * ctx.rng.uniform(0.0, 2 * np.pi))
-        lhs, used = sum_psi(SeriesSpec(BILATERAL, (a,), (b,), q, z), ctx.policy)
-        rhs = closed_form("ramanujan_1psi1", (a, b, z), q, ctx.policy)
-        worst = max(worst, abs(lhs - rhs) / max(1.0, abs(lhs)))
-        terms = max(terms, used)
-    return worst, 1e-9, ctx.base_params(), terms, 0
+        value, terms = sum_psi(SeriesSpec(BILATERAL, (a,), (b,), q, z), ctx.policy)
+        lhs.append(value)
+        rhs.append(closed_form("ramanujan_1psi1", (a, b, z), q, ctx.policy))
+        used.append(terms)
+    return lhs, rhs, None, used
 
 
-def _transform(name):
-    def run(ctx: ResolvedConfig):
-        q = ctx.cfg["q"]
-        worst = 0.0
-        for _ in range(10):
-            if name == "wellpoised_6psi8":
-                base = np.array([0.5, 0.9, 0.8, 0.7, 0.6])
-            else:
-                base = np.array([0.9, 0.8, 0.1, 0.2, 0.5])
-            while True:
-                jitter = base * ctx.rng.uniform(0.85, 1.15, size=5)
-                try:
-                    worst = max(worst, transform_residual(name, jitter, q, ctx.policy))
-                    break
-                except RegionError:
-                    continue
-        return worst, 1e-9, ctx.base_params(), 0, 0
-    return run
+def _transform(name, ctx: ResolvedConfig):
+    base = np.array([0.5, 0.9, 0.8, 0.7, 0.6] if name == "wellpoised_6psi8"
+                    else [0.9, 0.8, 0.1, 0.2, 0.5])
+    gaps = []
+    for _ in range(10):
+        while True:
+            jitter = base * ctx.rng.uniform(0.85, 1.15, size=5)
+            try:
+                gaps.append(transform_residual(name, jitter, ctx.cfg["q"], ctx.policy))
+                break
+            except RegionError:
+                continue
+    return gaps, None, None, ()
 
 
-def _gamma_one_reduction(ctx: ResolvedConfig):
+def _gamma_one_reduction(ctx: ResolvedConfig, gamma):
+    """C_n(x; beta, 1), n = 0..8, against the classical polynomials (the
+    lhs, so that max(1, |C_n|) scales the unit rule)."""
     q, beta = ctx.cfg["q"], ctx.cfg["beta"]
-    reduced = ctx.params.with_gamma(1.0)
-    worst = 0.0
-    terms = 0
+    reduced = ctx.params.with_gamma(gamma)
+    refs, values, ranges = [], [], []
     for p in ctx.points:
-        rows = bilateral_cn_range(0, 8, p, reduced, ctx.policy)
-        terms = max(terms, rows.truncation_terms.max())
-        for n in range(0, 9):
-            ref = classical_cn(n, p, beta, q)
-            worst = max(worst, abs(rows[n] - ref) / max(1.0, abs(ref)))
-    return worst, 1e-10, ctx.base_params() | {"gamma": 1.0}, terms, 0
+        ranges.append(bilateral_cn_range(0, 8, p, reduced, ctx.policy))
+        values += ranges[-1].values.tolist()
+        refs += [classical_cn(n, p, beta, q) for n in range(0, 9)]
+    return refs, values, None, ranges
 
 
 def _bilateral_recurrence(ctx: ResolvedConfig):
-    worst = 0.0
-    terms = 0
-    for p in ctx.points:
-        rows = bilateral_cn_range(-7, 7, p, ctx.params, ctx.policy)
-        terms = max(terms, rows.truncation_terms.max())
-        for n in range(-6, 7):
-            worst = max(worst, recurrence_gap(n, p, ctx.params, rows[n - 1],
-                                              rows[n], rows[n + 1]))
-    return worst, 1e-10, ctx.base_params(), terms, 0
+    ranges = [bilateral_cn_range(-7, 7, p, ctx.params, ctx.policy) for p in ctx.points]
+    gaps = [recurrence_gap(n, p, ctx.params, rows[n - 1], rows[n], rows[n + 1])
+            for p, rows in zip(ctx.points, ranges) for n in range(-6, 7)]
+    return gaps, None, None, ranges
 
 
 def _generating_function(ctx: ResolvedConfig):
     t = ctx.cfg["t"]
     max_n = ctx.policy.max_terms  # largest |n| summed: the term budget
-    worst = 0.0
-    terms = 0
+    sums, rhss, ranges = [], [], []
     for p in ctx.points:
         rhs = generating_rhs(BILATERAL_KIND, t, p, ctx.params, ctx.policy)
         rows = bilateral_cn_range(-16, 16, p, ctx.params, ctx.policy)
@@ -207,127 +229,102 @@ def _generating_function(ctx: ResolvedConfig):
             n += 1
             if n > max_n:
                 raise NonConvergence("generating-function sum failed to settle")
-        terms = max(terms, rows.truncation_terms.max())
-        worst = max(worst, abs(acc - rhs) / abs(rhs))
-    return worst, 1e-8, ctx.base_params() | {"t": t}, terms, 0
+        sums.append(acc)
+        rhss.append(rhs)
+        ranges.append(rows)
+    return sums, rhss, rhss, ranges
 
 
 def _gf_fourier(ctx: ResolvedConfig):
     """Laurent coefficients of the generating function on |t| = r recover
     the functions: 2^j-point circle sampling, doubled until stable."""
     r = ctx.cfg["t"]
-    worst = 0.0
-    terms = 0
+    extracted, values, ranges = [], [], []
     for p in ctx.points:
-        m = 64
-        prev = None
+        m, prev = 64, None
         while True:
             phis = 2 * np.pi * np.arange(m) / m
             samples = generating_rhs(BILATERAL_KIND, r * np.exp(1j * phis), p,
                                      ctx.params, ctx.policy)
             coeff = np.fft.fft(samples) / m
-            if prev is not None:
-                agree = max(abs(coeff[n] - prev[n]) for n in range(-4, 5))
-                if agree < 1e-9:
-                    break
+            if prev is not None and all(abs(coeff[n] - prev[n]) < 1e-9
+                                        for n in range(-4, 5)):
+                break
             prev = coeff
             m *= 2
             if m > 4096:
                 raise NonConvergence("coefficient extraction failed to settle")
-        rows = bilateral_cn_range(-4, 4, p, ctx.params, ctx.policy)
-        terms = max(terms, rows.truncation_terms.max())
-        for n in range(-4, 5):
-            extracted = coeff[n % m] / r ** n
-            worst = max(worst, abs(extracted - rows[n]))
-    return worst, 1e-7, ctx.base_params() | {"t": r}, terms, 0
+        ranges.append(bilateral_cn_range(-4, 4, p, ctx.params, ctx.policy))
+        values += ranges[-1].values.tolist()
+        extracted += [coeff[n % m] / r ** n for n in range(-4, 5)]
+    return extracted, values, None, ranges
 
 
 def _symmetry(ctx: ResolvedConfig):
-    worst = 0.0
-    terms = 0
+    gaps, ranges = [], []
     for p in ctx.points:
         rows = bilateral_cn_range(-4, 4, p, ctx.params, ctx.policy)
         mirror = bilateral_cn_range(-4, 4, p, symmetry_params(ctx.params),
                                     ctx.policy)
-        terms = max(terms, rows.truncation_terms.max(),
-                    mirror.truncation_terms.max())
-        for n in range(-4, 5):
-            worst = max(worst, symmetry_gap(n, ctx.params, rows[n], mirror[-n]))
-    return worst, 1e-10, ctx.base_params(), terms, 0
+        ranges += [rows, mirror]
+        gaps += [symmetry_gap(n, ctx.params, rows[n], mirror[-n]) for n in range(-4, 5)]
+    return gaps, None, None, ranges
 
 
 def _constant_terms(ctx: ResolvedConfig):
     rows = bilateral_cn_range(-4, 4, SpectralPoint(1j), ctx.params, ctx.policy)
-    worst = 0.0
-    for n in range(-4, 5):
-        worst = max(worst, abs(rows[n] - constant_term(n, ctx.params, ctx.policy)))
-    return worst, 1e-9, ctx.base_params(), rows.truncation_terms.max(), 0
+    refs = [constant_term(n, ctx.params, ctx.policy) for n in range(-4, 5)]
+    return rows.values.tolist(), refs, None, (rows,)
 
 
 def _special_value_c0(ctx: ResolvedConfig):
-    q = ctx.cfg["q"]
-    p = SpectralPoint(complex(q ** 0.25))
+    p = SpectralPoint(complex(ctx.cfg["q"] ** 0.25))
     uv = bilateral_cn(0, p, ctx.params, ctx.policy)
     ref = special_value_c0(ctx.params, ctx.policy)
-    resid = abs(uv.value - ref) / abs(ref)
-    return resid, 1e-10, ctx.base_params(), uv.truncation_terms, 0
+    return uv.value, ref, ref, (uv,)
 
 
-def _continuation_crosscheck(ctx: ResolvedConfig):
+def _crosscheck(ctx: ResolvedConfig):
     """The two analytic-continuation routes agree where both apply, and
     the direct sum matches the well-poised 2psi2 form in-region."""
-    q = ctx.cfg["q"]
-    worst = 0.0
+    lhs, rhs = [], []
     for p in ctx.points:
         for n in (-2, 0, 1):
-            direct = bilateral_cn(n, p, ctx.params, ctx.policy).value
-            psi = bilateral_cn_psi_form(n, p, ctx.params, ctx.policy)
-            worst = max(worst, abs(direct - psi) / max(1.0, abs(direct)))
+            lhs.append(bilateral_cn(n, p, ctx.params, ctx.policy).value)
+            rhs.append(bilateral_cn_psi_form(n, p, ctx.params, ctx.policy))
     for n in (-1, 0):
-        z = complex(q ** 0.5) * np.exp(0.4j)
-        a = bilateral_cn_6psi8(n, z, ctx.params, ctx.policy).value
-        b = bilateral_cn_bailey(n, z, ctx.params, ctx.policy).value
-        worst = max(worst, abs(a - b) / max(1.0, abs(a)))
-    return worst, 1e-10, ctx.base_params(), 0, 0
+        z = complex(ctx.cfg["q"] ** 0.5) * np.exp(0.4j)
+        lhs.append(bilateral_cn_6psi8(n, z, ctx.params, ctx.policy).value)
+        rhs.append(bilateral_cn_bailey(n, z, ctx.params, ctx.policy).value)
+    return lhs, rhs, None, ()
 
 
-def _dq_action(kind, ns, gate):
-    def run(ctx: ResolvedConfig):
-        worst = 0.0
-        terms = 0
-        for p in ctx.points:
-            res = dq_action_residual(kind, ns, p, ctx.params, ctx.policy)
-            worst = max(worst, *res.residual.tolist())
-            terms = max(terms, res.terms_used)
-        return worst, gate, ctx.base_params(), terms, 0
-    return run
+def _dq_action(kind, ns, ctx: ResolvedConfig):
+    results = [dq_action_residual(kind, ns, p, ctx.params, ctx.policy)
+               for p in ctx.points]
+    return [g for r in results for g in r.residual.tolist()], None, None, results
 
 
-def _orthogonality_offdiag(ctx: ResolvedConfig):
+def _orth_offdiag(ctx: ResolvedConfig):
     w = WeightParams(ctx.cfg["beta"], ctx.cfg["q"])
     pairs = [(0, 0)] + [(m, n) for m in range(7) for n in range(m + 1, 7)]
     res = orthogonality_entry(*zip(*pairs), w, ctx.cfg["quad_tol"], ctx.policy)
-    scale, *offdiag = res.value.tolist()
-    worst = max(abs(v) / abs(scale) for v in offdiag)
-    return worst, 1e-9, {"q": ctx.cfg["q"], "beta": ctx.cfg["beta"]}, 0, res.nodes_used
+    norm, *offdiag = res.value.tolist()
+    return offdiag, 0.0, norm, (res,)
 
 
-def _orthogonality_diag(ctx: ResolvedConfig):
+def _orth_diag(ctx: ResolvedConfig):
     w = WeightParams(ctx.cfg["beta"], ctx.cfg["q"])
     res = orthogonality_entry(range(7), range(7), w, ctx.cfg["quad_tol"], ctx.policy)
     refs = [orthogonality_diagonal(n, w, ctx.policy) for n in range(7)]
-    worst = max(abs(v - ref) / abs(ref) for v, ref in zip(res.value.tolist(), refs))
-    return worst, 1e-8, {"q": ctx.cfg["q"], "beta": ctx.cfg["beta"]}, 0, res.nodes_used
+    return res.value.tolist(), refs, refs, (res,)
 
 
-def _kernel_integral(ctx: ResolvedConfig):
+def _kernel_integral(ctx: ResolvedConfig, t1, t2):
     w = WeightParams(ctx.cfg["beta"], ctx.cfg["q"])
-    t1, t2 = 0.4, -0.25
     res = kernel_integral(t1, t2, w, ctx.cfg["quad_tol"], ctx.policy)
     ref = kernel_integral_rhs(t1, t2, w, ctx.policy)
-    resid = abs(res.value - ref) / abs(ref)
-    return resid, 1e-8, {"q": ctx.cfg["q"], "beta": ctx.cfg["beta"],
-                         "t1": t1, "t2": t2}, 0, res.nodes_used
+    return res.value, ref, ref, (res,)
 
 
 def _bilateral_delta(ctx: ResolvedConfig):
@@ -335,70 +332,77 @@ def _bilateral_delta(ctx: ResolvedConfig):
     rhs0 = bilateral_delta_rhs(beta, q, ctx.policy)
     ns = range(-3, 4)
     res = bilateral_delta_integral(ns, beta, q, ctx.cfg["quad_tol"], ctx.policy)
-    worst = max(abs(v / rhs0 - (1.0 if n == 0 else 0.0))
-                for n, v in zip(ns, res.value.tolist()))
-    return worst, 1e-7, {"q": q, "beta": beta}, 0, res.nodes_used
+    return res.value.tolist(), [1.0 if n == 0 else 0.0 for n in ns], rhs0, (res,)
 
 
 def _shifted_diag(ctx: ResolvedConfig):
     ns = range(-2, 3)
     lhs, rhs = shifted_orthogonality_pair(ns, ns, ctx.params,
                                           ctx.cfg["shifted_tol"], ctx.policy)
-    worst = max(abs(v / r - 1.0) for v, r in zip(lhs.value.tolist(), rhs.tolist()))
-    return worst, 1e-6, ctx.base_params(), 0, lhs.nodes_used
+    return lhs.value.tolist(), 1.0, rhs.tolist(), (lhs,)
 
 
 def _shifted_offdiag(ctx: ResolvedConfig):
-    scale = abs(shifted_orthogonality_rhs(ctx.params, ctx.policy))
+    norm = shifted_orthogonality_rhs(ctx.params, ctx.policy)
     lhs, _ = shifted_orthogonality_pair((0, 1), (2, -1), ctx.params,
                                         ctx.cfg["shifted_tol"], ctx.policy)
-    worst = max(abs(v) / scale for v in lhs.value.tolist())
-    return worst, 1e-6, ctx.base_params(), 0, lhs.nodes_used
+    return lhs.value.tolist(), 0.0, norm, (lhs,)
 
 
 def _shifted_scaling(ctx: ResolvedConfig):
-    beta, gamma, q = ctx.cfg["beta"], ctx.cfg["gamma"], ctx.cfg["q"]
-    scale = beta ** 2 * gamma / q
+    ratio = ctx.cfg["beta"] ** 2 * ctx.cfg["gamma"] / ctx.cfg["q"]
     rhs0 = shifted_orthogonality_rhs(ctx.params, ctx.policy)
-    worst = 0.0
-    for n in (-2, -1, 1, 2):
-        rhs = shifted_orthogonality_rhs(ctx.params, ctx.policy, n)
-        worst = max(worst, abs(rhs - rhs0 * scale ** n))
-    return worst, 1e-15, ctx.base_params(), 0, 0
+    ns = (-2, -1, 1, 2)
+    return ([shifted_orthogonality_rhs(ctx.params, ctx.policy, n) for n in ns],
+            [rhs0 * ratio ** n for n in ns], None, ())
 
 
 def _linearization(ctx: ResolvedConfig):
-    q, beta = ctx.cfg["q"], ctx.cfg["beta"]
     ms, ns = zip(*((m, n) for m in range(5) for n in range(5)))
-    worst = 0.0
-    for p in ctx.points:
-        worst = max(worst, *linearization_residual(ms, ns, p, beta, q).tolist())
-    return worst, 1e-10, {"q": q, "beta": beta}, 0, 0
+    beta, q = ctx.cfg["beta"], ctx.cfg["q"]
+    gaps = [linearization_residual(ms, ns, p, beta, q).tolist() for p in ctx.points]
+    return [g for row in gaps for g in row], None, None, ()
 
 
+class Row(NamedTuple):
+    """An identity: ``run(ctx, **fixed)`` gives (lhs, rhs, scale, evaluated),
+    whose ``rule`` residual must not exceed ``gate``."""
+
+    run: Callable
+    gate: float
+    rule: str
+    keys: tuple = ("q", "beta", "gamma")
+    fixed: dict = {}    # read only
+
+
+_QB = ("q", "beta")
+_QBGT = ("q", "beta", "gamma", "t")
 _REGISTRY = {
-    "bailey_2psi2_iterated": _transform("bailey_2psi2_iterated"),
-    "bailey_2psi2_single": _transform("bailey_2psi2_single"),
-    "bilateral_delta_integral": _bilateral_delta,
-    "bilateral_cn_recurrence": _bilateral_recurrence,
-    "bilateral_cn_constant_terms": _constant_terms,
-    "bilateral_cn_continuation_crosscheck": _continuation_crosscheck,
-    "bilateral_cn_gamma_one_reduction": _gamma_one_reduction,
-    "bilateral_cn_special_value_c0": _special_value_c0,
-    "bilateral_cn_symmetry": _symmetry,
-    "classical_orthogonality_diagonal": _orthogonality_diag,
-    "classical_orthogonality_offdiagonal": _orthogonality_offdiag,
-    "dq_action_bilateral": _dq_action(BILATERAL_KIND, range(-4, 5), 1e-8),
-    "dq_action_classical": _dq_action(CLASSICAL, range(1, 7), 1e-10),
-    "generating_function_product": _generating_function,
-    "generating_function_coefficients": _gf_fourier,
-    "kernel_integral": _kernel_integral,
-    "linearization": _linearization,
-    "ramanujan_1psi1": _ramanujan_1psi1,
-    "shifted_orthogonality_diagonal": _shifted_diag,
-    "shifted_orthogonality_offdiagonal": _shifted_offdiag,
-    "shifted_orthogonality_scaling": _shifted_scaling,
-    "wellpoised_6psi8": _transform("wellpoised_6psi8"),
+    **{name: Row(partial(_transform, name), 1e-9, "given") for name in
+       ("bailey_2psi2_iterated", "bailey_2psi2_single", "wellpoised_6psi8")},
+    "bilateral_delta_integral": Row(_bilateral_delta, 1e-7, "ratio", _QB),
+    "bilateral_cn_recurrence": Row(_bilateral_recurrence, 1e-10, "given"),
+    "bilateral_cn_constant_terms": Row(_constant_terms, 1e-9, "absolute"),
+    "bilateral_cn_continuation_crosscheck": Row(_crosscheck, 1e-10, "unit"),
+    "bilateral_cn_gamma_one_reduction": Row(_gamma_one_reduction, 1e-10, "unit",
+                                            fixed={"gamma": 1.0}),
+    "bilateral_cn_special_value_c0": Row(_special_value_c0, 1e-10, "relative"),
+    "bilateral_cn_symmetry": Row(_symmetry, 1e-10, "given"),
+    "classical_orthogonality_diagonal": Row(_orth_diag, 1e-8, "relative", _QB),
+    "classical_orthogonality_offdiagonal": Row(_orth_offdiag, 1e-9, "relative", _QB),
+    "dq_action_bilateral": Row(partial(_dq_action, BILATERAL_KIND, range(-4, 5)), 1e-8,
+                               "given"),
+    "dq_action_classical": Row(partial(_dq_action, CLASSICAL, range(1, 7)), 1e-10,
+                               "given"),
+    "generating_function_product": Row(_generating_function, 1e-8, "relative", _QBGT),
+    "generating_function_coefficients": Row(_gf_fourier, 1e-7, "absolute", _QBGT),
+    "kernel_integral": Row(_kernel_integral, 1e-8, "relative", _QB,
+                           {"t1": 0.4, "t2": -0.25}),
+    "linearization": Row(_linearization, 1e-10, "given", _QB),
+    "ramanujan_1psi1": Row(_ramanujan_1psi1, 1e-9, "unit"),
+    "shifted_orthogonality_diagonal": Row(_shifted_diag, 1e-6, "ratio"),
+    "shifted_orthogonality_offdiagonal": Row(_shifted_offdiag, 1e-6, "relative"),
+    "shifted_orthogonality_scaling": Row(_shifted_scaling, 1e-15, "absolute"),
 }
 
 
@@ -410,37 +414,36 @@ def run_identity(name: str, config: dict | None = None) -> VerificationEntry:
     """Run one registered identity check at the given configuration."""
     if name not in _REGISTRY:
         raise ConfigError(f"unknown identity {name!r}; known: {', '.join(identity_names())}")
-    ctx = ResolvedConfig(config)
-    return _run_one(name, ctx)
+    return _run_one(name, ResolvedConfig(config))
 
 
 def _run_one(name: str, ctx: ResolvedConfig) -> VerificationEntry:
+    row = _REGISTRY[name]
     try:
-        residual, tol, params, terms, nodes = _REGISTRY[name](ctx)
-    except (RegionError, PoleError, DomainError) as exc:
-        return VerificationEntry(name, ctx.base_params(), 0.0, 0.0, True,
-                                 skipped=True,
-                                 note=f"{type(exc).__name__}: {exc}")
+        lhs, rhs, scale, evaluated = row.run(ctx, **row.fixed)
+        residual = _worst(row.rule, lhs, rhs, scale)
+    except (RegionError, PoleError, DomainError, SingularPoint) as exc:
+        skipped, note = True, f"{type(exc).__name__}: {exc}"
     except NonConvergence as exc:
-        return VerificationEntry(name, ctx.base_params(), 0.0, 0.0, False,
-                                 note=f"NonConvergence: {exc}")
+        skipped, note = False, f"NonConvergence: {exc}"
     except QSeriesError:
         raise
     except Exception as exc:    # a fault of the library, not an unmet hypothesis
-        return VerificationEntry(name, ctx.base_params(), 0.0, 0.0, False,
-                                 note=f"internal error {type(exc).__name__}: {exc}")
-    return VerificationEntry(name, params, float(residual), float(tol),
-                             bool(residual <= tol), int(terms), int(nodes))
+        skipped, note = False, f"internal error {type(exc).__name__}: {exc}"
+    else:
+        params = {key: ctx.cfg[key] for key in row.keys} | row.fixed
+        return VerificationEntry(name, params, residual, row.gate,
+                                 residual <= row.gate, *_counts(evaluated))
+    # a skipped entry passes; one that did not finish fails
+    return VerificationEntry(name, ctx.base_params(), 0.0, 0.0, skipped,
+                             skipped=skipped, note=note)
 
 
 def run_suite(config: dict | None = None) -> VerificationReport:
     """Run every registered identity; never aborts on individual failures."""
     ctx = ResolvedConfig(config)
-    entries = []
-    for name in sorted(_REGISTRY):
-        entries.append(_run_one(name, ctx))
-    overall = all(e.passed for e in entries)
-    return VerificationReport(SUITE_VERSION, tuple(entries), overall)
+    entries = tuple(_run_one(name, ctx) for name in identity_names())
+    return VerificationReport(SUITE_VERSION, entries, all(e.passed for e in entries))
 
 
 def _fmt_number(x) -> str:
@@ -451,8 +454,7 @@ def _fmt_number(x) -> str:
     v = float(x)
     if v != v or v in (float("inf"), float("-inf")):
         raise ValueError("report numbers must be finite")
-    out = format(v, ".17g")
-    return out
+    return format(v, ".17g")
 
 
 def _fmt_value(v) -> str:
@@ -466,10 +468,9 @@ def _fmt_value(v) -> str:
 def render_json(report: VerificationReport) -> str:
     """Serialize a report with 17-significant-digit numbers, fixed key
     order and LF line endings (byte-identical across identical runs)."""
-    lines = ["{"]
-    lines.append(f'  "suite_version": {_fmt_value(report.suite_version)},')
-    lines.append(f'  "overall_passed": {_fmt_number(report.overall_passed)},')
-    lines.append('  "entries": [')
+    lines = ["{", f'  "suite_version": {_fmt_value(report.suite_version)},',
+             f'  "overall_passed": {_fmt_number(report.overall_passed)},',
+             '  "entries": [']
     for i, e in enumerate(report.entries):
         comma = "," if i + 1 < len(report.entries) else ""
         pstr = ", ".join(f'{_fmt_value(k)}: {_fmt_value(e.params[k])}'
@@ -485,6 +486,5 @@ def render_json(report: VerificationReport) -> str:
         lines.append(f'      "skipped": {_fmt_number(e.skipped)},')
         lines.append(f'      "note": {_fmt_value(e.note)}')
         lines.append("    }" + comma)
-    lines.append("  ]")
-    lines.append("}")
+    lines += ["  ]", "}"]
     return "\n".join(lines) + "\n"

@@ -1,6 +1,7 @@
 import argparse
 import cmath
 import json
+import math
 import os
 import shlex
 import subprocess
@@ -97,10 +98,11 @@ def test_internal_error_fails_its_entry_not_the_suite(error, monkeypatch):
     # not an unmet hypothesis: the entry fails, naming it, and the rest run
     import qultra.verify as verify
 
-    def broken(ctx):
+    def broken(ctx, **fixed):
         raise error("injected")
 
-    monkeypatch.setitem(verify._REGISTRY, "kernel_integral", broken)
+    row = verify._REGISTRY["kernel_integral"]
+    monkeypatch.setitem(verify._REGISTRY, "kernel_integral", row._replace(run=broken))
     rep = run_suite({})
     entry = next(e for e in rep.entries if e.identity_name == "kernel_integral")
     assert not entry.passed and not entry.skipped
@@ -122,6 +124,31 @@ def test_unknown_config_key_error():
     for key in ("bogus", "tail_window"):
         with pytest.raises(ConfigError):
             run_suite({key: 1.0})
+
+
+@pytest.mark.parametrize("theta", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_theta_is_config_error(theta):
+    with pytest.raises(ConfigError, match="thetas"):
+        run_suite({"thetas": (0.4, theta)})
+    with pytest.raises(ConfigError, match="thetas"):
+        run_identity("kernel_integral", {"thetas": str(theta)})
+
+
+@pytest.mark.parametrize("thetas", [(0.0, 1.0), (math.pi,)])
+def test_dq_entries_skip_where_the_operator_is_singular(thetas, tmp_path, capsys):
+    # z = +-1: the divided difference's denominator vanishes; only the two
+    # D_q entries need it, so only they skip, naming SingularPoint
+    rep = run_suite({"thetas": thetas})
+    skipped = {e.identity_name: e.note for e in rep.entries if e.skipped}
+    assert set(skipped) == {"dq_action_bilateral", "dq_action_classical"}
+    assert all(note.startswith("SingularPoint: ") for note in skipped.values())
+    assert len(rep.entries) == len(identity_names()) == 22
+    assert rep.overall_passed
+    json.loads(render_json(rep))
+    cfg = tmp_path / "singular.cfg"
+    cfg.write_text("thetas = " + ", ".join(map(repr, thetas)) + "\n")
+    assert main(["identity", "--name", "dq_action_classical", "--config", str(cfg)]) == 0
+    assert "SingularPoint" in capsys.readouterr().out
 
 
 def test_generating_function_overflow_is_nonconvergence():
@@ -227,6 +254,102 @@ def test_linearization_entry_evaluates_each_degree_once_per_point(monkeypatch):
     entry = run_identity("linearization")
     assert entry.passed
     assert len(calls) <= 9 * 3 and sorted(set(calls)) == list(range(9))
+
+
+# ---- registry rows, residual rules and the count collector ----
+
+# the gate of every row when the registry took its row shape; a row may
+# tighten its gate, but loosening one has to change this table as well
+GATES = {
+    "bailey_2psi2_iterated": 1e-9, "bailey_2psi2_single": 1e-9,
+    "bilateral_cn_constant_terms": 1e-9,
+    "bilateral_cn_continuation_crosscheck": 1e-10,
+    "bilateral_cn_gamma_one_reduction": 1e-10,
+    "bilateral_cn_recurrence": 1e-10, "bilateral_cn_special_value_c0": 1e-10,
+    "bilateral_cn_symmetry": 1e-10, "bilateral_delta_integral": 1e-7,
+    "classical_orthogonality_diagonal": 1e-8,
+    "classical_orthogonality_offdiagonal": 1e-9,
+    "dq_action_bilateral": 1e-8, "dq_action_classical": 1e-10,
+    "generating_function_coefficients": 1e-7,
+    "generating_function_product": 1e-8, "kernel_integral": 1e-8,
+    "linearization": 1e-10, "ramanujan_1psi1": 1e-9,
+    "shifted_orthogonality_diagonal": 1e-6,
+    "shifted_orthogonality_offdiagonal": 1e-6,
+    "shifted_orthogonality_scaling": 1e-15, "wellpoised_6psi8": 1e-9,
+}
+
+
+def test_no_row_loosens_its_gate():
+    from qultra.verify import _REGISTRY, CONFIG_DEFAULTS, RULES
+    assert sorted(_REGISTRY) == sorted(GATES)
+    for name, row in _REGISTRY.items():
+        assert 0 < row.gate <= GATES[name], name
+        assert row.rule in RULES, name
+        assert set(row.keys) <= set(CONFIG_DEFAULTS), name
+
+
+def test_entries_report_the_row_keys_and_fixed_values(default_report):
+    entries = {e.identity_name: e for e in default_report.entries}
+    assert entries["kernel_integral"].params == {"q": 0.3, "beta": 0.8,
+                                                 "t1": 0.4, "t2": -0.25}
+    assert entries["bilateral_cn_gamma_one_reduction"].params == {
+        "q": 0.3, "beta": 0.8, "gamma": 1.0}
+    assert entries["generating_function_product"].params["t"] == 0.6
+    assert entries["ramanujan_1psi1"].params == {"q": 0.3, "beta": 0.8, "gamma": 0.7}
+
+
+@pytest.mark.parametrize("rule, lhs, rhs, scale, want", [
+    ("given", [1e-3, 2e-3, 5e-4], None, None, 2e-3),
+    ("absolute", [1 + 1j, 2.0], [1.0, 2.5], None, 1.0),
+    ("relative", [3.0, 1.0], [1.0, 1.0], [4.0, 8.0], 0.5),
+    ("unit", [0.5, 10.0], [0.25, 9.0], None, 0.25),      # |l| < 1 divides by 1
+    ("unit", [4.0], [2.0], None, 0.5),                   # |l| > 1 divides by |l|
+    ("ratio", [2.0, 0.1], [1.0, 0.0], [2.0, 2.0], 0.05),
+])
+def test_residual_rules_on_hand_made_triples(rule, lhs, rhs, scale, want):
+    from qultra.verify import _worst
+    got = _worst(rule, lhs, rhs, scale)
+    assert type(got) is float and got == pytest.approx(want, rel=1e-15)
+
+
+def test_residual_rules_broadcast_a_scalar_and_read_0_on_no_items():
+    from qultra.verify import RULES, _worst
+    assert _worst("relative", [1.0, 3.0], 0.0, 2.0) == 1.5
+    assert _worst("ratio", [2.0, 6.0], 1.0, [2.0, 3.0]) == 1.0
+    assert _worst("relative", 3.0, 1.0, 4.0) == 0.5       # one scalar lhs
+    for rule in RULES:
+        assert _worst(rule, [], 1.0, 1.0) == 0.0
+        assert math.isnan(_worst(rule, [5.0, float("nan")], 1.0, 1.0)), rule
+    with pytest.raises(ValueError):                     # lists of two lengths
+        _worst("absolute", [1.0, 2.0], [1.0])
+
+
+def test_a_nan_residual_fails_its_entry(monkeypatch):
+    # every rule keeps a nan item, so no entry passes on one
+    import qultra.verify as verify
+    monkeypatch.setattr(verify, "constant_term", lambda n, params, policy: complex("nan"))
+    entry = run_identity("bilateral_cn_constant_terms")
+    assert not entry.passed and not entry.skipped and math.isnan(entry.residual)
+
+
+def test_collector_reads_each_evaluated_object():
+    import numpy as np
+    from qultra import SpectralPoint, UltraParams, bilateral_cn, bilateral_cn_range
+    from qultra.awoperator import DqResiduals
+    from qultra.quadrature import QuadratureResult
+    from qultra.verify import _counts
+    params, p = UltraParams(0.8, 0.7, 0.3), SpectralPoint.from_theta(1.0)
+    rows = bilateral_cn_range(-3, 3, p, params)
+    value = bilateral_cn(5, p, params)
+    assert _counts([rows]) == (int(rows.truncation_terms.max()), 0)
+    assert _counts([value]) == (value.truncation_terms, 0)
+    assert _counts([DqResiduals(np.zeros(3), 42)]) == (42, 0)
+    assert _counts([QuadratureResult(1.0, 127, 0.0)]) == (0, 127)
+    assert _counts([17, 5]) == (17, 0)                   # sum_psi term counts
+    assert _counts([]) == (0, 0)
+    both = _counts([QuadratureResult(1.0, 63, 0.0), QuadratureResult(1.0, 255, 0.0),
+                    DqResiduals(np.zeros(1), 9), 12])
+    assert both == (12, 255) and all(type(c) is int for c in both)
 
 
 # ---- CLI ----
