@@ -7,11 +7,18 @@ substitution x = cos(theta), which absorbs the 1/sqrt(1-x^2) endpoint
 factor exactly:  (1/2pi) int_-1^1 f w dx = (1/2pi) int_0^pi f(cos t)
 W(t) dt with W the weight without the square-root factor.  W extends to
 an even 2pi-periodic analytic function that vanishes at t = 0, pi, so a
-uniform trapezoid rule converges spectrally (Trefethen & Weideman, SIAM
-Rev. 56, 2014).  One node loop, _refine, computes every integral here:
-it sums the mass points described below once, then the 63 interior nodes
-of the 64-interval rule, then only the midpoints of each doubled rule,
-until two successive values agree.
+trapezoid rule converges spectrally, like exp(-2 N d) on N intervals,
+with d the distance from the real t axis of the integrand's nearest
+singular point (Trefethen & Weideman, SIAM Rev. 56, 2014).  For real
+parameters those points sit over t = 0 and pi: the weight's poles and
+the singular points of the C_n being integrated.  So the rule is the
+trapezoid rule in phi, t = phi - (a/2) sin 2phi (A. Sidi, ISNM 112,
+1993), which clusters the nodes at t = 0 and pi; a follows from the
+closed-form singular points (_map_strength), and a = 0 gives the uniform
+rule in t.  One node loop, _refine, computes every integral here: it sums
+the mass points described below once, then the 63 interior nodes of the
+64-interval rule, then only the midpoints of each doubled rule, until two
+successive values agree.
 
 orthogonality_entry and shifted_orthogonality_pair also take m and n as
 equal-length integer sequences, and bilateral_delta_integral takes n as
@@ -34,6 +41,7 @@ u = beta q^k (Askey & Wilson, Mem. AMS 319, 1985).
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -134,8 +142,33 @@ def _check_tol(tol) -> None:
         raise DomainError(f"tol must be positive, got {tol}")
 
 
+def _axis_distance(x0: float, step: float) -> float:
+    """min over k >= 0 of |x0 + k step| / 2: how far from the real theta
+    axis the nearest of the points z^2 = e^{x0 + k step} lies.  Each lies
+    over theta = 0 (and its images over pi), at Im theta = -(x0 + k step)/2."""
+    k = max(0.0, math.floor(-x0 / step))
+    return min(abs(x0 + k * step), abs(x0 + (k + 1) * step)) / 2
+
+
+def _map_strength(beta: float, q: float, family=None) -> float:
+    """The a of the map theta = phi - (a/2) sin 2phi, from d, the distance
+    from the real theta axis of the nearest singular point over theta = 0
+    or pi: the weight's poles beta q^k e^{+-2i theta} = 1 (beta > 0), and,
+    given a family parameter beta_f > 0, the singular points z^2 =
+    q^{k+1}/beta_f and beta_f q^{-k-1} of its C_n.  1 - a = d^{2/3}
+    balances the map's stretch near theta = 0 against how far it moves the
+    singular point from the axis; a = 0 where d >= 1 or no point lies
+    there (beta <= 0 puts the weight's poles over pi/2)."""
+    d = math.inf
+    if beta > 0:
+        d = _axis_distance(math.log(beta), math.log(q))
+    if family is not None and family > 0:
+        d = min(d, _axis_distance(math.log(family / q), -math.log(q)))
+    return max(0.0, 1.0 - d ** (2 / 3))
+
+
 def _refine(partial_sum, beta: float, q: float, tol,
-            policy: TruncationPolicy) -> QuadratureResult:
+            policy: TruncationPolicy, family=None) -> QuadratureResult:
     """The node-doubling loop.  partial_sum(sp, wts) returns the weighted
     sum of the integrand over the nodes sp: a scalar, or one sum per
     integral when tol is an array of one tolerance per integral.  It is
@@ -143,15 +176,26 @@ def _refine(partial_sum, beta: float, q: float, tol,
     64-interval rule, then on the midpoints of each doubled rule with the
     weights of the rule that level completes (the endpoint weights vanish,
     so no node is evaluated twice), until every integral's two successive
-    values differ by less than its tolerance."""
+    values differ by less than its tolerance.
+
+    The rule is the trapezoid rule in phi, theta = phi - (a/2) sin 2phi,
+    with each weight times theta'(phi) = 1 - a cos 2phi.  a comes from the
+    weight's poles and, given family = beta_f, from the singular points of
+    the integrand family C_n(.; beta_f, .) (_map_strength): the map
+    clusters the nodes at theta = 0 and pi, where those points sit close
+    to the axis.  With a = 0 it is the uniform rule in theta, bit for
+    bit."""
     _check_tol(tol)
+    a = _map_strength(beta, q, family)
     mass_z, mass_w = mass_points(beta, q, policy)
     mass = partial_sum(SpectralPoint(mass_z), mass_w) if len(mass_z) else 0.0
     n, circle, value = 64, 0.0, math.inf
-    thetas = math.pi / n * np.arange(1, n)
+    phis = math.pi / n * np.arange(1, n)
     while n <= MAX_NODES:
+        thetas = phis - a / 2 * np.sin(2 * phis)
         # doubling the rule halves the weight of every node already summed
-        wts = _circle_weight(thetas, beta, q, policy) / (2 * n)
+        wts = (_circle_weight(thetas, beta, q, policy)
+               * (1 - a * np.cos(2 * phis)) / (2 * n))
         circle = circle / 2 + partial_sum(SpectralPoint(np.exp(1j * thetas)), wts)
         # the first level's delta is infinite: it has no predecessor
         delta, value = np.abs(circle + mass - value), circle + mass
@@ -159,7 +203,7 @@ def _refine(partial_sum, beta: float, q: float, tol,
             if np.ndim(value) == 0:
                 value, delta = complex(value), float(delta)
             return QuadratureResult(value, n - 1 + len(mass_z), delta)
-        thetas = math.pi / (2 * n) * np.arange(1, 2 * n, 2)
+        phis = math.pi / (2 * n) * np.arange(1, 2 * n, 2)
         n *= 2
     raise NonConvergence(
         f"quadrature did not reach tol = {tol} within {MAX_NODES} nodes")
@@ -182,23 +226,25 @@ def integrate(f, w: WeightParams, tol: float,
               policy: TruncationPolicy = DEFAULT_POLICY) -> QuadratureResult:
     """(1/2pi) int_-1^1 f(x) w(x) dx over the full measure.
 
-    The theta-substituted trapezoid rule starts from 63 interior nodes
-    plus the mass points of the measure (beta > 1) and doubles the
-    interval count, adding only the midpoints, until successive values
-    differ by < tol.  f takes a SpectralPoint whose z is an array of
-    nodes: it is called once on the mass points and once per level.  An f
-    that returns one row of the nodes' shape per integrand computes all
-    of them on the one node loop: .value and .last_refinement_delta are
-    then arrays over the rows, and the loop runs until every row meets
-    tol."""
+    The node loop of _refine, its rule mapped by the weight's poles,
+    starts from 63 interior nodes plus the mass points of the measure
+    (beta > 1) and doubles the interval count, adding only the
+    midpoints, until successive values differ by < tol.  f takes a
+    SpectralPoint whose z is an array of nodes: it is called once on the
+    mass points and once per level.  An f that returns one row of the
+    nodes' shape per integrand computes all of them on the one node loop:
+    .value and .last_refinement_delta are then arrays over the rows, and
+    the loop runs until every row meets tol."""
     return _integrate(f, w.beta, w.q, tol, policy)
 
 
-def _integrate(f, beta: float, q: float, tol, policy: TruncationPolicy):
+def _integrate(f, beta: float, q: float, tol, policy: TruncationPolicy,
+               family=None):
     """integrate against the weight of parameter beta, without the
-    positivity window of WeightParams."""
+    positivity window of WeightParams; family is the integrand family's
+    beta, if it has one (see _refine)."""
     return _refine(lambda sp, wts: np.sum(_eval_at(f, sp) * wts, axis=-1),
-                   beta, q, tol, policy)
+                   beta, q, tol, policy, family)
 
 
 def orthogonality_entry(m, n, w: WeightParams, tol: float = 1e-10,
@@ -301,7 +347,7 @@ def bilateral_delta_integral(n, beta: float, q: float,
         return rows[0] if single else rows
 
     # bypass the WeightParams window check: beta may exceed q^{-1/2}
-    return _integrate(f, beta, q, tol, policy)
+    return _integrate(f, beta, q, tol, policy, family=beta ** 2)
 
 
 def bilateral_delta_rhs(beta: float, q: float,
@@ -358,6 +404,10 @@ def shifted_orthogonality_rhs(params: UltraParams,
 #: shells of C_j rows computed beyond the last shell the loop is expected to need
 _SHELL_MARGIN = 2
 
+#: shells per window of the growth guard: the largest contribution of a
+#: window, not each one, must grow, since node sums make shells oscillate
+_GROWTH_WINDOW = 2 * TAIL_WINDOW
+
 
 def shifted_orthogonality_pair(m, n, params: UltraParams,
                                tol: float = 1e-6,
@@ -374,9 +424,12 @@ def shifted_orthogonality_pair(m, n, params: UltraParams,
     pass over j = min(m, n) - K .. max(m, n) + K, with K the previous
     set's shell count plus a margin; a shell k beyond it adds the rows up
     to shell 2k that the set lacks, so each C_j is evaluated once per node
-    set.  8 TAIL_WINDOW shells in a row whose contribution grows (by more
-    than GROWTH_SLACK) raise NonConvergence: the shells need not decay
-    where |q/(beta^2 gamma)| < 1 alone admits the parameters.
+    set.  The shells need not decay where |q/(beta^2 gamma)| < 1 alone
+    admits the parameters, so a growth guard raises NonConvergence after 8
+    TAIL_WINDOW shells in a row at which the largest contribution of the
+    last _GROWTH_WINDOW shells exceeds (by more than GROWTH_SLACK) the
+    largest of the window before; so does a shell or shell weight that
+    is not finite.
 
     rhs = shifted_orthogonality_rhs(params, policy, n) * delta_{mn}.
 
@@ -413,24 +466,35 @@ def shifted_orthogonality_pair(m, n, params: UltraParams,
                 rows = rows.widened(lo - 2 * k, hi + 2 * k)
             vals = rows[m + k] * rows[n + k] * rho ** k
             if k != 0:
-                vals = vals + rows[m - k] * rows[n - k] * rho ** (-k)
-            return complex(np.sum(vals * wts))
+                try:
+                    vals = vals + rows[m - k] * rows[n - k] * rho ** (-k)
+                except OverflowError:
+                    raise NonConvergence(f"shifted-orthogonality shell weight "
+                                         f"rho^-{k} overflows") from None
+            contrib = complex(np.sum(vals * wts))
+            if not cmath.isfinite(contrib):
+                raise NonConvergence(f"shifted-orthogonality shell {k} is not finite")
+            return contrib
 
         totals = []
         for i, (m, n) in enumerate(zip(ms, ns)):
             total = shell_integral(m, n, 0)
             small = growth = 0
-            prev = math.inf
+            mags = []
             k = 0
             while True:
                 k += 1
                 contrib = shell_integral(m, n, k)
                 total += contrib
                 mag = abs(contrib)
-                growth = growth + 1 if mag > prev * GROWTH_SLACK else 0
-                if growth >= 8 * TAIL_WINDOW:
-                    raise NonConvergence("shifted-orthogonality shells failed to decay")
-                prev = mag
+                mags.append(mag)
+                win = _GROWTH_WINDOW
+                if k > 2 * win and max(mags[-win:]) > max(mags[-2 * win:-win]) * GROWTH_SLACK:
+                    growth += 1
+                    if growth >= 8 * TAIL_WINDOW:
+                        raise NonConvergence("shifted-orthogonality shells failed to decay")
+                else:
+                    growth = 0
                 if mag <= tol * max(1.0, abs(total)) / 64.0:
                     small += 1
                     if small >= 2 and k >= kmin[i]:
@@ -445,5 +509,6 @@ def shifted_orthogonality_pair(m, n, params: UltraParams,
 
     tols = [tol * max(1.0, abs(r)) / 4.0 for r in rhs]
     if single:
-        return _refine(partial_sum, beta, q, tols[0], policy), rhs[0]
-    return _refine(partial_sum, beta, q, np.array(tols), policy), np.array(rhs)
+        return _refine(partial_sum, beta, q, tols[0], policy, family=beta), rhs[0]
+    return (_refine(partial_sum, beta, q, np.array(tols), policy, family=beta),
+            np.array(rhs))

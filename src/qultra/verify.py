@@ -8,11 +8,13 @@ evaluated)``: ``_worst`` reduces the first three by the row's rule, and
 aborts on an entry: an unmet hypothesis (RegionError, PoleError,
 DomainError, SingularPoint) skips it, NonConvergence or an internal error
 (an exception that is not a QSeriesError) fails it, and the note names
-the exception.  Identical configurations give byte-identical JSON.
+the exception.  So does a residual that is not finite.  Identical
+configurations give byte-identical JSON.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property, partial
 from typing import Callable, NamedTuple
@@ -432,8 +434,12 @@ def _run_one(name: str, ctx: ResolvedConfig) -> VerificationEntry:
         skipped, note = False, f"internal error {type(exc).__name__}: {exc}"
     else:
         params = {key: ctx.cfg[key] for key in row.keys} | row.fixed
+        # a residual that is not a number fails its entry (nan <= gate is
+        # false), and the note says so: render_json writes it as null
+        note = "" if math.isfinite(residual) else f"residual is {residual}, not finite"
         return VerificationEntry(name, params, residual, row.gate,
-                                 residual <= row.gate, *_counts(evaluated))
+                                 residual <= row.gate, *_counts(evaluated),
+                                 note=note)
     # a skipped entry passes; one that did not finish fails
     return VerificationEntry(name, ctx.base_params(), 0.0, 0.0, skipped,
                              skipped=skipped, note=note)
@@ -467,7 +473,9 @@ def _fmt_value(v) -> str:
 
 def render_json(report: VerificationReport) -> str:
     """Serialize a report with 17-significant-digit numbers, fixed key
-    order and LF line endings (byte-identical across identical runs)."""
+    order and LF line endings (byte-identical across identical runs).  A
+    residual that is not finite is written as null: its entry has failed,
+    and its note names the value."""
     lines = ["{", f'  "suite_version": {_fmt_value(report.suite_version)},',
              f'  "overall_passed": {_fmt_number(report.overall_passed)},',
              '  "entries": [']
@@ -478,7 +486,8 @@ def render_json(report: VerificationReport) -> str:
         lines.append("    {")
         lines.append(f'      "identity_name": {_fmt_value(e.identity_name)},')
         lines.append("      \"params\": {" + pstr + "},")
-        lines.append(f'      "residual": {_fmt_number(e.residual)},')
+        residual = _fmt_number(e.residual) if math.isfinite(e.residual) else "null"
+        lines.append(f'      "residual": {residual},')
         lines.append(f'      "tolerance": {_fmt_number(e.tolerance)},')
         lines.append(f'      "passed": {_fmt_number(e.passed)},')
         lines.append(f'      "terms_used": {_fmt_number(e.terms_used)},')

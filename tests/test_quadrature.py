@@ -516,3 +516,89 @@ def test_shifted_orthogonality_growing_shells_raise():
     # ran to k ~ 2300, where rho ** -k overflows a float
     with pytest.raises(NonConvergence, match="shells failed to decay"):
         shifted_orthogonality_pair(0, 0, UltraParams(0.8, 1.5, 0.7))
+
+
+def test_a_shell_weight_out_of_the_double_range_raises_nonconvergence(monkeypatch):
+    # with the growth guard off, the divergent shells at (0.7, 0.9, 5)
+    # reach rho^-405, which overflows a float: a typed error, not OverflowError
+    monkeypatch.setattr(quad, "GROWTH_SLACK", math.inf)
+    with pytest.raises(NonConvergence, match=r"rho\^-405 overflows"):
+        shifted_orthogonality_pair(0, 0, UltraParams(0.9, 5.0, 0.7))
+
+
+def test_axis_distance_is_the_nearest_ladder_point():
+    # min over k >= 0 of |x0 + k step| / 2, against a long brute-force ladder
+    for x0, step in ((math.log(0.8), math.log(0.3)), (math.log(3.0), math.log(0.5)),
+                     (math.log(0.9025 / 0.9), -math.log(0.9)),
+                     (math.log(0.5 / 0.9), -math.log(0.9)), (0.0, 1.0)):
+        want = min(abs(x0 + k * step) for k in range(400)) / 2
+        assert quad._axis_distance(x0, step) == pytest.approx(want, abs=1e-15)
+
+
+def test_map_strength_follows_the_nearest_singular_point():
+    # weight poles at distance |log beta|/2; the delta family beta_f =
+    # beta^2 adds z^2 = q/beta_f, at |log(q/beta_f)|/2
+    d = abs(math.log(BETA)) / 2
+    assert quad._map_strength(BETA, Q) == pytest.approx(1 - d ** (2 / 3))
+    assert quad._map_strength(BETA, Q, BETA ** 2) == quad._map_strength(BETA, Q)
+    d = abs(math.log(0.9 / 0.95 ** 2)) / 2
+    assert quad._map_strength(0.95, 0.9, 0.95 ** 2) == pytest.approx(1 - d ** (2 / 3))
+    assert quad._map_strength(0.95, 0.9, 0.95 ** 2) > quad._map_strength(0.95, 0.9)
+    # no singular point over theta = 0 or pi, or none within distance 1
+    for beta in (-0.5, 0.0):
+        assert quad._map_strength(beta, Q) == 0.0
+        assert quad._map_strength(beta, Q, -0.3) == 0.0
+    assert quad._map_strength(0.1, 0.01) == 0.0       # d = |log 0.1|/2 > 1
+
+
+def _uniform_rule(f, beta, q, tol):
+    """The nested uniform trapezoid rule in theta, written out."""
+    policy = __import__("qultra").DEFAULT_POLICY
+    n, circle, value = 64, 0.0, math.inf
+    thetas = math.pi / n * np.arange(1, n)
+    while True:
+        wts = _circle_weight(thetas, beta, q, policy) / (2 * n)
+        vals = np.asarray(f(SpectralPoint(np.exp(1j * thetas))), dtype=complex)
+        circle = circle / 2 + np.sum(vals * wts)
+        delta, value = abs(circle - value), circle
+        if delta < tol:
+            return complex(value), n - 1
+        thetas = math.pi / (2 * n) * np.arange(1, 2 * n, 2)
+        n *= 2
+
+
+@pytest.mark.parametrize("beta", [-0.5, 0.0])
+def test_where_the_map_is_off_integrate_is_the_uniform_rule_bit_for_bit(beta):
+    w = WeightParams(beta, Q)
+    for f in (lambda sp: sp.x ** 2, lambda sp: classical_cn(4, sp, beta, Q)):
+        got = integrate(f, w, 1e-13)
+        assert (got.value, got.nodes_used) == _uniform_rule(f, beta, Q, 1e-13)
+
+
+def test_integrals_at_the_defaults_stop_at_the_second_level():
+    # the map at the weight's poles: 127 nodes, where the uniform rule took 255
+    w = WeightParams(BETA, Q)
+    diag = orthogonality_entry(range(7), range(7), w, 1e-8)
+    assert diag.nodes_used <= 127
+    want = [orthogonality_diagonal(n, w) for n in range(7)]
+    assert np.allclose(diag.value, want, rtol=1e-12, atol=0)
+    off = orthogonality_entry([0, 1, 2], [1, 3, 6], w, 1e-8)
+    assert off.nodes_used <= 127 and np.abs(off.value).max() <= 1e-13
+    kern = kernel_integral(0.4, -0.25, w, 1e-8)
+    assert kern.nodes_used <= 127
+    assert kern.value == pytest.approx(kernel_integral_rhs(0.4, -0.25, w), rel=1e-12)
+    delta = bilateral_delta_integral(range(-3, 4), BETA, Q, 1e-8)
+    assert delta.nodes_used <= 127
+    rhs = bilateral_delta_rhs(BETA, Q)
+    assert np.abs(delta.value - rhs * (np.arange(-3, 4) == 0)).max() <= 1e-13 * abs(rhs)
+
+
+def test_delta_entry_near_q_one_clusters_its_nodes():
+    # (q, beta) = (0.9, 0.95): the family's singular point z^2 = q/beta^2
+    # sits 0.0014 off the axis; the uniform rule took 8,191 nodes
+    from qultra.verify import run_identity
+    entry = run_identity("bilateral_delta_integral",
+                         {"q": 0.9, "beta": 0.95, "gamma": 0.5})
+    assert entry.passed and not entry.skipped
+    assert entry.nodes_used <= 511
+    assert entry.residual <= entry.tolerance

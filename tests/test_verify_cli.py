@@ -330,6 +330,24 @@ def test_a_nan_residual_fails_its_entry(monkeypatch):
     monkeypatch.setattr(verify, "constant_term", lambda n, params, policy: complex("nan"))
     entry = run_identity("bilateral_cn_constant_terms")
     assert not entry.passed and not entry.skipped and math.isnan(entry.residual)
+    assert entry.note == "residual is nan, not finite"
+
+
+@pytest.mark.parametrize("argv", [
+    ["identity", "--name", "bilateral_cn_constant_terms", "--format", "json"],
+    ["suite", "--format", "json"],
+])
+def test_a_nan_residual_is_a_failed_json_entry_not_a_traceback(argv, monkeypatch, capsys):
+    import qultra.verify as verify
+    monkeypatch.setattr(verify, "constant_term", lambda n, params, policy: complex("nan"))
+    assert main(argv) == 1
+    entries = {e["identity_name"]: e for e in json.loads(capsys.readouterr().out)["entries"]}
+    entry = entries["bilateral_cn_constant_terms"]
+    assert entry["residual"] is None and entry["passed"] is False
+    assert entry["note"] == "residual is nan, not finite"
+    # every other entry keeps a number
+    assert all(isinstance(e["residual"], (int, float)) for name, e in entries.items()
+               if name != "bilateral_cn_constant_terms")
 
 
 def test_collector_reads_each_evaluated_object():
