@@ -29,7 +29,9 @@ and every function an integral needs is evaluated once per node set: one
 classical_cn per distinct degree, one bilateral_cn per n, or one
 bilateral_cn_range pass over the union of the pairs' C_j rows.  This is
 the node reuse of the nested rule, applied across the integrals of a
-relation as well as across its levels.
+relation as well as across its levels.  The shifted pair's k-sum takes one
+array pass per run of shells that the node set's rows cover, not one per
+shell.
 
 The weight is the Askey-Wilson weight with parameters +-beta^{1/2},
 +-(q beta)^{1/2}.  For beta <= 1 its measure is the circle part alone.
@@ -424,12 +426,18 @@ def shifted_orthogonality_pair(m, n, params: UltraParams,
     pass over j = min(m, n) - K .. max(m, n) + K, with K the previous
     set's shell count plus a margin; a shell k beyond it adds the rows up
     to shell 2k that the set lacks, so each C_j is evaluated once per node
-    set.  The shells need not decay where |q/(beta^2 gamma)| < 1 alone
-    admits the parameters, so a growth guard raises NonConvergence after 8
+    set.  Every run of shells that the rows cover is one array pass: the
+    (shells x nodes) products C_{m+-k} C_{n+-k} rho^{+-k}, each shell's
+    operations in the order of a lone shell, summed against the weights
+    along the nodes.  A scan then adds the shells in order under the stop
+    rule, so the sum is that of a shell-by-shell loop, bit for bit, and a
+    shell of the run past the stop is computed but never added.  The
+    shells need not decay where |q/(beta^2 gamma)| < 1 alone admits the
+    parameters, so a growth guard raises NonConvergence after 8
     TAIL_WINDOW shells in a row at which the largest contribution of the
     last _GROWTH_WINDOW shells exceeds (by more than GROWTH_SLACK) the
-    largest of the window before; so does a shell or shell weight that
-    is not finite.
+    largest of the window before; so does a shell or shell weight that is
+    not finite, once the scan reaches that shell.
 
     rhs = shifted_orthogonality_rhs(params, policy, n) * delta_{mn}.
 
@@ -459,32 +467,56 @@ def shifted_orthogonality_pair(m, n, params: UltraParams,
             max(max(a, b) + k for a, b, k in zip(ms, ns, kmin)) + _SHELL_MARGIN,
             sp, params, policy)
 
-        def shell_integral(m, n, k):
+        def shells(m, n):
+            """The contributions of shells k = 0, 1, ... of the pair (m, n)
+            as Python complex numbers, each run of shells that the rows
+            cover in one array pass.  A shell the rows lack first widens
+            them to lo - 2k .. hi + 2k; a shell weight that overflows, or
+            a contribution that is not finite, raises when the scan
+            reaches its shell."""
             nonlocal rows
             lo, hi = min(m, n), max(m, n)
-            if lo - k < rows.n_lo or hi + k > rows.n_hi:
-                rows = rows.widened(lo - 2 * k, hi + 2 * k)
-            vals = rows[m + k] * rows[n + k] * rho ** k
-            if k != 0:
-                try:
-                    vals = vals + rows[m - k] * rows[n - k] * rho ** (-k)
-                except OverflowError:
-                    raise NonConvergence(f"shifted-orthogonality shell weight "
-                                         f"rho^-{k} overflows") from None
-            contrib = complex(np.sum(vals * wts))
-            if not cmath.isfinite(contrib):
-                raise NonConvergence(f"shifted-orthogonality shell {k} is not finite")
-            return contrib
+            k = 0
+            while True:
+                if lo - k < rows.n_lo or hi + k > rows.n_hi:
+                    rows = rows.widened(lo - 2 * k, hi + 2 * k)
+                top = min(lo - rows.n_lo, rows.n_hi - hi)
+                first = max(k, 1)             # shell 0 has no k < 0 half
+                down = []
+                for j in range(first, top + 1):
+                    try:
+                        down.append(rho ** -j)
+                    except OverflowError:
+                        if j == k:
+                            raise NonConvergence(f"shifted-orthogonality shell weight "
+                                                 f"rho^-{k} overflows") from None
+                        top = j - 1
+                        break
+                up = [rho ** j for j in range(k, top + 1)]
+                v, a, b = rows.values, m - rows.n_lo, n - rows.n_lo
+                # each shell's elementwise operations in the order of a
+                # single shell; shells past the stop may overflow unseen
+                with np.errstate(over="ignore", invalid="ignore"):
+                    vals = (v[a + k:a + top + 1] * v[b + k:b + top + 1]
+                            * np.array(up)[:, None])
+                    vals[first - k:] += (v[a - top:a - first + 1][::-1]
+                                         * v[b - top:b - first + 1][::-1]
+                                         * np.array(down)[:, None])
+                    run = np.sum(vals * wts, axis=-1).tolist()
+                for contrib in run:
+                    if not cmath.isfinite(contrib):
+                        raise NonConvergence(
+                            f"shifted-orthogonality shell {k} is not finite")
+                    yield contrib
+                    k += 1
 
         totals = []
         for i, (m, n) in enumerate(zip(ms, ns)):
-            total = shell_integral(m, n, 0)
+            contribs = shells(m, n)
+            total = next(contribs)
             small = growth = 0
             mags = []
-            k = 0
-            while True:
-                k += 1
-                contrib = shell_integral(m, n, k)
+            for k, contrib in enumerate(contribs, 1):
                 total += contrib
                 mag = abs(contrib)
                 mags.append(mag)

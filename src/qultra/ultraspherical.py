@@ -287,9 +287,12 @@ def _power_chain(w: np.ndarray, a: int, b: int) -> np.ndarray:
     return table[a - last:b - last + 1]
 
 
-#: rows times points of one direct-sum pass (and an eighth of its rows
-#: times steps); longer ranges take several
-_BLOCK_SIZE = 1024
+#: the most rows times points of one direct-sum pass, and an eighth of the
+#: most rows times steps: a pass holds (side x row x point) powers and sums
+#: and (side x row x step) coefficients, 1 MB of them at the step cap.  A
+#: range of more rows takes several passes; a shifted-orthogonality node
+#: set of 64 points and 93 rows takes two
+_BLOCK_SIZE = 4096
 
 
 @functools.lru_cache(maxsize=16)
@@ -905,8 +908,11 @@ def _direct_range(n_lo: int, n_hi: int, z: np.ndarray, params: UltraParams,
     if steps > policy.max_terms:
         raise NonConvergence(f"bilateral sum needs {steps} terms per side, "
                              f"over max_terms = {policy.max_terms}")
-    # rows are independent, so splitting a long range changes no row's
-    # terms; a pass also holds rows x steps coefficients
+    # a pass holds rows x points values and rows x steps coefficients per
+    # side, each capped through _BLOCK_SIZE.  Rows are independent, so where
+    # the passes split a range changes no row's terms; it can move a row's
+    # last bits, since a pass's row and step counts shape its matrix
+    # products, and BLAS may sum products of other shapes in another order
     step = max(1, min(_BLOCK_SIZE // z.size, 8 * _BLOCK_SIZE // steps))
     values = np.empty((n_hi - n_lo + 1, z.size), dtype=complex)
     terms = np.empty(n_hi - n_lo + 1, dtype=int)

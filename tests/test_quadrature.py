@@ -512,8 +512,10 @@ def test_shifted_orthogonality_region_error():
 
 def test_shifted_orthogonality_growing_shells_raise():
     # |q/(beta^2 gamma)| = 0.73 < 1 passes the region check, but the shells
-    # grow at every step from k = 12 on; without the growth guard the loop
-    # ran to k ~ 2300, where rho ** -k overflows a float
+    # grow by about 1.05 per shell.  On the mapped nodes they oscillate
+    # from k = 30 on, so the guard compares the largest shells of
+    # successive windows; without the guard the loop ran to k ~ 2300,
+    # where rho ** -k overflows a float
     with pytest.raises(NonConvergence, match="shells failed to decay"):
         shifted_orthogonality_pair(0, 0, UltraParams(0.8, 1.5, 0.7))
 
@@ -524,6 +526,91 @@ def test_a_shell_weight_out_of_the_double_range_raises_nonconvergence(monkeypatc
     monkeypatch.setattr(quad, "GROWTH_SLACK", math.inf)
     with pytest.raises(NonConvergence, match=r"rho\^-405 overflows"):
         shifted_orthogonality_pair(0, 0, UltraParams(0.9, 5.0, 0.7))
+
+
+def _shells_one_at_a_time(m, n, params, tol, rhs):
+    """The lhs of shifted_orthogonality_pair with its k-sum written one
+    shell at a time: each shell's products and weighted sum, and the scan's
+    stop rule, shell count and widening, without the growth guard."""
+    ms, ns = np.atleast_1d(m).tolist(), np.atleast_1d(n).tolist()
+    q, beta, gamma = params.q.real, params.beta.real, params.gamma.real
+    rho = q / (beta ** 2 * gamma)
+    kmin = [8] * len(ms)
+
+    def partial_sum(sp, wts):
+        rows = quad.bilateral_cn_range(
+            min(min(a, b) - k for a, b, k in zip(ms, ns, kmin)) - quad._SHELL_MARGIN,
+            max(max(a, b) + k for a, b, k in zip(ms, ns, kmin)) + quad._SHELL_MARGIN,
+            sp, params)
+
+        def shell(m, n, k):
+            nonlocal rows
+            lo, hi = min(m, n), max(m, n)
+            if lo - k < rows.n_lo or hi + k > rows.n_hi:
+                rows = rows.widened(lo - 2 * k, hi + 2 * k)
+            vals = rows[m + k] * rows[n + k] * rho ** k
+            if k != 0:
+                vals = vals + rows[m - k] * rows[n - k] * rho ** (-k)
+            return complex(np.sum(vals * wts))
+
+        totals = []
+        for i, (m, n) in enumerate(zip(ms, ns)):
+            total, small, k = shell(m, n, 0), 0, 0
+            while small < 2 or k < kmin[i]:
+                k += 1
+                contrib = shell(m, n, k)
+                total += contrib
+                small = small + 1 if abs(contrib) <= tol * max(1.0, abs(total)) / 64.0 else 0
+            kmin[i] = k
+            totals.append(total)
+        return np.array(totals) if len(ms) > 1 else totals[0]
+
+    tols = np.array([tol * max(1.0, abs(r)) / 4.0 for r in np.atleast_1d(rhs)])
+    return quad._refine(partial_sum, beta, q, tols if len(ms) > 1 else tols[0],
+                        quad.DEFAULT_POLICY, family=beta)
+
+
+@pytest.mark.parametrize("qbg", [(Q, BETA, GAMMA), (0.5, 1.2, 0.7), (0.1, 0.95, 0.3)])
+@pytest.mark.parametrize("m, n", [(0, 0), (1, -1), ((0, 1), (2, -1))])
+@pytest.mark.parametrize("tol", [1e-6, 1e-12])
+def test_shell_runs_sum_what_single_shells_sum_bit_for_bit(qbg, m, n, tol):
+    # (0.5, 1.2, 0.7) has mass points
+    params = UltraParams(qbg[1], qbg[2], qbg[0])
+    lhs, rhs = shifted_orthogonality_pair(m, n, params, tol)
+    ref = _shells_one_at_a_time(m, n, params, tol, rhs)
+    assert np.asarray(lhs.value).tobytes() == np.asarray(ref.value).tobytes()
+    assert (np.asarray(lhs.last_refinement_delta).tobytes()
+            == np.asarray(ref.last_refinement_delta).tobytes())
+    assert lhs.nodes_used == ref.nodes_used
+
+
+def test_shells_past_the_stop_raise_no_warning():
+    # the divergent shells at (0.7, 0.8, 1.5) still stop on the growth
+    # guard, and no shell computed ahead of the scan warns
+    import warnings
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonConvergence, match="shells failed to decay"):
+            shifted_orthogonality_pair(0, 0, UltraParams(0.8, 1.5, 0.7))
+
+
+@pytest.mark.parametrize("name", ["shifted_orthogonality_diagonal",
+                                  "shifted_orthogonality_offdiagonal"])
+def test_shifted_entries_take_few_direct_sum_passes(name, monkeypatch):
+    # two node sets at the defaults: the first widens its rows twice on
+    # each side (5 passes), the second takes all its 93 rows in 2
+    import qultra.ultraspherical as us
+    from qultra.verify import run_identity
+    real, calls = us._direct_rows, []
+
+    def spy(*args):
+        calls.append(args[:2])
+        return real(*args)
+
+    monkeypatch.setattr(us, "_direct_rows", spy)
+    entry = run_identity(name, {})
+    assert entry.passed
+    assert 0 < len(calls) <= 7
 
 
 def test_axis_distance_is_the_nearest_ladder_point():

@@ -20,7 +20,13 @@ the type and message of the error it raised.  The calls are
   parameters (placed first or last) and some terminating;
 * scalar ``poch`` with k >= 0 and k = inf;
 * ``render_json(run_suite())`` at the defaults and at
-  (q, beta, gamma) = (0.1, 0.95, 0.3).
+  (q, beta, gamma) = (0.1, 0.95, 0.3);
+* calls whose direct sums take more than one pass, so that a change of
+  the pass size shows: ``bilateral_cn_range`` over the 93 rows
+  n = -47..45 on the 63 interior nodes of the 64-interval rule, and
+  ``shifted_orthogonality_pair`` at tol 1e-12 on the suite's diagonal
+  pairs (n, n), n = -2..2, and off-diagonal pairs (0, 2), (1, -1), each at
+  the defaults and at (0.1, 0.4, 0.7).
 
 The script prints every record that differs, then one summary line: the
 largest relative change of a value (a complex number of a record that
@@ -166,6 +172,29 @@ def _suite_records() -> list:
     return out
 
 
+def _pass_records() -> list:
+    import numpy as np
+    from qultra import (SpectralPoint, UltraParams, bilateral_cn_range,
+                        shifted_orthogonality_pair)
+    nodes = SpectralPoint(np.exp(1j * np.pi / 64 * np.arange(1, 64)))
+    out = []
+    for qbg in ((0.3, 0.8, 0.7), (0.1, 0.4, 0.7)):
+        q, beta, gamma = qbg
+        params = UltraParams(beta, gamma, q)
+
+        def rows():
+            r = bilateral_cn_range(-47, 45, nodes, params)
+            return [_num(r.values), r.truncation_terms.tolist()]
+        out.append([f"range-nodes {qbg}", _record(rows)])
+        for m, n in (([-2, -1, 0, 1, 2], [-2, -1, 0, 1, 2]), ([0, 1], [2, -1])):
+            def pair():
+                lhs, rhs = shifted_orthogonality_pair(m, n, params, 1e-12)
+                return [_num(lhs.value), _num(lhs.last_refinement_delta),
+                        lhs.nodes_used, _num(rhs)]
+            out.append([f"shifted-pair {qbg} {m} {n}", _record(pair)])
+    return out
+
+
 def records(src: str) -> list:
     """Every record of the tree at src, in a fixed order."""
     src = Path(src).resolve()
@@ -176,7 +205,7 @@ def records(src: str) -> list:
         raise SystemExit(f"qultra imported from {qultra.__file__}, not {src}")
     rng = np.random.default_rng(2508)
     return (_cn_records(rng) + _series_records(rng) + _poch_records(rng)
-            + _suite_records())
+            + _suite_records() + _pass_records())
 
 
 def _values(payload) -> list:
