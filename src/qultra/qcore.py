@@ -229,23 +229,7 @@ def poch(a, q, k, policy: TruncationPolicy | None = None):
     if k == INFINITY:
         return _poch_inf_scalar(a, q, policy)
     k = int(k)
-    out = 1.0 + 0j
-    if k >= 0:
-        qj = 1.0 + 0j
-        for _ in range(k):
-            out *= 1.0 - a * qj
-            qj *= q
-    else:
-        v = q
-        for j in range(1, -k + 1):
-            den = v - a
-            if den == 0:
-                raise PoleError(f"(a; q)_{k}: factor 1 - a q^-{j} vanishes")
-            out *= v / den
-            v *= q
-    if not cmath.isfinite(out):
-        raise DomainError(f"(a; q)_{k} overflowed double precision")
-    return out
+    return _paired(a, 0j, q, k, f"(a; q)_{k}")
 
 
 def _poch_inf_scalar(a: complex, q: complex, policy: TruncationPolicy) -> complex:
@@ -269,15 +253,22 @@ def poch_ratio(a, b, q, k):
     For k = -m the paired form is prod_{j=1}^{m} (q^j - b)/(q^j - a).
     """
     q = check_base(q)
-    a, b = complex(a), complex(b)
-    k = int(k)
+    return _paired(complex(a), complex(b), q, int(k), "poch_ratio")
+
+
+def _paired(a: complex, b: complex, q: complex, k: int, name: str) -> complex:
+    """The finite loop of poch and poch_ratio: (a; q)_k / (b; q)_k, each
+    numerator factor divided by its denominator factor.  With b = 0 each
+    factor of b is exact, 1 + 0j for k >= 0 and q^j for k < 0, so the
+    quotient is poch's plain product bit for bit.  name opens each
+    PoleError and DomainError message."""
     out = 1.0 + 0j
     if k >= 0:
         qj = 1.0 + 0j
         for j in range(k):
             den = 1.0 - b * qj
             if den == 0:
-                raise PoleError(f"poch_ratio: factor 1 - b q^{j} vanishes")
+                raise PoleError(f"{name}: factor 1 - b q^{j} vanishes")
             out *= (1.0 - a * qj) / den
             qj *= q
     else:
@@ -285,11 +276,11 @@ def poch_ratio(a, b, q, k):
         for j in range(1, -k + 1):
             den = v - a
             if den == 0:
-                raise PoleError(f"poch_ratio: factor 1 - a q^-{j} vanishes")
+                raise PoleError(f"{name}: factor 1 - a q^-{j} vanishes")
             out *= (v - b) / den
             v *= q
-    if not (math.isfinite(out.real) and math.isfinite(out.imag)):
-        raise DomainError("poch_ratio overflowed double precision")
+    if not cmath.isfinite(out):
+        raise DomainError(f"{name} overflowed double precision")
     return out
 
 

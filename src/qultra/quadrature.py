@@ -211,17 +211,21 @@ def _refine(partial_sum, beta: float, q: float, tol,
         f"quadrature did not reach tol = {tol} within {MAX_NODES} nodes")
 
 
-def _eval_at(f, sp):
-    """f on an array SpectralPoint as a complex array whose last axis runs
-    over the nodes: one row per integral, or a single row.  A result
-    without the nodes' shape (a constant f) broadcasts over them; one that
-    does not broadcast raises DomainError."""
-    vals = np.asarray(f(sp), dtype=complex)
-    try:
-        return np.broadcast_to(vals, np.broadcast_shapes(vals.shape, sp.z.shape))
-    except ValueError:
-        raise DomainError(f"integrand gave shape {vals.shape} "
-                          f"on {sp.z.shape} nodes") from None
+def _node_sums(f):
+    """The partial sums _refine takes for an integrand f: f on an array
+    SpectralPoint is a complex array whose last axis runs over the nodes,
+    one row per integral or a single row, summed against the weights along
+    that axis.  A result without the nodes' shape (a constant f)
+    broadcasts over them; one that does not broadcast raises DomainError."""
+    def partial_sum(sp, wts):
+        vals = np.asarray(f(sp), dtype=complex)
+        try:
+            return np.sum(vals * wts, axis=-1)     # wts has the nodes' shape
+        except ValueError:
+            raise DomainError(f"integrand gave shape {vals.shape} "
+                              f"on {sp.z.shape} nodes") from None
+
+    return partial_sum
 
 
 def integrate(f, w: WeightParams, tol: float,
@@ -237,16 +241,7 @@ def integrate(f, w: WeightParams, tol: float,
     nodes' shape per integrand computes all of them on the one node loop:
     .value and .last_refinement_delta are then arrays over the rows, and
     the loop runs until every row meets tol."""
-    return _integrate(f, w.beta, w.q, tol, policy)
-
-
-def _integrate(f, beta: float, q: float, tol, policy: TruncationPolicy,
-               family=None):
-    """integrate against the weight of parameter beta, without the
-    positivity window of WeightParams; family is the integrand family's
-    beta, if it has one (see _refine)."""
-    return _refine(lambda sp, wts: np.sum(_eval_at(f, sp) * wts, axis=-1),
-                   beta, q, tol, policy, family)
+    return _refine(_node_sums(f), w.beta, w.q, tol, policy)
 
 
 def orthogonality_entry(m, n, w: WeightParams, tol: float = 1e-10,
@@ -349,7 +344,7 @@ def bilateral_delta_integral(n, beta: float, q: float,
         return rows[0] if single else rows
 
     # bypass the WeightParams window check: beta may exceed q^{-1/2}
-    return _integrate(f, beta, q, tol, policy, family=beta ** 2)
+    return _refine(_node_sums(f), beta, q, tol, policy, family=beta ** 2)
 
 
 def bilateral_delta_rhs(beta: float, q: float,

@@ -60,6 +60,9 @@ BILATERAL_KIND = "bilateral"
 #: exceeds this (strictly inside 1 to avoid arbitrarily slow tails)
 DIRECT_REGION_MARGIN = 0.98
 
+#: log of the largest double
+_LOG_MAX = math.log(np.finfo(float).max)
+
 
 @dataclass(frozen=True)
 class UltraParams:
@@ -193,20 +196,29 @@ def classical_cn(n: int, p: SpectralPoint, beta, q):
     """Continuous q-ultraspherical polynomial of degree n at p.
 
     Finite sum sum_{k=0}^{n} c_k c_{n-k} z^{n-2k} with
-    c_k = (beta; q)_k / (q; q)_k; exact finite arithmetic.
+    c_k = (beta; q)_k / (q; q)_k; exact finite arithmetic.  NonConvergence
+    where the largest power |z|^{+-n} of any point leaves the double range.
     """
     if n < 0:
         raise DomainError("classical polynomials need n >= 0")
     q = check_base(q)
     beta = complex(beta)
+    z = p.z
+    scalar = not isinstance(z, np.ndarray)
+    if scalar:      # hypot gives inf where abs(z) raises: |z| > DBL_MAX
+        lo = hi = math.hypot(z.real, z.imag)
+    else:
+        with np.errstate(over="ignore"):
+            mag = np.abs(z)
+        lo, hi = mag.min(initial=1.0), mag.max(initial=1.0)
+    if n > 0 and n * max(math.log(hi), -math.log(lo)) > _LOG_MAX:
+        raise NonConvergence(f"classical C_{n}: z^(+-{n}) overflowed double precision")
     c = np.empty(n + 1, dtype=complex)
     c[0] = 1.0
     qk = 1.0 + 0j
     for k in range(n):
         c[k + 1] = c[k] * (1.0 - beta * qk) / (1.0 - qk * q)
         qk *= q
-    z = p.z
-    scalar = not isinstance(z, np.ndarray)
     z = np.asarray(z, dtype=complex)
     acc = CompensatedSum(z)
     zpow = z ** n

@@ -8,12 +8,15 @@ evaluated)``: ``_worst`` reduces the first three by the row's rule, and
 aborts on an entry: an unmet hypothesis (RegionError, PoleError,
 DomainError, SingularPoint) skips it, NonConvergence or an internal error
 (an exception that is not a QSeriesError) fails it, and the note names
-the exception.  So does a residual that is not finite.  Identical
-configurations give byte-identical JSON.
+the exception.  So does a residual that is not finite.  Skipped or
+failed, an entry keeps its row's keys, fixed values and gate, with
+residual 0 if it has none.  Identical configurations give byte-identical
+JSON.
 """
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
 from functools import cached_property, partial
@@ -52,9 +55,14 @@ CONFIG_DEFAULTS = {
     "rel_tol": 1e-13,
     "max_terms": 10000,
     "quad_tol": 1e-8,
-    "shifted_tol": 1e-6,
-    "seed": 20240901,
 }
+
+#: tolerance of the shifted-orthogonality node loop (see
+#: shifted_orthogonality_pair); tightening those entries means editing it
+_SHIFTED_TOL = 1e-6
+
+#: seed of the random draws of the ramanujan_1psi1 and transformation entries
+_SEED = 20240901
 
 
 @dataclass(frozen=True)
@@ -92,7 +100,7 @@ class ResolvedConfig:
                     if isinstance(raw, str):
                         raw = tuple(float(v) for v in raw.split(",") if v.strip())
                     cfg[key] = tuple(float(v) for v in raw)
-                elif key in ("max_terms", "seed"):
+                elif key == "max_terms":
                     cfg[key] = int(raw)
                 else:
                     cfg[key] = float(raw)
@@ -105,8 +113,10 @@ class ResolvedConfig:
             self.policy = TruncationPolicy(cfg["rel_tol"], cfg["max_terms"])
         except DomainError as exc:
             raise ConfigError(str(exc)) from exc
-        if not (cfg["quad_tol"] > 0 and cfg["shifted_tol"] > 0):
-            raise ConfigError("quadrature tolerances must be positive")
+        if not cfg["quad_tol"] > 0:
+            raise ConfigError("quadrature tolerance must be positive")
+        if not math.isfinite(cfg["t"]):
+            raise ConfigError(f"t must be finite, got {cfg['t']}")
         try:
             self.params = UltraParams(cfg["beta"], cfg["gamma"], cfg["q"])
         except DomainError as exc:
@@ -116,10 +126,7 @@ class ResolvedConfig:
     @cached_property
     def rng(self):
         # made on first use: eval and table never import numpy.random
-        return np.random.default_rng(self.cfg["seed"])
-
-    def base_params(self) -> dict:
-        return {key: self.cfg[key] for key in ("q", "beta", "gamma")}
+        return np.random.default_rng(_SEED)
 
 
 #: residual of one (lhs, rhs, scale) triple, by rule name
@@ -340,14 +347,14 @@ def _bilateral_delta(ctx: ResolvedConfig):
 def _shifted_diag(ctx: ResolvedConfig):
     ns = range(-2, 3)
     lhs, rhs = shifted_orthogonality_pair(ns, ns, ctx.params,
-                                          ctx.cfg["shifted_tol"], ctx.policy)
+                                          _SHIFTED_TOL, ctx.policy)
     return lhs.value.tolist(), 1.0, rhs.tolist(), (lhs,)
 
 
 def _shifted_offdiag(ctx: ResolvedConfig):
     norm = shifted_orthogonality_rhs(ctx.params, ctx.policy)
     lhs, _ = shifted_orthogonality_pair((0, 1), (2, -1), ctx.params,
-                                        ctx.cfg["shifted_tol"], ctx.policy)
+                                        _SHIFTED_TOL, ctx.policy)
     return lhs.value.tolist(), 0.0, norm, (lhs,)
 
 
@@ -421,6 +428,7 @@ def run_identity(name: str, config: dict | None = None) -> VerificationEntry:
 
 def _run_one(name: str, ctx: ResolvedConfig) -> VerificationEntry:
     row = _REGISTRY[name]
+    params = {key: ctx.cfg[key] for key in row.keys} | row.fixed
     try:
         lhs, rhs, scale, evaluated = row.run(ctx, **row.fixed)
         residual = _worst(row.rule, lhs, rhs, scale)
@@ -433,7 +441,6 @@ def _run_one(name: str, ctx: ResolvedConfig) -> VerificationEntry:
     except Exception as exc:    # a fault of the library, not an unmet hypothesis
         skipped, note = False, f"internal error {type(exc).__name__}: {exc}"
     else:
-        params = {key: ctx.cfg[key] for key in row.keys} | row.fixed
         # a residual that is not a number fails its entry (nan <= gate is
         # false), and the note says so: render_json writes it as null
         note = "" if math.isfinite(residual) else f"residual is {residual}, not finite"
@@ -441,7 +448,7 @@ def _run_one(name: str, ctx: ResolvedConfig) -> VerificationEntry:
                                  residual <= row.gate, *_counts(evaluated),
                                  note=note)
     # a skipped entry passes; one that did not finish fails
-    return VerificationEntry(name, ctx.base_params(), 0.0, 0.0, skipped,
+    return VerificationEntry(name, params, 0.0, row.gate, skipped,
                              skipped=skipped, note=note)
 
 
@@ -463,28 +470,20 @@ def _fmt_number(x) -> str:
     return format(v, ".17g")
 
 
-def _fmt_value(v) -> str:
-    if isinstance(v, str):
-        return '"' + v.replace("\\", "\\\\").replace('"', '\\"') + '"'
-    if isinstance(v, (tuple, list)):
-        return "[" + ", ".join(_fmt_value(x) for x in v) + "]"
-    return _fmt_number(v)
-
-
 def render_json(report: VerificationReport) -> str:
     """Serialize a report with 17-significant-digit numbers, fixed key
     order and LF line endings (byte-identical across identical runs).  A
     residual that is not finite is written as null: its entry has failed,
     and its note names the value."""
-    lines = ["{", f'  "suite_version": {_fmt_value(report.suite_version)},',
+    lines = ["{", f'  "suite_version": {json.dumps(report.suite_version)},',
              f'  "overall_passed": {_fmt_number(report.overall_passed)},',
              '  "entries": [']
     for i, e in enumerate(report.entries):
         comma = "," if i + 1 < len(report.entries) else ""
-        pstr = ", ".join(f'{_fmt_value(k)}: {_fmt_value(e.params[k])}'
+        pstr = ", ".join(f'{json.dumps(k)}: {_fmt_number(e.params[k])}'
                          for k in sorted(e.params))
         lines.append("    {")
-        lines.append(f'      "identity_name": {_fmt_value(e.identity_name)},')
+        lines.append(f'      "identity_name": {json.dumps(e.identity_name)},')
         lines.append("      \"params\": {" + pstr + "},")
         residual = _fmt_number(e.residual) if math.isfinite(e.residual) else "null"
         lines.append(f'      "residual": {residual},')
@@ -493,7 +492,7 @@ def render_json(report: VerificationReport) -> str:
         lines.append(f'      "terms_used": {_fmt_number(e.terms_used)},')
         lines.append(f'      "nodes_used": {_fmt_number(e.nodes_used)},')
         lines.append(f'      "skipped": {_fmt_number(e.skipped)},')
-        lines.append(f'      "note": {_fmt_value(e.note)}')
+        lines.append(f'      "note": {json.dumps(e.note)}')
         lines.append("    }" + comma)
     lines += ["  ]", "}"]
     return "\n".join(lines) + "\n"

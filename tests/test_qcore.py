@@ -176,7 +176,7 @@ def test_poch_overflow_raises_without_a_warning(a):
     # 1 / (1 - a/q) leaves the double range; the typed error is the only signal
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match=r"^\(a; q\)_-1 overflowed"):
             poch(a, 0.5, -1)
 
 
@@ -206,8 +206,48 @@ def test_poch_negative_index_underflows_towards_zero(a, q):
 
 
 def test_poch_negative_index_pole_still_raises():
-    with pytest.raises(PoleError, match=r"factor 1 - a q\^-2 vanishes"):
+    with pytest.raises(PoleError, match=r"^\(a; q\)_-3: factor 1 - a q\^-2 vanishes"):
         poch(Q ** 2, Q, -3)
+    # the loop poch shares with poch_ratio keeps each caller's name
+    with pytest.raises(PoleError, match=r"^poch_ratio: factor 1 - a q\^-2 vanishes"):
+        poch_ratio(Q ** 2, 0.5, Q, -3)
+    with pytest.raises(PoleError, match=r"^poch_ratio: factor 1 - b q\^1 vanishes"):
+        poch_ratio(0.3, 2.0, 0.5, 3)
+
+
+def _plain_product(a, q, k):
+    """(a; q)_k as a bare product, the reference for poch's finite k:
+    1 - a q^j factors for k >= 0, q^j / (q^j - a) for k < 0."""
+    out = 1.0 + 0j
+    if k >= 0:
+        qj = 1.0 + 0j
+        for _ in range(k):
+            out *= 1.0 - a * qj
+            qj *= q
+    else:
+        v = q
+        for _ in range(-k):
+            out *= v / (v - a)
+            v *= q
+    return out
+
+
+def test_poch_finite_is_the_plain_product_bit_for_bit():
+    # dividing each factor by poch_ratio's b = 0 denominator moves no bit,
+    # not even the sign of a zero
+    rng = np.random.default_rng(29)
+    for i in range(3000):
+        q = complex([0.3, 0.91, 0.5 - 0.2j, -0.4][i % 4])
+        k = int(rng.integers(-30, 31))
+        if i % 3:
+            a = complex(*rng.uniform(-3, 3, 2))
+        else:                           # a zero factor: a = q^-j, exactly 1 at j = 0
+            a = complex(q ** -int(rng.integers(0, 12)))
+        try:
+            got = poch(a, q, k)
+        except (PoleError, DomainError):
+            continue
+        assert repr(got) == repr(_plain_product(a, q, k)), (a, q, k)
 
 
 def _loop_bound_terms(a_mag, q_mag, policy):

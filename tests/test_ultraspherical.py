@@ -51,6 +51,23 @@ def test_classical_rejects_negative_degree(points):
         classical_cn(-1, points[0], BETA, Q)
 
 
+@pytest.mark.parametrize("z", [3.0, 0.3, np.array([1j, 0.3]), 1.5e308 + 1.5e308j,
+                               np.array([1j, 1.5e308 + 1.5e308j])])
+def test_classical_power_beyond_the_double_range_is_nonconvergence(z):
+    # |z|^{+-700} leaves the double range: nan after four warnings at
+    # z = 3, and 0j at z = 0.3, where C_700 is near 0.3^-700 in size;
+    # |1.5e308 (1 + i)| is itself above the largest double, so C_1 there
+    # is an error too, not an OverflowError from abs(z)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonConvergence, match="overflowed"):
+            classical_cn(700, SpectralPoint(z), 0.8, 0.3)
+        if np.any(np.real(z) > 1e308):
+            with pytest.raises(NonConvergence, match="overflowed"):
+                classical_cn(1, SpectralPoint(z), 0.8, 0.3)
+        assert cmath.isfinite(classical_cn(600, SpectralPoint(3.0), 0.8, 0.3))
+
+
 def test_bilateral_frozen_oracle(params):
     # independent 40-digit two-sided summation
     p = SpectralPoint.from_theta(1.0)

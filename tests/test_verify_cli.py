@@ -121,7 +121,8 @@ def test_zero_tolerance_config_error():
 
 
 def test_unknown_config_key_error():
-    for key in ("bogus", "tail_window"):
+    # shifted_tol and seed are constants of verify, not config keys
+    for key in ("bogus", "tail_window", "shifted_tol", "seed"):
         with pytest.raises(ConfigError):
             run_suite({key: 1.0})
 
@@ -132,6 +133,31 @@ def test_non_finite_theta_is_config_error(theta):
         run_suite({"thetas": (0.4, theta)})
     with pytest.raises(ConfigError, match="thetas"):
         run_identity("kernel_integral", {"thetas": str(theta)})
+
+
+@pytest.mark.parametrize("t", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_t_is_config_error(t, tmp_path, capsys):
+    # a skipped generating-function entry reports t, which JSON cannot hold
+    for value in (t, str(t)):
+        with pytest.raises(ConfigError, match="t must be finite"):
+            run_suite({"t": value})
+    cfg = tmp_path / "t.cfg"
+    cfg.write_text(f"t = {t}\n")
+    assert main(["suite", "--config", str(cfg)]) == 2
+    assert "t must be finite" in capsys.readouterr().err
+
+
+def test_a_note_with_a_control_character_is_valid_json(monkeypatch, capsys):
+    import qultra.verify as verify
+
+    def broken(ctx, **fixed):
+        raise RuntimeError("first line\nsecond line")
+
+    row = verify._REGISTRY["kernel_integral"]
+    monkeypatch.setitem(verify._REGISTRY, "kernel_integral", row._replace(run=broken))
+    assert main(["identity", "--name", "kernel_integral", "--format", "json"]) == 1
+    entry, = json.loads(capsys.readouterr().out)["entries"]
+    assert entry["note"] == "internal error RuntimeError: first line\nsecond line"
 
 
 @pytest.mark.parametrize("thetas", [(0.0, 1.0), (math.pi,)])
@@ -296,6 +322,15 @@ def test_entries_report_the_row_keys_and_fixed_values(default_report):
         "q": 0.3, "beta": 0.8, "gamma": 1.0}
     assert entries["generating_function_product"].params["t"] == 0.6
     assert entries["ramanujan_1psi1"].params == {"q": 0.3, "beta": 0.8, "gamma": 0.7}
+    # a skipped and a failed entry report the same keys and their row's gate
+    cfg = {"q": 0.1, "beta": 0.95, "gamma": 0.3}
+    skipped = run_identity("bilateral_cn_continuation_crosscheck", cfg)
+    assert skipped.skipped and skipped.passed and skipped.residual == 0.0
+    assert (skipped.params, skipped.tolerance) == (cfg, 1e-10)
+    failed = run_identity("shifted_orthogonality_diagonal", {"q": 0.7, "gamma": 1.5})
+    assert not failed.passed and not failed.skipped and failed.residual == 0.0
+    assert (failed.params, failed.tolerance) == ({"q": 0.7, "beta": 0.8, "gamma": 1.5},
+                                                 1e-6)
 
 
 @pytest.mark.parametrize("rule, lhs, rhs, scale, want", [
@@ -396,7 +431,11 @@ def test_cli_eval_overflow_is_numerical_error(capsys):
                  ["--n", "-2000", "--z-re", "0.4", "--z-im", "0.3",
                   "--q", "0.9", "--beta", "0.4", "--gamma", "0.5"],
                  ["--n", "-2000", "--z-re", repr(z.real), "--z-im", repr(z.imag),
-                  "--q", "0.7", "--beta", "0.5", "--gamma", "1.5"]):
+                  "--q", "0.7", "--beta", "0.5", "--gamma", "1.5"],
+                 ["--kind", "classical", "--n", "700", "--z-re", "3",
+                  "--format", "json"],
+                 ["--kind", "classical", "--n", "1", "--z-re", "1.5e308",
+                  "--z-im", "1.5e308"]):
         assert main(["eval"] + args) == 3, args
         assert "overflowed" in capsys.readouterr().err
 

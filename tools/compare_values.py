@@ -18,7 +18,9 @@ the type and message of the error it raised.  The calls are
   of each parameter set;
 * ``sum_psi`` and ``sum_phi`` on random specs, some with zero lower
   parameters (placed first or last) and some terminating;
-* scalar ``poch`` with k >= 0 and k = inf;
+* scalar ``poch`` with k >= 0, k < 0 and k = inf, and ``poch_ratio``
+  with k of both signs, a third of the calls with a and b on the pole
+  lattices q^j, j >= 1, and q^-j, j >= 0;
 * ``render_json(run_suite())`` at the defaults and at
   (q, beta, gamma) = (0.1, 0.95, 0.3);
 * calls whose direct sums take more than one pass, so that a change of
@@ -155,12 +157,24 @@ def _series_records(rng) -> list:
 
 def _poch_records(rng) -> list:
     from qultra import INFINITY, poch
+    from qultra.qcore import poch_ratio
     out = []
     for i in range(300):
         q = [0.3, 0.7, 0.91, 0.5 - 0.2j][i % 4]
         a = _cplx(rng, 0.0, 3.0)
         for k in (0, 1, 7, int(rng.integers(2, 60)), INFINITY):
             out.append([f"poch {a!r} {q!r} {k}", _record(lambda: _num(poch(a, q, k)))])
+    for i in range(300):
+        q = [0.3, 0.7, 0.91, 0.5 - 0.2j][i % 4]
+        a, b = _cplx(rng, 0.0, 3.0), _cplx(rng, 0.0, 3.0)
+        if i % 3 == 0:              # on the pole lattice of each side
+            a, b = q ** int(rng.integers(1, 8)), q ** -int(rng.integers(0, 8))
+        for k in (-1, -7, -int(rng.integers(2, 60)), 1, 7, int(rng.integers(2, 60))):
+            if k < 0:
+                out.append([f"poch {a!r} {q!r} {k}",
+                            _record(lambda: _num(poch(a, q, k)))])
+            out.append([f"poch_ratio {a!r} {b!r} {q!r} {k}",
+                        _record(lambda: _num(poch_ratio(a, b, q, k)))])
     return out
 
 
