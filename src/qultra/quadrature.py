@@ -30,8 +30,8 @@ classical_cn per distinct degree, one bilateral_cn per n, or one
 bilateral_cn_range pass over the union of the pairs' C_j rows.  This is
 the node reuse of the nested rule, applied across the integrals of a
 relation as well as across its levels.  The shifted pair's k-sum takes one
-array pass per run of shells that the node set's rows cover, not one per
-shell.
+array pass per run of shells that its rows cover, once closed-form shell
+rates have shown that it converges.
 
 The weight is the Askey-Wilson weight with parameters +-beta^{1/2},
 +-(q beta)^{1/2}.  For beta <= 1 its measure is the circle part alone.
@@ -51,9 +51,9 @@ import numpy as np
 
 from .errors import DomainError, NonConvergence, PoleError, RegionError
 from .hyperseries import UNILATERAL, SeriesSpec, sum_phi
-from .qcore import (DEFAULT_POLICY, GROWTH_SLACK, INFINITY, TAIL_WINDOW,
-                    SpectralPoint, TruncationPolicy, check_real_base,
-                    is_q_power, poch, poch_multi, poch_pm)
+from .qcore import (DEFAULT_POLICY, INFINITY, SpectralPoint,
+                    TruncationPolicy, check_real_base, is_q_power, poch,
+                    poch_multi, poch_pm)
 from .ultraspherical import (UltraParams, _index_lists, bilateral_cn,
                              bilateral_cn_range, classical_cn)
 
@@ -401,10 +401,6 @@ def shifted_orthogonality_rhs(params: UltraParams,
 #: shells of C_j rows computed beyond the last shell the loop is expected to need
 _SHELL_MARGIN = 2
 
-#: shells per window of the growth guard: the largest contribution of a
-#: window, not each one, must grow, since node sums make shells oscillate
-_GROWTH_WINDOW = 2 * TAIL_WINDOW
-
 
 def shifted_orthogonality_pair(m, n, params: UltraParams,
                                tol: float = 1e-6,
@@ -426,13 +422,14 @@ def shifted_orthogonality_pair(m, n, params: UltraParams,
     operations in the order of a lone shell, summed against the weights
     along the nodes.  A scan then adds the shells in order under the stop
     rule, so the sum is that of a shell-by-shell loop, bit for bit, and a
-    shell of the run past the stop is computed but never added.  The
-    shells need not decay where |q/(beta^2 gamma)| < 1 alone admits the
-    parameters, so a growth guard raises NonConvergence after 8
-    TAIL_WINDOW shells in a row at which the largest contribution of the
-    last _GROWTH_WINDOW shells exceeds (by more than GROWTH_SLACK) the
-    largest of the window before; so does a shell or shell weight that is
-    not finite, once the scan reaches that shell.
+    shell of the run past the stop is computed but never added.  Before
+    any row, NonConvergence names the shells' largest limiting ratio if it
+    is at least 1: |q gamma| (k < 0) on the unit circle and, for beta > 1,
+    |q/(beta gamma)| (k >= 0) and |q beta gamma| (k < 0) at the mass point
+    sqrt(beta), since C_{-j}(beta, gamma) = (q/beta)^j C_j(beta, 1/(beta
+    gamma)), and |C_j| is bounded on the circle and grows like u^{j/2} at
+    a mass point +-sqrt(u) (|rho| < 1, for k >= 0 on the circle, is the
+    hypothesis).
 
     rhs = shifted_orthogonality_rhs(params, policy, n) * delta_{mn}.
 
@@ -440,7 +437,7 @@ def shifted_orthogonality_pair(m, n, params: UltraParams,
     the node loop, which runs until every pair meets its own tolerance;
     the pass of a node set spans the union of the pairs' rows, so each C_j
     is still evaluated once per node set, and each pair keeps its own
-    shell stop rule, shell count and growth guard.  lhs.value,
+    shell stop rule and shell count.  lhs.value,
     lhs.last_refinement_delta and rhs are then arrays over the pairs.
     """
     _check_tol(tol)
@@ -454,6 +451,14 @@ def shifted_orthogonality_pair(m, n, params: UltraParams,
     head = shifted_orthogonality_rhs(params, policy)     # checks |rho| < 1
     rhs = [complex(head * (beta ** 2 * gamma / q) ** b if a == b else 0j)
            for a, b in zip(ms, ns)]
+    rates = {"|q gamma|": abs(q * gamma)}
+    if beta > 1:
+        rates.update({"|q/(beta gamma)|": abs(q / (beta * gamma)),
+                      "|q beta gamma|": abs(q * beta * gamma)})
+    name = max(rates, key=rates.get)
+    if rates[name] >= 1:
+        raise NonConvergence(f"shifted-orthogonality shells failed to decay: "
+                             f"{name} = {rates[name]:.3g} >= 1")
     kmin = [8] * len(ms)
 
     def partial_sum(sp, wts):
@@ -509,25 +514,12 @@ def shifted_orthogonality_pair(m, n, params: UltraParams,
         for i, (m, n) in enumerate(zip(ms, ns)):
             contribs = shells(m, n)
             total = next(contribs)
-            small = growth = 0
-            mags = []
+            small = 0
             for k, contrib in enumerate(contribs, 1):
                 total += contrib
-                mag = abs(contrib)
-                mags.append(mag)
-                win = _GROWTH_WINDOW
-                if k > 2 * win and max(mags[-win:]) > max(mags[-2 * win:-win]) * GROWTH_SLACK:
-                    growth += 1
-                    if growth >= 8 * TAIL_WINDOW:
-                        raise NonConvergence("shifted-orthogonality shells failed to decay")
-                else:
-                    growth = 0
-                if mag <= tol * max(1.0, abs(total)) / 64.0:
-                    small += 1
-                    if small >= 2 and k >= kmin[i]:
-                        break
-                else:
-                    small = 0
+                small = small + 1 if abs(contrib) <= tol * max(1.0, abs(total)) / 64.0 else 0
+                if small >= 2 and k >= kmin[i]:
+                    break
                 if k > policy.max_terms:
                     raise NonConvergence("shifted-orthogonality shells failed to decay")
             kmin[i] = k

@@ -222,11 +222,18 @@ def classical_cn(n: int, p: SpectralPoint, beta, q):
     z = np.asarray(z, dtype=complex)
     acc = CompensatedSum(z)
     zpow = z ** n
-    z2 = z * z
+    keep = None         # where z^2 is a normal double, if not everywhere
+    if n and (lo < 2.0 ** -510 or hi > 2.0 ** 510):     # only n <= 2 gets here
+        with np.errstate(over="ignore"):
+            z2 = z * z
+            keep = (np.abs(z2) >= np.finfo(float).tiny) & np.isfinite(z2)
+    elif n:
+        z2 = z * z
     for k in range(n + 1):
         acc.add(c[k] * c[n - k] * zpow)
-        if k < n:
-            zpow = zpow / z2
+        if k < n:       # by z twice where z^2 leaves the normal doubles
+            zpow = (zpow / z2 if keep is None else
+                    np.divide(zpow, z2, out=np.asarray(zpow / z / z), where=keep))
     out = acc.value
     return complex(out) if scalar else out
 
@@ -442,12 +449,12 @@ def _direct_rows(n_lo: int, n_hi: int, z: np.ndarray, params: UltraParams,
     sigma, tau = min(float(r.min()) ** 2, 1.0), max(float(r.max()) ** 2, 1.0)
     z2 = z * z
     pre = np.empty((2, ns.size, z.size), dtype=complex)   # z^n and z^{n+2}
-    pre[0] = _z_powers(z, n_lo, n_hi)
-    np.multiply(pre[0], z2, out=pre[1])
     ratio = (sigma / z2, z2 / tau)                       # |ratio| <= 1
     ends = np.maximum(np.array([ns, -1 - ns]), 0) + np.array(budgets)[:, None]
     steps = int(ends.max())
     with np.errstate(over="ignore", invalid="ignore"):
+        pre[0] = _z_powers(z, n_lo, n_hi)
+        np.multiply(pre[0], z2, out=pre[1])
         coeff = _scaled_coefficients(ns, steps, params, sigma, tau)
         coeff[np.arange(steps) >= ends[:, :, None]] = 0
         value = _side_sums(coeff, pre, ratio).sum(axis=0)

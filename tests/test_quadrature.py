@@ -512,26 +512,69 @@ def test_shifted_orthogonality_region_error():
 
 def test_shifted_orthogonality_growing_shells_raise():
     # |q/(beta^2 gamma)| = 0.73 < 1 passes the region check, but the shells
-    # grow by about 1.05 per shell.  On the mapped nodes they oscillate
-    # from k = 30 on, so the guard compares the largest shells of
-    # successive windows; without the guard the loop ran to k ~ 2300,
-    # where rho ** -k overflows a float
+    # k < 0 grow like |q gamma|^{-k} = 1.05^{|k|}, so the rate check raises
+    # before the first shell
     with pytest.raises(NonConvergence, match="shells failed to decay"):
         shifted_orthogonality_pair(0, 0, UltraParams(0.8, 1.5, 0.7))
 
 
-def test_a_shell_weight_out_of_the_double_range_raises_nonconvergence(monkeypatch):
-    # with the growth guard off, the divergent shells at (0.7, 0.9, 5)
-    # reach rho^-405, which overflows a float: a typed error, not OverflowError
-    monkeypatch.setattr(quad, "GROWTH_SLACK", math.inf)
-    with pytest.raises(NonConvergence, match=r"rho\^-405 overflows"):
-        shifted_orthogonality_pair(0, 0, UltraParams(0.9, 5.0, 0.7))
+@pytest.mark.parametrize("params, rate", [
+    (UltraParams(0.8, 1.5, 0.7), r"\|q gamma\| = 1.05 >= 1"),          # circle, k < 0
+    (UltraParams(1.4, 0.3, 0.5), r"\|q/\(beta gamma\)\| = 1.19 >= 1"),  # mass, k >= 0
+])
+def test_divergent_shells_raise_before_any_row(params, rate, monkeypatch):
+    real, calls = quad.bilateral_cn_range, []
+
+    def counted(*args, **kwargs):
+        calls.append(args[:2])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(quad, "bilateral_cn_range", counted)
+    for m, n in ((0, 0), ([0, 1], [0, -1])):
+        with pytest.raises(NonConvergence, match="shells failed to decay: " + rate):
+            shifted_orthogonality_pair(m, n, params)
+    assert calls == []
+
+
+@pytest.mark.parametrize("qbg", [(0.5, 1.2, 0.7), (0.7, 0.8, 1.5)])
+def test_measured_shell_rates_follow_the_predicted_ones(qbg):
+    # the rate check's limits: on the circle |rho| (k >= 0) and |q gamma|
+    # (k < 0), at the mass point sqrt(beta) beta times each.  Measured on
+    # the first node level as (S_59 / S_30)^{1/29}, S_k the weighted sum of
+    # |C_{+-k}|^2 |rho|^{+-k} over the nodes; a residue of the shells'
+    # oscillation keeps the circle's within 1% (1.046 against 1.05 at
+    # (0.7, 0.8, 1.5)), and the mass point's match to 4 digits
+    q, beta, gamma = qbg
+    params, rho = UltraParams(beta, gamma, q), q / (beta ** 2 * gamma)
+    predicted = [[abs(rho), abs(q * gamma)]]
+    if beta > 1:
+        predicted.append([abs(rho) * beta, abs(q * gamma) * beta])
+    a = quad._map_strength(beta, q, beta)
+    phis = math.pi / 64 * np.arange(1, 64)
+    thetas = phis - a / 2 * np.sin(2 * phis)
+    wts = _circle_weight(thetas, beta, q, quad.DEFAULT_POLICY) * (1 - a * np.cos(2 * phis))
+    mass_z, mass_w = mass_points(beta, q)
+    levels = [(np.exp(1j * thetas), wts)] + ([(mass_z, mass_w)] if len(mass_z) else [])
+    assert len(levels) == len(predicted)
+    for (z, w), want in zip(levels, predicted):
+        v = np.abs(quad.bilateral_cn_range(-59, 59, SpectralPoint(z), params).values)
+        got = [(np.sum(w * v[59 + 59 * s] ** 2) / np.sum(w * v[59 + 30 * s] ** 2)
+                * abs(rho) ** (29 * s)) ** (1 / 29) for s in (1, -1)]
+        assert got == pytest.approx(want, rel=0.01)
+
+
+def test_a_shell_weight_out_of_the_double_range_raises_nonconvergence():
+    # |q gamma| = 0.99 at (0.3, 0.5, 3.3) passes the rate check, and the
+    # shells decay so slowly that the scan reaches rho^-702, which overflows
+    # a float before the sum stops: a typed error, not OverflowError
+    with pytest.raises(NonConvergence, match=r"rho\^-702 overflows"):
+        shifted_orthogonality_pair(0, 0, UltraParams(0.5, 3.3, 0.3))
 
 
 def _shells_one_at_a_time(m, n, params, tol, rhs):
     """The lhs of shifted_orthogonality_pair with its k-sum written one
     shell at a time: each shell's products and weighted sum, and the scan's
-    stop rule, shell count and widening, without the growth guard."""
+    stop rule, shell count and widening, without the rate check."""
     ms, ns = np.atleast_1d(m).tolist(), np.atleast_1d(n).tolist()
     q, beta, gamma = params.q.real, params.beta.real, params.gamma.real
     rho = q / (beta ** 2 * gamma)
@@ -585,8 +628,8 @@ def test_shell_runs_sum_what_single_shells_sum_bit_for_bit(qbg, m, n, tol):
 
 
 def test_shells_past_the_stop_raise_no_warning():
-    # the divergent shells at (0.7, 0.8, 1.5) still stop on the growth
-    # guard, and no shell computed ahead of the scan warns
+    # the divergent shells at (0.7, 0.8, 1.5) stop on the rate check, and
+    # no shell computed ahead of the scan warns
     import warnings
     with warnings.catch_warnings():
         warnings.simplefilter("error")

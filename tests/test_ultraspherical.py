@@ -68,6 +68,25 @@ def test_classical_power_beyond_the_double_range_is_nonconvergence(z):
         assert cmath.isfinite(classical_cn(600, SpectralPoint(3.0), 0.8, 0.3))
 
 
+@pytest.mark.parametrize("z", [1e200 + 1e200j, 1e-160, 1e-200,
+                               np.array([1e200 + 1e200j, 1e-200, 0.5 + 0.1j])])
+def test_classical_low_degrees_where_z_squared_leaves_the_double_range(z):
+    # z^2 overflows at 1e200 (1 + i), is subnormal at 1e-160 and underflows
+    # to 0 at 1e-200, but C_0 = 1 and C_1 = c_1 (z + 1/z) are finite there;
+    # a point where z^2 is a normal double keeps its bits
+    c1 = (1 - 0.8) / (1 - 0.3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        c0_got = classical_cn(0, SpectralPoint(z), 0.8, 0.3)
+        c1_got = classical_cn(1, SpectralPoint(z), 0.8, 0.3)
+    zs = np.atleast_1d(z)
+    assert np.all(np.atleast_1d(c0_got) == 1)
+    np.testing.assert_allclose(np.atleast_1d(c1_got), c1 * (zs + 1 / zs), rtol=1e-15)
+    if np.ndim(z):
+        alone = classical_cn(1, SpectralPoint(np.array([0.5 + 0.1j])), 0.8, 0.3)
+        assert c1_got[2:].tobytes() == alone.tobytes()
+
+
 def test_bilateral_frozen_oracle(params):
     # independent 40-digit two-sided summation
     p = SpectralPoint.from_theta(1.0)
@@ -599,6 +618,16 @@ def test_tiny_gamma_names_the_route_piece_that_overflows():
             bilateral_cn(1, SpectralPoint(0.4 + 0.3j), params)
         with pytest.raises(NonConvergence, match=piece):
             bilateral_cn_psi_form(1, SpectralPoint.from_theta(1.0), params)
+
+
+def test_direct_sum_overflow_raises_without_a_warning():
+    # at z = q^{1/4}, inside the annulus, the powers z^-n of row -2000 leave
+    # the double range; the typed error is the only signal
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonConvergence, match="^direct bilateral sum overflowed$"):
+            bilateral_cn(-2000, SpectralPoint(0.5623413251903491),
+                         UltraParams(0.95, 0.3, 0.1))
 
 
 def test_far_negative_n_overflow_raises_non_convergence():
