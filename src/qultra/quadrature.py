@@ -27,11 +27,12 @@ array over the pairs or the n.  All integrals of one call run on one node
 loop, which stops when every delta is below that integral's tolerance,
 and every function an integral needs is evaluated once per node set: one
 classical_cn per distinct degree, one bilateral_cn per n, or one
-bilateral_cn_range pass over the union of the pairs' C_j rows.  This is
-the node reuse of the nested rule, applied across the integrals of a
-relation as well as across its levels.  The shifted pair's k-sum takes one
-array pass per run of shells that its rows cover, once closed-form shell
-rates have shown that it converges.
+bilateral_cn_range pass per shell family over the union of the pairs' C_j
+rows.  This is the node reuse of the nested rule, applied across the
+integrals of a relation as well as across its levels.  The shifted pair's
+k-sum runs upward in two families, by the symmetry of C_n, one array pass
+per run of shells that a family's rows cover, once closed-form shell rates
+have shown that it converges.
 
 The weight is the Askey-Wilson weight with parameters +-beta^{1/2},
 +-(q beta)^{1/2}.  For beta <= 1 its measure is the circle part alone.
@@ -44,6 +45,7 @@ u = beta q^k (Askey & Wilson, Mem. AMS 319, 1985).
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -55,9 +57,17 @@ from .qcore import (DEFAULT_POLICY, INFINITY, SpectralPoint,
                     TruncationPolicy, check_real_base, is_q_power, poch,
                     poch_multi, poch_pm)
 from .ultraspherical import (UltraParams, _index_lists, bilateral_cn,
-                             bilateral_cn_range, classical_cn)
+                             bilateral_cn_range, classical_cn, symmetry_params)
 
 MAX_NODES = 2 ** 20
+
+
+def _real_beta(beta) -> float:
+    """beta as a float; DomainError where its imaginary part is nonzero."""
+    beta = complex(beta)
+    if beta.imag:
+        raise DomainError(f"weight needs real beta, got {beta}")
+    return beta.real
 
 
 @dataclass(frozen=True)
@@ -75,7 +85,7 @@ class WeightParams:
     def __post_init__(self):
         q = check_real_base(self.q)
         object.__setattr__(self, "q", q)
-        beta = float(self.beta)
+        beta = _real_beta(self.beta)
         object.__setattr__(self, "beta", beta)
         if not -1.0 < beta < q ** -0.5:
             raise DomainError(
@@ -331,7 +341,7 @@ def bilateral_delta_integral(n, beta: float, q: float,
     """
     ns, single = _index_lists(n)
     q = check_real_base(q)
-    beta = float(beta)
+    beta = _real_beta(beta)
     if beta <= 0:
         raise DomainError("beta must be positive")
     if not q < beta ** 2:
@@ -353,7 +363,7 @@ def bilateral_delta_rhs(beta: float, q: float,
     (beta^2; q)_inf).  Raises PoleError where a denominator product
     vanishes: beta^2 = q^{-j} or q/beta = q^{-j} with j >= 0."""
     q = check_real_base(q)
-    beta = float(beta)
+    beta = _real_beta(beta)
     for name, a in (("beta^2", beta ** 2), ("q/beta", q / beta)):
         j = is_q_power(a, q)
         if j is not None and j <= 0:
@@ -400,6 +410,9 @@ def shifted_orthogonality_rhs(params: UltraParams,
 
 #: shells of C_j rows computed beyond the last shell the loop is expected to need
 _SHELL_MARGIN = 2
+#: rows a widening adds past shell 2k - K, so that a node set's first scan,
+#: from K = 8 shells, reaches the 40-odd shells of the defaults in one widening
+_WIDEN_ROWS = 32
 
 
 def shifted_orthogonality_pair(m, n, params: UltraParams,
@@ -408,36 +421,35 @@ def shifted_orthogonality_pair(m, n, params: UltraParams,
     """lhs and rhs of the shifted orthogonality relation, the lhs as a
     QuadratureResult.
 
-    lhs = (1/2pi) int sum_k C_{m+k} C_{n+k} (q/(beta^2 gamma))^k w dx over
-    the full measure, by the module's node loop (mass points, 63 nodes,
-    then midpoints) to tol * max(1, |rhs|) / 4.  On each set of nodes the
-    k-sum adds shells +-k until two in a row contribute at most
-    tol * max(1, |sum|) / 64, and not before the shell count of the
-    previous set.  The C_j of a node set come from one bilateral_cn_range
-    pass over j = min(m, n) - K .. max(m, n) + K, with K the previous
-    set's shell count plus a margin; a shell k beyond it adds the rows up
-    to shell 2k that the set lacks, so each C_j is evaluated once per node
-    set.  Every run of shells that the rows cover is one array pass: the
-    (shells x nodes) products C_{m+-k} C_{n+-k} rho^{+-k}, each shell's
-    operations in the order of a lone shell, summed against the weights
-    along the nodes.  A scan then adds the shells in order under the stop
-    rule, so the sum is that of a shell-by-shell loop, bit for bit, and a
-    shell of the run past the stop is computed but never added.  Before
-    any row, NonConvergence names the shells' largest limiting ratio if it
-    is at least 1: |q gamma| (k < 0) on the unit circle and, for beta > 1,
-    |q/(beta gamma)| (k >= 0) and |q beta gamma| (k < 0) at the mass point
-    sqrt(beta), since C_{-j}(beta, gamma) = (q/beta)^j C_j(beta, 1/(beta
-    gamma)), and |C_j| is bounded on the circle and grows like u^{j/2} at
-    a mass point +-sqrt(u) (|rho| < 1, for k >= 0 on the circle, is the
-    hypothesis).
+    lhs = (1/2pi) int sum_k C_{m+k} C_{n+k} rho^k w dx, rho = q/(beta^2
+    gamma), over the full measure, by the module's node loop to tol *
+    max(1, |rhs|) / 4.  By the symmetry C_{-j}(beta, gamma) = (q/beta)^j
+    C'_j, C' = C(.; beta, 1/(beta gamma)), shell k contributes u_k +
+    (beta/q)^{m+n} d_k: u_k the weighted node sum of C_{m+k} C_{n+k} rho^k,
+    and d_k (d_0 = 0) that of C'_{k-m} C'_{k-n} (q gamma)^k.  So both
+    families run upward, and no weight leaves the double range.  On each
+    node set the k-sum adds shells until two in a row contribute at most
+    tol * max(1, |sum|) / 64, and not before the shell count K of the
+    previous set.  Each family's rows come from one bilateral_cn_range pass
+    up to shell K plus a margin, widened upward to shell 2k - K +
+    _WIDEN_ROWS by a shell k beyond them (doubling the shells past K), so
+    each C_j is evaluated once per node set and family.  Each run of shells that the rows cover is one array pass, each
+    shell's operations in the order of a lone shell, and the scan adds the
+    shells in order, so the sum is that of a shell-by-shell loop, bit for
+    bit.  Before any row, NonConvergence names the shells' largest limiting
+    ratio if it is at least 1: |q gamma| (d_k) on the unit circle and, for
+    beta > 1, |q/(beta gamma)| (u_k) and |q beta gamma| (d_k) at the mass
+    point sqrt(beta), since |C_j| is bounded on the circle and grows like
+    u^{j/2} at a mass point +-sqrt(u) (|rho| < 1, for u_k on the circle, is
+    the hypothesis).  A non-finite contribution raises NonConvergence.
 
     rhs = shifted_orthogonality_rhs(params, policy, n) * delta_{mn}.
 
     m and n may be equal-length integer sequences.  The pairs then share
     the node loop, which runs until every pair meets its own tolerance;
-    the pass of a node set spans the union of the pairs' rows, so each C_j
-    is still evaluated once per node set, and each pair keeps its own
-    shell stop rule and shell count.  lhs.value,
+    a family's pass on a node set spans the union of the pairs' rows, so
+    each C_j is still evaluated once per node set and family, and each pair
+    keeps its own shell stop rule and shell count.  lhs.value,
     lhs.last_refinement_delta and rhs are then arrays over the pairs.
     """
     _check_tol(tol)
@@ -460,62 +472,45 @@ def shifted_orthogonality_pair(m, n, params: UltraParams,
         raise NonConvergence(f"shifted-orthogonality shells failed to decay: "
                              f"{name} = {rates[name]:.3g} >= 1")
     kmin = [8] * len(ms)
+    with np.errstate(over="ignore"):        # an infinite scale fails shell 1
+        scales = ((beta / q) ** (np.array(ms) + ns)).tolist()
+    # (params, weight, first shell, sign of the pair's row indices)
+    families = ((params, rho, 0, 1), (symmetry_params(params), q * gamma, 1, -1))
 
     def partial_sum(sp, wts):
-        rows = bilateral_cn_range(
-            min(min(a, b) - k for a, b, k in zip(ms, ns, kmin)) - _SHELL_MARGIN,
-            max(max(a, b) + k for a, b, k in zip(ms, ns, kmin)) + _SHELL_MARGIN,
-            sp, params, policy)
+        rows = [bilateral_cn_range(
+            min(min(s * a, s * b) for a, b in zip(ms, ns)) + first,
+            max(max(s * a, s * b) + k for a, b, k in zip(ms, ns, kmin)) + _SHELL_MARGIN,
+            sp, fam, policy) for fam, _, first, s in families]
 
-        def shells(m, n):
-            """The contributions of shells k = 0, 1, ... of the pair (m, n)
-            as Python complex numbers, each run of shells that the rows
-            cover in one array pass.  A shell the rows lack first widens
-            them to lo - 2k .. hi + 2k; a shell weight that overflows, or
-            a contribution that is not finite, raises when the scan
-            reaches its shell."""
-            nonlocal rows
-            lo, hi = min(m, n), max(m, n)
-            k = 0
+        def family(i, a, b, k0):
+            """The weighted node sums of rows a + k and b + k of family i
+            times its weight^k, from its first shell on, as Python complex
+            numbers, one array pass per run of shells that the rows cover;
+            k0 is the pair's shell count on the previous node set."""
+            _, weight, k, _ = families[i]
             while True:
-                if lo - k < rows.n_lo or hi + k > rows.n_hi:
-                    rows = rows.widened(lo - 2 * k, hi + 2 * k)
-                top = min(lo - rows.n_lo, rows.n_hi - hi)
-                first = max(k, 1)             # shell 0 has no k < 0 half
-                down = []
-                for j in range(first, top + 1):
-                    try:
-                        down.append(rho ** -j)
-                    except OverflowError:
-                        if j == k:
-                            raise NonConvergence(f"shifted-orthogonality shell weight "
-                                                 f"rho^-{k} overflows") from None
-                        top = j - 1
-                        break
-                up = [rho ** j for j in range(k, top + 1)]
-                v, a, b = rows.values, m - rows.n_lo, n - rows.n_lo
+                if max(a, b) + k > rows[i].n_hi:
+                    rows[i] = rows[i].widened(rows[i].n_lo,
+                                              max(a, b) + 2 * k - k0 + _WIDEN_ROWS)
+                v, lo = rows[i].values, rows[i].n_lo
+                top = rows[i].n_hi - max(a, b)
                 # each shell's elementwise operations in the order of a
                 # single shell; shells past the stop may overflow unseen
                 with np.errstate(over="ignore", invalid="ignore"):
-                    vals = (v[a + k:a + top + 1] * v[b + k:b + top + 1]
-                            * np.array(up)[:, None])
-                    vals[first - k:] += (v[a - top:a - first + 1][::-1]
-                                         * v[b - top:b - first + 1][::-1]
-                                         * np.array(down)[:, None])
-                    run = np.sum(vals * wts, axis=-1).tolist()
-                for contrib in run:
-                    if not cmath.isfinite(contrib):
-                        raise NonConvergence(
-                            f"shifted-orthogonality shell {k} is not finite")
-                    yield contrib
-                    k += 1
+                    vals = (v[a + k - lo:a + top + 1 - lo] * v[b + k - lo:b + top + 1 - lo]
+                            * np.array([weight ** j for j in range(k, top + 1)])[:, None])
+                    yield from np.sum(vals * wts, axis=-1).tolist()
+                k = top + 1
 
         totals = []
         for i, (m, n) in enumerate(zip(ms, ns)):
-            contribs = shells(m, n)
-            total = next(contribs)
-            small = 0
-            for k, contrib in enumerate(contribs, 1):
+            total, small = 0j, 0
+            down = itertools.chain([0j], family(1, -m, -n, kmin[i]))
+            for k, (u, d) in enumerate(zip(family(0, m, n, kmin[i]), down)):
+                contrib = u + scales[i] * d
+                if not cmath.isfinite(contrib):
+                    raise NonConvergence(f"shifted-orthogonality shell {k} is not finite")
                 total += contrib
                 small = small + 1 if abs(contrib) <= tol * max(1.0, abs(total)) / 64.0 else 0
                 if small >= 2 and k >= kmin[i]:
@@ -526,8 +521,6 @@ def shifted_orthogonality_pair(m, n, params: UltraParams,
             totals.append(total)
         return totals[0] if single else np.array(totals)
 
-    tols = [tol * max(1.0, abs(r)) / 4.0 for r in rhs]
-    if single:
-        return _refine(partial_sum, beta, q, tols[0], policy, family=beta), rhs[0]
-    return (_refine(partial_sum, beta, q, np.array(tols), policy, family=beta),
-            np.array(rhs))
+    tols = np.array([tol * max(1.0, abs(r)) / 4.0 for r in rhs])
+    lhs = _refine(partial_sum, beta, q, tols[0] if single else tols, policy, family=beta)
+    return (lhs, rhs[0]) if single else (lhs, np.array(rhs))

@@ -156,19 +156,25 @@ def _index_lists(*indices):
 
 
 @functools.lru_cache(maxsize=16)
-def check_pole_lattice(params: UltraParams) -> None:
-    """Raise PoleError when gamma or beta*gamma sits on a q-power lattice
-    that makes some (q gamma; q)_k or (beta gamma; q)_k denominator vanish
-    (or require a limit).  gamma = q^m with m >= 0 is fine.  A passing
-    params is remembered (sixteen at most); a failing one raises again at
-    every call."""
+def _check_poles(params: UltraParams) -> None:
+    """PoleError where a denominator of some g_k vanishes: gamma = q^m with
+    m <= -1, or beta*gamma = q^m with m >= 1.  Cached like check_pole_lattice."""
     m = is_q_power(params.gamma, params.q)
     if m is not None and m <= -1:
         raise PoleError(f"gamma = q^{m} lies on the pole lattice")
     m = is_q_power(params.beta * params.gamma, params.q)
-    if m is not None:
-        if m >= 1:
-            raise PoleError(f"beta*gamma = q^{m} lies on the pole lattice")
+    if m is not None and m >= 1:
+        raise PoleError(f"beta*gamma = q^{m} lies on the pole lattice")
+
+
+@functools.lru_cache(maxsize=16)
+def check_pole_lattice(params: UltraParams) -> None:
+    """_check_poles, and PoleError at beta*gamma = q^m with m <= 0, where the
+    continuations' (beta gamma; q)_inf vanishes and would need a limit (the
+    direct sum is regular there: g_j = 0 for j >= 1 - m).  A passing params
+    is remembered (sixteen at most); a failing one raises at every call."""
+    _check_poles(params)
+    if (m := is_q_power(params.beta * params.gamma, params.q)) is not None:
         raise PoleError(
             f"beta*gamma = q^{m} requires a limit evaluation (unsupported lattice)")
 
@@ -977,7 +983,8 @@ def _point_rows(n_lo: int, n_hi: int, zs: list, params: UltraParams,
     shares them with.  Blocks, points and rows are walked in order, so a
     failing row raises the error a loop over the points one at a time
     would raise first.  Both lanes of _range_values run it, a scalar as
-    one point."""
+    one point.  Raises check_pole_lattice's PoleError first."""
+    check_pole_lattice(params)
     out = []
     for lo in range(0, len(zs), _POLE_BLOCK):
         block = zs[lo:lo + _POLE_BLOCK]
@@ -1010,7 +1017,7 @@ def _range_values(n_lo: int, n_hi: int, z, params: UltraParams,
     n_lo, n_hi = int(n_lo), int(n_hi)
     if n_hi < n_lo:
         raise DomainError("bilateral_cn_range needs n_lo <= n_hi")
-    check_pole_lattice(params)
+    _check_poles(params)
     if not isinstance(z, np.ndarray):    # one point: no index bookkeeping
         if _scalar_inside(z, params.beta, params.q):
             values, terms = _direct_range(n_lo, n_hi, np.array([z]), params, policy)
@@ -1046,9 +1053,9 @@ def bilateral_cn_range(n_lo: int, n_hi: int, p: SpectralPoint,
     (direct_region_mask) and gets the values and term counts of the
     one-element array, bit for bit.  An array raises the error of its
     first failing point, at that point's first failing row.  Raises
-    PoleError on the gamma parameter lattices, RegionError when no
-    evaluation route applies, NonConvergence when the policy budget is
-    exhausted.
+    PoleError on the gamma parameter lattices (_check_poles, and off the
+    annulus check_pole_lattice), RegionError when no evaluation route
+    applies, NonConvergence when the policy budget is exhausted.
     """
     values, terms = _range_values(n_lo, n_hi, p.z, params, policy)
     return UltraRange(int(n_lo), p, params, policy,
@@ -1062,9 +1069,8 @@ def bilateral_cn(n: int, p: SpectralPoint, params: UltraParams,
 
     Direct two-sided summation inside the convergence annulus, analytic
     continuation outside it (see the module docstring); p.z may be an
-    array, and then each point takes its own route.  Raises PoleError on
-    the gamma parameter lattices, RegionError when no evaluation route
-    applies, NonConvergence when the policy budget is exhausted.
+    array, and then each point takes its own route.  Raises PoleError,
+    RegionError and NonConvergence as bilateral_cn_range does.
     """
     values, terms = _range_values(n, n, p.z, params, policy)
     value = values[0]

@@ -138,14 +138,25 @@ def test_poch_splitting_identity(k):
     assert lhs == pytest.approx(poch(a, Q, INFINITY), rel=1e-12)
 
 
-def _poch_abs_exact(a, q, k):
-    """|(a; q)_k| for these double inputs, by mpmath at 40 digits."""
+def _poch_exact(a, q, k):
+    """(a; q)_k for these double inputs, by mpmath at 40 digits."""
     with mpmath.workdps(40):
         a, q = mpmath.mpc(a), mpmath.mpf(q)
         if k >= 0:
-            return abs(mpmath.fprod(1 - a * q ** j for j in range(k)))
-        den = abs(mpmath.fprod(1 - a / q ** j for j in range(1, -k + 1)))
+            return mpmath.fprod(1 - a * q ** j for j in range(k))
+        den = mpmath.fprod(1 - a / q ** j for j in range(1, -k + 1))
         return mpmath.inf if den == 0 else 1 / den
+
+
+def _poch_condition(a, q, k):
+    """How much the rounding of each factor's a q^j (k >= 0) or q^j
+    (k < 0) can move (a; q)_k, relative: the sum of |a q^j| / |1 - a q^j|
+    over its factors, or of |q^j| / |q^j - a| for k < 0."""
+    if k >= 0:
+        parts = [(a * q ** j, 1 - a * q ** j) for j in range(k)]
+    else:
+        parts = [(q ** j, q ** j - a) for j in range(1, -k + 1)]
+    return sum(abs(x) / abs(y) if y else math.inf for x, y in parts)
 
 
 @settings(max_examples=30, deadline=None)
@@ -154,21 +165,28 @@ def _poch_abs_exact(a, q, k):
 # a subnormal distance from the pole a = q: (a; q)_{-1} exceeds the
 # double range, and poch rightly raises DomainError
 @example(re=0.5, im=5e-324, q=0.5, k=-1)
+# a is 2.2e-16 from the pole a = q, as far as q^{-1} rounds: the shift
+# identity (a; q)_0 = (a; q)_{-1} (1 - a q^{-1}) gives 1 against 1 + 0.31i,
+# while both values match the exact products
+@example(re=0.6098835307633215, im=2.2e-16, q=0.6098835307633215, k=-1)
 def test_poch_shift_identity_random(re, im, q, k):
     a = complex(re, im)
     try:
-        rhs = poch(a, q, k) * (1 - a * q ** k)
-        lhs = poch(a, q, k + 1)
+        values = [poch(a, q, j) for j in (k, k + 1)]
     except PoleError:
         # only a = q^j with 1 <= j <= -k is a pole of (a; q)_k
         assert is_q_power(a, q) in range(1, -k + 1)
         return
     except DomainError:
         # overflow is right only where a true value leaves the double range
-        assert max(_poch_abs_exact(a, q, k),
-                   _poch_abs_exact(a, q, k + 1)) > sys.float_info.max
+        assert max(abs(_poch_exact(a, q, k)),
+                   abs(_poch_exact(a, q, k + 1))) > sys.float_info.max
         return
-    assert lhs == pytest.approx(rhs, rel=1e-11, abs=1e-11)
+    for j, value in zip((k, k + 1), values):
+        exact = complex(_poch_exact(a, q, j))
+        tol = 1e-11 + 8 * sys.float_info.epsilon * _poch_condition(a, q, j)
+        # from tol = 1 on, a rounded q^j can reach the pole: no digit holds
+        assert tol >= 1 or abs(value - exact) <= tol * abs(exact)
 
 
 @pytest.mark.parametrize("a", [0.5 + 5e-324j])

@@ -12,7 +12,7 @@ from qultra import (DomainError, NonConvergence, PoleError, RegionError,
                     mass_points, orthogonality_diagonal,
                     orthogonality_entry, poch, poch_multi,
                     shifted_orthogonality_pair, shifted_orthogonality_rhs,
-                    weight_value)
+                    symmetry_params, weight_value)
 from qultra.qcore import INFINITY
 from qultra.quadrature import _circle_weight
 from qultra.verify import CONFIG_DEFAULTS
@@ -29,6 +29,19 @@ def test_weight_params_window():
         WeightParams(-1.0, 0.3)
     with pytest.raises(DomainError):
         WeightParams(0.5, -0.3)  # q must be real in (0, 1)
+
+
+def test_weight_needs_real_beta():
+    # UltraParams stores beta as a complex number; a zero imaginary part is
+    # the real beta, and a nonzero one is refused with a DomainError
+    w = WeightParams(UltraParams(0.8, 0.7, 0.3).beta, 0.3)
+    assert w.beta == 0.8 and type(w.beta) is float
+    for call in (lambda: WeightParams(0.8 + 0.3j, 0.3),
+                 lambda: bilateral_delta_integral(0, 0.8 + 0.3j, 0.3),
+                 lambda: bilateral_delta_rhs(0.8 + 0.3j, 0.3)):
+        with pytest.raises(DomainError, match="weight needs real beta"):
+            call()
+    assert bilateral_delta_rhs(0.8 + 0j, 0.3) == bilateral_delta_rhs(0.8, 0.3)
 
 
 def test_weight_value_positive_on_grid():
@@ -395,13 +408,14 @@ def test_shifted_orthogonality_with_mass_points():
 def test_shifted_orthogonality_evaluates_each_cj_once(beta, monkeypatch):
     import qultra.ultraspherical as us
     real = us.bilateral_cn_range
-    rows = {}  # node set -> every n evaluated on it
-    passes = {}  # node set -> bilateral_cn_range calls on it
+    rows = {}  # (params, node set) -> every n evaluated on it
+    passes = {}  # (params, node set) -> bilateral_cn_range calls on it
 
-    def spy(n_lo, n_hi, p, *args):
-        rows.setdefault(p.z.tobytes(), []).extend(range(n_lo, n_hi + 1))
-        passes[p.z.tobytes()] = passes.get(p.z.tobytes(), 0) + 1
-        return real(n_lo, n_hi, p, *args)
+    def spy(n_lo, n_hi, p, params, *args):
+        key = (params, p.z.tobytes())
+        rows.setdefault(key, []).extend(range(n_lo, n_hi + 1))
+        passes[key] = passes.get(key, 0) + 1
+        return real(n_lo, n_hi, p, params, *args)
 
     monkeypatch.setattr(quad, "bilateral_cn_range", spy)
     monkeypatch.setattr(us, "bilateral_cn_range", spy)
@@ -410,7 +424,7 @@ def test_shifted_orthogonality_evaluates_each_cj_once(beta, monkeypatch):
         rows.clear()
         passes.clear()
         shifted_orthogonality_pair(m, n, UltraParams(beta, GAMMA, Q), 1e-6)
-        assert len(rows) >= 2 + (beta > 1)
+        assert len(rows) >= 2 * (2 + (beta > 1))   # both families
         for evaluated in rows.values():
             assert len(evaluated) == len(set(evaluated))
         widened = widened or max(passes.values()) > 1
@@ -563,38 +577,47 @@ def test_measured_shell_rates_follow_the_predicted_ones(qbg):
         assert got == pytest.approx(want, rel=0.01)
 
 
-def test_a_shell_weight_out_of_the_double_range_raises_nonconvergence():
-    # |q gamma| = 0.99 at (0.3, 0.5, 3.3) passes the rate check, and the
-    # shells decay so slowly that the scan reaches rho^-702, which overflows
-    # a float before the sum stops: a typed error, not OverflowError
-    with pytest.raises(NonConvergence, match=r"rho\^-702 overflows"):
-        shifted_orthogonality_pair(0, 0, UltraParams(0.5, 3.3, 0.3))
+def test_a_slowly_decaying_shell_sum_returns_a_value():
+    # |q gamma| = 0.99 at (0.5, 0.9, 1.98) passes the rate check.  The
+    # mirrored family's weight (q gamma)^k stays in the double range, so the
+    # sum returns a value.  It lands 1.5e-6 from the rhs, outside tol = 1e-6:
+    # the stop rule leaves a tail of about 100 shells at rate 0.99 (ROADMAP
+    # item 10's gap)
+    lhs, rhs = shifted_orthogonality_pair(0, 0, UltraParams(0.9, 1.98, 0.5))
+    assert np.isfinite(lhs.value)
+    assert abs(lhs.value / rhs - 1) <= 1e-5
 
 
 def _shells_one_at_a_time(m, n, params, tol, rhs):
     """The lhs of shifted_orthogonality_pair with its k-sum written one
-    shell at a time: each shell's products and weighted sum, and the scan's
-    stop rule, shell count and widening, without the rate check."""
+    shell at a time: shell k adds the weighted node sum of C_{m+k} C_{n+k}
+    rho^k and, for k >= 1, (beta/q)^{m+n} times that of C'_{k-m} C'_{k-n}
+    (q gamma)^k, C' at the mirrored params; with the scan's stop rule,
+    shell count and widening, without the rate check."""
     ms, ns = np.atleast_1d(m).tolist(), np.atleast_1d(n).tolist()
     q, beta, gamma = params.q.real, params.beta.real, params.gamma.real
-    rho = q / (beta ** 2 * gamma)
+    families = ((params, q / (beta ** 2 * gamma), 1),
+                (symmetry_params(params), q * gamma, -1))
     kmin = [8] * len(ms)
 
     def partial_sum(sp, wts):
-        rows = quad.bilateral_cn_range(
-            min(min(a, b) - k for a, b, k in zip(ms, ns, kmin)) - quad._SHELL_MARGIN,
-            max(max(a, b) + k for a, b, k in zip(ms, ns, kmin)) + quad._SHELL_MARGIN,
-            sp, params)
+        rows = [quad.bilateral_cn_range(
+            min(min(s * a, s * b) for a, b in zip(ms, ns)) + (s < 0),
+            max(max(s * a, s * b) + k for a, b, k in zip(ms, ns, kmin)) + quad._SHELL_MARGIN,
+            sp, fam) for fam, _, s in families]
+
+        def family_shell(i, a, b, k, k0):
+            if max(a, b) + k > rows[i].n_hi:
+                rows[i] = rows[i].widened(rows[i].n_lo,
+                                          max(a, b) + 2 * k - k0 + quad._WIDEN_ROWS)
+            weight = families[i][1]
+            return complex(np.sum(rows[i][a + k] * rows[i][b + k] * weight ** k * wts))
 
         def shell(m, n, k):
-            nonlocal rows
-            lo, hi = min(m, n), max(m, n)
-            if lo - k < rows.n_lo or hi + k > rows.n_hi:
-                rows = rows.widened(lo - 2 * k, hi + 2 * k)
-            vals = rows[m + k] * rows[n + k] * rho ** k
-            if k != 0:
-                vals = vals + rows[m - k] * rows[n - k] * rho ** (-k)
-            return complex(np.sum(vals * wts))
+            u = family_shell(0, m, n, k, kmin[i])
+            if k == 0:
+                return u
+            return u + (beta / q) ** (m + n) * family_shell(1, -m, -n, k, kmin[i])
 
         totals = []
         for i, (m, n) in enumerate(zip(ms, ns)):
@@ -640,8 +663,9 @@ def test_shells_past_the_stop_raise_no_warning():
 @pytest.mark.parametrize("name", ["shifted_orthogonality_diagonal",
                                   "shifted_orthogonality_offdiagonal"])
 def test_shifted_entries_take_few_direct_sum_passes(name, monkeypatch):
-    # two node sets at the defaults: the first widens its rows twice on
-    # each side (5 passes), the second takes all its 93 rows in 2
+    # two node sets at the defaults, two shell families on each: on the
+    # first each family's rows widen once upward (4 passes), and on the
+    # second each family takes its 46-48 rows in one pass (6 in all)
     import qultra.ultraspherical as us
     from qultra.verify import run_identity
     real, calls = us._direct_rows, []

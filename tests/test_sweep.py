@@ -15,7 +15,8 @@ _spec.loader.exec_module(sweep)
 TABLE = json.loads(sweep.TABLE.read_text())
 
 SUBSET = ("0.5 0.4 0.7", "0.5 -0.5 0.3", "0.7 0.4 0.3", "0.7 1.2 0.3",
-          "0.7 0.8 1.5", "0.1 0.4 0.3", "0.3 0.8 0.7", "0.7 0.4 1.5")
+          "0.7 0.8 1.5", "0.1 0.4 0.3", "0.3 0.8 0.7", "0.7 0.4 1.5",
+          "0.3 0.8 1.0")
 
 
 def test_subset_covers_every_failing_entry():

@@ -12,7 +12,8 @@ from qultra import (BILATERAL, DEFAULT_POLICY, UNILATERAL, DomainError,
                     bilateral_cn_psi_form, classical_cn,
                     constant_term, generating_rhs, linearization_residual,
                     recurrence_residual, special_value_c0,
-                    special_value_cm1, sum_phi, symmetry_residual)
+                    special_value_cm1, sum_phi, symmetry_params,
+                    symmetry_residual)
 from qultra.hyperseries import (bailey_2psi2, sum_psi, sum_psi_params,
                                 wellpoised_6psi8)
 import qultra.ultraspherical as us
@@ -173,6 +174,27 @@ def test_recurrence_bilateral(n, params, points):
 def test_symmetry(n, params, points):
     for p in points:
         assert symmetry_residual(n, p, params) <= 1e-10
+
+
+@pytest.mark.parametrize("qbg", [(0.3, 0.8, 1.0), (0.3, 0.8, 0.3)])
+def test_direct_rows_at_beta_gamma_on_the_nonpositive_lattice(qbg):
+    # the mirrored params of gamma = q^0 and q^1 sit on beta gamma' = q^0
+    # and q^-1, where g_j = 0 for j >= 1 - m and no denominator vanishes:
+    # the direct sum is regular, and its rows are the limit from either
+    # side, to O(h^2).  Off the annulus the continuations' (beta gamma';
+    # q)_inf vanishes, so those points still refuse
+    q, beta, gamma = qbg
+    params = UltraParams(beta, gamma, q)
+    mirrored = symmetry_params(params)
+    p = SpectralPoint(np.exp(1j * np.array([0.4, 1.0, 2.2])))
+    rows = bilateral_cn_range(-4, 4, p, mirrored).values
+    mean = sum(bilateral_cn_range(-4, 4, p, mirrored.with_gamma(mirrored.gamma * s)).values
+               for s in (1 + 1e-9, 1 - 1e-9)) / 2
+    assert np.all(np.abs(mean - rows) <= 1e-13 * np.maximum(1.0, np.abs(rows)))
+    for n in range(-4, 5):
+        assert symmetry_residual(n, SpectralPoint(np.exp(0.4j)), params) <= 1e-13
+    with pytest.raises(PoleError, match="requires a limit evaluation"):
+        bilateral_cn_range(-4, 4, SpectralPoint(2 * np.exp(0.3j)), mirrored)
 
 
 def test_constant_terms_at_x_zero(params):

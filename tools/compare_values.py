@@ -28,7 +28,11 @@ the type and message of the error it raised.  The calls are
   n = -47..45 on the 63 interior nodes of the 64-interval rule, and
   ``shifted_orthogonality_pair`` at tol 1e-12 on the suite's diagonal
   pairs (n, n), n = -2..2, and off-diagonal pairs (0, 2), (1, -1), each at
-  the defaults and at (0.1, 0.4, 0.7).
+  the defaults and at (0.1, 0.4, 0.7);
+* ``bilateral_cn_range`` over n = -4..4 at three unit-circle points and at
+  (q, beta, gamma) = (0.3, 0.8, 1.25), where beta gamma = 1 = q^0: the
+  direct sum is regular there, while the continuations' (beta gamma; q)_inf
+  vanishes.
 
 The script prints every record that differs, then one summary line: the
 largest relative change of a value (a complex number of a record that
@@ -209,6 +213,17 @@ def _pass_records() -> list:
     return out
 
 
+def _lattice_records() -> list:
+    import numpy as np
+    from qultra import SpectralPoint, UltraParams, bilateral_cn_range
+    nodes = SpectralPoint(np.exp(1j * np.array([0.4, 1.0, 2.2])))
+
+    def rows():
+        r = bilateral_cn_range(-4, 4, nodes, UltraParams(0.8, 1.25, 0.3))
+        return [_num(r.values), r.truncation_terms.tolist()]
+    return [["range beta*gamma = 1", _record(rows)]]
+
+
 def records(src: str) -> list:
     """Every record of the tree at src, in a fixed order."""
     src = Path(src).resolve()
@@ -219,7 +234,7 @@ def records(src: str) -> list:
         raise SystemExit(f"qultra imported from {qultra.__file__}, not {src}")
     rng = np.random.default_rng(2508)
     return (_cn_records(rng) + _series_records(rng) + _poch_records(rng)
-            + _suite_records() + _pass_records())
+            + _suite_records() + _pass_records() + _lattice_records())
 
 
 def _values(payload) -> list:
