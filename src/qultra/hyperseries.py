@@ -23,8 +23,7 @@ bailey_2psi2 (Bailey's 2psi2 transformation) and wellpoised_6psi8 (the
 very-well-poised 6psi8 form of a 2psi2) each return the prefactor and the
 transformed series' parameters and argument; see
 Gasper & Rahman, *Basic Hypergeometric Series*, ch. 5.  transform_residual
-checks both, and the continuation routes of ultraspherical are built on
-them.
+checks both; ultraspherical's 6psi8 route and its crosscheck use them.
 """
 
 from __future__ import annotations

@@ -258,30 +258,38 @@ def poch_ratio(a, b, q, k):
 
 def _paired(a: complex, b: complex, q: complex, k: int, name: str) -> complex:
     """The finite loop of poch and poch_ratio: (a; q)_k / (b; q)_k, each
-    numerator factor divided by its denominator factor.  With b = 0 each
-    factor of b is exact, 1 + 0j for k >= 0 and q^j for k < 0, so the
-    quotient is poch's plain product bit for bit.  name opens each
-    PoleError and DomainError message."""
-    out = 1.0 + 0j
-    if k >= 0:
-        qj = 1.0 + 0j
-        for j in range(k):
-            den = 1.0 - b * qj
+    factor 1 - a q^j (q^j - b for k < 0) over 1 - b q^j (q^j - a).  With
+    b = 0 the quotient is poch's plain product bit for bit.  Where it is
+    not finite the loop runs again scaled, each factor's two parts and
+    each partial product as m 2^e (_binary_split) with the exponents
+    summed apart, so that only the product can leave the double range.
+    name opens each PoleError and DomainError message."""
+    for scaled in (False, True):
+        out, exp, v = 1.0 + 0j, 0, (1.0 + 0j if k >= 0 else q)
+        for j in range(abs(k)):
+            num, den = (1.0 - a * v, 1.0 - b * v) if k >= 0 else (v - b, v - a)
             if den == 0:
-                raise PoleError(f"{name}: factor 1 - b q^{j} vanishes")
-            out *= (1.0 - a * qj) / den
-            qj *= q
-    else:
-        v = q
-        for j in range(1, -k + 1):
-            den = v - a
-            if den == 0:
-                raise PoleError(f"{name}: factor 1 - a q^-{j} vanishes")
-            out *= (v - b) / den
+                pole = f"1 - b q^{j}" if k >= 0 else f"1 - a q^-{j + 1}"
+                raise PoleError(f"{name}: factor {pole} vanishes")
+            if scaled:
+                (num, e), (den, f) = _binary_split(num), _binary_split(den)
+                out, g = _binary_split(out * num / den)
+                exp += e - f + g
+            else:
+                out *= num / den
             v *= q
-    if not cmath.isfinite(out):
-        raise DomainError(f"{name} overflowed double precision")
-    return out
+        if not scaled and cmath.isfinite(out):
+            return out
+    try:
+        return complex(math.ldexp(out.real, exp), math.ldexp(out.imag, exp))
+    except OverflowError:
+        raise DomainError(f"{name} overflowed double precision") from None
+
+
+def _binary_split(x: complex):
+    """(m, e) with x = m 2^e exactly and the larger part of m in [0.5, 1)."""
+    e = math.frexp(max(abs(x.real), abs(x.imag)))[1]
+    return complex(math.ldexp(x.real, -e), math.ldexp(x.imag, -e)), e
 
 
 def poch_multi(factors, q, k, policy: TruncationPolicy | None = None):

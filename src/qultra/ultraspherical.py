@@ -28,12 +28,11 @@ depend on the points it shares them with), wherever its rings settle to
 a ratio below 1 and its tail and cancellation check out, per point; else
 from hyperseries.wellpoised_6psi8, a 6psi8 form of the defining series
 whose tails decay superexponentially for every z != 0
-(bilateral_cn_6psi8).  On the lattice both degenerate: a row takes
-hyperseries.bailey_2psi2, a transformed 2psi2 with a z-free argument,
-where |q^{1-n}/(beta gamma)^2| < 1 and |q^{1+n} gamma^2| < 1
-(bilateral_cn_bailey), and the three-term recurrence from C_0 and C_{-1}
-otherwise.  So C_n is computable at the points q^{+-1/2} z of divided
-differences and at z = q^{1/2}, q^{1/4}, where the direct sum diverges.
+(bilateral_cn_6psi8).  On the lattice both degenerate, but C_n is
+analytic there, and a row is its mean over a circle about the point
+whose points take the routes above (_lattice_rows).  So C_n is
+computable at the points q^{+-1/2} z of divided differences and at
+z = q^{1/2}, q^{1/4}, where the direct sum diverges.
 """
 
 from __future__ import annotations
@@ -408,10 +407,7 @@ def _side_sums(coeff: np.ndarray, pre: np.ndarray, ratio) -> np.ndarray:
     time.  The products are BLAS matrix products, coeff @ W.T.  On a
     2-core x86-64 machine with OpenBLAS one takes 25-30 us on a
     16 x 132 x 63 block, where an einsum contraction over the step axis
-    took about 165 us, and the benchmark's suite-default pass is about 7%
-    faster (run_s 0.20 against 0.215 s).  They page in OpenBLAS kernels:
-    a process that runs the suite once peaks at 37.6 MB RSS, against
-    36.9 MB with einsum."""
+    took about 165 us."""
     out = np.empty_like(pre)
     power = np.ones(pre.shape[2:] + (coeff.shape[2],), dtype=complex)
     for side in range(2):
@@ -893,33 +889,42 @@ def _route_value(name: str, route, n: int, *args):
     return value, terms
 
 
+def _lattice_radius(z: complex, params: UltraParams) -> float:
+    """The distance from z, z^2 on the q^Z lattice, to the nearest other
+    lattice point, at least r (1 - |q|^{1/2}) away (r = |z|), or singular
+    point of C_n, w^2 = q^{k+1}/beta or beta q^{-k-1} with k >= 0."""
+    r, lq, lb = abs(z), cmath.log(params.q), cmath.log(params.beta)
+    radius = r * (1 - abs(params.q) ** 0.5)
+    for lc, first, last in ((lq - lb, 0, math.inf), (lb - lq, -math.inf, 0)):
+        # the w^2 = e^{lc} q^k with ||w| - r| <= radius: 2 log|w| = Re(lc + k lq)
+        lo, hi = ((2 * math.log(r + s * radius) - lc.real) / lq.real for s in (1, -1))
+        for k in range(max(first, math.ceil(lo)), min(last, math.floor(hi)) + 1):
+            w = cmath.exp((lc + k * lq) / 2)
+            radius = min(radius, abs(z - w), abs(z + w))
+    return radius
+
+
 def _lattice_rows(n_lo: int, n_hi: int, z: complex, params: UltraParams,
                   policy: TruncationPolicy) -> list:
     """The (value, terms) rows of _point_rows at z with z^2 on the q^Z
-    lattice: Bailey's 2psi2 where it applies (_bailey), else the
-    three-term recurrence outward from C_0 and C_{-1}, both by the 2psi2,
-    with one pass per direction, extended as far as the rows ask."""
-    x, rows, seeds = (z + 1.0 / z) / 2.0, {}, []
-
-    def row(n):
-        try:
-            return _bailey(n, z, params, policy)
-        except _RouteUnusable:
-            pass
-        if not seeds:
-            seeds.extend(_bailey(s, z, params, policy) for s in (0, -1))
-            rows.update({0: seeds[0][0], -1: seeds[1][0]})
-        step, j = (1, max(rows)) if n >= 0 else (-1, min(rows))
-        while n not in rows:    # solve the recurrence at j for C_{j + step}
-            mid, up, down = _recurrence_coefficients(j, params)
-            new, old = (up, down) if step == 1 else (down, up)
-            if new == 0:
-                raise PoleError("recurrence coefficient vanishes")
-            rows[j + step] = (2 * x * mid * rows[j] - old * rows[j - step]) / new
-            j += step
-        return rows[n], seeds[0][1] + seeds[1][1]
-
-    return [_route_value("lattice route", row, n) for n in range(n_lo, n_hi + 1)]
+    lattice, where the continuations degenerate but C_n is analytic: its
+    trapezoid mean over z + rho e^{2 pi i j/64}, j < 64, rho a third of
+    _lattice_radius, from one _range_values call (terms is the most any
+    point took).  A row is accepted where the mean of every other point
+    agrees with it to rel_tol |mean|; else RegionError names the gap."""
+    rho = _lattice_radius(z, params) / 3
+    circle = z + rho * np.exp(2j * np.pi * np.arange(64) / 64)
+    if any(_on_q_lattice(w * w, params.q) for w in circle.tolist()):
+        raise RegionError(f"the circle about z = {z} meets the q^Z lattice")
+    values, terms = _range_values(n_lo, n_hi, circle, params, policy)
+    means = values.mean(axis=1).tolist()
+    for n, mean, half in zip(range(n_lo, n_hi + 1), means,
+                             values[:, ::2].mean(axis=1).tolist()):
+        if not abs(mean - half) <= policy.rel_tol * abs(mean):
+            raise RegionError(f"the circle mean of C_{n} at the lattice point z = {z} "
+                              f"is not settled: its 32- and 64-point means differ "
+                              f"by {abs(mean - half):.3g}, |C_n| = {abs(mean):.3g}")
+    return list(zip(means, terms.tolist()))
 
 
 def _direct_range(n_lo: int, n_hi: int, z: np.ndarray, params: UltraParams,
@@ -973,17 +978,18 @@ def _point_rows(n_lo: int, n_hi: int, zs: list, params: UltraParams,
                 policy: TruncationPolicy) -> list:
     """Per point of zs (Python complex, all off the annulus), the (values,
     terms) tuples of C_n, n_lo <= n <= n_hi, every row by the route of
-    the point: _lattice_rows where z^2 is on the q^Z lattice, else the
-    pole expansion and the 6psi8 where it refuses; where z^2 leaves the
-    double range neither applies, and a RegionError says so.  Each block
-    of _POLE_BLOCK points shares one _PoleRings, which tests each point for
-    the lattice in scalar arithmetic (numpy's log could round a point in
-    the test's band to the other side) and makes the tables of the points
-    off it together; a point's values do not depend on the points it
-    shares them with.  Blocks, points and rows are walked in order, so a
-    failing row raises the error a loop over the points one at a time
-    would raise first.  Both lanes of _range_values run it, a scalar as
-    one point.  Raises check_pole_lattice's PoleError first."""
+    the point: where z^2 is on the q^Z lattice a circle mean
+    (_lattice_rows), else the pole expansion and the 6psi8 where it
+    refuses; where z^2 leaves the double range neither applies, and a
+    RegionError says so.  Each block of _POLE_BLOCK points shares one
+    _PoleRings, which tests each point for the lattice in scalar
+    arithmetic (numpy's log could round a point in the test's band to the
+    other side) and makes the tables of the points off it together; a
+    point's values do not depend on the points it shares them with.
+    Blocks, points and rows are walked in order, so a failing row raises
+    the error a loop over the points one at a time would raise first.
+    Both lanes of _range_values run it, a scalar as one point.  Raises
+    check_pole_lattice's PoleError first."""
     check_pole_lattice(params)
     out = []
     for lo in range(0, len(zs), _POLE_BLOCK):
@@ -1010,10 +1016,7 @@ def _point_rows(n_lo: int, n_hi: int, zs: list, params: UltraParams,
 def _range_values(n_lo: int, n_hi: int, z, params: UltraParams,
                   policy: TruncationPolicy):
     """The values and truncation_terms of bilateral_cn_range at z = p.z;
-    tuples at one point off the annulus.  The points of an array inside
-    the annulus are summed together (_direct_range), and the points off it
-    are continued together (_point_rows), the one point of a scalar p.z
-    alike."""
+    tuples at one point off the annulus."""
     n_lo, n_hi = int(n_lo), int(n_hi)
     if n_hi < n_lo:
         raise DomainError("bilateral_cn_range needs n_lo <= n_hi")
@@ -1065,13 +1068,8 @@ def bilateral_cn_range(n_lo: int, n_hi: int, p: SpectralPoint,
 def bilateral_cn(n: int, p: SpectralPoint, params: UltraParams,
                  policy: TruncationPolicy = DEFAULT_POLICY) -> UltraValue:
     """Bilateral q-ultraspherical function value at p: the one-row case of
-    bilateral_cn_range.
-
-    Direct two-sided summation inside the convergence annulus, analytic
-    continuation outside it (see the module docstring); p.z may be an
-    array, and then each point takes its own route.  Raises PoleError,
-    RegionError and NonConvergence as bilateral_cn_range does.
-    """
+    bilateral_cn_range, whose routes and errors it shares; p.z may be an
+    array, and then each point takes its own route."""
     values, terms = _range_values(n, n, p.z, params, policy)
     value = values[0]
     if not isinstance(p.z, np.ndarray):
@@ -1102,8 +1100,8 @@ def bilateral_cn_6psi8(n: int, z, params: UltraParams,
 
 def bilateral_cn_bailey(n: int, z, params: UltraParams,
                         policy: TruncationPolicy = DEFAULT_POLICY) -> UltraValue:
-    """C_n at one scalar z by Bailey's 2psi2 route (module docstring); out
-    of its region RegionError.  Numpy scalars keep numpy arithmetic."""
+    """C_n at one scalar z by Bailey's 2psi2 route (_bailey), the crosscheck's
+    reference; out of its region RegionError.  Numpy scalars keep numpy arithmetic."""
     check_pole_lattice(params)
     return UltraValue(int(n), SpectralPoint(z),
                       *_route_value("2psi2", _bailey, n, z, params, policy))
@@ -1143,22 +1141,16 @@ def generating_rhs(kind: str, t, p: SpectralPoint, params: UltraParams,
     return pref * num / den
 
 
-def _recurrence_coefficients(n: int, params: UltraParams):
-    """(mid, up, down) of the three-term recurrence at n:
-    1 - beta gamma^2 q^n, 1 - gamma^2 q^{n+1}, 1 - beta^2 gamma^2 q^{n-1}."""
-    q, beta, gamma = params.q, params.beta, params.gamma
-    return (1 - beta * gamma ** 2 * q ** n, 1 - gamma ** 2 * q ** (n + 1),
-            1 - beta ** 2 * gamma ** 2 * q ** (n - 1))
-
-
 def recurrence_gap(n: int, p: SpectralPoint, params: UltraParams,
                    cm1, c0, cp1) -> float:
     """Residual of the three-term recurrence
     2x (1 - beta gamma^2 q^n) C_n = (1 - gamma^2 q^{n+1}) C_{n+1}
     + (1 - beta^2 gamma^2 q^{n-1}) C_{n-1} for the given values
     C_{n-1}, C_n, C_{n+1} at p, scaled by max(1, |C_n|)."""
+    q, beta, g2 = params.q, params.beta, params.gamma ** 2
     try:
-        mid, up, down = _recurrence_coefficients(n, params)
+        mid, up, down = (1 - beta * g2 * q ** n, 1 - g2 * q ** (n + 1),
+                         1 - beta ** 2 * g2 * q ** (n - 1))
     except OverflowError as exc:  # q^{n-1} beyond the double range
         raise NonConvergence(f"recurrence at n = {n} overflowed") from exc
     lhs = 2 * p.x * mid * c0

@@ -169,6 +169,9 @@ def _poch_condition(a, q, k):
 # identity (a; q)_0 = (a; q)_{-1} (1 - a q^{-1}) gives 1 against 1 + 0.31i,
 # while both values match the exact products
 @example(re=0.6098835307633215, im=2.2e-16, q=0.6098835307633215, k=-1)
+# a subnormal distance from the pole a = q again, but with four more
+# factors the product is back in the double range (see the test below)
+@example(re=0.25, im=2.2e-311, q=0.25, k=-5)
 def test_poch_shift_identity_random(re, im, q, k):
     a = complex(re, im)
     try:
@@ -187,6 +190,17 @@ def test_poch_shift_identity_random(re, im, q, k):
         tol = 1e-11 + 8 * sys.float_info.epsilon * _poch_condition(a, q, j)
         # from tol = 1 on, a rounded q^j can reach the pole: no digit holds
         assert tol >= 1 or abs(value - exact) <= tol * abs(exact)
+
+
+@pytest.mark.parametrize("k", [-5, -4])
+def test_poch_past_a_factor_out_of_the_double_range(k):
+    # the first factor q/(q - a) of (a; q)_-5 is 1.1e310, while the
+    # product, 6.1e-6 + 1.57e304i, is a double: no partial product of
+    # the rescaled loop leaves the range, where the in-order loop overflows
+    a = 0.25 + 2.2e-311j
+    got, want = poch(a, 0.25, k), complex(_poch_exact(a, 0.25, k))
+    assert abs(got - want) <= 4 * sys.float_info.epsilon * abs(want)
+    assert got.real == pytest.approx(want.real, rel=1e-13)
 
 
 @pytest.mark.parametrize("a", [0.5 + 5e-324j])

@@ -42,4 +42,16 @@ def test_route_census_counts_continued_values_by_route():
     assert counts["pole expansion"] > 0
     assert sweep.census_line(counts) == (
         f"continued values by route: pole expansion {counts['pole expansion']:,}, "
-        f"6psi8 0, lattice 2psi2 0, lattice recurrence 0")
+        f"6psi8 0, lattice mean 0")
+
+
+def test_route_census_counts_a_lattice_row_once():
+    # z = q^{1/2}: seven rows, each the mean of 64 circle points that the
+    # pole expansion gives, count as seven lattice-mean values
+    from qultra import SpectralPoint, UltraParams, bilateral_cn_range
+    counts = sweep.Counter()
+    with sweep.route_census(counts):
+        bilateral_cn_range(-3, 3, SpectralPoint(complex(0.3 ** 0.5)),
+                           UltraParams(0.8, 0.7, 0.3))
+    assert sweep.census_line(counts) == (
+        "continued values by route: pole expansion 0, 6psi8 0, lattice mean 7")

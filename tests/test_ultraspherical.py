@@ -228,10 +228,10 @@ def test_special_value_c0(params):
 def test_cm1_continuations_agree_but_differ_from_stated_product(params):
     """At z = q^{1/2} the stated closed product differs from C_{-1} (its
     derivation drops a sign on the k < 0 terms), which is reported here
-    as a stable, reproducible gap.  Only the 2psi2 route gives C_{-1}
-    there: z^2 = q is on the q^Z lattice, which both the pole expansion
-    and the 6psi8 refuse.  Acceptance check 08b holds the value against
-    the 3phi2 closed form of the sign-flipped terms."""
+    as a stable, reproducible gap.  z^2 = q is on the q^Z lattice, which
+    both the pole expansion and the 6psi8 refuse, so C_{-1} there is the
+    mean of a circle about the point.  Acceptance check 08b holds the
+    value against the 3phi2 closed form of the sign-flipped terms."""
     got = bilateral_cn(-1, SpectralPoint(complex(Q ** 0.5)), params).value
     stated = special_value_cm1(params)
     assert abs(got - stated) > 0.1  # the documented discrepancy
@@ -387,13 +387,16 @@ def test_linearization_sequence_equals_its_pair_calls_bit_for_bit(points):
 
 
 def test_bilateral_region_error_when_no_route():
-    # gamma makes both continuation conditions fail and alpha sits on the
-    # lattice, so the far-out real point cannot be evaluated
-    params = UltraParams(0.8, 3.9, 0.3)
-    p = SpectralPoint(complex(0.3 ** 0.5))
-    with pytest.raises((RegionError, PoleError)):
-        # n chosen so the transformed-series conditions fail on both sides
-        bilateral_cn(6, p, params)
+    # at q = 0.9 the circle points of the lattice point q^{1/2} take rows
+    # n < 0 from the 6psi8, whose errors the circle mean does not average
+    # away: for rows -3..-1 its 32- and 64-point means differ by 1.9e-11
+    # to 2.7e-9 relative, and the rows raise with that gap
+    params = UltraParams(0.4, 0.5, 0.9)
+    p = SpectralPoint(complex(0.9 ** 0.5))
+    for n in range(-3, 0):
+        with pytest.raises(RegionError, match=f"mean of C_{n} at the lattice "
+                           "point .* 32- and 64-point means differ by"):
+            bilateral_cn(n, p, params)
 
 
 # ------------------------------------------------- one pass over a range of n
@@ -554,9 +557,9 @@ def test_range_errors_propagate(params, points):
     with pytest.raises(NonConvergence):
         bilateral_cn_range(-3, 3, points[0], params,
                            TruncationPolicy(max_terms=5))
-    with pytest.raises((RegionError, PoleError)):
-        bilateral_cn_range(5, 7, SpectralPoint(complex(Q ** 0.5)),
-                           UltraParams(0.8, 3.9, Q))
+    with pytest.raises(RegionError, match="C_-3 at the lattice point"):
+        bilateral_cn_range(-3, 3, SpectralPoint(complex(0.9 ** 0.5)),
+                           UltraParams(0.4, 0.5, 0.9))
     with pytest.raises(DomainError):
         bilateral_cn_range(2, 1, points[0], params)
 
@@ -669,9 +672,11 @@ def test_far_negative_n_overflow_raises_non_convergence():
                               UltraParams(0.4, 0.5, 0.9))
 
 
-def _mp_6psi8(n, z, qbg, digits, width):
+def _mp_6psi8(n, z, qbg, digits, width, shift=False):
     """C_n(z) in mpmath at `digits` by the very-well-poised 6psi8 form
-    with `width` terms per side (as perfbench/reference.sixpsi8_sum):
+    with `width` terms per side (as perfbench/reference.sixpsi8_sum), at
+    z + 1e-40 e^{0.7i} if shift, formed at `digits` (where the 6psi8
+    degenerates, on the lattice z^2 in q^Z, the shift keeps it regular):
     g_n z^n (q/c, q/d, aq/e, aq/f; q)_inf / (aq, q/a, aq/(cd), aq/(ef); q)_inf
     times 6psi8(q a^{1/2}, -q a^{1/2}, c, d, e, f; a^{1/2}, -a^{1/2}, aq/c,
     aq/d, aq/e, aq/f; q, a^2 q^2/(cdef)) with two lower parameters 0,
@@ -680,7 +685,7 @@ def _mp_6psi8(n, z, qbg, digits, width):
     import mpmath as mp
     with mp.workdps(digits):
         q, beta, gamma = (mp.mpf(v) for v in qbg)
-        z = mp.mpc(z)
+        z = mp.mpc(z) + (mp.mpf("1e-40") * mp.expj(mp.mpf("0.7")) if shift else 0)
         bg = beta * gamma
         a = q ** -n / (z * z)
         c, d, e, f = a / gamma, bg / (z * z), bg, q ** -n / gamma
@@ -762,9 +767,13 @@ def _route_outcome(n, z, params):
         return type(exc)
 
 
-def _handed_over(n, z, params, monkeypatch):
+def _handed_over(n, z, params, monkeypatch, reason):
     """bilateral_cn with the pole expansion switched off: the chain of
-    the other routes alone."""
+    the other routes alone.  On the lattice the row is the circle mean,
+    whose points the expansion gives, so it is the mean taken directly."""
+    if reason == "lattice":
+        value = us._lattice_rows(n, n, z, params, DEFAULT_POLICY)[0][0]
+        return np.asarray(value).tobytes()
     with monkeypatch.context() as m:
         m.setattr(_PoleRings, "value", _refuse)
         return _route_outcome(n, z, params)
@@ -794,7 +803,7 @@ def test_pole_route_refusal_hands_over_bit_for_bit(qbg, z, ns, reason,
     for n in ns:
         with pytest.raises(_RouteUnusable, match=reason):
             _PoleRings(z, params, DEFAULT_POLICY).value(n)
-        chain = _handed_over(n, z, params, monkeypatch)
+        chain = _handed_over(n, z, params, monkeypatch, reason)
         assert isinstance(chain, bytes), n
         assert _route_outcome(n, z, params) == chain, n
 
@@ -803,7 +812,7 @@ def test_forced_cancellation_refusal_hands_over_bit_for_bit(params, monkeypatch)
     z = 0.5 * cmath.exp(1j)
     for n in (-6, 3, 8):
         taken = _route_outcome(n, z, params)
-        chain = _handed_over(n, z, params, monkeypatch)
+        chain = _handed_over(n, z, params, monkeypatch, "cancel")
         assert taken != chain, n          # the pole expansion gave C_n
         monkeypatch.setattr(us, "POLE_CANCELLATION", 0.0)
         with pytest.raises(_RouteUnusable, match="cancel"):
@@ -813,8 +822,8 @@ def test_forced_cancellation_refusal_hands_over_bit_for_bit(params, monkeypatch)
 
 
 def test_lattice_range_equals_its_one_row_calls_bit_for_bit(params):
-    # at z = q^{1/2} the rows by Bailey's 2psi2 and the rows the
-    # recurrence reaches from C_0 and C_{-1} do not depend on the range
+    # at z = q^{1/2} the circle mean's rows do not depend on the range:
+    # its points' rows do not, and each row is averaged on its own
     p = SpectralPoint(complex(Q ** 0.5))
     rows = bilateral_cn_range(-12, 12, p, params)
     for n in range(-12, 13):
@@ -823,6 +832,117 @@ def test_lattice_range_equals_its_one_row_calls_bit_for_bit(params):
         assert rows.truncation_terms[n + 12] == one.truncation_terms, n
     assert bilateral_cn_range(-12, 3, p, params).values.tobytes() == \
         rows.values[:16].tobytes()
+
+
+#: C_n for n = -3..3 at lattice points z, z^2 in q^Z, as ((q, beta, gamma),
+#: z, rows): _mp_6psi8 at z + 1e-40 e^{0.7i} at (digits, width) = (170,
+#: 220), which agrees with (120, 160) to 1e-18 relative; the imaginary
+#: parts, below 1e-30 relative, are dropped.  Rows None have no route
+LATTICE_REFERENCES = [
+    ((0.3, 0.8, 0.7), 0.3 ** 0.5,
+     (0.2728804536434766, 0.36012333989069745, -0.04491813597771476,
+      1.818432655489389, 3.0739539425942977, 5.4291744919643845, 9.775915061806518)),
+    ((0.5, 0.9, 0.4), 0.5 ** 0.5,
+     (-1.6015686006143464, 6.67281959743626, 8.739502898438342, 11.888501439412341,
+      16.427732757356548, 22.907959601783013, 32.12498031800769)),
+    ((0.7, 0.5, 1.5), 0.7 ** 0.5,
+     (-36520.10400432249, -31213.678334283217, -26563.838645738004,
+      -22521.632615325365, -19022.744431959876, -15996.520921071557,
+      -13376.776931496206)),
+    ((0.1, 0.95, 0.3), 0.1 ** 0.5,
+     (1.2137233683206035, 3.6691561896386915, 10.089503739169517, 34.31048573495942,
+      108.22457008408337, 342.02522956038473, 1081.4712085057681)),
+    ((0.7, 0.5, 1.5), 1.0,
+     (90728.01478658, 70609.28241508074, 56427.71931711977, 46457.665336478225,
+      39475.53500618052, 34615.86543495125, 31262.6336489455)),
+    # the reference rows -3..-1 are -1166815.5179306944, -947182.2731911747
+    # and -775390.5715176585
+    ((0.9, 0.4, 0.5), 0.9 ** 0.5,
+     (None, None, None, -639970.005486512, -532407.8155248623, -446339.67942251,
+      -376973.1733053613)),
+]
+
+
+@pytest.mark.parametrize("qbg, z, refs", LATTICE_REFERENCES)
+def test_lattice_rows_match_checked_references(qbg, z, refs):
+    """On the lattice the rows are circle means, each within 1e-13 of its
+    reference, or a RegionError that names its gap."""
+    q, beta, gamma = qbg
+    params = UltraParams(beta, gamma, q)
+    p = SpectralPoint(complex(z))
+    assert not in_direct_region(p.z, beta, q) and us._on_q_lattice(p.z ** 2, q)
+    for n, ref in zip(range(-3, 4), refs):
+        if ref is None:
+            with pytest.raises(RegionError, match="32- and 64-point means differ"):
+                bilateral_cn(n, p, params)
+            continue
+        value = bilateral_cn(n, p, params).value
+        assert abs(value - ref) <= 1e-13 * abs(ref), n
+
+
+def test_lattice_reference_recomputes():
+    qbg, z, refs = LATTICE_REFERENCES[0]
+    assert _mp_6psi8(-1, z, qbg, 120, 160, shift=True).real == pytest.approx(
+        refs[2], rel=1e-15)
+
+
+def test_lattice_radius_is_the_distance_to_the_nearest_singular_point():
+    # at the defaults z^2 = q lies 0.065 from q/beta, at (0.7, 0.5, 1.5)
+    # 0.0084 from q^3/beta; the nearest other lattice points, q^{1/2} z,
+    # are farther
+    for (q, beta, gamma), w2 in (((Q, BETA, GAMMA), Q / BETA),
+                                 ((0.7, 0.5, 1.5), 0.7 ** 3 / 0.5)):
+        z = complex(q ** 0.5)
+        got = us._lattice_radius(z, UltraParams(beta, gamma, q))
+        assert got == pytest.approx(abs(z - w2 ** 0.5), rel=1e-14)
+        assert got < abs(z) * (1 - q ** 0.5)
+
+
+@pytest.mark.parametrize("qbg", [(0.3, 0.8, 0.7), (0.5, 0.9, 0.4),
+                                 (0.7, 0.5, 1.5), (0.1, 0.95, 0.3)])
+def test_lattice_rows_keep_the_symmetries_of_z(qbg):
+    # C_n(-z) = (-1)^n C_n(z) and C_n(1/z) = C_n(z): three circles, whose
+    # means round apart by 4.1e-14 at most
+    q, beta, gamma = qbg
+    params = UltraParams(beta, gamma, q)
+    for z in (complex(q ** 0.5), 1 + 0j):
+        if in_direct_region(z, beta, q):
+            continue
+        rows = bilateral_cn_range(-3, 3, SpectralPoint(z), params).values
+        signs = np.array([(-1) ** n for n in range(-3, 4)])
+        for w, want in ((-z, signs * rows), (1 / z, rows)):
+            got = bilateral_cn_range(-3, 3, SpectralPoint(w), params).values
+            assert np.abs(got - want).max() <= 1e-13 * np.abs(rows).max(), (z, w)
+
+
+def test_lattice_rows_satisfy_the_recurrence():
+    # at (0.3, 0.8, 3.9) Bailey's 2psi2 is out of region at the lattice
+    # point q^{1/2} for rows 5..7; the circle mean gives rows -3..8, which
+    # meet the three-term recurrence to 1.1e-13
+    params = UltraParams(0.8, 3.9, 0.3)
+    p = SpectralPoint(complex(0.3 ** 0.5))
+    rows = bilateral_cn_range(-3, 8, p, params)
+    for n in range(-2, 8):
+        assert us.recurrence_gap(n, p, params, rows[n - 1], rows[n],
+                                 rows[n + 1]) <= 1e-12, n
+
+
+def test_lattice_point_at_a_singular_point_raises_a_typed_error():
+    # beta = q puts the singular points z^2 = q^{k+1}/beta on the lattice:
+    # the circle has radius 0 and would be the point itself, and a circle
+    # 1e-12 wide lies in the lattice test's band; neither recurses
+    z = SpectralPoint(complex(0.7 ** 0.5))
+    for beta in (0.7, 0.7 * (1 + 1e-12)):
+        with pytest.raises(RegionError, match="meets the q\\^Z lattice"):
+            bilateral_cn(0, z, UltraParams(beta, 0.5, 0.7))
+
+
+def test_lattice_rows_that_vanish_at_every_circle_point_are_zero():
+    # at gamma = 1 the rows n < 0 are 0, and C_0 is 1
+    rows = bilateral_cn_range(-3, 0, SpectralPoint(complex(0.7 ** 0.5)),
+                              UltraParams(-0.5, 1.0, 0.7))
+    assert rows.values[:3].tolist() == [0j, 0j, 0j]
+    assert rows[0] == pytest.approx(1.0, rel=1e-15)
 
 
 def test_half_lattice_point_takes_the_6psi8():
@@ -1218,7 +1338,7 @@ def _many_points(q):
     different numbers of rings at different points; z = i, inside the
     annulus at the defaults, where the odd rows vanish; the point 1e-7 off
     z^2 = q, where the rings cancel; and at the defaults the lattice point
-    q^{1/2}, which has no route at the other two sets."""
+    q^{1/2}, whose circle mean refuses some rows at the other two sets."""
     pts = [cmath.rect(r, a) for r, a in ((0.5, 1.1), (0.35, -2.3), (2.2, 0.4),
                                          (1.9, -2.9), (0.08, 2.0), (9.0, -0.7))]
     pts += [1j, q ** 0.5 * cmath.exp(1e-7j)]
@@ -1279,11 +1399,12 @@ def _first_error(call):
 
 def test_many_point_call_raises_the_first_error_of_its_points():
     # at (0.85, 0.8, 0.3) the 6psi8 fails C_{-1} at z = e^{0.3i}/60, and
-    # the lattice point q^{1/2} has no route at any row: a call raises the
-    # error of the first failing point, at its first failing row, as a
-    # loop over the points one at a time does, also where the points fill
-    # several blocks of the pole expansion and the two fall in different
-    # blocks
+    # the lattice point q^{1/2} has no route at rows -2 and -1, whose
+    # circle means are not settled (2.2e-11 and 1.2e-10 apart): a call
+    # raises the error of the first failing point, at its first failing
+    # row, as a loop over the points one at a time does, also where the
+    # points fill several blocks of the pole expansion and the two fall in
+    # different blocks
     params = UltraParams(0.8, 0.3, 0.85)
     late, lattice = cmath.rect(1 / 60, 0.3), complex(0.85 ** 0.5)
     # 140 points, more than two blocks: a call of several blocks gives its

@@ -447,6 +447,15 @@ def test_cli_eval_where_z_squared_overflows_is_a_typed_error(capsys):
         assert capsys.readouterr().err.startswith(("error:", "numerical error:"))
 
 
+def test_cli_eval_at_a_lattice_point(capsys):
+    # z^2 = q at (0.7, 0.5, 1.5), where Bailey's 2psi2 is out of region:
+    # the circle mean gives C_0, within 1e-13 of its checked reference
+    assert main(["eval", "--n", "0", "--z-re", repr(0.7 ** 0.5), "--q", "0.7",
+                 "--beta", "0.5", "--gamma", "1.5", "--format", "json"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["re"] == pytest.approx(-22521.632615325365, rel=1e-13)
+
+
 def test_cli_eval_non_finite_is_numerical_error(capsys, monkeypatch):
     # a 6psi8 prefactor product of C_40 at 0.4+0.3i overflows; with the
     # pole expansion failing, the row has no other route off the lattice
@@ -681,9 +690,3 @@ def test_cli_suite_subprocess_deterministic():
 def test_cli_parser_rejects_unknown_command():
     assert main(["frobnicate"]) == 2
 
-
-def test_demo_runs():
-    demo = Path(__file__).resolve().parent.parent / "demos" / "01_q_shifted_factorials.py"
-    r = subprocess.run([sys.executable, str(demo)], capture_output=True,
-                       env=_child_env())
-    assert r.returncode == 0, r.stderr.decode()

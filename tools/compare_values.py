@@ -11,9 +11,10 @@ the type and message of the error it raised.  The calls are
 
 * ``bilateral_cn`` at scalar and array points and ``bilateral_cn_range``,
   on and off the direct annulus, at six parameter sets, including the
-  special points z = q^{1/2} (on the lattice z^2 in q^Z) and q^{1/4} (on
-  the half-integer lattice) and the point z = 1 (x = 1, on the lattice
-  where the annulus is empty, as at (0.9, 0.4, 0.5)), and |n| up to 2000;
+  special points z = +-q^{1/2} (on the lattice z^2 in q^Z, one point
+  per square root) and q^{1/4} (on the half-integer lattice) and the
+  points z = +-1 (x = +-1, on the lattice where the annulus is empty,
+  as at (0.9, 0.4, 0.5)), and |n| up to 2000;
 * ``bilateral_cn_psi_form`` at n = -12..12 at the two unit-circle points
   of each parameter set;
 * ``sum_psi`` and ``sum_phi`` on random specs, some with zero lower
@@ -76,7 +77,7 @@ def _record(fn) -> list:
 
 def _points(rng, params) -> list:
     """Seeded points off the direct annulus on both sides, two on the unit
-    circle, and the points q^{1/2}, q^{1/4} and 1."""
+    circle, and the points q^{1/2}, q^{1/4}, 1, -q^{1/2} and -1."""
     import numpy as np
     q, beta, _ = params
     inner_edge = abs(q / beta) ** 0.5          # |q/(beta z^2)| = 1 here
@@ -85,7 +86,8 @@ def _points(rng, params) -> list:
     inner = [complex(z) for z in radius * np.exp(1j * arg)]
     circle = [complex(np.exp(1j * t)) for t in rng.uniform(0.2, 2.9, 2)]
     return (inner + [1 / z for z in inner] + circle
-            + [complex(q ** 0.5), complex(q ** 0.25), 1 + 0j])
+            + [complex(q ** 0.5), complex(q ** 0.25), 1 + 0j,
+               complex(-q ** 0.5), -1 + 0j])
 
 
 def _cn_records(rng) -> list:

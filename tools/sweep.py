@@ -69,7 +69,7 @@ def summary(table: dict) -> str:
     return "\n".join(lines)
 
 
-ROUTES = ("pole expansion", "6psi8", "lattice 2psi2", "lattice recurrence")
+ROUTES = ("pole expansion", "6psi8", "lattice mean")
 
 
 @contextlib.contextmanager
@@ -78,42 +78,37 @@ def route_census(counts: Counter):
     the continuation of bilateral_cn and bilateral_cn_range
     (ultraspherical._point_rows) computes at a point off the direct
     annulus.  The crosscheck's own calls of bilateral_cn_6psi8 and
-    bilateral_cn_bailey are not counted.  A lattice row is the 2psi2's
-    where _bailey gives it and the recurrence's where _bailey refuses."""
-    inside = []
+    bilateral_cn_bailey are not counted, and a lattice row counts once,
+    as the lattice mean's, not its circle points' values."""
+    calls = []      # the active counted calls: True a _point_rows, False a mean
     saved = point_rows, route_value, lattice_rows, pole_value = (
         us._point_rows, us._route_value, us._lattice_rows, us._PoleRings.value)
 
-    def counted_point_rows(*args):
-        inside.append(True)
+    def within(flag, call, *args):
+        calls.append(flag)
         try:
-            return point_rows(*args)
+            return call(*args)
         finally:
-            inside.pop()
+            calls.pop()
 
     def counted_pole_value(self, *args):
         out = pole_value(self, *args)
-        counts[ROUTES[0]] += bool(inside)
+        counts[ROUTES[0]] += calls == [True]
         return out
 
     def counted_route_value(name, *args):
         out = route_value(name, *args)
-        counts[ROUTES[1]] += bool(inside) and name == "6psi8"
+        counts[ROUTES[1]] += calls == [True] and name == "6psi8"
         return out
 
-    def counted_lattice_rows(n_lo, n_hi, z, params, policy):
-        rows = lattice_rows(n_lo, n_hi, z, params, policy)
-        for n in range(n_lo, n_hi + 1):
-            try:
-                us._bailey(n, z, params, policy)
-                counts[ROUTES[2]] += 1
-            except us._RouteUnusable:
-                counts[ROUTES[3]] += 1
+    def counted_lattice_rows(*args):
+        rows = within(False, lattice_rows, *args)
+        counts[ROUTES[2]] += len(rows)
         return rows
 
     us._point_rows, us._route_value, us._lattice_rows, us._PoleRings.value = (
-        counted_point_rows, counted_route_value, counted_lattice_rows,
-        counted_pole_value)
+        lambda *args: within(True, point_rows, *args), counted_route_value,
+        counted_lattice_rows, counted_pole_value)
     try:
         yield counts
     finally:
