@@ -10,9 +10,9 @@ from .qcore import (DEFAULT_POLICY, INFINITY, SpectralPoint, TruncationPolicy,
 from .hyperseries import (BILATERAL, UNILATERAL, SeriesSpec, closed_form,
                           sum_phi, sum_psi, transform_residual)
 from .ultraspherical import (UltraParams, UltraRange, UltraValue,
-                             bilateral_cn, bilateral_cn_6psi8,
-                             bilateral_cn_bailey, bilateral_cn_psi_form,
-                             bilateral_cn_range, classical_cn,
+                             bilateral_cn, bilateral_cn_continued,
+                             bilateral_cn_psi_form, bilateral_cn_range,
+                             classical_cn,
                              constant_term, generating_rhs,
                              linearization_residual, recurrence_gap,
                              recurrence_residual, special_value_c0,
@@ -37,7 +37,7 @@ __all__ = [
     "BILATERAL", "UNILATERAL", "SeriesSpec", "closed_form", "sum_phi",
     "sum_psi", "transform_residual",
     "UltraParams", "UltraRange", "UltraValue", "bilateral_cn",
-    "bilateral_cn_6psi8", "bilateral_cn_bailey", "bilateral_cn_psi_form",
+    "bilateral_cn_continued", "bilateral_cn_psi_form",
     "bilateral_cn_range", "classical_cn",
     "constant_term", "generating_rhs", "linearization_residual",
     "recurrence_gap", "recurrence_residual", "special_value_c0",

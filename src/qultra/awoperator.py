@@ -29,6 +29,13 @@ XFunction = Callable[[SpectralPoint], complex]
 SINGULAR_TOL = 1e-12
 
 
+def _one_point(p: SpectralPoint, name: str) -> complex:
+    """p.z; DomainError where it is an array."""
+    if isinstance(p.z, np.ndarray):
+        raise DomainError(f"{name} takes one point, got an array of z")
+    return p.z
+
+
 def apply_dq(f: XFunction, p: SpectralPoint, q) -> complex:
     """Apply the divided-difference operator to f at p.
 
@@ -37,10 +44,10 @@ def apply_dq(f: XFunction, p: SpectralPoint, q) -> complex:
     Python complex arithmetic, as the value of a scalar f would be (numpy
     divides complex numbers by another rule).  Raises SingularPoint for z
     within 1e-12 of +-1, where the denominator (q^{1/2} - q^{-1/2})(z -
-    1/z)/2 vanishes.
+    1/z)/2 vanishes, and DomainError where p.z is an array.
     """
     q = check_base(q)
-    z = complex(p.z)
+    z = _one_point(p, "apply_dq")
     if abs(z - 1.0) <= SINGULAR_TOL or abs(z + 1.0) <= SINGULAR_TOL:
         raise SingularPoint(f"divided difference is singular at z = {z}")
     rq = cmath.sqrt(q)
@@ -79,9 +86,11 @@ def dq_action_residual(kind: str, n, p: SpectralPoint,
     at each shifted point and over min(n) - 1..max(n) - 1 at p.  A
     classical or continued bilateral residual equals that of its integer
     call bit for bit; a row of the direct sum may round differently in a
-    range than alone (bilateral_cn_range), by about an ulp.
+    range than alone (bilateral_cn_range), by about an ulp.  p is one
+    point: an array of z raises DomainError.
     """
     ns, single = _index_lists(n)
+    _one_point(p, "dq_action_residual")
     q, beta, gamma = params.q, params.beta, params.gamma
     terms = [0]
     if kind == CLASSICAL:

@@ -13,17 +13,16 @@ after max_terms terms, 8 TAIL_WINDOW growing terms in a row, or a term or
 partial sum that is not finite.  sum_psi and sum_phi return the value and
 the number of terms summed.
 
-One term loop, _psi_terms, sums every series: sum_psi_params checks a
-bilateral series given by its complex parameters and calls it, sum_psi
-is sum_psi_params on a SeriesSpec, and sum_phi calls it as the one-sided
-psi sum (the k >= 0 half with q as an extra first lower parameter, whose
-factor 1/(q; q)_k makes every k < 0 term zero, and with no k < 0 steps).
+One term loop, _psi_terms, sums every series: sum_psi checks a bilateral
+series and calls it, and sum_phi calls it as the one-sided psi sum (the
+k >= 0 half with q as an extra first lower parameter, whose factor
+1/(q; q)_k makes every k < 0 term zero, and with no k < 0 steps).
 
 bailey_2psi2 (Bailey's 2psi2 transformation) and wellpoised_6psi8 (the
 very-well-poised 6psi8 form of a 2psi2) each return the prefactor and the
-transformed series' parameters and argument; see
-Gasper & Rahman, *Basic Hypergeometric Series*, ch. 5.  transform_residual
-checks both; ultraspherical's 6psi8 route and its crosscheck use them.
+transformed series' parameters and argument (Gasper & Rahman, ch. 5);
+transform_residual checks both for the suite.  No evaluation of C_n uses
+them: ultraspherical continues by its pole expansion and recurrence.
 """
 
 from __future__ import annotations
@@ -224,12 +223,7 @@ def sum_psi(spec: SeriesSpec, policy: TruncationPolicy = DEFAULT_POLICY):
     """
     if spec.kind != BILATERAL:
         raise DomainError("sum_psi requires a bilateral spec")
-    return sum_psi_params(spec.upper, spec.lower, spec.q, spec.z, policy)
-
-
-def sum_psi_params(upper, lower, q, z, policy: TruncationPolicy):
-    """sum_psi of the bilateral series with these complex parameters, a
-    checked complex base q and a complex argument z, without a SeriesSpec."""
+    upper, lower, q, z = spec.upper, spec.lower, spec.q, spec.z
     n_top = terminates_above(upper, q)
     m_bot = terminates_below(lower, q)
     _psi_region_check(upper, lower, z, n_top, m_bot)

@@ -132,8 +132,11 @@ def mass_points(beta: float, q: float,
     m_k = (u_k, 1/u_k; q)_inf / ((beta u_k, q; q)_inf (q^{-k}; q)_k),
     split evenly between z = +sqrt(u_k) and z = -sqrt(u_k), i.e.
     x = +-(u_k^{1/2} + u_k^{-1/2})/2, on the same 1/2pi scale as the
-    trapezoid part.  Both arrays are empty for beta <= 1.
+    trapezoid part.  Both arrays are empty for beta <= 1.  beta and q
+    must be real (DomainError otherwise), 0 < q < 1.
     """
+    q = check_real_base(q)
+    beta = _real_beta(beta)
     zs, weights = [], []
     k = 0
     while beta * q ** k > 1.0:
@@ -275,14 +278,19 @@ def orthogonality_entry(m, n, w: WeightParams, tol: float = 1e-10,
     return integrate(f, w, tol, policy)
 
 
+def _total_mass(beta, q, policy: TruncationPolicy):
+    """(beta, q beta; q)_inf / (q, beta^2; q)_inf, the total mass of w."""
+    return (poch_multi([beta, q * beta], q, INFINITY, policy)
+            / poch_multi([q, beta ** 2], q, INFINITY, policy))
+
+
 def orthogonality_diagonal(n: int, w: WeightParams,
                            policy: TruncationPolicy = DEFAULT_POLICY) -> float:
     """Closed form of the diagonal entry:
     (beta, q beta; q)_inf/(q, beta^2; q)_inf (beta^2; q)_n/(q; q)_n
     (1-beta)/(1-beta q^n)."""
     beta, q = w.beta, w.q
-    head = (poch_multi([beta, q * beta], q, INFINITY, policy)
-            / poch_multi([q, beta ** 2], q, INFINITY, policy))
+    head = _total_mass(beta, q, policy)
     head *= poch(beta ** 2, q, n) / poch(q, q, n)
     head *= (1 - beta) / (1 - beta * q ** n)
     return head.real
@@ -311,8 +319,7 @@ def kernel_integral_rhs(t1, t2, w: WeightParams,
                         policy: TruncationPolicy = DEFAULT_POLICY) -> complex:
     """(beta, q beta; q)_inf/(q, beta^2; q)_inf  2phi1(beta^2, beta; q beta; q, t1 t2)."""
     beta, q = w.beta, w.q
-    pref = (poch_multi([beta, q * beta], q, INFINITY, policy)
-            / poch_multi([q, beta ** 2], q, INFINITY, policy))
+    pref = _total_mass(beta, q, policy)
     spec = SeriesSpec(UNILATERAL, (beta ** 2, beta), (q * beta,), q,
                       complex(t1) * complex(t2))
     return pref * sum_phi(spec, policy)[0]
@@ -357,6 +364,14 @@ def bilateral_delta_integral(n, beta: float, q: float,
     return _refine(_node_sums(f), beta, q, tol, policy, family=beta ** 2)
 
 
+def _check_vanishing(products, q) -> None:
+    """PoleError where (a; q)_inf vanishes, a = q^j, j <= 0, for a (name, a)."""
+    for name, a in products:
+        j = is_q_power(a, q)
+        if j is not None and j <= 0:
+            raise PoleError(f"({name}; q)_inf vanishes at {name} = q^{j}")
+
+
 def bilateral_delta_rhs(beta: float, q: float,
                         policy: TruncationPolicy = DEFAULT_POLICY) -> complex:
     """(q; q)_inf^2 (beta, q/beta^2; q)_inf / ((q/beta; q)_inf^3
@@ -364,10 +379,7 @@ def bilateral_delta_rhs(beta: float, q: float,
     vanishes: beta^2 = q^{-j} or q/beta = q^{-j} with j >= 0."""
     q = check_real_base(q)
     beta = _real_beta(beta)
-    for name, a in (("beta^2", beta ** 2), ("q/beta", q / beta)):
-        j = is_q_power(a, q)
-        if j is not None and j <= 0:
-            raise PoleError(f"({name}; q)_inf vanishes at {name} = q^{j}")
+    _check_vanishing((("beta^2", beta ** 2), ("q/beta", q / beta)), q)
     num = poch(q, q, INFINITY, policy) ** 2 * poch_multi(
         [beta, q / beta ** 2], q, INFINITY, policy)
     den = poch(q / beta, q, INFINITY, policy) ** 3 * poch(
@@ -389,11 +401,8 @@ def shifted_orthogonality_rhs(params: UltraParams,
     rho = q / (beta ** 2 * gamma)
     if not abs(rho) < 1:
         raise RegionError("shifted orthogonality needs |q/(beta^2 gamma)| < 1")
-    for name, a in (("q gamma", q * gamma), ("q/(beta gamma)", q / (beta * gamma)),
-                    ("beta^2", beta ** 2)):
-        j = is_q_power(a, q)
-        if j is not None and j <= 0:
-            raise PoleError(f"({name}; q)_inf vanishes at {name} = q^{j}")
+    _check_vanishing((("q gamma", q * gamma), ("q/(beta gamma)", q / (beta * gamma)),
+                      ("beta^2", beta ** 2)), q)
     pref = (poch(q, q, INFINITY, policy) ** 3
             * poch(q / beta, q, INFINITY, policy) ** 4
             * poch_multi([beta, q * beta], q, INFINITY, policy))
@@ -401,11 +410,16 @@ def shifted_orthogonality_rhs(params: UltraParams,
              * poch(q / (beta * gamma), q, INFINITY, policy) ** 4
              * poch(beta ** 2, q, INFINITY, policy))
     spec = SeriesSpec(UNILATERAL, (beta ** 2, beta), (q * beta,), q, rho)
+    return pref * sum_phi(spec, policy)[0] * _shifted_scale(params) ** n
+
+
+def _shifted_scale(params: UltraParams):
+    """beta^2 gamma / q, a float for real parameters: complex powers round
+    differently from float ones."""
+    q, beta, gamma = params.q, params.beta, params.gamma
     if beta.imag or gamma.imag or q.imag:
-        scale = beta ** 2 * gamma / q
-    else:  # complex powers round differently from float ones
-        scale = beta.real ** 2 * gamma.real / q.real
-    return pref * sum_phi(spec, policy)[0] * scale ** n
+        return beta ** 2 * gamma / q
+    return beta.real ** 2 * gamma.real / q.real
 
 
 #: shells of C_j rows computed beyond the last shell the loop is expected to need
@@ -432,25 +446,22 @@ def shifted_orthogonality_pair(m, n, params: UltraParams,
     tol * max(1, |sum|) / 64, and not before the shell count K of the
     previous set.  Each family's rows come from one bilateral_cn_range pass
     up to shell K plus a margin, widened upward to shell 2k - K +
-    _WIDEN_ROWS by a shell k beyond them (doubling the shells past K), so
-    each C_j is evaluated once per node set and family.  Each run of shells that the rows cover is one array pass, each
-    shell's operations in the order of a lone shell, and the scan adds the
-    shells in order, so the sum is that of a shell-by-shell loop, bit for
-    bit.  Before any row, NonConvergence names the shells' largest limiting
-    ratio if it is at least 1: |q gamma| (d_k) on the unit circle and, for
-    beta > 1, |q/(beta gamma)| (u_k) and |q beta gamma| (d_k) at the mass
-    point sqrt(beta), since |C_j| is bounded on the circle and grows like
-    u^{j/2} at a mass point +-sqrt(u) (|rho| < 1, for u_k on the circle, is
-    the hypothesis).  A non-finite contribution raises NonConvergence.
-
+    _WIDEN_ROWS by a shell k beyond them, so each C_j is evaluated once per
+    node set and family.  Each run of shells that the rows cover is one
+    array pass, in the order of a lone shell's operations, and the scan
+    adds the shells in order, bit for bit a shell-by-shell loop.  Before
+    any row, NonConvergence names the shells' largest limiting ratio if it
+    is at least 1: |q gamma| (d_k) on the unit circle and, for beta > 1,
+    |q/(beta gamma)| (u_k) and |q beta gamma| (d_k) at the mass point
+    sqrt(beta), where |C_j| grows like u^{j/2} (|rho| < 1, for u_k on the
+    circle, is the hypothesis).  A non-finite shell raises NonConvergence.
     rhs = shifted_orthogonality_rhs(params, policy, n) * delta_{mn}.
 
-    m and n may be equal-length integer sequences.  The pairs then share
-    the node loop, which runs until every pair meets its own tolerance;
-    a family's pass on a node set spans the union of the pairs' rows, so
-    each C_j is still evaluated once per node set and family, and each pair
-    keeps its own shell stop rule and shell count.  lhs.value,
-    lhs.last_refinement_delta and rhs are then arrays over the pairs.
+    m and n may be equal-length integer sequences: the pairs share the
+    node loop, which runs until each meets its own tolerance, a family's
+    pass spans the union of their rows, and each pair keeps its own stop
+    rule and shell count; lhs.value, .last_refinement_delta and rhs are
+    then arrays over the pairs.
     """
     _check_tol(tol)
     ms, ns, single = _index_lists(m, n)
@@ -461,8 +472,8 @@ def shifted_orthogonality_pair(m, n, params: UltraParams,
     WeightParams(beta, q)  # positivity window check
     rho = q / (beta ** 2 * gamma)
     head = shifted_orthogonality_rhs(params, policy)     # checks |rho| < 1
-    rhs = [complex(head * (beta ** 2 * gamma / q) ** b if a == b else 0j)
-           for a, b in zip(ms, ns)]
+    scale = _shifted_scale(params)
+    rhs = [complex(head * scale ** b if a == b else 0j) for a, b in zip(ms, ns)]
     rates = {"|q gamma|": abs(q * gamma)}
     if beta > 1:
         rates.update({"|q/(beta gamma)|": abs(q / (beta * gamma)),

@@ -25,11 +25,11 @@ lattice z^2 in q^Z.  Off it, a row comes from the generating function's
 pole expansion (_PoleRings), whose H_0 products and H_k tables the rows
 and the off-annulus points of one call share (a point's values do not
 depend on the points it shares them with), wherever its rings settle to
-a ratio below 1 and its tail and cancellation check out, per point; else
-from hyperseries.wellpoised_6psi8, a 6psi8 form of the defining series
-whose tails decay superexponentially for every z != 0
-(bilateral_cn_6psi8).  On the lattice both degenerate, but C_n is
-analytic there, and a row is its mean over a circle about the point
+a ratio below 1 and its tail and cancellation check out, per point; a
+row it refuses comes from the paper's three-term recurrence between the
+nearest rows it accepts, checked by an error estimate
+(_recurrence_band).  On the lattice the expansion degenerates, but C_n
+is analytic there, and a row is its mean over a circle about the point
 whose points take the routes above (_lattice_rows).  So C_n is
 computable at the points q^{+-1/2} z of divided differences and at
 z = q^{1/2}, q^{1/4}, where the direct sum diverges.
@@ -45,8 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NonConvergence, PoleError, RegionError
-from .hyperseries import (BILATERAL, SeriesSpec, bailey_2psi2, sum_psi,
-                          sum_psi_params, wellpoised_6psi8)
+from .hyperseries import BILATERAL, SeriesSpec, sum_psi
 from .qcore import (DEFAULT_POLICY, INFINITY, CompensatedSum,
                     SpectralPoint, TruncationPolicy, _product_bound_terms,
                     check_base, check_real_base, is_q_power, poch, poch_multi,
@@ -99,11 +98,9 @@ class UltraValue:
 
 @dataclass(frozen=True)
 class UltraRange:
-    """C_n for n_lo <= n <= n_hi at one point, from bilateral_cn_range
-    with params and policy: values[n - n_lo] has the shape of point.z, and
-    truncation_terms[n - n_lo] counts the terms of that row: the nonzero
-    terms of its a-priori budget, both sides, at the points inside the
-    direct annulus, or the most any continued point of it used."""
+    """C_n for n_lo <= n <= n_hi at one point, from bilateral_cn_range:
+    values[n - n_lo] has the shape of point.z; truncation_terms[n - n_lo]
+    is the most terms any point of that row summed."""
 
     n_lo: int
     point: SpectralPoint
@@ -179,12 +176,9 @@ def check_pole_lattice(params: UltraParams) -> None:
 
 
 def direct_region_mask(z, beta, q) -> np.ndarray:
-    """Elementwise: z lies inside the direct annulus, i.e. both convergence
-    ratios |q z^2 / beta| and |q / (beta z^2)| are below DIRECT_REGION_MARGIN.
-    This is the one routing rule for scalar and array points alike: numpy's
-    complex arithmetic rounds some of these ratios differently from
-    Python's, so a rule evaluated on Python complex numbers would route a
-    few points within rounding of the margin otherwise."""
+    """Elementwise: both ratios |q z^2 / beta| and |q / (beta z^2)| are
+    below DIRECT_REGION_MARGIN.  The one routing rule for scalar and array
+    points alike (numpy rounds some ratios apart from Python)."""
     z = np.asarray(z, dtype=complex)
     with np.errstate(all="ignore"):     # z^2 out of the double range is outside
         z2 = z * z
@@ -246,11 +240,9 @@ def classical_cn(n: int, p: SpectralPoint, beta, q):
 @functools.lru_cache(maxsize=16)
 def _g_table(params: UltraParams, m: int) -> np.ndarray:
     """g_j = (beta gamma; q)_j / (q gamma; q)_j for -m <= j <= m, entry
-    m + j, with the negative half scaled: entry m - j holds
-    (beta/q)^j g_{-j}.  g_{-j} decays like (q/beta)^j, so the scaled
-    entries tend to a constant as g_j does for j -> inf.  Both halves
-    come from the one-step recursions from g_0 = 1.  Cached per params
-    (sixteen tables at most) and read-only."""
+    m + j, from the one-step recursions from g_0 = 1, with entry m - j
+    scaled to (beta/q)^j g_{-j}, which tends to a constant as j -> inf.
+    Cached per params (sixteen tables at most) and read-only."""
     q, bg, gq = params.q, params.beta * params.gamma, params.q * params.gamma
     rho = q / params.beta
     out = np.empty(2 * m + 1, dtype=complex)
@@ -312,10 +304,8 @@ def _power_chain(w: np.ndarray, a: int, b: int) -> np.ndarray:
 
 
 #: the most rows times points of one direct-sum pass, and an eighth of the
-#: most rows times steps: a pass holds (side x row x point) powers and sums
-#: and (side x row x step) coefficients, 1 MB of them at the step cap.  A
-#: range of more rows takes several passes; a shifted-orthogonality node
-#: set of 64 points and 93 rows takes two
+#: most rows times steps (1 MB of coefficients at the step cap); a
+#: shifted-orthogonality node set of 64 points and 93 rows takes two passes
 _BLOCK_SIZE = 4096
 
 
@@ -339,12 +329,9 @@ def _tail_bound(r_min: float, r_max: float, params: UltraParams,
     plus two, so the remainder is at most b^{k+2}/(1 - b) times the term at
     base + start, below rel_tol b times it.
 
-    b sits near R so that the budget stays short: it needs the g_j ratios
-    nearer 1, so start comes a step or two later, but k falls by more.  At
-    the defaults on the unit circle (R = 0.375) the budget is |n| + 44
-    steps per side, where b = (1 + R)/2 gave |n| + 87.  b in place of rho
-    in k would also meet the contract, a step sooner per side; rho keeps
-    that step as margin."""
+    b sits near R so that the budget stays short: at the defaults on the
+    unit circle (R = 0.375) it is |n| + 44 steps per side, where b =
+    (1 + R)/2 gave |n| + 87; rho in k, not b, keeps a step as margin."""
     aq, qb = abs(params.q), abs(params.q / params.beta)
     abg, aqg = abs(params.beta * params.gamma), abs(params.q * params.gamma)
     region = (qb / r_min ** 2, qb * r_max ** 2)
@@ -404,10 +391,7 @@ def _scaled_coefficients(ns: np.ndarray, steps: int, params: UltraParams,
 def _side_sums(coeff: np.ndarray, pre: np.ndarray, ratio) -> np.ndarray:
     """pre times the product of coeff with the power table W[s] = ratio^s
     for each side, W by repeated multiplication, one side's table at a
-    time.  The products are BLAS matrix products, coeff @ W.T.  On a
-    2-core x86-64 machine with OpenBLAS one takes 25-30 us on a
-    16 x 132 x 63 block, where an einsum contraction over the step axis
-    took about 165 us."""
+    time, as BLAS matrix products coeff @ W.T (6x an einsum over steps)."""
     out = np.empty_like(pre)
     power = np.ones(pre.shape[2:] + (coeff.shape[2],), dtype=complex)
     for side in range(2):
@@ -439,12 +423,10 @@ def _direct_rows(n_lo: int, n_hi: int, z: np.ndarray, params: UltraParams,
     leaves the double range.
 
     Each side of row n sums exactly its steps below base + length (base =
-    max(n, 0) upper, max(-n - 1, 0) lower, length from budgets), whose
-    remainder _tail_bound bounds by rel_tol b times the side's largest
-    term; the mask zeroes each row's steps past its own budget, so a
-    row's terms do not depend on the other rows, and its values only
-    through rounding.  A non-finite value raises NonConvergence.  Returns
-    the (rows x points) values and the (side x row) nonzero terms summed.
+    max(n, 0) upper, max(-n - 1, 0) lower, length from budgets); the mask
+    zeroes each row's steps past its own budget, so a row's terms do not
+    depend on the other rows.  A non-finite value raises NonConvergence.
+    Returns the (rows x points) values and the (side x row) nonzero terms.
     """
     ns = np.arange(n_lo, n_hi + 1)
     r = np.abs(z)
@@ -514,9 +496,8 @@ class _PoleHead:
         self._u = self._f = np.empty(0, dtype=complex)
 
     def tables(self, k: int):
-        """u_j and F_j for j < k, read-only.  Each entry comes elementwise
-        from the same chain of q powers, so a longer table holds the same
-        values."""
+        """u_j and F_j for j < k, read-only; a longer table holds the same
+        leading values."""
         if self._u.size < k:
             u = np.full(max(k, 2 * self._u.size), self.q, dtype=complex)
             np.cumprod(u, out=u)
@@ -559,32 +540,24 @@ class _PoleRings:
     beta gamma w contributes only the factor gamma^2 to the ratio.  The
     rows n < 0 are (q/beta)^{-n} C_{-n}(z; beta, 1/(beta gamma))
     (symmetry_params).  The H tables do not depend on n: each sign of n
-    makes them once for all the rows and all the points it is given
-    (_PoleSide: one table of H_0's products, one ring table), a row
-    multiplies them by q^{kn} at every point at once, and z^{-n} (or
-    (q/(beta z))^{-n}) is one power per point.
+    makes them once for all its rows and points (_PoleSide), and a row
+    multiplies them by q^{kn} at every point at once.
 
     A ring ratio tends to the row's limit L = |beta gamma|^2 |q|^n.
     From a point's ring `start`, where |q|^{k+1} <= _POLE_NEAR
     min(1, |beta|) min(|w|, 1/|w|), each ratio is at most
     b = _POLE_SETTLED L, and the row sums start + J rings at that point,
-    J the rings after which b^J/(1 - b) is below eps.  Each point sums
-    exactly its own rings at z and at 1/z, along the table's contiguous
-    axis together with the points of the same ring count, and a table
-    grown for a later row or for another point holds the same leading
-    values, so a point's values depend neither on the other rows nor on
-    the points it shares a call with: one point is the one-point case of
-    the same code, bit for bit.  The row then bounds the point's
-    tail past its rings by the ratio's factors at |u| = |q|^{rings}, each
-    monotone in |u| (_PoleSide.bound).
+    J the rings after which b^J/(1 - b) is below eps, and bounds its tail
+    by the ratio's factors at |u| = |q|^{rings} (_PoleSide.bound).  Each
+    point sums exactly its own rings, and a table grown for a later row
+    or another point holds the same leading values, so one point is the
+    one-point case of the same code, bit for bit.
 
-    value(n, i) gives C_n at point i, checked in Python complex
-    arithmetic; every value of the expansion leaves through it.  It
-    raises _RouteUnusable where the route refuses: a ring ratio L with b
-    not below 1, rings over max_terms, z^2 on the q^Z lattice (where the
-    poles q^{-k} z and q^{-j}/z coalesce), a piece that is not finite, a
-    tail bound over rel_tol |C_n|, or rings that cancel: eps sum|ring|
-    over POLE_CANCELLATION |C_n|."""
+    value(n, i) gives C_n at point i; every value of the expansion leaves
+    through it.  It raises _RouteUnusable where the route refuses: b not
+    below 1, rings over max_terms, z^2 on the q^Z lattice (where the poles
+    q^{-k} z and q^{-j}/z coalesce), a piece that is not finite, a tail
+    bound over rel_tol |C_n|, or eps sum|ring| over POLE_CANCELLATION |C_n|."""
 
     def __init__(self, z, params: UltraParams, policy: TruncationPolicy):
         """z is one point or a list of Python-complex points; lattice[i]
@@ -596,7 +569,7 @@ class _PoleRings:
         self._sides, self._rows = {}, {}
 
     def value(self, n: int, i: int = 0):
-        """(value, rings) of C_n at point i."""
+        """(value, rings, sum |ring|) of C_n at point i."""
         row = self._rows.get(n)
         if row is None:
             row = self._rows[n] = self._row(n)
@@ -631,7 +604,7 @@ class _PoleRings:
         if not _EPS * total <= POLE_CANCELLATION * size:
             raise _RouteUnusable(f"the rings of C_{n} cancel: sum |ring| = "
                                  f"{total:.3g}, |C_n| = {size:.3g}")
-        return value, rings[j]
+        return value, rings[j], total
 
     def _row(self, n: int):
         """Row n at the points its side keeps, by the point's row j in the
@@ -641,8 +614,8 @@ class _PoleRings:
         rings' moduli and the moduli of their last rings, at z in entry k
         and at 1/z in entry k + 1; or the reason the whole row refuses."""
         params, mirrored, m = self.params, n < 0, abs(n)
-        aq = abs(params.q)
-        limit = (aq ** m / abs(params.gamma) ** 2 if mirrored
+        aq, g2 = abs(params.q), abs(params.gamma) ** 2
+        limit = ((aq ** m / g2 if g2 else math.inf) if mirrored
                  else abs(params.beta * params.gamma) ** 2 * aq ** m)
         b = max(_POLE_SETTLED * limit, 1e-300)
         if not b < 1:
@@ -685,12 +658,10 @@ class _PoleSide:
     products each (_pole_products), made at construction, and the ring
     table of H_k(z), H_k(1/z) by the ratio form, rows 2j and 2j + 1 for
     the point of row j, grown on demand.  index[i] is point i's row j, or
-    the _RouteUnusable that says why the expansion refuses at point i: z^2
-    on the q^Z lattice or out of the double range (_OutOfRange), or a
-    piece of H_0 that is not finite or not reached; start[j] and aw[j] =
-    |z^2| belong to row j.  The per-point work that is a few operations
-    (the checks, the products' factor counts, the ring starts) is Python
-    arithmetic: at one point numpy's call overhead would outweigh it."""
+    the _RouteUnusable that says why the expansion refuses at point i;
+    start[j] and aw[j] = |z^2| belong to row j.  The per-point checks,
+    factor counts and ring starts are Python arithmetic: at one point
+    numpy's call overhead would outweigh them."""
 
     def __init__(self, rings: _PoleRings, mirrored: bool):
         params, policy = rings.params, rings.policy
@@ -768,13 +739,10 @@ class _PoleSide:
 
 def _pole_products(a: list, counts: list, q) -> np.ndarray:
     """(a_i; q)_inf for the parameters a of several points, the same
-    number of them per point, each point's to its own count of factors:
-    poch's array product with the factors laid out along rows, one
-    (parameters x factors) table, which takes about half the time of
-    poch's (factors x parameters) table at this size (numpy steps the
-    inner loop along the last axis).  The factors of a row past its
-    point's count are exactly 1, so a point's products do not depend on
-    the points it shares the table with."""
+    number per point, each to its point's count of factors, from one
+    (parameters x factors) table (half the time of poch's transposed
+    table here).  The factors past a point's count are exactly 1, so a
+    point's products do not depend on the points it shares the table with."""
     width = max(counts)
     table = np.empty((len(a), width), dtype=complex)
     table[:, 0] = a
@@ -787,106 +755,11 @@ def _pole_products(a: list, counts: list, q) -> np.ndarray:
     return table.prod(axis=1)
 
 
-class _HeadOverflow(NonConvergence):
-    """A piece of the continuation routes at some n leaves the double
-    range, so no route applies at that n."""
-
-
 def _on_q_lattice(value, q) -> bool:
     """value is within 1e-8 of the q^Z lattice in log_q value; 0 and
     values out of the double range are off it."""
     r = cmath.log(value) / cmath.log(q) if value and cmath.isfinite(value) else 0.5
     return abs(r - round(r.real)) < 1e-8
-
-
-def _on_nonpositive_lattice(value, q):
-    m = is_q_power(value, q)
-    return m is not None and m <= 0
-
-
-def _finite(name: str, value: complex, n: int) -> complex:
-    if not cmath.isfinite(value):
-        raise _HeadOverflow(f"{name} = {value} at n = {n} leaves the "
-                            f"double range")
-    return value
-
-
-def _well_poised_2psi2(n: int, z: complex, params: UltraParams):
-    """(P, a, b, c, d, Z) with C_n(z) = P 2psi2(a, b; c, d; q, Z), the
-    defining series as a well-poised 2psi2: P = (beta gamma; q)_n /
-    (q gamma; q)_n z^n, a = beta gamma, b = q^{-n}/gamma, c = q gamma,
-    d = q^{1-n}/(beta gamma) and Z = q/(beta z^2).  _HeadOverflow where
-    the q-product ratio, b or d leaves the double range."""
-    q, beta, gamma = params.q, params.beta, params.gamma
-    bg, gq = beta * gamma, q * gamma
-    try:
-        g = poch_ratio(bg, gq, q, n)
-    except DomainError as exc:      # its one DomainError: the ratio overflowed
-        raise _HeadOverflow(f"(beta gamma; q)_n/(q gamma; q)_n at n = {n} "
-                            f"leaves the double range") from exc
-    return (g * z ** n, bg, _finite("q^{-n}/gamma", q ** (-n) / gamma, n), gq,
-            _finite("q^{1-n}/(beta gamma)", q ** (1 - n) / bg, n),
-            q / (beta * z * z))
-
-
-def _sixpsi8(n: int, z: complex, params: UltraParams,
-             policy: TruncationPolicy):
-    """(value, terms) of C_n through the very-well-poised 6psi8 form of
-    the well-poised 2psi2 (upper parameters e = beta gamma, f =
-    q^{-n}/gamma): pref0 times wellpoised_6psi8(q^{-n}/z^2, c, d, e, f),
-    which degenerates where z^2 is on the q^Z lattice (callers rule it out)."""
-    q, beta, gamma = params.q, params.beta, params.gamma
-    pref0, e, f, _, _, _ = _well_poised_2psi2(n, z, params)
-    qn, w2 = q ** (-n), z * z
-    if any(_on_nonpositive_lattice(arg, q)
-           for arg in (q * w2 / beta, q / (beta * w2), q ** (1 - n) / e)):
-        raise _RouteUnusable("prefactor product vanishes")
-    try:
-        pref1, upper, lower, w = wellpoised_6psi8(
-            qn / w2, qn / (w2 * gamma), e / w2, e, f, q, policy)
-    except DomainError as exc:      # a prefactor parameter or product overflows
-        raise _HeadOverflow(f"a 6psi8 prefactor parameter or product at "
-                            f"n = {n} leaves the double range: {exc}") from exc
-    value, terms = sum_psi_params(upper, lower, q, w, policy)
-    return pref0 * pref1 * value, terms
-
-
-def _bailey(n: int, z: complex, params: UltraParams,
-            policy: TruncationPolicy):
-    """(value, terms) of C_n through Bailey's 2psi2 transformation of the
-    well-poised 2psi2, whose transformed argument q^{1-n}/(beta gamma)^2
-    is z-free: pref0 times bailey_2psi2(a, b, c, d, Z).  It refuses unless
-    |d/a| < 1 and |c/b| < 1 (b = 0, where q^{-n} underflows, fails)."""
-    q = params.q
-    pref0, a, b, c, d, Z = _well_poised_2psi2(n, z, params)
-    if not (abs(d / a) < 1 and b != 0 and abs(c / b) < 1):
-        raise _RouteUnusable(f"transformed series out of region at n = {n}")
-    if any(_on_nonpositive_lattice(arg, q)
-           for arg in (Z, c * d / (a * b * Z), d, q / b)):
-        raise _RouteUnusable("prefactor product vanishes")
-    try:
-        G, upper, lower, w = bailey_2psi2(a, b, c, d, Z, q, policy)
-    except DomainError as exc:      # a prefactor product is not finite
-        raise _HeadOverflow(f"a 2psi2 prefactor product at n = {n} leaves "
-                            f"the double range: {exc}") from exc
-    value, terms = sum_psi_params(upper, lower, q, w, policy)
-    return pref0 * G * value, terms
-
-
-def _route_value(name: str, route, n: int, *args):
-    """route(n, *args) as (value, terms) with a finite value, or the typed
-    error naming the route: NonConvergence for an overflow or a value that
-    is not finite, RegionError for a refusal or a division by zero."""
-    try:
-        value, terms = route(n, *args)
-    except (OverflowError, _HeadOverflow) as exc:
-        raise NonConvergence(f"continuation of C_{n} overflowed double "
-                             f"precision in the {name}: {exc}") from exc
-    except (_RouteUnusable, ZeroDivisionError) as exc:
-        raise RegionError(f"the {name} does not give C_{n}: {exc}") from exc
-    if not cmath.isfinite(value):
-        raise NonConvergence(f"the {name} value of C_{n}, {value}, is not finite")
-    return value, terms
 
 
 def _lattice_radius(z: complex, params: UltraParams) -> float:
@@ -938,11 +811,8 @@ def _direct_range(n_lo: int, n_hi: int, z: np.ndarray, params: UltraParams,
     if steps > policy.max_terms:
         raise NonConvergence(f"bilateral sum needs {steps} terms per side, "
                              f"over max_terms = {policy.max_terms}")
-    # a pass holds rows x points values and rows x steps coefficients per
-    # side, each capped through _BLOCK_SIZE.  Rows are independent, so where
-    # the passes split a range changes no row's terms; it can move a row's
-    # last bits, since a pass's row and step counts shape its matrix
-    # products, and BLAS may sum products of other shapes in another order
+    # passes capped through _BLOCK_SIZE; where they split a range changes
+    # no row's terms, only, through BLAS's summation order, its last bits
     step = max(1, min(_BLOCK_SIZE // z.size, 8 * _BLOCK_SIZE // steps))
     values = np.empty((n_hi - n_lo + 1, z.size), dtype=complex)
     terms = np.empty(n_hi - n_lo + 1, dtype=int)
@@ -955,11 +825,9 @@ def _direct_range(n_lo: int, n_hi: int, z: np.ndarray, params: UltraParams,
 
 
 def _scalar_inside(z: complex, beta, q) -> bool:
-    """direct_region_mask at one Python-complex z, without its one-element
-    arrays where Python's complex arithmetic settles it: both region ratios
-    below the margin, or one above it, by more than 1e-9 relative (numpy
-    and Python round them a few ulps apart).  Closer to the margin, and
-    where z^2 leaves the double range, the mask decides."""
+    """direct_region_mask at one Python-complex z, in Python arithmetic
+    where the ratios clear the margin by more than 1e-9 relative; closer
+    to it, and where z^2 leaves the double range, the mask decides."""
     z2 = z * z
     if z2 != 0 and cmath.isfinite(z2):
         lo, hi = abs(q * z2 / beta), abs(q / (beta * z2))
@@ -979,17 +847,13 @@ def _point_rows(n_lo: int, n_hi: int, zs: list, params: UltraParams,
     """Per point of zs (Python complex, all off the annulus), the (values,
     terms) tuples of C_n, n_lo <= n <= n_hi, every row by the route of
     the point: where z^2 is on the q^Z lattice a circle mean
-    (_lattice_rows), else the pole expansion and the 6psi8 where it
-    refuses; where z^2 leaves the double range neither applies, and a
-    RegionError says so.  Each block of _POLE_BLOCK points shares one
-    _PoleRings, which tests each point for the lattice in scalar
+    (_lattice_rows), else the pole expansion and the recurrence where it
+    refuses (_continued_rows).  Each block of _POLE_BLOCK points shares
+    one _PoleRings, which tests each point for the lattice in scalar
     arithmetic (numpy's log could round a point in the test's band to the
-    other side) and makes the tables of the points off it together; a
-    point's values do not depend on the points it shares them with.
-    Blocks, points and rows are walked in order, so a failing row raises
-    the error a loop over the points one at a time would raise first.
-    Both lanes of _range_values run it, a scalar as one point.  Raises
-    check_pole_lattice's PoleError first."""
+    other side).  Blocks, points and rows are walked in order, so a
+    failing row raises the error a loop over the points one at a time
+    would raise first.  Raises check_pole_lattice's PoleError first."""
     check_pole_lattice(params)
     out = []
     for lo in range(0, len(zs), _POLE_BLOCK):
@@ -999,18 +863,133 @@ def _point_rows(n_lo: int, n_hi: int, zs: list, params: UltraParams,
             if rings.lattice[i]:
                 rows = _lattice_rows(n_lo, n_hi, z, params, policy)
             else:
-                rows = []
-                for n in range(n_lo, n_hi + 1):
-                    try:
-                        rows.append(rings.value(n, i))
-                    except _OutOfRange as exc:
-                        raise RegionError(f"no route gives C_{n} at z = {z}: "
-                                          f"{exc}") from exc
-                    except _RouteUnusable:
-                        rows.append(_route_value("6psi8", _sixpsi8, n, z,
-                                                 params, policy))
+                rows = _continued_rows(n_lo, n_hi, rings, i)
             out.append(tuple(zip(*rows)))
     return out
+
+
+def _continued_rows(n_lo: int, n_hi: int, rings: _PoleRings, i: int) -> list:
+    """The (value, terms) rows n_lo..n_hi at point i of rings, off the q^Z
+    lattice: the pole expansion's where it accepts, else the recurrence's
+    (_recurrence_band).  At z = +-i, to within its rounding, every odd row
+    is 0 (C_n(-z) = (-1)^n C_n(z), -z = 1/z) and the recurrence splits by
+    parity.  RegionError where z^2 leaves the double range."""
+    z = rings.points[i]
+    x = (z + 1.0 / z) / 2.0
+    x = 0.0 if abs(x) <= 2 * _EPS else x
+    known = {}
+
+    def row(n):     # the expansion's (value, terms, sum |ring|), or its refusal
+        if n not in known:
+            try:
+                known[n] = (0j, 0, 0.0) if x == 0 and n % 2 else rings.value(n, i)
+            except _OutOfRange as exc:
+                raise RegionError(f"no route gives C_{n} at z = {z}: {exc}") from exc
+            except _RouteUnusable as exc:
+                known[n] = exc
+        return known[n]
+
+    out = []
+    for n in range(n_lo, n_hi + 1):
+        if isinstance(row(n), _RouteUnusable):
+            known.update(_recurrence_band(n, row, z, x, rings.params, rings.policy))
+        out.append(known[n][:2])
+    return out
+
+
+#: how far past a refused row _recurrence_band looks for its band's ends
+_END_SEARCH = 128
+
+#: a recurrence row is kept where its error estimate is at most this times
+#: rel_tol: the rows kept on the sweep grid at q <= 0.7 estimate up to
+#: 1.9e-12; C_0 at (0.7, 0.4, 1.5), z = fl(q^{1/4}), 9.1e-11 off, 2.3e-11
+RECURRENCE_SLACK = 32
+
+
+def _recurrence_band(a: int, row, z: complex, x: complex, params: UltraParams,
+                     policy: TruncationPolicy) -> dict:
+    """{n: (value, terms, 0.0)} for the refused rows of the band about the
+    refused row a at z, x = (z + 1/z)/2, by the three-term recurrence
+    from the rows row(n) gives: the expansion's (value, terms, sum |ring|)
+    or its _RouteUnusable.  The band runs from lo, the nearest accepted
+    row below a, to hi, the first row above a accepted with the row after
+    it; both may lie past the rows asked for.  Its refused rows come from
+    1. the recurrence run downward from C_{hi+1} and C_hi, where it
+       reproduces C_lo to rel_tol;
+    2. else the two-point system of the band with the ends C_lo and C_hi
+       (F. W. J. Olver, J. Res. NBS 71B (1967) 111-129);
+    either kept where its error estimate (_band_solve) is at most
+    RECURRENCE_SLACK rel_tol at every refused row, else NonConvergence
+    names the gap.  Far from the unit circle the wanted solution is
+    minimal downward (W. Gautschi, SIAM Rev. 9 (1967) 24-82): the run
+    misses C_lo, and the system gives the band.  A row's terms are the
+    most rings its ends summed.  PoleError first at a singular point of
+    C_n, z^2 = q^{k+1}/beta or beta q^{-k-1}, k >= 0."""
+    q, w = params.q, z * z
+    for name, m in (("q/(beta z^2)", is_q_power(q / (params.beta * w), q)),
+                    ("q z^2/beta", is_q_power(q * w / params.beta, q))):
+        if m is not None and m <= 0:
+            raise PoleError(f"({name}; q)_inf vanishes at z = {z}: C_n is singular there")
+
+    def refused(n):
+        return isinstance(row(n), _RouteUnusable)
+
+    lo = next((n for n in range(a - 1, a - _END_SEARCH - 1, -1) if not refused(n)), None)
+    hi = None if lo is None else next((n for n in range(a + 1, a + _END_SEARCH)
+                                       if not (refused(n) or refused(n + 1))), None)
+    if hi is None:
+        where = "below it" if lo is None else "above it, with the row after it,"
+        raise _no_route(a, z, row, f"no row {where} within {_END_SEARCH} rows is "
+                                   f"accepted to bound the recurrence")
+    band = [n for n in range(lo + 1, hi) if refused(n)]
+    (end, t_lo, s_lo), (top, t_hi, s_hi), (over, t_over, s_over) = (
+        row(lo), row(hi), row(hi + 1))
+    m, tol = hi - lo - 1, RECURRENCE_SLACK * policy.rel_tol
+    # row k: the recurrence at n = lo + 1 + k, on C_lo .. C_{hi+1}
+    system = np.zeros((m + 1, m + 3), dtype=complex)
+    for k in range(m + 1):
+        down, mid, up = _recurrence_coefficients(lo + 1 + k, params)
+        system[k, k:k + 3] = down, -2 * x * mid, up
+    # downward: the triangular system of rows lo .. hi - 1 under C_hi, C_{hi+1}
+    values, first = _band_solve(system[:, :m + 1], system[:, m + 1:], [top, over],
+                                [s_hi, s_over], [n - lo for n in band])
+    miss = abs(values[0] - end)
+    if not (miss <= policy.rel_tol * abs(end) and first <= tol):
+        values, second = _band_solve(system[:m, 1:m + 1], system[:m, [0, m + 1]],
+                                     [end, top], [s_lo, s_hi], [n - lo - 1 for n in band])
+        if not second <= tol:
+            raise _no_route(a, z, row, (
+                f"the recurrence from C_{hi} misses C_{lo} by "
+                f"{miss / abs(end) if end else miss:.3g} relative, error "
+                f"estimate {first:.3g}, and the two-point system between "
+                f"them has error estimate {second:.3g}"))
+        values = [end] + values
+    return {n: (values[n - lo], max(t_lo, t_hi, t_over), 0.0) for n in band}
+
+
+def _no_route(n: int, z: complex, row, why: str) -> NonConvergence:
+    return NonConvergence(f"no route gives C_{n} at z = {z}: the pole expansion "
+                          f"refuses it ({row(n)}), and {why}")
+
+
+def _band_solve(band: np.ndarray, given: np.ndarray, ends: list, sizes: list,
+                picked: list) -> tuple:
+    """(sol, err): the solution of band sol + given ends = 0, a list, and
+    the largest first-order relative error of its entries picked where
+    every coefficient is off by eps relative and end j by eps sizes[j],
+    eps (|band^{-1}| (|band| |sol| + |given| sizes))_k / |sol_k|
+    (Skeel's componentwise condition, the ends as data), 0 where the data
+    leave no spread; inf for a singular band."""
+    with np.errstate(all="ignore"):
+        try:
+            inv = np.linalg.inv(band)
+        except np.linalg.LinAlgError:
+            return [math.nan] * len(band), math.inf
+        sol = -(inv @ (given @ ends))
+        size = np.abs(sol)
+        spread = np.abs(inv) @ (np.abs(band) @ size + np.abs(given) @ sizes)
+        err = np.divide(spread, size, out=np.zeros_like(size), where=spread > 0)
+    return sol.tolist(), _EPS * err[picked].max()
 
 
 def _range_values(n_lo: int, n_hi: int, z, params: UltraParams,
@@ -1047,19 +1026,15 @@ def _range_values(n_lo: int, n_hi: int, z, params: UltraParams,
 def bilateral_cn_range(n_lo: int, n_hi: int, p: SpectralPoint,
                        params: UltraParams,
                        policy: TruncationPolicy = DEFAULT_POLICY) -> UltraRange:
-    """C_n at p for every n_lo <= n <= n_hi.
-
-    The points of p inside the direct annulus are summed together for all
-    rows (_direct_range); every other point is continued by the route of
-    the point (_point_rows), and its values do not depend on the points
-    it shares the call with.  A scalar p.z is routed by the same rule
-    (direct_region_mask) and gets the values and term counts of the
-    one-element array, bit for bit.  An array raises the error of its
-    first failing point, at that point's first failing row.  Raises
-    PoleError on the gamma parameter lattices (_check_poles, and off the
-    annulus check_pole_lattice), RegionError when no evaluation route
-    applies, NonConvergence when the policy budget is exhausted.
-    """
+    """C_n at p for every n_lo <= n <= n_hi: the points inside the direct
+    annulus summed together for all rows (_direct_range), every other
+    point continued by its route (_point_rows), independently of the
+    points it shares the call with.  A scalar p.z gets the values and term
+    counts of the one-element array, bit for bit; an array raises the
+    error of its first failing point at its first failing row.  PoleError
+    on the gamma parameter lattices (_check_poles, and off the annulus
+    check_pole_lattice), RegionError where no route applies, and
+    NonConvergence where a budget is exhausted or a check refuses."""
     values, terms = _range_values(n_lo, n_hi, p.z, params, policy)
     return UltraRange(int(n_lo), p, params, policy,
                       np.asarray(values, dtype=complex), np.asarray(terms, dtype=int))
@@ -1079,32 +1054,36 @@ def bilateral_cn(n: int, p: SpectralPoint, params: UltraParams,
 
 def bilateral_cn_psi_form(n: int, p: SpectralPoint, params: UltraParams,
                           policy: TruncationPolicy = DEFAULT_POLICY) -> complex:
-    """Secondary evaluation path: prefactor times the well-poised 2psi2
-    series; used as an internal cross-check of the direct sum."""
+    """In-region cross-check of the direct sum: the defining series as the
+    well-poised P 2psi2(beta gamma, b; q gamma, d; q, q/(beta z^2)),
+    P = (beta gamma; q)_n / (q gamma; q)_n z^n, b = q^{-n}/gamma and
+    d = q^{1-n}/(beta gamma); NonConvergence where P, b or d overflows."""
     check_pole_lattice(params)
-    pref, a, b, c, d, Z = _well_poised_2psi2(n, complex(p.z), params)
-    spec = SeriesSpec(BILATERAL, (a, b), (c, d), params.q, Z)
+    q, beta, gamma = params.q, params.beta, params.gamma
+    bg, z = beta * gamma, complex(p.z)
+    try:
+        pref = poch_ratio(bg, q * gamma, q, n) * z ** n
+    except DomainError as exc:      # its one DomainError: the ratio overflowed
+        raise NonConvergence(f"(beta gamma; q)_n/(q gamma; q)_n at n = {n} "
+                             f"leaves the double range") from exc
+    b, d = q ** (-n) / gamma, q ** (1 - n) / bg
+    for name, value in (("q^{-n}/gamma", b), ("q^{1-n}/(beta gamma)", d)):
+        if not cmath.isfinite(value):
+            raise NonConvergence(f"{name} = {value} at n = {n} leaves the "
+                                 f"double range")
+    spec = SeriesSpec(BILATERAL, (bg, b), (q * gamma, d), q, q / (beta * z * z))
     return pref * sum_psi(spec, policy)[0]
 
 
-def bilateral_cn_6psi8(n: int, z, params: UltraParams,
-                       policy: TruncationPolicy = DEFAULT_POLICY) -> UltraValue:
-    """C_n at one scalar z by the 6psi8 route (module docstring); on the
-    q^Z lattice of z^2 RegionError.  Numpy scalars keep numpy arithmetic."""
-    check_pole_lattice(params)
-    if _on_q_lattice(z * z, params.q):
-        raise RegionError("the 6psi8 form degenerates where z^2 is on the q^Z lattice")
-    return UltraValue(int(n), SpectralPoint(z),
-                      *_route_value("6psi8", _sixpsi8, n, z, params, policy))
-
-
-def bilateral_cn_bailey(n: int, z, params: UltraParams,
-                        policy: TruncationPolicy = DEFAULT_POLICY) -> UltraValue:
-    """C_n at one scalar z by Bailey's 2psi2 route (_bailey), the crosscheck's
-    reference; out of its region RegionError.  Numpy scalars keep numpy arithmetic."""
-    check_pole_lattice(params)
-    return UltraValue(int(n), SpectralPoint(z),
-                      *_route_value("2psi2", _bailey, n, z, params, policy))
+def bilateral_cn_continued(n: int, z, params: UltraParams,
+                           policy: TruncationPolicy = DEFAULT_POLICY) -> UltraValue:
+    """C_n at one scalar z by the analytic continuation of _point_rows,
+    wherever z lies, also inside the direct annulus: the pole expansion,
+    the recurrence where it refuses, and on the q^Z lattice of z^2 the
+    circle mean.  Its errors are _point_rows'."""
+    z = complex(z)
+    (value,), (terms,) = _point_rows(n, n, [z], params, policy)[0]
+    return UltraValue(int(n), SpectralPoint(z), value, terms)
 
 
 def generating_rhs(kind: str, t, p: SpectralPoint, params: UltraParams,
@@ -1141,18 +1120,24 @@ def generating_rhs(kind: str, t, p: SpectralPoint, params: UltraParams,
     return pref * num / den
 
 
-def recurrence_gap(n: int, p: SpectralPoint, params: UltraParams,
-                   cm1, c0, cp1) -> float:
-    """Residual of the three-term recurrence
-    2x (1 - beta gamma^2 q^n) C_n = (1 - gamma^2 q^{n+1}) C_{n+1}
-    + (1 - beta^2 gamma^2 q^{n-1}) C_{n-1} for the given values
-    C_{n-1}, C_n, C_{n+1} at p, scaled by max(1, |C_n|)."""
+def _recurrence_coefficients(n: int, params: UltraParams) -> tuple:
+    """(down, mid, up) of 2x mid C_n = up C_{n+1} + down C_{n-1} at n:
+    1 - beta^2 gamma^2 q^{n-1}, 1 - beta gamma^2 q^n, 1 - gamma^2 q^{n+1};
+    NonConvergence where q^{n-1} leaves the double range."""
     q, beta, g2 = params.q, params.beta, params.gamma ** 2
     try:
-        mid, up, down = (1 - beta * g2 * q ** n, 1 - g2 * q ** (n + 1),
-                         1 - beta ** 2 * g2 * q ** (n - 1))
+        return (1 - beta ** 2 * g2 * q ** (n - 1), 1 - beta * g2 * q ** n,
+                1 - g2 * q ** (n + 1))
     except OverflowError as exc:  # q^{n-1} beyond the double range
         raise NonConvergence(f"recurrence at n = {n} overflowed") from exc
+
+
+def recurrence_gap(n: int, p: SpectralPoint, params: UltraParams,
+                   cm1, c0, cp1) -> float:
+    """Residual of the three-term recurrence (_recurrence_coefficients)
+    for the given values C_{n-1}, C_n, C_{n+1} at p, scaled by
+    max(1, |C_n|)."""
+    down, mid, up = _recurrence_coefficients(n, params)
     lhs = 2 * p.x * mid * c0
     rhs = up * cp1 + down * cm1
     return abs(lhs - rhs) / max(1.0, abs(c0))

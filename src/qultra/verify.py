@@ -36,8 +36,8 @@ from .quadrature import (QuadratureResult, WeightParams,
                          shifted_orthogonality_pair, shifted_orthogonality_rhs)
 from .ultraspherical import (BILATERAL_KIND, CLASSICAL, UltraParams,
                              UltraRange, UltraValue, bilateral_cn,
-                             bilateral_cn_6psi8, bilateral_cn_bailey,
-                             bilateral_cn_psi_form, bilateral_cn_range,
+                             bilateral_cn_continued, bilateral_cn_psi_form,
+                             bilateral_cn_range,
                              classical_cn, constant_term, generating_rhs,
                              linearization_residual, recurrence_gap,
                              special_value_c0, symmetry_gap, symmetry_params)
@@ -294,18 +294,18 @@ def _special_value_c0(ctx: ResolvedConfig):
 
 
 def _crosscheck(ctx: ResolvedConfig):
-    """The two analytic-continuation routes agree where both apply, and
-    the direct sum matches the well-poised 2psi2 form in-region."""
+    """The direct sum matches the well-poised 2psi2 form in-region, and
+    the analytic continuation (bilateral_cn_continued: the pole
+    expansion, and the recurrence where it refuses) matches the direct
+    sum at the same points, where both converge."""
     lhs, rhs = [], []
     for p in ctx.points:
         for n in (-2, 0, 1):
             lhs.append(bilateral_cn(n, p, ctx.params, ctx.policy).value)
             rhs.append(bilateral_cn_psi_form(n, p, ctx.params, ctx.policy))
-    for n in (-1, 0):
-        z = complex(ctx.cfg["q"] ** 0.5) * np.exp(0.4j)
-        lhs.append(bilateral_cn_6psi8(n, z, ctx.params, ctx.policy).value)
-        rhs.append(bilateral_cn_bailey(n, z, ctx.params, ctx.policy).value)
-    return lhs, rhs, None, ()
+    rhs += [bilateral_cn_continued(n, p.z, ctx.params, ctx.policy).value
+            for p in ctx.points for n in (-2, 0, 1)]
+    return lhs + lhs, rhs, None, ()
 
 
 def _dq_action(kind, ns, ctx: ResolvedConfig):

@@ -14,6 +14,16 @@ from qultra.verify import CONFIG_DEFAULTS, run_identity
 Q, BETA, GAMMA = (CONFIG_DEFAULTS[k] for k in ("q", "beta", "gamma"))
 
 
+def test_an_array_point_is_a_domain_error(params):
+    # both took complex(p.z), a bare TypeError for an array of z
+    p = SpectralPoint(np.exp(1j * np.array([0.4, 1.0])))
+    with pytest.raises(DomainError, match="apply_dq takes one point"):
+        apply_dq(lambda sp: sp.x, p, Q)
+    for kind, n in (("classical", 2), ("bilateral", 1), ("bilateral", [0, 1])):
+        with pytest.raises(DomainError, match="dq_action_residual takes one point"):
+            dq_action_residual(kind, n, p, params)
+
+
 def test_constant_maps_to_zero(points):
     for p in points:
         assert apply_dq(lambda sp: 1.0 + 0j, p, Q) == 0.0

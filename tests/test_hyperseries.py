@@ -319,8 +319,8 @@ def test_off_annulus_scalar_and_array_values_are_identical(params):
     # benchmark's range and beyond: rows the pole expansion gives (every
     # row at the defaults and at (0.7, 0.5, 1.5), whose annulus is empty)
     # and rows it refuses for its ring ratio, where the mirrored rings do
-    # not settle below ratio 1 and the 6psi8 takes over (n = -12..-1 at
-    # (0.85, 0.8, 0.3))
+    # not settle below ratio 1 and the recurrence takes over (n = -12..-1
+    # at (0.85, 0.8, 0.3))
     rng = np.random.default_rng(16)
     radius = rng.uniform(0.35, 0.58, 8)
     arg = rng.uniform(0.15, np.pi - 0.15, 8) * rng.choice([-1, 1], 8)

@@ -291,6 +291,16 @@ def test_mass_points():
     assert ws[0] == ws[1] and ws[2] == ws[3]
 
 
+def test_mass_points_refuse_complex_beta_or_q():
+    # a complex beta or q raised a bare TypeError from the comparison
+    # beta q^k > 1; a zero imaginary part is the real parameter
+    for beta, q in ((1.2 + 0.1j, Q), (1.2, 0.3 + 0.1j)):
+        with pytest.raises(DomainError, match="real"):
+            mass_points(beta, q)
+    for got, want in zip(mass_points(1.2 + 0j, complex(Q)), mass_points(1.2, Q)):
+        assert got.tobytes() == want.tobytes()
+
+
 def test_bilateral_delta_integral_two_mass_pairs():
     # beta = 3 > q^{-1/2} at q = 0.5: the full measure has two mass pairs
     q, beta = 0.5, 3.0

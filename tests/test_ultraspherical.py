@@ -8,22 +8,17 @@ import pytest
 from qultra import (BILATERAL, DEFAULT_POLICY, UNILATERAL, DomainError,
                     NonConvergence, PoleError, QSeriesError, RegionError, SeriesSpec,
                     SpectralPoint, TruncationPolicy, UltraParams,
-                    bilateral_cn, bilateral_cn_6psi8, bilateral_cn_bailey,
+                    bilateral_cn, bilateral_cn_continued,
                     bilateral_cn_psi_form, classical_cn,
                     constant_term, generating_rhs, linearization_residual,
                     recurrence_residual, special_value_c0,
-                    special_value_cm1, sum_phi, symmetry_params,
+                    special_value_cm1, sum_phi, sum_psi, symmetry_params,
                     symmetry_residual)
-from qultra.hyperseries import (bailey_2psi2, sum_psi, sum_psi_params,
-                                wellpoised_6psi8)
 import qultra.ultraspherical as us
-from qultra.ultraspherical import (DIRECT_REGION_MARGIN, _bailey,
-                                   _direct_rows, _PoleRings,
-                                   _on_nonpositive_lattice, _RouteUnusable,
-                                   _sixpsi8, _tail_bound,
-                                   _well_poised_2psi2, _z_powers,
-                                   bilateral_cn_range, direct_region_mask,
-                                   in_direct_region)
+from qultra.ultraspherical import (DIRECT_REGION_MARGIN, _direct_rows,
+                                   _PoleRings, _RouteUnusable, _tail_bound,
+                                   _z_powers, bilateral_cn_range,
+                                   direct_region_mask, in_direct_region)
 from qultra.verify import CONFIG_DEFAULTS
 
 Q, BETA, GAMMA = (CONFIG_DEFAULTS[k] for k in ("q", "beta", "gamma"))
@@ -209,6 +204,26 @@ def test_constant_terms_at_x_zero(params):
             assert abs(got - want) <= 1e-9
 
 
+def test_constant_terms_off_the_annulus_split_by_parity():
+    # at (0.7, 0.4, 0.3) z = i is off the annulus and the pole expansion
+    # refuses rows -4..-1 (ring ratio) and every odd row (its rings cancel
+    # to 0): the odd rows are exactly 0, and the even rows come from the
+    # recurrence, which at x = 0 links only rows of one parity; the
+    # products of constant_term hold them to 3e-15.  z^2 = -1 = q/beta at
+    # (0.5, -0.5, 0.3) is a singular point of C_n, where no route applies
+    params = UltraParams(0.4, 0.3, 0.7)
+    assert not in_direct_region(1j, 0.4, 0.7)
+    rows = bilateral_cn_range(-4, 4, SpectralPoint(1j), params)
+    for n in range(-4, 5):
+        want = constant_term(n, params)
+        if n % 2:
+            assert rows[n] == 0, n
+        else:
+            assert rows[n] == pytest.approx(want, rel=1e-14), n
+    with pytest.raises(PoleError, match="C_n is singular there"):
+        bilateral_cn(-4, SpectralPoint(1j), UltraParams(-0.5, 0.3, 0.5))
+
+
 def test_constant_term_classical_reduction():
     assert constant_term(0, UltraParams(BETA, 1.0, Q)) == pytest.approx(1.0, rel=1e-13)
     # classical C_{2m}(0) = (-1)^m (beta^2; q^2)_m / (q^2; q^2)_m
@@ -228,9 +243,9 @@ def test_special_value_c0(params):
 def test_cm1_continuations_agree_but_differ_from_stated_product(params):
     """At z = q^{1/2} the stated closed product differs from C_{-1} (its
     derivation drops a sign on the k < 0 terms), which is reported here
-    as a stable, reproducible gap.  z^2 = q is on the q^Z lattice, which
-    both the pole expansion and the 6psi8 refuse, so C_{-1} there is the
-    mean of a circle about the point.  Acceptance check 08b holds the
+    as a stable, reproducible gap.  z^2 = q is on the q^Z lattice, where
+    the pole expansion degenerates, so C_{-1} there is the mean of a
+    circle about the point.  Acceptance check 08b holds the
     value against the 3phi2 closed form of the sign-flipped terms."""
     got = bilateral_cn(-1, SpectralPoint(complex(Q ** 0.5)), params).value
     stated = special_value_cm1(params)
@@ -267,17 +282,15 @@ def test_cm1_reference_against_direct_sum():
 
 
 def test_in_region_values_match_continuations(params):
-    # overlap check: direct sum vs both continuations at beta = 1.3 where
+    # overlap check: direct sum vs the continuation at beta = 1.3 where
     # the q^{1/2}-shifted point is inside the direct region
-    from qultra import DEFAULT_POLICY
     wide = UltraParams(1.3, GAMMA, Q)
     z = complex(Q ** 0.5) * np.exp(0.4j)
     assert in_direct_region(z, 1.3, Q)
-    direct = bilateral_cn_range(0, 0, SpectralPoint(z), wide, DEFAULT_POLICY)[0]
-    via8 = bilateral_cn_6psi8(0, z, wide, DEFAULT_POLICY).value
-    viat = bilateral_cn_bailey(0, z, wide, DEFAULT_POLICY).value
-    assert direct == pytest.approx(via8, rel=1e-12)
-    assert direct == pytest.approx(viat, rel=1e-12)
+    for n in range(-3, 4):
+        direct = bilateral_cn_range(n, n, SpectralPoint(z), wide, DEFAULT_POLICY)[n]
+        continued = bilateral_cn_continued(n, z, wide, DEFAULT_POLICY).value
+        assert direct == pytest.approx(continued, rel=1e-12), n
 
 
 def test_continuation_gamma_mirror_consistency(params):
@@ -387,13 +400,13 @@ def test_linearization_sequence_equals_its_pair_calls_bit_for_bit(points):
 
 
 def test_bilateral_region_error_when_no_route():
-    # at q = 0.9 the circle points of the lattice point q^{1/2} take rows
-    # n < 0 from the 6psi8, whose errors the circle mean does not average
-    # away: for rows -3..-1 its 32- and 64-point means differ by 1.9e-11
-    # to 2.7e-9 relative, and the rows raise with that gap
-    params = UltraParams(0.4, 0.5, 0.9)
-    p = SpectralPoint(complex(0.9 ** 0.5))
-    for n in range(-3, 0):
+    # at gamma = 1 the rows n < 0 vanish; at the lattice point q^{1/2} of
+    # (0.1, 0.95, 1.0) the circle points give them as noise near 1e-19,
+    # whose 32- and 64-point means differ by more than rel_tol of their
+    # size, and the rows raise with that gap
+    params = UltraParams(0.95, 1.0, 0.1)
+    p = SpectralPoint(complex(0.1 ** 0.5))
+    for n in range(-6, -2):
         with pytest.raises(RegionError, match=f"mean of C_{n} at the lattice "
                            "point .* 32- and 64-point means differ by"):
             bilateral_cn(n, p, params)
@@ -557,9 +570,9 @@ def test_range_errors_propagate(params, points):
     with pytest.raises(NonConvergence):
         bilateral_cn_range(-3, 3, points[0], params,
                            TruncationPolicy(max_terms=5))
-    with pytest.raises(RegionError, match="C_-3 at the lattice point"):
-        bilateral_cn_range(-3, 3, SpectralPoint(complex(0.9 ** 0.5)),
-                           UltraParams(0.4, 0.5, 0.9))
+    with pytest.raises(RegionError, match="C_-6 at the lattice point"):
+        bilateral_cn_range(-6, 3, SpectralPoint(complex(0.1 ** 0.5)),
+                           UltraParams(0.95, 1.0, 0.1))
     with pytest.raises(DomainError):
         bilateral_cn_range(2, 1, points[0], params)
 
@@ -617,11 +630,12 @@ def _mp_first_ring(n, z, qbg, digits=40):
         return complex(pre * (h0(z * z) * z ** -n + h0(1 / (z * z)) * z ** n))
 
 
-def test_off_lattice_rows_have_no_route_past_the_6psi8(params, monkeypatch):
+def test_off_lattice_rows_have_no_route_past_the_recurrence(params, monkeypatch):
     # off the lattice z^2 in q^Z a row the pole expansion refuses takes the
-    # 6psi8 or its error: at n = +-40 here a 6psi8 prefactor product
-    # overflows.  References: the 6psi8 series in mpmath at 300 digits and
-    # 160 terms per side, unchanged at 500 digits and 260 terms per side
+    # recurrence or its error, which names the expansion's reason: with
+    # the expansion switched off no row ends the recurrence.  References:
+    # the 6psi8 series in mpmath at 300 digits and 160 terms per side,
+    # unchanged at 500 digits and 260 terms per side
     p = SpectralPoint(0.4 + 0.3j)
     refs = ((40, 919762829600.5249 + 12145686672.772373j),
             (-40, -6.936836877954987e-07 + 4.873979256420069e-06j))
@@ -629,17 +643,20 @@ def test_off_lattice_rows_have_no_route_past_the_6psi8(params, monkeypatch):
         assert bilateral_cn(n, p, params).value == pytest.approx(ref, rel=1e-11)
     monkeypatch.setattr(_PoleRings, "value", _refuse)
     for n, _ in refs:
-        with pytest.raises(NonConvergence, match="overflowed.*6psi8 prefactor"):
+        with pytest.raises(NonConvergence, match=f"no route gives C_{n} .*switched "
+                           f"off.*no row below it within 128 rows"):
             bilateral_cn(n, p, params)
 
 
 def test_tiny_gamma_names_the_route_piece_that_overflows():
     # q^{-1}/gamma at gamma = 1e-320, and q^0/(beta gamma) at beta gamma =
-    # 1e-310, are infinite; each call says which piece, not a float error
+    # 1e-310, are infinite, and so is the pole expansion's q/(beta gamma)
+    # at both; each call says which piece, not a float error
     for gamma, beta, piece in ((1e-320, BETA, r"q\^\{-n\}/gamma"),
                                (1e-300, 1e-10, r"q\^\{1-n\}/\(beta gamma\)")):
         params = UltraParams(beta, gamma, Q)
-        with pytest.raises(NonConvergence, match=piece):
+        with pytest.raises(NonConvergence, match=r"refuses it \(q/\(beta gamma\) "
+                           r"= .* leaves the double range\)"):
             bilateral_cn(1, SpectralPoint(0.4 + 0.3j), params)
         with pytest.raises(NonConvergence, match=piece):
             bilateral_cn_psi_form(1, SpectralPoint.from_theta(1.0), params)
@@ -656,16 +673,15 @@ def test_direct_sum_overflow_raises_without_a_warning():
 
 
 def test_far_negative_n_overflow_raises_non_convergence():
-    # at n = -2000 the pole expansion refuses ((q/(beta z))^2000 overflows);
-    # at q = 0.9 the well-poised form's (beta gamma; q)_n/(q gamma; q)_n
-    # overflows, and at q = 0.7 q^2000 is subnormal, so the 6psi8
-    # prefactor's q/c is infinite
+    # at n = -2000 the pole expansion refuses ((q/(beta z))^2000 overflows),
+    # and so it does at every row the recurrence could start from; the
+    # well-poised form's (beta gamma; q)_n/(q gamma; q)_n overflows at q = 0.9
     ratio = r"\(beta gamma; q\)_n/\(q gamma; q\)_n"
-    for qbg, z, piece in (((0.9, 0.4, 0.5), 0.4 + 0.3j, ratio),
-                          ((0.7, 0.5, 1.5), 2.2 * cmath.exp(-1.1j),
-                           "6psi8 prefactor parameter")):
+    for qbg, z in (((0.9, 0.4, 0.5), 0.4 + 0.3j),
+                   ((0.7, 0.5, 1.5), 2.2 * cmath.exp(-1.1j))):
         q, beta, gamma = qbg
-        with pytest.raises(NonConvergence, match="overflowed.*" + piece):
+        with pytest.raises(NonConvergence, match=r"z\^n overflowed at n = -2000\), "
+                           "and no row below it within 128 rows"):
             bilateral_cn(-2000, SpectralPoint(z), UltraParams(beta, gamma, q))
     with pytest.raises(NonConvergence, match=ratio):
         bilateral_cn_psi_form(-2000, SpectralPoint.from_theta(1.0),
@@ -715,7 +731,7 @@ def _mp_6psi8(n, z, qbg, digits, width, shift=False):
 
 #: a point at (0.7, 0.5, 1.5) whose rows n = 0, 1 (ring ratios 0.56 and
 #: 0.39) come from the pole expansion, held to 1e-14; the 6psi8, which
-#: nothing checks, is 6.4e-13 and 1.3e-13 off there
+#: gave them once unchecked, is 6.4e-13 and 1.3e-13 off there
 SETTLED_ROW_POINT = 0.3 * (0.7 / 0.5) ** 0.5 * cmath.exp(2.1j)
 
 #: C_n off the direct annulus as ((q, beta, gamma), z, n, C_n): _mp_6psi8 at
@@ -760,6 +776,70 @@ def test_off_annulus_reference_recomputes():
     assert _mp_6psi8(n, z, qbg, 120, 160) == pytest.approx(ref, rel=1e-15)
 
 
+#: C_n at points where the pole expansion refuses rows, as ((q, beta,
+#: gamma), z, n_lo, rows, refused): _mp_6psi8 at (digits, width) = (90,
+#: 240), which gives the same doubles as (60, 160).  refused marks a row
+#: the recurrence's check refuses: C_0 at fl(0.7^{1/4}), formed from rows
+#: of the expansion that are 2e-13 to 5e-13 off, is 9.1e-11 off by the
+#: recurrence, and its error estimate is 2.3e-11.
+RECURRENCE_REFERENCES = [
+    ((0.7, -0.35, 0.3), cmath.exp(1j), -2, (0.0003377523643384137+5.922290268340545e-18j,),
+     False),
+    ((0.7, -0.35, 0.3), cmath.exp(0.4j), -1, (1.2620771467607819+1.2645873100373443e-16j,),
+     False),
+    ((0.1, 0.04, 1.5), cmath.exp(1j), 2, (-0.00108774678673958+1.3005551254431932e-16j,),
+     False),
+    ((0.7, 0.4, 1.5), complex(0.7 ** 0.25), 0, (-2.596159867836423+0j,), True),
+    ((0.85, 0.8, 0.3), cmath.exp(0.3j) / 30, -20, (
+      4369.065412949228-189.00602698451158j, 118.36519215535678+31.070318507365176j,
+      2.663562997805266+1.656903040284669j, 0.03598038153953547+0.04127908432010949j,
+      0.002510013419893176-0.0009881611662408934j, 0.04044827421130934+0.16968748284569615j,
+      3.762864757155199+6.382218087203003j, 192.60536756948832+175.22904074373983j,
+      7790.780795029473+3651.0042563961815j, 273160.6821621342+38010.46744667594j,
+      8570493.452349104-1398258.225255798j, 241958277.7331868-120394806.70634083j,
+      6037478916.271664-5757980304.621712j, 124789537714.14375-223569118008.48743j,
+      1623836402092.7803-7652413007560.599j, -21622265690345.35-237214364198660.66j,
+      -2756105911250581.5-6687884988715060j, -1.3967924503098462e+17-1.689308273469655e+17j,
+      -5.546944225459964e+18-3.6334073623667087e+18j, -1.925203741394117e+20-5.533991855925375e+19j,
+      -6.04323697840445e+21+1.2145950352734306e+20j, -1.7296188946946554e+23+5.733596042609043e+22j,
+      -4.466992453099278e+24+3.1896619751204974e+24j, -1.0008956238156292e+26+1.3146955560238376e+26j,
+      -1.7079606666580254e+27+4.6687862370267106e+27j, -7.577248904813568e+27+1.4931448274944319e+29j,
+      1.1088850157533902e+30+4.355530047948028e+30j, 7.051818264129427e+31+1.1520000081739613e+32j,
+      3.046875290994346e+33+2.6804161725109234e+33j, 1.1122638578190051e+35+4.987099556350402e+34j,
+      3.63374773048124e+36+4.4368909234991536e+35j, 1.0817436413747765e+38-1.9516733421202892e+37j,
+      2.929493450270794e+39-1.519540896896062e+39j, 7.05335399548254e+40-6.956691395816158e+40j,
+      1.4055168737102593e+42-2.6205554262824284e+42j, 1.70573892754939e+43-8.760695046508319e+43j,
+      -2.879361018240062e+44-2.6631013114849527e+45j, -3.1872989030724854e+46-7.379680484995137e+46j,
+      -1.5681837267074043e+48-1.8329731843427278e+48j, -6.120954814820136e+49-3.8639653985683204e+49j,
+      -2.097267248703088e+51-5.648727734457372e+50j,
+     ), False),
+]
+
+
+@pytest.mark.parametrize("qbg, z, n_lo, refs, refused", RECURRENCE_REFERENCES)
+def test_recurrence_rows_match_checked_references(qbg, z, n_lo, refs, refused):
+    """Rows the pole expansion refuses come from the recurrence, within
+    1e-12 of their references, or raise NonConvergence where its check
+    refuses them.  At (0.85, 0.8, 0.3), z = e^{0.3i}/30, far from the unit
+    circle, the rows -16..-1 are refused for their ring ratio, downward
+    recurrence misses C_-17 by orders, and the two-point system gives
+    every row to within 1e-13."""
+    q, beta, gamma = qbg
+    params = UltraParams(beta, gamma, q)
+    assert not in_direct_region(z, beta, q)
+    rings = _PoleRings(z, params, DEFAULT_POLICY)
+    with pytest.raises(_RouteUnusable):
+        rings.value(n_lo if len(refs) == 1 else -1)
+    for n, ref in enumerate(refs, n_lo):
+        if refused:
+            with pytest.raises(NonConvergence, match=f"no route gives C_{n} .* error "
+                               "estimate"):
+                bilateral_cn(n, SpectralPoint(z), params)
+            continue
+        value = bilateral_cn(n, SpectralPoint(z), params).value
+        assert abs(value - ref) <= 1e-12 * abs(ref), n
+
+
 def _route_outcome(n, z, params):
     try:
         return np.asarray(bilateral_cn(n, SpectralPoint(z), params).value).tobytes()
@@ -767,16 +847,27 @@ def _route_outcome(n, z, params):
         return type(exc)
 
 
-def _handed_over(n, z, params, monkeypatch, reason):
-    """bilateral_cn with the pole expansion switched off: the chain of
-    the other routes alone.  On the lattice the row is the circle mean,
-    whose points the expansion gives, so it is the mean taken directly."""
+def _handed_over(n, z, params, reason):
+    """The outcome of C_n at z from the route after the pole expansion.
+    On the lattice the row is the circle mean, whose points the expansion
+    gives, taken directly; off it the recurrence's band about n, from the
+    expansion's rows."""
     if reason == "lattice":
         value = us._lattice_rows(n, n, z, params, DEFAULT_POLICY)[0][0]
         return np.asarray(value).tobytes()
-    with monkeypatch.context() as m:
-        m.setattr(_PoleRings, "value", _refuse)
-        return _route_outcome(n, z, params)
+    rings = _PoleRings(z, params, DEFAULT_POLICY)
+
+    def row(k):
+        try:
+            return rings.value(k)
+        except _RouteUnusable as exc:
+            return exc
+
+    try:
+        band = us._recurrence_band(n, row, z, (z + 1 / z) / 2, params, DEFAULT_POLICY)
+    except QSeriesError as exc:
+        return type(exc)
+    return np.asarray(band[n][0]).tobytes()
 
 
 def _refuse(*args):
@@ -789,35 +880,49 @@ def _refuse(*args):
     # z^2 = q, where the poles coalesce, and a point that rounds onto it
     ((Q, BETA, GAMMA), complex(Q ** 0.5), (-3, 2, 3, 5), "lattice"),
     ((Q, BETA, GAMMA), Q ** 0.5 * cmath.exp(1e-10j), (-3, 2, 3), "lattice"),
-    # 1e-7 off z^2 = q the rings cancel by a factor 1.3e5 to 1.9e4
+    # 1e-7 off z^2 = q the rings cancel by a factor 1.3e5 to 1.9e4, and the
+    # recurrence refuses too: the rows it would start from are 5e-9 off
     ((Q, BETA, GAMMA), Q ** 0.5 * cmath.exp(1e-7j), (-3, 2, 3), "cancel"),
     # the gamma = 1 polynomials at q = 0.7, beta = -0.5: the rings cancel by
     # a factor 8.8e3 (n = 1) and 830 (n = 2)
     ((0.7, -0.5, 1.0), cmath.exp(0.4j), (1, 2), "cancel"),
 ])
-def test_pole_route_refusal_hands_over_bit_for_bit(qbg, z, ns, reason,
-                                                  monkeypatch):
+def test_pole_route_refusal_hands_over_bit_for_bit(qbg, z, ns, reason):
     q, beta, gamma = qbg
     params = UltraParams(beta, gamma, q)
     assert not in_direct_region(z, beta, q)
     for n in ns:
         with pytest.raises(_RouteUnusable, match=reason):
             _PoleRings(z, params, DEFAULT_POLICY).value(n)
-        chain = _handed_over(n, z, params, monkeypatch, reason)
-        assert isinstance(chain, bytes), n
+        chain = _handed_over(n, z, params, reason)
+        near = abs(z * z - q) < 1e-6 and reason == "cancel"
+        assert chain is NonConvergence if near else isinstance(chain, bytes), n
         assert _route_outcome(n, z, params) == chain, n
+    if gamma == 1:      # the classical polynomials
+        for n in ns:
+            want = classical_cn(n, SpectralPoint(z), beta, q)
+            assert bilateral_cn(n, SpectralPoint(z), params).value == pytest.approx(
+                want, rel=1e-13), n
 
 
 def test_forced_cancellation_refusal_hands_over_bit_for_bit(params, monkeypatch):
+    # a row the pole expansion gives, refused by force as if its rings
+    # cancelled, comes from the recurrence between its neighbours: the
+    # band from the expansion's rows, within 1e-13 of the expansion's value
     z = 0.5 * cmath.exp(1j)
+    value = _PoleRings.value
     for n in (-6, 3, 8):
-        taken = _route_outcome(n, z, params)
-        chain = _handed_over(n, z, params, monkeypatch, "cancel")
-        assert taken != chain, n          # the pole expansion gave C_n
-        monkeypatch.setattr(us, "POLE_CANCELLATION", 0.0)
-        with pytest.raises(_RouteUnusable, match="cancel"):
-            _PoleRings(z, params, DEFAULT_POLICY).value(n)
+        taken = bilateral_cn(n, SpectralPoint(z), params).value
+
+        def refuse_n(self, k, i=0, n=n):
+            if k == n:
+                raise _RouteUnusable(f"the rings of C_{n} cancel (forced)")
+            return value(self, k, i)
+
+        monkeypatch.setattr(_PoleRings, "value", refuse_n)
+        chain = _handed_over(n, z, params, "cancel")
         assert _route_outcome(n, z, params) == chain, n
+        assert abs(np.frombuffer(chain, complex)[0] - taken) <= 1e-13 * abs(taken), n
         monkeypatch.undo()
 
 
@@ -838,6 +943,8 @@ def test_lattice_range_equals_its_one_row_calls_bit_for_bit(params):
 #: z, rows): _mp_6psi8 at z + 1e-40 e^{0.7i} at (digits, width) = (170,
 #: 220), which agrees with (120, 160) to 1e-18 relative; the imaginary
 #: parts, below 1e-30 relative, are dropped.  Rows None have no route
+#: (none do since the recurrence gives the circle points at q = 0.9 the
+#: rows n < 0 that the pole expansion refuses)
 LATTICE_REFERENCES = [
     ((0.3, 0.8, 0.7), 0.3 ** 0.5,
      (0.2728804536434766, 0.36012333989069745, -0.04491813597771476,
@@ -855,11 +962,9 @@ LATTICE_REFERENCES = [
     ((0.7, 0.5, 1.5), 1.0,
      (90728.01478658, 70609.28241508074, 56427.71931711977, 46457.665336478225,
       39475.53500618052, 34615.86543495125, 31262.6336489455)),
-    # the reference rows -3..-1 are -1166815.5179306944, -947182.2731911747
-    # and -775390.5715176585
     ((0.9, 0.4, 0.5), 0.9 ** 0.5,
-     (None, None, None, -639970.005486512, -532407.8155248623, -446339.67942251,
-      -376973.1733053613)),
+     (-1166815.5179306944, -947182.2731911747, -775390.5715176585,
+      -639970.005486512, -532407.8155248623, -446339.67942251, -376973.1733053613)),
 ]
 
 
@@ -916,9 +1021,8 @@ def test_lattice_rows_keep_the_symmetries_of_z(qbg):
 
 
 def test_lattice_rows_satisfy_the_recurrence():
-    # at (0.3, 0.8, 3.9) Bailey's 2psi2 is out of region at the lattice
-    # point q^{1/2} for rows 5..7; the circle mean gives rows -3..8, which
-    # meet the three-term recurrence to 1.1e-13
+    # at (0.3, 0.8, 3.9), z = q^{1/2}, the circle mean gives rows -3..8,
+    # which meet the three-term recurrence to 1.1e-13
     params = UltraParams(0.8, 3.9, 0.3)
     p = SpectralPoint(complex(0.3 ** 0.5))
     rows = bilateral_cn_range(-3, 8, p, params)
@@ -945,10 +1049,12 @@ def test_lattice_rows_that_vanish_at_every_circle_point_are_zero():
     assert rows[0] == pytest.approx(1.0, rel=1e-15)
 
 
-def test_half_lattice_point_takes_the_6psi8():
-    # z = q^{1/4}: alpha = q^{-n}/z^2 is on the half-integer lattice, where
-    # the 6psi8 form holds; the product is exact for exact q^{1/4}, so the
-    # gap includes |z C_0'/C_0| = 3.9e4 times the rounding of the point
+def test_half_lattice_point_takes_the_recurrence():
+    # z = q^{1/4}, off the lattice z^2 in q^Z: the rings of C_0 cancel, and
+    # the recurrence gives it; the product is exact for exact q^{1/4}, so
+    # the gap includes |z C_0'/C_0| = 3.9e4 times the rounding of the point
+    with pytest.raises(_RouteUnusable, match="cancel"):
+        _PoleRings(0.7 ** 0.25, UltraParams(0.5, 1.5, 0.7), DEFAULT_POLICY).value(0)
     params = UltraParams(0.5, 1.5, 0.7)
     value = bilateral_cn(0, SpectralPoint(0.7 ** 0.25), params).value
     ref = special_value_c0(params)
@@ -956,19 +1062,18 @@ def test_half_lattice_point_takes_the_6psi8():
 
 
 def test_6psi8_sum_stops_at_a_non_finite_term(params):
-    # the 6psi8 terms of C_50 at this point turn nan after a few steps;
-    # the route stops before them, at a prefactor product that overflows
+    # the very-well-poised 6psi8 series of C_50 at this point (upper
+    # parameters q a^{1/2}, -q a^{1/2}, a/gamma, beta gamma/z^2, beta gamma,
+    # q^{-50}/gamma, a = q^{-50}/z^2) has terms that turn nan after a few steps
     z, n, q, e = 0.4 + 0.3j, 50, params.q, params.beta * params.gamma
-    with pytest.raises(NonConvergence, match="prefactor.*overflowed"):
-        _sixpsi8(n, z, params, DEFAULT_POLICY)
     a, w2 = q ** -n / z ** 2, z ** 2
     c, d, f = a / params.gamma, e / w2, q ** -n / params.gamma
     s = cmath.sqrt(a)
     upper = (q * s, -q * s, c, d, e, f)
     lower = (s, -s, a * q / c, a * q / d, a * q / e, a * q / f, 0j, 0j)
+    spec = SeriesSpec(BILATERAL, upper, lower, q, a ** 3 * q ** 2 / (c * d * e * f))
     with pytest.raises(NonConvergence, match="not finite"):
-        sum_psi_params(upper, lower, q, a ** 3 * q ** 2 / (c * d * e * f),
-                       DEFAULT_POLICY)
+        sum_psi(spec, DEFAULT_POLICY)
 
 
 def test_recurrence_overflow_raises_a_typed_error(params):
@@ -979,8 +1084,8 @@ def test_recurrence_overflow_raises_a_typed_error(params):
 
 
 def test_continuation_returns_finite_or_raises(params):
-    # off the annulus the 6psi8 prefactor is nan for n = 34..46 and
-    # -50..-36 at this point; such a value must not be returned
+    # off the annulus no non-finite value may be returned, here where
+    # the 6psi8 prefactor was nan for n = 34..46 and -50..-36
     p = SpectralPoint(0.4 + 0.3j)
     assert not in_direct_region(p.z, BETA, Q)
     for n in range(-60, 61):
@@ -989,89 +1094,6 @@ def test_continuation_returns_finite_or_raises(params):
         except QSeriesError:
             continue
         assert cmath.isfinite(value), n
-
-
-def _formula_6psi8(n, z, params, policy):
-    """_sixpsi8 as the formula it evaluates: the well-poised 2psi2
-    prefactor times hyperseries.wellpoised_6psi8 summed by sum_psi."""
-    q, beta, gamma = params.q, params.beta, params.gamma
-    pref0, e, f, _, _, _ = _well_poised_2psi2(n, z, params)
-    w2 = z * z
-    alpha = q ** (-n) / w2
-    for arg in (q * w2 / beta, q / (beta * w2), q ** (1 - n) / e):
-        if _on_nonpositive_lattice(arg, q):
-            raise _RouteUnusable("prefactor product vanishes")
-    pref1, upper, lower, w = wellpoised_6psi8(alpha, q ** (-n) / (w2 * gamma),
-                                              e / w2, e, f, q, policy)
-    value, terms = sum_psi(SeriesSpec(BILATERAL, upper, lower, q, w), policy)
-    return pref0 * pref1 * value, terms
-
-
-def _formula_22tgl(n, z, params, policy):
-    """_bailey as the formula it evaluates: the well-poised 2psi2
-    prefactor times hyperseries.bailey_2psi2 summed by sum_psi."""
-    q = params.q
-    pref0, a, b, c, d, Z = _well_poised_2psi2(n, z, params)
-    if not (abs(d / a) < 1 and abs(c / b) < 1):
-        raise _RouteUnusable(f"transformed series out of region at n = {n}")
-    for arg in (Z, c * d / (a * b * Z), d, q / b):
-        if _on_nonpositive_lattice(arg, q):
-            raise _RouteUnusable("prefactor product vanishes")
-    G, upper, lower, w = bailey_2psi2(a, b, c, d, Z, q, policy)
-    value, terms = sum_psi(SeriesSpec(BILATERAL, upper, lower, q, w), policy)
-    return pref0 * G * value, terms
-
-
-def _outcome(fn, *args):
-    """("value", type, bits of re and im, terms) or ("error", type, message)."""
-    try:
-        value, terms = fn(*args)
-    except Exception as exc:  # the error is the outcome
-        return "error", type(exc), str(exc)
-    return "value", type(value), value.real.hex(), value.imag.hex(), terms
-
-
-@pytest.mark.parametrize("qbg", [(0.3, 0.8, 0.7), (0.5, 0.9, 0.4),
-                                 (0.7, 0.5, 1.5), (0.7, 0.8, 1.0)])
-def test_routes_equal_their_formulas_bit_for_bit(qbg):
-    # at gamma = 1, f = q^{-n}: the 6psi8 series terminates for n >= 0;
-    # z also goes in as np.complex128, as the crosscheck entry passes it,
-    # and n as np.int64, which makes q^{-n} and z^n numpy powers
-    q, beta, gamma = qbg
-    params = UltraParams(beta, gamma, q)
-    rng = np.random.default_rng([16, *(int(100 * v) for v in qbg)])
-    radius = rng.uniform(0.4, 0.9, 3) * abs(q / beta) ** 0.5
-    arg = rng.uniform(0.15, math.pi - 0.15, 3) * rng.choice([-1, 1], 3)
-    inner = list(radius * np.exp(1j * arg))
-    points = [complex(z) for z in inner] + [complex(1 / z) for z in inner]
-    assert not direct_region_mask(np.array(points), beta, q).any()
-    outcomes = set()
-    for z in points:
-        for n in range(-12, 13):
-            for nn, zz in ((n, z), (n, np.complex128(z)), (np.int64(n), z)):
-                for route, formula in ((_sixpsi8, _formula_6psi8),
-                                       (_bailey, _formula_22tgl)):
-                    got = _outcome(route, nn, zz, params, DEFAULT_POLICY)
-                    want = _outcome(formula, nn, zz, params, DEFAULT_POLICY)
-                    assert got == want, (route.__name__, nn, zz)
-                    outcomes.add(got[0])
-    assert outcomes == {"value", "error"}
-
-
-def test_routes_refuse_the_special_point_as_their_formulas_do():
-    # z = q^{1/2} at (q, beta, gamma) = (0.5, 0.9, 0.4): z^2 is on the q^Z
-    # lattice, where the 6psi8 form degenerates, and Bailey's series is
-    # out of region; each public route refuses by itself
-    params = UltraParams(0.9, 0.4, 0.5)
-    z = complex(0.5 ** 0.5)
-    for n in range(-1, 4):
-        with pytest.raises(RegionError, match="z\\^2 is on the q\\^Z lattice"):
-            bilateral_cn_6psi8(n, z, params)
-        got = _outcome(_bailey, n, z, params, DEFAULT_POLICY)
-        assert got[:2] == ("error", _RouteUnusable)
-        assert got == _outcome(_formula_22tgl, n, z, params, DEFAULT_POLICY)
-        with pytest.raises(RegionError, match=got[2]):
-            bilateral_cn_bailey(n, z, params)
 
 
 def test_z_powers_far_blocks_keep_the_chain_accuracy():
@@ -1336,12 +1358,13 @@ def _many_points(q):
     """Points of the many-point test: six off the annulus on both sides of
     the unit circle, two of them far from it, so that a row sums
     different numbers of rings at different points; z = i, inside the
-    annulus at the defaults, where the odd rows vanish; the point 1e-7 off
-    z^2 = q, where the rings cancel; and at the defaults the lattice point
-    q^{1/2}, whose circle mean refuses some rows at the other two sets."""
+    annulus at the defaults, where the odd rows vanish; the point 1e-4 off
+    z^2 = q (1e-5 at q = 0.85), where the rings of some rows cancel and
+    the recurrence gives them; and at the defaults the lattice point
+    q^{1/2}."""
     pts = [cmath.rect(r, a) for r, a in ((0.5, 1.1), (0.35, -2.3), (2.2, 0.4),
                                          (1.9, -2.9), (0.08, 2.0), (9.0, -0.7))]
-    pts += [1j, q ** 0.5 * cmath.exp(1e-7j)]
+    pts += [1j, q ** 0.5 * cmath.exp((1e-5 if q == 0.85 else 1e-4) * 1j)]
     return pts + [complex(q ** 0.5)] if q == Q else pts
 
 
@@ -1349,7 +1372,7 @@ def _many_points(q):
 def test_many_point_rows_equal_their_one_point_calls_bit_for_bit(qbg):
     """Every row of a many-point bilateral_cn and bilateral_cn_range call
     equals the one-point calls bit for bit, values and truncation_terms,
-    across rows the pole expansion gives, rows it refuses (the 6psi8
+    across rows the pole expansion gives, rows it refuses (the recurrence
     takes them; for their ring ratio only at (0.85, 0.8, 0.3), n < 0),
     lattice rows and an inside point: the points share the expansion's
     tables, and no point's values depend on the others."""
@@ -1398,15 +1421,15 @@ def _first_error(call):
 
 
 def test_many_point_call_raises_the_first_error_of_its_points():
-    # at (0.85, 0.8, 0.3) the 6psi8 fails C_{-1} at z = e^{0.3i}/60, and
-    # the lattice point q^{1/2} has no route at rows -2 and -1, whose
-    # circle means are not settled (2.2e-11 and 1.2e-10 apart): a call
-    # raises the error of the first failing point, at its first failing
-    # row, as a loop over the points one at a time does, also where the
-    # points fill several blocks of the pole expansion and the two fall in
-    # different blocks
+    # at (0.85, 0.8, 0.3) no route gives the rows -3..3 at z = e^{1e-7 i},
+    # 1e-7 off the lattice point 1: their rings cancel, and the recurrence
+    # refuses them (NonConvergence); at z = 1e200, z^2 leaves the double
+    # range (RegionError).  A call raises the error of the first failing
+    # point, at its first failing row, as a loop over the points one at a
+    # time does, also where the points fill several blocks of the pole
+    # expansion and the two fall in different blocks
     params = UltraParams(0.8, 0.3, 0.85)
-    late, lattice = cmath.rect(1 / 60, 0.3), complex(0.85 ** 0.5)
+    late, lattice = cmath.exp(1e-7j), 1e200 + 0j
     # 140 points, more than two blocks: a call of several blocks gives its
     # one-point calls' rows bit for bit
     inner = [cmath.rect(r, a) for r, a in zip(np.linspace(0.2, 0.5, 70),
@@ -1441,7 +1464,7 @@ def test_point_whose_square_leaves_the_double_range_raises_a_typed_error():
     # z^2 overflows: the region mask puts z outside the annulus without a
     # warning, the lattice test puts it off the lattice, and the row ends
     # in a RegionError that names the overflow, where a bare OverflowError
-    # escaped and then the 6psi8's "complex division by zero" was reported
+    # escaped and then a "complex division by zero" was reported
     params = UltraParams(BETA, GAMMA, Q)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -1449,7 +1472,7 @@ def test_point_whose_square_leaves_the_double_range_raises_a_typed_error():
             assert not direct_region_mask(np.array([z]), BETA, Q).any()
             assert not us._on_q_lattice(z * z, Q)
             for p in (SpectralPoint(z), SpectralPoint(np.array([0.5j, z]))):
-                # the pole expansion's own reason, without a 6psi8 attempt
+                # the pole expansion's own reason, without a recurrence attempt
                 with pytest.raises(RegionError, match=r"no route gives C_0 at "
                                    r"z = .*: z\^2 leaves the double range"):
                     bilateral_cn(0, p, params)

@@ -198,16 +198,34 @@ def test_delta_entry_passes_above_one():
 
 
 @pytest.mark.parametrize("cfg", [
+    {"q": 0.5, "beta": 0.4},
+    {"q": 0.7, "beta": 0.4, "gamma": 1.5},
+    {"q": 0.3, "beta": 0.8, "gamma": 0.3},
+    {"q": 0.7},
+])
+def test_crosscheck_skips_where_a_route_does_not_apply(cfg):
+    entry = run_identity("bilateral_cn_continuation_crosscheck", cfg)
+    # the well-poised 2psi2 form of the direct sum does not apply on the
+    # unit circle here: its argument |q/beta| is over 1 at beta = 0.4, and
+    # an upper parameter q^{-n}/gamma is on the q^k lattice at the others
+    assert entry.skipped and entry.passed
+    assert ("2psi2 requires |z| < 1" in entry.note
+            or "hits the q^k lattice" in entry.note)
+
+
+@pytest.mark.parametrize("cfg", [
     {"q": 0.5},
     {"q": 0.1, "beta": 0.95, "gamma": 0.3},
     {"q": 0.5, "beta": 0.9, "gamma": 0.4},
     {"q": 0.3, "beta": -0.5, "gamma": 0.7},
 ])
-def test_crosscheck_skips_where_a_route_does_not_apply(cfg):
+def test_crosscheck_compares_the_continuation_with_the_direct_sum(cfg):
+    # Bailey's 2psi2 route was out of region at q^{1/2} e^{0.4i} here; the
+    # continuation, pole expansion and recurrence, meets the direct sum on
+    # the unit circle
     entry = run_identity("bilateral_cn_continuation_crosscheck", cfg)
-    # the 2psi2 route is out of region at z = q^{1/2} e^{0.4i} here
-    assert entry.skipped and entry.passed
-    assert "transformed series out of region" in entry.note
+    assert entry.passed and not entry.skipped
+    assert entry.residual <= 1e-12
 
 
 def test_shifted_entry_fails_where_shells_grow():
@@ -231,7 +249,7 @@ def test_verify_imports_no_private_name():
     tree = ast.parse(Path(qultra.verify.__file__).read_text())
     names = [a.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
              for a in node.names]
-    assert "bilateral_cn_6psi8" in names
+    assert "bilateral_cn_continued" in names
     assert not [n for n in names if n.startswith("_")]
 
 
@@ -323,7 +341,7 @@ def test_entries_report_the_row_keys_and_fixed_values(default_report):
     assert entries["generating_function_product"].params["t"] == 0.6
     assert entries["ramanujan_1psi1"].params == {"q": 0.3, "beta": 0.8, "gamma": 0.7}
     # a skipped and a failed entry report the same keys and their row's gate
-    cfg = {"q": 0.1, "beta": 0.95, "gamma": 0.3}
+    cfg = {"q": 0.5, "beta": 0.4, "gamma": 0.7}
     skipped = run_identity("bilateral_cn_continuation_crosscheck", cfg)
     assert skipped.skipped and skipped.passed and skipped.residual == 0.0
     assert (skipped.params, skipped.tolerance) == (cfg, 1e-10)
@@ -424,8 +442,8 @@ def test_cli_eval_pole_is_numerical_error(capsys):
 
 
 def test_cli_eval_overflow_is_numerical_error(capsys):
-    # far negative n: the q-product ratio, or at q = 0.7 a 6psi8 prefactor
-    # parameter, leaves the double range
+    # far negative n: z^n leaves the double range in the pole expansion's
+    # row, and in every row the recurrence could start from
     z = 2.2 * cmath.exp(-1.1j)
     for args in (["--n", "2000", "--z-re", "0.4", "--z-im", "0.3"],
                  ["--n", "-2000", "--z-re", "0.4", "--z-im", "0.3",
@@ -448,7 +466,7 @@ def test_cli_eval_where_z_squared_overflows_is_a_typed_error(capsys):
 
 
 def test_cli_eval_at_a_lattice_point(capsys):
-    # z^2 = q at (0.7, 0.5, 1.5), where Bailey's 2psi2 is out of region:
+    # z^2 = q at (0.7, 0.5, 1.5), where the pole expansion degenerates:
     # the circle mean gives C_0, within 1e-13 of its checked reference
     assert main(["eval", "--n", "0", "--z-re", repr(0.7 ** 0.5), "--q", "0.7",
                  "--beta", "0.5", "--gamma", "1.5", "--format", "json"]) == 0
@@ -457,8 +475,8 @@ def test_cli_eval_at_a_lattice_point(capsys):
 
 
 def test_cli_eval_non_finite_is_numerical_error(capsys, monkeypatch):
-    # a 6psi8 prefactor product of C_40 at 0.4+0.3i overflows; with the
-    # pole expansion failing, the row has no other route off the lattice
+    # with the pole expansion failing, no row ends the recurrence, and the
+    # row has no other route off the lattice
     import qultra.ultraspherical as us
 
     def unusable(*args):
@@ -468,7 +486,7 @@ def test_cli_eval_non_finite_is_numerical_error(capsys, monkeypatch):
     code = main(["eval", "--n", "40", "--z-re", "0.4", "--z-im", "0.3",
                  "--format", "json"])
     assert code == 3
-    assert "overflowed" in capsys.readouterr().err
+    assert "no route gives C_40" in capsys.readouterr().err
 
 
 def test_cli_eval_json(capsys):
