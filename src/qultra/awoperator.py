@@ -19,7 +19,8 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import DomainError, SingularPoint
-from .qcore import DEFAULT_POLICY, SpectralPoint, TruncationPolicy, check_base
+from .qcore import (DEFAULT_POLICY, SpectralPoint, TruncationPolicy,
+                    check_base, check_vanishing)
 from .ultraspherical import (BILATERAL_KIND, CLASSICAL, UltraParams,
                              _index_lists, bilateral_cn_range, classical_cn)
 
@@ -101,6 +102,7 @@ def dq_action_residual(kind: str, n, p: SpectralPoint,
         lower = [classical_cn(k - 1, p, q * beta, q) for k in ns]
         const = 2 * (1 - beta) / (1 - q)
     elif kind == BILATERAL_KIND:
+        check_vanishing({"beta": beta}, q, 1)      # const's divisor 1 - beta
         lo, hi = min(ns), max(ns)
 
         def rows(sp, family, shift):

@@ -1,6 +1,6 @@
 """Evaluation of unilateral (r_phi_s) and bilateral (r_psi_s) basic
-hypergeometric series, closed-form summations, two 2psi2
-transformations, and transformation residual checks.
+hypergeometric series, closed-form summations, and residual checks of
+2psi2 transformations.
 
 Series are summed by term-ratio recursion: consecutive terms differ by a
 ratio that is rational in q^k, so each term costs O(r + s) work.  The
@@ -18,11 +18,14 @@ series and calls it, and sum_phi calls it as the one-sided psi sum (the
 k >= 0 half with q as an extra first lower parameter, whose factor
 1/(q; q)_k makes every k < 0 term zero, and with no k < 0 steps).
 
-bailey_2psi2 (Bailey's 2psi2 transformation) and wellpoised_6psi8 (the
-very-well-poised 6psi8 form of a 2psi2) each return the prefactor and the
-transformed series' parameters and argument (Gasper & Rahman, ch. 5);
-transform_residual checks both for the suite.  No evaluation of C_n uses
-them: ultraspherical continues by its pole expansion and recurrence.
+closed_form gives the product side of a summation formula, and
+transform_residual checks a 2psi2 transformation, Bailey's, that one
+applied twice, or the very-well-poised 6psi8 form (Gasper & Rahman,
+ch. 5), by summing both sides.  Every denominator product of a closed
+form is first tested by qcore.check_vanishing, so that one that vanishes
+raises PoleError naming it.  No evaluation of C_n uses the
+transformations: ultraspherical continues by its pole expansion and
+recurrence.
 """
 
 from __future__ import annotations
@@ -34,7 +37,8 @@ from typing import Sequence
 
 from .errors import DomainError, NonConvergence, PoleError, RegionError
 from .qcore import (DEFAULT_POLICY, GROWTH_SLACK, INFINITY, TAIL_WINDOW,
-                    TruncationPolicy, check_base, is_q_power, poch, poch_multi)
+                    TruncationPolicy, check_base, check_vanishing, is_q_power,
+                    poch, poch_multi, poch_quotient)
 
 UNILATERAL = "unilateral"
 BILATERAL = "bilateral"
@@ -240,7 +244,8 @@ def _as_params(params, names: str):
 
 def closed_form(name: str, params: Sequence[complex], q,
                 policy: TruncationPolicy = DEFAULT_POLICY) -> complex:
-    """Right-hand-side product of a named summation formula.
+    """Right-hand-side product of a named summation formula; PoleError
+    where a denominator product vanishes (check_vanishing).
 
     Names: q_binomial(a, z), q_gauss(a, b, c), ramanujan_1psi1(a, b, z),
     q_kummer_2psi2(a, b, c), bailey_3psi3_a(b, c, d), bailey_3psi3_b(b, c, d).
@@ -250,19 +255,20 @@ def closed_form(name: str, params: Sequence[complex], q,
         a, z = _as_params(params, "a z")
         if not abs(z) < 1:
             raise RegionError("q_binomial requires |z| < 1")
+        check_vanishing({"z": z}, q)
         return poch(a * z, q, INFINITY, policy) / poch(z, q, INFINITY, policy)
     if name == "q_gauss":
         a, b, c = _as_params(params, "a b c")
         if not abs(c / (a * b)) < 1:
             raise RegionError("q_gauss requires |c/ab| < 1")
-        return (poch_multi([c / a, c / b], q, INFINITY, policy)
-                / poch_multi([c, c / (a * b)], q, INFINITY, policy))
+        return poch_quotient([c / a, c / b], {"c": c, "c/(ab)": c / (a * b)}, q, policy)
     if name == "ramanujan_1psi1":
         a, b, z = _as_params(params, "a b z")
         if not abs(b / a) < abs(z) < 1:
             raise RegionError("ramanujan_1psi1 requires |b/a| < |z| < 1")
-        return (poch_multi([q, a * z, q / (a * z), b / a], q, INFINITY, policy)
-                / poch_multi([b, z, b / (a * z), q / a], q, INFINITY, policy))
+        return poch_quotient([q, a * z, q / (a * z), b / a],
+                             {"b": b, "z": z, "b/(az)": b / (a * z), "q/a": q / a},
+                             q, policy)
     if name == "q_kummer_2psi2":
         a, b, c = _as_params(params, "a b c")
         if not abs(a * q / (b * c)) < 1:
@@ -270,98 +276,81 @@ def closed_form(name: str, params: Sequence[complex], q,
         q2 = q * q
         num = poch(a * q / (b * c), q, INFINITY, policy) * poch_multi(
             [q2, a * q, q / a, a * q2 / (b * b), a * q2 / (c * c)], q2, INFINITY, policy)
-        den = poch_multi([a * q / b, a * q / c, q / b, q / c, -a * q / (b * c)],
-                         q, INFINITY, policy)
-        return num / den
-    if name == "bailey_3psi3_a":
+        den = {"aq/b": a * q / b, "aq/c": a * q / c, "q/b": q / b, "q/c": q / c,
+               "-aq/(bc)": -a * q / (b * c)}
+        check_vanishing(den, q)
+        return num / poch_multi(list(den.values()), q, INFINITY, policy)
+    if name in ("bailey_3psi3_a", "bailey_3psi3_b"):
         b, c, d = _as_params(params, "b c d")
-        if not abs(q / (b * c * d)) < 1:
-            raise RegionError("bailey_3psi3_a requires |q/bcd| < 1")
-        return (poch_multi([q, q / (b * c), q / (b * d), q / (c * d)], q, INFINITY, policy)
-                / poch_multi([q / b, q / c, q / d, q / (b * c * d)], q, INFINITY, policy))
-    if name == "bailey_3psi3_b":
-        b, c, d = _as_params(params, "b c d")
-        q2 = q * q
-        if not abs(q2 / (b * c * d)) < 1:
-            raise RegionError("bailey_3psi3_b requires |q^2/bcd| < 1")
-        return (poch_multi([q, q2 / (b * c), q2 / (b * d), q2 / (c * d)], q, INFINITY, policy)
-                / poch_multi([q2 / b, q2 / c, q2 / d, q2 / (b * c * d)], q, INFINITY, policy))
+        p, s = (q, "q") if name == "bailey_3psi3_a" else (q * q, "q^2")
+        if not abs(p / (b * c * d)) < 1:
+            raise RegionError(f"{name} requires |{s}/bcd| < 1")
+        return poch_quotient([q, p / (b * c), p / (b * d), p / (c * d)],
+                             {f"{s}/b": p / b, f"{s}/c": p / c, f"{s}/d": p / d,
+                              f"{s}/(bcd)": p / (b * c * d)}, q, policy)
     raise DomainError(f"unknown closed form {name!r}")
-
-
-def bailey_2psi2(a, b, c, d, z, q, policy: TruncationPolicy = DEFAULT_POLICY):
-    """Bailey's 2psi2 transformation (Gasper & Rahman, ch. 5):
-
-        2psi2(a, b; c, d; q, z) = P 2psi2(a, abz/d; az, c; q, d/a),
-        P = (az, d/a, c/b, dq/(abz); q)_inf / (z, d, q/b, cd/(abz); q)_inf,
-
-    for max(|z|, |cd/abz|, |d/a|, |c/b|) < 1.  Returns (P, upper, lower,
-    w): P and the transformed series' parameters and argument, as complex;
-    checks no region."""
-    pref = (poch_multi([a * z, d / a, c / b, d * q / (a * b * z)], q, INFINITY, policy)
-            / poch_multi([z, d, q / b, c * d / (a * b * z)], q, INFINITY, policy))
-    return (pref, (complex(a), complex(a * b * z / d)), (complex(a * z), complex(c)),
-            complex(d / a))
-
-
-def wellpoised_6psi8(a, c, d, e, f, q, policy: TruncationPolicy = DEFAULT_POLICY):
-    """The very-well-poised 6psi8 form of a 2psi2 (Gasper & Rahman, ch. 5):
-
-        2psi2(e, f; aq/c, aq/d; q, aq/ef) = P 6psi8(q a^{1/2}, -q a^{1/2},
-            c, d, e, f; a^{1/2}, -a^{1/2}, aq/c, aq/d, aq/e, aq/f, 0, 0;
-            q, a^3 q^2/cdef),
-        P = (q/c, q/d, aq/e, aq/f; q)_inf / (aq, q/a, aq/cd, aq/ef; q)_inf,
-
-    for |aq/cd| < 1 and |aq/ef| < 1.  Returns (P, upper, lower, w) as
-    bailey_2psi2 does; checks no region."""
-    sq = cmath.sqrt(a)
-    pref = (poch_multi([q / c, q / d, a * q / e, a * q / f], q, INFINITY, policy)
-            / poch_multi([a * q, q / a, a * q / (c * d), a * q / (e * f)],
-                         q, INFINITY, policy))
-    upper = (q * sq, -q * sq, c, d, e, f)
-    lower = (sq, -sq, a * q / c, a * q / d, a * q / e, a * q / f, 0.0, 0.0)
-    return (pref, tuple(map(complex, upper)), tuple(map(complex, lower)),
-            complex(a ** 3 * q ** 2 / (c * d * e * f)))
 
 
 def transform_residual(name: str, params: Sequence[complex], q,
                        policy: TruncationPolicy = DEFAULT_POLICY) -> float:
-    """|LHS - RHS| / max(1, |LHS|) for a named 2psi2 transformation.
+    """|LHS - RHS| / max(1, |LHS|) for a named 2psi2 transformation, both
+    sides summed by sum_psi (Gasper & Rahman, ch. 5):
 
-    Names: bailey_2psi2_single(a, b, c, d, z) checks bailey_2psi2,
-    bailey_2psi2_iterated(a, b, c, d, z) that transformation applied
-    twice, and wellpoised_6psi8(a, c, d, e, f) checks wellpoised_6psi8.
+    * bailey_2psi2_single(a, b, c, d, z), Bailey's transformation, for
+      max(|z|, |cd/abz|, |d/a|, |c/b|) < 1:
+      2psi2(a, b; c, d; q, z) = P 2psi2(a, abz/d; az, c; q, d/a),
+      P = (az, d/a, c/b, dq/(abz); q)_inf / (z, d, q/b, cd/(abz); q)_inf;
+    * bailey_2psi2_iterated(a, b, c, d, z), that transformation applied
+      twice, for max(|z|, |cd/abz|) < 1:
+      2psi2(a, b; c, d; q, z) = P 2psi2(abz/c, abz/d; az, bz; q, cd/(abz)),
+      P = (az, bz, cq/(abz), dq/(abz); q)_inf / (q/a, q/b, c, d; q)_inf;
+    * wellpoised_6psi8(a, c, d, e, f), the very-well-poised 6psi8 form of a
+      2psi2, for |aq/cd| < 1 and |aq/ef| < 1:
+      2psi2(e, f; aq/c, aq/d; q, aq/ef) = P 6psi8(q a^{1/2}, -q a^{1/2},
+      c, d, e, f; a^{1/2}, -a^{1/2}, aq/c, aq/d, aq/e, aq/f, 0, 0;
+      q, a^3 q^2/cdef), P = (q/c, q/d, aq/e, aq/f; q)_inf
+      / (aq, q/a, aq/cd, aq/ef; q)_inf.
+
+    RegionError outside the region, PoleError where a denominator
+    product of P vanishes (check_vanishing).
     """
     q = check_base(q)
-    if name == "bailey_2psi2_single":
-        a, b, c, d, z = _as_params(params, "a b c d z")
-        if not max(abs(z), abs(c * d / (a * b * z)), abs(d / a), abs(c / b)) < 1:
-            raise RegionError(
-                "bailey_2psi2_single requires max(|z|,|cd/abz|,|d/a|,|c/b|) < 1")
-        lhs = sum_psi(SeriesSpec(BILATERAL, (a, b), (c, d), q, z), policy)[0]
-        pref, upper, lower, w = bailey_2psi2(a, b, c, d, z, q, policy)
-        rhs = pref * sum_psi(SeriesSpec(BILATERAL, upper, lower, q, w), policy)[0]
-    elif name == "bailey_2psi2_iterated":
-        a, b, c, d, z = _as_params(params, "a b c d z")
-        if not max(abs(z), abs(c * d / (a * b * z))) < 1:
-            raise RegionError(
-                "bailey_2psi2_iterated requires max(|z|,|cd/abz|) < 1")
-        lhs = sum_psi(SeriesSpec(BILATERAL, (a, b), (c, d), q, z), policy)[0]
-        pref = (poch_multi([a * z, b * z, c * q / (a * b * z), d * q / (a * b * z)],
-                           q, INFINITY, policy)
-                / poch_multi([q / a, q / b, c, d], q, INFINITY, policy))
-        rhs = pref * sum_psi(SeriesSpec(BILATERAL, (a * b * z / c, a * b * z / d),
-                                        (a * z, b * z), q, c * d / (a * b * z)),
-                             policy)[0]
-    elif name == "wellpoised_6psi8":
+    if name == "wellpoised_6psi8":
         a, c, d, e, f = _as_params(params, "a c d e f")
         if not (abs(a * q / (c * d)) < 1 and abs(a * q / (e * f)) < 1):
             raise RegionError(
                 "wellpoised_6psi8 requires |aq/cd| < 1 and |aq/ef| < 1")
-        lhs = sum_psi(SeriesSpec(BILATERAL, (e, f), (a * q / c, a * q / d), q,
-                                 a * q / (e * f)), policy)[0]
-        pref, upper, lower, w = wellpoised_6psi8(a, c, d, e, f, q, policy)
-        rhs = pref * sum_psi(SeriesSpec(BILATERAL, upper, lower, q, w), policy)[0]
+        left = (e, f), (a * q / c, a * q / d), a * q / (e * f)
+        pref = poch_quotient([q / c, q / d, a * q / e, a * q / f],
+                             {"aq": a * q, "q/a": q / a, "aq/cd": a * q / (c * d),
+                              "aq/ef": a * q / (e * f)}, q, policy)
+        sq = cmath.sqrt(a)
+        right = ((q * sq, -q * sq, c, d, e, f),
+                 (sq, -sq, a * q / c, a * q / d, a * q / e, a * q / f, 0.0, 0.0),
+                 a ** 3 * q ** 2 / (c * d * e * f))
+    elif name in ("bailey_2psi2_single", "bailey_2psi2_iterated"):
+        a, b, c, d, z = _as_params(params, "a b c d z")
+        left = (a, b), (c, d), z
+        if name == "bailey_2psi2_single":
+            if not max(abs(z), abs(c * d / (a * b * z)), abs(d / a), abs(c / b)) < 1:
+                raise RegionError(
+                    "bailey_2psi2_single requires max(|z|,|cd/abz|,|d/a|,|c/b|) < 1")
+            pref = poch_quotient([a * z, d / a, c / b, d * q / (a * b * z)],
+                                 {"z": z, "d": d, "q/b": q / b,
+                                  "cd/(abz)": c * d / (a * b * z)}, q, policy)
+            right = (a, a * b * z / d), (a * z, c), d / a
+        else:
+            if not max(abs(z), abs(c * d / (a * b * z))) < 1:
+                raise RegionError(
+                    "bailey_2psi2_iterated requires max(|z|,|cd/abz|) < 1")
+            pref = poch_quotient([a * z, b * z, c * q / (a * b * z), d * q / (a * b * z)],
+                                 {"q/a": q / a, "q/b": q / b, "c": c, "d": d}, q, policy)
+            right = (a * b * z / c, a * b * z / d), (a * z, b * z), c * d / (a * b * z)
     else:
         raise DomainError(f"unknown transformation {name!r}")
-    return abs(lhs - rhs) / max(1.0, abs(lhs))
+
+    def psi(upper, lower, w):
+        return sum_psi(SeriesSpec(BILATERAL, upper, lower, q, w), policy)[0]
+
+    lhs = psi(*left)
+    return abs(lhs - pref * psi(*right)) / max(1.0, abs(lhs))

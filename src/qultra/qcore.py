@@ -22,6 +22,8 @@ it takes as many factors as the largest |a| needs, so an element of
 smaller modulus may differ from its scalar product by up to the
 truncation tolerance.  Every finite product is a scalar loop in Python
 complex arithmetic, and an array with finite k raises DomainError.
+check_vanishing is the one test of a vanishing denominator product: every
+closed form of the library asks it before it divides.
 """
 
 from __future__ import annotations
@@ -317,6 +319,25 @@ def poch_multi(factors, q, k, policy: TruncationPolicy | None = None):
 def poch_pm(t, p: SpectralPoint, q, policy: TruncationPolicy | None = None):
     """(t z; q)_inf (t / z; q)_inf, the e^{+-i theta} product shorthand."""
     return poch(t * p.z, q, INFINITY, policy) * poch(t / p.z, q, INFINITY, policy)
+
+
+def check_vanishing(products: dict, q, k=INFINITY, why: str = "") -> None:
+    """The one test of a vanishing q-product: PoleError, naming the product
+    and then why, where some (a; q)_k of products (name: a) has a zero
+    factor, a = q^{-j} with 0 <= j < k by is_q_power."""
+    for name, a in products.items():
+        j = is_q_power(a, q)
+        if j is not None and 0 <= -j < k:
+            raise PoleError(f"({name}; q)_{'inf' if k == INFINITY else k} vanishes "
+                            f"at {name} = q^{j}" + (f": {why}" if why else ""))
+
+
+def poch_quotient(num, den: dict, q, policy: TruncationPolicy | None = None):
+    """poch_multi(num) / poch_multi(den's values), all to infinity, once
+    check_vanishing has passed den (name: a)."""
+    check_vanishing(den, q)
+    return (poch_multi(num, q, INFINITY, policy)
+            / poch_multi(list(den.values()), q, INFINITY, policy))
 
 
 def is_q_power(value, q):

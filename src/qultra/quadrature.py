@@ -51,11 +51,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, NonConvergence, PoleError, RegionError
+from .errors import DomainError, NonConvergence, RegionError
 from .hyperseries import UNILATERAL, SeriesSpec, sum_phi
 from .qcore import (DEFAULT_POLICY, INFINITY, SpectralPoint,
-                    TruncationPolicy, check_real_base, is_q_power, poch,
-                    poch_multi, poch_pm)
+                    TruncationPolicy, check_real_base, check_vanishing, poch,
+                    poch_multi, poch_pm, poch_quotient)
 from .ultraspherical import (UltraParams, _index_lists, bilateral_cn,
                              bilateral_cn_range, classical_cn, symmetry_params)
 
@@ -133,7 +133,8 @@ def mass_points(beta: float, q: float,
     split evenly between z = +sqrt(u_k) and z = -sqrt(u_k), i.e.
     x = +-(u_k^{1/2} + u_k^{-1/2})/2, on the same 1/2pi scale as the
     trapezoid part.  Both arrays are empty for beta <= 1.  beta and q
-    must be real (DomainError otherwise), 0 < q < 1.
+    must be real (DomainError otherwise), 0 < q < 1; PoleError where
+    (beta u_k; q)_inf vanishes.
     """
     q = check_real_base(q)
     beta = _real_beta(beta)
@@ -141,8 +142,7 @@ def mass_points(beta: float, q: float,
     k = 0
     while beta * q ** k > 1.0:
         u = beta * q ** k
-        m = (poch_multi([u, 1.0 / u], q, INFINITY, policy)
-             / poch_multi([beta * u, q], q, INFINITY, policy)
+        m = (poch_quotient([u, 1.0 / u], {f"beta u_{k}": beta * u, "q": q}, q, policy)
              / poch(q ** -k, q, k)).real
         r = math.sqrt(u)
         zs += [r, -r]
@@ -279,9 +279,9 @@ def orthogonality_entry(m, n, w: WeightParams, tol: float = 1e-10,
 
 
 def _total_mass(beta, q, policy: TruncationPolicy):
-    """(beta, q beta; q)_inf / (q, beta^2; q)_inf, the total mass of w."""
-    return (poch_multi([beta, q * beta], q, INFINITY, policy)
-            / poch_multi([q, beta ** 2], q, INFINITY, policy))
+    """(beta, q beta; q)_inf / (q, beta^2; q)_inf, the total mass of w;
+    PoleError where (beta^2; q)_inf vanishes."""
+    return poch_quotient([beta, q * beta], {"q": q, "beta^2": beta ** 2}, q, policy)
 
 
 def orthogonality_diagonal(n: int, w: WeightParams,
@@ -364,14 +364,6 @@ def bilateral_delta_integral(n, beta: float, q: float,
     return _refine(_node_sums(f), beta, q, tol, policy, family=beta ** 2)
 
 
-def _check_vanishing(products, q) -> None:
-    """PoleError where (a; q)_inf vanishes, a = q^j, j <= 0, for a (name, a)."""
-    for name, a in products:
-        j = is_q_power(a, q)
-        if j is not None and j <= 0:
-            raise PoleError(f"({name}; q)_inf vanishes at {name} = q^{j}")
-
-
 def bilateral_delta_rhs(beta: float, q: float,
                         policy: TruncationPolicy = DEFAULT_POLICY) -> complex:
     """(q; q)_inf^2 (beta, q/beta^2; q)_inf / ((q/beta; q)_inf^3
@@ -379,7 +371,7 @@ def bilateral_delta_rhs(beta: float, q: float,
     vanishes: beta^2 = q^{-j} or q/beta = q^{-j} with j >= 0."""
     q = check_real_base(q)
     beta = _real_beta(beta)
-    _check_vanishing((("beta^2", beta ** 2), ("q/beta", q / beta)), q)
+    check_vanishing({"beta^2": beta ** 2, "q/beta": q / beta}, q)
     num = poch(q, q, INFINITY, policy) ** 2 * poch_multi(
         [beta, q / beta ** 2], q, INFINITY, policy)
     den = poch(q / beta, q, INFINITY, policy) ** 3 * poch(
@@ -401,8 +393,8 @@ def shifted_orthogonality_rhs(params: UltraParams,
     rho = q / (beta ** 2 * gamma)
     if not abs(rho) < 1:
         raise RegionError("shifted orthogonality needs |q/(beta^2 gamma)| < 1")
-    _check_vanishing((("q gamma", q * gamma), ("q/(beta gamma)", q / (beta * gamma)),
-                      ("beta^2", beta ** 2)), q)
+    check_vanishing({"q gamma": q * gamma, "q/(beta gamma)": q / (beta * gamma),
+                     "beta^2": beta ** 2}, q)
     pref = (poch(q, q, INFINITY, policy) ** 3
             * poch(q / beta, q, INFINITY, policy) ** 4
             * poch_multi([beta, q * beta], q, INFINITY, policy))

@@ -44,12 +44,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, NonConvergence, PoleError, RegionError
+from .errors import DomainError, NonConvergence, RegionError
 from .hyperseries import BILATERAL, SeriesSpec, sum_psi
 from .qcore import (DEFAULT_POLICY, INFINITY, CompensatedSum,
                     SpectralPoint, TruncationPolicy, _product_bound_terms,
-                    check_base, check_real_base, is_q_power, poch, poch_multi,
-                    poch_pm, poch_ratio)
+                    check_base, check_real_base, check_vanishing, poch,
+                    poch_multi, poch_pm, poch_quotient, poch_ratio)
 
 CLASSICAL = "classical"
 BILATERAL_KIND = "bilateral"
@@ -153,26 +153,22 @@ def _index_lists(*indices):
 
 @functools.lru_cache(maxsize=16)
 def _check_poles(params: UltraParams) -> None:
-    """PoleError where a denominator of some g_k vanishes: gamma = q^m with
-    m <= -1, or beta*gamma = q^m with m >= 1.  Cached like check_pole_lattice."""
-    m = is_q_power(params.gamma, params.q)
-    if m is not None and m <= -1:
-        raise PoleError(f"gamma = q^{m} lies on the pole lattice")
-    m = is_q_power(params.beta * params.gamma, params.q)
-    if m is not None and m >= 1:
-        raise PoleError(f"beta*gamma = q^{m} lies on the pole lattice")
+    """PoleError where a denominator of some g_k vanishes, that of (q gamma;
+    q)_inf or (q/(beta gamma); q)_inf.  Cached like check_pole_lattice."""
+    q, bg = params.q, params.beta * params.gamma
+    check_vanishing({"q gamma": q * params.gamma, "q/(beta gamma)": q / bg}, q)
 
 
 @functools.lru_cache(maxsize=16)
 def check_pole_lattice(params: UltraParams) -> None:
-    """_check_poles, and PoleError at beta*gamma = q^m with m <= 0, where the
-    continuations' (beta gamma; q)_inf vanishes and would need a limit (the
-    direct sum is regular there: g_j = 0 for j >= 1 - m).  A passing params
-    is remembered (sixteen at most); a failing one raises at every call."""
+    """_check_poles, and PoleError where the continuations' (beta gamma;
+    q)_inf vanishes, beta gamma = q^m with m <= 0, and would need a limit
+    (the direct sum is regular there: g_j = 0 for j >= 1 - m).  A passing
+    params is remembered (sixteen at most); a failing one raises at every
+    call."""
     _check_poles(params)
-    if (m := is_q_power(params.beta * params.gamma, params.q)) is not None:
-        raise PoleError(
-            f"beta*gamma = q^{m} requires a limit evaluation (unsupported lattice)")
+    check_vanishing({"beta gamma": params.beta * params.gamma}, params.q,
+                    why="requires a limit evaluation (unsupported lattice)")
 
 
 def direct_region_mask(z, beta, q) -> np.ndarray:
@@ -249,18 +245,12 @@ def _g_table(params: UltraParams, m: int) -> np.ndarray:
     g, u = 1.0 + 0j, 1.0 + 0j              # g_j for j >= 0; u = q^j
     out[m] = g
     for j in range(1, m + 1):
-        den = 1.0 - gq * u
-        if den == 0:
-            raise PoleError("parameter lattice hit in the direct sum")
-        g = g * (1.0 - bg * u) / den
+        g = g * (1.0 - bg * u) / (1.0 - gq * u)
         out[m + j] = g
         u *= q
     g, v = 1.0 + 0j, q                     # (beta/q)^j g_{-j}; v = q^j
     for j in range(1, m + 1):
-        den = rho * v - gq                 # rho (v - beta gamma)
-        if den == 0:
-            raise PoleError("parameter lattice hit in the direct sum")
-        g = g * (v - gq) / den
+        g = g * (v - gq) / (rho * v - gq)  # rho (v - beta gamma)
         out[m - j] = g
         v *= q
     out.setflags(write=False)
@@ -925,11 +915,9 @@ def _recurrence_band(a: int, row, z: complex, x: complex, params: UltraParams,
     misses C_lo, and the system gives the band.  A row's terms are the
     most rings its ends summed.  PoleError first at a singular point of
     C_n, z^2 = q^{k+1}/beta or beta q^{-k-1}, k >= 0."""
-    q, w = params.q, z * z
-    for name, m in (("q/(beta z^2)", is_q_power(q / (params.beta * w), q)),
-                    ("q z^2/beta", is_q_power(q * w / params.beta, q))):
-        if m is not None and m <= 0:
-            raise PoleError(f"({name}; q)_inf vanishes at z = {z}: C_n is singular there")
+    q, w, b = params.q, z * z, params.beta
+    check_vanishing({"q/(beta z^2)": q / (b * w), "q z^2/beta": q * w / b}, q,
+                    why=f"C_n is singular there, at z = {z}")
 
     def refused(n):
         return isinstance(row(n), _RouteUnusable)
@@ -1184,7 +1172,8 @@ def constant_term(n: int, params: UltraParams,
     """Value of the bilateral function at x = 0 (z = i): zero for odd
     index, an explicit product for even index 2m (any integer m).  The
     head (-1)^m (beta^2 gamma^2; q^2)_m / (q^2 gamma^2; q^2)_m pairs its
-    factors, so it stays finite for large negative m."""
+    factors, so it stays finite for large negative m.  PoleError where a
+    denominator product of the tail vanishes, or of the head (poch_ratio)."""
     if n % 2:
         return 0.0 + 0j
     check_pole_lattice(params)
@@ -1192,24 +1181,23 @@ def constant_term(n: int, params: UltraParams,
     m = n // 2
     q2 = q * q
     head = (-1.0) ** m * poch_ratio(beta ** 2 * gamma ** 2, q2 * gamma ** 2, q2, m)
-    tail = (poch_multi([q, q / beta, -q * gamma, -q / (beta * gamma)],
-                       q, INFINITY, policy)
-            / poch_multi([-q, -q / beta, q * gamma, q / (beta * gamma)],
-                         q, INFINITY, policy))
+    tail = poch_quotient([q, q / beta, -q * gamma, -q / (beta * gamma)],
+                         {"-q": -q, "-q/beta": -q / beta, "q gamma": q * gamma,
+                          "q/(beta gamma)": q / (beta * gamma)}, q, policy)
     return head * tail
 
 
 def special_value_c0(params: UltraParams,
                      policy: TruncationPolicy = DEFAULT_POLICY) -> complex:
     """Closed product form of C_0 at the point z = q^{1/4}
-    (x = (q^{1/4} + q^{-1/4})/2); requires real 0 < q < 1."""
+    (x = (q^{1/4} + q^{-1/4})/2); requires real 0 < q < 1.  PoleError
+    where a denominator product vanishes."""
     q = check_real_base(params.q)
     beta, gamma = params.beta, params.gamma
     r = math.sqrt(q)
-    return (poch_multi([q, q / beta, r / (beta * gamma), r * gamma],
-                       q, INFINITY, policy)
-            / poch_multi([q / (beta * gamma), q * gamma, r, r / beta],
-                         q, INFINITY, policy))
+    return poch_quotient([q, q / beta, r / (beta * gamma), r * gamma],
+                         {"q/(beta gamma)": q / (beta * gamma), "q gamma": q * gamma,
+                          "q^(1/2)": r, "q^(1/2)/beta": r / beta}, q, policy)
 
 
 def special_value_cm1(params: UltraParams) -> complex:
@@ -1244,6 +1232,9 @@ def linearization_residual(m, n, p: SpectralPoint, beta, q):
     q = check_base(q)
     beta = complex(beta)
     top = max(a + b for a, b in zip(ms, ns))
+    # the divisors (beta; q)_1 (q beta; q)_{m+n-k} and (beta^2; q)_s
+    check_vanishing({"beta": beta}, q, top + 1)
+    check_vanishing({"beta^2": beta ** 2}, q, top)
     degrees = {*ms, *ns} | {a + b - 2 * k for a, b in zip(ms, ns)
                             for k in range(min(a, b) + 1)}
     cn = {d: classical_cn(d, p, beta, q) for d in degrees}

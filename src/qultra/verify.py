@@ -142,9 +142,13 @@ RULES = {
 def _worst(rule: str, lhs, rhs=None, scale=None) -> float:
     """The largest residual of the row's rule over the items of lhs, each
     in Python scalars; rhs and scale are lists like lhs, or one scalar that
-    stands for every item.  0.0 when lhs is empty; nan when any item is."""
+    stands for every item.  0.0 when lhs is empty; nan when any item is.
+    DomainError where a rule that divides by the scale meets a zero one."""
     lhs = lhs if isinstance(lhs, list) else [lhs]
     rhs, scale = (v if isinstance(v, list) else [v] * len(lhs) for v in (rhs, scale))
+    if rule in ("relative", "ratio") and 0 in scale:
+        raise DomainError(f"the {rule} rule divides by its reference, which is 0 "
+                          f"at item {scale.index(0)}")
     residual = RULES[rule]
     return float(np.max([0.0, *(residual(l, r, s) for l, r, s
                                 in zip(lhs, rhs, scale, strict=True))]))

@@ -169,3 +169,8 @@ def test_dq_entry_evaluates_each_family_once_per_point(monkeypatch):
     entry = run_identity("dq_action_bilateral")
     assert entry.passed and entry.terms_used > 0
     assert calls == [(-4, 4), (-4, 4), (-5, 3)] * 3
+
+
+def test_unknown_kind_is_a_domain_error(params):
+    with pytest.raises(DomainError, match="unknown kind 'trilateral'"):
+        dq_action_residual("trilateral", 1, SpectralPoint.from_theta(1.0), params)

@@ -343,3 +343,49 @@ def test_off_annulus_scalar_and_array_values_are_identical(params):
                 if "ring ratio" in str(exc):
                     gated.add(n)
         assert gated == gate
+
+
+def test_series_input_checks():
+    with pytest.raises(DomainError, match="unknown series kind 'trilateral'"):
+        SeriesSpec("trilateral", (), (), Q, 0.5)
+    with pytest.raises(DomainError, match="sum_phi requires a unilateral spec"):
+        sum_phi(SeriesSpec(BILATERAL, (0.5,), (0.4,), Q, 0.5))
+    with pytest.raises(DomainError, match="sum_psi requires a bilateral spec"):
+        sum_psi(SeriesSpec(UNILATERAL, (0.5,), (0.4,), Q, 0.5))
+    with pytest.raises(RegionError, match="nonterminating 3psi2 diverges for r > s"):
+        psi((0.5, 0.4, 0.3), (0.6, 0.7), 0.5)
+    # terminating above, so only the k < 0 side can diverge
+    with pytest.raises(RegionError, match="nonterminating 3psi2 diverges for r > s"):
+        psi((Q ** -2, 0.4, 0.3), (0.6, 0.7), 0.5)
+    with pytest.raises(RegionError, match="nonterminating 4phi2 diverges for r > s [+] 1"):
+        phi((0.5, 0.4, 0.3, 0.2), (0.6, 0.7), 0.5)
+
+
+def test_closed_form_input_checks():
+    with pytest.raises(DomainError, match=r"^expected 3 parameters \(a, b, c\), got 2$"):
+        closed_form("q_gauss", (0.5, 0.4), Q)
+    for name, params, message in (
+            ("q_gauss", (0.5, 0.4, 0.3), "q_gauss requires |c/ab| < 1"),
+            ("q_kummer_2psi2", (0.5, 0.1, 0.2), "q_kummer_2psi2 requires |aq/bc| < 1"),
+            ("bailey_3psi3_a", (0.5, 0.4, 0.3), "bailey_3psi3_a requires |q/bcd| < 1"),
+            ("bailey_3psi3_b", (0.5, 0.4, 0.3), "bailey_3psi3_b requires |q^2/bcd| < 1")):
+        with pytest.raises(RegionError) as info:
+            closed_form(name, params, Q)
+        assert str(info.value) == message
+
+
+def test_transform_input_checks():
+    with pytest.raises(RegionError, match="bailey_2psi2_iterated requires"):
+        transform_residual("bailey_2psi2_iterated", (0.9, 0.8, 0.1, 0.2, 1.4), Q)
+    with pytest.raises(RegionError, match="wellpoised_6psi8 requires"):
+        transform_residual("wellpoised_6psi8", (0.5, 0.1, 0.2, 0.7, 0.6), Q)
+    with pytest.raises(DomainError, match="expected 5 parameters"):
+        transform_residual("wellpoised_6psi8", (0.5, 0.9), Q)
+    with pytest.raises(DomainError, match="unknown transformation 'bailey_9psi9'"):
+        transform_residual("bailey_9psi9", (0.5,), Q)
+
+
+def test_transform_prefactor_pole_names_its_product():
+    # d = 1: (d; q)_inf of the prefactor's denominator vanishes
+    with pytest.raises(PoleError, match=r"^\(d; q\)_inf vanishes at d = q\^0$"):
+        transform_residual("bailey_2psi2_iterated", (5.0, 4.0, 0.1, 1.0, 0.5), Q)

@@ -9,7 +9,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qultra import (DEFAULT_POLICY, DomainError, NonConvergence, PoleError,
-                    SpectralPoint, TruncationPolicy, poch, poch_multi, poch_pm)
+                    SpectralPoint, TruncationPolicy, check_base, poch,
+                    poch_multi, poch_pm)
 from qultra.qcore import (INFINITY, TAIL_WINDOW, CompensatedSum,
                           _product_bound_terms, is_q_power, poch_ratio)
 from qultra.verify import CONFIG_DEFAULTS
@@ -443,3 +444,15 @@ def test_is_q_power_detection():
 def test_is_q_power_of_a_value_out_of_the_double_range_is_none():
     for value in (1e200 * 1e200, -1e160 * 1e160, complex(math.inf, math.inf)):
         assert is_q_power(value, Q) is None
+
+
+def test_input_checks():
+    for q in (math.inf, math.nan, complex(0.3, math.inf)):
+        with pytest.raises(DomainError, match="base q must be finite"):
+            check_base(q)
+    with pytest.raises(DomainError, match="spectral point requires z != 0"):
+        SpectralPoint(np.array([1.0, 0.0]))
+    with pytest.raises(DomainError, match="spectral point requires finite z"):
+        SpectralPoint(np.array([1.0, np.nan]))
+    with pytest.raises(DomainError, match="poch requires finite a"):
+        poch(np.array([0.5, np.inf]), Q, INFINITY)

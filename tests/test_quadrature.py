@@ -766,3 +766,8 @@ def test_delta_entry_near_q_one_clusters_its_nodes():
     assert entry.passed and not entry.skipped
     assert entry.nodes_used <= 511
     assert entry.residual <= entry.tolerance
+
+
+def test_orthogonality_entry_refuses_negative_degrees():
+    with pytest.raises(DomainError, match="orthogonality_entry needs m, n >= 0"):
+        orthogonality_entry([0, 1], [2, -1], WeightParams(BETA, Q))

@@ -1476,3 +1476,18 @@ def test_point_whose_square_leaves_the_double_range_raises_a_typed_error():
                 with pytest.raises(RegionError, match=r"no route gives C_0 at "
                                    r"z = .*: z\^2 leaves the double range"):
                     bilateral_cn(0, p, params)
+
+
+def test_input_checks(params):
+    p = SpectralPoint.from_theta(1.0)
+    for beta, gamma in ((0.0, GAMMA), (BETA, 0.0)):
+        with pytest.raises(DomainError, match="beta and gamma must be nonzero"):
+            UltraParams(beta, gamma, Q)
+    with pytest.raises(DomainError, match="unknown kind 'trilateral'"):
+        generating_rhs("trilateral", 0.6, p, params)
+    with pytest.raises(DomainError, match="unknown kind 'trilateral'"):
+        recurrence_residual("trilateral", 1, p, params)
+    with pytest.raises(DomainError, match="classical recurrence check needs n >= 1"):
+        recurrence_residual("classical", 0, p, params)
+    with pytest.raises(DomainError, match="linearization needs m, n >= 0"):
+        linearization_residual([1, -1], [2, 2], p, BETA, Q)

@@ -708,3 +708,20 @@ def test_cli_suite_subprocess_deterministic():
 def test_cli_parser_rejects_unknown_command():
     assert main(["frobnicate"]) == 2
 
+
+
+def test_cli_table_flag_errors(capsys):
+    for args, message in ((["--n-min", "2", "--n-max", "1"], "--n-max must be >= --n-min"),
+                          (["--kind", "classical", "--n-min", "-1"],
+                           "classical polynomials need n >= 0"),
+                          (["--theta-steps", "0"], "--theta-steps must be >= 1")):
+        assert main(["table"] + args) == 2, args
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_cli_eval_csv(capsys):
+    assert main(["eval", "--n", "0", "--theta", "1.0", "--format", "csv"]) == 0
+    header, row, end = capsys.readouterr().out.split("\n")
+    assert (header, end) == ("re,im,terms", "")
+    re_, im, terms = row.split(",")
+    assert float(re_) and int(terms) > 0 and math.isfinite(float(im))

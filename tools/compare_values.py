@@ -33,7 +33,13 @@ the type and message of the error it raised.  The calls are
 * ``bilateral_cn_range`` over n = -4..4 at three unit-circle points and at
   (q, beta, gamma) = (0.3, 0.8, 1.25), where beta gamma = 1 = q^0: the
   direct sum is regular there, while the continuations' (beta gamma; q)_inf
-  vanishes.
+  vanishes;
+* ten calls whose closed forms divide by a q-product that vanishes at
+  their parameters (such as ``orthogonality_diagonal`` and
+  ``kernel_integral_rhs`` at (q, beta) = (0.3, 1.0), ``mass_points`` at
+  beta = 1/q), and ``render_json(run_suite({"beta": 1.0}))``, where four
+  entries meet such a product, so that the type and message of each error
+  show.
 
 The script prints every record that differs, then one summary line: the
 largest relative change of a value (a complex number of a record that
@@ -226,6 +232,33 @@ def _lattice_records() -> list:
     return [["range beta*gamma = 1", _record(rows)]]
 
 
+def _pole_records() -> list:
+    from qultra import (SpectralPoint, UltraParams, WeightParams,
+                        bilateral_delta_integral, closed_form, constant_term,
+                        dq_action_residual, kernel_integral_rhs,
+                        linearization_residual, mass_points,
+                        orthogonality_diagonal, render_json, run_suite,
+                        special_value_c0)
+    w, p = WeightParams(1.0, 0.3), SpectralPoint.from_theta(1.0)
+    calls = {
+        "orthogonality_diagonal": lambda: _num(orthogonality_diagonal(0, w)),
+        "kernel_integral_rhs": lambda: _num(kernel_integral_rhs(0.4, -0.25, w)),
+        "special_value_c0": lambda: _num(special_value_c0(UltraParams(0.3 ** 0.5, 0.7, 0.3))),
+        "constant_term": lambda: _num(constant_term(0, UltraParams(-0.3, 0.7, 0.3))),
+        "q_gauss": lambda: _num(closed_form("q_gauss", (2.0, 3.0, 1.0), 0.3)),
+        "ramanujan_1psi1": lambda: _num(closed_form("ramanujan_1psi1",
+                                                    (4.0, 1 / 0.3, 0.9), 0.3)),
+        "linearization_residual": lambda: _num(linearization_residual(1, 1, p, 1.0, 0.3)),
+        "dq_action_residual": lambda: _num(dq_action_residual(
+            "bilateral", 1, p, UltraParams(1.0, 0.7, 0.3))),
+        "mass_points": lambda: [_num(a) for a in mass_points(1 / 0.3, 0.3)],
+        "bilateral_delta_integral": lambda: _num(
+            bilateral_delta_integral(0, 1 / 0.3, 0.3).value),
+        "suite beta = 1": lambda: render_json(run_suite({"beta": 1.0})),
+    }
+    return [[f"pole {name}", _record(call)] for name, call in calls.items()]
+
+
 def records(src: str) -> list:
     """Every record of the tree at src, in a fixed order."""
     src = Path(src).resolve()
@@ -236,7 +269,8 @@ def records(src: str) -> list:
         raise SystemExit(f"qultra imported from {qultra.__file__}, not {src}")
     rng = np.random.default_rng(2508)
     return (_cn_records(rng) + _series_records(rng) + _poch_records(rng)
-            + _suite_records() + _pass_records() + _lattice_records())
+            + _suite_records() + _pass_records() + _lattice_records()
+            + _pole_records())
 
 
 def _values(payload) -> list:
