@@ -22,8 +22,9 @@ it takes as many factors as the largest |a| needs, so an element of
 smaller modulus may differ from its scalar product by up to the
 truncation tolerance.  Every finite product is a scalar loop in Python
 complex arithmetic, and an array with finite k raises DomainError.
-check_vanishing is the one test of a vanishing denominator product: every
-closed form of the library asks it before it divides.
+is_q_power is the one test of value in q^Z, at every base, and
+check_vanishing, built on it, the one test of a vanishing denominator
+product: every closed form of the library asks it before it divides.
 """
 
 from __future__ import annotations
@@ -340,17 +341,16 @@ def poch_quotient(num, den: dict, q, policy: TruncationPolicy | None = None):
             / poch_multi(list(den.values()), q, INFINITY, policy))
 
 
-def is_q_power(value, q):
-    """Return the integer m with value = q^m if one exists (within 1e-9 in
-    the complex log-base-q plane), else None."""
-    value = complex(value)
+def is_q_power(value, q, tol=1e-9):
+    """The integer m with value = q^m, else None: m = round(log|value| /
+    log|q|), accepted where log value - m log q, its phase reduced mod
+    2 pi, is within tol |log q|.  The reduction holds at every base, also
+    where m arg q wraps past pi; no q^m is formed, so none overflows."""
     if value == 0 or not cmath.isfinite(value):
         return None
-    q = complex(q)
-    ratio = cmath.log(value) / cmath.log(q)
-    # imaginary part of log q is 0 for real positive q; general complex q
-    # handled by comparing the full complex logarithm.
-    m = round(ratio.real)
-    if abs(ratio - m) < 1e-9:
-        return int(m)
+    lv, lq = cmath.log(value), cmath.log(q)
+    m = round(lv.real / lq.real)
+    d = lv - m * lq
+    if math.hypot(d.real, math.remainder(d.imag, math.tau)) < tol * abs(lq):
+        return m
     return None

@@ -48,8 +48,8 @@ from .errors import DomainError, NonConvergence, RegionError
 from .hyperseries import BILATERAL, SeriesSpec, sum_psi
 from .qcore import (DEFAULT_POLICY, INFINITY, CompensatedSum,
                     SpectralPoint, TruncationPolicy, _product_bound_terms,
-                    check_base, check_real_base, check_vanishing, poch,
-                    poch_multi, poch_pm, poch_quotient, poch_ratio)
+                    check_base, check_real_base, check_vanishing, is_q_power,
+                    poch, poch_multi, poch_pm, poch_quotient, poch_ratio)
 
 CLASSICAL = "classical"
 BILATERAL_KIND = "bilateral"
@@ -455,6 +455,10 @@ _EPS = 2.0 ** -52
 #: within (1 + 1/32)/(1 - 1/32) of its limit (_PoleRings)
 _POLE_NEAR = 1 / 32
 _POLE_SETTLED = ((1 + _POLE_NEAR) / (1 - _POLE_NEAR)) ** 2
+#: z^2 within this of q^Z (is_q_power's band) takes the circle mean: the
+#: expansion's poles nearly coalesce there.  The pole and termination
+#: checks keep is_q_power's 1e-9, lest a nonzero product count as zero
+_LATTICE_BAND = 1e-8
 
 
 class _PoleHead:
@@ -551,10 +555,10 @@ class _PoleRings:
 
     def __init__(self, z, params: UltraParams, policy: TruncationPolicy):
         """z is one point or a list of Python-complex points; lattice[i]
-        tells whether z^2 at point i is within 1e-8 of the q^Z lattice in
-        log_q."""
+        tells whether z^2 at point i is within _LATTICE_BAND of q^Z."""
         self.points = z if isinstance(z, list) else [complex(z)]
-        self.lattice = [_on_q_lattice(v * v, params.q) for v in self.points]
+        self.lattice = [is_q_power(v * v, params.q, _LATTICE_BAND) is not None
+                        for v in self.points]
         self.params, self.policy = params, policy
         self._sides, self._rows = {}, {}
 
@@ -745,13 +749,6 @@ def _pole_products(a: list, counts: list, q) -> np.ndarray:
     return table.prod(axis=1)
 
 
-def _on_q_lattice(value, q) -> bool:
-    """value is within 1e-8 of the q^Z lattice in log_q value; 0 and
-    values out of the double range are off it."""
-    r = cmath.log(value) / cmath.log(q) if value and cmath.isfinite(value) else 0.5
-    return abs(r - round(r.real)) < 1e-8
-
-
 def _lattice_radius(z: complex, params: UltraParams) -> float:
     """The distance from z, z^2 on the q^Z lattice, to the nearest other
     lattice point, at least r (1 - |q|^{1/2}) away (r = |z|), or singular
@@ -777,7 +774,8 @@ def _lattice_rows(n_lo: int, n_hi: int, z: complex, params: UltraParams,
     agrees with it to rel_tol |mean|; else RegionError names the gap."""
     rho = _lattice_radius(z, params) / 3
     circle = z + rho * np.exp(2j * np.pi * np.arange(64) / 64)
-    if any(_on_q_lattice(w * w, params.q) for w in circle.tolist()):
+    if any(is_q_power(w * w, params.q, _LATTICE_BAND) is not None
+           for w in circle.tolist()):
         raise RegionError(f"the circle about z = {z} meets the q^Z lattice")
     values, terms = _range_values(n_lo, n_hi, circle, params, policy)
     means = values.mean(axis=1).tolist()

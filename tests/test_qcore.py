@@ -1,3 +1,4 @@
+import cmath
 import math
 import sys
 import warnings
@@ -439,11 +440,30 @@ def test_is_q_power_detection():
     assert is_q_power(Q ** -2, Q) == -2
     assert is_q_power(1.0, Q) == 0
     assert is_q_power(0.7, Q) is None
+    assert is_q_power(5e-324, Q) is None            # q^618.3: no q^m is formed
 
 
 def test_is_q_power_of_a_value_out_of_the_double_range_is_none():
     for value in (1e200 * 1e200, -1e160 * 1e160, complex(math.inf, math.inf)):
         assert is_q_power(value, Q) is None
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(r=st.floats(0.05, 0.95), phase=st.floats(-math.pi, math.pi),
+       t=st.floats(-1.0, 1.0))
+@example(r=0.5, phase=math.pi, t=0.0101)        # q = -0.5, m = 10
+@example(r=0.5, phase=2.0, t=-0.0031)           # q = 0.5 e^{2i}, m = -3
+def test_is_q_power_finds_every_power_of_every_base(r, phase, t):
+    # m arg q wraps past pi for negative and complex q: the test reduces
+    # the phase mod 2 pi, and m runs over all of 1e-300 <= |q|^m <= 1e300
+    q = cmath.rect(r, phase)
+    m = int(t * 300 * math.log(10) / -math.log(r))
+    assert is_q_power(q ** m, q) == m
+    assert is_q_power(q ** m * cmath.exp(1e-6j), q) is None
+    for value in (5e-324, complex(5e-324, -5e-324), 1e-310j, 1.7e308,
+                  complex(-1.7e308, 1.7e308)):
+        power = is_q_power(value, q)                # it never raises
+        assert power is None or isinstance(power, int)
 
 
 def test_input_checks():

@@ -1,6 +1,7 @@
 """A tier-1 subset of the configuration sweep in tools/sweep.py: one
 configuration for every entry that fails anywhere on the sweep grid, plus
-the defaults, each held to its row of tools/sweep_verdicts.json."""
+the defaults and the negative base at its pole lattice gamma = q^-2, each
+held to its row of tools/sweep_verdicts.json."""
 
 import importlib.util
 import json
@@ -16,7 +17,7 @@ TABLE = json.loads(sweep.TABLE.read_text())
 
 SUBSET = ("0.5 0.4 0.7", "0.5 -0.5 0.3", "0.7 0.4 0.3", "0.7 1.2 0.3",
           "0.7 0.8 1.5", "0.1 0.4 0.3", "0.3 0.8 0.7", "0.7 0.4 1.5",
-          "0.3 0.8 1.0", "0.85 0.4 0.3", "0.9 0.4 0.3")
+          "0.3 0.8 1.0", "0.85 0.4 0.3", "0.9 0.4 0.3", "-0.5 0.8 4.0")
 
 
 def test_subset_covers_every_failing_entry():

@@ -14,6 +14,7 @@ from qultra import (BILATERAL, DEFAULT_POLICY, UNILATERAL, DomainError,
                     recurrence_residual, special_value_c0,
                     special_value_cm1, sum_phi, sum_psi, symmetry_params,
                     symmetry_residual)
+from qultra.qcore import is_q_power
 import qultra.ultraspherical as us
 from qultra.ultraspherical import (DIRECT_REGION_MARGIN, _direct_rows,
                                    _PoleRings, _RouteUnusable, _tail_bound,
@@ -418,8 +419,8 @@ def _mp_g(qbg, m):
     """{j: g_j} for |j| <= m at (q, beta, gamma) = qbg, in mpmath at the
     working precision, by the one-step recursions from g_0 = 1."""
     import mpmath as mp
-    q, gamma = mp.mpf(qbg[0]), mp.mpf(qbg[2])
-    bg, gq = mp.mpf(qbg[1]) * gamma, q * gamma
+    q, beta, gamma = (mp.mpmathify(v) for v in qbg)
+    bg, gq = beta * gamma, q * gamma
     g, qj = {0: mp.mpf(1)}, mp.mpf(1)
     for j in range(m):
         g[j + 1] = g[j] * (1 - bg * qj) / (1 - gq * qj)
@@ -700,7 +701,7 @@ def _mp_6psi8(n, z, qbg, digits, width, shift=False):
     f = q^{-n}/gamma."""
     import mpmath as mp
     with mp.workdps(digits):
-        q, beta, gamma = (mp.mpf(v) for v in qbg)
+        q, beta, gamma = (mp.mpmathify(v) for v in qbg)
         z = mp.mpc(z) + (mp.mpf("1e-40") * mp.expj(mp.mpf("0.7")) if shift else 0)
         bg = beta * gamma
         a = q ** -n / (z * z)
@@ -939,12 +940,21 @@ def test_lattice_range_equals_its_one_row_calls_bit_for_bit(params):
         rows.values[:16].tobytes()
 
 
+#: a complex base whose powers q^m wrap past arg = pi from |m| = 2 on
+Q_TURNED = 0.5 * cmath.exp(2j)
+
 #: C_n for n = -3..3 at lattice points z, z^2 in q^Z, as ((q, beta, gamma),
 #: z, rows): _mp_6psi8 at z + 1e-40 e^{0.7i} at (digits, width) = (170,
 #: 220), which agrees with (120, 160) to 1e-18 relative; the imaginary
 #: parts, below 1e-30 relative, are dropped.  Rows None have no route
 #: (none do since the recurrence gives the circle points at q = 0.9 the
-#: rows n < 0 that the pole expansion refuses)
+#: rows n < 0 that the pole expansion refuses).  The last five are at
+#: bases off the positive axis, where the principal logarithms of z^2 and
+#: of its power of q differ by a multiple of 2 pi i: z^2 = q^-2 and q^3 at
+#: Q_TURNED, q^2 and q^-2 at q = -0.5, and q^3 at z = q^{3/2} = -i 2^{-3/2}.
+#: There q, beta and gamma enter _mp_6psi8 as mpc, at (digits, width) =
+#: (90, 260), each row the same double at (60, 200), and the parts below
+#: 1e-30 relative are dropped.
 LATTICE_REFERENCES = [
     ((0.3, 0.8, 0.7), 0.3 ** 0.5,
      (0.2728804536434766, 0.36012333989069745, -0.04491813597771476,
@@ -965,7 +975,31 @@ LATTICE_REFERENCES = [
     ((0.9, 0.4, 0.5), 0.9 ** 0.5,
      (-1166815.5179306944, -947182.2731911747, -775390.5715176585,
       -639970.005486512, -532407.8155248623, -446339.67942251, -376973.1733053613)),
+    ((Q_TURNED, 0.8, 0.7), 1 / Q_TURNED,
+     (0.5926457382218788-0.021928290848421385j, 0.2096530517056345-0.2817411068470916j,
+      0.17449903780008325+0.6807595156567116j, 3.0415010481420106-0.020936692981518467j,
+      -0.9347385061155127-3.33517035985765j, -4.240583438703334+5.71875354144336j,
+      15.457314329139104+4.127124291060617j)),
+    ((Q_TURNED, 0.8, 0.7), Q_TURNED ** 1.5,
+     (-1.0856770445282278-0.05638870030593988j, -0.040038064531191374-0.15904417311902116j,
+      -0.3351971248853257+0.29638798175686853j, 4.595489952651079-0.009860247462662373j,
+      -6.958767176907908-2.440924467495588j, 20.26964949133706+4.923512521947189j,
+      -60.72012848550103-27.62136564991956j)),
+    ((-0.5, 0.8, 0.7), -0.5,
+     (0.41305238194909405, 0.5748184670718187, -0.3197353406772721, 3.082849877340596,
+      -3.3459104154278307, 8.989406252219519, -15.454004174499978)),
+    ((-0.5, 0.8, 0.7), -2.0,
+     (0.41305238194909405, 0.5748184670718187, -0.3197353406772721, 3.082849877340596,
+      -3.3459104154278307, 8.989406252219519, -15.454004174499978)),
+    ((-0.5, 0.8, 0.7), -0.5 ** 1.5 * 1j,
+     (0.7088003657471342j, -0.9590613632778192, -0.5751813342225235j, 4.5010605646181965,
+      6.191795550126565j, -24.406754338416736, -58.0888085617393j)),
 ]
+
+
+def _on_lattice(w2, q):
+    """z^2 = w2 takes the continuation's lattice route."""
+    return is_q_power(w2, q, us._LATTICE_BAND) is not None
 
 
 @pytest.mark.parametrize("qbg, z, refs", LATTICE_REFERENCES)
@@ -975,7 +1009,7 @@ def test_lattice_rows_match_checked_references(qbg, z, refs):
     q, beta, gamma = qbg
     params = UltraParams(beta, gamma, q)
     p = SpectralPoint(complex(z))
-    assert not in_direct_region(p.z, beta, q) and us._on_q_lattice(p.z ** 2, q)
+    assert not in_direct_region(p.z, beta, q) and _on_lattice(p.z ** 2, q)
     for n, ref in zip(range(-3, 4), refs):
         if ref is None:
             with pytest.raises(RegionError, match="32- and 64-point means differ"):
@@ -989,6 +1023,8 @@ def test_lattice_reference_recomputes():
     qbg, z, refs = LATTICE_REFERENCES[0]
     assert _mp_6psi8(-1, z, qbg, 120, 160, shift=True).real == pytest.approx(
         refs[2], rel=1e-15)
+    qbg, z, refs = LATTICE_REFERENCES[6]             # q = Q_TURNED
+    assert _mp_6psi8(0, z, qbg, 60, 200, shift=True) == pytest.approx(refs[3], rel=1e-15)
 
 
 def test_lattice_radius_is_the_distance_to_the_nearest_singular_point():
@@ -1470,7 +1506,7 @@ def test_point_whose_square_leaves_the_double_range_raises_a_typed_error():
         warnings.simplefilter("error")
         for z in (1e200, 1e160j):
             assert not direct_region_mask(np.array([z]), BETA, Q).any()
-            assert not us._on_q_lattice(z * z, Q)
+            assert not _on_lattice(z * z, Q)
             for p in (SpectralPoint(z), SpectralPoint(np.array([0.5j, z]))):
                 # the pole expansion's own reason, without a recurrence attempt
                 with pytest.raises(RegionError, match=r"no route gives C_0 at "

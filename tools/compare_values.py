@@ -39,7 +39,14 @@ the type and message of the error it raised.  The calls are
   ``kernel_integral_rhs`` at (q, beta) = (0.3, 1.0), ``mass_points`` at
   beta = 1/q), and ``render_json(run_suite({"beta": 1.0}))``, where four
   entries meet such a product, so that the type and message of each error
-  show.
+  show;
+* bases off the positive axis, where m arg q wraps past pi: ``is_q_power``
+  on q^m, -q^m, q^m e^{1e-6 i} and q^{m+1/2}, |m| <= 8, at q = -0.5, 0.5i
+  and 0.5 e^{2i}; ``bilateral_cn`` where (q gamma; q)_inf vanishes, at
+  (q, beta, gamma) = (0.5 e^{2i}, 0.8, q^-3) and (-0.5, 0.8, 4.0); and the
+  rows n = -1, 0, 2 at (beta, gamma) = (0.8, 0.7) at the lattice points
+  z = 1/q and q^{3/2} of q = 0.5 e^{2i} and z = -0.5, -2 and -i 2^{-3/2}
+  of q = -0.5.
 
 The script prints every record that differs, then one summary line: the
 largest relative change of a value (a complex number of a record that
@@ -259,6 +266,30 @@ def _pole_records() -> list:
     return [[f"pole {name}", _record(call)] for name, call in calls.items()]
 
 
+def _base_records() -> list:
+    import cmath
+    from qultra import SpectralPoint, UltraParams, bilateral_cn
+    from qultra.qcore import is_q_power
+    turned = 0.5 * cmath.exp(2j)
+    out = []
+    for q in (-0.5, 0.5j, turned):
+        out.append([f"is_q_power {q!r}", _record(lambda: [
+            [is_q_power(w, q) for w in (q ** m, -q ** m, q ** m * cmath.exp(1e-6j),
+                                        q ** (m + 0.5))] for m in range(-8, 9)])])
+    p = SpectralPoint.from_theta(1.0)
+    for q, gamma in ((turned, turned ** -3), (-0.5, 4.0)):
+        out.append([f"pole bilateral_cn {q!r} {gamma!r}", _record(
+            lambda: _num(bilateral_cn(0, p, UltraParams(0.8, gamma, q)).value))])
+    for q, z in ((turned, 1 / turned), (turned, turned ** 1.5), (-0.5, -0.5),
+                 (-0.5, -2.0), (-0.5, -0.5 ** 1.5 * 1j)):
+        for n in (-1, 0, 2):
+            def one():
+                v = bilateral_cn(n, SpectralPoint(complex(z)), UltraParams(0.8, 0.7, q))
+                return [_num(v.value), v.truncation_terms]
+            out.append([f"lattice cn {q!r} {complex(z)!r} {n}", _record(one)])
+    return out
+
+
 def records(src: str) -> list:
     """Every record of the tree at src, in a fixed order."""
     src = Path(src).resolve()
@@ -270,7 +301,7 @@ def records(src: str) -> list:
     rng = np.random.default_rng(2508)
     return (_cn_records(rng) + _series_records(rng) + _poch_records(rng)
             + _suite_records() + _pass_records() + _lattice_records()
-            + _pole_records())
+            + _pole_records() + _base_records())
 
 
 def _values(payload) -> list:

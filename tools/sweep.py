@@ -1,16 +1,19 @@
 """Run the verification suite over a grid of configurations and compare its
 verdicts with a committed table.
 
-    python3 tools/sweep.py             # run the 111 configurations, diff the table
+    python3 tools/sweep.py             # run the 136 configurations, diff the table
     python3 tools/sweep.py --update    # run them and rewrite the table
 
 The grid is q in {0.1, 0.3, 0.5, 0.7}, beta in {-0.5, 0.4, 0.8, 0.95, 1.2}
-and gamma in {0.3, 0.7, 1.0, 1.5}, and near q = 1 the configurations with
+and gamma in {0.3, 0.7, 1.0, 1.5}; near q = 1 the configurations with
 q in {0.85, 0.9}, beta in {0.4, 0.8, 0.95, 1.2} and the same gammas but
-(0.9, 0.95, 1.0), 31 of them.  The near-1 configurations left out take
-too long: at beta = -0.5 the quadrature entries run 4-28 s each before
-they fail at the node cap, and at (0.9, 0.95, 1.0) the shifted diagonal
-entry runs for minutes.  Every other setting is the suite's default.
+(0.9, 0.95, 1.0), 31 of them; and the negative base q = -0.5 with every
+beta and gamma in {0.3, 0.7, 1.0, 1.5, 4.0}, 25 of them, where q^Z has
+both signs and gamma = 4.0 = q^-2 puts (q gamma; q)_inf on its lattice.
+The near-1 configurations left out take too long: at beta = -0.5 the
+quadrature entries run 4-28 s each before they fail at the node cap, and
+at (0.9, 0.95, 1.0) the shifted diagonal entry runs for minutes.  Every
+other setting is the suite's default.
 
 For each configuration the script records which entries failed and which
 were skipped (an exception that escapes run_suite is recorded as a
@@ -18,7 +21,7 @@ crash), prints per-entry fail and skip counts over the grid, then how
 many continued (n, point) values each continuation route gave over the
 grid, and lists every configuration whose verdicts differ from
 tools/sweep_verdicts.json.  It exits 1 on any difference and 0 otherwise.
-It imports qultra from src/ beside this directory and takes 6-9 s on a
+It imports qultra from src/ beside this directory and takes 7-10 s on a
 2-core x86-64 machine.
 """
 
@@ -44,6 +47,7 @@ BETAS = (-0.5, 0.4, 0.8, 0.95, 1.2)
 GAMMAS = (0.3, 0.7, 1.0, 1.5)
 NEAR_ONE = (0.85, 0.9)      # with BETAS[1:], and without SLOW
 SLOW = (0.9, 0.95, 1.0)
+NEGATIVE = -0.5             # with BETAS and GAMMAS + (4.0,)
 
 
 def verdicts(q: float, beta: float, gamma: float) -> dict:
@@ -59,7 +63,8 @@ def verdicts(q: float, beta: float, gamma: float) -> dict:
 
 def sweep() -> dict:
     grid = [*itertools.product(QS, BETAS, GAMMAS),
-            *(c for c in itertools.product(NEAR_ONE, BETAS[1:], GAMMAS) if c != SLOW)]
+            *(c for c in itertools.product(NEAR_ONE, BETAS[1:], GAMMAS) if c != SLOW),
+            *itertools.product((NEGATIVE,), BETAS, GAMMAS + (4.0,))]
     return {f"{q} {beta} {gamma}": verdicts(q, beta, gamma) for q, beta, gamma in grid}
 
 
