@@ -12,8 +12,7 @@ from .hyperseries import (BILATERAL, UNILATERAL, SeriesSpec, closed_form,
 from .ultraspherical import (UltraParams, UltraRange, UltraValue,
                              bilateral_cn, bilateral_cn_continued,
                              bilateral_cn_psi_form, bilateral_cn_range,
-                             classical_cn,
-                             constant_term, generating_rhs,
+                             classical_cn, constant_term, generating_rhs,
                              linearization_residual, recurrence_gap,
                              recurrence_residual, special_value_c0,
                              special_value_cm1, symmetry_gap,

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import DomainError, SingularPoint
 from .qcore import (DEFAULT_POLICY, SpectralPoint, TruncationPolicy,
-                    check_base, check_vanishing)
+                    check_base, check_vanishing, power)
 from .ultraspherical import (BILATERAL_KIND, CLASSICAL, UltraParams,
                              _index_lists, bilateral_cn_range, classical_cn)
 
@@ -117,7 +117,7 @@ def dq_action_residual(kind: str, n, p: SpectralPoint,
         raise DomainError(f"unknown kind {kind!r}")
     out = []
     for k, left, low in zip(ns, lhs.tolist(), lower):
-        rhs = const * complex(q) ** ((1 - k) / 2.0) * low
+        rhs = const * power(complex(q), (1 - k) / 2.0, "q^{(1-n)/2}") * low
         out.append(abs(left - rhs) / max(1.0, abs(rhs)))
     if single:
         return out[0]

@@ -25,6 +25,7 @@ complex arithmetic, and an array with finite k raises DomainError.
 is_q_power is the one test of value in q^Z, at every base, and
 check_vanishing, built on it, the one test of a vanishing denominator
 product: every closed form of the library asks it before it divides.
+power is the one rule for a power of n that leaves the double range.
 """
 
 from __future__ import annotations
@@ -320,6 +321,16 @@ def poch_multi(factors, q, k, policy: TruncationPolicy | None = None):
 def poch_pm(t, p: SpectralPoint, q, policy: TruncationPolicy | None = None):
     """(t z; q)_inf (t / z; q)_inf, the e^{+-i theta} product shorthand."""
     return poch(t * p.z, q, INFINITY, policy) * poch(t / p.z, q, INFINITY, policy)
+
+
+def power(x, n, name: str):
+    """x ** n where Python forms it and its modulus without an error, else
+    NonConvergence naming the power, name, x and n."""
+    try:
+        abs(out := x ** n)
+        return out
+    except (OverflowError, ZeroDivisionError):   # x ** -m where x ** m is 0
+        raise NonConvergence(f"{name} overflowed at {x!r} ** {n}") from None
 
 
 def check_vanishing(products: dict, q, k=INFINITY, why: str = "") -> None:

@@ -55,7 +55,7 @@ from .errors import DomainError, NonConvergence, RegionError
 from .hyperseries import UNILATERAL, SeriesSpec, sum_phi
 from .qcore import (DEFAULT_POLICY, INFINITY, SpectralPoint,
                     TruncationPolicy, check_real_base, check_vanishing, poch,
-                    poch_multi, poch_pm, poch_quotient)
+                    poch_multi, poch_pm, poch_quotient, power)
 from .ultraspherical import (UltraParams, _index_lists, bilateral_cn,
                              bilateral_cn_range, classical_cn, symmetry_params)
 
@@ -140,8 +140,7 @@ def mass_points(beta: float, q: float,
     beta = _real_beta(beta)
     zs, weights = [], []
     k = 0
-    while beta * q ** k > 1.0:
-        u = beta * q ** k
+    while (u := beta * q ** k) > 1.0:
         m = (poch_quotient([u, 1.0 / u], {f"beta u_{k}": beta * u, "q": q}, q, policy)
              / poch(q ** -k, q, k)).real
         r = math.sqrt(u)
@@ -402,16 +401,16 @@ def shifted_orthogonality_rhs(params: UltraParams,
              * poch(q / (beta * gamma), q, INFINITY, policy) ** 4
              * poch(beta ** 2, q, INFINITY, policy))
     spec = SeriesSpec(UNILATERAL, (beta ** 2, beta), (q * beta,), q, rho)
-    return pref * sum_phi(spec, policy)[0] * _shifted_scale(params) ** n
+    return pref * sum_phi(spec, policy)[0] * _shifted_scale(params, n)
 
 
-def _shifted_scale(params: UltraParams):
-    """beta^2 gamma / q, a float for real parameters: complex powers round
-    differently from float ones."""
+def _shifted_scale(params: UltraParams, n: int):
+    """(beta^2 gamma / q)^n by qcore.power, the base a float for real
+    parameters: complex powers round differently from float ones."""
     q, beta, gamma = params.q, params.beta, params.gamma
-    if beta.imag or gamma.imag or q.imag:
-        return beta ** 2 * gamma / q
-    return beta.real ** 2 * gamma.real / q.real
+    if not (beta.imag or gamma.imag or q.imag):
+        q, beta, gamma = q.real, beta.real, gamma.real
+    return power(beta ** 2 * gamma / q, n, "(beta^2 gamma/q)^n")
 
 
 #: shells of C_j rows computed beyond the last shell the loop is expected to need
@@ -464,8 +463,8 @@ def shifted_orthogonality_pair(m, n, params: UltraParams,
     WeightParams(beta, q)  # positivity window check
     rho = q / (beta ** 2 * gamma)
     head = shifted_orthogonality_rhs(params, policy)     # checks |rho| < 1
-    scale = _shifted_scale(params)
-    rhs = [complex(head * scale ** b if a == b else 0j) for a, b in zip(ms, ns)]
+    rhs = [complex(head * _shifted_scale(params, b) if a == b else 0j)
+           for a, b in zip(ms, ns)]
     rates = {"|q gamma|": abs(q * gamma)}
     if beta > 1:
         rates.update({"|q/(beta gamma)|": abs(q / (beta * gamma)),
@@ -475,8 +474,7 @@ def shifted_orthogonality_pair(m, n, params: UltraParams,
         raise NonConvergence(f"shifted-orthogonality shells failed to decay: "
                              f"{name} = {rates[name]:.3g} >= 1")
     kmin = [8] * len(ms)
-    with np.errstate(over="ignore"):        # an infinite scale fails shell 1
-        scales = ((beta / q) ** (np.array(ms) + ns)).tolist()
+    scales = [power(beta / q, a + b, "(beta/q)^(m+n)") for a, b in zip(ms, ns)]
     # (params, weight, first shell, sign of the pair's row indices)
     families = ((params, rho, 0, 1), (symmetry_params(params), q * gamma, 1, -1))
 

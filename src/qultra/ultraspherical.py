@@ -46,10 +46,10 @@ import numpy as np
 
 from .errors import DomainError, NonConvergence, RegionError
 from .hyperseries import BILATERAL, SeriesSpec, sum_psi
-from .qcore import (DEFAULT_POLICY, INFINITY, CompensatedSum,
-                    SpectralPoint, TruncationPolicy, _product_bound_terms,
-                    check_base, check_real_base, check_vanishing, is_q_power,
-                    poch, poch_multi, poch_pm, poch_quotient, poch_ratio)
+from .qcore import (DEFAULT_POLICY, INFINITY, CompensatedSum, SpectralPoint,
+                    TruncationPolicy, _product_bound_terms, check_base,
+                    check_real_base, check_vanishing, is_q_power, poch,
+                    poch_multi, poch_pm, poch_quotient, poch_ratio, power)
 
 CLASSICAL = "classical"
 BILATERAL_KIND = "bilateral"
@@ -383,11 +383,11 @@ def _side_sums(coeff: np.ndarray, pre: np.ndarray, ratio) -> np.ndarray:
     for each side, W by repeated multiplication, one side's table at a
     time, as BLAS matrix products coeff @ W.T (6x an einsum over steps)."""
     out = np.empty_like(pre)
-    power = np.ones(pre.shape[2:] + (coeff.shape[2],), dtype=complex)
+    table = np.ones(pre.shape[2:] + (coeff.shape[2],), dtype=complex)
     for side in range(2):
-        power[:, 1:] = ratio[side][:, None]
-        np.cumprod(power[:, 1:], axis=1, out=power[:, 1:])
-        np.multiply(pre[side], coeff[side] @ power.T, out=out[side])
+        table[:, 1:] = ratio[side][:, None]
+        np.cumprod(table[:, 1:], axis=1, out=table[:, 1:])
+        np.multiply(pre[side], coeff[side] @ table.T, out=out[side])
     return out
 
 
@@ -572,12 +572,10 @@ class _PoleRings:
         side, rings, found = row
         params, z = self.params, self.points[i]
         q, beta, m, aq = params.q, params.beta, abs(n), abs(params.q)
+        u, w = (q / (beta * z), q * z / beta) if n < 0 else (1 / z, z)
         try:
-            if n < 0:
-                a, c = (q / (beta * z)) ** m, (q * z / beta) ** m
-            else:
-                a, c = (1 / z) ** m, z ** m
-        except OverflowError as exc:
+            a, c = power(u, m, "z^n"), power(w, m, "z^n")
+        except NonConvergence as exc:
             raise _RouteUnusable(f"z^n overflowed at n = {n}") from exc
         j = side.index[i]
         if isinstance(j, _RouteUnusable):
@@ -982,6 +980,8 @@ def _range_values(n_lo: int, n_hi: int, z, params: UltraParams,
                   policy: TruncationPolicy):
     """The values and truncation_terms of bilateral_cn_range at z = p.z;
     tuples at one point off the annulus."""
+    if not all(isinstance(n, (int, np.integer)) for n in (n_lo, n_hi)):
+        raise DomainError(f"indices must be integers, got {n_lo!r}, {n_hi!r}")
     n_lo, n_hi = int(n_lo), int(n_hi)
     if n_hi < n_lo:
         raise DomainError("bilateral_cn_range needs n_lo <= n_hi")
@@ -1043,20 +1043,20 @@ def bilateral_cn_psi_form(n: int, p: SpectralPoint, params: UltraParams,
     """In-region cross-check of the direct sum: the defining series as the
     well-poised P 2psi2(beta gamma, b; q gamma, d; q, q/(beta z^2)),
     P = (beta gamma; q)_n / (q gamma; q)_n z^n, b = q^{-n}/gamma and
-    d = q^{1-n}/(beta gamma); NonConvergence where P, b or d overflows."""
+    d = q^{1-n}/(beta gamma); NonConvergence where P, b or d overflows,
+    or b or d underflows to 0."""
     check_pole_lattice(params)
     q, beta, gamma = params.q, params.beta, params.gamma
     bg, z = beta * gamma, complex(p.z)
     try:
-        pref = poch_ratio(bg, q * gamma, q, n) * z ** n
+        pref = poch_ratio(bg, q * gamma, q, n) * power(z, n, "z^n")
     except DomainError as exc:      # its one DomainError: the ratio overflowed
         raise NonConvergence(f"(beta gamma; q)_n/(q gamma; q)_n at n = {n} "
                              f"leaves the double range") from exc
-    b, d = q ** (-n) / gamma, q ** (1 - n) / bg
+    b, d = power(q, -n, "q^{-n}") / gamma, power(q, 1 - n, "q^{1-n}") / bg
     for name, value in (("q^{-n}/gamma", b), ("q^{1-n}/(beta gamma)", d)):
-        if not cmath.isfinite(value):
-            raise NonConvergence(f"{name} = {value} at n = {n} leaves the "
-                                 f"double range")
+        if not (value and cmath.isfinite(value)):
+            raise NonConvergence(f"{name} = {value} at n = {n} leaves the double range")
     spec = SeriesSpec(BILATERAL, (bg, b), (q * gamma, d), q, q / (beta * z * z))
     return pref * sum_psi(spec, policy)[0]
 
@@ -1068,8 +1068,9 @@ def bilateral_cn_continued(n: int, z, params: UltraParams,
     the recurrence where it refuses, and on the q^Z lattice of z^2 the
     circle mean.  Its errors are _point_rows'."""
     z = complex(z)
+    (n,), _ = _index_lists([n])
     (value,), (terms,) = _point_rows(n, n, [z], params, policy)[0]
-    return UltraValue(int(n), SpectralPoint(z), value, terms)
+    return UltraValue(n, SpectralPoint(z), value, terms)
 
 
 def generating_rhs(kind: str, t, p: SpectralPoint, params: UltraParams,
@@ -1109,13 +1110,10 @@ def generating_rhs(kind: str, t, p: SpectralPoint, params: UltraParams,
 def _recurrence_coefficients(n: int, params: UltraParams) -> tuple:
     """(down, mid, up) of 2x mid C_n = up C_{n+1} + down C_{n-1} at n:
     1 - beta^2 gamma^2 q^{n-1}, 1 - beta gamma^2 q^n, 1 - gamma^2 q^{n+1};
-    NonConvergence where q^{n-1} leaves the double range."""
+    NonConvergence where q^{n-1}, the largest power, overflows."""
     q, beta, g2 = params.q, params.beta, params.gamma ** 2
-    try:
-        return (1 - beta ** 2 * g2 * q ** (n - 1), 1 - beta * g2 * q ** n,
-                1 - g2 * q ** (n + 1))
-    except OverflowError as exc:  # q^{n-1} beyond the double range
-        raise NonConvergence(f"recurrence at n = {n} overflowed") from exc
+    return (1 - beta ** 2 * g2 * power(q, n - 1, "q^{n-1}"),
+            1 - beta * g2 * q ** n, 1 - g2 * q ** (n + 1))
 
 
 def recurrence_gap(n: int, p: SpectralPoint, params: UltraParams,
@@ -1148,7 +1146,7 @@ def recurrence_residual(kind: str, n: int, p: SpectralPoint,
 def symmetry_gap(n: int, params: UltraParams, cn, mirrored_c_minus_n) -> float:
     """Residual of C_n(x; beta, gamma) = (beta/q)^n C_{-n}(x; beta, 1/(beta gamma))
     for the given values of both sides, scaled by max(1, |C_n|)."""
-    rhs = (params.beta / params.q) ** n * mirrored_c_minus_n
+    rhs = power(params.beta / params.q, n, "(beta/q)^n") * mirrored_c_minus_n
     return abs(cn - rhs) / max(1.0, abs(cn))
 
 
@@ -1212,6 +1210,7 @@ def special_value_cm1(params: UltraParams) -> complex:
     """
     q = check_real_base(params.q)
     beta, gamma = params.beta, params.gamma
+    check_vanishing({"beta": beta}, q, 1)
     return math.sqrt(q) * (1 - gamma) ** 2 / (gamma * (1 - beta))
 
 

@@ -28,7 +28,7 @@ from .errors import (ConfigError, DomainError, NonConvergence, PoleError,
                      QSeriesError, RegionError, SingularPoint)
 from .hyperseries import (BILATERAL, SeriesSpec, closed_form, sum_psi,
                           transform_residual)
-from .qcore import TAIL_WINDOW, SpectralPoint, TruncationPolicy
+from .qcore import TAIL_WINDOW, SpectralPoint, TruncationPolicy, power
 from .quadrature import (QuadratureResult, WeightParams,
                          bilateral_delta_integral, bilateral_delta_rhs,
                          kernel_integral, kernel_integral_rhs,
@@ -232,11 +232,8 @@ def _generating_function(ctx: ResolvedConfig):
                 reach = min(2 * rows.n_hi, max_n)
                 rows = rows.widened(-reach, reach)
             shell = 0j
-            try:
-                for m in (n, -n):
-                    shell += rows[m] * t ** m
-            except OverflowError as exc:  # t^{-n} beyond the double range
-                raise NonConvergence("generating-function sum overflowed") from exc
+            for m in (n, -n):
+                shell += rows[m] * power(t, m, "t^n")
             acc += shell
             tail = tail + 1 if abs(shell) < 1e-12 * abs(rhs) else 0
             n += 1

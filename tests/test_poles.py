@@ -12,7 +12,7 @@ from qultra import (PoleError, SpectralPoint, UltraParams, WeightParams,
                     bilateral_delta_integral, closed_form,
                     constant_term, dq_action_residual, kernel_integral_rhs,
                     linearization_residual, mass_points, orthogonality_diagonal,
-                    run_suite, special_value_c0)
+                    run_suite, special_value_c0, special_value_cm1)
 from qultra.qcore import INFINITY, check_vanishing, poch_multi, poch_quotient
 
 Q = 0.3
@@ -41,6 +41,8 @@ POLE_CALLS = {
     "mass_points": (lambda: mass_points(1 / Q, Q), "(beta u_0; q)_inf"),
     "bilateral_delta_integral": (
         lambda: bilateral_delta_integral(0, 1 / Q, Q), "(beta u_0; q)_inf"),
+    "special_value_cm1": (
+        lambda: special_value_cm1(UltraParams(1.0, 0.7, Q)), "(beta; q)_1"),
 }
 
 

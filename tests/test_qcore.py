@@ -365,6 +365,12 @@ def test_spectral_point_rejects_zero():
         SpectralPoint(0.0)
 
 
+@pytest.mark.parametrize("z", [complex(math.inf, 0), complex(0, math.nan)])
+def test_spectral_point_rejects_a_non_finite_scalar(z):
+    with pytest.raises(DomainError, match="^spectral point requires finite z$"):
+        SpectralPoint(z)
+
+
 def test_poch_array_matches_scalars():
     arr = np.array([0.2 + 0.1j, -0.4, 0.8j])
     got = poch(arr, Q, INFINITY)

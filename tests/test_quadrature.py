@@ -188,6 +188,11 @@ def test_shifted_orthogonality_shares_node_cap(params, monkeypatch):
         shifted_orthogonality_pair(0, 0, params, 1e-6)
 
 
+def test_shifted_orthogonality_needs_real_beta_and_gamma():
+    with pytest.raises(DomainError, match="^shifted orthogonality uses real beta, gamma$"):
+        shifted_orthogonality_pair(0, 0, UltraParams(0.8 + 0.1j, 0.7, 0.3))
+
+
 def test_node_doubling_deltas_shrink():
     # spectral convergence: successive refinements decrease monotonically
     # until rounding noise (~1e-12)

@@ -185,6 +185,15 @@ def test_generating_function_overflow_is_nonconvergence():
     assert not entry.passed and "overflowed" in entry.note
 
 
+def test_coefficient_extraction_that_does_not_settle_fails_its_entry():
+    # |q/beta| = 0.75 < t = 0.866 < 1: the Laurent coefficients n = -4..4
+    # from 2048 and 4096 samples of the circle |t| = r still differ by 1e-9
+    entry = run_identity("generating_function_coefficients",
+                         {"q": 0.9, "beta": 1.2, "gamma": 0.3, "t": 0.866})
+    assert not entry.passed and not entry.skipped
+    assert entry.note == "NonConvergence: coefficient extraction failed to settle"
+
+
 def test_run_identity_unknown_name():
     with pytest.raises(ConfigError):
         run_identity("unheard_of")

@@ -46,7 +46,12 @@ the type and message of the error it raised.  The calls are
   (q, beta, gamma) = (0.5 e^{2i}, 0.8, q^-3) and (-0.5, 0.8, 4.0); and the
   rows n = -1, 0, 2 at (beta, gamma) = (0.8, 0.7) at the lattice points
   z = 1/q and q^{3/2} of q = 0.5 e^{2i} and z = -0.5, -2 and -i 2^{-3/2}
-  of q = -0.5.
+  of q = -0.5;
+* five calls whose powers of n leave the double range (q^{+-700},
+  (beta/q)^800, (beta^2 gamma/q)^2000, and a far row's (q/(beta z))^|n|
+  whose modulus does while its parts do not), ``special_value_cm1`` at
+  beta = 1, and ``bilateral_cn`` at n = 2.5, so that the type and
+  message of each error show.
 
 The script prints every record that differs, then one summary line: the
 largest relative change of a value (a complex number of a record that
@@ -290,6 +295,29 @@ def _base_records() -> list:
     return out
 
 
+def _power_records() -> list:
+    from qultra import (DEFAULT_POLICY, SpectralPoint, UltraParams, bilateral_cn,
+                        bilateral_cn_psi_form, shifted_orthogonality_rhs,
+                        special_value_cm1, symmetry_residual)
+    params, p = UltraParams(0.8, 0.7, 0.3), SpectralPoint.from_theta(1.0)
+    far = SpectralPoint(0.0006721997267927133 + 0.00024460233425914436j)
+    far_params = UltraParams(33.23633309969444 - 10.504407012088448j,
+                             82.83120184172542 + 376.724485879355j, 0.5j)
+    calls = {
+        "bilateral_cn_psi_form 700": lambda: bilateral_cn_psi_form(700, p, params),
+        "bilateral_cn_psi_form -700": lambda: bilateral_cn_psi_form(-700, p, params),
+        "symmetry_residual 800": lambda: symmetry_residual(800, p, params),
+        "shifted_orthogonality_rhs 2000": lambda: shifted_orthogonality_rhs(
+            params, DEFAULT_POLICY, 2000),
+        "bilateral_cn far row": lambda: bilateral_cn(0, far, far_params).value,
+        "special_value_cm1 beta = 1": lambda: special_value_cm1(
+            UltraParams(1.0, 0.7, 0.3)),
+        "bilateral_cn 2.5": lambda: bilateral_cn(2.5, p, params).value,
+    }
+    return [[f"power {name}", _record(lambda: _num(call()))]
+            for name, call in calls.items()]
+
+
 def records(src: str) -> list:
     """Every record of the tree at src, in a fixed order."""
     src = Path(src).resolve()
@@ -301,7 +329,7 @@ def records(src: str) -> list:
     rng = np.random.default_rng(2508)
     return (_cn_records(rng) + _series_records(rng) + _poch_records(rng)
             + _suite_records() + _pass_records() + _lattice_records()
-            + _pole_records() + _base_records())
+            + _pole_records() + _base_records() + _power_records())
 
 
 def _values(payload) -> list:
