@@ -20,9 +20,9 @@ import numpy as np
 
 from .errors import DomainError, SingularPoint
 from .qcore import (DEFAULT_POLICY, SpectralPoint, TruncationPolicy,
-                    check_base, check_vanishing, power)
+                    check_base, check_vanishing, indices, power)
 from .ultraspherical import (BILATERAL_KIND, CLASSICAL, UltraParams,
-                             _index_lists, bilateral_cn_range, classical_cn)
+                             bilateral_cn_range, classical_cn)
 
 XFunction = Callable[[SpectralPoint], complex]
 
@@ -90,13 +90,12 @@ def dq_action_residual(kind: str, n, p: SpectralPoint,
     range than alone (bilateral_cn_range), by about an ulp.  p is one
     point: an array of z raises DomainError.
     """
-    ns, single = _index_lists(n)
+    ns, single = indices(n, least=1 if kind == CLASSICAL else None,
+                         what="classical lowering check needs n")
     _one_point(p, "dq_action_residual")
     q, beta, gamma = params.q, params.beta, params.gamma
     terms = [0]
     if kind == CLASSICAL:
-        if min(ns) < 1:
-            raise DomainError("classical lowering check needs n >= 1")
         lhs = apply_dq(lambda sp: np.array([classical_cn(k, sp, beta, q)
                                             for k in ns]), p, q)
         lower = [classical_cn(k - 1, p, q * beta, q) for k in ns]

@@ -197,8 +197,6 @@ def cmd_table(args: argparse.Namespace) -> int:
     ctx = ResolvedConfig(merge_config(args))
     if args.n_max < args.n_min:
         raise ConfigError("--n-max must be >= --n-min")
-    if args.kind == CLASSICAL and args.n_min < 0:
-        raise ConfigError("classical polynomials need n >= 0")
     if args.theta_steps < 1:
         raise ConfigError("--theta-steps must be >= 1")
     thetas = np.linspace(args.theta_min, args.theta_max, args.theta_steps)

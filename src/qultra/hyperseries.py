@@ -201,19 +201,16 @@ def _psi_region_check(upper, lower, z, n_top: int | None,
     if z == 0:
         raise DomainError("bilateral series require z != 0")
     r, s = len(upper), len(lower)
-    if n_top is None:
-        if r > s:
-            raise RegionError(f"nonterminating {r}psi{s} diverges for r > s")
-        if r == s and not abs(z) < 1:
-            raise RegionError(f"{r}psi{s} requires |z| < 1, got |z| = {abs(z)}")
-    if m_bot is None:
-        if r > s:
-            raise RegionError(f"nonterminating {r}psi{s} diverges for r > s")
-        if r == s:
-            ratio = abs(math.prod(lower) / (math.prod(upper) * z))
-            if not ratio < 1:
-                raise RegionError(
-                    f"{r}psi{s} requires |b1..bs/(a1..ar z)| < 1, got {ratio}")
+    if r > s and (n_top is None or m_bot is None):
+        raise RegionError(f"nonterminating {r}psi{s} diverges for r > s")
+    if r == s and n_top is None and not abs(z) < 1:
+        raise RegionError(f"{r}psi{s} requires |z| < 1, got |z| = {abs(z)}")
+    if r == s and m_bot is None:    # b_i / a_i pair up where a1..ar z underflows to 0
+        den = math.prod(upper) * z
+        ratio = abs(math.prod(lower) / den if den else math.prod(
+            b / a if a else math.inf for a, b in zip(upper, lower)) / z)
+        if not ratio < 1:
+            raise RegionError(f"{r}psi{s} requires |b1..bs/(a1..ar z)| < 1, got {ratio}")
 
 
 def sum_psi(spec: SeriesSpec, policy: TruncationPolicy = DEFAULT_POLICY):

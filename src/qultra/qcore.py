@@ -22,16 +22,17 @@ it takes as many factors as the largest |a| needs, so an element of
 smaller modulus may differ from its scalar product by up to the
 truncation tolerance.  Every finite product is a scalar loop in Python
 complex arithmetic, and an array with finite k raises DomainError.
-is_q_power is the one test of value in q^Z, at every base, and
-check_vanishing, built on it, the one test of a vanishing denominator
-product: every closed form of the library asks it before it divides.
-power is the one rule for a power of n that leaves the double range.
+is_q_power is the one test of value in q^Z, at every base; check_vanishing,
+built on it, the one test of a vanishing denominator product, which every
+closed form asks before it divides; power the one rule for a power of n
+that leaves the double range; index (indices for sequences) that for n.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -232,7 +233,7 @@ def poch(a, q, k, policy: TruncationPolicy | None = None):
         raise DomainError("poch requires finite a")
     if k == INFINITY:
         return _poch_inf_scalar(a, q, policy)
-    k = int(k)
+    k = index(k)
     return _paired(a, 0j, q, k, f"(a; q)_{k}")
 
 
@@ -257,7 +258,7 @@ def poch_ratio(a, b, q, k):
     For k = -m the paired form is prod_{j=1}^{m} (q^j - b)/(q^j - a).
     """
     q = check_base(q)
-    return _paired(complex(a), complex(b), q, int(k), "poch_ratio")
+    return _paired(complex(a), complex(b), q, index(k), "poch_ratio")
 
 
 def _paired(a: complex, b: complex, q: complex, k: int, name: str) -> complex:
@@ -331,6 +332,37 @@ def power(x, n, name: str):
         return out
     except (OverflowError, ZeroDivisionError):   # x ** -m where x ** m is 0
         raise NonConvergence(f"{name} overflowed at {x!r} ** {n}") from None
+
+
+def index(n, least=None, what: str = "n") -> int:
+    """The one index rule: n as a Python int where operator.index takes it,
+    else DomainError, and DomainError f"{what} >= {least}" below least."""
+    try:
+        n = operator.index(n)
+    except TypeError:
+        raise DomainError(f"indices must be integers, got {n!r}") from None
+    if least is not None and n < least:
+        raise DomainError(f"{what} >= {least}")
+    return n
+
+
+def indices(*args, least=None, what: str = "n"):
+    """(*lists, single): each of args by index in a one-element list, with
+    single True, or all args nonempty 1-D integer sequences of one length,
+    as lists of Python ints with single False; DomainError otherwise."""
+    try:
+        arrays = [np.asarray(n) for n in args]
+    except ValueError:      # a ragged nested sequence
+        arrays = [np.empty((0, 0))]
+    if all(a.ndim == 0 for a in arrays):
+        return (*([index(n, least, what)] for n in args), True)
+    if not all(a.ndim == 1 and a.shape == arrays[0].shape and a.size for a in arrays):
+        raise DomainError("index sequences must be nonempty, 1-D and of one length")
+    for n, a in zip(args, arrays):
+        if not np.issubdtype(a.dtype, np.integer):
+            raise DomainError(f"indices must be integers, got {n!r}")
+        index(a.min(), least, what)
+    return (*(a.tolist() for a in arrays), False)
 
 
 def check_vanishing(products: dict, q, k=INFINITY, why: str = "") -> None:

@@ -54,10 +54,10 @@ import numpy as np
 from .errors import DomainError, NonConvergence, RegionError
 from .hyperseries import UNILATERAL, SeriesSpec, sum_phi
 from .qcore import (DEFAULT_POLICY, INFINITY, SpectralPoint,
-                    TruncationPolicy, check_real_base, check_vanishing, poch,
-                    poch_multi, poch_pm, poch_quotient, power)
-from .ultraspherical import (UltraParams, _index_lists, bilateral_cn,
-                             bilateral_cn_range, classical_cn, symmetry_params)
+                    TruncationPolicy, check_real_base, check_vanishing, index,
+                    indices, poch, poch_multi, poch_pm, poch_quotient, power)
+from .ultraspherical import (UltraParams, bilateral_cn, bilateral_cn_range,
+                             classical_cn, symmetry_params)
 
 MAX_NODES = 2 ** 20
 
@@ -265,9 +265,7 @@ def orthogonality_entry(m, n, w: WeightParams, tol: float = 1e-10,
     m and n may be equal-length integer sequences: the pairs (m[i], n[i])
     then share one node loop, which evaluates each distinct degree once
     per node set, and .value is an array over the pairs."""
-    ms, ns, single = _index_lists(m, n)
-    if min(ms) < 0 or min(ns) < 0:
-        raise DomainError("orthogonality_entry needs m, n >= 0")
+    ms, ns, single = indices(m, n, least=0, what="orthogonality_entry needs m, n")
 
     def f(sp):
         cn = {d: classical_cn(d, sp, w.beta, w.q) for d in {*ms, *ns}}
@@ -288,7 +286,7 @@ def orthogonality_diagonal(n: int, w: WeightParams,
     """Closed form of the diagonal entry:
     (beta, q beta; q)_inf/(q, beta^2; q)_inf (beta^2; q)_n/(q; q)_n
     (1-beta)/(1-beta q^n)."""
-    beta, q = w.beta, w.q
+    beta, q, n = w.beta, w.q, index(n, 0, "orthogonality_diagonal needs n")
     head = _total_mass(beta, q, policy)
     head *= poch(beta ** 2, q, n) / poch(q, q, n)
     head *= (1 - beta) / (1 - beta * q ** n)
@@ -345,7 +343,7 @@ def bilateral_delta_integral(n, beta: float, q: float,
     would stop at an earlier level is refined to the last level any n
     needs.
     """
-    ns, single = _index_lists(n)
+    ns, single = indices(n)
     q = check_real_base(q)
     beta = _real_beta(beta)
     if beta <= 0:
@@ -388,17 +386,17 @@ def shifted_orthogonality_rhs(params: UltraParams,
     power, so rhs(n) == rhs(0) * (b^2 g / q)^n holds exactly.  RegionError
     unless |q/(b^2 g)| < 1, the relation's hypothesis; PoleError where a
     denominator product vanishes: q g, q/(b g) or b^2 = q^{-j}, j >= 0."""
-    q, beta, gamma = params.q, params.beta, params.gamma
+    q, beta, gamma, n = params.q, params.beta, params.gamma, index(n)
     rho = q / (beta ** 2 * gamma)
     if not abs(rho) < 1:
         raise RegionError("shifted orthogonality needs |q/(beta^2 gamma)| < 1")
     check_vanishing({"q gamma": q * gamma, "q/(beta gamma)": q / (beta * gamma),
                      "beta^2": beta ** 2}, q)
-    pref = (poch(q, q, INFINITY, policy) ** 3
-            * poch(q / beta, q, INFINITY, policy) ** 4
+    pref = (power(poch(q, q, INFINITY, policy), 3, "(q; q)^3")
+            * power(poch(q / beta, q, INFINITY, policy), 4, "(q/b; q)^4")
             * poch_multi([beta, q * beta], q, INFINITY, policy))
-    pref /= (poch(q * gamma, q, INFINITY, policy) ** 4
-             * poch(q / (beta * gamma), q, INFINITY, policy) ** 4
+    pref /= (power(poch(q * gamma, q, INFINITY, policy), 4, "(q g; q)^4")
+             * power(poch(q / (beta * gamma), q, INFINITY, policy), 4, "(q/(b g); q)^4")
              * poch(beta ** 2, q, INFINITY, policy))
     spec = SeriesSpec(UNILATERAL, (beta ** 2, beta), (q * beta,), q, rho)
     return pref * sum_phi(spec, policy)[0] * _shifted_scale(params, n)
@@ -455,7 +453,7 @@ def shifted_orthogonality_pair(m, n, params: UltraParams,
     then arrays over the pairs.
     """
     _check_tol(tol)
-    ms, ns, single = _index_lists(m, n)
+    ms, ns, single = indices(m, n)
     q = check_real_base(params.q)
     if params.beta.imag or params.gamma.imag:
         raise DomainError("shifted orthogonality uses real beta, gamma")

@@ -47,9 +47,9 @@ import numpy as np
 from .errors import DomainError, NonConvergence, RegionError
 from .hyperseries import BILATERAL, SeriesSpec, sum_psi
 from .qcore import (DEFAULT_POLICY, INFINITY, CompensatedSum, SpectralPoint,
-                    TruncationPolicy, _product_bound_terms, check_base,
-                    check_real_base, check_vanishing, is_q_power, poch,
-                    poch_multi, poch_pm, poch_quotient, poch_ratio, power)
+                    TruncationPolicy, _product_bound_terms, check_base, check_real_base,
+                    check_vanishing, index, indices, is_q_power, poch, poch_multi,
+                    poch_pm, poch_quotient, poch_ratio, power)
 
 CLASSICAL = "classical"
 BILATERAL_KIND = "bilateral"
@@ -135,22 +135,6 @@ class UltraRange:
                           np.concatenate([r.truncation_terms for r in parts]))
 
 
-def _index_lists(*indices):
-    """(*lists, single): integer indices as one-element lists with single
-    True, or equal-length nonempty integer sequences as lists of Python
-    ints with single False; DomainError otherwise."""
-    if all(np.ndim(i) == 0 for i in indices):
-        if not all(isinstance(i, (int, np.integer)) for i in indices):
-            raise DomainError(f"indices must be integers, got {indices}")
-        return (*([int(i)] for i in indices), True)
-    arrays = [np.asarray(i) for i in indices]
-    if not all(a.ndim == 1 and a.shape == arrays[0].shape and a.size
-               and np.issubdtype(a.dtype, np.integer) for a in arrays):
-        raise DomainError("indices must be integers or nonempty integer "
-                          "sequences of one length")
-    return (*(a.tolist() for a in arrays), False)
-
-
 @functools.lru_cache(maxsize=16)
 def _check_poles(params: UltraParams) -> None:
     """PoleError where a denominator of some g_k vanishes, that of (q gamma;
@@ -194,8 +178,7 @@ def classical_cn(n: int, p: SpectralPoint, beta, q):
     c_k = (beta; q)_k / (q; q)_k; exact finite arithmetic.  NonConvergence
     where the largest power |z|^{+-n} of any point leaves the double range.
     """
-    if n < 0:
-        raise DomainError("classical polynomials need n >= 0")
+    n = index(n, 0, "classical polynomials need n")
     q = check_base(q)
     beta = complex(beta)
     z = p.z
@@ -980,11 +963,8 @@ def _range_values(n_lo: int, n_hi: int, z, params: UltraParams,
                   policy: TruncationPolicy):
     """The values and truncation_terms of bilateral_cn_range at z = p.z;
     tuples at one point off the annulus."""
-    if not all(isinstance(n, (int, np.integer)) for n in (n_lo, n_hi)):
-        raise DomainError(f"indices must be integers, got {n_lo!r}, {n_hi!r}")
-    n_lo, n_hi = int(n_lo), int(n_hi)
-    if n_hi < n_lo:
-        raise DomainError("bilateral_cn_range needs n_lo <= n_hi")
+    n_lo = index(n_lo)
+    n_hi = index(n_hi, n_lo, "bilateral_cn_range needs n_hi")
     _check_poles(params)
     if not isinstance(z, np.ndarray):    # one point: no index bookkeeping
         if _scalar_inside(z, params.beta, params.q):
@@ -1047,7 +1027,7 @@ def bilateral_cn_psi_form(n: int, p: SpectralPoint, params: UltraParams,
     or b or d underflows to 0."""
     check_pole_lattice(params)
     q, beta, gamma = params.q, params.beta, params.gamma
-    bg, z = beta * gamma, complex(p.z)
+    bg, z, n = beta * gamma, complex(p.z), index(n)
     try:
         pref = poch_ratio(bg, q * gamma, q, n) * power(z, n, "z^n")
     except DomainError as exc:      # its one DomainError: the ratio overflowed
@@ -1067,8 +1047,7 @@ def bilateral_cn_continued(n: int, z, params: UltraParams,
     wherever z lies, also inside the direct annulus: the pole expansion,
     the recurrence where it refuses, and on the q^Z lattice of z^2 the
     circle mean.  Its errors are _point_rows'."""
-    z = complex(z)
-    (n,), _ = _index_lists([n])
+    z, n = complex(z), index(n)
     (value,), (terms,) = _point_rows(n, n, [z], params, policy)[0]
     return UltraValue(n, SpectralPoint(z), value, terms)
 
@@ -1121,7 +1100,7 @@ def recurrence_gap(n: int, p: SpectralPoint, params: UltraParams,
     """Residual of the three-term recurrence (_recurrence_coefficients)
     for the given values C_{n-1}, C_n, C_{n+1} at p, scaled by
     max(1, |C_n|)."""
-    down, mid, up = _recurrence_coefficients(n, params)
+    down, mid, up = _recurrence_coefficients(index(n), params)
     lhs = 2 * p.x * mid * c0
     rhs = up * cp1 + down * cm1
     return abs(lhs - rhs) / max(1.0, abs(c0))
@@ -1132,9 +1111,8 @@ def recurrence_residual(kind: str, n: int, p: SpectralPoint,
                         policy: TruncationPolicy = DEFAULT_POLICY) -> float:
     """recurrence_gap of C_{n-1}, C_n, C_{n+1} at p; the classical kind
     uses the polynomials and gamma = 1."""
+    n = index(n, 1 if kind == CLASSICAL else None, "classical recurrence check needs n")
     if kind == CLASSICAL:
-        if n < 1:
-            raise DomainError("classical recurrence check needs n >= 1")
         vals = [classical_cn(j, p, params.beta, params.q) for j in (n - 1, n, n + 1)]
         return recurrence_gap(n, p, params.with_gamma(1.0), *vals)
     if kind != BILATERAL_KIND:
@@ -1146,7 +1124,7 @@ def recurrence_residual(kind: str, n: int, p: SpectralPoint,
 def symmetry_gap(n: int, params: UltraParams, cn, mirrored_c_minus_n) -> float:
     """Residual of C_n(x; beta, gamma) = (beta/q)^n C_{-n}(x; beta, 1/(beta gamma))
     for the given values of both sides, scaled by max(1, |C_n|)."""
-    rhs = power(params.beta / params.q, n, "(beta/q)^n") * mirrored_c_minus_n
+    rhs = power(params.beta / params.q, index(n), "(beta/q)^n") * mirrored_c_minus_n
     return abs(cn - rhs) / max(1.0, abs(cn))
 
 
@@ -1170,11 +1148,11 @@ def constant_term(n: int, params: UltraParams,
     head (-1)^m (beta^2 gamma^2; q^2)_m / (q^2 gamma^2; q^2)_m pairs its
     factors, so it stays finite for large negative m.  PoleError where a
     denominator product of the tail vanishes, or of the head (poch_ratio)."""
-    if n % 2:
+    m, odd = divmod(index(n), 2)
+    if odd:
         return 0.0 + 0j
     check_pole_lattice(params)
     q, beta, gamma = params.q, params.beta, params.gamma
-    m = n // 2
     q2 = q * q
     head = (-1.0) ** m * poch_ratio(beta ** 2 * gamma ** 2, q2 * gamma ** 2, q2, m)
     tail = poch_quotient([q, q / beta, -q * gamma, -q / (beta * gamma)],
@@ -1223,9 +1201,7 @@ def linearization_residual(m, n, p: SpectralPoint, beta, q):
     per degree and one table (a; q)_j, j = 0..max(m + n), per base a of
     the coefficients.  Each pair's residual is the one its integer call
     gives, bit for bit."""
-    ms, ns, single = _index_lists(m, n)
-    if min(ms) < 0 or min(ns) < 0:
-        raise DomainError("linearization needs m, n >= 0")
+    ms, ns, single = indices(m, n, least=0, what="linearization needs m, n")
     q = check_base(q)
     beta = complex(beta)
     top = max(a + b for a, b in zip(ms, ns))

@@ -1,7 +1,8 @@
 """One rule for powers of a caller's n that leave the double range: every
 q^n, z^n, t^n and (beta/q)^n is formed through qcore.power, so such a
 power is a NonConvergence that names it, never a bare OverflowError or
-ZeroDivisionError."""
+ZeroDivisionError.  And one rule for n itself, qcore.index: every public
+function of n refuses a non-integer n with a DomainError."""
 
 import cmath
 import math
@@ -13,13 +14,16 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from qultra import (DEFAULT_POLICY, DomainError, NonConvergence, QSeriesError,
-                    SpectralPoint, UltraParams, bilateral_cn,
-                    bilateral_cn_continued, bilateral_cn_psi_form,
-                    bilateral_cn_range, classical_cn, constant_term,
-                    dq_action_residual, generating_rhs, recurrence_residual,
-                    shifted_orthogonality_rhs, special_value_c0,
-                    special_value_cm1, symmetry_residual)
-from qultra.qcore import power
+                    RegionError, SpectralPoint, UltraParams, WeightParams,
+                    bilateral_cn, bilateral_cn_continued, bilateral_cn_psi_form,
+                    bilateral_cn_range, bilateral_delta_integral, classical_cn,
+                    constant_term, dq_action_residual, generating_rhs,
+                    linearization_residual, orthogonality_diagonal,
+                    orthogonality_entry, poch, recurrence_gap, recurrence_residual,
+                    shifted_orthogonality_pair, shifted_orthogonality_rhs,
+                    special_value_c0, special_value_cm1, symmetry_gap,
+                    symmetry_residual)
+from qultra.qcore import poch_ratio, power
 
 E1 = cmath.exp(1j)
 
@@ -45,6 +49,25 @@ CALLS = {
     "shifted_orthogonality_rhs": lambda n, z, P, t: shifted_orthogonality_rhs(
         P, DEFAULT_POLICY, n),
 }
+
+# every public function of n: the entries of CALLS that take one, and nine more
+INDEXED = {name: call for name, call in CALLS.items()
+           if name not in ("special_value_c0", "special_value_cm1", "generating_rhs")}
+INDEXED.update({
+    "poch": lambda n, z, P, t: poch(P.beta, P.q, n),
+    "poch_ratio": lambda n, z, P, t: poch_ratio(P.beta, P.gamma, P.q, n),
+    "orthogonality_diagonal": lambda n, z, P, t: orthogonality_diagonal(
+        n, WeightParams(P.beta.real, P.q.real)),
+    "recurrence_gap": lambda n, z, P, t: recurrence_gap(n, SpectralPoint(z), P, 1, 1, 1),
+    "symmetry_gap": lambda n, z, P, t: symmetry_gap(n, P, 1, 1),
+    "orthogonality_entry": lambda n, z, P, t: orthogonality_entry(
+        0, n, WeightParams(P.beta.real, P.q.real)),
+    "linearization_residual": lambda n, z, P, t: linearization_residual(
+        1, n, SpectralPoint(z), P.beta, P.q),
+    "bilateral_delta_integral": lambda n, z, P, t: bilateral_delta_integral(
+        n, P.beta.real, P.q.real),
+    "shifted_orthogonality_pair": lambda n, z, P, t: shifted_orthogonality_pair(n, n, P),
+})
 
 
 def _polar(lo: float, hi: float):
@@ -136,3 +159,44 @@ def test_a_non_integer_index_is_a_domain_error():
     assert (bilateral_cn_range(np.int32(0), np.int64(2), p, params).values.tobytes()
             == bilateral_cn_range(0, 2, p, params).values.tobytes())
     assert bilateral_cn_continued(np.int64(2), 0.5 + 0.1j, params).n == 2
+
+
+def _bits(x):
+    """The numbers of a result, as reprs and array bytes, bit for bit."""
+    if isinstance(x, (tuple, list)):
+        return [_bits(v) for v in x]
+    if hasattr(x, "__dataclass_fields__"):
+        return [_bits(getattr(x, f)) for f in x.__dataclass_fields__]
+    return x.tobytes() if isinstance(x, np.ndarray) else repr(x)
+
+
+@pytest.mark.parametrize("name", sorted(INDEXED))
+def test_every_function_of_n_asks_the_one_index_rule(name):
+    params = UltraParams(0.8, 0.7, 0.3)
+    # int() truncated 2.5 and 2.0 to 2, numpy raised a bare TypeError, and
+    # some functions computed z^2.5 or took 2.5 as odd
+    for n in (2.5, np.float64(2.0)):
+        with pytest.raises(DomainError, match="^indices must be integers, got "):
+            INDEXED[name](n, E1, params, 0.6)
+    # any integer type is the Python int, bit for bit
+    want = _bits(INDEXED[name](2, E1, params, 0.6))
+    assert _bits(INDEXED[name](np.int64(2), E1, params, 0.6)) == want
+
+
+def test_the_index_rule_states_each_bound_and_types_two_bare_exceptions():
+    w = WeightParams(0.8, 0.3)
+    # a PoleError about (a; q)_-1 before
+    with pytest.raises(DomainError, match="^orthogonality_diagonal needs n >= 0$"):
+        orthogonality_diagonal(-1, w)
+    with pytest.raises(DomainError, match="^index sequences must be nonempty, 1-D "):
+        orthogonality_entry([[1, 2], [3]], [1, 2], w)
+    with pytest.raises(DomainError, match=re.escape("got [1.5, 2]")):
+        orthogonality_entry([1.5, 2], [1, 2], w)
+    # (q gamma; q)_inf^4 overflowed in a bare OverflowError
+    with pytest.raises(NonConvergence, match=r"^\(q g; q\)\^4 overflowed at "):
+        shifted_orthogonality_rhs(UltraParams(2.15, 900.0, 0.9))
+    # the 2psi2's region check divided by a1 a2 z, which underflowed to 0:
+    # b_i / a_i pair up instead, and the point is far outside the annulus
+    with pytest.raises(RegionError, match=r"^2psi2 requires .* got 17081\.89"):
+        bilateral_cn_psi_form(-1058, SpectralPoint(-160 + 210j),
+                              UltraParams(0.79 - 1.88j, -17.0, 0.5j))

@@ -51,7 +51,20 @@ the type and message of the error it raised.  The calls are
   (beta/q)^800, (beta^2 gamma/q)^2000, and a far row's (q/(beta z))^|n|
   whose modulus does while its parts do not), ``special_value_cm1`` at
   beta = 1, and ``bilateral_cn`` at n = 2.5, so that the type and
-  message of each error show.
+  message of each error show;
+* every other public function of n at n = 2.5 (``bilateral_cn_range``
+  over 0..2.5, ``bilateral_cn_continued``, ``bilateral_cn_psi_form``,
+  ``classical_cn``, ``recurrence_gap``, ``recurrence_residual``
+  (classical), ``symmetry_gap``, ``symmetry_residual``,
+  ``constant_term``, ``linearization_residual``, ``dq_action_residual``
+  (bilateral), ``orthogonality_entry``, ``orthogonality_diagonal``,
+  ``bilateral_delta_integral``, ``shifted_orthogonality_rhs``,
+  ``shifted_orthogonality_pair``, ``poch`` and ``poch_ratio``),
+  ``orthogonality_diagonal`` at n = -1, ``shifted_orthogonality_rhs``
+  at (q, beta, gamma) = (0.9, 2.15, 900), where (q gamma; q)_inf^4 leaves
+  the double range, and ``bilateral_cn_psi_form`` at n = -1058, where the
+  2psi2's a1 a2 z underflows to 0, so that each switch from a value, a
+  truncated index or a bare exception to a typed error shows.
 
 The script prints every record that differs, then one summary line: the
 largest relative change of a value (a complex number of a record that
@@ -318,6 +331,54 @@ def _power_records() -> list:
             for name, call in calls.items()]
 
 
+def _index_records() -> list:
+    from qultra import (DEFAULT_POLICY, SpectralPoint, UltraParams, WeightParams,
+                        bilateral_cn_continued, bilateral_cn_psi_form,
+                        bilateral_cn_range, bilateral_delta_integral, classical_cn,
+                        constant_term, dq_action_residual, linearization_residual,
+                        orthogonality_diagonal, orthogonality_entry, poch,
+                        recurrence_gap, recurrence_residual,
+                        shifted_orthogonality_pair, shifted_orthogonality_rhs,
+                        symmetry_gap, symmetry_residual)
+    from qultra.qcore import poch_ratio
+    params, p, w = UltraParams(0.8, 0.7, 0.3), SpectralPoint.from_theta(1.0), \
+        WeightParams(0.8, 0.3)
+    n = 2.5
+    calls = {
+        "bilateral_cn_range": lambda: bilateral_cn_range(0, n, p, params).values,
+        "bilateral_cn_continued": lambda: bilateral_cn_continued(n, p.z, params).value,
+        "bilateral_cn_psi_form": lambda: bilateral_cn_psi_form(n, p, params),
+        "classical_cn": lambda: classical_cn(n, p, 0.8, 0.3),
+        "recurrence_gap": lambda: recurrence_gap(n, p, params, 1, 1, 1),
+        "recurrence_residual": lambda: recurrence_residual("classical", n, p, params),
+        "symmetry_gap": lambda: symmetry_gap(n, params, 1, 1),
+        "symmetry_residual": lambda: symmetry_residual(n, p, params),
+        "constant_term": lambda: constant_term(n, params),
+        "linearization_residual": lambda: linearization_residual(1, n, p, 0.8, 0.3),
+        "dq_action_residual": lambda: dq_action_residual("bilateral", n, p, params),
+        "orthogonality_entry": lambda: orthogonality_entry(0, n, w).value,
+        "orthogonality_diagonal": lambda: orthogonality_diagonal(n, w),
+        "bilateral_delta_integral": lambda: bilateral_delta_integral(n, 0.8, 0.3).value,
+        "shifted_orthogonality_rhs": lambda: shifted_orthogonality_rhs(
+            params, DEFAULT_POLICY, n),
+        "shifted_orthogonality_pair": lambda: shifted_orthogonality_pair(
+            n, n, params)[0].value,
+        "poch": lambda: poch(0.5, 0.3, n),
+        "poch_ratio": lambda: poch_ratio(0.5, 0.2, 0.3, n),
+    }
+    out = [[f"index {name} 2.5", _record(lambda: _num(call()))]
+           for name, call in calls.items()]
+    typed = {
+        "orthogonality_diagonal -1": lambda: orthogonality_diagonal(-1, w),
+        "shifted_orthogonality_rhs (0.9, 2.15, 900)": lambda: shifted_orthogonality_rhs(
+            UltraParams(2.15, 900.0, 0.9)),
+        "bilateral_cn_psi_form -1058": lambda: bilateral_cn_psi_form(
+            -1058, SpectralPoint(-160 + 210j), UltraParams(0.79 - 1.88j, -17.0, 0.5j)),
+    }
+    return out + [[f"index {name}", _record(lambda: _num(call()))]
+                  for name, call in typed.items()]
+
+
 def records(src: str) -> list:
     """Every record of the tree at src, in a fixed order."""
     src = Path(src).resolve()
@@ -329,7 +390,8 @@ def records(src: str) -> list:
     rng = np.random.default_rng(2508)
     return (_cn_records(rng) + _series_records(rng) + _poch_records(rng)
             + _suite_records() + _pass_records() + _lattice_records()
-            + _pole_records() + _base_records() + _power_records())
+            + _pole_records() + _base_records() + _power_records()
+            + _index_records())
 
 
 def _values(payload) -> list:
