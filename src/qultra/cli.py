@@ -5,8 +5,8 @@ Each command accepts only the flags it reads (see build_parser); table
 writes CSV only, the other three take --format text|json|csv.
 
 Exit codes: 0 success, 1 verification failure, 2 configuration or usage
-error, 3 numerical error (non-convergence or a parameter pole in a
-direct eval/identity call).
+error, 3 numerical error (non-convergence, a value that left the double
+range, or a parameter pole in a direct eval/identity call).
 """
 
 from __future__ import annotations

@@ -6,9 +6,10 @@ class QSeriesError(Exception):
 
 
 class DomainError(QSeriesError):
-    """A parameter is outside the domain an operation supports
-    (bad base, non-finite input, weight parameters outside the
-    positivity window, ...)."""
+    """An input is outside the domain an operation supports (bad base,
+    non-finite input, a non-integer index, weight parameters outside the
+    positivity window, ...).  A value the operation forms that leaves the
+    double range is a NonConvergence, not a DomainError."""
 
 
 class RegionError(QSeriesError):
@@ -23,8 +24,9 @@ class PoleError(QSeriesError):
 
 
 class NonConvergence(QSeriesError):
-    """The term budget was exhausted, or a divergence guard tripped,
-    before the requested tolerance was reached."""
+    """The term budget was exhausted, a divergence guard tripped, or a
+    value the operation forms left the double range (qcore.power and
+    qcore.finite), before the requested tolerance was reached."""
 
 
 class SingularPoint(QSeriesError):

@@ -25,7 +25,9 @@ complex arithmetic, and an array with finite k raises DomainError.
 is_q_power is the one test of value in q^Z, at every base; check_vanishing,
 built on it, the one test of a vanishing denominator product, which every
 closed form asks before it divides; power the one rule for a power of n
-that leaves the double range; index (indices for sequences) that for n.
+that leaves the double range, and finite that for any other value, each
+a NonConvergence naming the value; index (indices for sequences) the one
+rule for n.
 """
 
 from __future__ import annotations
@@ -227,7 +229,9 @@ def poch(a, q, k, policy: TruncationPolicy | None = None):
         if not np.all(np.isfinite(a)):
             raise DomainError("poch requires finite a")
         a_mag = float(np.max(np.abs(a))) if a.size else 0.0
-        return _poch_inf_table(a, q, _product_bound_terms(a_mag, abs(q), policy))
+        n_factors = _product_bound_terms(a_mag, abs(q), policy)
+        with np.errstate(over="ignore", invalid="ignore"):
+            return finite(_poch_inf_table(a, q, n_factors), "(a; q)_inf")
     a = complex(a)
     if not cmath.isfinite(a):
         raise DomainError("poch requires finite a")
@@ -239,15 +243,14 @@ def poch(a, q, k, policy: TruncationPolicy | None = None):
 
 def _poch_inf_scalar(a: complex, q: complex, policy: TruncationPolicy) -> complex:
     """(a; q)_inf for a finite complex a: poch's scalar loop, whose factor
-    count comes from _product_bound_terms; DomainError on overflow."""
+    count comes from _product_bound_terms; finite's NonConvergence on
+    overflow."""
     out = 1.0 + 0j
     term = a
     for _ in range(_product_bound_terms(abs(a), abs(q), policy)):
         out = out * (1.0 - term)   # not *=: complex has no in-place slot
         term = term * q
-    if not cmath.isfinite(out):
-        raise DomainError("(a; q)_inf overflowed double precision")
-    return out
+    return finite(out, "(a; q)_inf")
 
 
 def poch_ratio(a, b, q, k):
@@ -268,7 +271,7 @@ def _paired(a: complex, b: complex, q: complex, k: int, name: str) -> complex:
     not finite the loop runs again scaled, each factor's two parts and
     each partial product as m 2^e (_binary_split) with the exponents
     summed apart, so that only the product can leave the double range.
-    name opens each PoleError and DomainError message."""
+    name opens each PoleError and finite's NonConvergence message."""
     for scaled in (False, True):
         out, exp, v = 1.0 + 0j, 0, (1.0 + 0j if k >= 0 else q)
         for j in range(abs(k)):
@@ -286,9 +289,10 @@ def _paired(a: complex, b: complex, q: complex, k: int, name: str) -> complex:
         if not scaled and cmath.isfinite(out):
             return out
     try:
-        return complex(math.ldexp(out.real, exp), math.ldexp(out.imag, exp))
-    except OverflowError:
-        raise DomainError(f"{name} overflowed double precision") from None
+        out = complex(math.ldexp(out.real, exp), math.ldexp(out.imag, exp))
+    except OverflowError:       # ldexp raises where the value would be inf
+        out = complex(math.inf)
+    return finite(out, name)
 
 
 def _binary_split(x: complex):
@@ -332,6 +336,16 @@ def power(x, n, name: str):
         return out
     except (OverflowError, ZeroDivisionError):   # x ** -m where x ** m is 0
         raise NonConvergence(f"{name} overflowed at {x!r} ** {n}") from None
+
+
+def finite(value, name: str):
+    """value where it, or every element of an array, is finite, else
+    NonConvergence f"{name} overflowed": the one rule for a value that
+    leaves the double range."""
+    if not (np.isfinite(value).all() if isinstance(value, np.ndarray)
+            else cmath.isfinite(value)):
+        raise NonConvergence(f"{name} overflowed")
+    return value
 
 
 def index(n, least=None, what: str = "n") -> int:

@@ -44,7 +44,6 @@ u = beta q^k (Askey & Wilson, Mem. AMS 319, 1985).
 
 from __future__ import annotations
 
-import cmath
 import itertools
 import math
 from dataclasses import dataclass
@@ -54,8 +53,9 @@ import numpy as np
 from .errors import DomainError, NonConvergence, RegionError
 from .hyperseries import UNILATERAL, SeriesSpec, sum_phi
 from .qcore import (DEFAULT_POLICY, INFINITY, SpectralPoint,
-                    TruncationPolicy, check_real_base, check_vanishing, index,
-                    indices, poch, poch_multi, poch_pm, poch_quotient, power)
+                    TruncationPolicy, check_real_base, check_vanishing, finite,
+                    index, indices, poch, poch_multi, poch_pm, poch_quotient,
+                    power)
 from .ultraspherical import (UltraParams, bilateral_cn, bilateral_cn_range,
                              classical_cn, symmetry_params)
 
@@ -507,9 +507,7 @@ def shifted_orthogonality_pair(m, n, params: UltraParams,
             total, small = 0j, 0
             down = itertools.chain([0j], family(1, -m, -n, kmin[i]))
             for k, (u, d) in enumerate(zip(family(0, m, n, kmin[i]), down)):
-                contrib = u + scales[i] * d
-                if not cmath.isfinite(contrib):
-                    raise NonConvergence(f"shifted-orthogonality shell {k} is not finite")
+                contrib = finite(u + scales[i] * d, f"shifted-orthogonality shell {k}")
                 total += contrib
                 small = small + 1 if abs(contrib) <= tol * max(1.0, abs(total)) / 64.0 else 0
                 if small >= 2 and k >= kmin[i]:

@@ -48,8 +48,8 @@ from .errors import DomainError, NonConvergence, RegionError
 from .hyperseries import BILATERAL, SeriesSpec, sum_psi
 from .qcore import (DEFAULT_POLICY, INFINITY, CompensatedSum, SpectralPoint,
                     TruncationPolicy, _product_bound_terms, check_base, check_real_base,
-                    check_vanishing, index, indices, is_q_power, poch, poch_multi,
-                    poch_pm, poch_quotient, poch_ratio, power)
+                    check_vanishing, finite, index, indices, is_q_power, poch,
+                    poch_multi, poch_pm, poch_quotient, poch_ratio, power)
 
 CLASSICAL = "classical"
 BILATERAL_KIND = "bilateral"
@@ -415,9 +415,7 @@ def _direct_rows(n_lo: int, n_hi: int, z: np.ndarray, params: UltraParams,
         coeff = _scaled_coefficients(ns, steps, params, sigma, tau)
         coeff[np.arange(steps) >= ends[:, :, None]] = 0
         value = _side_sums(coeff, pre, ratio).sum(axis=0)
-    if not np.isfinite(value).all():
-        raise NonConvergence("direct bilateral sum overflowed")
-    return value, np.count_nonzero(coeff, axis=2)
+    return finite(value, "direct bilateral sum"), np.count_nonzero(coeff, axis=2)
 
 
 class _RouteUnusable(RegionError):
@@ -1029,10 +1027,11 @@ def bilateral_cn_psi_form(n: int, p: SpectralPoint, params: UltraParams,
     q, beta, gamma = params.q, params.beta, params.gamma
     bg, z, n = beta * gamma, complex(p.z), index(n)
     try:
-        pref = poch_ratio(bg, q * gamma, q, n) * power(z, n, "z^n")
-    except DomainError as exc:      # its one DomainError: the ratio overflowed
+        ratio = poch_ratio(bg, q * gamma, q, n)
+    except NonConvergence as exc:   # its one NonConvergence: the ratio overflowed
         raise NonConvergence(f"(beta gamma; q)_n/(q gamma; q)_n at n = {n} "
                              f"leaves the double range") from exc
+    pref = ratio * power(z, n, "z^n")
     b, d = power(q, -n, "q^{-n}") / gamma, power(q, 1 - n, "q^{1-n}") / bg
     for name, value in (("q^{-n}/gamma", b), ("q^{1-n}/(beta gamma)", d)):
         if not (value and cmath.isfinite(value)):
@@ -1078,9 +1077,10 @@ def generating_rhs(kind: str, t, p: SpectralPoint, params: UltraParams,
         raise RegionError(
             "bilateral generating function needs |q/beta| < |t z^(+-1)| < 1")
     bg = beta * gamma
-    pref = ((poch(q, q, INFINITY, policy) * poch(q / beta, q, INFINITY, policy)) ** 2
-            / (poch(q * gamma, q, INFINITY, policy)
-               * poch(q / bg, q, INFINITY, policy)) ** 2)
+    pref = (power(poch(q, q, INFINITY, policy) * poch(q / beta, q, INFINITY, policy),
+                  2, "(q, q/beta; q)^2")
+            / power(poch(q * gamma, q, INFINITY, policy) * poch(q / bg, q, INFINITY, policy),
+                    2, "(q gamma, q/(beta gamma); q)^2"))
     num = poch_pm(bg * t, p, q, policy) * poch_pm(q / (bg * t), p, q, policy)
     den = poch_pm(t, p, q, policy) * poch_pm(q / (beta * t), p, q, policy)
     return pref * num / den

@@ -6,12 +6,12 @@ fixed values its entry reports.  A runner returns ``(lhs, rhs, scale,
 evaluated)``: ``_worst`` reduces the first three by the row's rule, and
 ``_counts`` takes terms and nodes from ``evaluated``.  ``run_suite`` never
 aborts on an entry: an unmet hypothesis (RegionError, PoleError,
-DomainError, SingularPoint) skips it, NonConvergence or an internal error
-(an exception that is not a QSeriesError) fails it, and the note names
-the exception.  So does a residual that is not finite.  Skipped or
-failed, an entry keeps its row's keys, fixed values and gate, with
-residual 0 if it has none.  Identical configurations give byte-identical
-JSON.
+DomainError, SingularPoint) skips it, NonConvergence (an overflow
+included) or an internal error (an exception that is not a QSeriesError)
+fails it, and the note names the exception.  So does a residual that is
+not finite.  Skipped or failed, an entry keeps its row's keys, fixed
+values and gate, with residual 0 if it has none.  Identical
+configurations give byte-identical JSON.
 """
 
 from __future__ import annotations

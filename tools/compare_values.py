@@ -64,7 +64,14 @@ the type and message of the error it raised.  The calls are
   at (q, beta, gamma) = (0.9, 2.15, 900), where (q gamma; q)_inf^4 leaves
   the double range, and ``bilateral_cn_psi_form`` at n = -1058, where the
   2psi2's a1 a2 z underflows to 0, so that each switch from a value, a
-  truncated index or a bare exception to a typed error shows.
+  truncated index or a bare exception to a typed error shows;
+* calls where a q-product or a constant leaves the double range: scalar
+  and array ``poch`` to infinity at a = 1e200, ``poch(0.5 + 5e-324j, 0.5,
+  -1)``, ``shifted_orthogonality_rhs`` at (q, beta, gamma) = (0.7, 0.8,
+  1e12), ``bilateral_delta_rhs(1e-9, 0.5)``, the bilateral
+  ``generating_rhs`` at t = 0.97, z = 1 and (0.95, 0.99, 1000), and
+  ``render_json(run_suite({"q": 0.7, "gamma": 1e12}))``, so that the type
+  and message of each overflow show.
 
 The script prints every record that differs, then one summary line: the
 largest relative change of a value (a complex number of a record that
@@ -379,6 +386,25 @@ def _index_records() -> list:
                   for name, call in typed.items()]
 
 
+def _overflow_records() -> list:
+    import numpy as np
+    from qultra import (INFINITY, SpectralPoint, UltraParams, bilateral_delta_rhs,
+                        generating_rhs, poch, render_json, run_suite,
+                        shifted_orthogonality_rhs)
+    calls = {
+        "poch 1e200": lambda: _num(poch(1e200, 0.5, INFINITY)),
+        "poch array 1e200": lambda: _num(poch(np.array([1e200, 0.5]), 0.5, INFINITY)),
+        "poch -1": lambda: _num(poch(0.5 + 5e-324j, 0.5, -1)),
+        "shifted_orthogonality_rhs (0.7, 0.8, 1e12)": lambda: _num(
+            shifted_orthogonality_rhs(UltraParams(0.8, 1e12, 0.7))),
+        "bilateral_delta_rhs 1e-9": lambda: _num(bilateral_delta_rhs(1e-9, 0.5)),
+        "generating_rhs (0.95, 0.99, 1000)": lambda: _num(generating_rhs(
+            "bilateral", 0.97, SpectralPoint(1.0), UltraParams(0.99, 1000.0, 0.95))),
+        "suite gamma = 1e12": lambda: render_json(run_suite({"q": 0.7, "gamma": 1e12})),
+    }
+    return [[f"overflow {name}", _record(call)] for name, call in calls.items()]
+
+
 def records(src: str) -> list:
     """Every record of the tree at src, in a fixed order."""
     src = Path(src).resolve()
@@ -391,7 +417,7 @@ def records(src: str) -> list:
     return (_cn_records(rng) + _series_records(rng) + _poch_records(rng)
             + _suite_records() + _pass_records() + _lattice_records()
             + _pole_records() + _base_records() + _power_records()
-            + _index_records())
+            + _index_records() + _overflow_records())
 
 
 def _values(payload) -> list:
