@@ -27,7 +27,8 @@ built on it, the one test of a vanishing denominator product, which every
 closed form asks before it divides; power the one rule for a power of n
 that leaves the double range, and finite that for any other value, each
 a NonConvergence naming the value; index (indices for sequences) the one
-rule for n.
+rule for n; pointwise the one rule by which a residual of an array of
+points gives each point's scalar result.
 """
 
 from __future__ import annotations
@@ -346,6 +347,26 @@ def finite(value, name: str):
             else cmath.isfinite(value)):
         raise NonConvergence(f"{name} overflowed")
     return value
+
+
+def pointwise(fn, *args):
+    """fn of Python scalars: fn(*args) where no arg is an array (a numpy
+    scalar passed as its Python value); else fn at each point of the
+    arrays' common shape S, its args that point's elements (a scalar arg
+    stands for every point), as an array: of shape S where fn gives a
+    scalar, (k,) + S where it gives k values.  So an array of points gives
+    each point's scalar result bit for bit."""
+    arrays = [a for a in args if isinstance(a, np.ndarray)]
+    if not arrays:
+        return fn(*(a.item() if isinstance(a, np.generic) else a for a in args))
+    shape = arrays[0].shape
+    if any(a.shape != shape for a in arrays):
+        shape = np.broadcast_shapes(*(a.shape for a in arrays))
+    size = math.prod(shape)
+    columns = [np.broadcast_to(a, shape).ravel().tolist()
+               if isinstance(a, np.ndarray) else [a] * size for a in args]
+    out = np.array([fn(*point) for point in zip(*columns)])    # (size,) or (size, k)
+    return out.T.reshape(out.shape[1:] + shape)
 
 
 def index(n, least=None, what: str = "n") -> int:

@@ -49,7 +49,8 @@ from .hyperseries import BILATERAL, SeriesSpec, sum_psi
 from .qcore import (DEFAULT_POLICY, INFINITY, CompensatedSum, SpectralPoint,
                     TruncationPolicy, _product_bound_terms, check_base, check_real_base,
                     check_vanishing, finite, index, indices, is_q_power, poch,
-                    poch_multi, poch_pm, poch_quotient, poch_ratio, power)
+                    poch_multi, poch_pm, poch_quotient, poch_ratio, pointwise,
+                    power)
 
 CLASSICAL = "classical"
 BILATERAL_KIND = "bilateral"
@@ -1022,10 +1023,13 @@ def bilateral_cn_psi_form(n: int, p: SpectralPoint, params: UltraParams,
     well-poised P 2psi2(beta gamma, b; q gamma, d; q, q/(beta z^2)),
     P = (beta gamma; q)_n / (q gamma; q)_n z^n, b = q^{-n}/gamma and
     d = q^{1-n}/(beta gamma); NonConvergence where P, b or d overflows,
-    or b or d underflows to 0."""
+    or b or d underflows to 0.  p is one point: the sum is one scalar
+    2psi2, and an array of z raises DomainError."""
+    if isinstance(p.z, np.ndarray):
+        raise DomainError("bilateral_cn_psi_form takes one point, got an array of z")
     check_pole_lattice(params)
     q, beta, gamma = params.q, params.beta, params.gamma
-    bg, z, n = beta * gamma, complex(p.z), index(n)
+    bg, z, n = beta * gamma, p.z, index(n)
     try:
         ratio = poch_ratio(bg, q * gamma, q, n)
     except NonConvergence as exc:   # its one NonConvergence: the ratio overflowed
@@ -1042,13 +1046,20 @@ def bilateral_cn_psi_form(n: int, p: SpectralPoint, params: UltraParams,
 
 def bilateral_cn_continued(n: int, z, params: UltraParams,
                            policy: TruncationPolicy = DEFAULT_POLICY) -> UltraValue:
-    """C_n at one scalar z by the analytic continuation of _point_rows,
-    wherever z lies, also inside the direct annulus: the pole expansion,
-    the recurrence where it refuses, and on the q^Z lattice of z^2 the
-    circle mean.  Its errors are _point_rows'."""
-    z, n = complex(z), index(n)
-    (value,), (terms,) = _point_rows(n, n, [z], params, policy)[0]
-    return UltraValue(n, SpectralPoint(z), value, terms)
+    """C_n at z by the analytic continuation of _point_rows, wherever z
+    lies, also inside the direct annulus: the pole expansion, the
+    recurrence where it refuses, and on the q^Z lattice of z^2 the circle
+    mean.  z may be an array: one _point_rows runs over its points, each
+    value that of its scalar call bit for bit, and truncation_terms is
+    the most any point summed.  Its errors are _point_rows'."""
+    n, p = index(n), SpectralPoint(z)
+    array = isinstance(p.z, np.ndarray)
+    zs = np.asarray(p.z, dtype=complex).ravel().tolist() if array else [p.z]
+    rows = _point_rows(n, n, zs, params, policy)    # per point ((C_n,), (terms,))
+    values = [value for (value,), _ in rows]
+    terms = max((count for _, (count,) in rows), default=0)
+    return UltraValue(n, p, np.array(values, dtype=complex).reshape(p.z.shape)
+                      if array else values[0], terms)
 
 
 def generating_rhs(kind: str, t, p: SpectralPoint, params: UltraParams,
@@ -1099,18 +1110,22 @@ def recurrence_gap(n: int, p: SpectralPoint, params: UltraParams,
                    cm1, c0, cp1) -> float:
     """Residual of the three-term recurrence (_recurrence_coefficients)
     for the given values C_{n-1}, C_n, C_{n+1} at p, scaled by
-    max(1, |C_n|)."""
+    max(1, |C_n|).  Where p or the values hold arrays, an array: each
+    point's scalar gap (pointwise)."""
     down, mid, up = _recurrence_coefficients(index(n), params)
-    lhs = 2 * p.x * mid * c0
-    rhs = up * cp1 + down * cm1
-    return abs(lhs - rhs) / max(1.0, abs(c0))
+
+    def gap(z, cm1, c0, cp1):
+        x = (z + 1.0 / z) / 2.0         # p.x at one point
+        return abs(2 * x * mid * c0 - (up * cp1 + down * cm1)) / max(1.0, abs(c0))
+    return pointwise(gap, p.z, cm1, c0, cp1)
 
 
 def recurrence_residual(kind: str, n: int, p: SpectralPoint,
                         params: UltraParams,
                         policy: TruncationPolicy = DEFAULT_POLICY) -> float:
     """recurrence_gap of C_{n-1}, C_n, C_{n+1} at p; the classical kind
-    uses the polynomials and gamma = 1."""
+    uses the polynomials and gamma = 1.  An array p gives an array of its
+    shape: each point's scalar residual."""
     n = index(n, 1 if kind == CLASSICAL else None, "classical recurrence check needs n")
     if kind == CLASSICAL:
         vals = [classical_cn(j, p, params.beta, params.q) for j in (n - 1, n, n + 1)]
@@ -1123,9 +1138,13 @@ def recurrence_residual(kind: str, n: int, p: SpectralPoint,
 
 def symmetry_gap(n: int, params: UltraParams, cn, mirrored_c_minus_n) -> float:
     """Residual of C_n(x; beta, gamma) = (beta/q)^n C_{-n}(x; beta, 1/(beta gamma))
-    for the given values of both sides, scaled by max(1, |C_n|)."""
-    rhs = power(params.beta / params.q, index(n), "(beta/q)^n") * mirrored_c_minus_n
-    return abs(cn - rhs) / max(1.0, abs(cn))
+    for the given values of both sides, scaled by max(1, |C_n|); an array
+    where they hold arrays, of each point's scalar gap (pointwise)."""
+    scale = power(params.beta / params.q, index(n), "(beta/q)^n")
+
+    def gap(cn, mirrored):
+        return abs(cn - scale * mirrored) / max(1.0, abs(cn))
+    return pointwise(gap, cn, mirrored_c_minus_n)
 
 
 def symmetry_params(params: UltraParams) -> UltraParams:
@@ -1135,7 +1154,8 @@ def symmetry_params(params: UltraParams) -> UltraParams:
 
 def symmetry_residual(n: int, p: SpectralPoint, params: UltraParams,
                       policy: TruncationPolicy = DEFAULT_POLICY) -> float:
-    """symmetry_gap of C_n(x; beta, gamma) and C_{-n}(x; beta, 1/(beta gamma))."""
+    """symmetry_gap of C_n(x; beta, gamma) and C_{-n}(x; beta, 1/(beta gamma));
+    an array p gives an array of its shape."""
     lhs = bilateral_cn(n, p, params, policy).value
     rhs = bilateral_cn(-n, p, symmetry_params(params), policy).value
     return symmetry_gap(n, params, lhs, rhs)
@@ -1200,7 +1220,8 @@ def linearization_residual(m, n, p: SpectralPoint, beta, q):
     pairs (m[i], n[i]) then come back as an array, from one classical_cn
     per degree and one table (a; q)_j, j = 0..max(m + n), per base a of
     the coefficients.  Each pair's residual is the one its integer call
-    gives, bit for bit."""
+    gives, bit for bit.  An array p adds its shape to the result's, each
+    point's residuals those of its scalar call (pointwise)."""
     ms, ns, single = indices(m, n, least=0, what="linearization needs m, n")
     q = check_base(q)
     beta = complex(beta)
@@ -1208,20 +1229,30 @@ def linearization_residual(m, n, p: SpectralPoint, beta, q):
     # the divisors (beta; q)_1 (q beta; q)_{m+n-k} and (beta^2; q)_s
     check_vanishing({"beta": beta}, q, top + 1)
     check_vanishing({"beta^2": beta ** 2}, q, top)
-    degrees = {*ms, *ns} | {a + b - 2 * k for a, b in zip(ms, ns)
-                            for k in range(min(a, b) + 1)}
-    cn = {d: classical_cn(d, p, beta, q) for d in degrees}
+    degrees = sorted({*ms, *ns} | {a + b - 2 * k for a, b in zip(ms, ns)
+                                   for k in range(min(a, b) + 1)})
+    values = [classical_cn(d, p, beta, q) for d in degrees]
     qq, bq, b2q, qbq = ([poch(a, q, j) for j in range(top + 1)]
                         for a in (q, beta, beta ** 2, q * beta))
-    out = []
+    sums = []       # per pair, the (coeff, degree) terms of its right side
     for m, n in zip(ms, ns):
-        lhs = cn[m] * cn[n]
-        acc = 0.0 + 0j
+        terms = []
         for k in range(min(m, n) + 1):
             s = m + n - 2 * k
             coeff = qq[s] * bq[m - k] * bq[n - k] * bq[k] * b2q[m + n - k]
             coeff /= (b2q[s] * qq[m - k] * qq[n - k] * qq[k] * qbq[m + n - k])
             coeff *= (1 - beta * q ** s) / (1 - beta)
-            acc += coeff * cn[s]
-        out.append(abs(lhs - acc) / max(1.0, abs(lhs)))
-    return out[0] if single else np.array(out)
+            terms.append((coeff, s))
+        sums.append(terms)
+
+    def residuals(*values):     # the pairs' residuals at one point
+        cn = dict(zip(degrees, values))
+        out = []
+        for m, n, terms in zip(ms, ns, sums):
+            lhs = cn[m] * cn[n]
+            acc = 0.0 + 0j
+            for coeff, s in terms:
+                acc += coeff * cn[s]
+            out.append(abs(lhs - acc) / max(1.0, abs(lhs)))
+        return out[0] if single else np.array(out)
+    return pointwise(residuals, *values)

@@ -16,6 +16,7 @@ configurations give byte-identical JSON.
 
 from __future__ import annotations
 
+import cmath
 import json
 import math
 from dataclasses import dataclass
@@ -121,7 +122,8 @@ class ResolvedConfig:
             self.params = UltraParams(cfg["beta"], cfg["gamma"], cfg["q"])
         except DomainError as exc:
             raise ConfigError(str(exc)) from exc
-        self.points = tuple(SpectralPoint.from_theta(t) for t in cfg["thetas"])
+        # one array point: the z of SpectralPoint.from_theta at each angle
+        self.points = SpectralPoint(np.array([cmath.exp(1j * t) for t in cfg["thetas"]]))
 
     @cached_property
     def rng(self):
@@ -199,58 +201,65 @@ def _transform(name, ctx: ResolvedConfig):
     return gaps, None, None, ()
 
 
+def _each(p: SpectralPoint) -> list:
+    """The points of an array point, each a scalar SpectralPoint."""
+    return [SpectralPoint(z) for z in p.z.tolist()]
+
+
+def _by_point(values: np.ndarray) -> list:
+    """The items of (rows x points) values, point by point."""
+    return values.T.ravel().tolist()
+
+
 def _gamma_one_reduction(ctx: ResolvedConfig, gamma):
     """C_n(x; beta, 1), n = 0..8, against the classical polynomials (the
     lhs, so that max(1, |C_n|) scales the unit rule)."""
     q, beta = ctx.cfg["q"], ctx.cfg["beta"]
-    reduced = ctx.params.with_gamma(gamma)
-    refs, values, ranges = [], [], []
-    for p in ctx.points:
-        ranges.append(bilateral_cn_range(0, 8, p, reduced, ctx.policy))
-        values += ranges[-1].values.tolist()
-        refs += [classical_cn(n, p, beta, q) for n in range(0, 9)]
-    return refs, values, None, ranges
+    refs = np.array([classical_cn(n, ctx.points, beta, q) for n in range(0, 9)])
+    rows = bilateral_cn_range(0, 8, ctx.points, ctx.params.with_gamma(gamma), ctx.policy)
+    return _by_point(refs), _by_point(rows.values), None, (rows,)
 
 
 def _bilateral_recurrence(ctx: ResolvedConfig):
-    ranges = [bilateral_cn_range(-7, 7, p, ctx.params, ctx.policy) for p in ctx.points]
-    gaps = [recurrence_gap(n, p, ctx.params, rows[n - 1], rows[n], rows[n + 1])
-            for p, rows in zip(ctx.points, ranges) for n in range(-6, 7)]
-    return gaps, None, None, ranges
+    rows = bilateral_cn_range(-7, 7, ctx.points, ctx.params, ctx.policy)
+    gaps = np.array([recurrence_gap(n, ctx.points, ctx.params, rows[n - 1], rows[n],
+                                    rows[n + 1]) for n in range(-6, 7)])
+    return _by_point(gaps), None, None, (rows,)
 
 
 def _generating_function(ctx: ResolvedConfig):
+    """sum_n C_n t^n against generating_rhs at each point, summed shell by
+    shell (n and -n) until TAIL_WINDOW shells in a row fall below 1e-12
+    |rhs|.  The points share one range of rows, widened for all of them
+    where a point's sum first needs more."""
     t = ctx.cfg["t"]
     max_n = ctx.policy.max_terms  # largest |n| summed: the term budget
-    sums, rhss, ranges = [], [], []
-    for p in ctx.points:
-        rhs = generating_rhs(BILATERAL_KIND, t, p, ctx.params, ctx.policy)
-        rows = bilateral_cn_range(-16, 16, p, ctx.params, ctx.policy)
-        acc, tail, n = rows[0] + 0j, 0, 1
+    rhss = [generating_rhs(BILATERAL_KIND, t, p, ctx.params, ctx.policy)
+            for p in _each(ctx.points)]
+    rows = bilateral_cn_range(-16, 16, ctx.points, ctx.params, ctx.policy)
+    sums = []
+    for j, rhs in enumerate(rhss):
+        acc, tail, n = rows[0][j] + 0j, 0, 1
         while tail < TAIL_WINDOW:
             if n > rows.n_hi:  # the next block of rows on both sides
                 reach = min(2 * rows.n_hi, max_n)
                 rows = rows.widened(-reach, reach)
-            shell = 0j
-            for m in (n, -n):
-                shell += rows[m] * power(t, m, "t^n")
+            shell = rows[n][j] * power(t, n, "t^n") + rows[-n][j] * power(t, -n, "t^n")
             acc += shell
             tail = tail + 1 if abs(shell) < 1e-12 * abs(rhs) else 0
             n += 1
             if n > max_n:
                 raise NonConvergence("generating-function sum failed to settle")
         sums.append(acc)
-        rhss.append(rhs)
-        ranges.append(rows)
-    return sums, rhss, rhss, ranges
+    return sums, rhss, rhss, (rows,)
 
 
 def _gf_fourier(ctx: ResolvedConfig):
     """Laurent coefficients of the generating function on |t| = r recover
     the functions: 2^j-point circle sampling, doubled until stable."""
     r = ctx.cfg["t"]
-    extracted, values, ranges = [], [], []
-    for p in ctx.points:
+    extracted = []
+    for p in _each(ctx.points):
         m, prev = 64, None
         while True:
             phis = 2 * np.pi * np.arange(m) / m
@@ -264,21 +273,18 @@ def _gf_fourier(ctx: ResolvedConfig):
             m *= 2
             if m > 4096:
                 raise NonConvergence("coefficient extraction failed to settle")
-        ranges.append(bilateral_cn_range(-4, 4, p, ctx.params, ctx.policy))
-        values += ranges[-1].values.tolist()
         extracted += [coeff[n % m] / r ** n for n in range(-4, 5)]
-    return extracted, values, None, ranges
+    rows = bilateral_cn_range(-4, 4, ctx.points, ctx.params, ctx.policy)
+    return extracted, _by_point(rows.values), None, (rows,)
 
 
 def _symmetry(ctx: ResolvedConfig):
-    gaps, ranges = [], []
-    for p in ctx.points:
-        rows = bilateral_cn_range(-4, 4, p, ctx.params, ctx.policy)
-        mirror = bilateral_cn_range(-4, 4, p, symmetry_params(ctx.params),
-                                    ctx.policy)
-        ranges += [rows, mirror]
-        gaps += [symmetry_gap(n, ctx.params, rows[n], mirror[-n]) for n in range(-4, 5)]
-    return gaps, None, None, ranges
+    rows = bilateral_cn_range(-4, 4, ctx.points, ctx.params, ctx.policy)
+    mirror = bilateral_cn_range(-4, 4, ctx.points, symmetry_params(ctx.params),
+                                ctx.policy)
+    gaps = np.array([symmetry_gap(n, ctx.params, rows[n], mirror[-n])
+                     for n in range(-4, 5)])
+    return _by_point(gaps), None, None, (rows, mirror)
 
 
 def _constant_terms(ctx: ResolvedConfig):
@@ -299,20 +305,21 @@ def _crosscheck(ctx: ResolvedConfig):
     the analytic continuation (bilateral_cn_continued: the pole
     expansion, and the recurrence where it refuses) matches the direct
     sum at the same points, where both converge."""
-    lhs, rhs = [], []
-    for p in ctx.points:
-        for n in (-2, 0, 1):
-            lhs.append(bilateral_cn(n, p, ctx.params, ctx.policy).value)
-            rhs.append(bilateral_cn_psi_form(n, p, ctx.params, ctx.policy))
-    rhs += [bilateral_cn_continued(n, p.z, ctx.params, ctx.policy).value
-            for p in ctx.points for n in (-2, 0, 1)]
-    return lhs + lhs, rhs, None, ()
+    ns = (-2, 0, 1)
+    # the 2psi2 forms first, at every point: where one does not apply the
+    # entry skips, whatever the values would have done
+    psi = [bilateral_cn_psi_form(n, p, ctx.params, ctx.policy)
+           for p in _each(ctx.points) for n in ns]
+    values = _by_point(np.array([bilateral_cn(n, ctx.points, ctx.params,
+                                              ctx.policy).value for n in ns]))
+    continued = _by_point(np.array([bilateral_cn_continued(n, ctx.points.z, ctx.params,
+                                                           ctx.policy).value for n in ns]))
+    return values + values, psi + continued, None, ()
 
 
 def _dq_action(kind, ns, ctx: ResolvedConfig):
-    results = [dq_action_residual(kind, ns, p, ctx.params, ctx.policy)
-               for p in ctx.points]
-    return [g for r in results for g in r.residual.tolist()], None, None, results
+    result = dq_action_residual(kind, ns, ctx.points, ctx.params, ctx.policy)
+    return _by_point(result.residual), None, None, (result,)
 
 
 def _orth_offdiag(ctx: ResolvedConfig):
@@ -370,8 +377,8 @@ def _shifted_scaling(ctx: ResolvedConfig):
 def _linearization(ctx: ResolvedConfig):
     ms, ns = zip(*((m, n) for m in range(5) for n in range(5)))
     beta, q = ctx.cfg["beta"], ctx.cfg["q"]
-    gaps = [linearization_residual(ms, ns, p, beta, q).tolist() for p in ctx.points]
-    return [g for row in gaps for g in row], None, None, ()
+    gaps = linearization_residual(ms, ns, ctx.points, beta, q)
+    return _by_point(gaps), None, None, ()
 
 
 class Row(NamedTuple):

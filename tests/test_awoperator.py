@@ -14,14 +14,33 @@ from qultra.verify import CONFIG_DEFAULTS, run_identity
 Q, BETA, GAMMA = (CONFIG_DEFAULTS[k] for k in ("q", "beta", "gamma"))
 
 
-def test_an_array_point_is_a_domain_error(params):
-    # both took complex(p.z), a bare TypeError for an array of z
-    p = SpectralPoint(np.exp(1j * np.array([0.4, 1.0])))
-    with pytest.raises(DomainError, match="apply_dq takes one point"):
-        apply_dq(lambda sp: sp.x, p, Q)
-    for kind, n in (("classical", 2), ("bilateral", 1), ("bilateral", [0, 1])):
-        with pytest.raises(DomainError, match="dq_action_residual takes one point"):
-            dq_action_residual(kind, n, p, params)
+def test_an_array_point_equals_its_points_one_by_one(params):
+    # an array of z of any shape gives each point's scalar result bit for
+    # bit: at the defaults every bilateral row of the action is continued
+    thetas = np.array([[0.4, 1.0, 2.2], [0.7, 1.9, 2.9]])
+    p = SpectralPoint(np.exp(1j * thetas))
+    points = [SpectralPoint(z) for z in p.z.ravel().tolist()]
+
+    def one_by_one(call):
+        return np.array([call(sp) for sp in points]).reshape(thetas.shape)
+
+    got = apply_dq(lambda sp: sp.x ** 2, p, Q)
+    assert got.tolist() == one_by_one(lambda sp: apply_dq(lambda s: s.x ** 2, sp, Q)).tolist()
+    assert apply_dq(lambda sp: 1.0 + 0j, p, Q).tolist() == np.zeros(thetas.shape).tolist()
+    for kind, n in (("classical", 2), ("bilateral", 1), ("bilateral", -3)):
+        got = dq_action_residual(kind, n, p, params)
+        assert got.shape == thetas.shape
+        assert got.tolist() == one_by_one(
+            lambda sp: dq_action_residual(kind, n, sp, params)).tolist()
+    for kind, ns in (("classical", [5, 2]), ("bilateral", range(-4, 5))):
+        got = dq_action_residual(kind, ns, p, params)
+        each = [dq_action_residual(kind, ns, sp, params) for sp in points]
+        assert got.residual.shape == (len(ns),) + thetas.shape
+        assert got.residual.reshape(len(ns), -1).T.tolist() == [
+            r.residual.tolist() for r in each]
+        assert got.terms_used == max(r.terms_used for r in each)
+    with pytest.raises(SingularPoint, match="singular at z = "):
+        apply_dq(lambda sp: sp.x, SpectralPoint(np.array([1j, -1.0])), Q)
 
 
 def test_constant_maps_to_zero(points):
@@ -155,9 +174,10 @@ def test_dq_sequences_are_checked(n, params, points):
         dq_action_residual("classical", [1, 0], points[0], params)
 
 
-def test_dq_entry_evaluates_each_family_once_per_point(monkeypatch):
-    # 3 points x (p q^{1/2}, p q^{-1/2} and the lowered family at p): 9
-    # range calls, where one call per (point, n) made 81 one-row ones
+def test_dq_entry_evaluates_each_family_once(monkeypatch):
+    # p q^{1/2}, p q^{-1/2} and the lowered family at p, each one range
+    # call for the 3 points, where one call per (point, n) made 81 one-row
+    # ones and one per point 9
     calls = []
 
     def spy(n_lo, n_hi, p, params, policy):
@@ -168,7 +188,7 @@ def test_dq_entry_evaluates_each_family_once_per_point(monkeypatch):
     monkeypatch.setattr(aw, "bilateral_cn_range", spy)
     entry = run_identity("dq_action_bilateral")
     assert entry.passed and entry.terms_used > 0
-    assert calls == [(-4, 4), (-4, 4), (-5, 3)] * 3
+    assert calls == [(-4, 4), (-4, 4), (-5, 3)]
 
 
 def test_unknown_kind_is_a_domain_error(params):

@@ -309,6 +309,32 @@ def test_linearization_entry_evaluates_each_degree_once_per_point(monkeypatch):
     assert len(calls) <= 9 * 3 and sorted(set(calls)) == list(range(9))
 
 
+@pytest.mark.parametrize("entry, ranges", [
+    ("bilateral_cn_recurrence", [(-7, 7)]),
+    ("bilateral_cn_symmetry", [(-4, 4), (-4, 4)]),       # C_n and its mirror family
+    # one range and the widenings of all points together, as far as the
+    # slowest point's sum needs
+    ("generating_function_product", [(-16, 16), (-32, -17), (17, 32), (-64, -33), (33, 64)]),
+    ("generating_function_coefficients", [(-4, 4)]),
+    ("bilateral_cn_gamma_one_reduction", [(0, 8)]),
+])
+def test_bilateral_entries_evaluate_each_family_once(entry, ranges, monkeypatch):
+    # one bilateral_cn_range call per family for the 3 points, where each
+    # point made its own
+    import qultra.ultraspherical as us
+    import qultra.verify as verify
+    calls = []
+
+    def spy(n_lo, n_hi, p, params, policy, _real=us.bilateral_cn_range):
+        calls.append((n_lo, n_hi, p.z.shape))
+        return _real(n_lo, n_hi, p, params, policy)
+
+    monkeypatch.setattr(verify, "bilateral_cn_range", spy)
+    monkeypatch.setattr(us, "bilateral_cn_range", spy)      # widened() calls it
+    assert run_identity(entry).passed
+    assert calls == [(lo, hi, (3,)) for lo, hi in ranges]
+
+
 # ---- registry rows, residual rules and the count collector ----
 
 # the gate of every row when the registry took its row shape; a row may

@@ -71,7 +71,14 @@ the type and message of the error it raised.  The calls are
   1e12), ``bilateral_delta_rhs(1e-9, 0.5)``, the bilateral
   ``generating_rhs`` at t = 0.97, z = 1 and (0.95, 0.99, 1000), and
   ``render_json(run_suite({"q": 0.7, "gamma": 1e12}))``, so that the type
-  and message of each overflow show.
+  and message of each overflow show;
+* the public functions of a point at the array point e^{i theta}, theta
+  = 0.4, 1.0, 2.2, at each parameter set: ``recurrence_residual`` (both
+  kinds), ``symmetry_residual``, ``recurrence_gap`` and ``symmetry_gap``
+  (of given value arrays), ``linearization_residual`` (one pair and three),
+  ``bilateral_cn_psi_form``, ``bilateral_cn_continued``, ``apply_dq``,
+  ``dq_action_residual`` (classical n = 3, bilateral n = -1 and -4..4)
+  and ``classical_cn``, so that each array's value or error shows.
 
 The script prints every record that differs, then one summary line: the
 largest relative change of a value (a complex number of a record that
@@ -405,6 +412,51 @@ def _overflow_records() -> list:
     return [[f"overflow {name}", _record(call)] for name, call in calls.items()]
 
 
+def _array_records() -> list:
+    import numpy as np
+    from qultra import (SpectralPoint, UltraParams, apply_dq, bilateral_cn_continued,
+                        bilateral_cn_psi_form, classical_cn, dq_action_residual,
+                        linearization_residual, recurrence_gap, recurrence_residual,
+                        symmetry_gap, symmetry_residual)
+    p = SpectralPoint(np.exp(1j * np.array([0.4, 1.0, 2.2])))
+    given = np.array([[0.3 + 0.1j, -1.2 + 0.4j, 2.5 - 0.7j],
+                      [1.1 - 0.2j, 0.7 + 0.9j, -0.4 + 0.05j],
+                      [-0.6 + 1.3j, 0.2 - 0.1j, 1.9 + 0.3j]])
+    out = []
+    for qbg in PARAMS:
+        q, beta, gamma = qbg
+        params = UltraParams(beta, gamma, q)
+        calls = {
+            "recurrence_residual classical": lambda: recurrence_residual(
+                "classical", 2, p, params),
+            "recurrence_residual bilateral": lambda: recurrence_residual(
+                "bilateral", -1, p, params),
+            "symmetry_residual": lambda: symmetry_residual(2, p, params),
+            "recurrence_gap": lambda: recurrence_gap(1, p, params, *given),
+            "symmetry_gap": lambda: symmetry_gap(-2, params, *given[:2]),
+            "linearization_residual": lambda: linearization_residual(2, 3, p, beta, q),
+            "linearization_residual pairs": lambda: linearization_residual(
+                [0, 2, 4], [3, 2, 1], p, beta, q),
+            "bilateral_cn_psi_form": lambda: bilateral_cn_psi_form(1, p, params),
+            "bilateral_cn_continued": lambda: [
+                _num((v := bilateral_cn_continued(-2, p.z, params)).value),
+                v.truncation_terms],
+            "apply_dq": lambda: apply_dq(lambda sp: sp.x ** 3, p, q),
+            "dq_action_residual classical": lambda: dq_action_residual(
+                "classical", 3, p, params),
+            "dq_action_residual bilateral": lambda: dq_action_residual(
+                "bilateral", -1, p, params),
+            "dq_action_residual bilateral -4..4": lambda: [
+                _num((r := dq_action_residual("bilateral", range(-4, 5), p,
+                                              params)).residual), r.terms_used],
+            "classical_cn": lambda: classical_cn(5, p, beta, q),
+        }
+        for name, call in calls.items():
+            out.append([f"array {name} {qbg}", _record(
+                lambda: v if isinstance(v := call(), list) else _num(v))])
+    return out
+
+
 def records(src: str) -> list:
     """Every record of the tree at src, in a fixed order."""
     src = Path(src).resolve()
@@ -417,7 +469,7 @@ def records(src: str) -> list:
     return (_cn_records(rng) + _series_records(rng) + _poch_records(rng)
             + _suite_records() + _pass_records() + _lattice_records()
             + _pole_records() + _base_records() + _power_records()
-            + _index_records() + _overflow_records())
+            + _index_records() + _overflow_records() + _array_records())
 
 
 def _values(payload) -> list:
